@@ -167,7 +167,8 @@ def _cmd_verify(args) -> int:
         status = "pass" if row["pass"] else "FAIL"
         print(
             f"layer {row['layer']:>3} {row['kind']:<14}{gauge:<14} "
-            f"e_bias {row['e_bias']:.3e}  e_weight {row['e_weight']:.3e}  {status}"
+            f"e_bias {row['e_bias']:.3e} (max {row['max_bias_error']:.3e})  "
+            f"e_weight {row['e_weight']:.3e} (max {row['max_weight_error']:.3e})  {status}"
         )
     print("PASS" if result["pass"] else "FAIL")
     return 0 if result["pass"] else 1

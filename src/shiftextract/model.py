@@ -10,14 +10,30 @@ traced variant doubles as the white-box oracle used by tests.
 
 Only label output is modelled: the terminal Argmax returns the index of the
 largest logit, lowest index on exact ties.
+
+Label queries are evaluated incrementally.  Each model keeps, per thread,
+the last label query it evaluated: its input, its shift entries and every
+layer's value.  The next ``forward_label`` in that thread recomputes only
+the layers downstream of a change, where a change is a different ``x0``
+object or a boundary whose shift entry is a different array object (or was
+added or dropped).  An attack phase holds one base query fixed and varies
+only the target boundary and the logit nudge, so every layer above the
+target is reused.  Identity stands in for equality because the arrays are
+read-only: ``QueryInput`` freezes its ``x0`` and ``ShiftSet`` freezes every
+entry when the array first enters (copying only a view of writable memory),
+so writing to them in place raises ``ValueError``.  A model freezes its
+parameters the same way.  ``forward_trace`` is memo-free, since it hands its
+arrays to the caller.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import threading
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -54,6 +70,22 @@ def _f64(a) -> np.ndarray:
     return np.asarray(a, dtype=np.float64)
 
 
+def _frozen(a) -> np.ndarray:
+    """``a`` as a read-only float64 array that no writable array aliases.
+
+    An array owning its memory is frozen in place; a view is copied unless
+    the memory it looks at is already read-only."""
+    arr = _f64(a)
+    if arr.base is not None:
+        root = arr
+        while isinstance(root.base, np.ndarray):
+            root = root.base
+        if root.flags.writeable:
+            arr = arr.copy()
+    arr.flags.writeable = False
+    return arr
+
+
 # ---------------------------------------------------------------------------
 # Shift sets
 
@@ -61,19 +93,24 @@ def _f64(a) -> np.ndarray:
 class ShiftSet:
     """Sparse additive shifts keyed by (non-linear layer id, "pre" | "post").
 
-    Each entry is a dense float64 array with the shape of that boundary.
-    Addition unions keys and sums overlapping entries element-wise; the empty
-    set is the identity.  Instances are treated as immutable: operations
-    return new sets and entry arrays must not be mutated after construction.
+    Each entry is a read-only float64 array with the shape of that boundary,
+    frozen once when it enters the set, and ``entries`` is a read-only
+    mapping.  Addition unions keys, sums overlapping entries element-wise
+    and passes every other entry through by reference; the empty set is the
+    identity.  Instances are immutable.
     """
 
     __slots__ = ("entries",)
 
     def __init__(self, entries: Mapping[tuple[int, str], np.ndarray] | None = None):
-        self.entries: dict[tuple[int, str], np.ndarray] = {}
-        if entries:
-            for key, arr in entries.items():
-                self.entries[key] = _f64(arr)
+        frozen = {key: _frozen(arr) for key, arr in entries.items()} if entries else {}
+        self.entries: Mapping[tuple[int, str], np.ndarray] = MappingProxyType(frozen)
+
+    @classmethod
+    def _of_frozen(cls, entries: dict[tuple[int, str], np.ndarray]) -> "ShiftSet":
+        s = cls.__new__(cls)
+        s.entries = MappingProxyType(entries)
+        return s
 
     @staticmethod
     def single(layer: int, side: str, shape: tuple[int, ...], index, value: float) -> "ShiftSet":
@@ -99,12 +136,15 @@ class ShiftSet:
 
     def __add__(self, other: "ShiftSet") -> "ShiftSet":
         if not other.entries:
-            return ShiftSet(self.entries)
+            return self
         merged = dict(self.entries)
         for key, arr in other.entries.items():
             cur = merged.get(key)
-            merged[key] = arr if cur is None else cur + arr
-        return ShiftSet(merged)
+            if cur is not None:
+                arr = cur + arr
+                arr.flags.writeable = False
+            merged[key] = arr
+        return ShiftSet._of_frozen(merged)
 
     def __bool__(self) -> bool:
         return bool(self.entries)
@@ -128,16 +168,23 @@ def shiftset_add(a: ShiftSet, b: ShiftSet) -> ShiftSet:
 
 @dataclass(frozen=True)
 class QueryInput:
-    """A model input together with the shifts applied during evaluation."""
+    """A model input together with the shifts applied during evaluation.
+
+    ``x0`` is frozen read-only on construction; ``shifted`` children share
+    it, and every unchanged shift entry, by reference."""
 
     x0: np.ndarray
     shifts: ShiftSet = field(default_factory=ShiftSet)
 
     def __post_init__(self):
-        object.__setattr__(self, "x0", _f64(self.x0))
+        object.__setattr__(self, "x0", _frozen(self.x0))
 
     def shifted(self, extra: ShiftSet) -> "QueryInput":
-        return QueryInput(self.x0, self.shifts + extra)
+        # x0 is frozen already: bypass __post_init__
+        q = object.__new__(QueryInput)
+        object.__setattr__(q, "x0", self.x0)
+        object.__setattr__(q, "shifts", self.shifts + extra)
+        return q
 
     def with_input(self, x0) -> "QueryInput":
         return QueryInput(x0, self.shifts)
@@ -170,11 +217,24 @@ class LayerSpec:
     shape: tuple[int, ...] | None = None
 
 
+def _with_frozen_params(spec: LayerSpec) -> LayerSpec:
+    if spec.weight is None and spec.bias is None:
+        return spec
+    return replace(
+        spec,
+        weight=None if spec.weight is None else _frozen(spec.weight),
+        bias=None if spec.bias is None else _frozen(spec.bias),
+    )
+
+
 class ModelGraph:
-    """An immutable, validated DAG of layers ending in a single Argmax."""
+    """An immutable, validated DAG of layers ending in a single Argmax.
+
+    Parameter arrays are frozen read-only on construction, like shift
+    entries, so the per-thread memo of ``forward_label`` cannot go stale."""
 
     def __init__(self, layers: Iterable[LayerSpec], output: int):
-        self.layers: tuple[LayerSpec, ...] = tuple(layers)
+        self.layers: tuple[LayerSpec, ...] = tuple(_with_frozen_params(s) for s in layers)
         self.output = int(output)
         self._by_id: dict[int, LayerSpec] = {}
         for spec in self.layers:
@@ -186,6 +246,11 @@ class ModelGraph:
         self._shapes = self._infer_shapes()
         self._successors = self._build_successors()
         self._shift_shapes = self._build_shift_shapes()
+        self._last = _LastQuery()
+
+    def __reduce__(self):
+        # rebuilt from its layers: the per-thread memo cannot be pickled
+        return ModelGraph, (self.layers, self.output)
 
     # -- lookups ------------------------------------------------------------
 
@@ -372,13 +437,12 @@ class ModelGraph:
                 out[(s.id, PRE)] = self._shapes[s.inputs[0]]
         return out
 
-    def validate_shifts(self, shifts: ShiftSet) -> None:
-        for (lid, side), arr in shifts.entries.items():
-            want = self._shift_shapes.get((lid, side))
-            if want is None:
-                raise StructuralError(f"shift key ({lid}, {side}) is not a malleable boundary")
-            if arr.shape != want:
-                raise StructuralError(f"shift ({lid}, {side}) has shape {arr.shape}, boundary is {want}")
+    def validate_shift(self, key: tuple[int, str], arr: np.ndarray) -> None:
+        want = self._shift_shapes.get(key)
+        if want is None:
+            raise StructuralError(f"shift key ({key[0]}, {key[1]}) is not a malleable boundary")
+        if arr.shape != want:
+            raise StructuralError(f"shift ({key[0]}, {key[1]}) has shape {arr.shape}, boundary is {want}")
 
     # -- derivation ---------------------------------------------------------
 
@@ -534,31 +598,63 @@ class Trace:
         return self.values[layer_id]
 
 
-def _evaluate(model: ModelGraph, q: QueryInput, record: bool):
+class _LastQuery(threading.local):
+    """The label query last evaluated on one model in the current thread:
+    its input, its shift entries, every layer's value and the label.  Holds
+    one query's activations."""
+
+    def __init__(self):
+        self.x0: np.ndarray | None = None
+        self.entries: Mapping[tuple[int, str], np.ndarray] = {}
+        self.vals: dict[int, np.ndarray] = {}
+        self.label = -1
+
+
+def _evaluate(model: ModelGraph, q: QueryInput, last: _LastQuery | None):
+    """The one evaluation loop behind ``forward_label`` and ``forward_trace``.
+
+    With ``last`` None every layer is evaluated and a Trace returned.
+    Otherwise only the layers downstream of a change against ``last`` are
+    recomputed (see the module docstring), ``last`` is updated and the label
+    returned.  Only shift entries that changed are validated.
+    """
     x0 = q.x0
-    if x0.shape != model.input_shape:
-        raise StructuralError(f"input shape {x0.shape} != model input {model.input_shape}")
-    shifts = q.shifts
-    if shifts.entries:
-        model.validate_shifts(shifts)
-    vals: dict[int, np.ndarray] = {}
-    pre_record: dict[int, np.ndarray] = {} if record else None
+    entries = q.shifts.entries
+    fresh = last is None or last.x0 is None  # nothing to reuse: evaluate every layer
+    prev = {} if fresh else last.entries
+    dirty: set[int] = set()  # layers to recompute
+    for key, arr in entries.items():
+        if prev.get(key) is not arr:
+            model.validate_shift(key, arr)
+            dirty.add(key[0])
+    dirty.update(key[0] for key in prev.keys() - entries.keys())
+    if fresh or x0 is not last.x0:
+        if x0.shape != model.input_shape:
+            raise StructuralError(f"input shape {x0.shape} != model input {model.input_shape}")
+        dirty.add(model.input_id)
+    vals = {} if fresh else dict(last.vals)
+    label = -1 if fresh else last.label
+    record = last is None
+    pre_record: dict[int, np.ndarray] = {}
     logits = None
-    label = -1
     for spec in model._topo:
+        if not fresh:
+            if spec.id not in dirty and dirty.isdisjoint(spec.inputs):
+                continue
+            dirty.add(spec.id)
         kind = spec.kind
         if kind == KIND_RELU or kind == KIND_MPR:
             y = vals[spec.inputs[0]]
             if record:
                 pre_record[spec.id] = y
-            pre = shifts.get(spec.id, PRE)
+            pre = entries.get((spec.id, PRE))
             if pre is not None:
                 y = y + pre
             if kind == KIND_RELU:
                 z = np.maximum(y, 0.0)
             else:
                 z = apply_maxpool_relu(y, spec.kernel, spec.stride)
-            post = shifts.get(spec.id, POST)
+            post = entries.get((spec.id, POST))
             if post is not None:
                 z = z + post
             vals[spec.id] = z
@@ -572,24 +668,28 @@ def _evaluate(model: ModelGraph, q: QueryInput, record: bool):
             y = vals[spec.inputs[0]]
             if record:
                 pre_record[spec.id] = y
-            pre = shifts.get(spec.id, PRE)
+            pre = entries.get((spec.id, PRE))
             if pre is not None:
                 y = y + pre
             logits = y
             label = int(np.argmax(y))
     if record:
         return Trace(vals, pre_record, logits, label)
+    last.x0, last.entries, last.vals, last.label = x0, entries, vals, label
     return label
 
 
 def forward_label(model: ModelGraph, q: QueryInput) -> int:
-    """Class label of the shifted evaluation (ties go to the lowest index)."""
-    return _evaluate(model, q, record=False)
+    """Class label of the shifted evaluation (ties go to the lowest index).
+
+    Incremental: reuses the layers of the last label query evaluated on
+    ``model`` in this thread that no change in ``q`` reaches."""
+    return _evaluate(model, q, model._last)
 
 
 def forward_trace(model: ModelGraph, q: QueryInput) -> Trace:
-    """Full white-box trace of the shifted evaluation."""
-    return _evaluate(model, q, record=True)
+    """Full white-box trace of the shifted evaluation (memo-free)."""
+    return _evaluate(model, q, None)
 
 
 # ---------------------------------------------------------------------------

@@ -313,7 +313,9 @@ class InferenceServer:
             mask_bound = _default_mask_bound()
         self.mask_bound = mask_bound
         self._listener: socket.socket | None = None
+        self._accept_thread: threading.Thread | None = None
         self._threads: list[threading.Thread] = []
+        self._conns: set[socket.socket] = set()
         self._stopping = threading.Event()
         self._conn_counter = 0
         self._conn_lock = threading.Lock()
@@ -326,9 +328,8 @@ class InferenceServer:
         listener.listen(16)
         self._listener = listener
         self.address = listener.getsockname()[:2]
-        t = threading.Thread(target=self._accept_loop, daemon=True)
-        t.start()
-        self._threads.append(t)
+        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
+        self._accept_thread.start()
         return self.address
 
     def _accept_loop(self) -> None:
@@ -338,8 +339,12 @@ class InferenceServer:
             except OSError:
                 return
             with self._conn_lock:
+                if self._stopping.is_set():
+                    conn.close()
+                    return
                 self._conn_counter += 1
                 conn_idx = self._conn_counter
+                self._conns.add(conn)
             t = threading.Thread(target=self._handle_connection, args=(conn, conn_idx), daemon=True)
             t.start()
             self._threads.append(t)
@@ -371,17 +376,34 @@ class InferenceServer:
             except TransportError:
                 pass
         finally:
+            with self._conn_lock:
+                self._conns.discard(conn)
             transport.close()
 
     def stop(self) -> None:
+        """Stop accepting, end every open connection and join the threads.
+
+        Shutting a socket down wakes the thread blocked on it: the accept
+        thread sees an error, a connection thread sees end of stream."""
         self._stopping.set()
         if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+            _shutdown(self._listener)
+            self._listener.close()
+        if self._accept_thread is not None:
+            self._accept_thread.join(timeout=2.0)
+        with self._conn_lock:
+            conns = list(self._conns)
+        for conn in conns:
+            _shutdown(conn)
         for t in self._threads:
             t.join(timeout=2.0)
+
+
+def _shutdown(sock: socket.socket) -> None:
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # not connected, or already shut down
 
 
 def serve(model: ModelGraph, host: str = "127.0.0.1", port: int = 0, seed: int = 0,

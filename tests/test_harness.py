@@ -75,6 +75,35 @@ def test_verify_perturbation_metric(attack_run):
     assert row["e_bias"] >= 1e-3 and row["e_weight"] >= 1e-3
 
 
+def test_verify_fails_on_one_wrong_weight():
+    """One zeroed weight among 16,384 barely moves the mean error; the max
+    error catches it."""
+    truth = sx.random_model("conv8x3x3-r-fc32-r-fc4", (3, 8, 8), seed=7)
+    w = truth.layer(3).weight.copy()
+    w[5, 100] = 0.0
+    res = verify_models(truth.with_params({3: (w, truth.layer(3).bias)}), truth)
+    row = next(r for r in res["layers"] if r["layer"] == 3)
+    assert row["e_weight"] < 1e-4 and row["max_weight_error"] == pytest.approx(1.0)
+    assert not row["pass"] and not res["pass"]
+
+
+def test_attack_identical_without_incremental_evaluation(monkeypatch):
+    """The incremental in-process oracle changes wall time only: a memo-free
+    backend gives byte-identical reports and parameters."""
+    arch, shape = "conv2x3x3-mpr2-res{conv2x3x3-r,}-fc4-r-fc3", (1, 6, 6)
+    truth = sx.random_model(arch, shape, seed=2)
+    cfg = ExperimentConfig(arch=arch, input_shape=shape, model_seed=2, attack_seed=3)
+    report, extracted = run_attack(cfg, truth=truth)
+    monkeypatch.setattr(sx.harness, "forward_label", lambda m, q: sx.forward_trace(m, q).label)
+    report_free, extracted_free = run_attack(cfg, truth=truth)
+    assert report.to_json() == report_free.to_json()
+    for spec in extracted.topo_order:
+        if spec.weight is not None:
+            other = extracted_free.layer(spec.id)
+            assert spec.weight.tobytes() == other.weight.tobytes()
+            assert spec.bias.tobytes() == other.bias.tobytes()
+
+
 def test_verify_gauge_aware(attack_run):
     truth, cfg, report, extracted = attack_run
     res = verify_models(extracted, truth)

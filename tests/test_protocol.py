@@ -238,3 +238,26 @@ def test_mask_bound_env_read_at_start(pool_model, monkeypatch):
     monkeypatch.delenv(ENV_MASK_BOUND)
     assert InferenceServer(pool_model).mask_bound == DEFAULT_MASK_BOUND
     assert InferenceServer(pool_model, mask_bound=7.0).mask_bound == 7.0
+
+
+@pytest.mark.parametrize("idle_connection", [False, True])
+def test_stop_returns_promptly(pool_model, idle_connection):
+    """stop() wakes the accept thread and every connection thread, then
+    joins them; none outlives it."""
+    import threading
+    import time
+
+    before = set(threading.enumerate())
+    server = serve(pool_model, seed=0)
+    host, port = server.address
+    conn = ClientConnection(host, port) if idle_connection else None  # handshaken, then idle
+    time.sleep(0.05)  # let the accept thread block in accept()
+    try:
+        t0 = time.perf_counter()
+        server.stop()
+        elapsed = time.perf_counter() - t0
+    finally:
+        if conn is not None:
+            conn.close()
+    assert elapsed < 0.2
+    assert [t for t in threading.enumerate() if t not in before and t.is_alive()] == []

@@ -67,7 +67,6 @@ from .model import (
     pooled_receivers,
     random_model,
     save_model,
-    shiftset_add,
 )
 from .oracle import CriticalPoint, OracleHandle
 from .protocol import (
@@ -77,7 +76,6 @@ from .protocol import (
     Transcript,
     TransportError,
     connect,
-    connect_and_infer,
     replay_transcript,
     run_session,
     serve,

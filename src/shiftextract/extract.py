@@ -11,6 +11,17 @@ suppressing all upstream activations pins a layer's input to zero so its
 biases appear directly, and injected test patterns turn individual weights
 into measurable features.
 
+Every scalar search of the attack (the flip of a feature scan, the tie
+polish of a critical point, the tying shift of a terminal class pair) is
+one primitive, ``_find_flip``: double a step until a predicate flips, then
+bisect the last bracket.  A scan that behaves inconsistently is repeated
+from a fresh critical point by ``_with_retries``, which falls back to the
+last uncorrected estimate when every attempt fails.  Convolution and
+fully-connected layers share one driver (``_extract_layer``) and one phase
+runner (``_run_phase``): a phase searches one critical point, measures each
+of its targets, records dead and retried slots, and spreads the search's
+queries over the targets.
+
 Two systematic error sources are handled explicitly.  The class tie left by
 chord bisection is polished to float precision by nudging one logit, because
 a residual gap biases every later measurement by gap/slope.  The flip of the
@@ -21,6 +32,7 @@ back; the lag cancels exactly while the network stays in one linear piece.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
@@ -53,7 +65,10 @@ class BoundarySearchError(ExtractionError):
 
 
 class DeadFeatureError(ExtractionError):
-    """The target feature has no observable influence on the tied logits."""
+    """The target feature has no observable influence on the tied logits.
+    ``retried`` is set when an earlier attempt at the feature failed."""
+
+    retried = False
 
 
 class SuppressionFloorError(ExtractionError):
@@ -71,7 +86,7 @@ class ScanRetryError(ExtractionError):
 
 
 class _ScanExhausted(Exception):
-    pass
+    """``_find_flip`` passed its cap without a flip."""
 
 
 @dataclass(frozen=True)
@@ -169,17 +184,47 @@ class LayerExtractionResult:
 # Criticality scans
 
 
-def _two_probe(oracle: OracleHandle, v: QueryInput, c1: int, c2: int, eps: float):
-    """Full tie test returning (critical, failing class).  Two queries."""
+def _find_flip(
+    flipped: Callable[[float], bool], start: float, step: float, cap: float, tol: float
+) -> float:
+    """The point s > ``start`` where ``flipped(s)`` turns true, to ``tol``.
+
+    The step doubles from ``start`` (probing start + step, start + 2 step,
+    start + 4 step, ...) until the predicate flips; the last unflipped and
+    the first flipped point are then bisected until they lie within ``tol``
+    or float resolution, and their midpoint is returned.  Raises
+    ``_ScanExhausted`` once start + step exceeds ``cap``.  The predicate may
+    raise to abort the search.
+    """
+    lo = start
+    while True:
+        hi = start + step
+        if hi > cap:
+            raise _ScanExhausted()
+        if flipped(hi):
+            break
+        lo = hi
+        step *= 2.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break  # adjacent floats: no midpoint left to test
+        if flipped(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def _two_probe(oracle: OracleHandle, v: QueryInput, c1: int, c2: int, eps: float) -> bool:
+    """Full tie test: both nudges keep their class.  Two queries."""
     l1 = oracle.query(v.shifted(oracle.class_probe(c1, eps)))
     l2 = oracle.query(v.shifted(oracle.class_probe(c2, eps)))
     if l1 not in (c1, c2) or l2 not in (c1, c2):
         raise ScanRetryError(f"third class {l1 if l1 not in (c1, c2) else l2} intruded on the boundary")
     if l1 != c1 and l2 != c2:
         raise ScanRetryError("both probes failed at one point")
-    critical = l1 == c1 and l2 == c2
-    failing = None if critical else (c1 if l1 != c1 else c2)
-    return critical, failing
+    return l1 == c1 and l2 == c2
 
 
 def _flip_point(
@@ -200,30 +245,13 @@ def _flip_point(
     recross zero, and a single probe direction would read such a spurious
     tie as still critical and converge onto it.  The two-sided test leaves
     only probe-width islands around spurious ties, which bisection
-    midpoints miss.
+    midpoints miss.  The tolerance is half of ``eta_tol`` so that the
+    two-scan extrapolation stays within ``eta_tol``.
     """
-    step = cfg.eta_initial_step
-    prev = lo
-    while True:
-        eta = lo + step
-        if eta > cap:
-            raise _ScanExhausted()
-        critical, _ = _two_probe(oracle, at(eta), c1, c2, eps)
-        if not critical:
-            hi = eta
-            break
-        prev = eta
-        step *= 2.0
-    lo2 = prev
-    tol = 0.5 * cfg.eta_tol  # halved so the two-scan extrapolation stays within eta_tol
-    while hi - lo2 > tol:
-        mid = 0.5 * (lo2 + hi)
-        critical, _ = _two_probe(oracle, at(mid), c1, c2, eps)
-        if critical:
-            lo2 = mid
-        else:
-            hi = mid
-    return 0.5 * (lo2 + hi)
+    return _find_flip(
+        lambda eta: not _two_probe(oracle, at(eta), c1, c2, eps),
+        lo, cfg.eta_initial_step, cap, 0.5 * cfg.eta_tol,
+    )
 
 
 def _scan_boundary(
@@ -233,8 +261,8 @@ def _scan_boundary(
     c2: int,
     pre_key: tuple[int, str],
     pre_mask: np.ndarray,
-    post_key: tuple[int, str] | None,
-    post_mask: np.ndarray | None,
+    post_key: tuple[int, str],
+    post_mask: np.ndarray,
     cfg: BoundarySearchConfig,
     cap: float,
 ) -> FeatureResult:
@@ -251,15 +279,12 @@ def _scan_boundary(
     start = oracle.count
     probe_down = base.shifted(ShiftSet({pre_key: -cfg.sign_probe * pre_mask}))
     nonpositive = oracle.is_critical(probe_down, c1, c2)
-    if nonpositive:
-        def at(eta: float) -> QueryInput:
-            return base.shifted(ShiftSet({pre_key: eta * pre_mask}))
-    else:
-        if post_key is None:
-            raise ScanRetryError("positive branch needs a post-side surface")
+    sign = -1.0 if nonpositive else 1.0
 
-        def at(eta: float) -> QueryInput:
-            return base.shifted(ShiftSet({pre_key: -eta * pre_mask, post_key: eta * post_mask}))
+    def at(eta: float) -> QueryInput:
+        if nonpositive:
+            return base.shifted(ShiftSet({pre_key: eta * pre_mask}))
+        return base.shifted(ShiftSet({pre_key: -eta * pre_mask, post_key: eta * post_mask}))
 
     try:
         eta1 = _flip_point(oracle, at, c1, c2, eps, 0.0, cap, cfg)
@@ -271,23 +296,20 @@ def _scan_boundary(
                 ) from None
             raise DeadFeatureError(f"no flip up to eta_max={cfg.eta_max}") from None
         raise ScanRetryError("positive-branch scan found no flip") from None
+    fallback = sign * eta1
     try:
         eta2 = _flip_point(oracle, at, c1, c2, 2.0 * eps, eta1, cap, cfg)
     except _ScanExhausted:
-        fb = -eta1 if nonpositive else eta1
-        raise ScanRetryError("confirmation scan found no flip", fallback=fb) from None
+        raise ScanRetryError("confirmation scan found no flip", fallback=fallback) from None
     eta_hat = 2.0 * eta1 - eta2
     gap = eta2 - eta1
     if eta_hat < -(gap + 4.0 * cfg.eta_tol):
-        fb = -eta1 if nonpositive else eta1
-        raise ScanRetryError("scans disagree beyond their own resolution", fallback=fb)
-    value = -eta_hat if nonpositive else eta_hat
-    slope = eps / gap if gap > 0 else None
+        raise ScanRetryError("scans disagree beyond their own resolution", fallback=fallback)
     return FeatureResult(
-        value=value,
+        value=sign * eta_hat,
         queries=oracle.count - start,
         branch="nonpositive" if nonpositive else "positive",
-        slope=slope,
+        slope=eps / gap if gap > 0 else None,
     )
 
 
@@ -313,31 +335,20 @@ def _polish_tie(
 ) -> float | None:
     """Nudge logit c1 until the label flips from c2 to c1 and bisect the
     flip to ``tie_polish_tol``; the logit gap there is float-noise small.
-    Returns the nudge, or None when a third class interferes."""
-    t_lo = 0.0
-    t = max(4.0 * cfg.boundary_tol, 1e-12)
-    t_hi = None
-    for _ in range(96):
+    Returns the nudge, or None when a third class interferes or 96
+    doublings of the first nudge find no flip."""
+
+    def flipped(t: float) -> bool:
         lbl = oracle.query(v.shifted(ShiftSet.single(oracle.argmax_id, PRE, (oracle.n_classes,), c1, t)))
-        if lbl == c1:
-            t_hi = t
-            break
-        if lbl != c2:
-            return None
-        t_lo = t
-        t *= 2.0
-    if t_hi is None:
+        if lbl not in (c1, c2):
+            raise _ScanExhausted()
+        return lbl == c1
+
+    t0 = max(4.0 * cfg.boundary_tol, 1e-12)
+    try:
+        return _find_flip(flipped, 0.0, t0, t0 * 2.0**95, cfg.tie_polish_tol)
+    except _ScanExhausted:
         return None
-    while t_hi - t_lo > cfg.tie_polish_tol:
-        mid = 0.5 * (t_lo + t_hi)
-        lbl = oracle.query(v.shifted(ShiftSet.single(oracle.argmax_id, PRE, (oracle.n_classes,), c1, mid)))
-        if lbl == c1:
-            t_hi = mid
-        elif lbl == c2:
-            t_lo = mid
-        else:
-            return None
-    return 0.5 * (t_lo + t_hi)
 
 
 def search_critical(
@@ -361,21 +372,21 @@ def search_critical(
     shape = skeleton.pre_shape(layer_id)
     key = (layer_id, PRE)
 
-    pair = None
-    for _ in range(cfg.max_sample_rounds):
-        d1 = _sphere_sample(rng, shape, d)
-        d2 = _sphere_sample(rng, shape, d)
-        c1 = oracle.query(v0.shifted(ShiftSet({key: d1})))
-        c2 = oracle.query(v0.shifted(ShiftSet({key: d2})))
-        if c1 != c2:
-            pair = (d1, c1, d2, c2)
-            break
-    if pair is None:
+    def sample_pair():
+        """Two shifts on the sphere whose labels differ."""
+        for _ in range(cfg.max_sample_rounds):
+            d1 = _sphere_sample(rng, shape, d)
+            d2 = _sphere_sample(rng, shape, d)
+            c1 = oracle.query(v0.shifted(ShiftSet({key: d1})))
+            c2 = oracle.query(v0.shifted(ShiftSet({key: d2})))
+            if c1 != c2:
+                return d1, c1, d2, c2
         raise BoundarySearchError(
             f"no boundary reachable at norm {d} on layer {layer_id} "
             f"after {cfg.max_sample_rounds} sample pairs"
         )
 
+    pair = sample_pair()
     for _ in range(cfg.max_retries + 1):
         delta1, c1, delta2, c2 = pair
         while float(np.linalg.norm(delta2 - delta1)) > cfg.boundary_tol:
@@ -400,18 +411,7 @@ def search_critical(
                 return CriticalPoint(
                     v=v_star, c1=c1, c2=c2, base=v0, layer=layer_id, boundary_shift=delta2
                 )
-        # corner region: resample a fresh pair and try again
-        pair = None
-        for _ in range(cfg.max_sample_rounds):
-            d1 = _sphere_sample(rng, shape, d)
-            d2 = _sphere_sample(rng, shape, d)
-            ca = oracle.query(v0.shifted(ShiftSet({key: d1})))
-            cb = oracle.query(v0.shifted(ShiftSet({key: d2})))
-            if ca != cb:
-                pair = (d1, ca, d2, cb)
-                break
-        if pair is None:
-            raise BoundarySearchError(f"no boundary reachable at norm {d} on layer {layer_id}")
+        pair = sample_pair()  # corner region: try again from a fresh pair
     raise BoundarySearchError(
         f"corner point: boundary on layer {layer_id} failed validation {cfg.max_retries + 1} times"
     )
@@ -451,19 +451,9 @@ def extract_feature(
         raise ExtractionError(f"layer {layer_id} is {spec.kind}, not a standalone ReLU boundary")
     if not beta:
         raise ExtractionError("empty target index set")
-    shape = skeleton.pre_shape(layer_id)
-    mask = _mask_at(shape, beta)
+    mask = _mask_at(skeleton.pre_shape(layer_id), beta)
     return _scan_boundary(
-        oracle,
-        cp.v,
-        cp.c1,
-        cp.c2,
-        (layer_id, PRE),
-        mask,
-        (layer_id, POST),
-        mask,
-        cfg.resolved(),
-        cfg.eta_max,
+        oracle, cp.v, cp.c1, cp.c2, (layer_id, PRE), mask, (layer_id, POST), mask, cfg.resolved(), cfg.eta_max
     )
 
 
@@ -501,28 +491,45 @@ def extract_feature_maxpool(
     post_mask = _mask_at(out_shape, receivers)
     cap = min(cfg.eta_max, cfg.suppression)
 
-    start = oracle.count
-    retried = False
-    last: ScanRetryError | None = None
-    for _ in range(cfg.max_retries + 1):
+    def attempt(_k: int) -> FeatureResult:
         cp2 = search_critical(oracle, skeleton, base, cp.layer, cfg, rng)
-        try:
-            res = _scan_boundary(
-                oracle, cp2.v, cp2.c1, cp2.c2,
-                (layer_id, PRE), pre_mask, (layer_id, POST), post_mask,
-                cfg, cap,
-            )
-            res.queries = oracle.count - start
-            res.retried = retried
-            return res
-        except ScanRetryError as e:
-            retried = True
-            last = e
-    if last is not None and last.fallback is not None:
-        return FeatureResult(
-            value=last.fallback, queries=oracle.count - start, branch="fallback", retried=True
+        return _scan_boundary(
+            oracle, cp2.v, cp2.c1, cp2.c2,
+            (layer_id, PRE), pre_mask, (layer_id, POST), post_mask,
+            cfg, cap,
         )
-    raise last if last is not None else ExtractionError("maxpool extraction failed")
+
+    return _with_retries(oracle, attempt, cfg.max_retries)
+
+
+def _with_retries(
+    oracle: OracleHandle, attempt: Callable[[int], FeatureResult], max_retries: int
+) -> FeatureResult:
+    """Run ``attempt(k)`` for k = 0, 1, ... until one raises no
+    ScanRetryError, at most ``max_retries + 1`` times.
+
+    The result counts the queries of every attempt and is flagged
+    ``retried`` when k > 0.  When every attempt fails, the last error's
+    fallback comes back as a ``branch="fallback"`` result, or that error is
+    re-raised when it has no fallback.  A DeadFeatureError passes through,
+    flagged ``retried`` when k > 0.
+    """
+    start = oracle.count
+    for k in range(max_retries + 1):
+        try:
+            res = attempt(k)
+        except ScanRetryError as e:
+            last = e
+            continue
+        except DeadFeatureError as e:
+            e.retried = k > 0
+            raise
+        res.queries = oracle.count - start
+        res.retried = k > 0
+        return res
+    if last.fallback is None:
+        raise last
+    return FeatureResult(value=last.fallback, queries=oracle.count - start, branch="fallback", retried=True)
 
 
 # ---------------------------------------------------------------------------
@@ -597,48 +604,101 @@ def _apportion(counts: np.ndarray, slots: Sequence, total: int) -> None:
         counts[idx] += base + (1 if j < rem else 0)
 
 
-class _CpBox:
-    """Lazily built, rebuildable critical point shared inside one phase."""
-
-    def __init__(self, build: Callable[[], CriticalPoint]):
-        self._build = build
-        self.cp: CriticalPoint | None = None
-
-    def ensure(self) -> CriticalPoint:
-        if self.cp is None:
-            self.cp = self._build()
-        return self.cp
-
-    def rebuild(self) -> CriticalPoint:
-        self.cp = self._build()
-        return self.cp
-
-
-def _relu_feature_with_retries(
+def _run_phase(
     oracle: OracleHandle,
     skeleton: ModelGraph,
-    box: _CpBox,
-    layer_id: int,
-    beta: Sequence,
+    succ,
+    v0: QueryInput,
+    targets: Sequence,
+    values: np.ndarray,
+    counts: np.ndarray,
+    flags: LayerExtractionResult,
     cfg: BoundarySearchConfig,
-    dead: list,
-    retried: list,
-    key,
-) -> float:
-    attempts = 0
-    while True:
+    rng: np.random.Generator,
+) -> None:
+    """Measure every ``(slot, target)`` of one phase into ``values[slot]``.
+
+    One critical point is searched from ``v0`` and shared by all targets.
+    A standalone-ReLU successor scans each target at that point, and a
+    failed scan rebuilds it (the rebuilt point serves the later targets
+    too).  A maxpool successor searches a fresh point per attempt on top of
+    its suppression and uses the shared one only for its base query.  A
+    dead feature reads 0.0 and is listed in ``flags.dead``; a feature whose
+    scan needed another attempt is listed in ``flags.retried`` and reads
+    the successful value, the fallback, or 0.0.  Each slot is charged its
+    own queries plus its share of the shared search.
+    """
+
+    def search() -> CriticalPoint:
+        return search_critical(oracle, skeleton, v0, skeleton.argmax_id, cfg, rng)
+
+    t0 = oracle.count
+    cp = search()
+    shared = oracle.count - t0
+    for slot, target in targets:
+        t1 = oracle.count
         try:
-            return extract_feature(oracle, skeleton, box.ensure(), layer_id, beta, cfg).value
-        except DeadFeatureError:
-            dead.append(key)
-            return 0.0
-        except ScanRetryError as e:
-            if key not in retried:
-                retried.append(key)
-            attempts += 1
-            if attempts > cfg.max_retries:
-                return e.fallback if e.fallback is not None else 0.0
-            box.rebuild()
+            if succ.kind == KIND_MPR:
+                res = extract_feature_maxpool(oracle, skeleton, cp, succ.id, target, cfg, rng)
+            else:
+                def attempt(k: int) -> FeatureResult:
+                    nonlocal cp
+                    if k > 0:
+                        cp = search()
+                    return extract_feature(oracle, skeleton, cp, succ.id, target, cfg)
+
+                res = _with_retries(oracle, attempt, cfg.max_retries)
+            value, retried = res.value, res.retried
+        except DeadFeatureError as e:
+            flags.dead.append(slot)
+            value, retried = 0.0, e.retried
+        except ScanRetryError:
+            value, retried = 0.0, True
+        if retried:
+            flags.retried.append(slot)
+        values[slot] = value
+        counts[slot] += oracle.count - t1
+    _apportion(counts, [slot for slot, _ in targets], shared)
+
+
+def _extract_layer(
+    oracle: OracleHandle,
+    skeleton: ModelGraph,
+    layer_id: int,
+    succ,
+    amplitude: float,
+    bias_targets: Sequence,
+    weight_phases,
+    cfg: BoundarySearchConfig,
+    rng: np.random.Generator,
+) -> LayerExtractionResult:
+    """The driver shared by convolution and fully-connected layers.
+
+    The bias phase runs with the layer's input pinned to zero, so target
+    ``(slot, beta)`` reads bias[slot].  Each weight phase is a pair
+    ``(inject, targets)``: with the input set to ``inject``, a target reads
+    bias[c] + amplitude * weight[slot] for its output channel c = slot[0].
+    """
+    spec = skeleton.layer(layer_id)
+    plan = zero_input_plan(skeleton, layer_id, cfg)
+    shape = spec.weight.shape
+    res = LayerExtractionResult(
+        layer_id=layer_id,
+        kind=spec.kind,
+        bias=np.zeros(shape[0]),
+        weight=np.zeros(shape),
+        bias_queries=np.zeros(shape[0], dtype=np.int64),
+        weight_queries=np.zeros(shape, dtype=np.int64),
+    )
+    v0 = _controlled_query(skeleton, plan, None)
+    _run_phase(oracle, skeleton, succ, v0, bias_targets, res.bias, res.bias_queries, res, cfg, rng)
+    for inject, targets in weight_phases:
+        v0 = _controlled_query(skeleton, plan, inject)
+        _run_phase(oracle, skeleton, succ, v0, targets, res.weight, res.weight_queries, res, cfg, rng)
+    # the weight phases stored raw readings bias[c] + amplitude * weight
+    bias = res.bias.reshape((-1,) + (1,) * (len(shape) - 1))
+    res.weight = (res.weight - bias) / amplitude
+    return res
 
 
 def _aligned_axis(f: int, k: int, kidx: int) -> list[int]:
@@ -681,96 +741,35 @@ def extract_conv_layer(
     maxpool = succ.kind == KIND_MPR
     n_out, n_in, kh, kw = spec.weight.shape
     _, fh, fw = skeleton.out_shape(layer_id)
-    kh2, kw2 = (kh - 1) // 2, (kw - 1) // 2
-    plan = zero_input_plan(skeleton, layer_id, cfg)
     amplitude = cfg.conv_delta if cfg.conv_delta is not None else math.sqrt(n_in * kh * kw / 4.0)
     periodic = not maxpool and fh >= 2 * kh - 1 and fw >= 2 * kw - 1
     ic, jc = fh // 2, fw // 2
 
-    bias = np.zeros(n_out)
-    bias_q = np.zeros(n_out, dtype=np.int64)
-    weight = np.zeros((n_out, n_in, kh, kw))
-    weight_q = np.zeros((n_out, n_in, kh, kw), dtype=np.int64)
-    dead: list = []
-    retried: list = []
-
-    def run_phase(v0: QueryInput, targets, assign, counts, slots):
-        """One critical point shared by all targets of this phase."""
-        box = _CpBox(lambda: search_critical(oracle, skeleton, v0, skeleton.argmax_id, cfg, rng))
-        t0 = oracle.count
-        box.ensure()
-        shared = oracle.count - t0
-        for slot, beta_or_index in targets:
-            t1 = oracle.count
-            if maxpool:
-                try:
-                    value = extract_feature_maxpool(
-                        oracle, skeleton, box.ensure(), succ.id, beta_or_index, cfg, rng
-                    )
-                    if value.retried and slot not in retried:
-                        retried.append(slot)
-                    val = value.value
-                except DeadFeatureError:
-                    dead.append(slot)
-                    val = 0.0
-                except ScanRetryError as e:
-                    if slot not in retried:
-                        retried.append(slot)
-                    val = e.fallback if e.fallback is not None else 0.0
-            else:
-                val = _relu_feature_with_retries(
-                    oracle, skeleton, box, succ.id, beta_or_index, cfg, dead, retried, slot
-                )
-            assign(slot, val)
-            counts[slot] += oracle.count - t1
-        _apportion(counts, slots, shared)
-
-    # bias phase
-    v0 = _controlled_query(skeleton, plan, None)
     if maxpool:
         bias_targets = [((c,), (c, ic, jc)) for c in range(n_out)]
     else:
-        all_pos = [(i, j) for i in range(fh) for j in range(fw)]
-        bias_targets = [((c,), [(c, i, j) for i, j in all_pos]) for c in range(n_out)]
-    run_phase(v0, bias_targets, lambda s, v: bias.__setitem__(s, v), bias_q, [s for s, _ in bias_targets])
+        bias_targets = [((c,), [(c, i, j) for i in range(fh) for j in range(fw)]) for c in range(n_out)]
 
-    # weight phase, one input channel at a time
-    for c_in in range(n_in):
-        inject = np.zeros((n_in, fh, fw))
-        if periodic:
-            inject[c_in] = conv_injection_pattern(fh, fw, kh, kw, amplitude)
-        else:
-            inject[c_in, ic, jc] = amplitude
-        v0 = _controlled_query(skeleton, plan, inject)
-        targets = []
-        for c_out in range(n_out):
-            for ki in range(kh):
-                for kj in range(kw):
-                    slot = (c_out, c_in, ki, kj)
-                    if periodic:
-                        rows = _aligned_axis(fh, kh, ki)
-                        cols = _aligned_axis(fw, kw, kj)
-                        beta = [(c_out, i, j) for i in rows for j in cols]
-                        targets.append((slot, beta))
-                    else:
-                        pos = (c_out, ic - ki + kh2, jc - kj + kw2)
-                        targets.append((slot, pos if maxpool else [pos]))
+    def weight_phases():
+        """One phase per input channel, one target per kernel tap."""
+        for c_in in range(n_in):
+            inject = np.zeros((n_in, fh, fw))
+            if periodic:
+                inject[c_in] = conv_injection_pattern(fh, fw, kh, kw, amplitude)
+            else:
+                inject[c_in, ic, jc] = amplitude
+            targets = []
+            for c_out, ki, kj in itertools.product(range(n_out), range(kh), range(kw)):
+                if periodic:
+                    rows, cols = _aligned_axis(fh, kh, ki), _aligned_axis(fw, kw, kj)
+                    target = [(c_out, i, j) for i in rows for j in cols]
+                else:
+                    pos = (c_out, ic - ki + (kh - 1) // 2, jc - kj + (kw - 1) // 2)
+                    target = pos if maxpool else [pos]
+                targets.append(((c_out, c_in, ki, kj), target))
+            yield inject, targets
 
-        def assign_weight(slot, val):
-            weight[slot] = (val - bias[slot[0]]) / amplitude
-
-        run_phase(v0, targets, assign_weight, weight_q, [s for s, _ in targets])
-
-    return LayerExtractionResult(
-        layer_id=layer_id,
-        kind=KIND_CONV,
-        bias=bias,
-        weight=weight,
-        bias_queries=bias_q,
-        weight_queries=weight_q,
-        dead=dead,
-        retried=retried,
-    )
+    return _extract_layer(oracle, skeleton, layer_id, succ, amplitude, bias_targets, weight_phases(), cfg, rng)
 
 
 def extract_fc_layer(
@@ -794,51 +793,17 @@ def extract_fc_layer(
     if succ.kind != KIND_RELU:
         raise ExtractionError("fully-connected extraction needs a standalone ReLU successor")
     n_out, n_in = spec.weight.shape
-    plan = zero_input_plan(skeleton, layer_id, cfg)
     amplitude = cfg.fc_delta if cfg.fc_delta is not None else math.sqrt(n_in / 4.0)
 
-    bias = np.zeros(n_out)
-    bias_q = np.zeros(n_out, dtype=np.int64)
-    weight = np.zeros((n_out, n_in))
-    weight_q = np.zeros((n_out, n_in), dtype=np.int64)
-    dead: list = []
-    retried: list = []
+    def weight_phases():
+        """One phase per input feature, one target per output."""
+        for i0 in range(n_in):
+            inject = np.zeros(n_in)
+            inject[i0] = amplitude
+            yield inject, [((j, i0), [(j,)]) for j in range(n_out)]
 
-    def run_phase(v0, targets, assign, counts):
-        box = _CpBox(lambda: search_critical(oracle, skeleton, v0, skeleton.argmax_id, cfg, rng))
-        t0 = oracle.count
-        box.ensure()
-        shared = oracle.count - t0
-        for slot, beta in targets:
-            t1 = oracle.count
-            val = _relu_feature_with_retries(oracle, skeleton, box, succ.id, beta, cfg, dead, retried, slot)
-            assign(slot, val)
-            counts[slot] += oracle.count - t1
-        _apportion(counts, [s for s, _ in targets], shared)
-
-    v0 = _controlled_query(skeleton, plan, None)
-    run_phase(v0, [((j,), [(j,)]) for j in range(n_out)], lambda s, v: bias.__setitem__(s, v), bias_q)
-
-    for i0 in range(n_in):
-        inject = np.zeros(n_in)
-        inject[i0] = amplitude
-        v0 = _controlled_query(skeleton, plan, inject)
-
-        def assign_weight(slot, val, _i0=i0):
-            weight[slot] = (val - bias[slot[0]]) / amplitude
-
-        run_phase(v0, [((j, i0), [(j,)]) for j in range(n_out)], assign_weight, weight_q)
-
-    return LayerExtractionResult(
-        layer_id=layer_id,
-        kind=KIND_FC,
-        bias=bias,
-        weight=weight,
-        bias_queries=bias_q,
-        weight_queries=weight_q,
-        dead=dead,
-        retried=retried,
-    )
+    bias_targets = [((j,), [(j,)]) for j in range(n_out)]
+    return _extract_layer(oracle, skeleton, layer_id, succ, amplitude, bias_targets, weight_phases(), cfg, rng)
 
 
 def _pair_boundary(
@@ -865,37 +830,24 @@ def _pair_boundary(
         vec[c] += t
         return v0.shifted(ShiftSet({key: vec}))
 
-    l0 = oracle.query(at(0.0))
-    if l0 not in (c_ref, c):
-        raise BoundarySearchError(f"suppressed pair scan saw class {l0}")
-    direction = 1.0 if l0 == c_ref else -1.0
-    step = cfg.eta_initial_step
-    t_prev = 0.0
-    t_flip = None
-    while abs(step) <= cfg.eta_max:
-        t = direction * step
+    def label(t: float) -> int:
         lbl = oracle.query(at(t))
         if lbl not in (c_ref, c):
             raise BoundarySearchError(f"suppressed pair scan saw class {lbl}")
-        if lbl != l0:
-            t_flip = t
-            break
-        t_prev = t
-        step *= 2.0
-    if t_flip is None:
-        raise BoundarySearchError(f"classes {c_ref} and {c} never swapped within eta_max")
-    lo, hi = (t_prev, t_flip) if direction > 0 else (t_flip, t_prev)
-    # bisect: the label is monotone in t since logit c strictly increases
-    while hi - lo > cfg.tie_polish_tol:
-        mid = 0.5 * (lo + hi)
-        lbl = oracle.query(at(mid))
-        if lbl == c:
-            hi = mid
-        elif lbl == c_ref:
-            lo = mid
-        else:
-            raise BoundarySearchError(f"suppressed pair scan saw class {lbl}")
-    t_star = 0.5 * (lo + hi)
+        return lbl
+
+    # The label is monotone in t since logit c strictly increases, so the
+    # flip is searched in s = |t| on the side that swaps the starting label.
+    # Negation is exact: both directions probe and stop bit for bit alike.
+    l0 = label(0.0)
+    direction = 1.0 if l0 == c_ref else -1.0
+    try:
+        s_star = _find_flip(
+            lambda s: label(direction * s) != l0, 0.0, cfg.eta_initial_step, cfg.eta_max, cfg.tie_polish_tol
+        )
+    except _ScanExhausted:
+        raise BoundarySearchError(f"classes {c_ref} and {c} never swapped within eta_max") from None
+    t_star = direction * s_star
     if not oracle.is_critical(at(t_star), c_ref, c):
         raise BoundarySearchError(f"pair boundary ({c_ref}, {c}) failed validation")
     return t_star

@@ -120,14 +120,6 @@ class ShiftSet:
         return ShiftSet({(layer, side): arr})
 
     @staticmethod
-    def at_indices(layer: int, side: str, shape: tuple[int, ...], indices, value: float) -> "ShiftSet":
-        """The same scalar shift at every index in ``indices``."""
-        arr = np.zeros(shape)
-        for idx in indices:
-            arr[idx] = value
-        return ShiftSet({(layer, side): arr})
-
-    @staticmethod
     def constant(layer: int, side: str, shape: tuple[int, ...], value: float) -> "ShiftSet":
         return ShiftSet({(layer, side): np.full(shape, float(value))})
 
@@ -161,11 +153,6 @@ class ShiftSet:
         return f"ShiftSet({{{keys}}})"
 
 
-def shiftset_add(a: ShiftSet, b: ShiftSet) -> ShiftSet:
-    """Element-wise sum of two shift sets (keys union)."""
-    return a + b
-
-
 @dataclass(frozen=True)
 class QueryInput:
     """A model input together with the shifts applied during evaluation.
@@ -185,9 +172,6 @@ class QueryInput:
         object.__setattr__(q, "x0", self.x0)
         object.__setattr__(q, "shifts", self.shifts + extra)
         return q
-
-    def with_input(self, x0) -> "QueryInput":
-        return QueryInput(x0, self.shifts)
 
 
 # ---------------------------------------------------------------------------
@@ -593,9 +577,6 @@ class Trace:
     y: dict[int, np.ndarray]
     logits: np.ndarray
     label: int
-
-    def z(self, layer_id: int) -> np.ndarray:
-        return self.values[layer_id]
 
 
 class _LastQuery(threading.local):

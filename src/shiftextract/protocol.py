@@ -219,9 +219,6 @@ class Transcript:
     def client_frames(self) -> list[tuple[int, int, bytes]]:
         return [(t, lid, p) for d, t, lid, p in self.frames if d == "c2s"]
 
-    def server_frames(self) -> list[tuple[int, int, bytes]]:
-        return [(t, lid, p) for d, t, lid, p in self.frames if d == "s2c"]
-
 
 # ---------------------------------------------------------------------------
 # Server side
@@ -500,14 +497,6 @@ def parse_endpoint(endpoint: str) -> tuple[str, int]:
 def connect(endpoint: str, timeout: float = 30.0) -> ClientConnection:
     host, port = parse_endpoint(endpoint)
     return ClientConnection(host, port, timeout)
-
-
-def connect_and_infer(endpoint: str, x0, plan: ShiftSet | None = None) -> int:
-    conn = connect(endpoint)
-    try:
-        return conn.infer(x0, plan)
-    finally:
-        conn.close()
 
 
 class RemoteOracle:

@@ -401,3 +401,15 @@ def test_extract_conv_after_identity_skip():
     true = m.layer(target)
     assert np.abs(res.bias - true.bias).max() <= 1e-7
     assert np.abs(res.weight - true.weight).max() <= 1e-7
+
+
+def test_extract_last_layer_tie_beyond_bisection_resolution(zero3_model):
+    """Above 512 the float spacing exceeds ``tie_polish_tol`` (1e-13), so the
+    class-pair bisection reaches adjacent floats before its tolerance; it
+    must stop there instead of probing the same midpoint forever."""
+    bias = np.array([0.0, 600.0, -700.0])
+    model = zero3_model.with_params({3: (np.zeros((3, 3)), bias)})
+    oracle = OracleHandle.in_process(model)
+    res = extract_last_layer(oracle, model.skeleton(), CFG, np.random.default_rng(0))
+    assert np.abs(res.bias - bias).max() <= 1e-12 * 700
+    assert np.all(res.weight == 0.0)

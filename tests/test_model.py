@@ -26,7 +26,6 @@ from shiftextract import (
     forward_trace,
     pooled_receivers,
     random_model,
-    shiftset_add,
 )
 from conftest import fc_layer
 
@@ -197,9 +196,9 @@ def test_trace_single_fc():
 
 def test_shiftset_add_identity_and_overlap():
     a = ShiftSet({(2, PRE): np.array([1.0, 2.0])})
-    assert shiftset_add(a, ShiftSet()) == a
+    assert a + ShiftSet() == a
     b = ShiftSet({(2, PRE): np.array([0.5, -2.0]), (4, PRE): np.ones(3)})
-    s = shiftset_add(a, b)
+    s = a + b
     assert np.array_equal(s.get(2, PRE), [1.5, 0.0])
     assert np.array_equal(s.get(4, PRE), np.ones(3))
 

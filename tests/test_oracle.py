@@ -86,9 +86,10 @@ def test_counter_thread_safety(zero3_model):
 def test_backend_agreement_quick(small_cnn):
     server = serve(small_cnn, seed=5)
     host, port = server.address
+    backend = RemoteOracle(f"{host}:{port}")
     try:
         remote = OracleHandle(
-            RemoteOracle(f"{host}:{port}"),
+            backend,
             argmax_id=small_cnn.argmax_id,
             n_classes=small_cnn.n_classes,
         )
@@ -100,6 +101,7 @@ def test_backend_agreement_quick(small_cnn):
             q = QueryInput(x, shifts)
             assert remote.query(q) == local.query(q)
     finally:
+        backend.close()
         server.stop()
 
 

@@ -28,7 +28,7 @@ from shiftextract.protocol import (
     TAG_SESSION_ERROR,
     ClientConnection,
     SocketTransport,
-    connect_and_infer,
+    connect,
     encode_frame,
     payload_tensor,
     tensor_payload,
@@ -169,7 +169,11 @@ def test_malformed_frame_then_recovery(pool_model):
         t.close()
         # the server survives for the next connection
         x = np.zeros((2, 4, 4))
-        assert connect_and_infer(f"{host}:{port}", x) == forward_label(pool_model, QueryInput(x))
+        conn = connect(f"{host}:{port}")
+        try:
+            assert conn.infer(x) == forward_label(pool_model, QueryInput(x))
+        finally:
+            conn.close()
     finally:
         server.stop()
 
@@ -217,7 +221,11 @@ def test_concurrent_connections(pool_model):
     got = [None] * len(xs)
 
     def worker(i):
-        got[i] = connect_and_infer(f"{host}:{port}", xs[i])
+        conn = connect(f"{host}:{port}")
+        try:
+            got[i] = conn.infer(xs[i])
+        finally:
+            conn.close()
 
     try:
         threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(xs))]

@@ -28,6 +28,10 @@ a residual gap biases every later measurement by gap/slope.  The flip of the
 two-probe criticality test lags the true boundary by probe/slope, so each
 boundary is measured twice (probe magnitudes eps and 2*eps) and extrapolated
 back; the lag cancels exactly while the network stays in one linear piece.
+
+Queries go to the digits a value needs, not to finding its scale: the first
+scan of a feature starts doubling at the magnitude of the last value the
+layer measured, and the confirmation scan at the probe lag eps/slope.
 """
 
 from __future__ import annotations
@@ -96,15 +100,19 @@ class BoundarySearchConfig:
     ``sphere_norm`` is the radius of the random logit-shift sphere used to
     find a class boundary (None means: let the harness calibrate, or fall
     back to 10 on an O(1) logit scale).  ``eta_tol`` is the absolute
-    bisection tolerance of feature scans; ``eta_initial_step`` the first
-    doubling step; ``eta_max`` the scan give-up bound that flags dead
-    features.  ``scan_probe`` is the tie-test magnitude used inside scans:
-    it must clear forward-pass float noise (~1e-13 over the masked
-    protocol) but stay tiny, because a wider tie band both lags the flip by
-    band/slope and risks locking onto a spurious re-entry of the drifting
-    logit gap into the band.  ``suppression`` is the large negative constant
-    pinning ReLU outputs to zero and must exceed reachable features by a
-    wide margin, validated against ``feature_bound`` (100x margin).
+    bisection tolerance of feature scans.  ``eta_initial_step`` is the first
+    doubling step of class-pair searches, and of a feature's first scan
+    while no magnitude is known (the first target of a layer, or the rerun
+    of a scan that failed from a measured magnitude); otherwise that scan
+    starts at the measured magnitude, never below this step.  ``eta_max``
+    is the scan give-up bound that flags dead features.  ``scan_probe`` is
+    the tie-test magnitude used inside scans: it must clear forward-pass
+    float noise (~1e-13 over the masked protocol) but stay tiny, because a
+    wider tie band both lags the flip by band/slope and risks locking onto
+    a spurious re-entry of the drifting logit gap into the band.
+    ``suppression`` is the large negative constant pinning ReLU outputs to
+    zero and must exceed reachable features by a wide margin, validated
+    against ``feature_bound`` (100x margin).
     ``conv_delta`` / ``fc_delta`` override the injected pattern amplitudes
     sqrt(n_in*kh*kw/4) and sqrt(n_in/4).
     """
@@ -234,23 +242,24 @@ def _flip_point(
     c2: int,
     eps: float,
     lo: float,
+    step: float,
     cap: float,
     cfg: BoundarySearchConfig,
 ) -> float:
     """Smallest eta > lo at which criticality (probe magnitude eps) breaks.
 
-    Doubling expansion followed by bisection, both on the full two-probe
-    test.  One-sided probing is not enough here: past the boundary the gap
-    between the tied logits can drift, bend at downstream ReLU kinks and
-    recross zero, and a single probe direction would read such a spurious
-    tie as still critical and converge onto it.  The two-sided test leaves
-    only probe-width islands around spurious ties, which bisection
-    midpoints miss.  The tolerance is half of ``eta_tol`` so that the
-    two-scan extrapolation stays within ``eta_tol``.
+    Doubling expansion from lo + step followed by bisection, both on the
+    full two-probe test.  One-sided probing is not enough here: past the
+    boundary the gap between the tied logits can drift, bend at downstream
+    ReLU kinks and recross zero, and a single probe direction would read
+    such a spurious tie as still critical and converge onto it.  The
+    two-sided test leaves only probe-width islands around spurious ties,
+    which bisection midpoints miss.  The tolerance is half of ``eta_tol``
+    so that the two-scan extrapolation stays within ``eta_tol``.
     """
     return _find_flip(
         lambda eta: not _two_probe(oracle, at(eta), c1, c2, eps),
-        lo, cfg.eta_initial_step, cap, 0.5 * cfg.eta_tol,
+        lo, step, cap, 0.5 * cfg.eta_tol,
     )
 
 
@@ -265,6 +274,7 @@ def _scan_boundary(
     post_mask: np.ndarray,
     cfg: BoundarySearchConfig,
     cap: float,
+    first_step: float | None = None,
 ) -> FeatureResult:
     """Safe-error measurement of the common value behind ``pre_mask``.
 
@@ -274,6 +284,15 @@ def _scan_boundary(
     the paired scan (pre -eta, post +eta) cancels until eta exceeds it.
     Each flip is measured at probe magnitudes eps and 2*eps and extrapolated
     to cancel the probe lag.
+
+    Each scan starts at the scale it looks for.  Scan 1 doubles from
+    ``first_step``, the magnitude of a value measured before, clamped to
+    [eta_initial_step, cap] so that the doubling still probes to within a
+    factor of 2 of ``cap``; with no magnitude known it starts at
+    ``eta_initial_step``.  A hinted scan 1 that behaves inconsistently
+    (usually a third class winning at a far first probe) is run once more
+    from ``eta_initial_step`` at the same point.  Scan 2 starts at the probe
+    lag: its flip lies eps/slope beyond eta1, so its first step is eps.
     """
     eps = cfg.scan_probe
     start = oracle.count
@@ -286,19 +305,30 @@ def _scan_boundary(
             return base.shifted(ShiftSet({pre_key: eta * pre_mask}))
         return base.shifted(ShiftSet({pre_key: -eta * pre_mask, post_key: eta * post_mask}))
 
+    def scan1(step: float) -> float:
+        try:
+            return _flip_point(oracle, at, c1, c2, eps, 0.0, step, cap, cfg)
+        except _ScanExhausted:
+            if nonpositive:
+                if cap < cfg.eta_max:
+                    raise SuppressionFloorError(
+                        f"no flip below the suppression constant {cap}"
+                    ) from None
+                raise DeadFeatureError(f"no flip up to eta_max={cfg.eta_max}") from None
+            raise ScanRetryError("positive-branch scan found no flip") from None
+
+    step = cfg.eta_initial_step
+    if first_step is not None:
+        step = min(max(first_step, step), cap)
     try:
-        eta1 = _flip_point(oracle, at, c1, c2, eps, 0.0, cap, cfg)
-    except _ScanExhausted:
-        if nonpositive:
-            if cap < cfg.eta_max:
-                raise SuppressionFloorError(
-                    f"no flip below the suppression constant {cap}"
-                ) from None
-            raise DeadFeatureError(f"no flip up to eta_max={cfg.eta_max}") from None
-        raise ScanRetryError("positive-branch scan found no flip") from None
+        eta1 = scan1(step)
+    except ScanRetryError:
+        if step == cfg.eta_initial_step:
+            raise
+        eta1 = scan1(cfg.eta_initial_step)
     fallback = sign * eta1
     try:
-        eta2 = _flip_point(oracle, at, c1, c2, 2.0 * eps, eta1, cap, cfg)
+        eta2 = _flip_point(oracle, at, c1, c2, 2.0 * eps, eta1, eps, cap, cfg)
     except _ScanExhausted:
         raise ScanRetryError("confirmation scan found no flip", fallback=fallback) from None
     eta_hat = 2.0 * eta1 - eta2
@@ -439,12 +469,15 @@ def extract_feature(
     layer_id: int,
     beta: Sequence,
     cfg: BoundarySearchConfig,
+    *,
+    first_step: float | None = None,
 ) -> FeatureResult:
     """Recover the value shared by the pre-activation features ``beta`` of
     the standalone-ReLU boundary ``layer_id`` at the critical point.
 
     The caller guarantees that all features in ``beta`` hold one common
     value there; shifting them jointly is a single scalar search.
+    ``first_step`` is the expected magnitude (see ``_scan_boundary``).
     """
     spec = skeleton.layer(layer_id)
     if spec.kind != KIND_RELU:
@@ -453,27 +486,32 @@ def extract_feature(
         raise ExtractionError("empty target index set")
     mask = _mask_at(skeleton.pre_shape(layer_id), beta)
     return _scan_boundary(
-        oracle, cp.v, cp.c1, cp.c2, (layer_id, PRE), mask, (layer_id, POST), mask, cfg.resolved(), cfg.eta_max
+        oracle, cp.v, cp.c1, cp.c2, (layer_id, PRE), mask, (layer_id, POST), mask, cfg.resolved(), cfg.eta_max,
+        first_step,
     )
 
 
 def extract_feature_maxpool(
     oracle: OracleHandle,
     skeleton: ModelGraph,
-    cp: CriticalPoint,
+    v0: QueryInput,
     layer_id: int,
     index: tuple[int, int, int],
     cfg: BoundarySearchConfig,
     rng: np.random.Generator,
+    *,
+    first_step: float | None = None,
 ) -> FeatureResult:
-    """Recover one pre-activation value of a maxpool+ReLU boundary.
+    """Recover one pre-activation value of a maxpool+ReLU boundary, with
+    the query ``v0`` as the base.
 
     All other inputs of the pool are pushed down by the suppression
     constant, so every pooled output whose window contains ``index`` carries
     exactly ReLU of the target.  The scan then shifts the target on the
     pre side and all its receiving outputs jointly on the post side.  The
-    suppression changes the downstream picture, so a fresh critical point is
-    searched on top of it (from the same base query as ``cp``).
+    suppression changes the downstream picture, so every attempt searches a
+    fresh class boundary at the logits on top of it.  ``first_step`` is the
+    expected magnitude (see ``_scan_boundary``).
     """
     cfg = cfg.resolved()
     spec = skeleton.layer(layer_id)
@@ -486,17 +524,17 @@ def extract_feature_maxpool(
         raise ExtractionError(f"index {index} feeds no pooled output")
     suppress = np.full(in_shape, -cfg.suppression)
     suppress[index] = 0.0
-    base = cp.base.shifted(ShiftSet({(layer_id, PRE): suppress}))
+    base = v0.shifted(ShiftSet({(layer_id, PRE): suppress}))
     pre_mask = _mask_at(in_shape, [index])
     post_mask = _mask_at(out_shape, receivers)
     cap = min(cfg.eta_max, cfg.suppression)
 
     def attempt(_k: int) -> FeatureResult:
-        cp2 = search_critical(oracle, skeleton, base, cp.layer, cfg, rng)
+        cp = search_critical(oracle, skeleton, base, skeleton.argmax_id, cfg, rng)
         return _scan_boundary(
-            oracle, cp2.v, cp2.c1, cp2.c2,
+            oracle, cp.v, cp.c1, cp.c2,
             (layer_id, PRE), pre_mask, (layer_id, POST), post_mask,
-            cfg, cap,
+            cfg, cap, first_step,
         )
 
     return _with_retries(oracle, attempt, cfg.max_retries)
@@ -615,40 +653,45 @@ def _run_phase(
     flags: LayerExtractionResult,
     cfg: BoundarySearchConfig,
     rng: np.random.Generator,
-) -> None:
+    scale: float | None = None,
+) -> float | None:
     """Measure every ``(slot, target)`` of one phase into ``values[slot]``.
 
-    One critical point is searched from ``v0`` and shared by all targets.
-    A standalone-ReLU successor scans each target at that point, and a
-    failed scan rebuilds it (the rebuilt point serves the later targets
-    too).  A maxpool successor searches a fresh point per attempt on top of
-    its suppression and uses the shared one only for its base query.  A
-    dead feature reads 0.0 and is listed in ``flags.dead``; a feature whose
-    scan needed another attempt is listed in ``flags.retried`` and reads
-    the successful value, the fallback, or 0.0.  Each slot is charged its
-    own queries plus its share of the shared search.
+    A standalone-ReLU successor scans every target at one critical point,
+    searched from ``v0``, and a failed scan rebuilds it (the rebuilt point
+    serves the later targets too); each slot is charged its share of the
+    shared search.  A maxpool successor searches its own point per attempt
+    on top of its suppression, so the phase searches none.  Each scan 1
+    starts at ``scale``, the magnitude of the last value measured (None:
+    nothing measured yet), and the phase returns the magnitude it ends
+    with.  A dead feature reads 0.0 and is listed in ``flags.dead``; a
+    feature whose scan needed another attempt is listed in
+    ``flags.retried`` and reads the successful value, the fallback, or 0.0.
     """
+    maxpool = succ.kind == KIND_MPR
 
     def search() -> CriticalPoint:
         return search_critical(oracle, skeleton, v0, skeleton.argmax_id, cfg, rng)
 
     t0 = oracle.count
-    cp = search()
+    cp = None if maxpool else search()
     shared = oracle.count - t0
     for slot, target in targets:
         t1 = oracle.count
         try:
-            if succ.kind == KIND_MPR:
-                res = extract_feature_maxpool(oracle, skeleton, cp, succ.id, target, cfg, rng)
+            if maxpool:
+                res = extract_feature_maxpool(oracle, skeleton, v0, succ.id, target, cfg, rng, first_step=scale)
             else:
                 def attempt(k: int) -> FeatureResult:
                     nonlocal cp
                     if k > 0:
                         cp = search()
-                    return extract_feature(oracle, skeleton, cp, succ.id, target, cfg)
+                    return extract_feature(oracle, skeleton, cp, succ.id, target, cfg, first_step=scale)
 
                 res = _with_retries(oracle, attempt, cfg.max_retries)
             value, retried = res.value, res.retried
+            if res.branch != "fallback" and value != 0.0:
+                scale = abs(value)
         except DeadFeatureError as e:
             flags.dead.append(slot)
             value, retried = 0.0, e.retried
@@ -659,6 +702,7 @@ def _run_phase(
         values[slot] = value
         counts[slot] += oracle.count - t1
     _apportion(counts, [slot for slot, _ in targets], shared)
+    return scale
 
 
 def _extract_layer(
@@ -678,6 +722,7 @@ def _extract_layer(
     ``(slot, beta)`` reads bias[slot].  Each weight phase is a pair
     ``(inject, targets)``: with the input set to ``inject``, a target reads
     bias[c] + amplitude * weight[slot] for its output channel c = slot[0].
+    Each phase starts its scans at the magnitude the one before ended with.
     """
     spec = skeleton.layer(layer_id)
     plan = zero_input_plan(skeleton, layer_id, cfg)
@@ -691,10 +736,12 @@ def _extract_layer(
         weight_queries=np.zeros(shape, dtype=np.int64),
     )
     v0 = _controlled_query(skeleton, plan, None)
-    _run_phase(oracle, skeleton, succ, v0, bias_targets, res.bias, res.bias_queries, res, cfg, rng)
+    scale = _run_phase(oracle, skeleton, succ, v0, bias_targets, res.bias, res.bias_queries, res, cfg, rng)
     for inject, targets in weight_phases:
         v0 = _controlled_query(skeleton, plan, inject)
-        _run_phase(oracle, skeleton, succ, v0, targets, res.weight, res.weight_queries, res, cfg, rng)
+        scale = _run_phase(
+            oracle, skeleton, succ, v0, targets, res.weight, res.weight_queries, res, cfg, rng, scale
+        )
     # the weight phases stored raw readings bias[c] + amplitude * weight
     bias = res.bias.reshape((-1,) + (1,) * (len(shape) - 1))
     res.weight = (res.weight - bias) / amplitude

@@ -38,7 +38,7 @@ from .model import (
     forward_trace,
 )
 from .oracle import OracleHandle
-from .protocol import RemoteOracle
+from .protocol import RemoteOracle, TransportError
 
 # Average oracle calls per parameter reported for a full-scale run of this
 # attack family; printed next to measured numbers for context.
@@ -306,11 +306,13 @@ def run_attack(
         return res
 
     def attack_layer_guarded(layer_id: int, oracle: OracleHandle):
-        """Per-layer extraction; failures surface with queries consumed."""
+        """Per-layer extraction; failures surface with queries consumed.  A
+        transport fault fails only its layer: the remote backend reconnects
+        on the next query."""
         before = oracle.count
         try:
             return attack_layer(layer_id, oracle), None, 0
-        except ExtractionError as e:
+        except (ExtractionError, TransportError) as e:
             return None, str(e), oracle.count - before
 
     t_start = time.perf_counter()

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shiftextract as sx
 from shiftextract import (
@@ -132,6 +134,50 @@ def test_extract_feature_dead():
         extract_feature(oracle, m, cp, 2, [(1,)], cfg)
 
 
+def _scaled_toy(b):
+    """toy_pm1_model with hidden pre-activations [x0 + b, x0 - b]."""
+    layers = [
+        LayerSpec(id=0, kind=KIND_INPUT, shape=(1,)),
+        fc_layer(1, 0, [[1.0], [1.0]], [b, -b]),
+        LayerSpec(id=2, kind=KIND_RELU, inputs=(1,)),
+        fc_layer(3, 2, [[1.0, -1.0], [-1.0, 1.0]], [0.0, 0.0]),
+        LayerSpec(id=4, kind=KIND_ARGMAX, inputs=(3,)),
+    ]
+    return ModelGraph(layers, output=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(b=st.floats(1e-3, 1e2), log_factor=st.floats(-6.0, 6.0), feature=st.sampled_from([0, 1]))
+def test_extract_feature_any_start_step_same_value(b, log_factor, feature):
+    """Scan 1 may start from any magnitude, 1e-6x to 1e6x the true one (far
+    beyond eta_max too): the value is the default scan's, to eta_tol."""
+    model = _scaled_toy(b)
+    oracle = OracleHandle.in_process(model)
+    shift = np.array([0.0, 2.0 * b])  # logits [b, -b] tied
+    v = QueryInput(np.zeros(1), ShiftSet({(model.argmax_id, PRE): shift}))
+    cp = CriticalPoint(v=v, c1=0, c2=1, base=QueryInput(np.zeros(1)), layer=model.argmax_id,
+                       boundary_shift=shift)
+    truth = forward_trace(model, cp.v).y[2][feature]
+    default = extract_feature(oracle, model, cp, 2, [(feature,)], CFG)
+    hinted = extract_feature(oracle, model, cp, 2, [(feature,)], CFG, first_step=abs(truth) * 10.0**log_factor)
+    assert abs(default.value - truth) <= CFG.eta_tol
+    assert abs(hinted.value - truth) <= CFG.eta_tol
+    assert abs(hinted.value - default.value) <= CFG.eta_tol
+    assert hinted.branch == default.branch
+
+
+@pytest.mark.parametrize("factor", [1.0, 10.0])
+def test_extract_feature_dead_with_start_step_at_or_above_cap(toy_pm1_model, factor):
+    m = toy_pm1_model.with_params({3: (np.array([[1.0, 0.0], [-1.0, 0.0]]), np.zeros(2))})
+    oracle = OracleHandle.in_process(m)
+    cp = _toy_critical_point(m, oracle)
+    cfg = BoundarySearchConfig(sphere_norm=10.0, eta_max=100.0)
+    before = oracle.count
+    with pytest.raises(DeadFeatureError):
+        extract_feature(oracle, m, cp, 2, [(1,)], cfg, first_step=factor * cfg.eta_max)
+    assert oracle.count - before == 4  # sign probe, then one tie test at the cap
+
+
 def test_boundary_correctness_invariant(small_cnn):
     """At the returned boundary magnitude, |value| matches the white-box
     feature within the configured scan tolerance."""
@@ -197,8 +243,7 @@ def test_extract_feature_maxpool_known_value(target):
     oracle = OracleHandle.in_process(model)
     rng = np.random.default_rng(1)
     base = QueryInput(x)
-    cp = search_critical(oracle, model, base, model.argmax_id, CFG, rng)
-    res = extract_feature_maxpool(oracle, model, cp, 2, (0, 0, 0), CFG, rng)
+    res = extract_feature_maxpool(oracle, model, base, 2, (0, 0, 0), CFG, rng)
     # the white-box value under the suppression plan
     suppress = np.full((1, 2, 2), -CFG.suppression); suppress[0, 0, 0] = 0.0
     tr = forward_trace(model, base.shifted(ShiftSet({(2, PRE): suppress})))
@@ -211,12 +256,11 @@ def test_extract_feature_maxpool_random_cross_check():
     oracle = OracleHandle.in_process(model)
     rng = np.random.default_rng(2)
     base = QueryInput(np.zeros((2, 4, 4)))
-    cp = search_critical(oracle, model, base, model.argmax_id, CFG, rng)
     idx = (1, 2, 2)
     assert len(sx.pooled_receivers((3, 4, 4), (2, 2), (1, 1), idx)) > 1
     suppress = np.full((3, 4, 4), -CFG.suppression); suppress[idx] = 0.0
     tr = forward_trace(model, base.shifted(ShiftSet({(2, PRE): suppress})))
-    res = extract_feature_maxpool(oracle, model, cp, 2, idx, CFG, rng)
+    res = extract_feature_maxpool(oracle, model, base, 2, idx, CFG, rng)
     assert res.value == pytest.approx(tr.y[2][idx], abs=1e-9)
 
 
@@ -373,9 +417,17 @@ def test_suppression_floor_detected():
     oracle = OracleHandle.in_process(model)
     cfg = BoundarySearchConfig(sphere_norm=10.0, eta_max=1e7, suppression=1e6)
     rng = np.random.default_rng(1)
-    cp = search_critical(oracle, model, QueryInput(x), model.argmax_id, cfg, rng)
     with pytest.raises(sx.SuppressionFloorError):
-        extract_feature_maxpool(oracle, model, cp, 2, (0, 0, 0), cfg, rng)
+        extract_feature_maxpool(oracle, model, QueryInput(x), 2, (0, 0, 0), cfg, rng)
+
+
+@pytest.mark.parametrize("factor", [1.0, 10.0])
+def test_suppression_floor_detected_with_start_step_at_or_above_cap(factor):
+    model, x = _crafted_pool_model([[-2e6, -3.0], [0.5, -7.0]])
+    cfg = BoundarySearchConfig(sphere_norm=10.0, eta_max=1e7, suppression=1e6)
+    with pytest.raises(sx.SuppressionFloorError):
+        extract_feature_maxpool(OracleHandle.in_process(model), model, QueryInput(x), 2, (0, 0, 0), cfg,
+                                np.random.default_rng(1), first_step=factor * cfg.suppression)
 
 
 def test_extract_conv_fed_by_maxpool():

@@ -265,6 +265,43 @@ def test_partial_failure_preserved():
     assert np.all(extracted.layer(1).weight == 0.0)
 
 
+def test_query_budget_conv_relu_fc():
+    """Scans that start at the scale they look for keep a conv-ReLU-FC model
+    (the relu-inproc benchmark model) under 125 calls per parameter."""
+    arch, shape = "conv2x3x3-r-fc12-r-fc4", (2, 6, 6)
+    truth = sx.random_model(arch, shape, seed=3)
+    cfg = ExperimentConfig(arch=arch, input_shape=shape, model_seed=3, attack_seed=1)
+    report, extracted = run_attack(cfg, truth=truth)
+    assert report.calls_per_param <= 125
+    assert verify_models(extracted, truth)["pass"]
+
+
+def test_transport_fault_fails_only_its_layer(attack_run, monkeypatch):
+    """A dropped connection mid-layer fails that layer, with the queries it
+    spent, and the run goes on to extract the later layers."""
+    truth, cfg, clean, clean_extracted = attack_run
+    fault_at = 100  # inside layer 1, the first target
+    calls = 0
+    real = sx.harness.forward_label
+
+    def flaky(m, q):
+        nonlocal calls
+        calls += 1
+        if calls == fault_at:
+            raise sx.TransportError("recv failed: connection reset")
+        return real(m, q)
+
+    monkeypatch.setattr(sx.harness, "forward_label", flaky)
+    report, extracted = run_attack(cfg, truth=truth)
+    by_id = {l.layer_id: l for l in report.layers}
+    assert by_id[1].error == "recv failed: connection reset"
+    assert by_id[1].queries == fault_at
+    assert by_id[3].error is None
+    assert by_id[3].queries == next(l.queries for l in clean.layers if l.layer_id == 3)
+    assert np.array_equal(extracted.layer(3).weight, clean_extracted.layer(3).weight)
+    assert report.total_queries == sum(l.queries for l in report.layers) == calls
+
+
 def test_cli_attack_endpoint(tmp_path):
     from shiftextract.cli import main as cli_main
     from shiftextract.protocol import serve

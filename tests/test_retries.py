@@ -2,7 +2,8 @@
 
 ``_scan_boundary`` is wrapped so that its first calls raise scripted
 errors.  The first scan of a layer measures bias slot (0,), so that slot
-sees every scripted error; the scans after them run for real.
+sees every scripted error; the scans after them run for real.  The last
+test scripts a third class into the oracle's answers instead.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ from shiftextract import (
     OracleHandle,
     extract_conv_layer,
     extract_fc_layer,
+    forward_label,
     random_model,
 )
 from shiftextract.extract import DeadFeatureError, ScanRetryError
@@ -46,12 +48,14 @@ class ScriptedScans:
         monkeypatch.setattr(sx_extract, "_scan_boundary", scan)
         monkeypatch.setattr(sx_extract, "search_critical", search)
 
-    def first_slot(self):
+    def first_slot(self, path):
         """(critical searches after the phase's own, value) of the first
-        successful scan."""
-        assert self.events[0] == "search"
+        successful scan.  A ReLU phase opens with its shared search; a
+        maxpool phase has none."""
+        own = 1 if path == "relu" else 0
+        assert self.events[:own] == ["search"] * own
         ok = next(i for i, e in enumerate(self.events) if isinstance(e, tuple))
-        return self.events[1:ok].count("search"), self.events[ok][1]
+        return self.events[own:ok].count("search"), self.events[ok][1]
 
 
 def _relu_layer():
@@ -80,7 +84,7 @@ def _run(monkeypatch, path, faults):
 @pytest.mark.parametrize("k", [1, CFG.max_retries])
 def test_success_after_k_failures(monkeypatch, path, k):
     res, scans = _run(monkeypatch, path, [ScanRetryError("scripted") for _ in range(k)])
-    searches, value = scans.first_slot()
+    searches, value = scans.first_slot(path)
     # ReLU: the phase's point is rebuilt once per failure; maxpool: one
     # fresh point per attempt
     assert searches == (k if path == "relu" else k + 1)
@@ -109,3 +113,38 @@ def test_dead_on_retry_is_dead_and_retried(monkeypatch, path):
     res, _ = _run(monkeypatch, path, [ScanRetryError("scripted"), DeadFeatureError("scripted")])
     assert res.bias[0] == 0.0
     assert (0,) in res.dead and (0,) in res.retried
+
+
+def test_failed_hinted_scan_reruns_at_the_same_point(monkeypatch):
+    """A third class on the first probe of a scan 1 started from a measured
+    magnitude reruns that scan once from eta_initial_step: same critical
+    point, no search, not flagged retried."""
+    model, extract = _relu_layer()
+    events, third = [], []
+    real_flip, real_search = sx_extract._flip_point, sx_extract.search_critical
+
+    def flip_point(oracle, at, c1, c2, eps, lo, step, cap, cfg):
+        scan1 = lo == 0.0
+        events.append(("scan1" if scan1 else "scan2", step))
+        if scan1 and step != cfg.eta_initial_step and "fault" not in events:
+            events.append("fault")
+            third.append(({0, 1, 2} - {c1, c2}).pop())  # the next answer
+        return real_flip(oracle, at, c1, c2, eps, lo, step, cap, cfg)
+
+    def search(*args, **kwargs):
+        events.append("search")
+        return real_search(*args, **kwargs)
+
+    monkeypatch.setattr(sx_extract, "_flip_point", flip_point)
+    monkeypatch.setattr(sx_extract, "search_critical", search)
+    oracle = OracleHandle(lambda q: third.pop() if third else forward_label(model, q),
+                          argmax_id=model.argmax_id, n_classes=model.n_classes)
+    res = extract(oracle)
+    assert res.total_queries == oracle.count
+    # the first target has no magnitude yet; the second starts from its value
+    default, eps = CFG.eta_initial_step, CFG.scan_probe
+    hint = abs(res.bias[0])
+    assert events[:7] == ["search", ("scan1", default), ("scan2", eps), ("scan1", hint), "fault",
+                          ("scan1", default), ("scan2", eps)]
+    assert (1,) not in res.retried
+    assert abs(res.bias[1] - model.layer(3).bias[1]) <= 1e-9

@@ -55,7 +55,7 @@ from .model import (
     Trace,
     apply_linear,
     apply_maxpool_relu,
-    apply_relu,
+    apply_nonlinear,
     build_model,
     count_parameters,
     forward_label,

@@ -64,7 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--attack-seed", type=int, default=None)
     a.add_argument("--layers", type=_parse_layers, help="comma separated layer ids")
     a.add_argument("--repeats", type=int, default=None)
-    a.add_argument("--parallel", action="store_true", help="extract layers in parallel workers")
     a.add_argument("--report", help="write the JSON report here")
     a.add_argument("--csv", help="write the per-layer CSV here")
     a.add_argument("--extracted", help="write the extracted model here")
@@ -112,8 +111,6 @@ def _config_from_args(args) -> ExperimentConfig:
         cfg.layers = args.layers
     if args.repeats is not None:
         cfg.repeats = args.repeats
-    if args.parallel:
-        cfg.parallel = True
     if args.probe_eps is not None:
         cfg.probe_eps = args.probe_eps
     overrides = {}

@@ -59,7 +59,6 @@ class ExperimentConfig:
     endpoint: str | None = None
     layers: list[int] | None = None
     repeats: int = 1
-    parallel: bool = False  # layer-parallel workers; sequential keeps one shared counter
     probe_eps: float = 1e-8
     search: BoundarySearchConfig = field(default_factory=BoundarySearchConfig)
 
@@ -262,33 +261,27 @@ def run_attack(
         if truth is None:
             raise ValueError("in-process backend needs the ground-truth model")
         skeleton = truth.skeleton()
-
-        def make_backend(_m=truth):
-            return lambda q: forward_label(_m, q)
-
+        # forward_label is looked up at call time, so a wrapper patched onto
+        # this module sees every in-process query
+        backend = lambda q: forward_label(truth, q)
     elif cfg.backend == "endpoint":
         if not cfg.endpoint or cfg.arch is None or cfg.input_shape is None:
             raise ValueError("endpoint backend needs endpoint, arch and input_shape")
         skeleton = build_model(cfg.arch, cfg.input_shape)
-
-        def make_backend():
-            return RemoteOracle(cfg.endpoint)
-
+        backend = RemoteOracle(cfg.endpoint)
     else:
         raise ValueError(f"unknown backend {cfg.backend!r}")
-
-    def make_handle():
-        return OracleHandle(
-            make_backend(),
-            argmax_id=skeleton.argmax_id,
-            n_classes=skeleton.n_classes,
-            probe_eps=cfg.probe_eps,
-        )
+    oracle = OracleHandle(
+        backend,
+        argmax_id=skeleton.argmax_id,
+        n_classes=skeleton.n_classes,
+        probe_eps=cfg.probe_eps,
+    )
 
     search = replace(cfg.search, sphere_norm=resolve_sphere_norm(cfg, truth))
     targets = cfg.layers if cfg.layers is not None else default_target_layers(skeleton)
 
-    def attack_layer(layer_id: int, oracle: OracleHandle) -> LayerExtractionResult:
+    def attack_layer(layer_id: int) -> LayerExtractionResult:
         before = oracle.count
         res = _extract_one(oracle, skeleton, layer_id, search, _layer_rng(cfg.attack_seed, layer_id))
         for round_idx in range(1, cfg.repeats):
@@ -305,43 +298,22 @@ def run_attack(
             )
         return res
 
-    def attack_layer_guarded(layer_id: int, oracle: OracleHandle):
-        """Per-layer extraction; failures surface with queries consumed.  A
-        transport fault fails only its layer: the remote backend reconnects
-        on the next query."""
-        before = oracle.count
-        try:
-            return attack_layer(layer_id, oracle), None, 0
-        except (ExtractionError, TransportError) as e:
-            return None, str(e), oracle.count - before
-
     t_start = time.perf_counter()
-    results: dict[int, LayerExtractionResult | None] = {}
+    results: dict[int, LayerExtractionResult] = {}
     failures: dict[int, tuple[str, int]] = {}
-    if cfg.parallel:
-        # one handle per worker; counts are summed across workers
-        from concurrent.futures import ThreadPoolExecutor
-
-        def worker(layer_id: int):
-            oracle = make_handle()
+    try:
+        for lid in targets:
+            # a failure surfaces with the queries it consumed; a transport
+            # fault fails only its layer: the remote backend reconnects on
+            # the next query
+            before = oracle.count
             try:
-                return layer_id, attack_layer_guarded(layer_id, oracle)
-            finally:
-                if isinstance(oracle.backend, RemoteOracle):
-                    oracle.backend.close()
-
-        with ThreadPoolExecutor(max_workers=min(4, len(targets)) or 1) as pool:
-            outcomes = dict(pool.map(worker, targets))
-    else:
-        oracle = make_handle()
-        outcomes = {lid: attack_layer_guarded(lid, oracle) for lid in targets}
-        if isinstance(oracle.backend, RemoteOracle):
-            oracle.backend.close()
-    for lid, (res, err, spent) in outcomes.items():
-        if res is not None:
-            results[lid] = res
-        else:
-            failures[lid] = (err, spent)
+                results[lid] = attack_layer(lid)
+            except (ExtractionError, TransportError) as e:
+                failures[lid] = (str(e), oracle.count - before)
+    finally:
+        if isinstance(backend, RemoteOracle):
+            backend.close()
     wall = time.perf_counter() - t_start
 
     extracted = skeleton.with_params({lid: (r.weight, r.bias) for lid, r in results.items()})

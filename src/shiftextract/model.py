@@ -6,7 +6,9 @@ every non-linear kind (ReLU, MaxPoolReLU, terminal Argmax) accepts two
 externally controlled additive shifts: one on its input ("pre") and one on
 its output ("post").  Evaluating a model under a ShiftSet reproduces what a
 share-malleating client of the masked inference protocol can induce, and the
-traced variant doubles as the white-box oracle used by tests.
+traced variant doubles as the white-box oracle used by tests.  ``walk`` is
+the one graph walk: in-process evaluation and the protocol server share it
+and differ only in their non-linear boundary hook.
 
 Only label output is modelled: the terminal Argmax returns the index of the
 largest logit, lowest index on exact ties.
@@ -34,7 +36,7 @@ import threading
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -493,11 +495,6 @@ def _pool_window_indices(h: int, w: int, kernel: tuple[int, int], stride: tuple[
     return idx
 
 
-def apply_relu(y: np.ndarray) -> np.ndarray:
-    """Element-wise max(0, y)."""
-    return np.maximum(y, 0.0)
-
-
 def apply_maxpool_relu(y: np.ndarray, kernel: tuple[int, int], stride: tuple[int, int]) -> np.ndarray:
     """ReLU of per-window maxima over a (C, H, W) map."""
     if y.ndim != 3:
@@ -511,6 +508,13 @@ def apply_maxpool_relu(y: np.ndarray, kernel: tuple[int, int], stride: tuple[int
     pooled = y.reshape(c, h * w)[:, idx].max(axis=2)
     oh, ow = (h - ph) // sh + 1, (w - pw) // sw + 1
     return np.maximum(pooled, 0.0).reshape(c, oh, ow)
+
+
+def apply_nonlinear(layer: LayerSpec, y: np.ndarray) -> np.ndarray:
+    """Output of a ReLU (element-wise max(0, y)) or MaxPoolReLU layer."""
+    if layer.kind == KIND_RELU:
+        return np.maximum(y, 0.0)
+    return apply_maxpool_relu(y, layer.kernel, layer.stride)
 
 
 def apply_linear(layer: LayerSpec, x: np.ndarray) -> np.ndarray:
@@ -591,8 +595,46 @@ class _LastQuery(threading.local):
         self.label = -1
 
 
+def walk(
+    model: ModelGraph,
+    x0: np.ndarray,
+    boundary: Callable[[LayerSpec, np.ndarray], np.ndarray | int],
+    vals: dict[int, np.ndarray],
+    dirty: set[int] | None = None,
+    label: int = -1,
+) -> int:
+    """The one topological walk behind in-process evaluation and the
+    protocol server.  Returns the label.
+
+    Input, Convolution, FullyConnected and Add layers are evaluated here,
+    each into ``vals``.  Every non-linear layer hands its input to
+    ``boundary(spec, y)``, which returns the layer's output, or the label
+    for the Argmax.  With ``dirty`` None every layer is evaluated.
+    Otherwise only the layers in ``dirty`` and those downstream of them are
+    (each is added to ``dirty``); the rest keep their value in ``vals``, and
+    ``label`` is returned if the Argmax is not reached.
+    """
+    for spec in model._topo:
+        if dirty is not None:
+            if spec.id not in dirty and dirty.isdisjoint(spec.inputs):
+                continue
+            dirty.add(spec.id)
+        kind = spec.kind
+        if kind == KIND_CONV or kind == KIND_FC:
+            vals[spec.id] = apply_linear(spec, vals[spec.inputs[0]])
+        elif kind == KIND_ADD:
+            vals[spec.id] = vals[spec.inputs[0]] + vals[spec.inputs[1]]
+        elif kind == KIND_INPUT:
+            vals[spec.id] = x0
+        elif kind == KIND_ARGMAX:
+            label = boundary(spec, vals[spec.inputs[0]])
+        else:
+            vals[spec.id] = boundary(spec, vals[spec.inputs[0]])
+    return label
+
+
 def _evaluate(model: ModelGraph, q: QueryInput, last: _LastQuery | None):
-    """The one evaluation loop behind ``forward_label`` and ``forward_trace``.
+    """The shifted evaluation behind ``forward_label`` and ``forward_trace``.
 
     With ``last`` None every layer is evaluated and a Trace returned.
     Otherwise only the layers downstream of a change against ``last`` are
@@ -613,47 +655,30 @@ def _evaluate(model: ModelGraph, q: QueryInput, last: _LastQuery | None):
         if x0.shape != model.input_shape:
             raise StructuralError(f"input shape {x0.shape} != model input {model.input_shape}")
         dirty.add(model.input_id)
-    vals = {} if fresh else dict(last.vals)
-    label = -1 if fresh else last.label
     record = last is None
     pre_record: dict[int, np.ndarray] = {}
     logits = None
-    for spec in model._topo:
-        if not fresh:
-            if spec.id not in dirty and dirty.isdisjoint(spec.inputs):
-                continue
-            dirty.add(spec.id)
-        kind = spec.kind
-        if kind == KIND_RELU or kind == KIND_MPR:
-            y = vals[spec.inputs[0]]
-            if record:
-                pre_record[spec.id] = y
-            pre = entries.get((spec.id, PRE))
-            if pre is not None:
-                y = y + pre
-            if kind == KIND_RELU:
-                z = np.maximum(y, 0.0)
-            else:
-                z = apply_maxpool_relu(y, spec.kernel, spec.stride)
-            post = entries.get((spec.id, POST))
-            if post is not None:
-                z = z + post
-            vals[spec.id] = z
-        elif kind == KIND_CONV or kind == KIND_FC:
-            vals[spec.id] = apply_linear(spec, vals[spec.inputs[0]])
-        elif kind == KIND_ADD:
-            vals[spec.id] = vals[spec.inputs[0]] + vals[spec.inputs[1]]
-        elif kind == KIND_INPUT:
-            vals[spec.id] = x0
-        else:  # Argmax
-            y = vals[spec.inputs[0]]
-            if record:
-                pre_record[spec.id] = y
-            pre = entries.get((spec.id, PRE))
-            if pre is not None:
-                y = y + pre
+
+    def boundary(spec: LayerSpec, y: np.ndarray):
+        nonlocal logits
+        if record:
+            pre_record[spec.id] = y
+        pre = entries.get((spec.id, PRE))
+        if pre is not None:
+            y = y + pre
+        if spec.kind == KIND_ARGMAX:
             logits = y
-            label = int(np.argmax(y))
+            return int(np.argmax(y))
+        z = apply_nonlinear(spec, y)
+        post = entries.get((spec.id, POST))
+        return z if post is None else z + post
+
+    if fresh:
+        vals: dict[int, np.ndarray] = {}
+        label = walk(model, x0, boundary, vals)
+    else:
+        vals = dict(last.vals)
+        label = walk(model, x0, boundary, vals, dirty, last.label)
     if record:
         return Trace(vals, pre_record, logits, label)
     last.x0, last.entries, last.vals, last.label = x0, entries, vals, label
@@ -881,7 +906,3 @@ def save_model(model: ModelGraph, path: str | Path, meta: dict | None = None) ->
 
 def load_model(path: str | Path) -> ModelGraph:
     return model_from_dict(json.loads(Path(path).read_text()))
-
-
-def load_model_meta(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text()).get("meta", {})

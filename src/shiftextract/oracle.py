@@ -57,10 +57,6 @@ class OracleHandle:
     def count(self) -> int:
         return self._count
 
-    @property
-    def backend(self) -> Callable[[QueryInput], int]:
-        return self._backend
-
     def query(self, v: QueryInput) -> int:
         """One label query.  The counter advances even if the backend fails."""
         with self._lock:

@@ -16,6 +16,11 @@ nonce tag before the float64 data.  A connection starts with a version
 handshake that also announces the model input shape and class count, and
 then serves sequential sessions (EncInput .. LabelResult).
 
+The server walks the model graph with ``model.walk``, the walk in-process
+evaluation uses too; only the non-linear boundary hook differs.  Here the
+hook runs the mask, send, receive and unmask exchange, so protocol fidelity
+holds by construction.
+
 Because masks are real-valued, unmasking re-rounds: reconstructed values can
 differ from the in-process evaluation by mask-magnitude rounding (~1e-13).
 Labels agree exactly except on knife-edge ties.
@@ -33,21 +38,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (
-    KIND_ADD,
     KIND_ARGMAX,
-    KIND_CONV,
-    KIND_FC,
-    KIND_INPUT,
-    KIND_RELU,
     PRE,
     POST,
+    LayerSpec,
     ModelGraph,
     QueryInput,
     ShiftSet,
-    apply_linear,
-    apply_maxpool_relu,
-    apply_relu,
+    apply_nonlinear,
+    walk,
 )
+# re-exported, not called here: perfbench/tracing.py patches apply_linear on this module
+from .model import apply_linear
 
 PROTOCOL_VERSION = 1
 ENV_MASK_BOUND = "SHIFTEXTRACT_MASK_BOUND"
@@ -256,42 +258,32 @@ def _serve_session(
         raise ProtocolError("EncInput size does not match model input", layer_id)
     x0 = x0.reshape(model.input_shape)
 
-    vals: dict[int, np.ndarray] = {}
-    label = -1
-    for spec in model.topo_order:
-        kind = spec.kind
-        if kind == KIND_INPUT:
-            vals[spec.id] = x0
-        elif kind in (KIND_CONV, KIND_FC):
-            vals[spec.id] = apply_linear(spec, vals[spec.inputs[0]])
-        elif kind == KIND_ADD:
-            vals[spec.id] = vals[spec.inputs[0]] + vals[spec.inputs[1]]
-        else:
-            y = vals[spec.inputs[0]]
-            r_y = rng.uniform(-mask_bound, mask_bound, size=y.shape)
-            transport.send_frame(TAG_MASKED_PRE, spec.id, tensor_payload(y - r_y))
-            tag, lid, payload = transport.recv_frame()
-            if tag != TAG_NONLINEAR_SHARE or lid != spec.id:
-                raise ProtocolError(f"expected NonlinearShare for layer {spec.id}", lid)
-            share = payload_tensor(payload, lid)
-            if share.size != y.size:
-                raise ProtocolError("share size mismatch", lid)
-            y_hat = share.reshape(y.shape) + r_y
-            if kind == KIND_ARGMAX:
-                label = int(np.argmax(y_hat))
-                transport.send_frame(TAG_LABEL_RESULT, spec.id, tensor_payload(np.array([float(label)])))
-                continue
-            z = apply_relu(y_hat) if kind == KIND_RELU else apply_maxpool_relu(y_hat, spec.kernel, spec.stride)
-            r_z = rng.uniform(-mask_bound, mask_bound, size=z.shape)
-            transport.send_frame(TAG_NONLINEAR_SHARE, spec.id, tensor_payload(z - r_z))
-            tag, lid, payload = transport.recv_frame()
-            if tag != TAG_ENC_POST or lid != spec.id:
-                raise ProtocolError(f"expected EncPost for layer {spec.id}", lid)
-            _, z_share = payload_blob(payload, lid)
-            if z_share.size != z.size:
-                raise ProtocolError("EncPost size mismatch", lid)
-            vals[spec.id] = z_share.reshape(z.shape) + r_z
-    return label
+    def boundary(spec: LayerSpec, y: np.ndarray):
+        r_y = rng.uniform(-mask_bound, mask_bound, size=y.shape)
+        transport.send_frame(TAG_MASKED_PRE, spec.id, tensor_payload(y - r_y))
+        tag, lid, payload = transport.recv_frame()
+        if tag != TAG_NONLINEAR_SHARE or lid != spec.id:
+            raise ProtocolError(f"expected NonlinearShare for layer {spec.id}", lid)
+        share = payload_tensor(payload, lid)
+        if share.size != y.size:
+            raise ProtocolError("share size mismatch", lid)
+        y_hat = share.reshape(y.shape) + r_y
+        if spec.kind == KIND_ARGMAX:
+            label = int(np.argmax(y_hat))
+            transport.send_frame(TAG_LABEL_RESULT, spec.id, tensor_payload(np.array([float(label)])))
+            return label
+        z = apply_nonlinear(spec, y_hat)
+        r_z = rng.uniform(-mask_bound, mask_bound, size=z.shape)
+        transport.send_frame(TAG_NONLINEAR_SHARE, spec.id, tensor_payload(z - r_z))
+        tag, lid, payload = transport.recv_frame()
+        if tag != TAG_ENC_POST or lid != spec.id:
+            raise ProtocolError(f"expected EncPost for layer {spec.id}", lid)
+        _, z_share = payload_blob(payload, lid)
+        if z_share.size != z.size:
+            raise ProtocolError("EncPost size mismatch", lid)
+        return z_share.reshape(z.shape) + r_z
+
+    return walk(model, x0, boundary, {})
 
 
 class InferenceServer:
@@ -344,7 +336,8 @@ class InferenceServer:
                 self._conns.add(conn)
             t = threading.Thread(target=self._handle_connection, args=(conn, conn_idx), daemon=True)
             t.start()
-            self._threads.append(t)
+            # drop finished connection threads, so a long-running server does not grow
+            self._threads = [th for th in self._threads if th.is_alive()] + [t]
 
     def _handle_connection(self, conn: socket.socket, conn_idx: int) -> None:
         transport = SocketTransport(conn)

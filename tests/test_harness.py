@@ -235,18 +235,6 @@ def test_merge_flagged_medians():
     assert merged.retried == [(0, 1)]
 
 
-def test_parallel_matches_sequential():
-    truth = sx.random_model(ARCH, SHAPE, seed=4)
-    seq = ExperimentConfig(arch=ARCH, input_shape=SHAPE, attack_seed=3)
-    par = ExperimentConfig(arch=ARCH, input_shape=SHAPE, attack_seed=3, parallel=True)
-    r1, e1 = run_attack(seq, truth=truth)
-    r2, e2 = run_attack(par, truth=truth)
-    assert r1.total_queries == r2.total_queries
-    for lid in (1, 3):
-        assert np.array_equal(e1.layer(lid).weight, e2.layer(lid).weight)
-        assert np.array_equal(e1.layer(lid).bias, e2.layer(lid).bias)
-
-
 def test_partial_failure_preserved():
     """A layer whose boundary search cannot succeed is reported, with its
     consumed queries, without aborting the run."""

@@ -11,6 +11,7 @@ from shiftextract import (
     KIND_ARGMAX,
     KIND_CONV,
     KIND_INPUT,
+    KIND_MPR,
     KIND_RELU,
     POST,
     PRE,
@@ -21,7 +22,7 @@ from shiftextract import (
     StructuralError,
     apply_linear,
     apply_maxpool_relu,
-    apply_relu,
+    apply_nonlinear,
     forward_label,
     forward_trace,
     pooled_receivers,
@@ -98,9 +99,10 @@ def test_conv_matches_dense_matrix(seed):
 
 
 def test_relu_examples():
-    assert np.array_equal(apply_relu(np.array([-1.0, 2.0])), [0.0, 2.0])
-    assert np.array_equal(apply_relu(np.array([-3.0, -0.5])), [0.0, 0.0])
-    assert np.array_equal(apply_relu(np.array([0.0])), [0.0])
+    relu = LayerSpec(1, KIND_RELU, (0,))
+    assert np.array_equal(apply_nonlinear(relu, np.array([-1.0, 2.0])), [0.0, 2.0])
+    assert np.array_equal(apply_nonlinear(relu, np.array([-3.0, -0.5])), [0.0, 0.0])
+    assert np.array_equal(apply_nonlinear(relu, np.array([0.0])), [0.0])
 
 
 def test_maxpool_relu_single_window():
@@ -127,6 +129,8 @@ def test_maxpool_relu_matches_brute_force(kernel, stride):
     rng = np.random.default_rng(5)
     y = rng.standard_normal((3, 4, 4)) if kernel == (2, 2) else rng.standard_normal((3, 5, 5))
     assert np.array_equal(apply_maxpool_relu(y, kernel, stride), _pool_brute_force(y, kernel, stride))
+    mpr = LayerSpec(1, KIND_MPR, (0,), kernel=kernel, stride=stride)
+    assert np.array_equal(apply_nonlinear(mpr, y), _pool_brute_force(y, kernel, stride))
 
 
 def test_maxpool_bad_geometry():

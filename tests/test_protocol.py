@@ -40,6 +40,14 @@ def pool_model():
     return random_model("conv4x3x3-mpr2-fc8-r-fc3", (2, 4, 4), seed=3)
 
 
+# the pool model, and a residual one whose Add layers the server must walk
+SESSION_MODELS = pytest.mark.parametrize(
+    "arch,shape",
+    [("conv4x3x3-mpr2-fc8-r-fc3", (2, 4, 4)), ("conv2x3x3-r-res{conv2x3x3-r,conv2x3x3-r}-fc6-r-fc3", (2, 5, 5))],
+    ids=["pool", "residual"],
+)
+
+
 def _random_plan(model, rng):
     s = ShiftSet()
     for lid in model.nonlinear_ids():
@@ -70,13 +78,15 @@ def test_empty_plan_matches_plain_inference(pool_model):
     assert label == forward_label(pool_model, QueryInput(x))
 
 
-def test_functional_fidelity_random_plans(pool_model):
+@SESSION_MODELS
+def test_functional_fidelity_random_plans(arch, shape):
+    model = random_model(arch, shape, seed=3)
     rng = np.random.default_rng(1)
     for i in range(25):
-        x = rng.standard_normal((2, 4, 4))
-        plan = _random_plan(pool_model, rng)
-        label, _ = run_session(pool_model, x, plan, transport="memory", seed=i)
-        assert label == forward_label(pool_model, QueryInput(x, plan))
+        x = rng.standard_normal(shape)
+        plan = _random_plan(model, rng)
+        label, _ = run_session(model, x, plan, transport="memory", seed=i)
+        assert label == forward_label(model, QueryInput(x, plan))
 
 
 def test_mask_freshness(pool_model):
@@ -107,12 +117,14 @@ def test_share_reconstruction(pool_model):
     assert checked == len(pool_model.nonlinear_ids())
 
 
-def test_transcript_replay(pool_model):
+@SESSION_MODELS
+def test_transcript_replay(arch, shape):
+    model = random_model(arch, shape, seed=3)
     rng = np.random.default_rng(6)
-    x = rng.standard_normal((2, 4, 4))
-    plan = _random_plan(pool_model, rng)
-    label, transcript = run_session(pool_model, x, plan, transport="memory", seed=12)
-    assert replay_transcript(pool_model, transcript) == label
+    x = rng.standard_normal(shape)
+    plan = _random_plan(model, rng)
+    label, transcript = run_session(model, x, plan, transport="memory", seed=12)
+    assert replay_transcript(model, transcript) == label
 
 
 def test_server_obliviousness_structure(pool_model):
@@ -236,6 +248,17 @@ def test_concurrent_connections(pool_model):
     finally:
         server.stop()
     assert got == want
+
+
+def test_finished_connection_threads_dropped(pool_model):
+    """A long-running server keeps only its live connection threads."""
+    server = serve(pool_model, seed=0)
+    try:
+        for _ in range(20):
+            connect("%s:%d" % server.address).close()
+        assert len(server._threads) <= 5
+    finally:
+        server.stop()
 
 
 def test_mask_bound_env_read_at_start(pool_model, monkeypatch):

@@ -21,7 +21,7 @@ from .harness import (
     write_report,
 )
 from .model import count_parameters, load_model, random_model, save_model
-from .protocol import InferenceServer
+from .protocol import DEFAULT_MASK_BOUND, InferenceServer
 
 
 def _parse_shape(text: str) -> tuple[int, ...]:
@@ -63,7 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--truth", help="ground-truth model file for error columns")
     a.add_argument("--attack-seed", type=int, default=None)
     a.add_argument("--layers", type=_parse_layers, help="comma separated layer ids")
-    a.add_argument("--repeats", type=int, default=None)
     a.add_argument("--report", help="write the JSON report here")
     a.add_argument("--csv", help="write the per-layer CSV here")
     a.add_argument("--extracted", help="write the extracted model here")
@@ -80,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--host", default="127.0.0.1")
     s.add_argument("--port", type=int, default=9123)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--mask-bound", type=float, default=None)
+    s.add_argument("--mask-bound", type=float, default=DEFAULT_MASK_BOUND)
     return ap
 
 
@@ -109,8 +108,6 @@ def _config_from_args(args) -> ExperimentConfig:
         cfg.attack_seed = args.attack_seed
     if args.layers is not None:
         cfg.layers = args.layers
-    if args.repeats is not None:
-        cfg.repeats = args.repeats
     if args.probe_eps is not None:
         cfg.probe_eps = args.probe_eps
     overrides = {}

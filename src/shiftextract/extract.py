@@ -19,8 +19,7 @@ from a fresh critical point by ``_with_retries``, which falls back to the
 last uncorrected estimate when every attempt fails.  Convolution and
 fully-connected layers share one driver (``_extract_layer``) and one phase
 runner (``_run_phase``): a phase searches one critical point, measures each
-of its targets, records dead and retried slots, and spreads the search's
-queries over the targets.
+of its targets, and records dead and retried slots.
 
 Two systematic error sources are handled explicitly.  The class tie left by
 chord bisection is polished to float precision by nudging one logit, because
@@ -113,8 +112,6 @@ class BoundarySearchConfig:
     ``suppression`` is the large negative constant pinning ReLU outputs to
     zero and must exceed reachable features by a wide margin, validated
     against ``feature_bound`` (100x margin).
-    ``conv_delta`` / ``fc_delta`` override the injected pattern amplitudes
-    sqrt(n_in*kh*kw/4) and sqrt(n_in/4).
     """
 
     sphere_norm: float | None = None
@@ -129,8 +126,6 @@ class BoundarySearchConfig:
     max_sample_rounds: int = 64
     suppression: float = 1e6
     feature_bound: float = 1e3
-    conv_delta: float | None = None
-    fc_delta: float | None = None
 
     def resolved(self) -> "BoundarySearchConfig":
         return self if self.sphere_norm is not None else replace(self, sphere_norm=10.0)
@@ -141,7 +136,6 @@ class FeatureResult:
     """One recovered pre-activation value with its scan diagnostics."""
 
     value: float
-    queries: int
     branch: str  # "nonpositive" | "positive"
     slope: float | None = None
     retried: bool = False
@@ -163,19 +157,27 @@ class SuppressionPlan:
 
 @dataclass
 class LayerExtractionResult:
+    """A recovered layer with its query cost and flagged slots.
+
+    ``bias_queries`` and ``weight_queries`` are the oracle calls spent on
+    the bias phase and on the weight phases, critical searches included.
+    ``dead`` and ``retried`` list the parameter slots whose scans found no
+    flip or needed another attempt.
+    """
+
     layer_id: int
     kind: str
     bias: np.ndarray
     weight: np.ndarray
-    bias_queries: np.ndarray
-    weight_queries: np.ndarray
+    bias_queries: int = 0
+    weight_queries: int = 0
     dead: list = field(default_factory=list)
     retried: list = field(default_factory=list)
     gauge_fixed: bool = False
 
     @property
     def total_queries(self) -> int:
-        return int(self.bias_queries.sum() + self.weight_queries.sum())
+        return self.bias_queries + self.weight_queries
 
     def bias_param_count(self) -> int:
         n = self.bias.size
@@ -295,7 +297,6 @@ def _scan_boundary(
     lag: its flip lies eps/slope beyond eta1, so its first step is eps.
     """
     eps = cfg.scan_probe
-    start = oracle.count
     probe_down = base.shifted(ShiftSet({pre_key: -cfg.sign_probe * pre_mask}))
     nonpositive = oracle.is_critical(probe_down, c1, c2)
     sign = -1.0 if nonpositive else 1.0
@@ -337,7 +338,6 @@ def _scan_boundary(
         raise ScanRetryError("scans disagree beyond their own resolution", fallback=fallback)
     return FeatureResult(
         value=sign * eta_hat,
-        queries=oracle.count - start,
         branch="nonpositive" if nonpositive else "positive",
         slope=eps / gap if gap > 0 else None,
     )
@@ -438,9 +438,7 @@ def search_critical(
                 ShiftSet.single(oracle.argmax_id, PRE, (oracle.n_classes,), c1, tie)
             )
             if oracle.is_critical(v_star, c1, c2):
-                return CriticalPoint(
-                    v=v_star, c1=c1, c2=c2, base=v0, layer=layer_id, boundary_shift=delta2
-                )
+                return CriticalPoint(v=v_star, c1=c1, c2=c2)
         pair = sample_pair()  # corner region: try again from a fresh pair
     raise BoundarySearchError(
         f"corner point: boundary on layer {layer_id} failed validation {cfg.max_retries + 1} times"
@@ -486,7 +484,7 @@ def extract_feature(
         raise ExtractionError("empty target index set")
     mask = _mask_at(skeleton.pre_shape(layer_id), beta)
     return _scan_boundary(
-        oracle, cp.v, cp.c1, cp.c2, (layer_id, PRE), mask, (layer_id, POST), mask, cfg.resolved(), cfg.eta_max,
+        oracle, cp.v, cp.c1, cp.c2, (layer_id, PRE), mask, (layer_id, POST), mask, cfg, cfg.eta_max,
         first_step,
     )
 
@@ -513,7 +511,6 @@ def extract_feature_maxpool(
     fresh class boundary at the logits on top of it.  ``first_step`` is the
     expected magnitude (see ``_scan_boundary``).
     """
-    cfg = cfg.resolved()
     spec = skeleton.layer(layer_id)
     if spec.kind != KIND_MPR:
         raise ExtractionError(f"layer {layer_id} is {spec.kind}, not a maxpool boundary")
@@ -537,22 +534,18 @@ def extract_feature_maxpool(
             cfg, cap, first_step,
         )
 
-    return _with_retries(oracle, attempt, cfg.max_retries)
+    return _with_retries(attempt, cfg.max_retries)
 
 
-def _with_retries(
-    oracle: OracleHandle, attempt: Callable[[int], FeatureResult], max_retries: int
-) -> FeatureResult:
+def _with_retries(attempt: Callable[[int], FeatureResult], max_retries: int) -> FeatureResult:
     """Run ``attempt(k)`` for k = 0, 1, ... until one raises no
     ScanRetryError, at most ``max_retries + 1`` times.
 
-    The result counts the queries of every attempt and is flagged
-    ``retried`` when k > 0.  When every attempt fails, the last error's
-    fallback comes back as a ``branch="fallback"`` result, or that error is
-    re-raised when it has no fallback.  A DeadFeatureError passes through,
-    flagged ``retried`` when k > 0.
+    The result is flagged ``retried`` when k > 0.  When every attempt
+    fails, the last error's fallback comes back as a ``branch="fallback"``
+    result, or that error is re-raised when it has no fallback.  A
+    DeadFeatureError passes through, flagged ``retried`` when k > 0.
     """
-    start = oracle.count
     for k in range(max_retries + 1):
         try:
             res = attempt(k)
@@ -562,12 +555,11 @@ def _with_retries(
         except DeadFeatureError as e:
             e.retried = k > 0
             raise
-        res.queries = oracle.count - start
         res.retried = k > 0
         return res
     if last.fallback is None:
         raise last
-    return FeatureResult(value=last.fallback, queries=oracle.count - start, branch="fallback", retried=True)
+    return FeatureResult(value=last.fallback, branch="fallback", retried=True)
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +575,6 @@ def zero_input_plan(skeleton: ModelGraph, layer_id: int, cfg: BoundarySearchConf
     predecessor's post side.  A first layer has no such predecessors and is
     controlled through the model input instead (``input_mode``).
     """
-    cfg = cfg.resolved()
     if cfg.suppression < 100.0 * cfg.feature_bound:
         raise ExtractionError(
             f"suppression {cfg.suppression} lacks the 100x margin over feature bound {cfg.feature_bound}"
@@ -633,15 +624,6 @@ def _nonlinear_successor(skeleton: ModelGraph, layer_id: int):
     return nxt
 
 
-def _apportion(counts: np.ndarray, slots: Sequence, total: int) -> None:
-    """Spread ``total`` shared queries over parameter slots, exactly."""
-    if not slots or total <= 0:
-        return
-    base, rem = divmod(total, len(slots))
-    for j, idx in enumerate(slots):
-        counts[idx] += base + (1 if j < rem else 0)
-
-
 def _run_phase(
     oracle: OracleHandle,
     skeleton: ModelGraph,
@@ -649,7 +631,6 @@ def _run_phase(
     v0: QueryInput,
     targets: Sequence,
     values: np.ndarray,
-    counts: np.ndarray,
     flags: LayerExtractionResult,
     cfg: BoundarySearchConfig,
     rng: np.random.Generator,
@@ -659,25 +640,22 @@ def _run_phase(
 
     A standalone-ReLU successor scans every target at one critical point,
     searched from ``v0``, and a failed scan rebuilds it (the rebuilt point
-    serves the later targets too); each slot is charged its share of the
-    shared search.  A maxpool successor searches its own point per attempt
-    on top of its suppression, so the phase searches none.  Each scan 1
-    starts at ``scale``, the magnitude of the last value measured (None:
-    nothing measured yet), and the phase returns the magnitude it ends
-    with.  A dead feature reads 0.0 and is listed in ``flags.dead``; a
-    feature whose scan needed another attempt is listed in
+    serves the later targets too).  A maxpool successor searches its own
+    point per attempt on top of its suppression, so the phase searches
+    none.  Each scan 1 starts at ``scale``, the magnitude of the last value
+    measured (None: nothing measured yet), and the phase returns the
+    magnitude it ends with.  A dead feature reads 0.0 and is listed in
+    ``flags.dead``; a feature whose scan needed another attempt is listed in
     ``flags.retried`` and reads the successful value, the fallback, or 0.0.
+    The caller reads the phase's queries off the oracle counter.
     """
     maxpool = succ.kind == KIND_MPR
 
     def search() -> CriticalPoint:
         return search_critical(oracle, skeleton, v0, skeleton.argmax_id, cfg, rng)
 
-    t0 = oracle.count
     cp = None if maxpool else search()
-    shared = oracle.count - t0
     for slot, target in targets:
-        t1 = oracle.count
         try:
             if maxpool:
                 res = extract_feature_maxpool(oracle, skeleton, v0, succ.id, target, cfg, rng, first_step=scale)
@@ -688,7 +666,7 @@ def _run_phase(
                         cp = search()
                     return extract_feature(oracle, skeleton, cp, succ.id, target, cfg, first_step=scale)
 
-                res = _with_retries(oracle, attempt, cfg.max_retries)
+                res = _with_retries(attempt, cfg.max_retries)
             value, retried = res.value, res.retried
             if res.branch != "fallback" and value != 0.0:
                 scale = abs(value)
@@ -700,8 +678,6 @@ def _run_phase(
         if retried:
             flags.retried.append(slot)
         values[slot] = value
-        counts[slot] += oracle.count - t1
-    _apportion(counts, [slot for slot, _ in targets], shared)
     return scale
 
 
@@ -728,20 +704,16 @@ def _extract_layer(
     plan = zero_input_plan(skeleton, layer_id, cfg)
     shape = spec.weight.shape
     res = LayerExtractionResult(
-        layer_id=layer_id,
-        kind=spec.kind,
-        bias=np.zeros(shape[0]),
-        weight=np.zeros(shape),
-        bias_queries=np.zeros(shape[0], dtype=np.int64),
-        weight_queries=np.zeros(shape, dtype=np.int64),
+        layer_id=layer_id, kind=spec.kind, bias=np.zeros(shape[0]), weight=np.zeros(shape)
     )
+    t0 = oracle.count
     v0 = _controlled_query(skeleton, plan, None)
-    scale = _run_phase(oracle, skeleton, succ, v0, bias_targets, res.bias, res.bias_queries, res, cfg, rng)
+    scale = _run_phase(oracle, skeleton, succ, v0, bias_targets, res.bias, res, cfg, rng)
+    t1 = oracle.count
     for inject, targets in weight_phases:
         v0 = _controlled_query(skeleton, plan, inject)
-        scale = _run_phase(
-            oracle, skeleton, succ, v0, targets, res.weight, res.weight_queries, res, cfg, rng, scale
-        )
+        scale = _run_phase(oracle, skeleton, succ, v0, targets, res.weight, res, cfg, rng, scale)
+    res.bias_queries, res.weight_queries = t1 - t0, oracle.count - t1
     # the weight phases stored raw readings bias[c] + amplitude * weight
     bias = res.bias.reshape((-1,) + (1,) * (len(shape) - 1))
     res.weight = (res.weight - bias) / amplitude
@@ -780,7 +752,6 @@ def extract_conv_layer(
     maxpool-fed layers (one target index at a time), fall back to a single
     centered injection whose aligned output position isolates each tap.
     """
-    cfg = cfg.resolved()
     spec = skeleton.layer(layer_id)
     if spec.kind != KIND_CONV:
         raise ExtractionError(f"layer {layer_id} is {spec.kind}, not a convolution")
@@ -788,7 +759,7 @@ def extract_conv_layer(
     maxpool = succ.kind == KIND_MPR
     n_out, n_in, kh, kw = spec.weight.shape
     _, fh, fw = skeleton.out_shape(layer_id)
-    amplitude = cfg.conv_delta if cfg.conv_delta is not None else math.sqrt(n_in * kh * kw / 4.0)
+    amplitude = math.sqrt(n_in * kh * kw / 4.0)
     periodic = not maxpool and fh >= 2 * kh - 1 and fw >= 2 * kw - 1
     ic, jc = fh // 2, fw // 2
 
@@ -832,7 +803,6 @@ def extract_fc_layer(
     input feature set to the injection amplitude, output j reads
     bias[j] + amplitude * w[j, i0], one column per critical point.
     """
-    cfg = cfg.resolved()
     spec = skeleton.layer(layer_id)
     if spec.kind != KIND_FC:
         raise ExtractionError(f"layer {layer_id} is {spec.kind}, not fully connected")
@@ -840,7 +810,7 @@ def extract_fc_layer(
     if succ.kind != KIND_RELU:
         raise ExtractionError("fully-connected extraction needs a standalone ReLU successor")
     n_out, n_in = spec.weight.shape
-    amplitude = cfg.fc_delta if cfg.fc_delta is not None else math.sqrt(n_in / 4.0)
+    amplitude = math.sqrt(n_in / 4.0)
 
     def weight_phases():
         """One phase per input feature, one target per output."""
@@ -915,44 +885,39 @@ def extract_last_layer(
     bias differences; with one input feature at the injection amplitude it
     reads off weight-column differences.
     """
-    cfg = cfg.resolved()
     argmax = skeleton.layer(skeleton.argmax_id)
     last = skeleton.layer(argmax.inputs[0])
     if last.kind != KIND_FC:
         raise ExtractionError("terminal layer is not fully connected")
     n1, n0 = last.weight.shape
     plan = zero_input_plan(skeleton, last.id, cfg)
-    amplitude = cfg.fc_delta if cfg.fc_delta is not None else math.sqrt(n0 / 4.0)
+    amplitude = math.sqrt(n0 / 4.0)
 
     bias = np.zeros(n1)
-    bias_q = np.zeros(n1, dtype=np.int64)
     weight = np.zeros((n1, n0))
-    weight_q = np.zeros((n1, n0), dtype=np.int64)
 
+    t0 = oracle.count
     t_bias = np.zeros(n1)
     v0 = _controlled_query(skeleton, plan, None)
     for c in range(1, n1):
-        t0 = oracle.count
         t_bias[c] = _pair_boundary(oracle, v0, 0, c, cfg)
         bias[c] = -t_bias[c]
-        bias_q[c] = oracle.count - t0
+    t1 = oracle.count
 
     for i0 in range(n0):
         inject = np.zeros(n0)
         inject[i0] = amplitude
         v0 = _controlled_query(skeleton, plan, inject)
         for c in range(1, n1):
-            t0 = oracle.count
             t = _pair_boundary(oracle, v0, 0, c, cfg)
             weight[c, i0] = (t_bias[c] - t) / amplitude
-            weight_q[c, i0] = oracle.count - t0
 
     return LayerExtractionResult(
         layer_id=last.id,
         kind=KIND_FC,
         bias=bias,
         weight=weight,
-        bias_queries=bias_q,
-        weight_queries=weight_q,
+        bias_queries=t1 - t0,
+        weight_queries=oracle.count - t1,
         gauge_fixed=True,
     )

@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +58,6 @@ class ExperimentConfig:
     backend: str = "in-process"  # or "endpoint"
     endpoint: str | None = None
     layers: list[int] | None = None
-    repeats: int = 1
     probe_eps: float = 1e-8
     search: BoundarySearchConfig = field(default_factory=BoundarySearchConfig)
 
@@ -70,14 +69,24 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        """Inverse of ``to_dict``.  A key this version does not know, at the
+        top level or inside ``search``, raises a ValueError naming it."""
+        _check_keys(cls, d, "")
         d = dict(d)
         if "search" in d and d["search"] is not None:
+            _check_keys(BoundarySearchConfig, d["search"], "search.")
             d["search"] = BoundarySearchConfig(**d["search"])
         if d.get("input_shape") is not None:
             d["input_shape"] = tuple(int(v) for v in d["input_shape"])
         if d.get("layers") is not None:
             d["layers"] = [int(v) for v in d["layers"]]
         return cls(**d)
+
+
+def _check_keys(cls, d: dict, prefix: str) -> None:
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError("unknown config key(s): " + ", ".join(prefix + k for k in unknown))
 
 
 @dataclass
@@ -226,8 +235,9 @@ def resolve_sphere_norm(cfg: ExperimentConfig, truth: ModelGraph | None) -> floa
     return 10.0 * std if std > 1e-3 else 10.0
 
 
-def _layer_rng(attack_seed: int, layer_id: int, round_idx: int = 0) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((attack_seed, layer_id, round_idx)))
+def _layer_rng(attack_seed: int, layer_id: int) -> np.random.Generator:
+    # the trailing 0 is part of the seed: without it every draw changes
+    return np.random.default_rng(np.random.SeedSequence((attack_seed, layer_id, 0)))
 
 
 def _extract_one(
@@ -284,13 +294,6 @@ def run_attack(
     def attack_layer(layer_id: int) -> LayerExtractionResult:
         before = oracle.count
         res = _extract_one(oracle, skeleton, layer_id, search, _layer_rng(cfg.attack_seed, layer_id))
-        for round_idx in range(1, cfg.repeats):
-            if not (res.dead or res.retried):
-                break
-            redo = _extract_one(
-                oracle, skeleton, layer_id, search, _layer_rng(cfg.attack_seed, layer_id, round_idx)
-            )
-            res = _merge_flagged(res, redo)
         delta = oracle.count - before
         if delta != res.total_queries:
             raise RuntimeError(
@@ -346,8 +349,8 @@ def run_attack(
                 kind=r.kind,
                 n_bias=nb,
                 n_weight=nw,
-                calls_per_bias=float(r.bias_queries.sum()) / max(nb, 1),
-                calls_per_weight=float(r.weight_queries.sum()) / max(nw, 1),
+                calls_per_bias=r.bias_queries / max(nb, 1),
+                calls_per_weight=r.weight_queries / max(nw, 1),
                 e_bias=e_bias,
                 e_weight=e_weight,
                 queries=r.total_queries,
@@ -370,28 +373,6 @@ def run_attack(
         wall_time_s=wall,
     )
     return report, extracted
-
-
-def _merge_flagged(first: LayerExtractionResult, redo: LayerExtractionResult) -> LayerExtractionResult:
-    """Median-combine flagged parameters from a rerun; counts accumulate so
-    accounting stays exact."""
-    merged = LayerExtractionResult(
-        layer_id=first.layer_id,
-        kind=first.kind,
-        bias=first.bias.copy(),
-        weight=first.weight.copy(),
-        bias_queries=first.bias_queries + redo.bias_queries,
-        weight_queries=first.weight_queries + redo.weight_queries,
-        dead=sorted(set(map(tuple, first.dead)) & set(map(tuple, redo.dead))),
-        retried=sorted(set(map(tuple, first.retried)) | set(map(tuple, redo.retried))),
-        gauge_fixed=first.gauge_fixed,
-    )
-    for key in set(map(tuple, first.dead)) | set(map(tuple, first.retried)):
-        if len(key) == 1:
-            merged.bias[key] = float(np.median([first.bias[key], redo.bias[key]]))
-        else:
-            merged.weight[key] = float(np.median([first.weight[key], redo.weight[key]]))
-    return merged
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,8 @@ circuiting, so query budgets are a pure function of call counts.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
 
 from .model import PRE, ModelGraph, QueryInput, ShiftSet, forward_label
 
@@ -89,16 +87,11 @@ class OracleHandle:
 class CriticalPoint:
     """A query pinned to the decision boundary between classes c1 and c2.
 
-    ``base`` is the query the boundary search started from, ``layer`` the
-    boundary that was varied and ``boundary_shift`` the pre-side shift found
-    there; ``v`` is the full query including the tie-polishing logit nudge.
-    The constructor trusts the caller: search routines validate criticality
+    ``v`` is the full query including the tie-polishing logit nudge.  The
+    constructor trusts the caller: search routines validate criticality
     with the two-probe test before building one.
     """
 
     v: QueryInput
     c1: int
     c2: int
-    base: QueryInput
-    layer: int
-    boundary_shift: np.ndarray = field(repr=False, default=None)

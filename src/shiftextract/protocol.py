@@ -28,7 +28,6 @@ Labels agree exactly except on knife-edge ties.
 
 from __future__ import annotations
 
-import os
 import queue
 import socket
 import struct
@@ -52,7 +51,6 @@ from .model import (
 from .model import apply_linear
 
 PROTOCOL_VERSION = 1
-ENV_MASK_BOUND = "SHIFTEXTRACT_MASK_BOUND"
 DEFAULT_MASK_BOUND = 1e3
 
 _HEADER = struct.Struct("<BII")
@@ -81,10 +79,6 @@ _TAG_NAMES = {
 
 class TransportError(RuntimeError):
     """Connection-level failure; the query that hit it may be retried."""
-
-
-def _default_mask_bound() -> float:
-    return float(os.environ.get(ENV_MASK_BOUND, DEFAULT_MASK_BOUND))
 
 
 class ProtocolError(RuntimeError):
@@ -291,15 +285,12 @@ class InferenceServer:
 
     Each session draws fresh masks from a seed derived from (server seed,
     connection index, session index), so concurrent connections never share
-    mask RNG state.  The default mask bound comes from the environment
-    variable SHIFTEXTRACT_MASK_BOUND, read at server start.
+    mask RNG state.
     """
 
-    def __init__(self, model: ModelGraph, seed: int = 0, mask_bound: float | None = None):
+    def __init__(self, model: ModelGraph, seed: int = 0, mask_bound: float = DEFAULT_MASK_BOUND):
         self.model = model
         self.seed = seed
-        if mask_bound is None:
-            mask_bound = _default_mask_bound()
         self.mask_bound = mask_bound
         self._listener: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
@@ -397,7 +388,7 @@ def _shutdown(sock: socket.socket) -> None:
 
 
 def serve(model: ModelGraph, host: str = "127.0.0.1", port: int = 0, seed: int = 0,
-          mask_bound: float | None = None) -> InferenceServer:
+          mask_bound: float = DEFAULT_MASK_BOUND) -> InferenceServer:
     """Start a server and return it; ``server.address`` has the bound port."""
     server = InferenceServer(model, seed=seed, mask_bound=mask_bound)
     server.start(host, port)
@@ -540,15 +531,14 @@ def run_session(
     plan = plan or ShiftSet()
     if transport == "memory":
         seed_tuple = (seed, 0, 0)
-        bound = _default_mask_bound()
-        transcript = Transcript(session_seed=seed_tuple, mask_bound=bound)
+        transcript = Transcript(session_seed=seed_tuple, mask_bound=DEFAULT_MASK_BOUND)
         client_t, server_t = memory_pair()
         errors: list[Exception] = []
 
         def server_main():
             rng = np.random.default_rng(np.random.SeedSequence(seed_tuple))
             try:
-                _serve_session(model, server_t, rng, bound)
+                _serve_session(model, server_t, rng, DEFAULT_MASK_BOUND)
             except Exception as e:  # surfaced after join
                 errors.append(e)
 

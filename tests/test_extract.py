@@ -47,8 +47,7 @@ def _toy_critical_point(model, oracle):
     shift = np.array([0.0, 2.0])
     v = QueryInput(np.zeros(1), ShiftSet({(model.argmax_id, PRE): shift}))
     assert oracle.is_critical(v, 0, 1)
-    return CriticalPoint(v=v, c1=0, c2=1, base=QueryInput(np.zeros(1)), layer=model.argmax_id,
-                         boundary_shift=shift)
+    return CriticalPoint(v=v, c1=0, c2=1)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +127,7 @@ def test_extract_feature_dead():
     oracle = OracleHandle.in_process(m)
     shift = np.array([0.0, 2.0])
     v = QueryInput(np.zeros(1), ShiftSet({(4, PRE): shift}))
-    cp = CriticalPoint(v=v, c1=0, c2=1, base=QueryInput(np.zeros(1)), layer=4, boundary_shift=shift)
+    cp = CriticalPoint(v=v, c1=0, c2=1)
     cfg = BoundarySearchConfig(sphere_norm=10.0, eta_max=100.0)
     with pytest.raises(DeadFeatureError):
         extract_feature(oracle, m, cp, 2, [(1,)], cfg)
@@ -155,8 +154,7 @@ def test_extract_feature_any_start_step_same_value(b, log_factor, feature):
     oracle = OracleHandle.in_process(model)
     shift = np.array([0.0, 2.0 * b])  # logits [b, -b] tied
     v = QueryInput(np.zeros(1), ShiftSet({(model.argmax_id, PRE): shift}))
-    cp = CriticalPoint(v=v, c1=0, c2=1, base=QueryInput(np.zeros(1)), layer=model.argmax_id,
-                       boundary_shift=shift)
+    cp = CriticalPoint(v=v, c1=0, c2=1)
     truth = forward_trace(model, cp.v).y[2][feature]
     default = extract_feature(oracle, model, cp, 2, [(feature,)], CFG)
     hinted = extract_feature(oracle, model, cp, 2, [(feature,)], CFG, first_step=abs(truth) * 10.0**log_factor)
@@ -391,8 +389,6 @@ def test_search_critical_at_inner_boundary(small_cnn):
     rng = np.random.default_rng(8)
     v0 = QueryInput(rng.standard_normal((2, 5, 5)))
     cp = search_critical(oracle, small_cnn, v0, 2, CFG, rng)
-    assert cp.layer == 2
-    assert cp.boundary_shift.shape == small_cnn.pre_shape(2)
     tr = forward_trace(small_cnn, cp.v)
     top = np.sort(tr.logits)[::-1]
     assert abs(top[0] - top[1]) <= 1e-10

@@ -23,6 +23,8 @@ def attack_run():
 def test_report_contents(attack_run):
     truth, cfg, report, extracted = attack_run
     assert report.total_queries == sum(l.queries for l in report.layers)
+    for l in report.layers:  # the per-parameter means come from the layer's two query counts
+        assert round(l.calls_per_bias * l.n_bias) + round(l.calls_per_weight * l.n_weight) == l.queries
     assert report.baseline_calls_per_param == REFERENCE_CALLS_PER_PARAM
     assert report.wall_time_s is not None
     doc = report.to_json_dict()
@@ -186,6 +188,25 @@ def test_cli_config_file_with_overrides(tmp_path):
     assert doc["config"]["layers"] == [1]
 
 
+def test_config_unknown_key_named(tmp_path, capsys):
+    """A config block saved by a version with other fields fails with the
+    unknown key's name, at the top level and inside ``search``."""
+    with pytest.raises(ValueError, match=r"unknown config key\(s\): parallel$"):
+        ExperimentConfig.from_dict({"parallel": False})
+    doc = ExperimentConfig(arch=ARCH, input_shape=SHAPE).to_dict()
+    doc["search"]["fc_delta"] = None
+    with pytest.raises(ValueError, match=r"unknown config key\(s\): search\.fc_delta$"):
+        ExperimentConfig.from_dict(doc)
+
+    model_path = tmp_path / "truth.json"
+    main(["gen-model", "--arch", ARCH, "--input-shape", "6", "--seed", "4", "--out", str(model_path)])
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(ExperimentConfig(arch=ARCH, input_shape=SHAPE).to_dict(), repeats=2)))
+    capsys.readouterr()
+    assert main(["attack", "--config", str(cfg_path), "--model", str(model_path)]) == 2
+    assert capsys.readouterr().err == "error: unknown config key(s): repeats\n"
+
+
 def test_endpoint_backend_equivalence():
     """Attacking through the served protocol gives the in-process estimates
     up to mask-rounding noise."""
@@ -208,31 +229,6 @@ def test_endpoint_backend_equivalence():
     for lid in (1, 3):
         assert np.abs(local.layer(lid).weight - remote.layer(lid).weight).max() <= 1e-6
         assert np.abs(local.layer(lid).bias - remote.layer(lid).bias).max() <= 1e-6
-
-
-def test_merge_flagged_medians():
-    from shiftextract.extract import LayerExtractionResult
-    from shiftextract.harness import _merge_flagged
-
-    first = LayerExtractionResult(
-        layer_id=1, kind="FullyConnected",
-        bias=np.array([1.0, 5.0]), weight=np.array([[2.0, 3.0]]),
-        bias_queries=np.array([10, 10]), weight_queries=np.array([[7, 7]]),
-        dead=[(1,)], retried=[(0, 1)],
-    )
-    redo = LayerExtractionResult(
-        layer_id=1, kind="FullyConnected",
-        bias=np.array([1.1, 4.0]), weight=np.array([[2.0, 9.0]]),
-        bias_queries=np.array([5, 5]), weight_queries=np.array([[3, 3]]),
-        dead=[], retried=[],
-    )
-    merged = _merge_flagged(first, redo)
-    assert merged.bias[0] == 1.0            # unflagged keeps the first estimate
-    assert merged.bias[1] == 4.5            # flagged takes the median
-    assert merged.weight[0, 1] == 6.0
-    assert merged.bias_queries.tolist() == [15, 15]
-    assert merged.dead == []                # dead only if dead in both runs
-    assert merged.retried == [(0, 1)]
 
 
 def test_partial_failure_preserved():

@@ -261,12 +261,9 @@ def test_finished_connection_threads_dropped(pool_model):
         server.stop()
 
 
-def test_mask_bound_env_read_at_start(pool_model, monkeypatch):
-    from shiftextract.protocol import ENV_MASK_BOUND, InferenceServer
+def test_mask_bound_default_and_argument(pool_model):
+    from shiftextract.protocol import InferenceServer
 
-    monkeypatch.setenv(ENV_MASK_BOUND, "250.0")
-    assert InferenceServer(pool_model).mask_bound == 250.0
-    monkeypatch.delenv(ENV_MASK_BOUND)
     assert InferenceServer(pool_model).mask_bound == DEFAULT_MASK_BOUND
     assert InferenceServer(pool_model, mask_bound=7.0).mask_bound == 7.0
 

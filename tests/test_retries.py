@@ -76,7 +76,7 @@ def _run(monkeypatch, path, faults):
     scans = ScriptedScans(monkeypatch, faults)
     oracle = OracleHandle.in_process(model)
     res = extract(oracle)
-    assert res.total_queries == oracle.count  # per-slot counts sum to the counter's delta
+    assert res.total_queries == oracle.count  # bias and weight parts sum to the counter's delta
     return res, scans
 
 

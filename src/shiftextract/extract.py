@@ -19,7 +19,10 @@ from a fresh critical point by ``_with_retries``, which falls back to the
 last uncorrected estimate when every attempt fails.  Convolution and
 fully-connected layers share one driver (``_extract_layer``) and one phase
 runner (``_run_phase``): a phase searches one critical point, measures each
-of its targets, and records dead and retried slots.
+of its targets, and records dead and retried slots.  The terminal layer is
+a fully-connected layer like any other, except that its one consumer is the
+Argmax: its phases read class-pair ties (``_pair_boundary``) instead of
+feature scans, and its result is fixed up to the gauge of those ties.
 
 Two systematic error sources are handled explicitly.  The class tie left by
 chord bisection is polished to float precision by nudging one logit, because
@@ -44,6 +47,7 @@ import numpy as np
 
 from .model import (
     KIND_ADD,
+    KIND_ARGMAX,
     KIND_CONV,
     KIND_FC,
     KIND_INPUT,
@@ -617,9 +621,9 @@ def _nonlinear_successor(skeleton: ModelGraph, layer_id: int):
     if len(succ) != 1:
         raise ExtractionError(f"layer {layer_id} has {len(succ)} consumers, expected one")
     nxt = skeleton.layer(succ[0])
-    if nxt.kind not in (KIND_RELU, KIND_MPR):
+    if nxt.kind not in (KIND_RELU, KIND_MPR, KIND_ARGMAX):
         raise ExtractionError(
-            f"layer {layer_id} feeds {nxt.kind}; only ReLU or MaxPoolReLU boundaries are extractable here"
+            f"layer {layer_id} feeds {nxt.kind}; only ReLU, MaxPoolReLU or Argmax boundaries are extractable"
         )
     return nxt
 
@@ -647,8 +651,15 @@ def _run_phase(
     magnitude it ends with.  A dead feature reads 0.0 and is listed in
     ``flags.dead``; a feature whose scan needed another attempt is listed in
     ``flags.retried`` and reads the successful value, the fallback, or 0.0.
-    The caller reads the phase's queries off the oracle counter.
+    An Argmax successor's targets are classes: each reads the negated shift
+    that ties its logit with class 0's at ``v0`` (``_pair_boundary``), with
+    no critical point, no retries and no rng draw.  The caller reads the
+    phase's queries off the oracle counter.
     """
+    if succ.kind == KIND_ARGMAX:
+        for slot, c in targets:
+            values[slot] = -_pair_boundary(oracle, v0, 0, c, cfg)
+        return scale
     maxpool = succ.kind == KIND_MPR
 
     def search() -> CriticalPoint:
@@ -692,7 +703,8 @@ def _extract_layer(
     cfg: BoundarySearchConfig,
     rng: np.random.Generator,
 ) -> LayerExtractionResult:
-    """The driver shared by convolution and fully-connected layers.
+    """The driver shared by convolution and fully-connected layers, the
+    terminal one included.
 
     The bias phase runs with the layer's input pinned to zero, so target
     ``(slot, beta)`` reads bias[slot].  Each weight phase is a pair
@@ -801,26 +813,34 @@ def extract_fc_layer(
 
     With the input pinned to zero each output j reads bias[j]; with a single
     input feature set to the injection amplitude, output j reads
-    bias[j] + amplitude * w[j, i0], one column per critical point.
+    bias[j] + amplitude * w[j, i0], one column per phase.
+
+    The terminal layer, whose consumer is the Argmax, is observable only
+    through class-pair ties, so its biases are determined up to one additive
+    constant and each weight column up to another.  Class 0 is the gauge
+    reference: only classes 1..n-1 are measured, and the result is the
+    ``gauge_fixed`` representative with bias[0] = 0 and weight[0, :] = 0.
     """
     spec = skeleton.layer(layer_id)
     if spec.kind != KIND_FC:
         raise ExtractionError(f"layer {layer_id} is {spec.kind}, not fully connected")
     succ = _nonlinear_successor(skeleton, layer_id)
-    if succ.kind != KIND_RELU:
-        raise ExtractionError("fully-connected extraction needs a standalone ReLU successor")
+    gauge = succ.kind == KIND_ARGMAX
     n_out, n_in = spec.weight.shape
     amplitude = math.sqrt(n_in / 4.0)
+    # an Argmax successor's targets are classes, a ReLU's are index lists
+    bias_targets = [((j,), j if gauge else [(j,)]) for j in range(1 if gauge else 0, n_out)]
 
     def weight_phases():
         """One phase per input feature, one target per output."""
         for i0 in range(n_in):
             inject = np.zeros(n_in)
             inject[i0] = amplitude
-            yield inject, [((j, i0), [(j,)]) for j in range(n_out)]
+            yield inject, [((j, i0), target) for (j,), target in bias_targets]
 
-    bias_targets = [((j,), [(j,)]) for j in range(n_out)]
-    return _extract_layer(oracle, skeleton, layer_id, succ, amplitude, bias_targets, weight_phases(), cfg, rng)
+    res = _extract_layer(oracle, skeleton, layer_id, succ, amplitude, bias_targets, weight_phases(), cfg, rng)
+    res.gauge_fixed = gauge
+    return res
 
 
 def _pair_boundary(
@@ -876,48 +896,6 @@ def extract_last_layer(
     cfg: BoundarySearchConfig,
     rng: np.random.Generator,
 ) -> LayerExtractionResult:
-    """Recover the terminal fully-connected layer up to its gauge freedom.
-
-    Only argmax comparisons are observable, so biases are determined up to
-    one additive constant and each weight column up to another; the reported
-    representative fixes bias[0] = 0 and weight[0, :] = 0.  With the input
-    pinned to zero, the tying shift between class 0 and class c reads off
-    bias differences; with one input feature at the injection amplitude it
-    reads off weight-column differences.
-    """
-    argmax = skeleton.layer(skeleton.argmax_id)
-    last = skeleton.layer(argmax.inputs[0])
-    if last.kind != KIND_FC:
-        raise ExtractionError("terminal layer is not fully connected")
-    n1, n0 = last.weight.shape
-    plan = zero_input_plan(skeleton, last.id, cfg)
-    amplitude = math.sqrt(n0 / 4.0)
-
-    bias = np.zeros(n1)
-    weight = np.zeros((n1, n0))
-
-    t0 = oracle.count
-    t_bias = np.zeros(n1)
-    v0 = _controlled_query(skeleton, plan, None)
-    for c in range(1, n1):
-        t_bias[c] = _pair_boundary(oracle, v0, 0, c, cfg)
-        bias[c] = -t_bias[c]
-    t1 = oracle.count
-
-    for i0 in range(n0):
-        inject = np.zeros(n0)
-        inject[i0] = amplitude
-        v0 = _controlled_query(skeleton, plan, inject)
-        for c in range(1, n1):
-            t = _pair_boundary(oracle, v0, 0, c, cfg)
-            weight[c, i0] = (t_bias[c] - t) / amplitude
-
-    return LayerExtractionResult(
-        layer_id=last.id,
-        kind=KIND_FC,
-        bias=bias,
-        weight=weight,
-        bias_queries=t1 - t0,
-        weight_queries=oracle.count - t1,
-        gauge_fixed=True,
-    )
+    """Recover the terminal fully-connected layer, the Argmax's input, up to
+    its gauge freedom (see ``extract_fc_layer``)."""
+    return extract_fc_layer(oracle, skeleton, skeleton.layer(skeleton.argmax_id).inputs[0], cfg, rng)

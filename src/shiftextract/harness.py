@@ -27,6 +27,7 @@ from .extract import (
     extract_last_layer,
 )
 from .model import (
+    KIND_ARGMAX,
     KIND_CONV,
     KIND_FC,
     KIND_MPR,
@@ -70,12 +71,12 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         """Inverse of ``to_dict``.  A key this version does not know, at the
-        top level or inside ``search``, raises a ValueError naming it."""
+        top level or inside ``search``, raises a ValueError naming it, and
+        so does a ``search`` that is not a mapping of numbers."""
         _check_keys(cls, d, "")
         d = dict(d)
-        if "search" in d and d["search"] is not None:
-            _check_keys(BoundarySearchConfig, d["search"], "search.")
-            d["search"] = BoundarySearchConfig(**d["search"])
+        if "search" in d:
+            d["search"] = _search_config(d["search"])
         if d.get("input_shape") is not None:
             d["input_shape"] = tuple(int(v) for v in d["input_shape"])
         if d.get("layers") is not None:
@@ -87,6 +88,24 @@ def _check_keys(cls, d: dict, prefix: str) -> None:
     unknown = sorted(set(d) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError("unknown config key(s): " + ", ".join(prefix + k for k in unknown))
+
+
+def _search_config(d) -> BoundarySearchConfig:
+    """A ``BoundarySearchConfig`` from a mapping whose values are numbers of
+    their field's kind: an integer where the default is one, an int or a
+    float elsewhere, and also None for ``sphere_norm``.  A bool is no number."""
+    if not isinstance(d, dict):
+        raise ValueError(f"config key search must be a mapping, got {d!r}")
+    _check_keys(BoundarySearchConfig, d, "search.")
+    for f in fields(BoundarySearchConfig):
+        v = d.get(f.name, f.default)
+        if v is None and f.default is None:
+            continue
+        integral = isinstance(f.default, int)
+        if isinstance(v, bool) or not isinstance(v, int if integral else (int, float)):
+            kind = "an integer" if integral else "a number"
+            raise ValueError(f"config key search.{f.name} must be {kind}, got {v!r}")
+    return BoundarySearchConfig(**d)
 
 
 @dataclass
@@ -199,17 +218,14 @@ def layer_error_summary(
 
 
 def default_target_layers(skeleton: ModelGraph) -> list[int]:
-    """All parameterized layers the attack knows how to recover, topological."""
-    last = skeleton.layer(skeleton.argmax_id).inputs[0]
+    """All parameterized layers the attack knows how to recover, topological:
+    those whose one consumer is a ReLU, MaxPoolReLU or Argmax boundary."""
     out = []
     for spec in skeleton.topo_order:
         if spec.kind not in (KIND_CONV, KIND_FC):
             continue
-        if spec.id == last:
-            out.append(spec.id)
-            continue
         succ = skeleton.successors(spec.id)
-        if len(succ) == 1 and skeleton.layer(succ[0]).kind in (KIND_RELU, KIND_MPR):
+        if len(succ) == 1 and skeleton.layer(succ[0]).kind in (KIND_RELU, KIND_MPR, KIND_ARGMAX):
             out.append(spec.id)
     return out
 

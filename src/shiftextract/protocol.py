@@ -28,7 +28,6 @@ Labels agree exactly except on knife-edge ties.
 
 from __future__ import annotations
 
-import queue
 import socket
 import struct
 import threading
@@ -159,38 +158,6 @@ class SocketTransport:
             self._sock.close()
         except OSError:
             pass
-
-
-class MemoryTransport:
-    """In-process frame transport; frames still pass through the byte codec."""
-
-    def __init__(self, inbox: "queue.Queue[bytes]", outbox: "queue.Queue[bytes]", timeout: float = 30.0):
-        self._inbox = inbox
-        self._outbox = outbox
-        self._timeout = timeout
-
-    def send_frame(self, tag: int, layer_id: int, payload: bytes) -> None:
-        self._outbox.put(encode_frame(tag, layer_id, payload))
-
-    def recv_frame(self) -> tuple[int, int, bytes]:
-        try:
-            raw = self._inbox.get(timeout=self._timeout)
-        except queue.Empty:
-            raise TransportError("in-memory peer did not respond") from None
-        tag, layer_id, length = _HEADER.unpack(raw[: _HEADER.size])
-        body = raw[_HEADER.size :]
-        if length != len(body):
-            raise ProtocolError("frame length header disagrees with payload", layer_id)
-        return tag, layer_id, body
-
-    def close(self) -> None:
-        pass
-
-
-def memory_pair(timeout: float = 30.0) -> tuple[MemoryTransport, MemoryTransport]:
-    a: "queue.Queue[bytes]" = queue.Queue()
-    b: "queue.Queue[bytes]" = queue.Queue()
-    return MemoryTransport(a, b, timeout), MemoryTransport(b, a, timeout)
 
 
 # ---------------------------------------------------------------------------
@@ -453,16 +420,22 @@ class ClientConnection:
         except OSError as e:
             raise TransportError(f"connect to {host}:{port} failed: {e}") from e
         self.transport = SocketTransport(sock, timeout)
-        self.transport.send_frame(TAG_HELLO, 0, tensor_payload(np.array([float(PROTOCOL_VERSION)])))
-        tag, lid, payload = self.transport.recv_frame()
-        if tag == TAG_SESSION_ERROR:
-            raise ProtocolError(f"handshake rejected: {payload.decode('utf-8', 'replace')}", lid)
-        if tag != TAG_HELLO_ACK:
-            raise ProtocolError(f"expected HelloAck, got {tag_name(tag)}", lid)
-        ack = payload_tensor(payload)
-        ndim = int(ack[1])
-        self.input_shape = tuple(int(v) for v in ack[2 : 2 + ndim])
-        self.n_classes = int(ack[2 + ndim])
+        try:
+            self.transport.send_frame(TAG_HELLO, 0, tensor_payload(np.array([float(PROTOCOL_VERSION)])))
+            tag, lid, payload = self.transport.recv_frame()
+            if tag == TAG_SESSION_ERROR:
+                raise ProtocolError(f"handshake rejected: {payload.decode('utf-8', 'replace')}", lid)
+            if tag != TAG_HELLO_ACK:
+                raise ProtocolError(f"expected HelloAck, got {tag_name(tag)}", lid)
+            # version, ndim, the ndim input dimensions, the class count
+            ack = payload_tensor(payload)
+            if ack.size < 3 or ack[1] != ack.size - 3:
+                raise ProtocolError(f"HelloAck of {ack.size} values does not match its declared input rank")
+        except BaseException:
+            self.transport.close()
+            raise
+        self.input_shape = tuple(int(v) for v in ack[2:-1])
+        self.n_classes = int(ack[-1])
 
     def infer(self, x0, plan: ShiftSet | None = None, transcript: Transcript | None = None) -> int:
         return _client_session(self.transport, np.asarray(x0), plan or ShiftSet(), transcript)
@@ -524,30 +497,44 @@ def run_session(
 ) -> tuple[int, Transcript]:
     """Run one full protocol session and return (label, transcript).
 
-    ``transport="memory"`` exchanges encoded frames through queues;
-    ``transport="socket"`` starts an ephemeral loopback server, including
-    the handshake.  The transcript records the session frames only.
+    ``transport="memory"`` runs the session in process, with no listener and
+    no handshake: client and server exchange encoded frames over a
+    connected socket pair.  ``transport="socket"`` starts an ephemeral
+    loopback server, including the handshake.  The transcript records the
+    session frames only.
     """
     plan = plan or ShiftSet()
     if transport == "memory":
         seed_tuple = (seed, 0, 0)
         transcript = Transcript(session_seed=seed_tuple, mask_bound=DEFAULT_MASK_BOUND)
-        client_t, server_t = memory_pair()
+        client_sock, server_sock = socket.socketpair()
+        client_t, server_t = SocketTransport(client_sock), SocketTransport(server_sock)
         errors: list[Exception] = []
 
+        # each side closes its own end when it is done, so a peer still
+        # waiting on it sees end of stream at once
         def server_main():
             rng = np.random.default_rng(np.random.SeedSequence(seed_tuple))
             try:
                 _serve_session(model, server_t, rng, DEFAULT_MASK_BOUND)
-            except Exception as e:  # surfaced after join
+            except TransportError:
+                pass  # the client went away
+            except Exception as e:  # surfaced by the client's side
                 errors.append(e)
+            finally:
+                server_t.close()
 
         t = threading.Thread(target=server_main, daemon=True)
         t.start()
-        label = _client_session(client_t, np.asarray(x0), plan, transcript)
-        t.join(timeout=10.0)
-        if errors:
-            raise errors[0]
+        try:
+            label = _client_session(client_t, np.asarray(x0), plan, transcript)
+        except TransportError:
+            if errors:  # the server failed, then closed its end
+                raise errors[0] from None
+            raise
+        finally:
+            client_t.close()
+            t.join(timeout=10.0)
         return label, transcript
     if transport == "socket":
         server = serve(model, seed=seed)

@@ -342,7 +342,13 @@ def test_extract_conv_layer_recovers(small_cnn):
 
 def test_extract_last_layer_gauge(small_cnn):
     oracle = OracleHandle.in_process(small_cnn)
-    res = extract_last_layer(oracle, small_cnn.skeleton(), CFG, np.random.default_rng(0))
+    sk = small_cnn.skeleton()
+    res = extract_last_layer(oracle, sk, CFG, np.random.default_rng(0))
+    # the terminal layer is an FC layer like any other: the shared driver
+    # recovers the same gauge representative
+    fc = extract_fc_layer(oracle, sk, 5, CFG, np.random.default_rng(0))
+    assert fc.gauge_fixed
+    assert np.array_equal(fc.bias, res.bias) and np.array_equal(fc.weight, res.weight)
     true = small_cnn.layer(5)
     tb, tw = gauge_fix(true.bias, true.weight)
     assert res.gauge_fixed

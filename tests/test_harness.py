@@ -207,6 +207,21 @@ def test_config_unknown_key_named(tmp_path, capsys):
     assert capsys.readouterr().err == "error: unknown config key(s): repeats\n"
 
 
+def test_config_search_values_checked():
+    """A ``search`` block that is not a mapping of numbers fails in
+    ``from_dict`` with the key's name, not deep inside the attack."""
+    with pytest.raises(ValueError, match=r"config key search must be a mapping, got None$"):
+        ExperimentConfig.from_dict({"search": None})
+    with pytest.raises(ValueError, match=r"config key search\.eta_tol must be a number, got '1e-12'$"):
+        ExperimentConfig.from_dict({"search": {"eta_tol": "1e-12"}})
+    with pytest.raises(ValueError, match=r"config key search\.sphere_norm must be a number, got True$"):
+        ExperimentConfig.from_dict({"search": {"sphere_norm": True}})
+    with pytest.raises(ValueError, match=r"config key search\.max_retries must be an integer, got 5\.0$"):
+        ExperimentConfig.from_dict({"search": {"max_retries": 5.0}})
+    cfg = ExperimentConfig.from_dict({"search": {"sphere_norm": None, "eta_max": 10000, "max_retries": 2}})
+    assert cfg.search == sx.BoundarySearchConfig(eta_max=10000, max_retries=2)
+
+
 def test_endpoint_backend_equivalence():
     """Attacking through the served protocol gives the in-process estimates
     up to mask-rounding noise."""

@@ -206,11 +206,60 @@ def test_version_mismatch_rejected(pool_model):
 
 
 def test_client_shape_validation(pool_model):
+    """A client-side ProtocolError ends the in-process session: the server
+    thread waiting for the client's share sees end of stream, and the other
+    way round."""
+    import threading
+    import time
+
     rng = np.random.default_rng(2)
     x = rng.standard_normal((2, 4, 4))
     bad_plan = ShiftSet({(2, PRE): np.zeros(3)})  # wrong size for that boundary
+    before = set(threading.enumerate())
     with pytest.raises(ProtocolError):
         run_session(pool_model, x, bad_plan, transport="memory", seed=0)
+    deadline = time.perf_counter() + 1.0
+    while [t for t in threading.enumerate() if t not in before] and time.perf_counter() < deadline:
+        time.sleep(0.01)
+    assert [t for t in threading.enumerate() if t not in before] == []
+    # a server-side rejection reaches the client at once, as the server's error
+    with pytest.raises(ProtocolError, match="EncInput size"):
+        run_session(pool_model, np.zeros(3), transport="memory", seed=0)
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        encode_frame(TAG_SESSION_ERROR, 0, b"busy"),
+        encode_frame(TAG_MASKED_PRE, 0, b""),
+        # declares a rank-3 input shape but carries no dimensions
+        encode_frame(TAG_HELLO_ACK, 0, tensor_payload(np.array([float(PROTOCOL_VERSION), 3.0, 2.0]))),
+    ],
+    ids=["rejected", "wrong-tag", "short-ack"],
+)
+def test_failed_handshake_closes_socket(reply):
+    """A handshake that fails raises ProtocolError and closes the client's
+    socket; an unclosed one would fail the suite with a ResourceWarning."""
+    import gc
+    import threading
+
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def one_shot():
+        conn, _ = listener.accept()
+        with conn:
+            SocketTransport(conn, timeout=5).recv_frame()  # the Hello
+            conn.sendall(reply)
+
+    server = threading.Thread(target=one_shot)
+    server.start()
+    try:
+        with pytest.raises(ProtocolError):
+            ClientConnection(*listener.getsockname()[:2], timeout=5)
+    finally:
+        server.join(timeout=5)
+        listener.close()
+    gc.collect()
 
 
 def test_frame_codec_roundtrip():

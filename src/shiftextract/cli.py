@@ -10,9 +10,10 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
+from .extract import BoundarySearchConfig
 from .harness import (
     REFERENCE_CALLS_PER_PARAM,
     ExperimentConfig,
@@ -36,12 +37,10 @@ def _parse_layers(text: str) -> list[int]:
 
 
 def _add_search_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--sphere-norm", type=float, default=None)
-    p.add_argument("--eta-tol", type=float, default=None)
-    p.add_argument("--eta-max", type=float, default=None)
-    p.add_argument("--suppression", type=float, default=None)
-    p.add_argument("--max-retries", type=int, default=None)
-    p.add_argument("--probe-eps", type=float, default=None)
+    """One flag per ``BoundarySearchConfig`` field, ``--eta-tol`` for ``eta_tol``."""
+    for f in fields(BoundarySearchConfig):
+        kind = int if isinstance(f.default, int) else float
+        p.add_argument("--" + f.name.replace("_", "-"), type=kind, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,21 +107,8 @@ def _config_from_args(args) -> ExperimentConfig:
         cfg.attack_seed = args.attack_seed
     if args.layers is not None:
         cfg.layers = args.layers
-    if args.probe_eps is not None:
-        cfg.probe_eps = args.probe_eps
-    overrides = {}
-    for flag, name in [
-        ("sphere_norm", "sphere_norm"),
-        ("eta_tol", "eta_tol"),
-        ("eta_max", "eta_max"),
-        ("suppression", "suppression"),
-        ("max_retries", "max_retries"),
-    ]:
-        val = getattr(args, flag)
-        if val is not None:
-            overrides[name] = val
-    if overrides:
-        cfg.search = replace(cfg.search, **overrides)
+    overrides = {f.name: v for f in fields(BoundarySearchConfig) if (v := getattr(args, f.name)) is not None}
+    cfg.search = replace(cfg.search, **overrides)
     return cfg
 
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -96,40 +96,52 @@ class _ScanExhausted(Exception):
     """``_find_flip`` passed its cap without a flip."""
 
 
+# Tolerances that no caller tunes.
+BOUNDARY_TOL = 1e-10  # sphere-chord length where bisection hands over to the tie polish
+TIE_POLISH_TOL = 1e-13  # a polished tie's logit gap is float noise, not a bias on later scans
+ETA_INITIAL_STEP = 1.024e-5  # first doubling step of pair searches and of scans with no known magnitude
+SCAN_PROBE = 1e-11  # clears protocol float noise (~1e-13) while its lag band stays tiny
+SIGN_PROBE = 1.0  # a downward shift this large keeps a non-positive feature's point critical
+MAX_SAMPLE_ROUNDS = 64  # sample pairs drawn before a boundary counts as unreachable at the norm
+FEATURE_BOUND = 1e3  # reachable features stay below this; suppression keeps a 100x margin
+
+
 @dataclass(frozen=True)
 class BoundarySearchConfig:
-    """Knobs for boundary searches and feature scans.
+    """The attack's settable knobs, each checked on construction.
 
     ``sphere_norm`` is the radius of the random logit-shift sphere used to
     find a class boundary (None means: let the harness calibrate, or fall
     back to 10 on an O(1) logit scale).  ``eta_tol`` is the absolute
-    bisection tolerance of feature scans.  ``eta_initial_step`` is the first
-    doubling step of class-pair searches, and of a feature's first scan
-    while no magnitude is known (the first target of a layer, or the rerun
-    of a scan that failed from a measured magnitude); otherwise that scan
-    starts at the measured magnitude, never below this step.  ``eta_max``
-    is the scan give-up bound that flags dead features.  ``scan_probe`` is
-    the tie-test magnitude used inside scans: it must clear forward-pass
-    float noise (~1e-13 over the masked protocol) but stay tiny, because a
-    wider tie band both lags the flip by band/slope and risks locking onto
-    a spurious re-entry of the drifting logit gap into the band.
-    ``suppression`` is the large negative constant pinning ReLU outputs to
-    zero and must exceed reachable features by a wide margin, validated
-    against ``feature_bound`` (100x margin).
+    bisection tolerance of feature scans.  ``eta_max`` is the scan give-up
+    bound that flags dead features.  ``max_retries`` is how often a failed
+    scan or a corner-region boundary is tried again.  ``suppression`` is
+    the large negative constant pinning ReLU outputs to zero and must
+    exceed reachable features by a wide margin, validated against
+    ``FEATURE_BOUND`` (100x margin).  ``probe_eps`` is the logit nudge of
+    the oracle's tie test.  ``max_retries`` is an integer >= 0; every other
+    value is finite and > 0, and ``sphere_norm`` may also be None.
     """
 
     sphere_norm: float | None = None
-    boundary_tol: float = 1e-10
-    tie_polish_tol: float = 1e-13
     eta_tol: float = 1e-12
-    eta_initial_step: float = 1.024e-5
     eta_max: float = 1e4
-    scan_probe: float = 1e-11
-    sign_probe: float = 1.0
     max_retries: int = 5
-    max_sample_rounds: int = 64
     suppression: float = 1e6
-    feature_bound: float = 1e3
+    probe_eps: float = 1e-8
+
+    def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if v is None and f.default is None:
+                continue
+            integral = isinstance(f.default, int)
+            if isinstance(v, bool) or not isinstance(v, int if integral else (int, float)):
+                raise ValueError(f"{f.name} must be {'an integer' if integral else 'a number'}, got {v!r}")
+            if integral and v < 0:
+                raise ValueError(f"{f.name} must be >= 0, got {v!r}")
+            if not integral and not (math.isfinite(v) and v > 0):
+                raise ValueError(f"{f.name} must be finite and > 0, got {v!r}")
 
     def resolved(self) -> "BoundarySearchConfig":
         return self if self.sphere_norm is not None else replace(self, sphere_norm=10.0)
@@ -284,7 +296,7 @@ def _scan_boundary(
 ) -> FeatureResult:
     """Safe-error measurement of the common value behind ``pre_mask``.
 
-    Sign probe first: if shifting the targets down by ``sign_probe`` leaves
+    Sign probe first: if shifting the targets down by ``SIGN_PROBE`` leaves
     the point critical, the hidden value is <= 0 and upward pre-shifts stay
     invisible until they push it past zero.  Otherwise it is positive, and
     the paired scan (pre -eta, post +eta) cancels until eta exceeds it.
@@ -293,15 +305,15 @@ def _scan_boundary(
 
     Each scan starts at the scale it looks for.  Scan 1 doubles from
     ``first_step``, the magnitude of a value measured before, clamped to
-    [eta_initial_step, cap] so that the doubling still probes to within a
+    [``ETA_INITIAL_STEP``, cap] so that the doubling still probes to within a
     factor of 2 of ``cap``; with no magnitude known it starts at
-    ``eta_initial_step``.  A hinted scan 1 that behaves inconsistently
+    ``ETA_INITIAL_STEP``.  A hinted scan 1 that behaves inconsistently
     (usually a third class winning at a far first probe) is run once more
-    from ``eta_initial_step`` at the same point.  Scan 2 starts at the probe
+    from ``ETA_INITIAL_STEP`` at the same point.  Scan 2 starts at the probe
     lag: its flip lies eps/slope beyond eta1, so its first step is eps.
     """
-    eps = cfg.scan_probe
-    probe_down = base.shifted(ShiftSet({pre_key: -cfg.sign_probe * pre_mask}))
+    eps = SCAN_PROBE
+    probe_down = base.shifted(ShiftSet({pre_key: -SIGN_PROBE * pre_mask}))
     nonpositive = oracle.is_critical(probe_down, c1, c2)
     sign = -1.0 if nonpositive else 1.0
 
@@ -322,15 +334,15 @@ def _scan_boundary(
                 raise DeadFeatureError(f"no flip up to eta_max={cfg.eta_max}") from None
             raise ScanRetryError("positive-branch scan found no flip") from None
 
-    step = cfg.eta_initial_step
+    step = ETA_INITIAL_STEP
     if first_step is not None:
         step = min(max(first_step, step), cap)
     try:
         eta1 = scan1(step)
     except ScanRetryError:
-        if step == cfg.eta_initial_step:
+        if step == ETA_INITIAL_STEP:
             raise
-        eta1 = scan1(cfg.eta_initial_step)
+        eta1 = scan1(ETA_INITIAL_STEP)
     fallback = sign * eta1
     try:
         eta2 = _flip_point(oracle, at, c1, c2, 2.0 * eps, eta1, eps, cap, cfg)
@@ -360,15 +372,9 @@ def _sphere_sample(rng: np.random.Generator, shape: tuple[int, ...], radius: flo
     return v * (radius / n)
 
 
-def _polish_tie(
-    oracle: OracleHandle,
-    v: QueryInput,
-    c1: int,
-    c2: int,
-    cfg: BoundarySearchConfig,
-) -> float | None:
+def _polish_tie(oracle: OracleHandle, v: QueryInput, c1: int, c2: int) -> float | None:
     """Nudge logit c1 until the label flips from c2 to c1 and bisect the
-    flip to ``tie_polish_tol``; the logit gap there is float-noise small.
+    flip to ``TIE_POLISH_TOL``; the logit gap there is float-noise small.
     Returns the nudge, or None when a third class interferes or 96
     doublings of the first nudge find no flip."""
 
@@ -378,9 +384,9 @@ def _polish_tie(
             raise _ScanExhausted()
         return lbl == c1
 
-    t0 = max(4.0 * cfg.boundary_tol, 1e-12)
+    t0 = max(4.0 * BOUNDARY_TOL, 1e-12)
     try:
-        return _find_flip(flipped, 0.0, t0, t0 * 2.0**95, cfg.tie_polish_tol)
+        return _find_flip(flipped, 0.0, t0, t0 * 2.0**95, TIE_POLISH_TOL)
     except _ScanExhausted:
         return None
 
@@ -408,7 +414,7 @@ def search_critical(
 
     def sample_pair():
         """Two shifts on the sphere whose labels differ."""
-        for _ in range(cfg.max_sample_rounds):
+        for _ in range(MAX_SAMPLE_ROUNDS):
             d1 = _sphere_sample(rng, shape, d)
             d2 = _sphere_sample(rng, shape, d)
             c1 = oracle.query(v0.shifted(ShiftSet({key: d1})))
@@ -417,13 +423,13 @@ def search_critical(
                 return d1, c1, d2, c2
         raise BoundarySearchError(
             f"no boundary reachable at norm {d} on layer {layer_id} "
-            f"after {cfg.max_sample_rounds} sample pairs"
+            f"after {MAX_SAMPLE_ROUNDS} sample pairs"
         )
 
     pair = sample_pair()
     for _ in range(cfg.max_retries + 1):
         delta1, c1, delta2, c2 = pair
-        while float(np.linalg.norm(delta2 - delta1)) > cfg.boundary_tol:
+        while float(np.linalg.norm(delta2 - delta1)) > BOUNDARY_TOL:
             mid = 0.5 * (delta1 + delta2)
             norm = float(np.linalg.norm(mid))
             if norm < 1e-12 * d:
@@ -436,7 +442,7 @@ def search_critical(
             else:
                 delta2, c2 = mid, c3
         v_boundary = v0.shifted(ShiftSet({key: delta2}))
-        tie = _polish_tie(oracle, v_boundary, c1, c2, cfg)
+        tie = _polish_tie(oracle, v_boundary, c1, c2)
         if tie is not None:
             v_star = v_boundary.shifted(
                 ShiftSet.single(oracle.argmax_id, PRE, (oracle.n_classes,), c1, tie)
@@ -579,9 +585,9 @@ def zero_input_plan(skeleton: ModelGraph, layer_id: int, cfg: BoundarySearchConf
     predecessor's post side.  A first layer has no such predecessors and is
     controlled through the model input instead (``input_mode``).
     """
-    if cfg.suppression < 100.0 * cfg.feature_bound:
+    if cfg.suppression < 100.0 * FEATURE_BOUND:
         raise ExtractionError(
-            f"suppression {cfg.suppression} lacks the 100x margin over feature bound {cfg.feature_bound}"
+            f"suppression {cfg.suppression} lacks the 100x margin over feature bound {FEATURE_BOUND}"
         )
     spec = skeleton.layer(layer_id)
     if spec.kind not in (KIND_CONV, KIND_FC):
@@ -854,7 +860,7 @@ def _pair_boundary(
 
     All other classes are pushed down by the suppression constant so only
     the chosen pair competes; the label flip in t is a clean scalar boundary
-    located to ``tie_polish_tol``.  Validated with the two-probe test.
+    located to ``TIE_POLISH_TOL``.  Validated with the two-probe test.
     """
     n = oracle.n_classes
     suppress = np.full(n, -cfg.suppression)
@@ -880,7 +886,7 @@ def _pair_boundary(
     direction = 1.0 if l0 == c_ref else -1.0
     try:
         s_star = _find_flip(
-            lambda s: label(direction * s) != l0, 0.0, cfg.eta_initial_step, cfg.eta_max, cfg.tie_polish_tol
+            lambda s: label(direction * s) != l0, 0.0, ETA_INITIAL_STEP, cfg.eta_max, TIE_POLISH_TOL
         )
     except _ScanExhausted:
         raise BoundarySearchError(f"classes {c_ref} and {c} never swapped within eta_max") from None

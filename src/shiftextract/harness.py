@@ -59,7 +59,6 @@ class ExperimentConfig:
     backend: str = "in-process"  # or "endpoint"
     endpoint: str | None = None
     layers: list[int] | None = None
-    probe_eps: float = 1e-8
     search: BoundarySearchConfig = field(default_factory=BoundarySearchConfig)
 
     def to_dict(self) -> dict:
@@ -72,16 +71,36 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         """Inverse of ``to_dict``.  A key this version does not know, at the
         top level or inside ``search``, raises a ValueError naming it, and
-        so does a ``search`` that is not a mapping of numbers."""
+        so does a value of the wrong kind or out of its range."""
         _check_keys(cls, d, "")
+        for key, (kind, ok) in _TOP_LEVEL_KINDS.items():
+            if key in d and not ok(d[key]):
+                raise ValueError(f"config key {key} must be {kind}, got {d[key]!r}")
         d = dict(d)
         if "search" in d:
             d["search"] = _search_config(d["search"])
         if d.get("input_shape") is not None:
-            d["input_shape"] = tuple(int(v) for v in d["input_shape"])
-        if d.get("layers") is not None:
-            d["layers"] = [int(v) for v in d["layers"]]
+            d["input_shape"] = tuple(d["input_shape"])
         return cls(**d)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _int_list_or_none(v) -> bool:
+    return v is None or (isinstance(v, (list, tuple)) and all(_is_int(x) for x in v))
+
+
+_TOP_LEVEL_KINDS = {
+    "arch": ("a string or None", lambda v: v is None or isinstance(v, str)),
+    "input_shape": ("a list of integers or None", _int_list_or_none),
+    "model_seed": ("an integer or None", lambda v: v is None or _is_int(v)),
+    "attack_seed": ("an integer", _is_int),
+    "backend": ("'in-process' or 'endpoint'", lambda v: v in ("in-process", "endpoint")),
+    "endpoint": ("a string or None", lambda v: v is None or isinstance(v, str)),
+    "layers": ("a list of integers or None", _int_list_or_none),
+}
 
 
 def _check_keys(cls, d: dict, prefix: str) -> None:
@@ -91,21 +110,15 @@ def _check_keys(cls, d: dict, prefix: str) -> None:
 
 
 def _search_config(d) -> BoundarySearchConfig:
-    """A ``BoundarySearchConfig`` from a mapping whose values are numbers of
-    their field's kind: an integer where the default is one, an int or a
-    float elsewhere, and also None for ``sphere_norm``.  A bool is no number."""
+    """A ``BoundarySearchConfig`` from a mapping; its own check of each value
+    fails with the key's name."""
     if not isinstance(d, dict):
         raise ValueError(f"config key search must be a mapping, got {d!r}")
     _check_keys(BoundarySearchConfig, d, "search.")
-    for f in fields(BoundarySearchConfig):
-        v = d.get(f.name, f.default)
-        if v is None and f.default is None:
-            continue
-        integral = isinstance(f.default, int)
-        if isinstance(v, bool) or not isinstance(v, int if integral else (int, float)):
-            kind = "an integer" if integral else "a number"
-            raise ValueError(f"config key search.{f.name} must be {kind}, got {v!r}")
-    return BoundarySearchConfig(**d)
+    try:
+        return BoundarySearchConfig(**d)
+    except ValueError as e:
+        raise ValueError(f"config key search.{e}") from None
 
 
 @dataclass
@@ -301,7 +314,7 @@ def run_attack(
         backend,
         argmax_id=skeleton.argmax_id,
         n_classes=skeleton.n_classes,
-        probe_eps=cfg.probe_eps,
+        probe_eps=cfg.search.probe_eps,
     )
 
     search = replace(cfg.search, sphere_norm=resolve_sphere_norm(cfg, truth))

@@ -43,13 +43,8 @@ class OracleHandle:
         self._probe_cache: dict[tuple[int, float], ShiftSet] = {}
 
     @classmethod
-    def in_process(cls, model: ModelGraph, probe_eps: float = 1e-8) -> "OracleHandle":
-        return cls(
-            lambda q: forward_label(model, q),
-            argmax_id=model.argmax_id,
-            n_classes=model.n_classes,
-            probe_eps=probe_eps,
-        )
+    def in_process(cls, model: ModelGraph) -> "OracleHandle":
+        return cls(lambda q: forward_label(model, q), argmax_id=model.argmax_id, n_classes=model.n_classes)
 
     @property
     def count(self) -> int:
@@ -71,15 +66,15 @@ class OracleHandle:
             self._probe_cache[key] = probe
         return probe
 
-    def is_critical(self, v: QueryInput, c1: int, c2: int, eps: float | None = None) -> bool:
+    def is_critical(self, v: QueryInput, c1: int, c2: int) -> bool:
         """True iff nudging logit c1 yields label c1 and nudging c2 yields c2.
 
         Exactly two queries, both always issued.
         """
         if c1 == c2:
             raise ValueError("is_critical needs two distinct classes")
-        l1 = self.query(v.shifted(self.class_probe(c1, eps)))
-        l2 = self.query(v.shifted(self.class_probe(c2, eps)))
+        l1 = self.query(v.shifted(self.class_probe(c1)))
+        l2 = self.query(v.shifted(self.class_probe(c2)))
         return l1 == c1 and l2 == c2
 
 

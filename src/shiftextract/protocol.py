@@ -28,6 +28,7 @@ Labels agree exactly except on knife-edge ties.
 
 from __future__ import annotations
 
+import math
 import socket
 import struct
 import threading
@@ -252,10 +253,13 @@ class InferenceServer:
 
     Each session draws fresh masks from a seed derived from (server seed,
     connection index, session index), so concurrent connections never share
-    mask RNG state.
+    mask RNG state.  Masks are uniform in [-mask_bound, mask_bound], so the
+    bound must be finite and non-negative.
     """
 
     def __init__(self, model: ModelGraph, seed: int = 0, mask_bound: float = DEFAULT_MASK_BOUND):
+        if not (math.isfinite(mask_bound) and mask_bound >= 0):
+            raise ValueError(f"mask bound must be finite and >= 0, got {mask_bound!r}")
         self.model = model
         self.seed = seed
         self.mask_bound = mask_bound

@@ -31,6 +31,7 @@ from shiftextract import (
     zero_input_plan,
 )
 from shiftextract.extract import (
+    BOUNDARY_TOL,
     DeadFeatureError,
     _aligned_axis,
     _controlled_query,
@@ -64,7 +65,7 @@ def test_search_critical_on_forced_logit_sphere(zero3_model):
     cp = search_critical(oracle, zero3_model, v0, zero3_model.argmax_id, cfg, rng)
     tr = forward_trace(zero3_model, cp.v)
     top = np.sort(tr.logits)[::-1]
-    assert abs(top[0] - top[1]) <= 2 * cfg.boundary_tol + 1e-12
+    assert abs(top[0] - top[1]) <= 2 * BOUNDARY_TOL + 1e-12
     assert top[1] > top[2]
     assert {int(np.argsort(tr.logits)[-1]), int(np.argsort(tr.logits)[-2])} == {cp.c1, cp.c2}
     assert oracle.is_critical(cp.v, cp.c1, cp.c2)
@@ -84,7 +85,7 @@ def test_search_critical_unreachable_boundary(zero3_model):
         {3: (np.zeros((3, 3)), np.array([10.0, 0.0, 0.0]))}
     )
     oracle = OracleHandle.in_process(biased)
-    cfg = BoundarySearchConfig(sphere_norm=1.0, max_sample_rounds=16)
+    cfg = BoundarySearchConfig(sphere_norm=1.0)
     with pytest.raises(BoundarySearchError):
         search_critical(oracle, biased, QueryInput(np.zeros(2)), biased.argmax_id, cfg,
                         np.random.default_rng(0))
@@ -290,7 +291,7 @@ def test_zero_input_plan_first_layer(small_cnn):
 
 
 def test_suppression_margin_validated(small_cnn):
-    cfg = BoundarySearchConfig(sphere_norm=1.0, suppression=10.0, feature_bound=1.0)
+    cfg = BoundarySearchConfig(sphere_norm=1.0, suppression=10.0)
     with pytest.raises(sx.ExtractionError):
         zero_input_plan(small_cnn.skeleton(), 3, cfg)
 

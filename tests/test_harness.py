@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -181,11 +182,21 @@ def test_cli_config_file_with_overrides(tmp_path):
     cfg_path.write_text(json.dumps(ExperimentConfig(arch=ARCH, input_shape=SHAPE, attack_seed=1,
                                                     layers=[1]).to_dict()))
     report_path = tmp_path / "report.json"
+    search = {"sphere_norm": 12.5, "eta_tol": 2e-12, "eta_max": 5000.0, "max_retries": 4,
+              "suppression": 2e6, "probe_eps": 2e-8}
+    flags = [s for k, v in search.items() for s in ("--" + k.replace("_", "-"), str(v))]
     assert main(["attack", "--config", str(cfg_path), "--model", str(model_path),
-                 "--attack-seed", "3", "--report", str(report_path)]) == 0
+                 "--attack-seed", "3", "--report", str(report_path), *flags]) == 0
     doc = json.loads(report_path.read_text())
     assert doc["config"]["attack_seed"] == 3  # flag overrode the file
     assert doc["config"]["layers"] == [1]
+    assert doc["config"]["search"] == search  # every search flag reached the config
+    # the echoed config block reproduces the report byte for byte
+    cfg_path.write_text(json.dumps(doc["config"]))
+    rerun_path = tmp_path / "rerun.json"
+    assert main(["attack", "--config", str(cfg_path), "--model", str(model_path),
+                 "--report", str(rerun_path)]) == 0
+    assert rerun_path.read_bytes() == report_path.read_bytes()
 
 
 def test_config_unknown_key_named(tmp_path, capsys):
@@ -222,6 +233,35 @@ def test_config_search_values_checked():
     assert cfg.search == sx.BoundarySearchConfig(eta_max=10000, max_retries=2)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("eta_tol", float("nan")), ("eta_tol", 0.0), ("eta_max", float("inf")), ("suppression", -1e6),
+    ("probe_eps", 0), ("sphere_norm", -5.0), ("sphere_norm", float("nan")), ("max_retries", -1),
+])
+def test_search_values_range_checked(name, value, capsys):
+    """A search value out of range fails on construction, whether it comes
+    from code, a config file or a flag, not as a hang or wrong weights."""
+    with pytest.raises(ValueError, match=rf"^{name} must be (finite and > 0|>= 0), got "):
+        sx.BoundarySearchConfig(**{name: value})
+    with pytest.raises(ValueError, match=rf"^config key search\.{name} must be"):
+        ExperimentConfig.from_dict({"search": {name: value}})
+    capsys.readouterr()
+    assert main(["attack", "--" + name.replace("_", "-"), str(value)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {name} must be")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("layers", 5), ("layers", [1, "3"]), ("input_shape", [6.0]), ("attack_seed", "3"),
+    ("attack_seed", True), ("attack_seed", None), ("model_seed", 1.5), ("backend", "remote"),
+    ("arch", 7), ("endpoint", 9123),
+])
+def test_config_top_level_values_checked(key, value):
+    """A top-level value of the wrong kind fails in ``from_dict`` with the
+    key's name, not as a bare TypeError or an echo of the wrong value."""
+    with pytest.raises(ValueError, match=rf"^config key {key} must be .*, got {re.escape(repr(value))}$"):
+        ExperimentConfig.from_dict({key: value})
+    ExperimentConfig.from_dict(ExperimentConfig(arch=ARCH, input_shape=SHAPE, model_seed=4, layers=[1]).to_dict())
+
+
 def test_endpoint_backend_equivalence():
     """Attacking through the served protocol gives the in-process estimates
     up to mask-rounding noise."""
@@ -252,7 +292,7 @@ def test_partial_failure_preserved():
     truth = sx.random_model(ARCH, SHAPE, seed=4)
     cfg = ExperimentConfig(
         arch=ARCH, input_shape=SHAPE, attack_seed=3,
-        search=sx.BoundarySearchConfig(sphere_norm=1e-12, max_sample_rounds=4),
+        search=sx.BoundarySearchConfig(sphere_norm=1e-12),
     )
     report, extracted = run_attack(cfg, truth=truth)
     by_id = {l.layer_id: l for l in report.layers}

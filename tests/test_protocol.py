@@ -317,6 +317,16 @@ def test_mask_bound_default_and_argument(pool_model):
     assert InferenceServer(pool_model, mask_bound=7.0).mask_bound == 7.0
 
 
+@pytest.mark.parametrize("bound", [float("inf"), float("nan"), -1e3])
+def test_mask_bound_rejected(pool_model, bound):
+    """A bound no mask can be drawn from fails at construction, not in
+    every session the server would run."""
+    from shiftextract.protocol import InferenceServer
+
+    with pytest.raises(ValueError, match="mask bound must be finite and >= 0"):
+        InferenceServer(pool_model, mask_bound=bound)
+
+
 @pytest.mark.parametrize("idle_connection", [False, True])
 def test_stop_returns_promptly(pool_model, idle_connection):
     """stop() wakes the accept thread and every connection thread, then

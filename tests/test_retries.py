@@ -126,7 +126,7 @@ def test_failed_hinted_scan_reruns_at_the_same_point(monkeypatch):
     def flip_point(oracle, at, c1, c2, eps, lo, step, cap, cfg):
         scan1 = lo == 0.0
         events.append(("scan1" if scan1 else "scan2", step))
-        if scan1 and step != cfg.eta_initial_step and "fault" not in events:
+        if scan1 and step != sx_extract.ETA_INITIAL_STEP and "fault" not in events:
             events.append("fault")
             third.append(({0, 1, 2} - {c1, c2}).pop())  # the next answer
         return real_flip(oracle, at, c1, c2, eps, lo, step, cap, cfg)
@@ -142,7 +142,7 @@ def test_failed_hinted_scan_reruns_at_the_same_point(monkeypatch):
     res = extract(oracle)
     assert res.total_queries == oracle.count
     # the first target has no magnitude yet; the second starts from its value
-    default, eps = CFG.eta_initial_step, CFG.scan_probe
+    default, eps = sx_extract.ETA_INITIAL_STEP, sx_extract.SCAN_PROBE
     hint = abs(res.bias[0])
     assert events[:7] == ["search", ("scan1", default), ("scan2", eps), ("scan1", hint), "fault",
                           ("scan1", default), ("scan2", eps)]

@@ -2,21 +2,23 @@
 
 The attack works per layer and needs nothing but the architecture and the
 oracle.  It pins the service to a decision boundary between two classes
-(``search_critical``), then measures hidden pre-activation values one at a
-time: a shift pattern is injected that cancels exactly while the hidden
-value is on one side of zero, and the scalar magnitude at which the
-cancellation stops is located by doubling and bisection
-(``extract_feature``).  Layer drivers steer what the hidden values are:
-suppressing all upstream activations pins a layer's input to zero so its
-biases appear directly, and injected test patterns turn individual weights
-into measurable features.
+(``search_critical``): the client's share of the Argmax input is malleable
+like any other, so pushing every other logit down and nudging one logit of
+the pair ties them in a one-dimensional search.  It then measures hidden
+pre-activation values one at a time: a shift pattern is injected that
+cancels exactly while the hidden value is on one side of zero, and the
+scalar magnitude at which the cancellation stops is located by doubling and
+bisection (``extract_feature``).  Layer drivers steer what the hidden values
+are: suppressing all upstream activations pins a layer's input to zero so
+its biases appear directly, and injected test patterns turn individual
+weights into measurable features.
 
-Every scalar search of the attack (the flip of a feature scan, the tie
-polish of a critical point, the tying shift of a terminal class pair) is
-one primitive, ``_find_flip``: double a step until a predicate flips, then
-bisect the last bracket.  A scan that behaves inconsistently is repeated
-from a fresh critical point by ``_with_retries``, which falls back to the
-last uncorrected estimate when every attempt fails.  Convolution and
+Every scalar search of the attack (the flip of a feature scan, the class tie
+behind a critical point or a terminal class pair) is one primitive,
+``_find_flip``: double a step until a predicate flips, then bisect the last
+bracket.  A scan that behaves inconsistently is repeated from a fresh
+critical point by ``_with_retries``, which falls back to the last
+uncorrected estimate when every attempt fails.  Convolution and
 fully-connected layers share one driver (``_extract_layer``) and one phase
 runner (``_run_phase``): a phase searches one critical point, measures each
 of its targets, and records dead and retried slots.  The terminal layer is
@@ -24,12 +26,12 @@ a fully-connected layer like any other, except that its one consumer is the
 Argmax: its phases read class-pair ties (``_pair_boundary``) instead of
 feature scans, and its result is fixed up to the gauge of those ties.
 
-Two systematic error sources are handled explicitly.  The class tie left by
-chord bisection is polished to float precision by nudging one logit, because
-a residual gap biases every later measurement by gap/slope.  The flip of the
-two-probe criticality test lags the true boundary by probe/slope, so each
-boundary is measured twice (probe magnitudes eps and 2*eps) and extrapolated
-back; the lag cancels exactly while the network stays in one linear piece.
+Two systematic error sources are handled explicitly.  Every class tie is
+bisected to float precision, because a residual logit gap biases every
+later measurement by gap/slope.  The flip of the two-probe criticality test
+lags the true boundary by probe/slope, so each boundary is measured twice
+(probe magnitudes eps and 2*eps) and extrapolated back; the lag cancels
+exactly while the network stays in one linear piece.
 
 Queries go to the digits a value needs, not to finding its scale: the first
 scan of a feature starts doubling at the magnitude of the last value the
@@ -68,7 +70,8 @@ class ExtractionError(RuntimeError):
 
 
 class BoundarySearchError(ExtractionError):
-    """No usable class boundary: unreachable at this norm, or a corner."""
+    """No usable class boundary: the pair never swaps within ``eta_max``,
+    or its tie fails the two-probe test."""
 
 
 class DeadFeatureError(ExtractionError):
@@ -97,12 +100,10 @@ class _ScanExhausted(Exception):
 
 
 # Tolerances that no caller tunes.
-BOUNDARY_TOL = 1e-10  # sphere-chord length where bisection hands over to the tie polish
 TIE_POLISH_TOL = 1e-13  # a polished tie's logit gap is float noise, not a bias on later scans
-ETA_INITIAL_STEP = 1.024e-5  # first doubling step of pair searches and of scans with no known magnitude
+ETA_INITIAL_STEP = 1.024e-5  # first doubling step of scans with no known magnitude
 SCAN_PROBE = 1e-11  # clears protocol float noise (~1e-13) while its lag band stays tiny
 SIGN_PROBE = 1.0  # a downward shift this large keeps a non-positive feature's point critical
-MAX_SAMPLE_ROUNDS = 64  # sample pairs drawn before a boundary counts as unreachable at the norm
 FEATURE_BOUND = 1e3  # reachable features stay below this; suppression keeps a 100x margin
 
 
@@ -110,13 +111,14 @@ FEATURE_BOUND = 1e3  # reachable features stay below this; suppression keeps a 1
 class BoundarySearchConfig:
     """The attack's settable knobs, each checked on construction.
 
-    ``sphere_norm`` is the radius of the random logit-shift sphere used to
-    find a class boundary (None means: let the harness calibrate, or fall
+    ``sphere_norm`` is the first logit nudge of every class-tie search, the
+    expected logit scale (None means: let the harness calibrate, or fall
     back to 10 on an O(1) logit scale).  ``eta_tol`` is the absolute
-    bisection tolerance of feature scans.  ``eta_max`` is the scan give-up
-    bound that flags dead features.  ``max_retries`` is how often a failed
-    scan or a corner-region boundary is tried again.  ``suppression`` is
-    the large negative constant pinning ReLU outputs to zero and must
+    bisection tolerance of feature scans.  ``eta_max`` bounds every search:
+    a scan passing it flags a dead feature, and a class pair that does not
+    swap below it has no reachable tie.  ``max_retries`` is how often a
+    failed scan is tried again.  ``suppression`` is the large negative
+    constant pinning ReLU outputs and non-competing logits down; it must
     exceed reachable features by a wide margin, validated against
     ``FEATURE_BOUND`` (100x margin).  ``probe_eps`` is the logit nudge of
     the oracle's tie test.  ``max_retries`` is an integer >= 0; every other
@@ -363,96 +365,73 @@ def _scan_boundary(
 # Critical point search
 
 
-def _sphere_sample(rng: np.random.Generator, shape: tuple[int, ...], radius: float) -> np.ndarray:
-    v = rng.standard_normal(shape)
-    n = np.linalg.norm(v)
-    while n < 1e-12:  # pragma: no cover
-        v = rng.standard_normal(shape)
-        n = np.linalg.norm(v)
-    return v * (radius / n)
+def _pair_boundary(
+    oracle: OracleHandle,
+    v0: QueryInput,
+    c_ref: int,
+    c: int,
+    cfg: BoundarySearchConfig,
+) -> tuple[QueryInput, float]:
+    """The query that ties class ``c`` with ``c_ref`` at ``v0``, and the
+    shift t on logit ``c`` that it adds.
 
+    All other classes are pushed down by the suppression constant so only
+    the chosen pair competes, and the label flip in t is a clean scalar
+    boundary.  The nudge doubles from ``sphere_norm`` (clamped to
+    ``eta_max``), the expected logit scale, and the flip is bisected to
+    ``TIE_POLISH_TOL``: a wider gap would bias every later scan at the tie
+    by gap/slope.  Validated with the two-probe test.
+    """
+    n = oracle.n_classes
+    suppress = np.full(n, -cfg.suppression)
+    suppress[c_ref] = 0.0
+    suppress[c] = 0.0
+    key = (oracle.argmax_id, PRE)
 
-def _polish_tie(oracle: OracleHandle, v: QueryInput, c1: int, c2: int) -> float | None:
-    """Nudge logit c1 until the label flips from c2 to c1 and bisect the
-    flip to ``TIE_POLISH_TOL``; the logit gap there is float-noise small.
-    Returns the nudge, or None when a third class interferes or 96
-    doublings of the first nudge find no flip."""
+    def at(t: float) -> QueryInput:
+        vec = suppress.copy()
+        vec[c] += t
+        return v0.shifted(ShiftSet({key: vec}))
 
-    def flipped(t: float) -> bool:
-        lbl = oracle.query(v.shifted(ShiftSet.single(oracle.argmax_id, PRE, (oracle.n_classes,), c1, t)))
-        if lbl not in (c1, c2):
-            raise _ScanExhausted()
-        return lbl == c1
+    def label(t: float) -> int:
+        lbl = oracle.query(at(t))
+        if lbl not in (c_ref, c):
+            raise BoundarySearchError(f"suppressed pair scan saw class {lbl}")
+        return lbl
 
-    t0 = max(4.0 * BOUNDARY_TOL, 1e-12)
+    # The label is monotone in t since logit c strictly increases, so the
+    # flip is searched in s = |t| on the side that swaps the starting label.
+    # Negation is exact: both directions probe and stop bit for bit alike.
+    l0 = label(0.0)
+    direction = 1.0 if l0 == c_ref else -1.0
+    step = min(cfg.resolved().sphere_norm, cfg.eta_max)
     try:
-        return _find_flip(flipped, 0.0, t0, t0 * 2.0**95, TIE_POLISH_TOL)
+        s_star = _find_flip(lambda s: label(direction * s) != l0, 0.0, step, cfg.eta_max, TIE_POLISH_TOL)
     except _ScanExhausted:
-        return None
+        raise BoundarySearchError(
+            f"no boundary reachable: classes {c_ref} and {c} never swap within eta_max={cfg.eta_max}"
+        ) from None
+    t_star = direction * s_star
+    v = at(t_star)
+    if not oracle.is_critical(v, c_ref, c):
+        raise BoundarySearchError(f"pair boundary ({c_ref}, {c}) failed validation")
+    return v, t_star
 
 
 def search_critical(
     oracle: OracleHandle,
-    skeleton: ModelGraph,
     v0: QueryInput,
-    layer_id: int,
     cfg: BoundarySearchConfig,
     rng: np.random.Generator,
 ) -> CriticalPoint:
-    """Find a class boundary by shifting layer ``layer_id``'s input.
+    """Tie two classes drawn from ``rng`` at ``v0`` (``_pair_boundary``).
 
-    Random shift pairs of norm ``sphere_norm`` are sampled until two labels
-    differ, the chord between them is bisected with midpoints renormalized
-    onto the sphere, the residual tie is polished through the logit surface,
-    and the result is validated with the two-probe test.  Validation failure
-    (a corner region) retries with fresh samples up to ``max_retries``.
+    The client malleates the Argmax input like any other boundary, so one
+    scalar logit nudge ties any two classes once the others are pushed down.
     """
-    cfg = cfg.resolved()
-    d = cfg.sphere_norm
-    shape = skeleton.pre_shape(layer_id)
-    key = (layer_id, PRE)
-
-    def sample_pair():
-        """Two shifts on the sphere whose labels differ."""
-        for _ in range(MAX_SAMPLE_ROUNDS):
-            d1 = _sphere_sample(rng, shape, d)
-            d2 = _sphere_sample(rng, shape, d)
-            c1 = oracle.query(v0.shifted(ShiftSet({key: d1})))
-            c2 = oracle.query(v0.shifted(ShiftSet({key: d2})))
-            if c1 != c2:
-                return d1, c1, d2, c2
-        raise BoundarySearchError(
-            f"no boundary reachable at norm {d} on layer {layer_id} "
-            f"after {MAX_SAMPLE_ROUNDS} sample pairs"
-        )
-
-    pair = sample_pair()
-    for _ in range(cfg.max_retries + 1):
-        delta1, c1, delta2, c2 = pair
-        while float(np.linalg.norm(delta2 - delta1)) > BOUNDARY_TOL:
-            mid = 0.5 * (delta1 + delta2)
-            norm = float(np.linalg.norm(mid))
-            if norm < 1e-12 * d:
-                mid = mid + rng.standard_normal(shape) * (1e-9 * d)
-                norm = float(np.linalg.norm(mid))
-            mid = mid * (d / norm)
-            c3 = oracle.query(v0.shifted(ShiftSet({key: mid})))
-            if c3 == c1:
-                delta1 = mid
-            else:
-                delta2, c2 = mid, c3
-        v_boundary = v0.shifted(ShiftSet({key: delta2}))
-        tie = _polish_tie(oracle, v_boundary, c1, c2)
-        if tie is not None:
-            v_star = v_boundary.shifted(
-                ShiftSet.single(oracle.argmax_id, PRE, (oracle.n_classes,), c1, tie)
-            )
-            if oracle.is_critical(v_star, c1, c2):
-                return CriticalPoint(v=v_star, c1=c1, c2=c2)
-        pair = sample_pair()  # corner region: try again from a fresh pair
-    raise BoundarySearchError(
-        f"corner point: boundary on layer {layer_id} failed validation {cfg.max_retries + 1} times"
-    )
+    c1, c2 = (int(c) for c in rng.choice(oracle.n_classes, size=2, replace=False))
+    v, _ = _pair_boundary(oracle, v0, c1, c2, cfg)
+    return CriticalPoint(v=v, c1=c1, c2=c2)
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +516,7 @@ def extract_feature_maxpool(
     cap = min(cfg.eta_max, cfg.suppression)
 
     def attempt(_k: int) -> FeatureResult:
-        cp = search_critical(oracle, skeleton, base, skeleton.argmax_id, cfg, rng)
+        cp = search_critical(oracle, base, cfg, rng)
         return _scan_boundary(
             oracle, cp.v, cp.c1, cp.c2,
             (layer_id, PRE), pre_mask, (layer_id, POST), post_mask,
@@ -664,12 +643,12 @@ def _run_phase(
     """
     if succ.kind == KIND_ARGMAX:
         for slot, c in targets:
-            values[slot] = -_pair_boundary(oracle, v0, 0, c, cfg)
+            values[slot] = -_pair_boundary(oracle, v0, 0, c, cfg)[1]
         return scale
     maxpool = succ.kind == KIND_MPR
 
     def search() -> CriticalPoint:
-        return search_critical(oracle, skeleton, v0, skeleton.argmax_id, cfg, rng)
+        return search_critical(oracle, v0, cfg, rng)
 
     cp = None if maxpool else search()
     for slot, target in targets:
@@ -847,53 +826,6 @@ def extract_fc_layer(
     res = _extract_layer(oracle, skeleton, layer_id, succ, amplitude, bias_targets, weight_phases(), cfg, rng)
     res.gauge_fixed = gauge
     return res
-
-
-def _pair_boundary(
-    oracle: OracleHandle,
-    v0: QueryInput,
-    c_ref: int,
-    c: int,
-    cfg: BoundarySearchConfig,
-) -> float:
-    """Logit shift t on class ``c`` that ties it with ``c_ref``.
-
-    All other classes are pushed down by the suppression constant so only
-    the chosen pair competes; the label flip in t is a clean scalar boundary
-    located to ``TIE_POLISH_TOL``.  Validated with the two-probe test.
-    """
-    n = oracle.n_classes
-    suppress = np.full(n, -cfg.suppression)
-    suppress[c_ref] = 0.0
-    suppress[c] = 0.0
-    key = (oracle.argmax_id, PRE)
-
-    def at(t: float) -> QueryInput:
-        vec = suppress.copy()
-        vec[c] += t
-        return v0.shifted(ShiftSet({key: vec}))
-
-    def label(t: float) -> int:
-        lbl = oracle.query(at(t))
-        if lbl not in (c_ref, c):
-            raise BoundarySearchError(f"suppressed pair scan saw class {lbl}")
-        return lbl
-
-    # The label is monotone in t since logit c strictly increases, so the
-    # flip is searched in s = |t| on the side that swaps the starting label.
-    # Negation is exact: both directions probe and stop bit for bit alike.
-    l0 = label(0.0)
-    direction = 1.0 if l0 == c_ref else -1.0
-    try:
-        s_star = _find_flip(
-            lambda s: label(direction * s) != l0, 0.0, ETA_INITIAL_STEP, cfg.eta_max, TIE_POLISH_TOL
-        )
-    except _ScanExhausted:
-        raise BoundarySearchError(f"classes {c_ref} and {c} never swapped within eta_max") from None
-    t_star = direction * s_star
-    if not oracle.is_critical(at(t_star), c_ref, c):
-        raise BoundarySearchError(f"pair boundary ({c_ref}, {c}) failed validation")
-    return t_star
 
 
 def extract_last_layer(

@@ -244,7 +244,7 @@ def default_target_layers(skeleton: ModelGraph) -> list[int]:
 
 
 def resolve_sphere_norm(cfg: ExperimentConfig, truth: ModelGraph | None) -> float:
-    """Radius for the boundary-search sphere.
+    """First logit nudge of every class-tie search, the expected logit scale.
 
     Explicit config wins.  With a white-box model at hand (in-process runs)
     it is calibrated as 10x the sampled logit standard deviation; a label

@@ -9,6 +9,7 @@ circuiting, so query budgets are a pure function of call counts.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from typing import Callable
@@ -32,8 +33,8 @@ class OracleHandle:
         n_classes: int,
         probe_eps: float = 1e-8,
     ):
-        if probe_eps <= 0:
-            raise ValueError("probe_eps must be positive")
+        if not (math.isfinite(probe_eps) and probe_eps > 0):
+            raise ValueError(f"probe_eps must be finite and > 0, got {probe_eps!r}")
         self._backend = backend
         self.argmax_id = argmax_id
         self.n_classes = n_classes
@@ -82,9 +83,10 @@ class OracleHandle:
 class CriticalPoint:
     """A query pinned to the decision boundary between classes c1 and c2.
 
-    ``v`` is the full query including the tie-polishing logit nudge.  The
-    constructor trusts the caller: search routines validate criticality
-    with the two-probe test before building one.
+    ``v`` is the full query: the base plus the Argmax-input shift that
+    pushes every other class down and nudges the pair into a tie.  The
+    constructor trusts the caller: the search validates criticality with
+    the two-probe test before building one.
     """
 
     v: QueryInput

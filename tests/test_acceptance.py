@@ -197,7 +197,7 @@ def test_criterion_7_safe_error_cancellation():
     checked = 0
     while checked < 50:
         x = rng.standard_normal((2, 5, 5))
-        cp = search_critical(oracle, model, QueryInput(x), model.argmax_id, cfg, rng)
+        cp = search_critical(oracle, QueryInput(x), cfg, rng)
         base = forward_trace(model, cp.v)
         idx = tuple(rng.integers(0, d) for d in model.pre_shape(relu_id))
         y = base.y[relu_id][idx]

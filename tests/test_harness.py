@@ -290,14 +290,16 @@ def test_partial_failure_preserved():
     """A layer whose boundary search cannot succeed is reported, with its
     consumed queries, without aborting the run."""
     truth = sx.random_model(ARCH, SHAPE, seed=4)
-    cfg = ExperimentConfig(
-        arch=ARCH, input_shape=SHAPE, attack_seed=3,
-        search=sx.BoundarySearchConfig(sphere_norm=1e-12),
-    )
+    # a huge layer-1 bias spreads the logits at layer 1's zero input beyond
+    # eta_max, while the terminal layer's suppressed base reads its own bias
+    truth = truth.with_params({1: (truth.layer(1).weight, np.full(8, 5e5))})
+    cfg = ExperimentConfig(arch=ARCH, input_shape=SHAPE, attack_seed=3)
+    logits = sx.forward_trace(truth, sx.QueryInput(np.zeros(SHAPE))).logits
+    assert np.abs(logits[:, None] - logits[None, :])[np.triu_indices(4, 1)].min() > cfg.search.eta_max
     report, extracted = run_attack(cfg, truth=truth)
     by_id = {l.layer_id: l for l in report.layers}
     assert "no boundary reachable" in by_id[1].error
-    # the terminal layer's pair search does not use the sphere and still runs
+    # the terminal layer's pair searches start from its own base and still run
     assert by_id[3].error is None and by_id[3].e_bias < 1e-6
     assert report.total_queries == sum(l.queries for l in report.layers)
     # the failed layer stays at the skeleton's zero parameters

@@ -50,6 +50,14 @@ def test_is_critical_rejects_equal_classes(zero3_model):
         h.is_critical(QueryInput(np.zeros(2)), 1, 1)
 
 
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), 0.0, -1e-8])
+def test_probe_eps_must_be_finite_and_positive(zero3_model, eps):
+    """A NaN nudge would make every tie test pass, at any point."""
+    with pytest.raises(ValueError, match=rf"probe_eps must be finite and > 0, got {eps!r}$"):
+        OracleHandle(lambda q: forward_label(zero3_model, q), argmax_id=zero3_model.argmax_id,
+                     n_classes=zero3_model.n_classes, probe_eps=eps)
+
+
 def test_banded_soundness_sample(zero3_model):
     """Gap below eps/2 with 2*eps margins is critical; gap above 2*eps is not."""
     h = OracleHandle.in_process(zero3_model)

@@ -16,9 +16,10 @@ weights into measurable features.
 Every scalar search of the attack (the flip of a feature scan, the class tie
 behind a critical point or a terminal class pair) is one primitive,
 ``_find_flip``: double a step until a predicate flips, then bisect the last
-bracket.  A scan that behaves inconsistently is repeated from a fresh
-critical point by ``_with_retries``, which falls back to the last
-uncorrected estimate when every attempt fails.  Convolution and
+bracket.  Every tie test nudges a logit by the oracle's ``TIE_PROBE`` (or
+twice that).  A scan that behaves inconsistently is repeated from a fresh
+critical point by ``_with_retries``, the attack's one retry loop, which
+falls back to the last uncorrected estimate when every attempt fails.  Convolution and
 fully-connected layers share one driver (``_extract_layer``) and one phase
 runner (``_run_phase``): a phase searches one critical point, measures each
 of its targets, and records dead and retried slots.  The terminal layer is
@@ -62,7 +63,7 @@ from .model import (
     ShiftSet,
     pooled_receivers,
 )
-from .oracle import CriticalPoint, OracleHandle
+from .oracle import TIE_PROBE, CriticalPoint, OracleHandle
 
 
 class ExtractionError(RuntimeError):
@@ -102,7 +103,6 @@ class _ScanExhausted(Exception):
 # Tolerances that no caller tunes.
 TIE_POLISH_TOL = 1e-13  # a polished tie's logit gap is float noise, not a bias on later scans
 ETA_INITIAL_STEP = 1.024e-5  # first doubling step of scans with no known magnitude
-SCAN_PROBE = 1e-11  # clears protocol float noise (~1e-13) while its lag band stays tiny
 SIGN_PROBE = 1.0  # a downward shift this large keeps a non-positive feature's point critical
 FEATURE_BOUND = 1e3  # reachable features stay below this; suppression keeps a 100x margin
 
@@ -120,9 +120,9 @@ class BoundarySearchConfig:
     failed scan is tried again.  ``suppression`` is the large negative
     constant pinning ReLU outputs and non-competing logits down; it must
     exceed reachable features by a wide margin, validated against
-    ``FEATURE_BOUND`` (100x margin).  ``probe_eps`` is the logit nudge of
-    the oracle's tie test.  ``max_retries`` is an integer >= 0; every other
-    value is finite and > 0, and ``sphere_norm`` may also be None.
+    ``FEATURE_BOUND`` (100x margin).  ``max_retries`` is an integer >= 0;
+    every other value is finite and > 0, and ``sphere_norm`` may also be
+    None.
     """
 
     sphere_norm: float | None = None
@@ -130,7 +130,6 @@ class BoundarySearchConfig:
     eta_max: float = 1e4
     max_retries: int = 5
     suppression: float = 1e6
-    probe_eps: float = 1e-8
 
     def __post_init__(self):
         for f in fields(self):
@@ -309,12 +308,11 @@ def _scan_boundary(
     ``first_step``, the magnitude of a value measured before, clamped to
     [``ETA_INITIAL_STEP``, cap] so that the doubling still probes to within a
     factor of 2 of ``cap``; with no magnitude known it starts at
-    ``ETA_INITIAL_STEP``.  A hinted scan 1 that behaves inconsistently
-    (usually a third class winning at a far first probe) is run once more
-    from ``ETA_INITIAL_STEP`` at the same point.  Scan 2 starts at the probe
-    lag: its flip lies eps/slope beyond eta1, so its first step is eps.
+    ``ETA_INITIAL_STEP``.  Scan 2 starts at the probe lag: its flip lies
+    eps/slope beyond eta1, so its first step is eps.  A scan that behaves
+    inconsistently raises ``ScanRetryError`` and is retried by the caller.
     """
-    eps = SCAN_PROBE
+    eps = TIE_PROBE
     probe_down = base.shifted(ShiftSet({pre_key: -SIGN_PROBE * pre_mask}))
     nonpositive = oracle.is_critical(probe_down, c1, c2)
     sign = -1.0 if nonpositive else 1.0
@@ -324,27 +322,15 @@ def _scan_boundary(
             return base.shifted(ShiftSet({pre_key: eta * pre_mask}))
         return base.shifted(ShiftSet({pre_key: -eta * pre_mask, post_key: eta * post_mask}))
 
-    def scan1(step: float) -> float:
-        try:
-            return _flip_point(oracle, at, c1, c2, eps, 0.0, step, cap, cfg)
-        except _ScanExhausted:
-            if nonpositive:
-                if cap < cfg.eta_max:
-                    raise SuppressionFloorError(
-                        f"no flip below the suppression constant {cap}"
-                    ) from None
-                raise DeadFeatureError(f"no flip up to eta_max={cfg.eta_max}") from None
-            raise ScanRetryError("positive-branch scan found no flip") from None
-
-    step = ETA_INITIAL_STEP
-    if first_step is not None:
-        step = min(max(first_step, step), cap)
+    step = ETA_INITIAL_STEP if first_step is None else min(max(first_step, ETA_INITIAL_STEP), cap)
     try:
-        eta1 = scan1(step)
-    except ScanRetryError:
-        if step == ETA_INITIAL_STEP:
-            raise
-        eta1 = scan1(ETA_INITIAL_STEP)
+        eta1 = _flip_point(oracle, at, c1, c2, eps, 0.0, step, cap, cfg)
+    except _ScanExhausted:
+        if nonpositive:
+            if cap < cfg.eta_max:
+                raise SuppressionFloorError(f"no flip below the suppression constant {cap}") from None
+            raise DeadFeatureError(f"no flip up to eta_max={cfg.eta_max}") from None
+        raise ScanRetryError("positive-branch scan found no flip") from None
     fallback = sign * eta1
     try:
         eta2 = _flip_point(oracle, at, c1, c2, 2.0 * eps, eta1, eps, cap, cfg)

@@ -310,12 +310,7 @@ def run_attack(
         backend = RemoteOracle(cfg.endpoint)
     else:
         raise ValueError(f"unknown backend {cfg.backend!r}")
-    oracle = OracleHandle(
-        backend,
-        argmax_id=skeleton.argmax_id,
-        n_classes=skeleton.n_classes,
-        probe_eps=cfg.search.probe_eps,
-    )
+    oracle = OracleHandle(backend, argmax_id=skeleton.argmax_id, n_classes=skeleton.n_classes)
 
     search = replace(cfg.search, sphere_norm=resolve_sphere_norm(cfg, truth))
     targets = cfg.layers if cfg.layers is not None else default_target_layers(skeleton)

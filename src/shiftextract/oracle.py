@@ -4,41 +4,33 @@ The handle wraps a backend that maps a QueryInput to a class label.  Every
 label query increments a counter under a lock, so accounting behaves as if
 queries were serialized even under concurrent callers.  The two-probe tie
 test (``is_critical``) always issues exactly two queries, never short
-circuiting, so query budgets are a pure function of call counts.
+circuiting, so query budgets are a pure function of call counts.  Every tie
+test of the attack nudges a logit by ``TIE_PROBE`` (or a multiple of it).
 """
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass
 from typing import Callable
 
 from .model import PRE, ModelGraph, QueryInput, ShiftSet, forward_label
 
+TIE_PROBE = 1e-11  # clears protocol float noise (~1e-13) while its lag band stays tiny
+
 
 class OracleHandle:
     """Counted access to a label-only classifier with malleable shifts.
 
-    ``probe_eps`` is the logit nudge used by ``is_critical``; it must exceed
-    the float noise accumulated by a forward pass but stay far below the
-    scale of genuine logit gaps.
+    ``probe_eps`` is the logit nudge of ``is_critical``, the constant
+    ``TIE_PROBE``: it exceeds the float noise of a forward pass, masked
+    protocol included, and stays far below genuine logit gaps.
     """
 
-    def __init__(
-        self,
-        backend: Callable[[QueryInput], int],
-        *,
-        argmax_id: int,
-        n_classes: int,
-        probe_eps: float = 1e-8,
-    ):
-        if not (math.isfinite(probe_eps) and probe_eps > 0):
-            raise ValueError(f"probe_eps must be finite and > 0, got {probe_eps!r}")
+    def __init__(self, backend: Callable[[QueryInput], int], *, argmax_id: int, n_classes: int):
         self._backend = backend
         self.argmax_id = argmax_id
         self.n_classes = n_classes
-        self.probe_eps = probe_eps
         self._count = 0
         self._lock = threading.Lock()
         self._probe_cache: dict[tuple[int, float], ShiftSet] = {}
@@ -51,6 +43,10 @@ class OracleHandle:
     def count(self) -> int:
         return self._count
 
+    @property
+    def probe_eps(self) -> float:
+        return TIE_PROBE
+
     def query(self, v: QueryInput) -> int:
         """One label query.  The counter advances even if the backend fails."""
         with self._lock:
@@ -59,7 +55,7 @@ class OracleHandle:
 
     def class_probe(self, c: int, eps: float | None = None) -> ShiftSet:
         """Shift adding ``eps`` to logit ``c`` (the tie-test nudge)."""
-        eps = self.probe_eps if eps is None else eps
+        eps = TIE_PROBE if eps is None else eps
         key = (c, eps)
         probe = self._probe_cache.get(key)
         if probe is None:

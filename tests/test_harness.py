@@ -183,7 +183,7 @@ def test_cli_config_file_with_overrides(tmp_path):
                                                     layers=[1]).to_dict()))
     report_path = tmp_path / "report.json"
     search = {"sphere_norm": 12.5, "eta_tol": 2e-12, "eta_max": 5000.0, "max_retries": 4,
-              "suppression": 2e6, "probe_eps": 2e-8}
+              "suppression": 2e6}
     flags = [s for k, v in search.items() for s in ("--" + k.replace("_", "-"), str(v))]
     assert main(["attack", "--config", str(cfg_path), "--model", str(model_path),
                  "--attack-seed", "3", "--report", str(report_path), *flags]) == 0
@@ -204,10 +204,11 @@ def test_config_unknown_key_named(tmp_path, capsys):
     unknown key's name, at the top level and inside ``search``."""
     with pytest.raises(ValueError, match=r"unknown config key\(s\): parallel$"):
         ExperimentConfig.from_dict({"parallel": False})
-    doc = ExperimentConfig(arch=ARCH, input_shape=SHAPE).to_dict()
-    doc["search"]["fc_delta"] = None
-    with pytest.raises(ValueError, match=r"unknown config key\(s\): search\.fc_delta$"):
-        ExperimentConfig.from_dict(doc)
+    for dropped, value in (("fc_delta", None), ("probe_eps", 1e-8)):
+        doc = ExperimentConfig(arch=ARCH, input_shape=SHAPE).to_dict()
+        doc["search"][dropped] = value
+        with pytest.raises(ValueError, match=rf"unknown config key\(s\): search\.{dropped}$"):
+            ExperimentConfig.from_dict(doc)
 
     model_path = tmp_path / "truth.json"
     main(["gen-model", "--arch", ARCH, "--input-shape", "6", "--seed", "4", "--out", str(model_path)])
@@ -235,7 +236,7 @@ def test_config_search_values_checked():
 
 @pytest.mark.parametrize("name, value", [
     ("eta_tol", float("nan")), ("eta_tol", 0.0), ("eta_max", float("inf")), ("suppression", -1e6),
-    ("probe_eps", 0), ("sphere_norm", -5.0), ("sphere_norm", float("nan")), ("max_retries", -1),
+    ("sphere_norm", -5.0), ("sphere_norm", float("nan")), ("max_retries", -1),
 ])
 def test_search_values_range_checked(name, value, capsys):
     """A search value out of range fails on construction, whether it comes

@@ -19,6 +19,7 @@ from shiftextract import (
     random_model,
 )
 from shiftextract.extract import DeadFeatureError, ScanRetryError
+from shiftextract.oracle import TIE_PROBE
 
 CFG = BoundarySearchConfig(sphere_norm=10.0, max_retries=3)
 ATTEMPTS = CFG.max_retries + 1
@@ -115,10 +116,11 @@ def test_dead_on_retry_is_dead_and_retried(monkeypatch, path):
     assert (0,) in res.dead and (0,) in res.retried
 
 
-def test_failed_hinted_scan_reruns_at_the_same_point(monkeypatch):
+def test_failed_hinted_scan_retries_at_a_fresh_point(monkeypatch):
     """A third class on the first probe of a scan 1 started from a measured
-    magnitude reruns that scan once from eta_initial_step: same critical
-    point, no search, not flagged retried."""
+    magnitude fails the attempt: the phase's one retry loop searches a fresh
+    critical point and scans again from the same magnitude, and the slot is
+    flagged retried."""
     model, extract = _relu_layer()
     events, third = [], []
     real_flip, real_search = sx_extract._flip_point, sx_extract.search_critical
@@ -142,9 +144,9 @@ def test_failed_hinted_scan_reruns_at_the_same_point(monkeypatch):
     res = extract(oracle)
     assert res.total_queries == oracle.count
     # the first target has no magnitude yet; the second starts from its value
-    default, eps = sx_extract.ETA_INITIAL_STEP, sx_extract.SCAN_PROBE
+    default, eps = sx_extract.ETA_INITIAL_STEP, TIE_PROBE
     hint = abs(res.bias[0])
-    assert events[:7] == ["search", ("scan1", default), ("scan2", eps), ("scan1", hint), "fault",
-                          ("scan1", default), ("scan2", eps)]
-    assert (1,) not in res.retried
+    assert events[:8] == ["search", ("scan1", default), ("scan2", eps), ("scan1", hint), "fault",
+                          "search", ("scan1", hint), ("scan2", eps)]
+    assert (1,) in res.retried and (1,) not in res.dead
     assert abs(res.bias[1] - model.layer(3).bias[1]) <= 1e-9

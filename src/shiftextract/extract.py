@@ -104,7 +104,7 @@ class _ScanExhausted(Exception):
 TIE_POLISH_TOL = 1e-13  # a polished tie's logit gap is float noise, not a bias on later scans
 ETA_INITIAL_STEP = 1.024e-5  # first doubling step of scans with no known magnitude
 SIGN_PROBE = 1.0  # a downward shift this large keeps a non-positive feature's point critical
-FEATURE_BOUND = 1e3  # reachable features stay below this; suppression keeps a 100x margin
+FEATURE_BOUND = 1e3  # reachable features stay below this in magnitude; suppression keeps a 100x margin
 
 
 @dataclass(frozen=True)
@@ -583,6 +583,28 @@ def _controlled_query(
     return QueryInput(x0, shifts)
 
 
+def _linearize_downstream(skeleton: ModelGraph, boundary_id: int) -> ShiftSet:
+    """Shifts that switch on every ReLU downstream of boundary ``boundary_id``.
+
+    Each ReLU and MaxPoolReLU reached from the boundary, the Argmax aside,
+    gets +``FEATURE_BOUND`` on its pre side and -``FEATURE_BOUND`` on its
+    post side.  Its inputs stay above -``FEATURE_BOUND``, so it passes them
+    unchanged (a maxpool still takes its max): the network between the
+    target and the logits is affine, and no downstream kink hides the
+    target from the tied logits or moves a scan's flip.
+    """
+    reached = {boundary_id}
+    entries = {}
+    for spec in skeleton.topo_order:
+        if reached.isdisjoint(spec.inputs):
+            continue
+        reached.add(spec.id)
+        if spec.kind in (KIND_RELU, KIND_MPR):
+            entries[(spec.id, PRE)] = np.full(skeleton.pre_shape(spec.id), FEATURE_BOUND)
+            entries[(spec.id, POST)] = np.full(skeleton.out_shape(spec.id), -FEATURE_BOUND)
+    return ShiftSet(entries)
+
+
 # ---------------------------------------------------------------------------
 # Layer drivers
 
@@ -681,7 +703,9 @@ def _extract_layer(
     ``(slot, beta)`` reads bias[slot].  Each weight phase is a pair
     ``(inject, targets)``: with the input set to ``inject``, a target reads
     bias[c] + amplitude * weight[slot] for its output channel c = slot[0].
-    Each phase starts its scans at the magnitude the one before ended with.
+    Every phase's base query also switches on the ReLUs downstream of the
+    successor boundary (``_linearize_downstream``).  Each phase starts its
+    scans at the magnitude the one before ended with.
     """
     spec = skeleton.layer(layer_id)
     plan = zero_input_plan(skeleton, layer_id, cfg)
@@ -689,12 +713,13 @@ def _extract_layer(
     res = LayerExtractionResult(
         layer_id=layer_id, kind=spec.kind, bias=np.zeros(shape[0]), weight=np.zeros(shape)
     )
+    linear = _linearize_downstream(skeleton, succ.id)
     t0 = oracle.count
-    v0 = _controlled_query(skeleton, plan, None)
+    v0 = _controlled_query(skeleton, plan, None).shifted(linear)
     scale = _run_phase(oracle, skeleton, succ, v0, bias_targets, res.bias, res, cfg, rng)
     t1 = oracle.count
     for inject, targets in weight_phases:
-        v0 = _controlled_query(skeleton, plan, inject)
+        v0 = _controlled_query(skeleton, plan, inject).shifted(linear)
         scale = _run_phase(oracle, skeleton, succ, v0, targets, res.weight, res, cfg, rng, scale)
     res.bias_queries, res.weight_queries = t1 - t0, oracle.count - t1
     # the weight phases stored raw readings bias[c] + amplitude * weight

@@ -448,6 +448,21 @@ def test_extract_conv_after_identity_skip():
     assert np.abs(res.weight - true.weight).max() <= 1e-7
 
 
+def test_downstream_relus_switched_on():
+    """A ReLU downstream of the target that is off at the critical point
+    hides the target from the tied logits, so a scan reads a later kink.
+    Layer 1 of this maxpool+residual model read weight (2, 0, 2, 2) as
+    0.507 against a true 0.203, unflagged, before every phase switched the
+    downstream ReLUs on."""
+    arch, shape = "conv4x3x3-mpr2-res{conv4x3x3-r,}-fc8-r-fc4", (2, 8, 8)
+    truth = random_model(arch, shape, seed=9)
+    cfg = sx.ExperimentConfig(arch=arch, input_shape=shape, attack_seed=5, layers=[1])
+    _, extracted = sx.run_attack(cfg, truth=truth)
+    est, true = extracted.layer(1), truth.layer(1)
+    assert sx.relative_errors(est.weight, true.weight).max() <= 1e-4
+    assert sx.relative_errors(est.bias, true.bias).max() <= 1e-4
+
+
 def test_extract_last_layer_tie_beyond_bisection_resolution(zero3_model):
     """Above 512 the float spacing exceeds ``tie_polish_tol`` (1e-13), so the
     class-pair bisection reaches adjacent floats before its tolerance; it

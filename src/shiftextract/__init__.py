@@ -17,6 +17,7 @@ from .extract import (
     SuppressionFloorError,
     SuppressionPlan,
     conv_injection_pattern,
+    default_target_layers,
     extract_conv_layer,
     extract_fc_layer,
     extract_feature,
@@ -30,7 +31,6 @@ from .harness import (
     ExperimentConfig,
     ExtractionReport,
     LayerReport,
-    default_target_layers,
     gauge_fix,
     layer_error_summary,
     relative_errors,

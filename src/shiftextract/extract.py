@@ -10,8 +10,9 @@ cancels exactly while the hidden value is on one side of zero, and the
 scalar magnitude at which the cancellation stops is located by doubling and
 bisection (``extract_feature``).  Layer drivers steer what the hidden values
 are: suppressing all upstream activations pins a layer's input to zero so
-its biases appear directly, and injected test patterns turn individual
-weights into measurable features.
+its biases appear directly, injected test patterns turn individual weights
+into measurable features, and switching on every downstream ReLU makes the
+network between a feature and the logits affine.
 
 Every scalar search of the attack (the flip of a feature scan, the class tie
 behind a critical point or a terminal class pair) is one primitive,
@@ -19,13 +20,14 @@ behind a critical point or a terminal class pair) is one primitive,
 bracket.  Every tie test nudges a logit by the oracle's ``TIE_PROBE`` (or
 twice that).  A scan that behaves inconsistently is repeated from a fresh
 critical point by ``_with_retries``, the attack's one retry loop, which
-falls back to the last uncorrected estimate when every attempt fails.  Convolution and
-fully-connected layers share one driver (``_extract_layer``) and one phase
-runner (``_run_phase``): a phase searches one critical point, measures each
-of its targets, and records dead and retried slots.  The terminal layer is
-a fully-connected layer like any other, except that its one consumer is the
-Argmax: its phases read class-pair ties (``_pair_boundary``) instead of
-feature scans, and its result is fixed up to the gauge of those ties.
+falls back to the last uncorrected estimate when every attempt fails.
+Convolution and fully-connected layers share one driver (``_extract_layer``)
+and one phase runner (``_run_phase``): a phase searches one critical point,
+measures each of its targets, and records dead and retried slots.  The
+terminal layer is a fully-connected layer like any other, except that its
+one consumer is the Argmax: its phases read class-pair ties
+(``_pair_boundary``) instead of feature scans, and its result is fixed up
+to the gauge of those ties.
 
 Two systematic error sources are handled explicitly.  Every class tie is
 bisected to float precision, because a residual logit gap biases every
@@ -610,6 +612,9 @@ def _linearize_downstream(skeleton: ModelGraph, boundary_id: int) -> ShiftSet:
 
 
 def _nonlinear_successor(skeleton: ModelGraph, layer_id: int):
+    """The one boundary reading layer ``layer_id``, the attack's rule of
+    extractability: a ReLU, MaxPoolReLU or Argmax.  Raises ExtractionError
+    when the layer has none."""
     succ = skeleton.successors(layer_id)
     if len(succ) != 1:
         raise ExtractionError(f"layer {layer_id} has {len(succ)} consumers, expected one")
@@ -619,6 +624,21 @@ def _nonlinear_successor(skeleton: ModelGraph, layer_id: int):
             f"layer {layer_id} feeds {nxt.kind}; only ReLU, MaxPoolReLU or Argmax boundaries are extractable"
         )
     return nxt
+
+
+def default_target_layers(skeleton: ModelGraph) -> list[int]:
+    """All parameterized layers the attack knows how to recover, in
+    topological order: those with a ``_nonlinear_successor``."""
+    out = []
+    for spec in skeleton.topo_order:
+        if spec.kind not in (KIND_CONV, KIND_FC):
+            continue
+        try:
+            _nonlinear_successor(skeleton, spec.id)
+        except ExtractionError:
+            continue
+        out.append(spec.id)
+    return out
 
 
 def _run_phase(

@@ -22,16 +22,14 @@ from .extract import (
     BoundarySearchConfig,
     ExtractionError,
     LayerExtractionResult,
+    default_target_layers,
     extract_conv_layer,
     extract_fc_layer,
     extract_last_layer,
 )
 from .model import (
-    KIND_ARGMAX,
     KIND_CONV,
     KIND_FC,
-    KIND_MPR,
-    KIND_RELU,
     ModelGraph,
     QueryInput,
     build_model,
@@ -230,19 +228,6 @@ def layer_error_summary(
 # Attack driver
 
 
-def default_target_layers(skeleton: ModelGraph) -> list[int]:
-    """All parameterized layers the attack knows how to recover, topological:
-    those whose one consumer is a ReLU, MaxPoolReLU or Argmax boundary."""
-    out = []
-    for spec in skeleton.topo_order:
-        if spec.kind not in (KIND_CONV, KIND_FC):
-            continue
-        succ = skeleton.successors(spec.id)
-        if len(succ) == 1 and skeleton.layer(succ[0]).kind in (KIND_RELU, KIND_MPR, KIND_ARGMAX):
-            out.append(spec.id)
-    return out
-
-
 def resolve_sphere_norm(cfg: ExperimentConfig, truth: ModelGraph | None) -> float:
     """First logit nudge of every class-tie search, the expected logit scale.
 
@@ -307,7 +292,7 @@ def run_attack(
         if not cfg.endpoint or cfg.arch is None or cfg.input_shape is None:
             raise ValueError("endpoint backend needs endpoint, arch and input_shape")
         skeleton = build_model(cfg.arch, cfg.input_shape)
-        backend = RemoteOracle(cfg.endpoint)
+        backend = RemoteOracle(cfg.endpoint, skeleton)
     else:
         raise ValueError(f"unknown backend {cfg.backend!r}")
     oracle = OracleHandle(backend, argmax_id=skeleton.argmax_id, n_classes=skeleton.n_classes)

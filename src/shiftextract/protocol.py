@@ -465,17 +465,30 @@ class RemoteOracle:
 
     Keeps one connection and runs one session per query; on transport
     failure it drops the connection (the next query reconnects) and raises
-    the retryable TransportError.
+    the retryable TransportError.  Every connection checks the input shape
+    and class count the server announces against ``skeleton``, the
+    architecture the attack assumes, and raises ProtocolError naming both
+    before any session runs.
     """
 
-    def __init__(self, endpoint: str, timeout: float = 30.0):
+    def __init__(self, endpoint: str, skeleton: ModelGraph, timeout: float = 30.0):
         self.endpoint = endpoint
+        self.skeleton = skeleton
         self.timeout = timeout
         self._conn: ClientConnection | None = None
 
     def __call__(self, q: QueryInput) -> int:
         if self._conn is None:
-            self._conn = connect(self.endpoint, self.timeout)
+            conn = connect(self.endpoint, self.timeout)
+            served = (conn.input_shape, conn.n_classes)
+            expected = (self.skeleton.input_shape, self.skeleton.n_classes)
+            if served != expected:
+                conn.close()
+                raise ProtocolError(
+                    f"{self.endpoint} serves input shape {served[0]} and {served[1]} classes; "
+                    f"the attacked architecture has input shape {expected[0]} and {expected[1]} classes"
+                )
+            self._conn = conn
         try:
             return self._conn.infer(q.x0, q.shifts)
         except TransportError:

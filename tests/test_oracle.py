@@ -86,7 +86,7 @@ def test_counter_thread_safety(zero3_model):
 def test_backend_agreement_quick(small_cnn):
     server = serve(small_cnn, seed=5)
     host, port = server.address
-    backend = RemoteOracle(f"{host}:{port}")
+    backend = RemoteOracle(f"{host}:{port}", small_cnn.skeleton())
     try:
         remote = OracleHandle(
             backend,

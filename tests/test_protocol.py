@@ -4,10 +4,12 @@ import struct
 import numpy as np
 import pytest
 
+import shiftextract.protocol as sx_protocol
 from shiftextract import (
     KIND_ARGMAX,
     POST,
     PRE,
+    ExperimentConfig,
     ProtocolError,
     QueryInput,
     ShiftSet,
@@ -15,6 +17,7 @@ from shiftextract import (
     forward_trace,
     random_model,
     replay_transcript,
+    run_attack,
     run_session,
     serve,
 )
@@ -225,6 +228,28 @@ def test_client_shape_validation(pool_model):
     # a server-side rejection reaches the client at once, as the server's error
     with pytest.raises(ProtocolError, match="EncInput size"):
         run_session(pool_model, np.zeros(3), transport="memory", seed=0)
+
+
+@pytest.mark.parametrize("arch, shape, served", [
+    ("fc4-r-fc4", (3,), r"input shape \(3,\) and 3 classes; .* input shape \(3,\) and 4 classes$"),
+    ("fc4-r-fc3", (5,), r"input shape \(3,\) and 3 classes; .* input shape \(5,\) and 3 classes$"),
+], ids=["classes", "input-shape"])
+def test_endpoint_attack_checks_the_handshake(monkeypatch, arch, shape, served):
+    """An attack whose architecture does not match the served model's
+    announced input shape or class count stops at the handshake, with both
+    sides named, before the server runs any session."""
+    sessions = []
+    real = sx_protocol._serve_session
+    monkeypatch.setattr(sx_protocol, "_serve_session", lambda *a, **k: sessions.append(1) or real(*a, **k))
+    server = serve(random_model("fc4-r-fc3", (3,), seed=1), seed=1)
+    try:
+        cfg = ExperimentConfig(arch=arch, input_shape=shape, backend="endpoint",
+                               endpoint="%s:%d" % server.address)
+        with pytest.raises(ProtocolError, match=served):
+            run_attack(cfg)
+    finally:
+        server.stop()
+    assert sessions == []
 
 
 @pytest.mark.parametrize(

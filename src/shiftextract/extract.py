@@ -18,9 +18,14 @@ Every scalar search of the attack (the flip of a feature scan, the class tie
 behind a critical point or a terminal class pair) is one primitive,
 ``_find_flip``: double a step until a predicate flips, then bisect the last
 bracket.  Every tie test nudges a logit by the oracle's ``TIE_PROBE`` (or
-twice that).  A scan that behaves inconsistently is repeated from a fresh
-critical point by ``_with_retries``, the attack's one retry loop, which
-falls back to the last uncorrected estimate when every attempt fails.
+twice that).  A feature scan doubles on the two-probe tie test and bisects
+with one probe per step (``_flip_point``), which is sound only while the
+network between the feature and the logits is affine: ``extract_feature``
+and ``extract_feature_maxpool`` refuse a base that does not switch on every
+downstream ReLU (``_linearize_downstream``).  A scan that behaves
+inconsistently is repeated from a fresh critical point by
+``_with_retries``, the attack's one retry loop, which falls back to the
+last uncorrected estimate when every attempt fails.
 Convolution and fully-connected layers share one driver (``_extract_layer``)
 and one phase runner (``_run_phase``): a phase searches one critical point,
 measures each of its targets, and records dead and retried slots.  The
@@ -245,15 +250,16 @@ def _find_flip(
     return 0.5 * (lo + hi)
 
 
-def _two_probe(oracle: OracleHandle, v: QueryInput, c1: int, c2: int, eps: float) -> bool:
-    """Full tie test: both nudges keep their class.  Two queries."""
+def _two_probe(oracle: OracleHandle, v: QueryInput, c1: int, c2: int, eps: float) -> int | None:
+    """Full tie test: the class whose nudge lost its label, or None while
+    both nudges keep their class.  Two queries."""
     l1 = oracle.query(v.shifted(oracle.class_probe(c1, eps)))
     l2 = oracle.query(v.shifted(oracle.class_probe(c2, eps)))
     if l1 not in (c1, c2) or l2 not in (c1, c2):
         raise ScanRetryError(f"third class {l1 if l1 not in (c1, c2) else l2} intruded on the boundary")
     if l1 != c1 and l2 != c2:
         raise ScanRetryError("both probes failed at one point")
-    return l1 == c1 and l2 == c2
+    return c1 if l1 != c1 else c2 if l2 != c2 else None
 
 
 def _flip_point(
@@ -269,19 +275,31 @@ def _flip_point(
 ) -> float:
     """Smallest eta > lo at which criticality (probe magnitude eps) breaks.
 
-    Doubling expansion from lo + step followed by bisection, both on the
-    full two-probe test.  One-sided probing is not enough here: past the
-    boundary the gap between the tied logits can drift, bend at downstream
-    ReLU kinks and recross zero, and a single probe direction would read
-    such a spurious tie as still critical and converge onto it.  The
-    two-sided test leaves only probe-width islands around spurious ties,
-    which bisection midpoints miss.  The tolerance is half of ``eta_tol``
-    so that the two-scan extrapolation stays within ``eta_tol``.
+    Doubling expansion from lo + step runs the full two-probe test: it
+    raises on a third class or on both probes failing, and its first
+    failing step names the class whose nudge lost its label.  Bisection
+    then probes only that class, one query per step.  One probe is enough
+    because the caller's base switches on every downstream ReLU
+    (``_require_linearized``): the network between the target and the
+    logits is affine, so past the flip the gap between the tied logits
+    moves one way and never recrosses zero.  Without that, the gap can bend
+    at a downstream kink and a one-sided probe would converge onto the
+    spurious tie there.  The tolerance is half of ``eta_tol`` so that the
+    two-scan extrapolation stays within ``eta_tol``.
     """
-    return _find_flip(
-        lambda eta: not _two_probe(oracle, at(eta), c1, c2, eps),
-        lo, step, cap, 0.5 * cfg.eta_tol,
-    )
+    failed = None  # the class whose nudge failed first, once doubling has flipped
+
+    def flipped(eta: float) -> bool:
+        nonlocal failed
+        if failed is None:
+            failed = _two_probe(oracle, at(eta), c1, c2, eps)
+            return failed is not None
+        lbl = oracle.query(at(eta).shifted(oracle.class_probe(failed, eps)))
+        if lbl not in (c1, c2):
+            raise ScanRetryError(f"third class {lbl} intruded on the boundary")
+        return lbl != failed
+
+    return _find_flip(flipped, lo, step, cap, 0.5 * cfg.eta_tol)
 
 
 def _scan_boundary(
@@ -453,12 +471,16 @@ def extract_feature(
     The caller guarantees that all features in ``beta`` hold one common
     value there; shifting them jointly is a single scalar search.
     ``first_step`` is the expected magnitude (see ``_scan_boundary``).
+    ``cp.v`` must carry the shifts of ``_linearize_downstream(skeleton,
+    layer_id)``, or ExtractionError is raised before any query: the
+    one-probe bisection of ``_flip_point`` needs an affine downstream.
     """
     spec = skeleton.layer(layer_id)
     if spec.kind != KIND_RELU:
         raise ExtractionError(f"layer {layer_id} is {spec.kind}, not a standalone ReLU boundary")
     if not beta:
         raise ExtractionError("empty target index set")
+    _require_linearized(skeleton, layer_id, cp.v)
     mask = _mask_at(skeleton.pre_shape(layer_id), beta)
     return _scan_boundary(
         oracle, cp.v, cp.c1, cp.c2, (layer_id, PRE), mask, (layer_id, POST), mask, cfg, cfg.eta_max,
@@ -486,11 +508,14 @@ def extract_feature_maxpool(
     pre side and all its receiving outputs jointly on the post side.  The
     suppression changes the downstream picture, so every attempt searches a
     fresh class boundary at the logits on top of it.  ``first_step`` is the
-    expected magnitude (see ``_scan_boundary``).
+    expected magnitude (see ``_scan_boundary``).  ``v0`` must carry the
+    shifts of ``_linearize_downstream(skeleton, layer_id)``, as in
+    ``extract_feature``; a downstream maxpool still takes its max there.
     """
     spec = skeleton.layer(layer_id)
     if spec.kind != KIND_MPR:
         raise ExtractionError(f"layer {layer_id} is {spec.kind}, not a maxpool boundary")
+    _require_linearized(skeleton, layer_id, v0)
     in_shape = skeleton.pre_shape(layer_id)
     out_shape = skeleton.out_shape(layer_id)
     receivers = pooled_receivers(in_shape, spec.kernel, spec.stride, index)
@@ -605,6 +630,16 @@ def _linearize_downstream(skeleton: ModelGraph, boundary_id: int) -> ShiftSet:
             entries[(spec.id, PRE)] = np.full(skeleton.pre_shape(spec.id), FEATURE_BOUND)
             entries[(spec.id, POST)] = np.full(skeleton.out_shape(spec.id), -FEATURE_BOUND)
     return ShiftSet(entries)
+
+
+def _require_linearized(skeleton: ModelGraph, boundary_id: int, base: QueryInput) -> None:
+    """Raise ExtractionError unless ``base`` shifts every key of
+    ``_linearize_downstream(skeleton, boundary_id)``, the precondition of
+    the one-probe bisection in ``_flip_point``."""
+    missing = _linearize_downstream(skeleton, boundary_id).entries.keys() - base.shifts.entries.keys()
+    if missing:
+        keys = ", ".join(f"{lid}:{side}" for lid, side in sorted(missing))
+        raise ExtractionError(f"base leaves ReLUs downstream of layer {boundary_id} unswitched (missing {keys})")
 
 
 # ---------------------------------------------------------------------------

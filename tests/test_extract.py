@@ -35,9 +35,13 @@ from shiftextract.extract import (
     DeadFeatureError,
     _aligned_axis,
     _controlled_query,
+    _flip_point,
+    _linearize_downstream,
+    _mask_at,
     conv_injection_pattern,
 )
 from shiftextract.harness import gauge_fix
+from shiftextract.oracle import TIE_PROBE
 from conftest import fc_layer
 
 CFG = BoundarySearchConfig(sphere_norm=10.0)
@@ -181,18 +185,35 @@ def test_extract_feature_dead_with_start_step_at_or_above_cap(toy_pm1_model, fac
 
 def test_boundary_correctness_invariant(small_cnn):
     """At the returned boundary magnitude, |value| matches the white-box
-    feature within the configured scan tolerance."""
+    feature within the configured scan tolerance.  The critical points are
+    searched on the base every phase uses: the downstream ReLUs switched on."""
     oracle = OracleHandle.in_process(small_cnn)
     cfg = BoundarySearchConfig(sphere_norm=10.0, eta_tol=1e-10)
     rng = np.random.default_rng(3)
     x = rng.standard_normal((2, 5, 5))
-    v0 = QueryInput(x)
+    v0 = QueryInput(x).shifted(_linearize_downstream(small_cnn, 2))
     for attempt in range(6):
         cp = search_critical(oracle, v0, cfg, rng)
         tr = forward_trace(small_cnn, cp.v)
         for idx in [(0, 1, 1), (1, 2, 3), (2, 4, 4)]:
             res = extract_feature(oracle, small_cnn, cp, 2, [idx], cfg)
             assert abs(res.value - tr.y[2][idx]) <= cfg.eta_tol + 5e-11
+
+
+def test_extract_feature_requires_linearized_base(small_cnn):
+    """The one-probe bisection reads a later kink when a downstream ReLU is
+    left off, so a critical point without those shifts is refused before
+    any scan query."""
+    oracle = OracleHandle.in_process(small_cnn)
+    rng = np.random.default_rng(3)
+    cp = search_critical(oracle, QueryInput(rng.standard_normal((2, 5, 5))), CFG, rng)
+    before = oracle.count
+    with pytest.raises(sx.ExtractionError, match="downstream of layer 2"):
+        extract_feature(oracle, small_cnn, cp, 2, [(0, 1, 1)], CFG)
+    pool = random_model("conv3x3x3-mpr2s1-fc6-r-fc3", (2, 4, 4), seed=21)
+    with pytest.raises(sx.ExtractionError, match="downstream of layer 2"):
+        extract_feature_maxpool(oracle, pool, QueryInput(np.zeros((2, 4, 4))), 2, (1, 2, 2), CFG, rng)
+    assert oracle.count == before
 
 
 def test_safe_error_cancellation(small_cnn):
@@ -219,6 +240,32 @@ def test_safe_error_cancellation(small_cnn):
                 continue
             assert np.abs(shifted.values[lid] - base.values[lid]).max() <= 1e-12
         assert np.abs(shifted.logits - base.logits).max() <= 1e-12
+
+
+@pytest.mark.parametrize("feature", [0, 1])
+@pytest.mark.parametrize("step", [1e-3, 0.1, 0.75])
+def test_flip_point_bisects_with_one_query_per_step(toy_pm1_model, feature, step):
+    """A scan that doubles d times and bisects b times costs 2(d+1) + b
+    queries: every doubling step runs the two-probe test, every bisection
+    midpoint probes only the class whose nudge failed."""
+    oracle = OracleHandle.in_process(toy_pm1_model)
+    cp = _toy_critical_point(toy_pm1_model, oracle)
+    mask = _mask_at((2,), [(feature,)])
+    etas = []
+
+    def at(eta):
+        etas.append(eta)
+        if feature == 0:  # value 1: the paired pre/post scan
+            return cp.v.shifted(ShiftSet({(2, PRE): -eta * mask, (2, POST): eta * mask}))
+        return cp.v.shifted(ShiftSet({(2, PRE): eta * mask}))  # value -1: push it past zero
+
+    before = oracle.count
+    eta = _flip_point(oracle, at, cp.c1, cp.c2, TIE_PROBE, 0.0, step, CFG.eta_max, CFG)
+    assert eta == pytest.approx(1.0, abs=1e-9)
+    tests = next(k for k, e in enumerate(etas) if e != step * 2.0**k)  # doubling points, the flipped one included
+    d, b = tests - 1, len(etas) - tests
+    assert d >= 1 and b >= 30
+    assert oracle.count - before == 2 * (d + 1) + b
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +303,7 @@ def test_extract_feature_maxpool_random_cross_check():
     model = random_model("conv3x3x3-mpr2s1-fc6-r-fc3", (2, 4, 4), seed=21)
     oracle = OracleHandle.in_process(model)
     rng = np.random.default_rng(2)
-    base = QueryInput(np.zeros((2, 4, 4)))
+    base = QueryInput(np.zeros((2, 4, 4))).shifted(_linearize_downstream(model, 2))
     idx = (1, 2, 2)
     assert len(sx.pooled_receivers((3, 4, 4), (2, 2), (1, 1), idx)) > 1
     suppress = np.full((3, 4, 4), -CFG.suppression); suppress[idx] = 0.0

@@ -308,13 +308,14 @@ def test_partial_failure_preserved():
 
 
 def test_query_budget_conv_relu_fc():
-    """Scans that start at the scale they look for keep a conv-ReLU-FC model
-    (the relu-inproc benchmark model) under 125 calls per parameter."""
+    """Scans that start at the scale they look for and bisect with one
+    query per step keep a conv-ReLU-FC model (the relu-inproc benchmark
+    model) under 75 calls per parameter."""
     arch, shape = "conv2x3x3-r-fc12-r-fc4", (2, 6, 6)
     truth = sx.random_model(arch, shape, seed=3)
     cfg = ExperimentConfig(arch=arch, input_shape=shape, model_seed=3, attack_seed=1)
     report, extracted = run_attack(cfg, truth=truth)
-    assert report.calls_per_param <= 125
+    assert report.calls_per_param <= 75
     assert verify_models(extracted, truth)["pass"]
 
 

@@ -150,3 +150,48 @@ def test_failed_hinted_scan_retries_at_a_fresh_point(monkeypatch):
                           "search", ("scan1", hint), ("scan2", eps)]
     assert (1,) in res.retried and (1,) not in res.dead
     assert abs(res.bias[1] - model.layer(3).bias[1]) <= 1e-9
+
+
+def test_third_class_at_a_bisection_midpoint_retries(monkeypatch):
+    """A third class answered to the one probe of a bisection midpoint fails
+    the scan: the phase searches a fresh critical point, scans the slot
+    again, flags it retried and reads the right value."""
+    model, extract = _relu_layer()
+    events, third, intruders = [], [], []
+    real_flip, real_search = sx_extract._flip_point, sx_extract.search_critical
+
+    def flip_point(oracle, at, c1, c2, eps, lo, step, cap, cfg):
+        events.append("scan")
+        doubled = step  # the next doubling point is lo + doubled, in the search's own arithmetic
+
+        def watched(eta):
+            nonlocal doubled
+            if eta == lo + doubled:
+                doubled *= 2.0
+            elif not intruders:  # the first bisection midpoint
+                events.append("fault")
+                intruders.append(({0, 1, 2} - {c1, c2}).pop())
+                third.append(intruders[0])  # the answer to its probe
+            return at(eta)
+
+        try:
+            return real_flip(oracle, watched, c1, c2, eps, lo, step, cap, cfg)
+        except ScanRetryError as e:
+            events.append(str(e))
+            raise
+
+    def search(*args, **kwargs):
+        events.append("search")
+        return real_search(*args, **kwargs)
+
+    monkeypatch.setattr(sx_extract, "_flip_point", flip_point)
+    monkeypatch.setattr(sx_extract, "search_critical", search)
+    oracle = OracleHandle(lambda q: third.pop() if third else forward_label(model, q),
+                          argmax_id=model.argmax_id, n_classes=model.n_classes)
+    res = extract(oracle)
+    assert res.total_queries == oracle.count
+    assert not third
+    assert events[:6] == ["search", "scan", "fault", f"third class {intruders[0]} intruded on the boundary",
+                          "search", "scan"]
+    assert (0,) in res.retried and (0,) not in res.dead
+    assert abs(res.bias[0] - model.layer(3).bias[0]) <= 1e-9

@@ -14,7 +14,6 @@ from .extract import (
     FeatureResult,
     LayerExtractionResult,
     ScanRetryError,
-    SuppressionFloorError,
     SuppressionPlan,
     conv_injection_pattern,
     default_target_layers,

@@ -78,7 +78,7 @@ class ExtractionError(RuntimeError):
 
 
 class BoundarySearchError(ExtractionError):
-    """No usable class boundary: the pair never swaps within ``eta_max``,
+    """No usable class boundary: the pair never swaps within ``ETA_MAX``,
     or its tie fails the two-probe test."""
 
 
@@ -87,10 +87,6 @@ class DeadFeatureError(ExtractionError):
     ``retried`` is set when an earlier attempt at the feature failed."""
 
     retried = False
-
-
-class SuppressionFloorError(ExtractionError):
-    """The target feature lies below the suppression constant."""
 
 
 class ScanRetryError(ExtractionError):
@@ -111,7 +107,9 @@ class _ScanExhausted(Exception):
 TIE_POLISH_TOL = 1e-13  # a polished tie's logit gap is float noise, not a bias on later scans
 ETA_INITIAL_STEP = 1.024e-5  # first doubling step of scans with no known magnitude
 SIGN_PROBE = 1.0  # a downward shift this large keeps a non-positive feature's point critical
-FEATURE_BOUND = 1e3  # reachable features stay below this in magnitude; suppression keeps a 100x margin
+FEATURE_BOUND = 1e3  # reachable features stay below this in magnitude
+ETA_MAX = 1e4  # bounds every search: no flip below it means a dead feature or an unreachable tie
+SUPPRESSION = 1e6  # pins ReLU outputs and other logits down: 100x FEATURE_BOUND, beyond every search
 
 
 @dataclass(frozen=True)
@@ -121,22 +119,16 @@ class BoundarySearchConfig:
     ``sphere_norm`` is the first logit nudge of every class-tie search, the
     expected logit scale (None means: let the harness calibrate, or fall
     back to 10 on an O(1) logit scale).  ``eta_tol`` is the absolute
-    bisection tolerance of feature scans.  ``eta_max`` bounds every search:
-    a scan passing it flags a dead feature, and a class pair that does not
-    swap below it has no reachable tie.  ``max_retries`` is how often a
-    failed scan is tried again.  ``suppression`` is the large negative
-    constant pinning ReLU outputs and non-competing logits down; it must
-    exceed reachable features by a wide margin, validated against
-    ``FEATURE_BOUND`` (100x margin).  ``max_retries`` is an integer >= 0;
-    every other value is finite and > 0, and ``sphere_norm`` may also be
-    None.
+    bisection tolerance of feature scans.  ``max_retries`` is how often a
+    failed scan is tried again, an integer >= 0; every other value is
+    finite and > 0, and ``sphere_norm`` may also be None.  The search bound
+    and the suppression constant are module constants (``ETA_MAX``,
+    ``SUPPRESSION``).
     """
 
     sphere_norm: float | None = None
     eta_tol: float = 1e-12
-    eta_max: float = 1e4
     max_retries: int = 5
-    suppression: float = 1e6
 
     def __post_init__(self):
         for f in fields(self):
@@ -270,10 +262,10 @@ def _flip_point(
     eps: float,
     lo: float,
     step: float,
-    cap: float,
     cfg: BoundarySearchConfig,
 ) -> float:
-    """Smallest eta > lo at which criticality (probe magnitude eps) breaks.
+    """Smallest eta > lo at which criticality (probe magnitude eps) breaks;
+    ``_ScanExhausted`` when there is none below ``ETA_MAX``.
 
     Doubling expansion from lo + step runs the full two-probe test: it
     raises on a third class or on both probes failing, and its first
@@ -299,7 +291,7 @@ def _flip_point(
             raise ScanRetryError(f"third class {lbl} intruded on the boundary")
         return lbl != failed
 
-    return _find_flip(flipped, lo, step, cap, 0.5 * cfg.eta_tol)
+    return _find_flip(flipped, lo, step, ETA_MAX, 0.5 * cfg.eta_tol)
 
 
 def _scan_boundary(
@@ -312,7 +304,6 @@ def _scan_boundary(
     post_key: tuple[int, str],
     post_mask: np.ndarray,
     cfg: BoundarySearchConfig,
-    cap: float,
     first_step: float | None = None,
 ) -> FeatureResult:
     """Safe-error measurement of the common value behind ``pre_mask``.
@@ -326,8 +317,8 @@ def _scan_boundary(
 
     Each scan starts at the scale it looks for.  Scan 1 doubles from
     ``first_step``, the magnitude of a value measured before, clamped to
-    [``ETA_INITIAL_STEP``, cap] so that the doubling still probes to within a
-    factor of 2 of ``cap``; with no magnitude known it starts at
+    [``ETA_INITIAL_STEP``, ``ETA_MAX``] so that the doubling still probes to
+    within a factor of 2 of ``ETA_MAX``; with no magnitude known it starts at
     ``ETA_INITIAL_STEP``.  Scan 2 starts at the probe lag: its flip lies
     eps/slope beyond eta1, so its first step is eps.  A scan that behaves
     inconsistently raises ``ScanRetryError`` and is retried by the caller.
@@ -342,18 +333,16 @@ def _scan_boundary(
             return base.shifted(ShiftSet({pre_key: eta * pre_mask}))
         return base.shifted(ShiftSet({pre_key: -eta * pre_mask, post_key: eta * post_mask}))
 
-    step = ETA_INITIAL_STEP if first_step is None else min(max(first_step, ETA_INITIAL_STEP), cap)
+    step = ETA_INITIAL_STEP if first_step is None else min(max(first_step, ETA_INITIAL_STEP), ETA_MAX)
     try:
-        eta1 = _flip_point(oracle, at, c1, c2, eps, 0.0, step, cap, cfg)
+        eta1 = _flip_point(oracle, at, c1, c2, eps, 0.0, step, cfg)
     except _ScanExhausted:
         if nonpositive:
-            if cap < cfg.eta_max:
-                raise SuppressionFloorError(f"no flip below the suppression constant {cap}") from None
-            raise DeadFeatureError(f"no flip up to eta_max={cfg.eta_max}") from None
+            raise DeadFeatureError(f"no flip up to ETA_MAX={ETA_MAX}") from None
         raise ScanRetryError("positive-branch scan found no flip") from None
     fallback = sign * eta1
     try:
-        eta2 = _flip_point(oracle, at, c1, c2, 2.0 * eps, eta1, eps, cap, cfg)
+        eta2 = _flip_point(oracle, at, c1, c2, 2.0 * eps, eta1, eps, cfg)
     except _ScanExhausted:
         raise ScanRetryError("confirmation scan found no flip", fallback=fallback) from None
     eta_hat = 2.0 * eta1 - eta2
@@ -384,12 +373,12 @@ def _pair_boundary(
     All other classes are pushed down by the suppression constant so only
     the chosen pair competes, and the label flip in t is a clean scalar
     boundary.  The nudge doubles from ``sphere_norm`` (clamped to
-    ``eta_max``), the expected logit scale, and the flip is bisected to
+    ``ETA_MAX``), the expected logit scale, and the flip is bisected to
     ``TIE_POLISH_TOL``: a wider gap would bias every later scan at the tie
     by gap/slope.  Validated with the two-probe test.
     """
     n = oracle.n_classes
-    suppress = np.full(n, -cfg.suppression)
+    suppress = np.full(n, -SUPPRESSION)
     suppress[c_ref] = 0.0
     suppress[c] = 0.0
     key = (oracle.argmax_id, PRE)
@@ -410,12 +399,12 @@ def _pair_boundary(
     # Negation is exact: both directions probe and stop bit for bit alike.
     l0 = label(0.0)
     direction = 1.0 if l0 == c_ref else -1.0
-    step = min(cfg.resolved().sphere_norm, cfg.eta_max)
+    step = min(cfg.resolved().sphere_norm, ETA_MAX)
     try:
-        s_star = _find_flip(lambda s: label(direction * s) != l0, 0.0, step, cfg.eta_max, TIE_POLISH_TOL)
+        s_star = _find_flip(lambda s: label(direction * s) != l0, 0.0, step, ETA_MAX, TIE_POLISH_TOL)
     except _ScanExhausted:
         raise BoundarySearchError(
-            f"no boundary reachable: classes {c_ref} and {c} never swap within eta_max={cfg.eta_max}"
+            f"no boundary reachable: classes {c_ref} and {c} never swap within ETA_MAX={ETA_MAX}"
         ) from None
     t_star = direction * s_star
     v = at(t_star)
@@ -483,8 +472,7 @@ def extract_feature(
     _require_linearized(skeleton, layer_id, cp.v)
     mask = _mask_at(skeleton.pre_shape(layer_id), beta)
     return _scan_boundary(
-        oracle, cp.v, cp.c1, cp.c2, (layer_id, PRE), mask, (layer_id, POST), mask, cfg, cfg.eta_max,
-        first_step,
+        oracle, cp.v, cp.c1, cp.c2, (layer_id, PRE), mask, (layer_id, POST), mask, cfg, first_step
     )
 
 
@@ -521,19 +509,17 @@ def extract_feature_maxpool(
     receivers = pooled_receivers(in_shape, spec.kernel, spec.stride, index)
     if not receivers:
         raise ExtractionError(f"index {index} feeds no pooled output")
-    suppress = np.full(in_shape, -cfg.suppression)
+    suppress = np.full(in_shape, -SUPPRESSION)
     suppress[index] = 0.0
     base = v0.shifted(ShiftSet({(layer_id, PRE): suppress}))
     pre_mask = _mask_at(in_shape, [index])
     post_mask = _mask_at(out_shape, receivers)
-    cap = min(cfg.eta_max, cfg.suppression)
 
     def attempt(_k: int) -> FeatureResult:
         cp = search_critical(oracle, base, cfg, rng)
         return _scan_boundary(
             oracle, cp.v, cp.c1, cp.c2,
-            (layer_id, PRE), pre_mask, (layer_id, POST), post_mask,
-            cfg, cap, first_step,
+            (layer_id, PRE), pre_mask, (layer_id, POST), post_mask, cfg, first_step,
         )
 
     return _with_retries(attempt, cfg.max_retries)
@@ -568,7 +554,7 @@ def _with_retries(attempt: Callable[[int], FeatureResult], max_retries: int) -> 
 # Input control
 
 
-def zero_input_plan(skeleton: ModelGraph, layer_id: int, cfg: BoundarySearchConfig) -> SuppressionPlan:
+def zero_input_plan(skeleton: ModelGraph, layer_id: int) -> SuppressionPlan:
     """Shifts pinning layer ``layer_id``'s input to exactly zero.
 
     Every non-linear layer feeding the input (both branches of an Add) gets
@@ -577,10 +563,6 @@ def zero_input_plan(skeleton: ModelGraph, layer_id: int, cfg: BoundarySearchConf
     predecessor's post side.  A first layer has no such predecessors and is
     controlled through the model input instead (``input_mode``).
     """
-    if cfg.suppression < 100.0 * FEATURE_BOUND:
-        raise ExtractionError(
-            f"suppression {cfg.suppression} lacks the 100x margin over feature bound {FEATURE_BOUND}"
-        )
     spec = skeleton.layer(layer_id)
     if spec.kind not in (KIND_CONV, KIND_FC):
         raise ExtractionError(f"layer {layer_id} ({spec.kind}) has no parameters to isolate")
@@ -590,7 +572,7 @@ def zero_input_plan(skeleton: ModelGraph, layer_id: int, cfg: BoundarySearchConf
     sources = pred.inputs if pred.kind == KIND_ADD else (pred.id,)
     shifts = ShiftSet()
     for src in sources:
-        shifts = shifts + ShiftSet.constant(src, PRE, skeleton.pre_shape(src), -cfg.suppression)
+        shifts = shifts + ShiftSet.constant(src, PRE, skeleton.pre_shape(src), -SUPPRESSION)
     return SuppressionPlan(shifts, tuple(sources), False)
 
 
@@ -763,7 +745,7 @@ def _extract_layer(
     scans at the magnitude the one before ended with.
     """
     spec = skeleton.layer(layer_id)
-    plan = zero_input_plan(skeleton, layer_id, cfg)
+    plan = zero_input_plan(skeleton, layer_id)
     shape = spec.weight.shape
     res = LayerExtractionResult(
         layer_id=layer_id, kind=spec.kind, bias=np.zeros(shape[0]), weight=np.zeros(shape)
@@ -812,8 +794,9 @@ def extract_conv_layer(
     Weights: per input channel, a periodic pattern of amplitude delta makes
     the aligned output positions hold bias[c] + delta * w[c, c_in, ki, kj],
     one kernel tap each.  Maps too small for the periodic pattern, and
-    maxpool-fed layers (one target index at a time), fall back to a single
-    centered injection whose aligned output position isolates each tap.
+    layers that feed a MaxPoolReLU (whose scans take one target index at a
+    time), fall back to a single centered injection whose aligned output
+    position isolates each tap.
     """
     spec = skeleton.layer(layer_id)
     if spec.kind != KIND_CONV:

@@ -264,12 +264,20 @@ def _extract_one(
     last = skeleton.layer(skeleton.argmax_id).inputs[0]
     if layer_id == last:
         return extract_last_layer(oracle, skeleton, search, rng)
-    kind = skeleton.layer(layer_id).kind
-    if kind == KIND_CONV:
+    if skeleton.layer(layer_id).kind == KIND_CONV:
         return extract_conv_layer(oracle, skeleton, layer_id, search, rng)
-    if kind == KIND_FC:
-        return extract_fc_layer(oracle, skeleton, layer_id, search, rng)
-    raise ValueError(f"layer {layer_id} ({kind}) is not extractable")
+    return extract_fc_layer(oracle, skeleton, layer_id, search, rng)
+
+
+def _check_targets(skeleton: ModelGraph, layers: list[int]) -> None:
+    """Raise one ValueError naming every id in ``layers`` that is unknown,
+    not a Convolution or FullyConnected layer, or listed twice."""
+    kinds = {s.id: s.kind for s in skeleton.topo_order}
+    bad = [f"{l} ({kinds.get(l, 'no such layer')})" for l in dict.fromkeys(layers)
+           if kinds.get(l) not in (KIND_CONV, KIND_FC)]
+    bad += [f"{l} (listed {layers.count(l)} times)" for l in dict.fromkeys(layers) if layers.count(l) > 1]
+    if bad:
+        raise ValueError("layers must be distinct Convolution or FullyConnected ids: " + ", ".join(bad))
 
 
 def run_attack(
@@ -279,7 +287,8 @@ def run_attack(
 
     ``truth`` backs the in-process oracle and, when present, the error
     columns; the extraction itself only ever sees the label oracle and the
-    zero-parameter skeleton.
+    zero-parameter skeleton.  ``cfg.layers`` is checked before the first
+    query (``_check_targets``).
     """
     if cfg.backend == "in-process":
         if truth is None:
@@ -295,10 +304,11 @@ def run_attack(
         backend = RemoteOracle(cfg.endpoint, skeleton)
     else:
         raise ValueError(f"unknown backend {cfg.backend!r}")
+    targets = cfg.layers if cfg.layers is not None else default_target_layers(skeleton)
+    _check_targets(skeleton, targets)
     oracle = OracleHandle(backend, argmax_id=skeleton.argmax_id, n_classes=skeleton.n_classes)
 
     search = replace(cfg.search, sphere_norm=resolve_sphere_norm(cfg, truth))
-    targets = cfg.layers if cfg.layers is not None else default_target_layers(skeleton)
 
     def attack_layer(layer_id: int) -> LayerExtractionResult:
         before = oracle.count

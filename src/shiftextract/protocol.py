@@ -463,12 +463,13 @@ def connect(endpoint: str, timeout: float = 30.0) -> ClientConnection:
 class RemoteOracle:
     """Label backend for OracleHandle that queries a served model.
 
-    Keeps one connection and runs one session per query; on transport
-    failure it drops the connection (the next query reconnects) and raises
-    the retryable TransportError.  Every connection checks the input shape
-    and class count the server announces against ``skeleton``, the
-    architecture the attack assumes, and raises ProtocolError naming both
-    before any session runs.
+    Keeps one connection and runs one session per query.  A session that
+    fails for any reason drops the connection, so the next query reconnects
+    instead of reading the failed session's leftovers; its error is
+    re-raised (TransportError is the retryable one).  Every connection
+    checks the input shape and class count the server announces against
+    ``skeleton``, the architecture the attack assumes, and raises
+    ProtocolError naming both before any session runs.
     """
 
     def __init__(self, endpoint: str, skeleton: ModelGraph, timeout: float = 30.0):
@@ -491,7 +492,7 @@ class RemoteOracle:
             self._conn = conn
         try:
             return self._conn.infer(q.x0, q.shifts)
-        except TransportError:
+        except BaseException:
             self.close()
             raise
 

@@ -98,7 +98,7 @@ def test_criterion_3_residual_path():
     truth = random_model(arch, (2, 6, 6), seed=13)
     add_id = next(s.id for s in truth.topo_order if s.kind == "Add")
     target = next(s.id for s in truth.topo_order if s.inputs and s.inputs[0] == add_id)
-    plan = sx.zero_input_plan(truth.skeleton(), target, BoundarySearchConfig())
+    plan = sx.zero_input_plan(truth.skeleton(), target)
     assert set(plan.sources) == set(truth.layer(add_id).inputs), "plan must cover both branches"
     cfg = ExperimentConfig(arch=arch, input_shape=(2, 6, 6), attack_seed=5, layers=[target])
     report, extracted = run_attack(cfg, truth=truth)

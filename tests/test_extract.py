@@ -31,6 +31,9 @@ from shiftextract import (
     zero_input_plan,
 )
 from shiftextract.extract import (
+    ETA_MAX,
+    FEATURE_BOUND,
+    SUPPRESSION,
     TIE_POLISH_TOL,
     DeadFeatureError,
     _aligned_axis,
@@ -78,7 +81,7 @@ def test_search_critical_ties_a_drawn_pair(arch, model_seed, input_seed, input_s
     assert cp.c1 != cp.c2
     assert abs(logits[cp.c1] - logits[cp.c2]) <= TIE_POLISH_TOL
     others = np.delete(logits, [cp.c1, cp.c2])
-    assert np.all(others <= min(logits[cp.c1], logits[cp.c2]) - CFG.suppression / 2)
+    assert np.all(others <= min(logits[cp.c1], logits[cp.c2]) - SUPPRESSION / 2)
     assert oracle.is_critical(cp.v, cp.c1, cp.c2)
     again = search_critical(OracleHandle.in_process(model), QueryInput(x), CFG, np.random.default_rng(rng_seed))
     assert (again.c1, again.c2) == (cp.c1, cp.c2)
@@ -86,12 +89,12 @@ def test_search_critical_ties_a_drawn_pair(arch, model_seed, input_seed, input_s
 
 
 def test_search_critical_unreachable_boundary(zero3_model):
-    """Logits [10, -10, 0] are at least 10 apart: no pair swaps within eta_max=5."""
+    """Logits [2e4, -2e4, 0] are at least 2e4 apart: no pair swaps within ETA_MAX."""
     biased = zero3_model.with_params(
-        {3: (np.zeros((3, 3)), np.array([10.0, -10.0, 0.0]))}
+        {3: (np.zeros((3, 3)), np.array([2e4, -2e4, 0.0]))}
     )
     oracle = OracleHandle.in_process(biased)
-    cfg = BoundarySearchConfig(sphere_norm=1.0, eta_max=5.0)
+    cfg = BoundarySearchConfig(sphere_norm=1.0)
     for seed in range(6):
         with pytest.raises(BoundarySearchError, match="no boundary reachable"):
             search_critical(oracle, QueryInput(np.zeros(2)), cfg, np.random.default_rng(seed))
@@ -135,9 +138,8 @@ def test_extract_feature_dead():
     shift = np.array([0.0, 2.0])
     v = QueryInput(np.zeros(1), ShiftSet({(4, PRE): shift}))
     cp = CriticalPoint(v=v, c1=0, c2=1)
-    cfg = BoundarySearchConfig(sphere_norm=10.0, eta_max=100.0)
     with pytest.raises(DeadFeatureError):
-        extract_feature(oracle, m, cp, 2, [(1,)], cfg)
+        extract_feature(oracle, m, cp, 2, [(1,)], CFG)
 
 
 def _scaled_toy(b):
@@ -156,7 +158,7 @@ def _scaled_toy(b):
 @given(b=st.floats(1e-3, 1e2), log_factor=st.floats(-6.0, 6.0), feature=st.sampled_from([0, 1]))
 def test_extract_feature_any_start_step_same_value(b, log_factor, feature):
     """Scan 1 may start from any magnitude, 1e-6x to 1e6x the true one (far
-    beyond eta_max too): the value is the default scan's, to eta_tol."""
+    beyond ETA_MAX too): the value is the default scan's, to eta_tol."""
     model = _scaled_toy(b)
     oracle = OracleHandle.in_process(model)
     shift = np.array([0.0, 2.0 * b])  # logits [b, -b] tied
@@ -176,10 +178,9 @@ def test_extract_feature_dead_with_start_step_at_or_above_cap(toy_pm1_model, fac
     m = toy_pm1_model.with_params({3: (np.array([[1.0, 0.0], [-1.0, 0.0]]), np.zeros(2))})
     oracle = OracleHandle.in_process(m)
     cp = _toy_critical_point(m, oracle)
-    cfg = BoundarySearchConfig(sphere_norm=10.0, eta_max=100.0)
     before = oracle.count
     with pytest.raises(DeadFeatureError):
-        extract_feature(oracle, m, cp, 2, [(1,)], cfg, first_step=factor * cfg.eta_max)
+        extract_feature(oracle, m, cp, 2, [(1,)], CFG, first_step=factor * ETA_MAX)
     assert oracle.count - before == 4  # sign probe, then one tie test at the cap
 
 
@@ -260,7 +261,7 @@ def test_flip_point_bisects_with_one_query_per_step(toy_pm1_model, feature, step
         return cp.v.shifted(ShiftSet({(2, PRE): eta * mask}))  # value -1: push it past zero
 
     before = oracle.count
-    eta = _flip_point(oracle, at, cp.c1, cp.c2, TIE_PROBE, 0.0, step, CFG.eta_max, CFG)
+    eta = _flip_point(oracle, at, cp.c1, cp.c2, TIE_PROBE, 0.0, step, CFG)
     assert eta == pytest.approx(1.0, abs=1e-9)
     tests = next(k for k, e in enumerate(etas) if e != step * 2.0**k)  # doubling points, the flipped one included
     d, b = tests - 1, len(etas) - tests
@@ -293,7 +294,7 @@ def test_extract_feature_maxpool_known_value(target):
     base = QueryInput(x)
     res = extract_feature_maxpool(oracle, model, base, 2, (0, 0, 0), CFG, rng)
     # the white-box value under the suppression plan
-    suppress = np.full((1, 2, 2), -CFG.suppression); suppress[0, 0, 0] = 0.0
+    suppress = np.full((1, 2, 2), -SUPPRESSION); suppress[0, 0, 0] = 0.0
     tr = forward_trace(model, base.shifted(ShiftSet({(2, PRE): suppress})))
     assert tr.y[2][0, 0, 0] == pytest.approx(target)
     assert res.value == pytest.approx(target, abs=CFG.eta_tol + 1e-10)
@@ -306,7 +307,7 @@ def test_extract_feature_maxpool_random_cross_check():
     base = QueryInput(np.zeros((2, 4, 4))).shifted(_linearize_downstream(model, 2))
     idx = (1, 2, 2)
     assert len(sx.pooled_receivers((3, 4, 4), (2, 2), (1, 1), idx)) > 1
-    suppress = np.full((3, 4, 4), -CFG.suppression); suppress[idx] = 0.0
+    suppress = np.full((3, 4, 4), -SUPPRESSION); suppress[idx] = 0.0
     tr = forward_trace(model, base.shifted(ShiftSet({(2, PRE): suppress})))
     res = extract_feature_maxpool(oracle, model, base, 2, idx, CFG, rng)
     assert res.value == pytest.approx(tr.y[2][idx], abs=1e-9)
@@ -317,7 +318,7 @@ def test_extract_feature_maxpool_random_cross_check():
 
 
 def test_zero_input_plan_sequential(small_cnn):
-    plan = zero_input_plan(small_cnn.skeleton(), 3, CFG)
+    plan = zero_input_plan(small_cnn.skeleton(), 3)
     assert plan.sources == (2,) and not plan.input_mode
     tr = forward_trace(small_cnn, _controlled_query(small_cnn.skeleton(), plan, None))
     assert np.all(tr.values[2] == 0.0)
@@ -328,21 +329,22 @@ def test_zero_input_plan_residual():
     sk = m.skeleton()
     add_id = next(s.id for s in m.topo_order if s.kind == "Add")
     target = next(s.id for s in m.topo_order if s.inputs and s.inputs[0] == add_id)
-    plan = zero_input_plan(sk, target, CFG)
+    plan = zero_input_plan(sk, target)
     assert set(plan.sources) == set(m.layer(add_id).inputs)
     tr = forward_trace(m, _controlled_query(sk, plan, None))
     assert np.abs(tr.values[add_id]).max() == 0.0
 
 
 def test_zero_input_plan_first_layer(small_cnn):
-    plan = zero_input_plan(small_cnn.skeleton(), 1, CFG)
+    plan = zero_input_plan(small_cnn.skeleton(), 1)
     assert plan.input_mode and plan.sources == ()
 
 
-def test_suppression_margin_validated(small_cnn):
-    cfg = BoundarySearchConfig(sphere_norm=1.0, suppression=10.0)
-    with pytest.raises(sx.ExtractionError):
-        zero_input_plan(small_cnn.skeleton(), 3, cfg)
+def test_suppression_margin_validated():
+    """The magnitude ladder: suppression keeps a 100x margin over reachable
+    features and lies beyond every search, so no scan reaches the floor."""
+    assert 100.0 * FEATURE_BOUND <= SUPPRESSION
+    assert FEATURE_BOUND < ETA_MAX <= SUPPRESSION
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +423,7 @@ def test_gauge_representative_examples():
 def test_extract_fc_zero_input_reads_bias(small_cnn):
     """With the input pinned to zero the extracted vector is the bias."""
     sk = small_cnn.skeleton()
-    plan = zero_input_plan(sk, 3, CFG)
+    plan = zero_input_plan(sk, 3)
     tr = forward_trace(small_cnn, _controlled_query(sk, plan, None))
     assert np.allclose(tr.y[4], small_cnn.layer(3).bias)
 
@@ -429,7 +431,7 @@ def test_extract_fc_zero_input_reads_bias(small_cnn):
 def test_extract_fc_column_linearity(small_cnn):
     """x = amplitude * e_i0 turns output j into bias[j] + amplitude * w[j, i0]."""
     sk = small_cnn.skeleton()
-    plan = zero_input_plan(sk, 3, CFG)
+    plan = zero_input_plan(sk, 3)
     n_in = small_cnn.layer(3).weight.shape[1]
     amp = math.sqrt(n_in / 4.0)
     inject = np.zeros(n_in)
@@ -451,23 +453,21 @@ def test_conv_small_map_single_injection_fallback():
 
 
 def test_suppression_floor_detected():
-    """A target sitting below the suppression constant is reported as such
-    when the scan cap is the constant rather than eta_max."""
+    """A target sitting below the suppression constant needs a push past
+    ``ETA_MAX`` to flip, so it reads as a dead feature."""
     model, x = _crafted_pool_model([[-2e6, -3.0], [0.5, -7.0]])
     oracle = OracleHandle.in_process(model)
-    cfg = BoundarySearchConfig(sphere_norm=10.0, eta_max=1e7, suppression=1e6)
     rng = np.random.default_rng(1)
-    with pytest.raises(sx.SuppressionFloorError):
-        extract_feature_maxpool(oracle, model, QueryInput(x), 2, (0, 0, 0), cfg, rng)
+    with pytest.raises(DeadFeatureError):
+        extract_feature_maxpool(oracle, model, QueryInput(x), 2, (0, 0, 0), CFG, rng)
 
 
 @pytest.mark.parametrize("factor", [1.0, 10.0])
 def test_suppression_floor_detected_with_start_step_at_or_above_cap(factor):
     model, x = _crafted_pool_model([[-2e6, -3.0], [0.5, -7.0]])
-    cfg = BoundarySearchConfig(sphere_norm=10.0, eta_max=1e7, suppression=1e6)
-    with pytest.raises(sx.SuppressionFloorError):
-        extract_feature_maxpool(OracleHandle.in_process(model), model, QueryInput(x), 2, (0, 0, 0), cfg,
-                                np.random.default_rng(1), first_step=factor * cfg.suppression)
+    with pytest.raises(DeadFeatureError):
+        extract_feature_maxpool(OracleHandle.in_process(model), model, QueryInput(x), 2, (0, 0, 0), CFG,
+                                np.random.default_rng(1), first_step=factor * ETA_MAX)
 
 
 def test_extract_conv_fed_by_maxpool():

@@ -7,6 +7,7 @@ import pytest
 import shiftextract as sx
 from shiftextract import ExperimentConfig, run_attack, verify_models
 from shiftextract.cli import main
+from shiftextract.extract import ETA_MAX
 from shiftextract.harness import REFERENCE_CALLS_PER_PARAM
 
 ARCH = "fc8-r-fc4"
@@ -182,8 +183,7 @@ def test_cli_config_file_with_overrides(tmp_path):
     cfg_path.write_text(json.dumps(ExperimentConfig(arch=ARCH, input_shape=SHAPE, attack_seed=1,
                                                     layers=[1]).to_dict()))
     report_path = tmp_path / "report.json"
-    search = {"sphere_norm": 12.5, "eta_tol": 2e-12, "eta_max": 5000.0, "max_retries": 4,
-              "suppression": 2e6}
+    search = {"sphere_norm": 12.5, "eta_tol": 2e-12, "max_retries": 4}
     flags = [s for k, v in search.items() for s in ("--" + k.replace("_", "-"), str(v))]
     assert main(["attack", "--config", str(cfg_path), "--model", str(model_path),
                  "--attack-seed", "3", "--report", str(report_path), *flags]) == 0
@@ -204,7 +204,8 @@ def test_config_unknown_key_named(tmp_path, capsys):
     unknown key's name, at the top level and inside ``search``."""
     with pytest.raises(ValueError, match=r"unknown config key\(s\): parallel$"):
         ExperimentConfig.from_dict({"parallel": False})
-    for dropped, value in (("fc_delta", None), ("probe_eps", 1e-8)):
+    dropped_keys = (("fc_delta", None), ("probe_eps", 1e-8), ("eta_max", 1e4), ("suppression", 1e6))
+    for dropped, value in dropped_keys:
         doc = ExperimentConfig(arch=ARCH, input_shape=SHAPE).to_dict()
         doc["search"][dropped] = value
         with pytest.raises(ValueError, match=rf"unknown config key\(s\): search\.{dropped}$"):
@@ -230,12 +231,12 @@ def test_config_search_values_checked():
         ExperimentConfig.from_dict({"search": {"sphere_norm": True}})
     with pytest.raises(ValueError, match=r"config key search\.max_retries must be an integer, got 5\.0$"):
         ExperimentConfig.from_dict({"search": {"max_retries": 5.0}})
-    cfg = ExperimentConfig.from_dict({"search": {"sphere_norm": None, "eta_max": 10000, "max_retries": 2}})
-    assert cfg.search == sx.BoundarySearchConfig(eta_max=10000, max_retries=2)
+    cfg = ExperimentConfig.from_dict({"search": {"sphere_norm": None, "eta_tol": 1e-11, "max_retries": 2}})
+    assert cfg.search == sx.BoundarySearchConfig(eta_tol=1e-11, max_retries=2)
 
 
 @pytest.mark.parametrize("name, value", [
-    ("eta_tol", float("nan")), ("eta_tol", 0.0), ("eta_max", float("inf")), ("suppression", -1e6),
+    ("eta_tol", float("nan")), ("eta_tol", 0.0),
     ("sphere_norm", -5.0), ("sphere_norm", float("nan")), ("max_retries", -1),
 ])
 def test_search_values_range_checked(name, value, capsys):
@@ -287,16 +288,34 @@ def test_endpoint_backend_equivalence():
         assert np.abs(local.layer(lid).bias - remote.layer(lid).bias).max() <= 1e-6
 
 
+@pytest.mark.parametrize("layers, named", [
+    ([1, 2], r"2 \(ReLU\)$"), ([1, 9], r"9 \(no such layer\)$"), ([1, 1], r"1 \(listed 2 times\)$"),
+], ids=["relu", "unknown", "duplicate"])
+def test_target_layers_checked_before_any_query(monkeypatch, layers, named):
+    """An id that is unknown, names a layer without parameters, or repeats
+    fails the whole run with one ValueError before the first query, instead
+    of losing the layers extracted before it or double-counting one."""
+    import shiftextract.harness as harness
+
+    calls = []
+    monkeypatch.setattr(harness, "forward_label", lambda *a: calls.append(1))
+    truth = sx.random_model("fc4-r-fc3", (3,), seed=1)
+    cfg = ExperimentConfig(arch="fc4-r-fc3", input_shape=(3,), layers=layers)
+    with pytest.raises(ValueError, match=r"^layers must be distinct Convolution or FullyConnected ids: " + named):
+        run_attack(cfg, truth=truth)
+    assert calls == []
+
+
 def test_partial_failure_preserved():
     """A layer whose boundary search cannot succeed is reported, with its
     consumed queries, without aborting the run."""
     truth = sx.random_model(ARCH, SHAPE, seed=4)
     # a huge layer-1 bias spreads the logits at layer 1's zero input beyond
-    # eta_max, while the terminal layer's suppressed base reads its own bias
+    # ETA_MAX, while the terminal layer's suppressed base reads its own bias
     truth = truth.with_params({1: (truth.layer(1).weight, np.full(8, 5e5))})
     cfg = ExperimentConfig(arch=ARCH, input_shape=SHAPE, attack_seed=3)
     logits = sx.forward_trace(truth, sx.QueryInput(np.zeros(SHAPE))).logits
-    assert np.abs(logits[:, None] - logits[None, :])[np.triu_indices(4, 1)].min() > cfg.search.eta_max
+    assert np.abs(logits[:, None] - logits[None, :])[np.triu_indices(4, 1)].min() > ETA_MAX
     report, extracted = run_attack(cfg, truth=truth)
     by_id = {l.layer_id: l for l in report.layers}
     assert "no boundary reachable" in by_id[1].error

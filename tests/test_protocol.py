@@ -12,6 +12,7 @@ from shiftextract import (
     ExperimentConfig,
     ProtocolError,
     QueryInput,
+    RemoteOracle,
     ShiftSet,
     forward_label,
     forward_trace,
@@ -250,6 +251,23 @@ def test_endpoint_attack_checks_the_handshake(monkeypatch, arch, shape, served):
     finally:
         server.stop()
     assert sessions == []
+
+
+def test_failed_session_does_not_poison_the_next_query():
+    """A query the client rejects mid-session leaves the server waiting on
+    that session; the oracle drops the connection, so the next valid query
+    runs on a fresh one and gets the in-process label."""
+    model = random_model("fc4-r-fc3", (3,), seed=1)
+    server = serve(model, seed=1)
+    oracle = RemoteOracle("%s:%d" % server.address, model.skeleton())
+    try:
+        with pytest.raises(ProtocolError, match="pre-shift size mismatch on layer 2"):
+            oracle(QueryInput(np.zeros(3), ShiftSet({(2, PRE): np.zeros(7)})))
+        x = np.random.default_rng(0).standard_normal(3)
+        assert oracle(QueryInput(x)) == forward_label(model, QueryInput(x))
+    finally:
+        oracle.close()
+        server.stop()
 
 
 @pytest.mark.parametrize(

@@ -125,13 +125,13 @@ def test_failed_hinted_scan_retries_at_a_fresh_point(monkeypatch):
     events, third = [], []
     real_flip, real_search = sx_extract._flip_point, sx_extract.search_critical
 
-    def flip_point(oracle, at, c1, c2, eps, lo, step, cap, cfg):
+    def flip_point(oracle, at, c1, c2, eps, lo, step, cfg):
         scan1 = lo == 0.0
         events.append(("scan1" if scan1 else "scan2", step))
         if scan1 and step != sx_extract.ETA_INITIAL_STEP and "fault" not in events:
             events.append("fault")
             third.append(({0, 1, 2} - {c1, c2}).pop())  # the next answer
-        return real_flip(oracle, at, c1, c2, eps, lo, step, cap, cfg)
+        return real_flip(oracle, at, c1, c2, eps, lo, step, cfg)
 
     def search(*args, **kwargs):
         events.append("search")
@@ -160,7 +160,7 @@ def test_third_class_at_a_bisection_midpoint_retries(monkeypatch):
     events, third, intruders = [], [], []
     real_flip, real_search = sx_extract._flip_point, sx_extract.search_critical
 
-    def flip_point(oracle, at, c1, c2, eps, lo, step, cap, cfg):
+    def flip_point(oracle, at, c1, c2, eps, lo, step, cfg):
         events.append("scan")
         doubled = step  # the next doubling point is lo + doubled, in the search's own arithmetic
 
@@ -175,7 +175,7 @@ def test_third_class_at_a_bisection_midpoint_retries(monkeypatch):
             return at(eta)
 
         try:
-            return real_flip(oracle, watched, c1, c2, eps, lo, step, cap, cfg)
+            return real_flip(oracle, watched, c1, c2, eps, lo, step, cfg)
         except ScanRetryError as e:
             events.append(str(e))
             raise

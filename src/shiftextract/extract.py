@@ -43,7 +43,12 @@ exactly while the network stays in one linear piece.
 
 Queries go to the digits a value needs, not to finding its scale: the first
 scan of a feature starts doubling at the magnitude of the last value the
-layer measured, and the confirmation scan at the probe lag eps/slope.
+layer measured, and both scans bisect to a tolerance relative to the value
+they read (``eta_tol``, with ``SCAN_ABS_TOL`` as a floor for readings at or
+near 0), so a scan costs the same number of queries at every scale.  The
+confirmation scan starts at the probe lag eps/slope or at that tolerance,
+whichever is larger.  Class ties are the exception: they are bisected to
+``TIE_POLISH_TOL`` whatever their scale.
 """
 
 from __future__ import annotations
@@ -105,6 +110,7 @@ class _ScanExhausted(Exception):
 
 # Tolerances that no caller tunes.
 TIE_POLISH_TOL = 1e-13  # a polished tie's logit gap is float noise, not a bias on later scans
+SCAN_ABS_TOL = 1e-12  # absolute floor of a feature scan's tolerance: bounds a reading at or near 0
 ETA_INITIAL_STEP = 1.024e-5  # first doubling step of scans with no known magnitude
 SIGN_PROBE = 1.0  # a downward shift this large keeps a non-positive feature's point critical
 FEATURE_BOUND = 1e3  # reachable features stay below this in magnitude
@@ -118,16 +124,17 @@ class BoundarySearchConfig:
 
     ``sphere_norm`` is the first logit nudge of every class-tie search, the
     expected logit scale (None means: let the harness calibrate, or fall
-    back to 10 on an O(1) logit scale).  ``eta_tol`` is the absolute
-    bisection tolerance of feature scans.  ``max_retries`` is how often a
-    failed scan is tried again, an integer >= 0; every other value is
-    finite and > 0, and ``sphere_norm`` may also be None.  The search bound
-    and the suppression constant are module constants (``ETA_MAX``,
-    ``SUPPRESSION``).
+    back to 10 on an O(1) logit scale).  ``eta_tol`` is the relative
+    tolerance of feature scans: a value v is read to within
+    ``max(eta_tol * |v|, SCAN_ABS_TOL)``, and it must lie in (0, 1).
+    ``max_retries`` is how often a failed scan is tried again, an integer
+    >= 0; every other value is finite and > 0, and ``sphere_norm`` may also
+    be None.  The search bound and the suppression constant are module
+    constants (``ETA_MAX``, ``SUPPRESSION``).
     """
 
     sphere_norm: float | None = None
-    eta_tol: float = 1e-12
+    eta_tol: float = 1e-9
     max_retries: int = 5
 
     def __post_init__(self):
@@ -142,6 +149,8 @@ class BoundarySearchConfig:
                 raise ValueError(f"{f.name} must be >= 0, got {v!r}")
             if not integral and not (math.isfinite(v) and v > 0):
                 raise ValueError(f"{f.name} must be finite and > 0, got {v!r}")
+        if self.eta_tol >= 1:  # a relative tolerance this wide skips bisection
+            raise ValueError(f"eta_tol must be < 1, got {self.eta_tol!r}")
 
     def resolved(self) -> "BoundarySearchConfig":
         return self if self.sphere_norm is not None else replace(self, sphere_norm=10.0)
@@ -211,16 +220,17 @@ class LayerExtractionResult:
 
 
 def _find_flip(
-    flipped: Callable[[float], bool], start: float, step: float, cap: float, tol: float
+    flipped: Callable[[float], bool], start: float, step: float, cap: float, tol: float, rel: float = 0.0
 ) -> float:
-    """The point s > ``start`` where ``flipped(s)`` turns true, to ``tol``.
+    """The point s > ``start`` where ``flipped(s)`` turns true, to
+    ``tol`` or ``rel`` times its size, whichever is wider.
 
     The step doubles from ``start`` (probing start + step, start + 2 step,
-    start + 4 step, ...) until the predicate flips; the last unflipped and
-    the first flipped point are then bisected until they lie within ``tol``
-    or float resolution, and their midpoint is returned.  Raises
-    ``_ScanExhausted`` once start + step exceeds ``cap``.  The predicate may
-    raise to abort the search.
+    start + 4 step, ...) until the predicate flips; the last unflipped point
+    lo and the first flipped point hi are then bisected until
+    hi - lo <= max(tol, rel * lo) or they are adjacent floats, and their
+    midpoint is returned.  Raises ``_ScanExhausted`` once start + step
+    exceeds ``cap``.  The predicate may raise to abort the search.
     """
     lo = start
     while True:
@@ -231,7 +241,7 @@ def _find_flip(
             break
         lo = hi
         step *= 2.0
-    while hi - lo > tol:
+    while hi - lo > max(tol, rel * lo):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break  # adjacent floats: no midpoint left to test
@@ -276,8 +286,9 @@ def _flip_point(
     logits is affine, so past the flip the gap between the tied logits
     moves one way and never recrosses zero.  Without that, the gap can bend
     at a downstream kink and a one-sided probe would converge onto the
-    spurious tie there.  The tolerance is half of ``eta_tol`` so that the
-    two-scan extrapolation stays within ``eta_tol``.
+    spurious tie there.  The bisection stops at half the scan tolerance
+    max(``SCAN_ABS_TOL``, ``eta_tol`` * lo), lo being the bracket's lower
+    end, so that the two-scan extrapolation stays within that tolerance.
     """
     failed = None  # the class whose nudge failed first, once doubling has flipped
 
@@ -291,7 +302,7 @@ def _flip_point(
             raise ScanRetryError(f"third class {lbl} intruded on the boundary")
         return lbl != failed
 
-    return _find_flip(flipped, lo, step, ETA_MAX, 0.5 * cfg.eta_tol)
+    return _find_flip(flipped, lo, step, ETA_MAX, 0.5 * SCAN_ABS_TOL, 0.5 * cfg.eta_tol)
 
 
 def _scan_boundary(
@@ -320,8 +331,13 @@ def _scan_boundary(
     [``ETA_INITIAL_STEP``, ``ETA_MAX``] so that the doubling still probes to
     within a factor of 2 of ``ETA_MAX``; with no magnitude known it starts at
     ``ETA_INITIAL_STEP``.  Scan 2 starts at the probe lag: its flip lies
-    eps/slope beyond eta1, so its first step is eps.  A scan that behaves
-    inconsistently raises ``ScanRetryError`` and is retried by the caller.
+    eps/slope beyond eta1, so its first step is eps, or half the scan
+    tolerance at eta1 when that is larger, the bracket its bisection would
+    accept at once.  Both scans bisect to a tolerance relative to the value
+    they read (``_flip_point``), and the scans disagree when their
+    extrapolation lies below zero by more than their gap plus four times
+    that tolerance.  A scan that behaves inconsistently raises
+    ``ScanRetryError`` and is retried by the caller.
     """
     eps = TIE_PROBE
     probe_down = base.shifted(ShiftSet({pre_key: -SIGN_PROBE * pre_mask}))
@@ -341,13 +357,14 @@ def _scan_boundary(
             raise DeadFeatureError(f"no flip up to ETA_MAX={ETA_MAX}") from None
         raise ScanRetryError("positive-branch scan found no flip") from None
     fallback = sign * eta1
+    tol = max(SCAN_ABS_TOL, cfg.eta_tol * eta1)
     try:
-        eta2 = _flip_point(oracle, at, c1, c2, 2.0 * eps, eta1, eps, cfg)
+        eta2 = _flip_point(oracle, at, c1, c2, 2.0 * eps, eta1, max(eps, 0.5 * tol), cfg)
     except _ScanExhausted:
         raise ScanRetryError("confirmation scan found no flip", fallback=fallback) from None
     eta_hat = 2.0 * eta1 - eta2
     gap = eta2 - eta1
-    if eta_hat < -(gap + 4.0 * cfg.eta_tol):
+    if eta_hat < -(gap + 4.0 * tol):
         raise ScanRetryError("scans disagree beyond their own resolution", fallback=fallback)
     return FeatureResult(
         value=sign * eta_hat,

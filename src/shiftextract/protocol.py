@@ -248,13 +248,24 @@ def _serve_session(
     return walk(model, x0, boundary, {})
 
 
+def _log():
+    """The module's logger.  ``logging`` is imported on first use: only a
+    server logs, and the import adds about 5 ms to every import of the
+    package."""
+    import logging
+
+    return logging.getLogger(__name__)
+
+
 class InferenceServer:
     """Socket server running sequential sessions per connection.
 
     Each session draws fresh masks from a seed derived from (server seed,
     connection index, session index), so concurrent connections never share
     mask RNG state.  Masks are uniform in [-mask_bound, mask_bound], so the
-    bound must be finite and non-negative.
+    bound must be finite and non-negative.  ``sessions`` counts the sessions
+    served to the end and ``session_errors`` the connections ended by an
+    error reply, each logged at warning level on the module's logger.
     """
 
     def __init__(self, model: ModelGraph, seed: int = 0, mask_bound: float = DEFAULT_MASK_BOUND):
@@ -271,6 +282,8 @@ class InferenceServer:
         self._conn_counter = 0
         self._conn_lock = threading.Lock()
         self.address: tuple[str, int] | None = None
+        self.sessions = 0
+        self.session_errors = 0
 
     def start(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -319,14 +332,19 @@ class InferenceServer:
                 rng = np.random.default_rng(np.random.SeedSequence((self.seed, conn_idx, session_idx)))
                 _serve_session(self.model, transport, rng, self.mask_bound, first_frame=first)
                 session_idx += 1
-        except TransportError:
-            pass  # client went away
+                with self._conn_lock:
+                    self.sessions += 1
+        except TransportError as e:
+            _log().debug("connection %d closed: %s", conn_idx, e)
         except Exception as e:
+            with self._conn_lock:
+                self.session_errors += 1
+            _log().warning("connection %d ended by a session error: %s", conn_idx, e)
             layer_id = getattr(e, "layer_id", 0)
             try:
                 transport.send_frame(TAG_SESSION_ERROR, layer_id, str(e).encode("utf-8"))
-            except TransportError:
-                pass
+            except TransportError as e2:
+                _log().debug("connection %d closed before its error reply: %s", conn_idx, e2)
         finally:
             with self._conn_lock:
                 self._conns.discard(conn)

@@ -31,8 +31,10 @@ from shiftextract import (
     zero_input_plan,
 )
 from shiftextract.extract import (
+    ETA_INITIAL_STEP,
     ETA_MAX,
     FEATURE_BOUND,
+    SCAN_ABS_TOL,
     SUPPRESSION,
     TIE_POLISH_TOL,
     DeadFeatureError,
@@ -154,23 +156,96 @@ def _scaled_toy(b):
     return ModelGraph(layers, output=4)
 
 
+def _scaled_toy_point(model, b):
+    """The toy's logits [b, -b] tied by adding [0, 2b] at the argmax."""
+    shift = np.array([0.0, 2.0 * b])
+    v = QueryInput(np.zeros(1), ShiftSet({(model.argmax_id, PRE): shift}))
+    return CriticalPoint(v=v, c1=0, c2=1)
+
+
+def _scan_query(cp, mask, paired, etas=None):
+    """A toy scan's query at eta, recorded in ``etas``: the paired pre/post
+    shift that cancels while a positive value exceeds eta, or the upward
+    pre shift that pushes a non-positive value past zero."""
+
+    def at(eta):
+        if etas is not None:
+            etas.append(eta)
+        if paired:
+            return cp.v.shifted(ShiftSet({(2, PRE): -eta * mask, (2, POST): eta * mask}))
+        return cp.v.shifted(ShiftSet({(2, PRE): eta * mask}))
+
+    return at
+
+
 @settings(max_examples=60, deadline=None)
 @given(b=st.floats(1e-3, 1e2), log_factor=st.floats(-6.0, 6.0), feature=st.sampled_from([0, 1]))
 def test_extract_feature_any_start_step_same_value(b, log_factor, feature):
     """Scan 1 may start from any magnitude, 1e-6x to 1e6x the true one (far
-    beyond ETA_MAX too): the value is the default scan's, to eta_tol."""
+    beyond ETA_MAX too): the value is the default scan's, to eta_tol
+    relative to the value."""
     model = _scaled_toy(b)
     oracle = OracleHandle.in_process(model)
-    shift = np.array([0.0, 2.0 * b])  # logits [b, -b] tied
-    v = QueryInput(np.zeros(1), ShiftSet({(model.argmax_id, PRE): shift}))
-    cp = CriticalPoint(v=v, c1=0, c2=1)
+    cp = _scaled_toy_point(model, b)
     truth = forward_trace(model, cp.v).y[2][feature]
     default = extract_feature(oracle, model, cp, 2, [(feature,)], CFG)
     hinted = extract_feature(oracle, model, cp, 2, [(feature,)], CFG, first_step=abs(truth) * 10.0**log_factor)
-    assert abs(default.value - truth) <= CFG.eta_tol
-    assert abs(hinted.value - truth) <= CFG.eta_tol
-    assert abs(hinted.value - default.value) <= CFG.eta_tol
+    assert abs(default.value - truth) <= CFG.eta_tol * abs(truth)
+    assert abs(hinted.value - truth) <= CFG.eta_tol * abs(truth)
+    assert abs(hinted.value - default.value) <= CFG.eta_tol * abs(truth)
     assert hinted.branch == default.branch
+
+
+@settings(max_examples=60, deadline=None)
+@given(b=st.floats(1e-3, 1e2), log_tol=st.integers(-12, -2), feature=st.sampled_from([0, 1]))
+def test_extract_feature_relative_tolerance(b, log_tol, feature):
+    """A value of any magnitude from 1e-3 to 1e2 is read to eta_tol
+    relative to itself, or to the absolute floor where that is wider, up
+    to float noise."""
+    model = _scaled_toy(b)
+    oracle = OracleHandle.in_process(model)
+    cp = _scaled_toy_point(model, b)
+    truth = forward_trace(model, cp.v).y[2][feature]
+    cfg = BoundarySearchConfig(sphere_norm=10.0, eta_tol=10.0**log_tol)
+    res = extract_feature(oracle, model, cp, 2, [(feature,)], cfg)
+    assert abs(res.value - truth) <= max(cfg.eta_tol * abs(truth), SCAN_ABS_TOL) + 8 * np.spacing(abs(truth))
+
+
+@pytest.mark.parametrize("eta_tol", [1e-12, 1e-9, 1e-6, 1e-3])
+@pytest.mark.parametrize("b", [1e-3, 0.37, 1.0, 42.0, 1e2])
+@pytest.mark.parametrize("feature", [0, 1])
+def test_scan_bisection_steps_scale_free(b, eta_tol, feature):
+    """Scan 1 from the default first step bisects at most
+    ceil(log2(1/eta_tol)) + 2 times, whatever the scale of the value."""
+    model = _scaled_toy(b)
+    oracle = OracleHandle.in_process(model)
+    cp = _scaled_toy_point(model, b)
+    cfg = BoundarySearchConfig(sphere_norm=10.0, eta_tol=eta_tol)
+    etas = []
+    at = _scan_query(cp, _mask_at((2,), [(feature,)]), feature == 0, etas)  # values b and -b
+    eta = _flip_point(oracle, at, cp.c1, cp.c2, TIE_PROBE, 0.0, ETA_INITIAL_STEP, cfg)
+    assert abs(eta - b) <= eta_tol * b + 2 * TIE_PROBE  # the flip lags the value by the probe
+    doubling = next(k for k, e in enumerate(etas) if e != ETA_INITIAL_STEP * 2.0**k)  # flipped one included
+    assert len(etas) - doubling <= math.ceil(math.log2(1.0 / eta_tol)) + 2
+
+
+@pytest.mark.parametrize("positive", [True, False])
+def test_zero_value_scan_stops_at_absolute_floor(positive):
+    """A feature whose value is 0.0 flips at the first doubling step, so
+    its bracket's lower end stays at 0 and only the absolute floor
+    ``SCAN_ABS_TOL`` stops the bisection: both scan forms end within a
+    bounded number of queries, and the feature reads 0 to that floor."""
+    model = _scaled_toy(0.0)
+    oracle = OracleHandle.in_process(model)
+    cp = _scaled_toy_point(model, 0.0)
+    at = _scan_query(cp, _mask_at((2,), [(0,)]), positive)
+    bisections = math.ceil(math.log2(ETA_INITIAL_STEP / (0.5 * SCAN_ABS_TOL)))
+    before = oracle.count
+    eta = _flip_point(oracle, at, cp.c1, cp.c2, TIE_PROBE, 0.0, ETA_INITIAL_STEP, CFG)
+    assert 0.0 < eta <= 2 * TIE_PROBE
+    assert oracle.count - before <= 2 + bisections
+    res = extract_feature(oracle, model, cp, 2, [(0,)], CFG)
+    assert abs(res.value) <= SCAN_ABS_TOL
 
 
 @pytest.mark.parametrize("factor", [1.0, 10.0])
@@ -198,7 +273,7 @@ def test_boundary_correctness_invariant(small_cnn):
         tr = forward_trace(small_cnn, cp.v)
         for idx in [(0, 1, 1), (1, 2, 3), (2, 4, 4)]:
             res = extract_feature(oracle, small_cnn, cp, 2, [idx], cfg)
-            assert abs(res.value - tr.y[2][idx]) <= cfg.eta_tol + 5e-11
+            assert abs(res.value - tr.y[2][idx]) <= cfg.eta_tol * abs(tr.y[2][idx]) + 5e-11
 
 
 def test_extract_feature_requires_linearized_base(small_cnn):
@@ -251,15 +326,8 @@ def test_flip_point_bisects_with_one_query_per_step(toy_pm1_model, feature, step
     midpoint probes only the class whose nudge failed."""
     oracle = OracleHandle.in_process(toy_pm1_model)
     cp = _toy_critical_point(toy_pm1_model, oracle)
-    mask = _mask_at((2,), [(feature,)])
     etas = []
-
-    def at(eta):
-        etas.append(eta)
-        if feature == 0:  # value 1: the paired pre/post scan
-            return cp.v.shifted(ShiftSet({(2, PRE): -eta * mask, (2, POST): eta * mask}))
-        return cp.v.shifted(ShiftSet({(2, PRE): eta * mask}))  # value -1: push it past zero
-
+    at = _scan_query(cp, _mask_at((2,), [(feature,)]), feature == 0, etas)  # values 1 and -1
     before = oracle.count
     eta = _flip_point(oracle, at, cp.c1, cp.c2, TIE_PROBE, 0.0, step, CFG)
     assert eta == pytest.approx(1.0, abs=1e-9)
@@ -297,7 +365,7 @@ def test_extract_feature_maxpool_known_value(target):
     suppress = np.full((1, 2, 2), -SUPPRESSION); suppress[0, 0, 0] = 0.0
     tr = forward_trace(model, base.shifted(ShiftSet({(2, PRE): suppress})))
     assert tr.y[2][0, 0, 0] == pytest.approx(target)
-    assert res.value == pytest.approx(target, abs=CFG.eta_tol + 1e-10)
+    assert res.value == pytest.approx(target, abs=CFG.eta_tol * abs(target) + 1e-10)
 
 
 def test_extract_feature_maxpool_random_cross_check():

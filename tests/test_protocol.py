@@ -391,3 +391,32 @@ def test_stop_returns_promptly(pool_model, idle_connection):
             conn.close()
     assert elapsed < 0.2
     assert [t for t in threading.enumerate() if t not in before and t.is_alive()] == []
+
+
+def test_server_counts_sessions_and_errors(pool_model, caplog):
+    """Three sessions served to the end and one rejected frame show in the
+    server's counters; the rejection is logged at warning level, a client
+    that goes away at debug level."""
+    import logging
+
+    caplog.set_level(logging.DEBUG, logger="shiftextract.protocol")
+    server = serve(pool_model, seed=0)
+    host, port = server.address
+    try:
+        conn = ClientConnection(host, port)
+        x = np.ones((2, 4, 4))
+        for _ in range(3):
+            assert conn.infer(x) == forward_label(pool_model, QueryInput(x))
+        conn.close()
+        raw = socket.create_connection((host, port), timeout=5)
+        t = SocketTransport(raw, timeout=5)
+        t.send_frame(TAG_HELLO, 0, tensor_payload(np.array([float(PROTOCOL_VERSION)])))
+        assert t.recv_frame()[0] == TAG_HELLO_ACK
+        t.send_frame(99, 7, b"garbage")
+        assert t.recv_frame()[0] == TAG_SESSION_ERROR
+        t.close()
+    finally:
+        server.stop()  # joins the connection threads, so the counts are final
+    assert (server.sessions, server.session_errors) == (3, 1)
+    levels = {r.levelno for r in caplog.records if r.name == "shiftextract.protocol"}
+    assert levels == {logging.DEBUG, logging.WARNING}

@@ -122,12 +122,14 @@ def test_failed_hinted_scan_retries_at_a_fresh_point(monkeypatch):
     critical point and scans again from the same magnitude, and the slot is
     flagged retried."""
     model, extract = _relu_layer()
-    events, third = [], []
+    events, third, eta1s = [], [], []
     real_flip, real_search = sx_extract._flip_point, sx_extract.search_critical
 
     def flip_point(oracle, at, c1, c2, eps, lo, step, cfg):
         scan1 = lo == 0.0
         events.append(("scan1" if scan1 else "scan2", step))
+        if not scan1:
+            eta1s.append(lo)
         if scan1 and step != sx_extract.ETA_INITIAL_STEP and "fault" not in events:
             events.append("fault")
             third.append(({0, 1, 2} - {c1, c2}).pop())  # the next answer
@@ -144,10 +146,14 @@ def test_failed_hinted_scan_retries_at_a_fresh_point(monkeypatch):
     res = extract(oracle)
     assert res.total_queries == oracle.count
     # the first target has no magnitude yet; the second starts from its value
-    default, eps = sx_extract.ETA_INITIAL_STEP, TIE_PROBE
+    # scan 2 starts at the probe lag at slope 1, or at half its tolerance
+    # at eta1 when that is larger: bias 0 (0.0039) is below the crossover
+    # TIE_PROBE / (0.5 * eta_tol) = 0.02, bias 1 (0.057) above it
+    default, eps, lag_tol = sx_extract.ETA_INITIAL_STEP, TIE_PROBE, 0.5 * CFG.eta_tol * eta1s[1]
+    assert lag_tol > eps
     hint = abs(res.bias[0])
     assert events[:8] == ["search", ("scan1", default), ("scan2", eps), ("scan1", hint), "fault",
-                          "search", ("scan1", hint), ("scan2", eps)]
+                          "search", ("scan1", hint), ("scan2", lag_tol)]
     assert (1,) in res.retried and (1,) not in res.dead
     assert abs(res.bias[1] - model.layer(3).bias[1]) <= 1e-9
 

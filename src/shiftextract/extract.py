@@ -5,34 +5,40 @@ oracle.  It pins the service to a decision boundary between two classes
 (``search_critical``): the client's share of the Argmax input is malleable
 like any other, so pushing every other logit down and nudging one logit of
 the pair ties them in a one-dimensional search.  It then measures hidden
-pre-activation values one at a time: a shift pattern is injected that
-cancels exactly while the hidden value is on one side of zero, and the
-scalar magnitude at which the cancellation stops is located by doubling and
-bisection (``extract_feature``).  Layer drivers steer what the hidden values
-are: suppressing all upstream activations pins a layer's input to zero so
-its biases appear directly, injected test patterns turn individual weights
-into measurable features, and switching on every downstream ReLU makes the
-network between a feature and the logits affine.
+pre-activation values one at a time out of a silenced boundary: every
+input of the ReLU (or MaxPoolReLU) after the layer is pushed down by the
+suppression constant, so the boundary outputs 0 and the tie does not see
+the layer at all.  A scan releases its target, shifts it by a scalar, and
+locates the shift at which its output starts to move the tied logits
+(``extract_feature``, ``extract_feature_maxpool``).  Layer drivers steer
+what the hidden values are: suppressing all upstream activations pins a
+layer's input to zero so its biases appear directly, injected test
+patterns turn individual weights into measurable features, and switching
+on every downstream ReLU makes the network between a feature and the
+logits affine.
 
 Every scalar search of the attack (the flip of a feature scan, the class tie
 behind a critical point or a terminal class pair) is one primitive,
 ``_find_flip``: double a step until a predicate flips, then bisect the last
 bracket.  Every tie test nudges a logit by the oracle's ``TIE_PROBE`` (or
-twice that).  A feature scan doubles on the two-probe tie test and bisects
-with one probe per step (``_flip_point``), which is sound only while the
-network between the feature and the logits is affine: ``extract_feature``
-and ``extract_feature_maxpool`` refuse a base that does not switch on every
-downstream ReLU (``_linearize_downstream``).  A scan that behaves
-inconsistently is repeated from a fresh critical point by
-``_with_retries``, the attack's one retry loop, which falls back to the
-last uncorrected estimate when every attempt fails.
+twice that).  A feature scan probes one class per step once it knows which
+class's nudge fails (``_flip_point``), which is sound only while the
+network between the feature and the logits is affine: the scans refuse a
+base that does not carry the silenced boundary and the switched-on
+downstream (``_phase_base``).  A scan that behaves inconsistently is
+repeated from a fresh critical point by ``_with_retries``, the attack's one
+retry loop, which falls back to the last uncorrected estimate when every
+attempt fails.
 Convolution and fully-connected layers share one driver (``_extract_layer``)
-and one phase runner (``_run_phase``): a phase searches one critical point,
-measures each of its targets, and records dead and retried slots.  The
-terminal layer is a fully-connected layer like any other, except that its
-one consumer is the Argmax: its phases read class-pair ties
-(``_pair_boundary``) instead of feature scans, and its result is fixed up
-to the gauge of those ties.
+and one phase runner (``_run_phase``): a phase ties one critical point,
+measures each of its targets there, and records dead and retried slots.
+Since the tie does not see the silenced boundary, each phase ties its
+point again from the one before (``search_critical``'s hint), which costs
+about four queries while the injection reaches the logits only through the
+boundary: a layer draws one class pair.  The terminal layer is a
+fully-connected layer like any other, except that its one consumer is the
+Argmax: its phases read class-pair ties (``_pair_boundary``) instead of
+feature scans, and its result is fixed up to the gauge of those ties.
 
 Two systematic error sources are handled explicitly.  Every class tie is
 bisected to float precision, because a residual logit gap biases every
@@ -112,7 +118,6 @@ class _ScanExhausted(Exception):
 TIE_POLISH_TOL = 1e-13  # a polished tie's logit gap is float noise, not a bias on later scans
 SCAN_ABS_TOL = 1e-12  # absolute floor of a feature scan's tolerance: bounds a reading at or near 0
 ETA_INITIAL_STEP = 1.024e-5  # first doubling step of scans with no known magnitude
-SIGN_PROBE = 1.0  # a downward shift this large keeps a non-positive feature's point critical
 FEATURE_BOUND = 1e3  # reachable features stay below this in magnitude
 ETA_MAX = 1e4  # bounds every search: no flip below it means a dead feature or an unreachable tie
 SUPPRESSION = 1e6  # pins ReLU outputs and other logits down: 100x FEATURE_BOUND, beyond every search
@@ -270,106 +275,116 @@ def _flip_point(
     c1: int,
     c2: int,
     eps: float,
-    lo: float,
     step: float,
-    cfg: BoundarySearchConfig,
-) -> float:
-    """Smallest eta > lo at which criticality (probe magnitude eps) breaks;
-    ``_ScanExhausted`` when there is none below ``ETA_MAX``.
+    tol: float,
+    rel: float = 0.0,
+    failed: int | None = None,
+    breaks: bool = True,
+) -> tuple[float, int]:
+    """The point s > 0 at which the tie test at ``at(s)`` (probe magnitude
+    eps) changes its outcome, to ``tol`` or ``rel`` times its size
+    (``_find_flip`` from 0 with ``step``), and the class whose nudge
+    decides it; ``_ScanExhausted`` when there is none below ``ETA_MAX``.
 
-    Doubling expansion from lo + step runs the full two-probe test: it
-    raises on a third class or on both probes failing, and its first
-    failing step names the class whose nudge lost its label.  Bisection
-    then probes only that class, one query per step.  One probe is enough
+    With ``breaks`` the point is critical at s = 0 and the flip is where
+    criticality breaks; otherwise the nudge of ``failed`` fails at s = 0
+    and the flip is where criticality sets in.  While ``failed`` is
+    unknown, doubling runs the full two-probe test: it raises on a third
+    class or on both probes failing, and its first failing step names the
+    class whose nudge lost its label.  Every other step, doubling or
+    bisection, probes only that class: one query.  One probe is enough
     because the caller's base switches on every downstream ReLU
-    (``_require_linearized``): the network between the target and the
-    logits is affine, so past the flip the gap between the tied logits
-    moves one way and never recrosses zero.  Without that, the gap can bend
-    at a downstream kink and a one-sided probe would converge onto the
-    spurious tie there.  The bisection stops at half the scan tolerance
-    max(``SCAN_ABS_TOL``, ``eta_tol`` * lo), lo being the bracket's lower
-    end, so that the two-scan extrapolation stays within that tolerance.
+    (``_require_phase_base``): the network between the target and the
+    logits is affine, so the gap between the tied logits moves one way and
+    never recrosses zero.  Without that, the gap can bend at a downstream
+    kink and a one-sided probe would converge onto the spurious tie there.
     """
-    failed = None  # the class whose nudge failed first, once doubling has flipped
 
-    def flipped(eta: float) -> bool:
+    def flipped(s: float) -> bool:
         nonlocal failed
         if failed is None:
-            failed = _two_probe(oracle, at(eta), c1, c2, eps)
+            failed = _two_probe(oracle, at(s), c1, c2, eps)
             return failed is not None
-        lbl = oracle.query(at(eta).shifted(oracle.class_probe(failed, eps)))
+        lbl = oracle.query(at(s).shifted(oracle.class_probe(failed, eps)))
         if lbl not in (c1, c2):
             raise ScanRetryError(f"third class {lbl} intruded on the boundary")
-        return lbl != failed
+        return (lbl != failed) == breaks
 
-    return _find_flip(flipped, lo, step, ETA_MAX, 0.5 * SCAN_ABS_TOL, 0.5 * cfg.eta_tol)
+    s = _find_flip(flipped, 0.0, step, ETA_MAX, tol, rel)
+    return s, failed
 
 
 def _scan_boundary(
     oracle: OracleHandle,
-    base: QueryInput,
-    c1: int,
-    c2: int,
+    cp: CriticalPoint,
     pre_key: tuple[int, str],
-    pre_mask: np.ndarray,
-    post_key: tuple[int, str],
-    post_mask: np.ndarray,
+    mask: np.ndarray,
     cfg: BoundarySearchConfig,
     first_step: float | None = None,
 ) -> FeatureResult:
-    """Safe-error measurement of the common value behind ``pre_mask``.
+    """Release scan of the common value y behind ``mask`` at the critical
+    point ``cp``, whose base silences the boundary (``_phase_base``).
 
-    Sign probe first: if shifting the targets down by ``SIGN_PROBE`` leaves
-    the point critical, the hidden value is <= 0 and upward pre-shifts stay
-    invisible until they push it past zero.  Otherwise it is positive, and
-    the paired scan (pre -eta, post +eta) cancels until eta exceeds it.
-    Each flip is measured at probe magnitudes eps and 2*eps and extrapolated
-    to cancel the probe lag.
+    The boundary's other entries stay at -``SUPPRESSION``, so their outputs
+    stay 0 and the tie sees the target alone; a released target holds the
+    shift z exactly, and its output relu(y + z) moves the tied logits once
+    it exceeds the probe lag eps/slope.  The sign probe is the tie test at
+    z = 0.  A critical point means y <= 0 (up to the lag): scan 1 shifts
+    the target up until criticality breaks, at z1 = -y + eps/slope.
+    Otherwise y > 0 and the probe names the class whose nudge failed: scan
+    1 shifts the target down until criticality sets in, at
+    z1 = -(y - eps/slope).  Either way scan 2 probes at 2*eps and searches
+    upward from z1 for the lag w2 = eps/slope, and the value is w2 - z1:
+    the lag cancels exactly while the network stays in one linear piece.
+    Scans probe one class per step once the failing class is known
+    (``_flip_point``).
 
     Each scan starts at the scale it looks for.  Scan 1 doubles from
     ``first_step``, the magnitude of a value measured before, clamped to
     [``ETA_INITIAL_STEP``, ``ETA_MAX``] so that the doubling still probes to
     within a factor of 2 of ``ETA_MAX``; with no magnitude known it starts at
-    ``ETA_INITIAL_STEP``.  Scan 2 starts at the probe lag: its flip lies
-    eps/slope beyond eta1, so its first step is eps, or half the scan
-    tolerance at eta1 when that is larger, the bracket its bisection would
-    accept at once.  Both scans bisect to a tolerance relative to the value
-    they read (``_flip_point``), and the scans disagree when their
-    extrapolation lies below zero by more than their gap plus four times
-    that tolerance.  A scan that behaves inconsistently raises
-    ``ScanRetryError`` and is retried by the caller.
+    ``ETA_INITIAL_STEP``.  Scan 1 bisects to ``eta_tol`` relative to |z1|
+    (``SCAN_ABS_TOL`` as its floor), and scan 2 to that tolerance taken at
+    z1, starting at eps or at half that tolerance, whichever is larger.
+    The scans disagree when their value contradicts the sign probe by more
+    than the lag plus four times that tolerance.  A scan that behaves
+    inconsistently raises ``ScanRetryError`` and is retried by the caller.
     """
     eps = TIE_PROBE
-    probe_down = base.shifted(ShiftSet({pre_key: -SIGN_PROBE * pre_mask}))
-    nonpositive = oracle.is_critical(probe_down, c1, c2)
-    sign = -1.0 if nonpositive else 1.0
+    rest = QueryInput(cp.v.x0, ShiftSet({k: a for k, a in cp.v.shifts.entries.items() if k != pre_key}))
 
-    def at(eta: float) -> QueryInput:
-        if nonpositive:
-            return base.shifted(ShiftSet({pre_key: eta * pre_mask}))
-        return base.shifted(ShiftSet({pre_key: -eta * pre_mask, post_key: eta * post_mask}))
+    def at(z: float) -> QueryInput:
+        # written, never added to -SUPPRESSION: a released entry must hold z exactly
+        return rest.shifted(ShiftSet({pre_key: np.where(mask, z, -SUPPRESSION)}))
 
+    failed = _two_probe(oracle, at(0.0), cp.c1, cp.c2, eps)
+    nonpositive = failed is None
+    d = 1.0 if nonpositive else -1.0  # scan 1 moves the target up, or down from a positive value
     step = ETA_INITIAL_STEP if first_step is None else min(max(first_step, ETA_INITIAL_STEP), ETA_MAX)
     try:
-        eta1 = _flip_point(oracle, at, c1, c2, eps, 0.0, step, cfg)
+        s1, failed = _flip_point(
+            oracle, lambda s: at(d * s), cp.c1, cp.c2, eps, step,
+            0.5 * SCAN_ABS_TOL, 0.5 * cfg.eta_tol, failed, breaks=nonpositive,
+        )
     except _ScanExhausted:
         if nonpositive:
             raise DeadFeatureError(f"no flip up to ETA_MAX={ETA_MAX}") from None
         raise ScanRetryError("positive-branch scan found no flip") from None
-    fallback = sign * eta1
-    tol = max(SCAN_ABS_TOL, cfg.eta_tol * eta1)
+    z1 = d * s1
+    tol = max(SCAN_ABS_TOL, cfg.eta_tol * s1)
     try:
-        eta2 = _flip_point(oracle, at, c1, c2, 2.0 * eps, eta1, max(eps, 0.5 * tol), cfg)
+        lag, _ = _flip_point(
+            oracle, lambda w: at(z1 + w), cp.c1, cp.c2, 2.0 * eps, max(eps, 0.5 * tol), 0.5 * tol, failed=failed
+        )
     except _ScanExhausted:
-        raise ScanRetryError("confirmation scan found no flip", fallback=fallback) from None
-    eta_hat = 2.0 * eta1 - eta2
-    gap = eta2 - eta1
-    if eta_hat < -(gap + 4.0 * tol):
-        raise ScanRetryError("scans disagree beyond their own resolution", fallback=fallback)
+        raise ScanRetryError("confirmation scan found no flip", fallback=-z1) from None
+    value = lag - z1
+    if -d * value < -(lag + 4.0 * tol):
+        raise ScanRetryError("scans disagree beyond their own resolution", fallback=-z1)
     return FeatureResult(
-        value=sign * eta_hat,
+        value=value,
         branch="nonpositive" if nonpositive else "positive",
-        slope=eps / gap if gap > 0 else None,
+        slope=eps / lag if lag > 0 else None,
     )
 
 
@@ -383,16 +398,19 @@ def _pair_boundary(
     c_ref: int,
     c: int,
     cfg: BoundarySearchConfig,
+    start: float = 0.0,
+    step: float | None = None,
 ) -> tuple[QueryInput, float]:
     """The query that ties class ``c`` with ``c_ref`` at ``v0``, and the
     shift t on logit ``c`` that it adds.
 
     All other classes are pushed down by the suppression constant so only
     the chosen pair competes, and the label flip in t is a clean scalar
-    boundary.  The nudge doubles from ``sphere_norm`` (clamped to
-    ``ETA_MAX``), the expected logit scale, and the flip is bisected to
-    ``TIE_POLISH_TOL``: a wider gap would bias every later scan at the tie
-    by gap/slope.  Validated with the two-probe test.
+    boundary.  The search starts at t = ``start`` and its nudge doubles
+    from ``step``, by default ``sphere_norm`` (clamped to ``ETA_MAX``), the
+    expected logit scale.  The flip is bisected to ``TIE_POLISH_TOL``: a
+    wider gap would bias every later scan at the tie by gap/slope.
+    Validated with the two-probe test.
     """
     n = oracle.n_classes
     suppress = np.full(n, -SUPPRESSION)
@@ -412,18 +430,20 @@ def _pair_boundary(
         return lbl
 
     # The label is monotone in t since logit c strictly increases, so the
-    # flip is searched in s = |t| on the side that swaps the starting label.
-    # Negation is exact: both directions probe and stop bit for bit alike.
-    l0 = label(0.0)
+    # flip is searched in s = |t - start| on the side that swaps the
+    # starting label.  From start 0, negation is exact: both directions
+    # probe and stop bit for bit alike.
+    l0 = label(start)
     direction = 1.0 if l0 == c_ref else -1.0
-    step = min(cfg.resolved().sphere_norm, ETA_MAX)
+    if step is None:
+        step = min(cfg.resolved().sphere_norm, ETA_MAX)
     try:
-        s_star = _find_flip(lambda s: label(direction * s) != l0, 0.0, step, ETA_MAX, TIE_POLISH_TOL)
+        s_star = _find_flip(lambda s: label(start + direction * s) != l0, 0.0, step, ETA_MAX, TIE_POLISH_TOL)
     except _ScanExhausted:
         raise BoundarySearchError(
             f"no boundary reachable: classes {c_ref} and {c} never swap within ETA_MAX={ETA_MAX}"
         ) from None
-    t_star = direction * s_star
+    t_star = start + direction * s_star
     v = at(t_star)
     if not oracle.is_critical(v, c_ref, c):
         raise BoundarySearchError(f"pair boundary ({c_ref}, {c}) failed validation")
@@ -435,15 +455,28 @@ def search_critical(
     v0: QueryInput,
     cfg: BoundarySearchConfig,
     rng: np.random.Generator,
+    hint: CriticalPoint | None = None,
 ) -> CriticalPoint:
-    """Tie two classes drawn from ``rng`` at ``v0`` (``_pair_boundary``).
+    """Tie two classes at ``v0`` (``_pair_boundary``).
 
     The client malleates the Argmax input like any other boundary, so one
     scalar logit nudge ties any two classes once the others are pushed down.
+    With a ``hint``, the critical point of an earlier base, its pair is
+    tied again starting at its tie shift with a ``TIE_POLISH_TOL`` step: a
+    tie that has not moved costs about four queries, one that has moved
+    (a path around the silenced boundary, or protocol noise) is galloped
+    to.  Two classes drawn from ``rng`` are tied only without a hint, or
+    when the hinted pair fails.
     """
+    if hint is not None:
+        try:
+            v, t = _pair_boundary(oracle, v0, hint.c1, hint.c2, cfg, start=hint.t, step=TIE_POLISH_TOL)
+            return CriticalPoint(v=v, c1=hint.c1, c2=hint.c2, t=t)
+        except BoundarySearchError:
+            pass
     c1, c2 = (int(c) for c in rng.choice(oracle.n_classes, size=2, replace=False))
-    v, _ = _pair_boundary(oracle, v0, c1, c2, cfg)
-    return CriticalPoint(v=v, c1=c1, c2=c2)
+    v, t = _pair_boundary(oracle, v0, c1, c2, cfg)
+    return CriticalPoint(v=v, c1=c1, c2=c2, t=t)
 
 
 # ---------------------------------------------------------------------------
@@ -455,9 +488,9 @@ def _as_index(idx) -> tuple:
 
 
 def _mask_at(shape: tuple[int, ...], indices: Sequence) -> np.ndarray:
-    m = np.zeros(shape)
+    m = np.zeros(shape, dtype=bool)
     for idx in indices:
-        m[_as_index(idx)] = 1.0
+        m[_as_index(idx)] = True
     return m
 
 
@@ -475,71 +508,49 @@ def extract_feature(
     the standalone-ReLU boundary ``layer_id`` at the critical point.
 
     The caller guarantees that all features in ``beta`` hold one common
-    value there; shifting them jointly is a single scalar search.
-    ``first_step`` is the expected magnitude (see ``_scan_boundary``).
-    ``cp.v`` must carry the shifts of ``_linearize_downstream(skeleton,
-    layer_id)``, or ExtractionError is raised before any query: the
-    one-probe bisection of ``_flip_point`` needs an affine downstream.
+    value there; releasing them jointly is a single scalar search
+    (``_scan_boundary``).  ``first_step`` is the expected magnitude.
+    ``cp.v`` must carry ``_phase_base(skeleton, layer_id)``, or
+    ExtractionError is raised before any query.
     """
     spec = skeleton.layer(layer_id)
     if spec.kind != KIND_RELU:
         raise ExtractionError(f"layer {layer_id} is {spec.kind}, not a standalone ReLU boundary")
     if not beta:
         raise ExtractionError("empty target index set")
-    _require_linearized(skeleton, layer_id, cp.v)
+    _require_phase_base(skeleton, layer_id, cp.v)
     mask = _mask_at(skeleton.pre_shape(layer_id), beta)
-    return _scan_boundary(
-        oracle, cp.v, cp.c1, cp.c2, (layer_id, PRE), mask, (layer_id, POST), mask, cfg, first_step
-    )
+    return _scan_boundary(oracle, cp, (layer_id, PRE), mask, cfg, first_step)
 
 
 def extract_feature_maxpool(
     oracle: OracleHandle,
     skeleton: ModelGraph,
-    v0: QueryInput,
+    cp: CriticalPoint,
     layer_id: int,
     index: tuple[int, int, int],
     cfg: BoundarySearchConfig,
-    rng: np.random.Generator,
     *,
     first_step: float | None = None,
 ) -> FeatureResult:
-    """Recover one pre-activation value of a maxpool+ReLU boundary, with
-    the query ``v0`` as the base.
+    """Recover one pre-activation value of a maxpool+ReLU boundary at the
+    critical point.
 
-    All other inputs of the pool are pushed down by the suppression
-    constant, so every pooled output whose window contains ``index`` carries
-    exactly ReLU of the target.  The scan then shifts the target on the
-    pre side and all its receiving outputs jointly on the post side.  The
-    suppression changes the downstream picture, so every attempt searches a
-    fresh class boundary at the logits on top of it.  ``first_step`` is the
-    expected magnitude (see ``_scan_boundary``).  ``v0`` must carry the
-    shifts of ``_linearize_downstream(skeleton, layer_id)``, as in
+    Every other input of the pool stays at -``SUPPRESSION`` (the silenced
+    base), so every pooled output whose window contains ``index`` carries
+    exactly ReLU of the released target, and the scan is the standalone
+    one (``_scan_boundary``).  ``first_step`` is the expected magnitude.
+    ``cp.v`` must carry ``_phase_base(skeleton, layer_id)``, as in
     ``extract_feature``; a downstream maxpool still takes its max there.
     """
     spec = skeleton.layer(layer_id)
     if spec.kind != KIND_MPR:
         raise ExtractionError(f"layer {layer_id} is {spec.kind}, not a maxpool boundary")
-    _require_linearized(skeleton, layer_id, v0)
+    _require_phase_base(skeleton, layer_id, cp.v)
     in_shape = skeleton.pre_shape(layer_id)
-    out_shape = skeleton.out_shape(layer_id)
-    receivers = pooled_receivers(in_shape, spec.kernel, spec.stride, index)
-    if not receivers:
+    if not pooled_receivers(in_shape, spec.kernel, spec.stride, index):
         raise ExtractionError(f"index {index} feeds no pooled output")
-    suppress = np.full(in_shape, -SUPPRESSION)
-    suppress[index] = 0.0
-    base = v0.shifted(ShiftSet({(layer_id, PRE): suppress}))
-    pre_mask = _mask_at(in_shape, [index])
-    post_mask = _mask_at(out_shape, receivers)
-
-    def attempt(_k: int) -> FeatureResult:
-        cp = search_critical(oracle, base, cfg, rng)
-        return _scan_boundary(
-            oracle, cp.v, cp.c1, cp.c2,
-            (layer_id, PRE), pre_mask, (layer_id, POST), post_mask, cfg, first_step,
-        )
-
-    return _with_retries(attempt, cfg.max_retries)
+    return _scan_boundary(oracle, cp, (layer_id, PRE), _mask_at(in_shape, [index]), cfg, first_step)
 
 
 def _with_retries(attempt: Callable[[int], FeatureResult], max_retries: int) -> FeatureResult:
@@ -631,10 +642,27 @@ def _linearize_downstream(skeleton: ModelGraph, boundary_id: int) -> ShiftSet:
     return ShiftSet(entries)
 
 
-def _require_linearized(skeleton: ModelGraph, boundary_id: int, base: QueryInput) -> None:
-    """Raise ExtractionError unless ``base`` shifts every key of
-    ``_linearize_downstream(skeleton, boundary_id)``, the precondition of
-    the one-probe bisection in ``_flip_point``."""
+def _phase_base(skeleton: ModelGraph, boundary_id: int) -> ShiftSet:
+    """The shifts every phase base carries at a ReLU or MaxPoolReLU
+    boundary: -``SUPPRESSION`` on its pre side, so that every output of the
+    boundary is 0, plus ``_linearize_downstream``.
+
+    The logits at such a base do not see the boundary's inputs, so a class
+    tie made there holds for every target of the phase, and for every
+    phase whose injection reaches the logits only through the boundary.
+    """
+    silence = ShiftSet.constant(boundary_id, PRE, skeleton.pre_shape(boundary_id), -SUPPRESSION)
+    return silence + _linearize_downstream(skeleton, boundary_id)
+
+
+def _require_phase_base(skeleton: ModelGraph, boundary_id: int, base: QueryInput) -> None:
+    """Raise ExtractionError unless ``base`` carries ``_phase_base(skeleton,
+    boundary_id)``: a release scan needs the boundary silenced around its
+    target, and the one-probe steps of ``_flip_point`` need an affine
+    downstream."""
+    silence = base.shifts.get(boundary_id, PRE)
+    if silence is None or not np.all(silence == -SUPPRESSION):
+        raise ExtractionError(f"base does not silence boundary {boundary_id}")
     missing = _linearize_downstream(skeleton, boundary_id).entries.keys() - base.shifts.entries.keys()
     if missing:
         keys = ", ".join(f"{lid}:{side}" for lid, side in sorted(missing))
@@ -686,16 +714,17 @@ def _run_phase(
     cfg: BoundarySearchConfig,
     rng: np.random.Generator,
     scale: float | None = None,
-) -> float | None:
+    hint: CriticalPoint | None = None,
+) -> tuple[float | None, CriticalPoint | None]:
     """Measure every ``(slot, target)`` of one phase into ``values[slot]``.
 
-    A standalone-ReLU successor scans every target at one critical point,
-    searched from ``v0``, and a failed scan rebuilds it (the rebuilt point
-    serves the later targets too).  A maxpool successor searches its own
-    point per attempt on top of its suppression, so the phase searches
-    none.  Each scan 1 starts at ``scale``, the magnitude of the last value
-    measured (None: nothing measured yet), and the phase returns the
-    magnitude it ends with.  A dead feature reads 0.0 and is listed in
+    A ReLU or maxpool successor scans every target at one critical point,
+    tied at ``v0`` from ``hint``, the point the phase before ended with
+    (``search_critical``).  A failed scan rebuilds it from a fresh pair,
+    and the rebuilt point serves the later targets too.  Each scan 1 starts
+    at ``scale``, the magnitude of the last value measured (None: nothing
+    measured yet), and the phase returns the magnitude and the critical
+    point it ends with.  A dead feature reads 0.0 and is listed in
     ``flags.dead``; a feature whose scan needed another attempt is listed in
     ``flags.retried`` and reads the successful value, the fallback, or 0.0.
     An Argmax successor's targets are classes: each reads the negated shift
@@ -706,25 +735,19 @@ def _run_phase(
     if succ.kind == KIND_ARGMAX:
         for slot, c in targets:
             values[slot] = -_pair_boundary(oracle, v0, 0, c, cfg)[1]
-        return scale
-    maxpool = succ.kind == KIND_MPR
+        return scale, None
+    scan = extract_feature_maxpool if succ.kind == KIND_MPR else extract_feature
+    cp = search_critical(oracle, v0, cfg, rng, hint)
 
-    def search() -> CriticalPoint:
-        return search_critical(oracle, v0, cfg, rng)
+    def attempt(k: int) -> FeatureResult:
+        nonlocal cp
+        if k > 0:
+            cp = search_critical(oracle, v0, cfg, rng)
+        return scan(oracle, skeleton, cp, succ.id, target, cfg, first_step=scale)
 
-    cp = None if maxpool else search()
     for slot, target in targets:
         try:
-            if maxpool:
-                res = extract_feature_maxpool(oracle, skeleton, v0, succ.id, target, cfg, rng, first_step=scale)
-            else:
-                def attempt(k: int) -> FeatureResult:
-                    nonlocal cp
-                    if k > 0:
-                        cp = search()
-                    return extract_feature(oracle, skeleton, cp, succ.id, target, cfg, first_step=scale)
-
-                res = _with_retries(attempt, cfg.max_retries)
+            res = _with_retries(attempt, cfg.max_retries)
             value, retried = res.value, res.retried
             if res.branch != "fallback" and value != 0.0:
                 scale = abs(value)
@@ -736,7 +759,7 @@ def _run_phase(
         if retried:
             flags.retried.append(slot)
         values[slot] = value
-    return scale
+    return scale, cp
 
 
 def _extract_layer(
@@ -757,9 +780,12 @@ def _extract_layer(
     ``(slot, beta)`` reads bias[slot].  Each weight phase is a pair
     ``(inject, targets)``: with the input set to ``inject``, a target reads
     bias[c] + amplitude * weight[slot] for its output channel c = slot[0].
-    Every phase's base query also switches on the ReLUs downstream of the
-    successor boundary (``_linearize_downstream``).  Each phase starts its
-    scans at the magnitude the one before ended with.
+    A ReLU or maxpool successor is silenced in every phase's base query,
+    and the ReLUs downstream of it are switched on (``_phase_base``); the
+    Argmax is left alone.  Each phase starts its scans at the magnitude the
+    one before ended with, and ties its critical point from the one before
+    (``search_critical``): the layer draws one fresh class pair unless a
+    scan fails.
     """
     spec = skeleton.layer(layer_id)
     plan = zero_input_plan(skeleton, layer_id)
@@ -767,14 +793,14 @@ def _extract_layer(
     res = LayerExtractionResult(
         layer_id=layer_id, kind=spec.kind, bias=np.zeros(shape[0]), weight=np.zeros(shape)
     )
-    linear = _linearize_downstream(skeleton, succ.id)
+    base = ShiftSet() if succ.kind == KIND_ARGMAX else _phase_base(skeleton, succ.id)
     t0 = oracle.count
-    v0 = _controlled_query(skeleton, plan, None).shifted(linear)
-    scale = _run_phase(oracle, skeleton, succ, v0, bias_targets, res.bias, res, cfg, rng)
+    v0 = _controlled_query(skeleton, plan, None).shifted(base)
+    scale, cp = _run_phase(oracle, skeleton, succ, v0, bias_targets, res.bias, res, cfg, rng)
     t1 = oracle.count
     for inject, targets in weight_phases:
-        v0 = _controlled_query(skeleton, plan, inject).shifted(linear)
-        scale = _run_phase(oracle, skeleton, succ, v0, targets, res.weight, res, cfg, rng, scale)
+        v0 = _controlled_query(skeleton, plan, inject).shifted(base)
+        scale, cp = _run_phase(oracle, skeleton, succ, v0, targets, res.weight, res, cfg, rng, scale, cp)
     res.bias_queries, res.weight_queries = t1 - t0, oracle.count - t1
     # the weight phases stored raw readings bias[c] + amplitude * weight
     bias = res.bias.reshape((-1,) + (1,) * (len(shape) - 1))

@@ -80,11 +80,13 @@ class CriticalPoint:
     """A query pinned to the decision boundary between classes c1 and c2.
 
     ``v`` is the full query: the base plus the Argmax-input shift that
-    pushes every other class down and nudges the pair into a tie.  The
-    constructor trusts the caller: the search validates criticality with
-    the two-probe test before building one.
+    pushes every other class down and nudges the pair into a tie.  ``t`` is
+    that nudge, the shift on logit c2, from which the tie of a later base
+    is searched.  The constructor trusts the caller: the search validates
+    criticality with the two-probe test before building one.
     """
 
     v: QueryInput
     c1: int
     c2: int
+    t: float

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shiftextract as sx
+import shiftextract.extract as sx_extract
 from shiftextract import (
     KIND_ARGMAX,
     KIND_INPUT,
@@ -43,6 +44,8 @@ from shiftextract.extract import (
     _flip_point,
     _linearize_downstream,
     _mask_at,
+    _phase_base,
+    _two_probe,
     conv_injection_pattern,
 )
 from shiftextract.harness import gauge_fix
@@ -52,12 +55,23 @@ from conftest import fc_layer
 CFG = BoundarySearchConfig(sphere_norm=10.0)
 
 
+def _silenced_point(model):
+    """A toy's critical point: its ReLU boundary 2 silenced, so its logits
+    tie at [0, 0] with no nudge, whatever its parameters."""
+    return CriticalPoint(v=QueryInput(np.zeros(1)).shifted(_phase_base(model, 2)), c1=0, c2=1, t=0.0)
+
+
 def _toy_critical_point(model, oracle):
-    """Tie the toy model's logits [1, -1] by adding [0, 2] at the argmax."""
-    shift = np.array([0.0, 2.0])
-    v = QueryInput(np.zeros(1), ShiftSet({(model.argmax_id, PRE): shift}))
-    assert oracle.is_critical(v, 0, 1)
-    return CriticalPoint(v=v, c1=0, c2=1)
+    cp = _silenced_point(model)
+    assert oracle.is_critical(cp.v, 0, 1)
+    return cp
+
+
+def _phase_point(model, oracle, x, rng):
+    """A critical point searched on the base every phase at boundary 2
+    uses (``_phase_base``), and that base."""
+    base = QueryInput(x).shifted(_phase_base(model, 2))
+    return search_critical(oracle, base, CFG, rng), base
 
 
 # ---------------------------------------------------------------------------
@@ -137,11 +151,8 @@ def test_extract_feature_dead():
     ]
     m = ModelGraph(layers, output=4)
     oracle = OracleHandle.in_process(m)
-    shift = np.array([0.0, 2.0])
-    v = QueryInput(np.zeros(1), ShiftSet({(4, PRE): shift}))
-    cp = CriticalPoint(v=v, c1=0, c2=1)
     with pytest.raises(DeadFeatureError):
-        extract_feature(oracle, m, cp, 2, [(1,)], CFG)
+        extract_feature(oracle, m, _silenced_point(m), 2, [(1,)], CFG)
 
 
 def _scaled_toy(b):
@@ -156,26 +167,26 @@ def _scaled_toy(b):
     return ModelGraph(layers, output=4)
 
 
-def _scaled_toy_point(model, b):
-    """The toy's logits [b, -b] tied by adding [0, 2b] at the argmax."""
-    shift = np.array([0.0, 2.0 * b])
-    v = QueryInput(np.zeros(1), ShiftSet({(model.argmax_id, PRE): shift}))
-    return CriticalPoint(v=v, c1=0, c2=1)
+def _scan_query(mask, down, etas=None):
+    """A toy scan's query at s, recorded in ``etas``: the target released
+    with the shift -s (down, the form a positive value takes) or +s (up, a
+    non-positive one), every other entry of boundary 2 silenced."""
 
-
-def _scan_query(cp, mask, paired, etas=None):
-    """A toy scan's query at eta, recorded in ``etas``: the paired pre/post
-    shift that cancels while a positive value exceeds eta, or the upward
-    pre shift that pushes a non-positive value past zero."""
-
-    def at(eta):
+    def at(s):
         if etas is not None:
-            etas.append(eta)
-        if paired:
-            return cp.v.shifted(ShiftSet({(2, PRE): -eta * mask, (2, POST): eta * mask}))
-        return cp.v.shifted(ShiftSet({(2, PRE): eta * mask}))
+            etas.append(s)
+        return QueryInput(np.zeros(1), ShiftSet({(2, PRE): np.where(mask, -s if down else s, -SUPPRESSION)}))
 
     return at
+
+
+def _scan_1(oracle, at, step, eta_tol):
+    """Scan 1 of ``_scan_boundary`` on a toy: sign probe, then the flip.
+    ``at`` is recorded from the flip search on."""
+    failed = _two_probe(oracle, at(0.0), 0, 1, TIE_PROBE)
+    return failed, lambda: _flip_point(
+        oracle, at, 0, 1, TIE_PROBE, step, 0.5 * SCAN_ABS_TOL, 0.5 * eta_tol, failed, breaks=failed is None
+    )[0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -186,7 +197,7 @@ def test_extract_feature_any_start_step_same_value(b, log_factor, feature):
     relative to the value."""
     model = _scaled_toy(b)
     oracle = OracleHandle.in_process(model)
-    cp = _scaled_toy_point(model, b)
+    cp = _silenced_point(model)
     truth = forward_trace(model, cp.v).y[2][feature]
     default = extract_feature(oracle, model, cp, 2, [(feature,)], CFG)
     hinted = extract_feature(oracle, model, cp, 2, [(feature,)], CFG, first_step=abs(truth) * 10.0**log_factor)
@@ -204,7 +215,7 @@ def test_extract_feature_relative_tolerance(b, log_tol, feature):
     to float noise."""
     model = _scaled_toy(b)
     oracle = OracleHandle.in_process(model)
-    cp = _scaled_toy_point(model, b)
+    cp = _silenced_point(model)
     truth = forward_trace(model, cp.v).y[2][feature]
     cfg = BoundarySearchConfig(sphere_norm=10.0, eta_tol=10.0**log_tol)
     res = extract_feature(oracle, model, cp, 2, [(feature,)], cfg)
@@ -217,13 +228,12 @@ def test_extract_feature_relative_tolerance(b, log_tol, feature):
 def test_scan_bisection_steps_scale_free(b, eta_tol, feature):
     """Scan 1 from the default first step bisects at most
     ceil(log2(1/eta_tol)) + 2 times, whatever the scale of the value."""
-    model = _scaled_toy(b)
-    oracle = OracleHandle.in_process(model)
-    cp = _scaled_toy_point(model, b)
-    cfg = BoundarySearchConfig(sphere_norm=10.0, eta_tol=eta_tol)
+    oracle = OracleHandle.in_process(_scaled_toy(b))
     etas = []
-    at = _scan_query(cp, _mask_at((2,), [(feature,)]), feature == 0, etas)  # values b and -b
-    eta = _flip_point(oracle, at, cp.c1, cp.c2, TIE_PROBE, 0.0, ETA_INITIAL_STEP, cfg)
+    at = _scan_query(_mask_at((2,), [(feature,)]), feature == 0, etas)  # values b and -b
+    _, flip = _scan_1(oracle, at, ETA_INITIAL_STEP, eta_tol)
+    etas.clear()
+    eta = flip()
     assert abs(eta - b) <= eta_tol * b + 2 * TIE_PROBE  # the flip lags the value by the probe
     doubling = next(k for k, e in enumerate(etas) if e != ETA_INITIAL_STEP * 2.0**k)  # flipped one included
     assert len(etas) - doubling <= math.ceil(math.log2(1.0 / eta_tol)) + 2
@@ -237,15 +247,54 @@ def test_zero_value_scan_stops_at_absolute_floor(positive):
     bounded number of queries, and the feature reads 0 to that floor."""
     model = _scaled_toy(0.0)
     oracle = OracleHandle.in_process(model)
-    cp = _scaled_toy_point(model, 0.0)
-    at = _scan_query(cp, _mask_at((2,), [(0,)]), positive)
+    cp = _silenced_point(model)
+    at = _scan_query(_mask_at((2,), [(0,)]), positive)
     bisections = math.ceil(math.log2(ETA_INITIAL_STEP / (0.5 * SCAN_ABS_TOL)))
+    # a released 0.0 leaves the point critical, so only the upward form
+    # needs the two-probe test; the downward form probes class 1, the class
+    # a positive feature 0 pushes behind
+    failed, breaks = (1, False) if positive else (None, True)
     before = oracle.count
-    eta = _flip_point(oracle, at, cp.c1, cp.c2, TIE_PROBE, 0.0, ETA_INITIAL_STEP, CFG)
+    eta, _ = _flip_point(
+        oracle, at, 0, 1, TIE_PROBE, ETA_INITIAL_STEP, 0.5 * SCAN_ABS_TOL, 0.5 * CFG.eta_tol, failed, breaks
+    )
     assert 0.0 < eta <= 2 * TIE_PROBE
     assert oracle.count - before <= 2 + bisections
     res = extract_feature(oracle, model, cp, 2, [(0,)], CFG)
     assert abs(res.value) <= SCAN_ABS_TOL
+
+
+def test_released_entry_is_exact(monkeypatch):
+    """A released entry holds the scan's shift bit for bit: it is written
+    into the silenced boundary, never added to -SUPPRESSION, which would
+    round it to the float spacing at 1e6 (about 1.2e-10).  Every other
+    entry stays silenced, and a 1e-3 feature reads to eta_tol relative to
+    itself."""
+    model = _scaled_toy(1e-3)
+    scans = []  # per scan: its flip and the (argument, released entry) of each query
+
+    def flip_point(oracle, at, *args, **kwargs):
+        queries = []
+
+        def watched(s):
+            q = at(s)
+            queries.append((s, q.shifts.get(2, PRE)[0]))
+            assert q.shifts.get(2, PRE)[1] == -SUPPRESSION
+            return q
+
+        flip = real(oracle, watched, *args, **kwargs)
+        scans.append((flip[0], queries))
+        return flip
+
+    real = sx_extract._flip_point
+    monkeypatch.setattr(sx_extract, "_flip_point", flip_point)
+    res = extract_feature(OracleHandle.in_process(model), model, _silenced_point(model), 2, [(0,)], CFG)
+    assert res.branch == "positive"
+    assert abs(res.value - 1e-3) <= CFG.eta_tol * 1e-3
+    (s1, scan1), (_, scan2) = scans
+    assert len(scan1) > 20 and scan2
+    assert all(entry == -s for s, entry in scan1)  # scan 1 shifts the value down by s
+    assert all(entry == -s1 + w for w, entry in scan2)  # scan 2 climbs back from -s1
 
 
 @pytest.mark.parametrize("factor", [1.0, 10.0])
@@ -262,12 +311,13 @@ def test_extract_feature_dead_with_start_step_at_or_above_cap(toy_pm1_model, fac
 def test_boundary_correctness_invariant(small_cnn):
     """At the returned boundary magnitude, |value| matches the white-box
     feature within the configured scan tolerance.  The critical points are
-    searched on the base every phase uses: the downstream ReLUs switched on."""
+    searched on the base every phase uses: the boundary silenced and the
+    downstream ReLUs switched on."""
     oracle = OracleHandle.in_process(small_cnn)
     cfg = BoundarySearchConfig(sphere_norm=10.0, eta_tol=1e-10)
     rng = np.random.default_rng(3)
     x = rng.standard_normal((2, 5, 5))
-    v0 = QueryInput(x).shifted(_linearize_downstream(small_cnn, 2))
+    v0 = QueryInput(x).shifted(_phase_base(small_cnn, 2))
     for attempt in range(6):
         cp = search_critical(oracle, v0, cfg, rng)
         tr = forward_trace(small_cnn, cp.v)
@@ -278,17 +328,27 @@ def test_boundary_correctness_invariant(small_cnn):
 
 def test_extract_feature_requires_linearized_base(small_cnn):
     """The one-probe bisection reads a later kink when a downstream ReLU is
-    left off, so a critical point without those shifts is refused before
-    any scan query."""
+    left off, and a tie made with the boundary live moves once the scan
+    silences it, so a critical point without either set of shifts is
+    refused before any scan query."""
     oracle = OracleHandle.in_process(small_cnn)
     rng = np.random.default_rng(3)
-    cp = search_critical(oracle, QueryInput(rng.standard_normal((2, 5, 5))), CFG, rng)
+    x = QueryInput(rng.standard_normal((2, 5, 5)))
+    silenced = ShiftSet.constant(2, PRE, (3, 5, 5), -SUPPRESSION)
+    cp = search_critical(oracle, x.shifted(silenced), CFG, rng)
+    live = search_critical(oracle, x.shifted(_linearize_downstream(small_cnn, 2)), CFG, rng)
     before = oracle.count
     with pytest.raises(sx.ExtractionError, match="downstream of layer 2"):
         extract_feature(oracle, small_cnn, cp, 2, [(0, 1, 1)], CFG)
+    with pytest.raises(sx.ExtractionError, match="does not silence boundary 2"):
+        extract_feature(oracle, small_cnn, live, 2, [(0, 1, 1)], CFG)
     pool = random_model("conv3x3x3-mpr2s1-fc6-r-fc3", (2, 4, 4), seed=21)
+    pool_cp = CriticalPoint(
+        v=QueryInput(np.zeros((2, 4, 4))).shifted(ShiftSet.constant(2, PRE, (3, 4, 4), -SUPPRESSION)),
+        c1=0, c2=1, t=0.0,
+    )
     with pytest.raises(sx.ExtractionError, match="downstream of layer 2"):
-        extract_feature_maxpool(oracle, pool, QueryInput(np.zeros((2, 4, 4))), 2, (1, 2, 2), CFG, rng)
+        extract_feature_maxpool(oracle, pool, pool_cp, 2, (1, 2, 2), CFG)
     assert oracle.count == before
 
 
@@ -322,19 +382,23 @@ def test_safe_error_cancellation(small_cnn):
 @pytest.mark.parametrize("step", [1e-3, 0.1, 0.75])
 def test_flip_point_bisects_with_one_query_per_step(toy_pm1_model, feature, step):
     """A scan that doubles d times and bisects b times costs 2(d+1) + b
-    queries: every doubling step runs the two-probe test, every bisection
-    midpoint probes only the class whose nudge failed."""
+    queries while the failing class is unknown: every doubling step runs the
+    two-probe test, every bisection midpoint probes only the class whose
+    nudge failed.  A positive value's sign probe names that class, so its
+    scan costs (d+1) + b."""
     oracle = OracleHandle.in_process(toy_pm1_model)
-    cp = _toy_critical_point(toy_pm1_model, oracle)
     etas = []
-    at = _scan_query(cp, _mask_at((2,), [(feature,)]), feature == 0, etas)  # values 1 and -1
+    at = _scan_query(_mask_at((2,), [(feature,)]), feature == 0, etas)  # values 1 and -1
+    failed, flip = _scan_1(oracle, at, step, CFG.eta_tol)
+    assert (failed is None) == (feature == 1)
+    etas.clear()
     before = oracle.count
-    eta = _flip_point(oracle, at, cp.c1, cp.c2, TIE_PROBE, 0.0, step, CFG)
+    eta = flip()
     assert eta == pytest.approx(1.0, abs=1e-9)
     tests = next(k for k, e in enumerate(etas) if e != step * 2.0**k)  # doubling points, the flipped one included
     d, b = tests - 1, len(etas) - tests
     assert d >= 1 and b >= 30
-    assert oracle.count - before == 2 * (d + 1) + b
+    assert oracle.count - before == (2 if failed is None else 1) * (d + 1) + b
 
 
 # ---------------------------------------------------------------------------
@@ -358,12 +422,10 @@ def _crafted_pool_model(values):
 def test_extract_feature_maxpool_known_value(target):
     model, x = _crafted_pool_model([[target, -3.0], [0.5, -7.0]])
     oracle = OracleHandle.in_process(model)
-    rng = np.random.default_rng(1)
-    base = QueryInput(x)
-    res = extract_feature_maxpool(oracle, model, base, 2, (0, 0, 0), CFG, rng)
-    # the white-box value under the suppression plan
-    suppress = np.full((1, 2, 2), -SUPPRESSION); suppress[0, 0, 0] = 0.0
-    tr = forward_trace(model, base.shifted(ShiftSet({(2, PRE): suppress})))
+    cp, base = _phase_point(model, oracle, x, np.random.default_rng(1))
+    res = extract_feature_maxpool(oracle, model, cp, 2, (0, 0, 0), CFG)
+    # the white-box value at the silenced base
+    tr = forward_trace(model, base)
     assert tr.y[2][0, 0, 0] == pytest.approx(target)
     assert res.value == pytest.approx(target, abs=CFG.eta_tol * abs(target) + 1e-10)
 
@@ -371,14 +433,29 @@ def test_extract_feature_maxpool_known_value(target):
 def test_extract_feature_maxpool_random_cross_check():
     model = random_model("conv3x3x3-mpr2s1-fc6-r-fc3", (2, 4, 4), seed=21)
     oracle = OracleHandle.in_process(model)
-    rng = np.random.default_rng(2)
-    base = QueryInput(np.zeros((2, 4, 4))).shifted(_linearize_downstream(model, 2))
+    cp, base = _phase_point(model, oracle, np.zeros((2, 4, 4)), np.random.default_rng(2))
     idx = (1, 2, 2)
     assert len(sx.pooled_receivers((3, 4, 4), (2, 2), (1, 1), idx)) > 1
-    suppress = np.full((3, 4, 4), -SUPPRESSION); suppress[idx] = 0.0
-    tr = forward_trace(model, base.shifted(ShiftSet({(2, PRE): suppress})))
-    res = extract_feature_maxpool(oracle, model, base, 2, idx, CFG, rng)
+    tr = forward_trace(model, base)
+    res = extract_feature_maxpool(oracle, model, cp, 2, idx, CFG)
     assert res.value == pytest.approx(tr.y[2][idx], abs=1e-9)
+
+
+def test_maxpool_layer_one_search_per_phase(monkeypatch):
+    """A maxpool layer scans every target of a phase at the phase's one
+    critical point: the pool-endpoint benchmark model's layer 1 (one input
+    channel, so a bias phase and one weight phase) makes two critical
+    searches for its 20 parameters."""
+    model = random_model("conv2x3x3-mpr2-fc3-r-fc3", (1, 4, 4), seed=1)
+    searches = []
+    real = sx_extract.search_critical
+    monkeypatch.setattr(sx_extract, "search_critical", lambda *a, **k: searches.append(a) or real(*a, **k))
+    res = extract_conv_layer(OracleHandle.in_process(model), model.skeleton(), 1, CFG, np.random.default_rng(0))
+    assert len(searches) == 2
+    assert not res.retried and not res.dead
+    true = model.layer(1)
+    assert sx.relative_errors(res.weight, true.weight).max() <= 1e-6
+    assert sx.relative_errors(res.bias, true.bias).max() <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -525,17 +602,18 @@ def test_suppression_floor_detected():
     ``ETA_MAX`` to flip, so it reads as a dead feature."""
     model, x = _crafted_pool_model([[-2e6, -3.0], [0.5, -7.0]])
     oracle = OracleHandle.in_process(model)
-    rng = np.random.default_rng(1)
+    cp, _ = _phase_point(model, oracle, x, np.random.default_rng(1))
     with pytest.raises(DeadFeatureError):
-        extract_feature_maxpool(oracle, model, QueryInput(x), 2, (0, 0, 0), CFG, rng)
+        extract_feature_maxpool(oracle, model, cp, 2, (0, 0, 0), CFG)
 
 
 @pytest.mark.parametrize("factor", [1.0, 10.0])
 def test_suppression_floor_detected_with_start_step_at_or_above_cap(factor):
     model, x = _crafted_pool_model([[-2e6, -3.0], [0.5, -7.0]])
+    oracle = OracleHandle.in_process(model)
+    cp, _ = _phase_point(model, oracle, x, np.random.default_rng(1))
     with pytest.raises(DeadFeatureError):
-        extract_feature_maxpool(OracleHandle.in_process(model), model, QueryInput(x), 2, (0, 0, 0), CFG,
-                                np.random.default_rng(1), first_step=factor * ETA_MAX)
+        extract_feature_maxpool(oracle, model, cp, 2, (0, 0, 0), CFG, first_step=factor * ETA_MAX)
 
 
 def test_extract_conv_fed_by_maxpool():
@@ -576,6 +654,55 @@ def test_downstream_relus_switched_on():
     est, true = extracted.layer(1), truth.layer(1)
     assert sx.relative_errors(est.weight, true.weight).max() <= 1e-4
     assert sx.relative_errors(est.bias, true.bias).max() <= 1e-4
+
+
+class _CountingRng:
+    """A generator that counts its draws: one per fresh class pair."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.draws = 0
+
+    def choice(self, *args, **kwargs):
+        self.draws += 1
+        return self._rng.choice(*args, **kwargs)
+
+
+def test_one_fresh_tie_per_layer():
+    """Each phase ties its critical point from the one before, and a
+    silenced boundary leaves that tie where it was: the relu-inproc
+    benchmark model's layers 1 and 3 draw one class pair each, retry
+    nothing, and read every parameter."""
+    model = random_model("conv2x3x3-r-fc12-r-fc4", (2, 6, 6), seed=3)
+    for lid, extract in ((1, extract_conv_layer), (3, extract_fc_layer)):
+        rng = _CountingRng(lid)
+        res = extract(OracleHandle.in_process(model), model.skeleton(), lid, CFG, rng)
+        assert rng.draws == 1
+        assert not res.retried and not res.dead
+        true = model.layer(lid)
+        assert sx.relative_errors(res.weight, true.weight).max() <= 1e-6
+        assert sx.relative_errors(res.bias, true.bias).max() <= 1e-6
+
+
+def test_skip_path_layer_reties_from_hint(monkeypatch):
+    """An identity skip carries the injection of the residual conv (layer
+    3) around its silenced ReLU, so the tie moves from phase to phase: each
+    phase gallops to it from the tie before, with the same class pair and
+    no fresh draw, and every parameter reads right."""
+    arch, shape = "conv4x3x3-mpr2-res{conv4x3x3-r,}-fc8-r-fc4", (2, 8, 8)
+    model = random_model(arch, shape, seed=9)
+    ties = []
+    real = sx_extract.search_critical
+    monkeypatch.setattr(sx_extract, "search_critical", lambda *a, **k: ties.append(real(*a, **k)) or ties[-1])
+    rng = _CountingRng(0)
+    res = extract_conv_layer(OracleHandle.in_process(model), model.skeleton(), 3, CFG, rng)
+    assert rng.draws == 1 and len(ties) == 5  # the bias phase and one weight phase per input channel
+    assert len({(cp.c1, cp.c2) for cp in ties}) == 1
+    assert all(abs(a.t - b.t) > 1e-6 for a, b in zip(ties, ties[1:]))  # moved far beyond TIE_POLISH_TOL
+    assert not res.retried and not res.dead
+    true = model.layer(3)
+    assert sx.relative_errors(res.weight, true.weight).max() <= 1e-6
+    assert sx.relative_errors(res.bias, true.bias).max() <= 1e-6
 
 
 def test_extract_last_layer_tie_beyond_bisection_resolution(zero3_model):

@@ -7,8 +7,8 @@ import pytest
 import shiftextract as sx
 from shiftextract import ExperimentConfig, run_attack, verify_models
 from shiftextract.cli import main
-from shiftextract.extract import ETA_MAX
-from shiftextract.harness import REFERENCE_CALLS_PER_PARAM
+from shiftextract.extract import ETA_MAX, _phase_base
+from shiftextract.harness import REFERENCE_CALLS_PER_PARAM, _layer_rng
 
 ARCH = "fc8-r-fc4"
 SHAPE = (6,)
@@ -311,12 +311,15 @@ def test_partial_failure_preserved():
     """A layer whose boundary search cannot succeed is reported, with its
     consumed queries, without aborting the run."""
     truth = sx.random_model(ARCH, SHAPE, seed=4)
-    # a huge layer-1 bias spreads the logits at layer 1's zero input beyond
-    # ETA_MAX, while the terminal layer's suppressed base reads its own bias
-    truth = truth.with_params({1: (truth.layer(1).weight, np.full(8, 5e5))})
+    # Layer 1's phases silence its ReLU, so their logits are the terminal
+    # bias.  It puts classes 1 and 2, the pair layer 1 draws first, beyond
+    # ETA_MAX of each other, and every class within reach of class 0, the
+    # reference of the terminal layer's pair searches.
+    truth = truth.with_params({3: (truth.layer(3).weight, np.array([0.0, 6e3, -6e3, 1.0]))})
     cfg = ExperimentConfig(arch=ARCH, input_shape=SHAPE, attack_seed=3)
-    logits = sx.forward_trace(truth, sx.QueryInput(np.zeros(SHAPE))).logits
-    assert np.abs(logits[:, None] - logits[None, :])[np.triu_indices(4, 1)].min() > ETA_MAX
+    assert set(_layer_rng(cfg.attack_seed, 1).choice(4, size=2, replace=False)) == {1, 2}
+    logits = sx.forward_trace(truth, sx.QueryInput(np.zeros(SHAPE)).shifted(_phase_base(truth, 2))).logits
+    assert abs(logits[1] - logits[2]) > ETA_MAX and np.abs(logits - logits[0]).max() < ETA_MAX
     report, extracted = run_attack(cfg, truth=truth)
     by_id = {l.layer_id: l for l in report.layers}
     assert "no boundary reachable" in by_id[1].error
@@ -329,11 +332,24 @@ def test_partial_failure_preserved():
 
 def test_query_budget_conv_relu_fc():
     """Scans that start at the scale they look for and bisect with one
-    query per step to a relative tolerance keep a conv-ReLU-FC model (the
-    relu-inproc benchmark model) under 50 calls per parameter."""
+    query per step to a relative tolerance, with one class tie per layer,
+    keep a conv-ReLU-FC model (the relu-inproc benchmark model) under 45
+    calls per parameter."""
     arch, shape = "conv2x3x3-r-fc12-r-fc4", (2, 6, 6)
     truth = sx.random_model(arch, shape, seed=3)
     cfg = ExperimentConfig(arch=arch, input_shape=shape, model_seed=3, attack_seed=1)
+    report, extracted = run_attack(cfg, truth=truth)
+    assert report.calls_per_param <= 45
+    assert verify_models(extracted, truth)["pass"]
+
+
+def test_query_budget_maxpool():
+    """A maxpool layer scans every target of a phase at the phase's one
+    critical point, so a maxpool CNN (the pool-endpoint benchmark model, in
+    process) stays under 50 calls per parameter."""
+    arch, shape = "conv2x3x3-mpr2-fc3-r-fc3", (1, 4, 4)
+    truth = sx.random_model(arch, shape, seed=1)
+    cfg = ExperimentConfig(arch=arch, input_shape=shape, model_seed=1, attack_seed=1)
     report, extracted = run_attack(cfg, truth=truth)
     assert report.calls_per_param <= 50
     assert verify_models(extracted, truth)["pass"]

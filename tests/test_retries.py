@@ -49,14 +49,13 @@ class ScriptedScans:
         monkeypatch.setattr(sx_extract, "_scan_boundary", scan)
         monkeypatch.setattr(sx_extract, "search_critical", search)
 
-    def first_slot(self, path):
+    def first_slot(self):
         """(critical searches after the phase's own, value) of the first
-        successful scan.  A ReLU phase opens with its shared search; a
-        maxpool phase has none."""
-        own = 1 if path == "relu" else 0
-        assert self.events[:own] == ["search"] * own
+        successful scan.  A ReLU or maxpool phase opens with its shared
+        search."""
+        assert self.events[0] == "search"
         ok = next(i for i, e in enumerate(self.events) if isinstance(e, tuple))
-        return self.events[own:ok].count("search"), self.events[ok][1]
+        return self.events[1:ok].count("search"), self.events[ok][1]
 
 
 def _relu_layer():
@@ -85,10 +84,8 @@ def _run(monkeypatch, path, faults):
 @pytest.mark.parametrize("k", [1, CFG.max_retries])
 def test_success_after_k_failures(monkeypatch, path, k):
     res, scans = _run(monkeypatch, path, [ScanRetryError("scripted") for _ in range(k)])
-    searches, value = scans.first_slot(path)
-    # ReLU: the phase's point is rebuilt once per failure; maxpool: one
-    # fresh point per attempt
-    assert searches == (k if path == "relu" else k + 1)
+    searches, value = scans.first_slot()
+    assert searches == k  # the phase's point is rebuilt once per failure
     assert res.bias[0] == value
     assert (0,) in res.retried and (0,) not in res.dead
 
@@ -125,15 +122,16 @@ def test_failed_hinted_scan_retries_at_a_fresh_point(monkeypatch):
     events, third, eta1s = [], [], []
     real_flip, real_search = sx_extract._flip_point, sx_extract.search_critical
 
-    def flip_point(oracle, at, c1, c2, eps, lo, step, cfg):
-        scan1 = lo == 0.0
+    def flip_point(oracle, at, c1, c2, eps, step, *args, **kwargs):
+        scan1 = eps == TIE_PROBE  # scan 2 probes at twice that
         events.append(("scan1" if scan1 else "scan2", step))
-        if not scan1:
-            eta1s.append(lo)
         if scan1 and step != sx_extract.ETA_INITIAL_STEP and "fault" not in events:
             events.append("fault")
             third.append(({0, 1, 2} - {c1, c2}).pop())  # the next answer
-        return real_flip(oracle, at, c1, c2, eps, lo, step, cfg)
+        flip = real_flip(oracle, at, c1, c2, eps, step, *args, **kwargs)
+        if scan1:
+            eta1s.append(flip[0])
+        return flip
 
     def search(*args, **kwargs):
         events.append("search")
@@ -166,22 +164,22 @@ def test_third_class_at_a_bisection_midpoint_retries(monkeypatch):
     events, third, intruders = [], [], []
     real_flip, real_search = sx_extract._flip_point, sx_extract.search_critical
 
-    def flip_point(oracle, at, c1, c2, eps, lo, step, cfg):
+    def flip_point(oracle, at, c1, c2, eps, step, *args, **kwargs):
         events.append("scan")
-        doubled = step  # the next doubling point is lo + doubled, in the search's own arithmetic
+        doubled = step  # the next doubling point, in the search's own arithmetic
 
-        def watched(eta):
+        def watched(s):
             nonlocal doubled
-            if eta == lo + doubled:
+            if s == 0.0 + doubled:
                 doubled *= 2.0
             elif not intruders:  # the first bisection midpoint
                 events.append("fault")
                 intruders.append(({0, 1, 2} - {c1, c2}).pop())
                 third.append(intruders[0])  # the answer to its probe
-            return at(eta)
+            return at(s)
 
         try:
-            return real_flip(oracle, watched, c1, c2, eps, lo, step, cfg)
+            return real_flip(oracle, watched, c1, c2, eps, step, *args, **kwargs)
         except ScanRetryError as e:
             events.append(str(e))
             raise

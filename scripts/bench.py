@@ -1,0 +1,181 @@
+#!/usr/bin/env python3
+"""Record the benchmark of one checkout in a BENCH_<n>.json file.
+
+    python3 scripts/bench.py --out BENCH_17.json
+    python3 scripts/bench.py --root ../parent --out BENCH_0.json
+
+Runs ``perfbench/run.py --seconds 0`` of the checkout at ``--root`` (by
+default this one) on its three workloads at seeds 1 to 3, and attacks each
+of them once more through the harness for the per-layer report.  Then runs
+criterion 1 (conv8x3x3-r-fc32-r-fc4 on 3x8x8, model seed 7, attack seed 11)
+and scores its convolution and first FC layer against the truth.  The file
+holds the end-to-end metrics per seed and their medians, the per-layer
+queries and calls per parameter, criterion 1's errors and wall seconds, the
+core count and Python version, and the change of every median against the
+previous BENCH file (by default the highest-numbered one below n next to
+the output).  Every attack runs in a fresh interpreter that imports the
+program from ``<root>/src``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import re
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve()
+WORKLOADS = ("relu-inproc", "pool-res-inproc", "pool-endpoint")
+SEEDS = (1, 2, 3)
+C1 = {"arch": "conv8x3x3-r-fc32-r-fc4", "input_shape": (3, 8, 8), "model_seed": 7, "attack_seed": 11}
+
+
+def _program(root: Path):
+    sys.path.insert(0, str(root / "src"))
+    import shiftextract
+
+    return shiftextract
+
+
+def _layers(report) -> list[dict]:
+    """Per-layer queries and calls per parameter of a report."""
+    out = []
+    for l in report.layers:
+        params = l.n_bias + l.n_weight
+        row = {"layer": l.layer_id, "kind": l.kind, "params": params, "queries": l.queries,
+               "calls_per_param": l.queries / params if params else None,
+               "calls_per_bias": l.calls_per_bias, "calls_per_weight": l.calls_per_weight}
+        if hasattr(l, "calibration_queries"):
+            row["calibration_queries"] = l.calibration_queries
+        out.append(row)
+    return out
+
+
+def layers_of_workload(root: Path, workload: str, seed: int) -> dict:
+    """One attack of a benchmark workload, set up as the benchmark sets it up."""
+    sx = _program(root)
+    sys.path.insert(0, str(root / "perfbench"))
+    from run import Bench
+
+    attack = Bench(sx, workload, seed).attack()
+    return {"queries": attack.report.total_queries, "params": attack.report.total_params,
+            "calls_per_param": attack.report.calls_per_param, "layers": _layers(attack.report)}
+
+
+def criterion_1(root: Path) -> dict:
+    """Criterion 1 end to end, with its per-parameter errors over layers 1 and 3."""
+    from time import perf_counter
+
+    import numpy as np
+
+    sx = _program(root)
+    from shiftextract.harness import layer_error_summary
+
+    truth = sx.random_model(C1["arch"], C1["input_shape"], seed=C1["model_seed"])
+    cfg = sx.ExperimentConfig(**C1)
+    t0 = perf_counter()
+    report, extracted = sx.run_attack(cfg, truth=truth)
+    wall = perf_counter() - t0
+    errs = np.concatenate([
+        np.concatenate(layer_error_summary(extracted.layer(lid).bias, extracted.layer(lid).weight,
+                                           truth.layer(lid).bias, truth.layer(lid).weight, False))
+        for lid in (1, 3)
+    ])
+    return {"wall_s": wall, "queries": report.total_queries, "params": report.total_params,
+            "calls_per_param": report.calls_per_param, "max_error": float(errs.max()),
+            "median_error": float(np.median(errs)), "layers": _layers(report)}
+
+
+def _child(root: Path, *args: str) -> dict:
+    """Run this script's subcommand in a fresh interpreter; its last line is JSON."""
+    out = subprocess.run([sys.executable, str(HERE), "--root", str(root), *args],
+                         capture_output=True, text=True, check=True, timeout=1800)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def end_to_end(root: Path, workload: str, seed: int) -> dict:
+    out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+                          "--seconds", "0"], cwd=root, capture_output=True, text=True, check=True, timeout=1800)
+    r = json.loads(out.stdout.strip().splitlines()[-1])
+    return {"correct": r["correct"], "attempted": r["attempted"], "failed": r["failed"],
+            "metrics": {k: m["value"] for k, m in r["metrics"].items()}}
+
+
+def _previous(out: Path) -> Path | None:
+    """The highest-numbered BENCH_<k>.json next to ``out`` with k below its n."""
+    m = re.fullmatch(r"BENCH_(\d+)\.json", out.name)
+    n = int(m.group(1)) if m else None
+    found = []
+    for p in out.parent.glob("BENCH_*.json"):
+        k = re.fullmatch(r"BENCH_(\d+)\.json", p.name)
+        if k and p.resolve() != out.resolve() and (n is None or int(k.group(1)) < n):
+            found.append((int(k.group(1)), p))
+    return max(found)[1] if found else None
+
+
+def _change(before: float | None, now: float | None) -> dict:
+    rel = (now - before) / before if before not in (None, 0) and now is not None else None
+    return {"previous": before, "now": now, "relative": rel}
+
+
+def delta(prev: dict, cur: dict) -> dict:
+    """Every median end-to-end metric and criterion-1 figure against ``prev``."""
+    out = {"against": prev.get("file")}
+    for w, rec in cur["workloads"].items():
+        old = prev.get("workloads", {}).get(w, {}).get("median", {})
+        out[w] = {k: _change(old.get(k), v) for k, v in rec["median"].items()}
+    c_old = prev.get("criterion_1", {})
+    out["criterion_1"] = {k: _change(c_old.get(k), cur["criterion_1"][k])
+                          for k in ("wall_s", "calls_per_param", "max_error", "median_error")}
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--root", type=Path, default=HERE.parent.parent, help="checkout to measure")
+    ap.add_argument("--out", type=Path, help="BENCH_<n>.json to write")
+    ap.add_argument("--previous", type=Path, help="BENCH file to compare against")
+    ap.add_argument("--layers", nargs=2, metavar=("WORKLOAD", "SEED"), help=argparse.SUPPRESS)
+    ap.add_argument("--criterion-1", action="store_true", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    root = args.root.resolve()
+    if args.layers:
+        print(json.dumps(layers_of_workload(root, args.layers[0], int(args.layers[1]))))
+        return 0
+    if args.criterion_1:
+        print(json.dumps(criterion_1(root)))
+        return 0
+    if args.out is None:
+        ap.error("--out is required")
+
+    commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True).stdout.strip()
+    bench = {"file": args.out.name, "root_commit": commit or None,
+             "machine": {"cpu_count": os.cpu_count(), "python": platform.python_version(),
+                         "platform": platform.platform()},
+             "workloads": {}}
+    for w in WORKLOADS:
+        seeds = {}
+        for s in SEEDS:
+            print(f"{w} seed {s}", file=sys.stderr, flush=True)
+            seeds[str(s)] = {**end_to_end(root, w, s), "report": _child(root, "--layers", w, str(s))}
+        metrics = [r["metrics"] for r in seeds.values()]
+        median = {k: statistics.median(m[k] for m in metrics) for k in metrics[0]}
+        bench["workloads"][w] = {"median": median, "failed": sum(r["failed"] for r in seeds.values()),
+                                 "seeds": seeds}
+    print("criterion 1", file=sys.stderr, flush=True)
+    bench["criterion_1"] = _child(root, "--criterion-1")
+    prev_path = args.previous or _previous(args.out)
+    if prev_path is not None:
+        bench["delta"] = delta(json.loads(prev_path.read_text()), bench)
+    args.out.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {args.out}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

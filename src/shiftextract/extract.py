@@ -40,6 +40,24 @@ fully-connected layer like any other, except that its one consumer is the
 Argmax: its phases read class-pair ties (``_pair_boundary``) instead of
 feature scans, and its result is fixed up to the gauge of those ties.
 
+A binary scan learns one bit per query, where a label among n classes can
+carry log2 n.  At a phase base the network between a released target and
+the logits is affine, so every logit is a line in the target's output, and
+in a fully-connected layer those lines are the same in every phase: the
+injection reaches the logits only through the silenced boundary.  Such a
+layer, when it has enough phases per target to repay the calibration
+(``_reads_nary``, the one rule), reads its weights n-ary.  After the bias
+phase every class is tied with a reference class once
+(``_class_intercepts``) and each target's slopes are measured once
+(``_calibrate_lines``); a weight then reads through ``_read_lines``, which
+shifts the Argmax input so that each kept class tops the upper envelope
+on one of m sub-windows, and the label shrinks the window m-fold.  A read
+ignores the phase's tie, but the tie is still made: when it is not where
+the intercepts predict, the intercepts are stale and the phase scans
+binary.  A label from a suppressed class fails the read, and the retry is
+a binary scan.  Bias phases, convolutions, maxpool boundaries and the
+terminal layer always scan binary.
+
 Two systematic error sources are handled explicitly.  Every class tie is
 bisected to float precision, because a residual logit gap biases every
 later measurement by gap/slope.  The flip of the two-probe criticality test
@@ -53,8 +71,10 @@ layer measured, and both scans bisect to a tolerance relative to the value
 they read (``eta_tol``, with ``SCAN_ABS_TOL`` as a floor for readings at or
 near 0), so a scan costs the same number of queries at every scale.  The
 confirmation scan starts at the probe lag eps/slope or at that tolerance,
-whichever is larger.  Class ties are the exception: they are bisected to
-``TIE_POLISH_TOL`` whatever their scale.
+whichever is larger.  An n-ary read centres its first window on the
+target's bias reading, as wide as the layer's last distance from it, and
+stops at the same tolerance.  Class ties are the exception: they are
+bisected to ``TIE_POLISH_TOL`` whatever their scale.
 """
 
 from __future__ import annotations
@@ -121,6 +141,9 @@ ETA_INITIAL_STEP = 1.024e-5  # first doubling step of scans with no known magnit
 FEATURE_BOUND = 1e3  # reachable features stay below this in magnitude
 ETA_MAX = 1e4  # bounds every search: no flip below it means a dead feature or an unreachable tie
 SUPPRESSION = 1e6  # pins ReLU outputs and other logits down: 100x FEATURE_BOUND, beyond every search
+NARY_MIN_SLOPE_GAP = 1e-3  # a breakpoint is off by tie error / slope gap: 1e-10 at most
+NARY_TIE_DRIFT = 10 * TIE_POLISH_TOL  # a re-tie moved beyond mask noise (~1e-13): stale intercepts
+NARY_PHASES_PER_CLASS = 4  # a slope tie (~48 queries) is repaid by 3 reads, each ~18 below a binary scan
 
 
 @dataclass(frozen=True)
@@ -163,12 +186,55 @@ class BoundarySearchConfig:
 
 @dataclass
 class FeatureResult:
-    """One recovered pre-activation value with its scan diagnostics."""
+    """One recovered pre-activation value with its scan diagnostics.
+
+    ``branch`` names how it was read: "nonpositive" or "positive" for the
+    binary scan's two forms, "nary" for a read through class lines
+    (``_read_lines``), "fallback" for the uncorrected estimate of a scan
+    that failed every attempt.  ``slope`` is the binary scan's tie slope.
+    """
 
     value: float
-    branch: str  # "nonpositive" | "positive"
+    branch: str
     slope: float | None = None
     retried: bool = False
+
+
+@dataclass(frozen=True)
+class ClassLines:
+    """The kept logits of a phase base as lines in one released target's
+    output r, relative to a reference class: the logit of ``classes[i]``
+    reads ``slopes[i] * r - intercepts[i]`` plus its Argmax shift.
+
+    ``classes`` are in increasing slope order, adjacent slopes at least
+    ``NARY_MIN_SLOPE_GAP`` apart.  ``intercepts`` are the Argmax shifts
+    that tie each class with the reference at r = 0, and ``centre`` is the
+    target's bias reading, where a read's first window is centred.
+    """
+
+    classes: tuple[int, ...]
+    slopes: tuple[float, ...]
+    intercepts: tuple[float, ...]
+    centre: float
+
+
+@dataclass
+class _LineCalibration:
+    """A layer's class lines: ``intercepts[c]`` ties class c with the
+    reference at a silenced phase base (absent: unreachable), ``lines`` maps
+    an output index to its target's ``ClassLines`` (absent: binary scans), and
+    ``spread`` is the last |value - centre| the layer read (at first the
+    magnitude of its last bias reading, None when there is none)."""
+
+    intercepts: dict[int, float]
+    lines: dict[int, ClassLines]
+    spread: float | None
+
+    def holds(self, cp: CriticalPoint) -> bool:
+        """True while ``cp``'s tie sits where the intercepts predict it."""
+        if cp.c1 not in self.intercepts or cp.c2 not in self.intercepts:
+            return False
+        return abs(cp.t - (self.intercepts[cp.c2] - self.intercepts[cp.c1])) <= NARY_TIE_DRIFT
 
 
 @dataclass(frozen=True)
@@ -191,6 +257,8 @@ class LayerExtractionResult:
 
     ``bias_queries`` and ``weight_queries`` are the oracle calls spent on
     the bias phase and on the weight phases, critical searches included.
+    ``calibration_queries`` is the part of ``weight_queries`` spent on the
+    intercept and slope ties of n-ary reads (``_calibrate_lines``).
     ``dead`` and ``retried`` list the parameter slots whose scans found no
     flip or needed another attempt.
     """
@@ -201,6 +269,7 @@ class LayerExtractionResult:
     weight: np.ndarray
     bias_queries: int = 0
     weight_queries: int = 0
+    calibration_queries: int = 0
     dead: list = field(default_factory=list)
     retried: list = field(default_factory=list)
     gauge_fixed: bool = False
@@ -314,6 +383,19 @@ def _flip_point(
     return s, failed
 
 
+def _without(v: QueryInput, *keys: tuple[int, str]) -> QueryInput:
+    """``v`` with its shift entries at ``keys`` dropped."""
+    return QueryInput(v.x0, ShiftSet({k: a for k, a in v.shifts.entries.items() if k not in keys}))
+
+
+def _release(mask: np.ndarray, z: float) -> np.ndarray:
+    """The pre entry of a silenced boundary with the targets in ``mask``
+    released at shift z.  It is written, never added to -``SUPPRESSION``:
+    a released entry holds z exactly, where the sum would round it to the
+    float spacing at 1e6 (about 1.2e-10)."""
+    return np.where(mask, z, -SUPPRESSION)
+
+
 def _scan_boundary(
     oracle: OracleHandle,
     cp: CriticalPoint,
@@ -351,11 +433,10 @@ def _scan_boundary(
     inconsistently raises ``ScanRetryError`` and is retried by the caller.
     """
     eps = TIE_PROBE
-    rest = QueryInput(cp.v.x0, ShiftSet({k: a for k, a in cp.v.shifts.entries.items() if k != pre_key}))
+    rest = _without(cp.v, pre_key)
 
     def at(z: float) -> QueryInput:
-        # written, never added to -SUPPRESSION: a released entry must hold z exactly
-        return rest.shifted(ShiftSet({pre_key: np.where(mask, z, -SUPPRESSION)}))
+        return rest.shifted(ShiftSet({pre_key: _release(mask, z)}))
 
     failed = _two_probe(oracle, at(0.0), cp.c1, cp.c2, eps)
     nonpositive = failed is None
@@ -386,6 +467,73 @@ def _scan_boundary(
         branch="nonpositive" if nonpositive else "positive",
         slope=eps / lag if lag > 0 else None,
     )
+
+
+def _read_lines(
+    oracle: OracleHandle,
+    cp: CriticalPoint,
+    pre_key: tuple[int, str],
+    mask: np.ndarray,
+    cfg: BoundarySearchConfig,
+    lines: ClassLines,
+    spread: float | None,
+) -> FeatureResult:
+    """N-ary read of the common value y behind ``mask`` at the base of
+    ``cp``, which silences the boundary (``_phase_base``), through the m
+    class lines of its target.
+
+    y lies in a window [lo, hi], at first ``lines.centre`` +- ``spread``
+    (clamped to [``ETA_INITIAL_STEP``, ``FEATURE_BOUND`` / 2]).  A query
+    releases the target at z = -lo, so its output is r = relu(y - lo), and
+    replaces the tie's Argmax shift: every other class is suppressed, and
+    the kept ones are shifted so that, in slope order, line i tops the
+    upper envelope for r in the i-th of m equal sub-windows of
+    [0, hi - lo].  The label names y's sub-window, which becomes the
+    window.  An edge label on a side not yet confirmed by an earlier label
+    bounds y on one side only: the window grows m-fold beyond it, to at
+    most ``FEATURE_BOUND`` wide, which keeps r in the reachable range.  The
+    read stops once both sides are confirmed and hi - lo <=
+    max(``SCAN_ABS_TOL``, ``eta_tol`` * |lo|), after at most
+    ceil(log_m(2 spread / that)) queries plus two per widening, and returns
+    the window's midpoint.  There is no probe nudge, so no sign probe and
+    no lag to cancel.  A label from a suppressed class, or a confirmed side
+    beyond +-``FEATURE_BOUND``, raises ``ScanRetryError``.
+    """
+    argmax_key = (oracle.argmax_id, PRE)
+    rest = _without(cp.v, pre_key, argmax_key)
+    position = {c: i for i, c in enumerate(lines.classes)}
+    m = len(lines.classes)
+    # Line i meets line i-1 at r = i w when the Argmax shift on its class is
+    # its intercept plus w * rise[i], rise[i] = sum over j <= i of
+    # j (h[j-1] - h[j]); every other class stays at -SUPPRESSION.
+    kept = list(lines.classes)
+    floor = np.full(oracle.n_classes, -SUPPRESSION)
+    floor[kept] = lines.intercepts
+    rise = np.zeros(oracle.n_classes)
+    h = lines.slopes
+    rise[kept[1:]] = list(itertools.accumulate(i * (h[i - 1] - h[i]) for i in range(1, m)))
+    half = min(max(spread or 0.0, ETA_INITIAL_STEP), 0.5 * FEATURE_BOUND)
+    lo, hi = lines.centre - half, lines.centre + half
+    lo_ok = hi_ok = False
+    while not (lo_ok and hi_ok and hi - lo <= max(SCAN_ABS_TOL, cfg.eta_tol * abs(lo))):
+        if lo > FEATURE_BOUND or hi < -FEATURE_BOUND:
+            raise ScanRetryError("n-ary read left the reachable range")
+        w = (hi - lo) / m
+        if lo + w == lo or hi - w == hi:
+            break  # sub-windows below the float spacing: nothing left to split
+        shift = floor + w * rise
+        label = oracle.query(rest.shifted(ShiftSet({pre_key: _release(mask, -lo), argmax_key: shift})))
+        k = position.get(label)
+        if k is None:
+            raise ScanRetryError(f"suppressed class {label} answered an n-ary read")
+        if 0 < k < m - 1 or (k == 0 and lo_ok) or (k == m - 1 and hi_ok):
+            lo, hi = lo + k * w, hi if k == m - 1 else lo + (k + 1) * w
+            lo_ok = hi_ok = True
+        elif k == 0:  # y <= lo + w, with nothing known below
+            lo, hi, hi_ok = lo + w - min(m * (hi - lo), FEATURE_BOUND), lo + w, True
+        else:  # y >= hi - w, with nothing known above
+            lo, hi, lo_ok = hi - w, hi - w + min(m * (hi - lo), FEATURE_BOUND), True
+    return FeatureResult(value=0.5 * (lo + hi), branch="nary")
 
 
 # ---------------------------------------------------------------------------
@@ -503,15 +651,20 @@ def extract_feature(
     cfg: BoundarySearchConfig,
     *,
     first_step: float | None = None,
+    lines: ClassLines | None = None,
 ) -> FeatureResult:
     """Recover the value shared by the pre-activation features ``beta`` of
     the standalone-ReLU boundary ``layer_id`` at the critical point.
 
     The caller guarantees that all features in ``beta`` hold one common
-    value there; releasing them jointly is a single scalar search
-    (``_scan_boundary``).  ``first_step`` is the expected magnitude.
-    ``cp.v`` must carry ``_phase_base(skeleton, layer_id)``, or
-    ExtractionError is raised before any query.
+    value there; releasing them jointly is a single scalar search.  Without
+    ``lines`` it is the binary scan through the tied class pair
+    (``_scan_boundary``), and ``first_step`` is the expected magnitude of
+    the value.  With the target's ``lines`` it is the n-ary read
+    (``_read_lines``), which ignores the tie, and ``first_step`` is the
+    expected distance of the value from ``lines.centre``.  ``cp.v`` must
+    carry ``_phase_base(skeleton, layer_id)``, or ExtractionError is raised
+    before any query.
     """
     spec = skeleton.layer(layer_id)
     if spec.kind != KIND_RELU:
@@ -520,6 +673,8 @@ def extract_feature(
         raise ExtractionError("empty target index set")
     _require_phase_base(skeleton, layer_id, cp.v)
     mask = _mask_at(skeleton.pre_shape(layer_id), beta)
+    if lines is not None:
+        return _read_lines(oracle, cp, (layer_id, PRE), mask, cfg, lines, first_step)
     return _scan_boundary(oracle, cp, (layer_id, PRE), mask, cfg, first_step)
 
 
@@ -703,6 +858,99 @@ def default_target_layers(skeleton: ModelGraph) -> list[int]:
     return out
 
 
+def _reads_nary(kind: str, succ_kind: str, phases: int, classes: int) -> bool:
+    """The attack's one rule for n-ary reads.
+
+    A fully-connected layer into a ReLU boundary reads its weights through
+    ``classes`` class lines when its targets are read in enough
+    ``phases`` each (n_in + 1) for every class beyond the reference to
+    repay its slope tie (``NARY_PHASES_PER_CLASS``).  It needs three
+    classes: a read through two lines saves about 6 queries against a
+    binary scan, which takes some 8 phases to repay one slope tie.
+    Convolutions (whose injection may pass around the boundary), maxpool
+    boundaries and the terminal layer keep the binary scan, and so does
+    every bias phase.
+    """
+    return (
+        kind == KIND_FC
+        and succ_kind == KIND_RELU
+        and classes >= 3
+        and phases >= NARY_PHASES_PER_CLASS * (classes - 1)
+    )
+
+
+def _class_intercepts(
+    oracle: OracleHandle, v0: QueryInput, cp: CriticalPoint, cfg: BoundarySearchConfig
+) -> dict[int, float]:
+    """The Argmax shift on each class that ties it with ``cp.c1`` at the
+    silenced base ``v0``, where ``cp`` was tied: 0 for ``cp.c1``, ``cp.t``
+    for ``cp.c2``, one ``_pair_boundary`` for each other class, none where
+    that tie is unreachable."""
+    intercepts = {cp.c1: 0.0, cp.c2: cp.t}
+    for c in range(oracle.n_classes):
+        if c not in intercepts:
+            try:
+                intercepts[c] = _pair_boundary(oracle, v0, cp.c1, c, cfg)[1]
+            except BoundarySearchError:
+                pass
+    return intercepts
+
+
+def _kept_lines(slopes: dict[int, float], intercepts: dict[int, float], centre: float) -> ClassLines | None:
+    """The classes with a measured slope in increasing slope order, each
+    kept only if it lies ``NARY_MIN_SLOPE_GAP`` above the last kept one;
+    None when fewer than two are left."""
+    kept = []
+    for c in sorted(slopes, key=slopes.get):
+        if not kept or slopes[c] - slopes[kept[-1]] >= NARY_MIN_SLOPE_GAP:
+            kept.append(c)
+    if len(kept) < 2:
+        return None
+    return ClassLines(tuple(kept), tuple(slopes[c] for c in kept), tuple(intercepts[c] for c in kept), centre)
+
+
+def _calibrate_lines(
+    oracle: OracleHandle,
+    skeleton: ModelGraph,
+    boundary_id: int,
+    v0: QueryInput,
+    ref: int,
+    intercepts: dict[int, float],
+    readings: dict[int, float],
+    cfg: BoundarySearchConfig,
+) -> dict[int, ClassLines]:
+    """The class lines of every target j in ``readings``, read as b_j at
+    the silenced base ``v0``.
+
+    Target j is released at z = R - b_j, so its output is a known
+    R = max(1, |b_j|): at its scale, and far below ``ETA_MAX``.  Each class
+    c with an intercept is tied again with ``ref`` there, starting at its
+    intercept T_c, and its slope relative to ``ref`` is
+    h_c = (T_c - t_c) / R.  A target that keeps fewer than two lines
+    (``_kept_lines``) has none and keeps the binary scan.
+    """
+    pre_key = (boundary_id, PRE)
+    rest = _without(v0, pre_key)
+    lines = {}
+    for j, b in readings.items():
+        big_r = max(1.0, abs(b))
+        mask = _mask_at(skeleton.pre_shape(boundary_id), [(j,)])
+        v = rest.shifted(ShiftSet({pre_key: _release(mask, big_r - b)}))
+        slopes = {ref: 0.0}
+        for c, t_c in intercepts.items():
+            if c == ref:
+                continue
+            try:
+                t = _pair_boundary(oracle, v, ref, c, cfg, start=t_c)[1]
+            except BoundarySearchError:
+                continue
+            slopes[c] = (t_c - t) / big_r
+        kept = _kept_lines(slopes, intercepts, b)
+        if kept is not None:
+            lines[j] = kept
+    return lines
+
+
 def _run_phase(
     oracle: OracleHandle,
     skeleton: ModelGraph,
@@ -715,22 +963,27 @@ def _run_phase(
     rng: np.random.Generator,
     scale: float | None = None,
     hint: CriticalPoint | None = None,
+    cal: _LineCalibration | None = None,
 ) -> tuple[float | None, CriticalPoint | None]:
     """Measure every ``(slot, target)`` of one phase into ``values[slot]``.
 
-    A ReLU or maxpool successor scans every target at one critical point,
+    A ReLU or maxpool successor reads every target at one critical point,
     tied at ``v0`` from ``hint``, the point the phase before ended with
-    (``search_critical``).  A failed scan rebuilds it from a fresh pair,
-    and the rebuilt point serves the later targets too.  Each scan 1 starts
-    at ``scale``, the magnitude of the last value measured (None: nothing
-    measured yet), and the phase returns the magnitude and the critical
-    point it ends with.  A dead feature reads 0.0 and is listed in
-    ``flags.dead``; a feature whose scan needed another attempt is listed in
-    ``flags.retried`` and reads the successful value, the fallback, or 0.0.
-    An Argmax successor's targets are classes: each reads the negated shift
-    that ties its logit with class 0's at ``v0`` (``_pair_boundary``), with
-    no critical point, no retries and no rng draw.  The caller reads the
-    phase's queries off the oracle counter.
+    (``search_critical``).  With a calibration ``cal`` whose intercepts
+    predict that tie (``_LineCalibration.holds``), each target with class
+    lines (keyed by its output index, ``slot[0]``) is read n-ary from the
+    layer's last spread; every other target, and every phase whose tie
+    moved, is scanned binary from ``scale``, the magnitude of the last
+    value measured (None: nothing measured yet).  A failed read or scan is
+    retried by a binary scan at a point rebuilt from a fresh pair, and the
+    rebuilt point serves the later targets too.  The phase returns the
+    magnitude and the critical point it ends with.  A dead feature reads
+    0.0 and is listed in ``flags.dead``; a feature that needed another
+    attempt is listed in ``flags.retried`` and reads the successful value,
+    the fallback, or 0.0.  An Argmax successor's targets are classes: each
+    reads the negated shift that ties its logit with class 0's at ``v0``
+    (``_pair_boundary``), with no critical point, no retries and no rng
+    draw.  The caller reads the phase's queries off the oracle counter.
     """
     if succ.kind == KIND_ARGMAX:
         for slot, c in targets:
@@ -738,17 +991,23 @@ def _run_phase(
         return scale, None
     scan = extract_feature_maxpool if succ.kind == KIND_MPR else extract_feature
     cp = search_critical(oracle, v0, cfg, rng, hint)
+    by_lines = cal.lines if cal is not None and cal.holds(cp) else {}
 
     def attempt(k: int) -> FeatureResult:
         nonlocal cp
         if k > 0:
             cp = search_critical(oracle, v0, cfg, rng)
+        elif lines is not None:
+            return scan(oracle, skeleton, cp, succ.id, target, cfg, first_step=cal.spread, lines=lines)
         return scan(oracle, skeleton, cp, succ.id, target, cfg, first_step=scale)
 
     for slot, target in targets:
+        lines = by_lines.get(slot[0])
         try:
             res = _with_retries(attempt, cfg.max_retries)
             value, retried = res.value, res.retried
+            if res.branch == "nary" and value != lines.centre:
+                cal.spread = abs(value - lines.centre)
             if res.branch != "fallback" and value != 0.0:
                 scale = abs(value)
         except DeadFeatureError as e:
@@ -782,10 +1041,15 @@ def _extract_layer(
     bias[c] + amplitude * weight[slot] for its output channel c = slot[0].
     A ReLU or maxpool successor is silenced in every phase's base query,
     and the ReLUs downstream of it are switched on (``_phase_base``); the
-    Argmax is left alone.  Each phase starts its scans at the magnitude the
+    Argmax is left alone.  Each phase starts its reads at the magnitude the
     one before ended with, and ties its critical point from the one before
     (``search_critical``): the layer draws one fresh class pair unless a
-    scan fails.
+    scan fails.  When ``_reads_nary`` admits the layer, the class lines are
+    calibrated between the bias phase and the weight phases: every class is
+    tied with the bias phase's reference once (``_class_intercepts``), and
+    the rule is asked again with the classes that tied; then each target's
+    slopes are measured (``_calibrate_lines``).  Those ties count in
+    ``weight_queries`` and in ``calibration_queries``.
     """
     spec = skeleton.layer(layer_id)
     plan = zero_input_plan(skeleton, layer_id)
@@ -798,9 +1062,19 @@ def _extract_layer(
     v0 = _controlled_query(skeleton, plan, None).shifted(base)
     scale, cp = _run_phase(oracle, skeleton, succ, v0, bias_targets, res.bias, res, cfg, rng)
     t1 = oracle.count
+    cal = None
+    if _reads_nary(spec.kind, succ.kind, shape[1] + 1, oracle.n_classes):
+        intercepts = _class_intercepts(oracle, v0, cp, cfg)
+        if _reads_nary(spec.kind, succ.kind, shape[1] + 1, len(intercepts)):
+            # a bias reading flagged dead or retried may be off: that target keeps the binary scan
+            flagged = set(res.dead) | set(res.retried)
+            readings = {j: float(b) for j, b in enumerate(res.bias) if (j,) not in flagged}
+            lines = _calibrate_lines(oracle, skeleton, succ.id, v0, cp.c1, intercepts, readings, cfg)
+            cal = _LineCalibration(intercepts, lines, scale)
+        res.calibration_queries = oracle.count - t1
     for inject, targets in weight_phases:
         v0 = _controlled_query(skeleton, plan, inject).shifted(base)
-        scale, cp = _run_phase(oracle, skeleton, succ, v0, targets, res.weight, res, cfg, rng, scale, cp)
+        scale, cp = _run_phase(oracle, skeleton, succ, v0, targets, res.weight, res, cfg, rng, scale, cp, cal)
     res.bias_queries, res.weight_queries = t1 - t0, oracle.count - t1
     # the weight phases stored raw readings bias[c] + amplitude * weight
     bias = res.bias.reshape((-1,) + (1,) * (len(shape) - 1))

@@ -121,6 +121,10 @@ def _search_config(d) -> BoundarySearchConfig:
 
 @dataclass
 class LayerReport:
+    """One layer's row of a report.  ``calibration_queries`` are the
+    intercept and slope ties of its n-ary reads, a part of the queries
+    behind ``calls_per_weight``."""
+
     layer_id: int
     kind: str
     n_bias: int
@@ -130,6 +134,7 @@ class LayerReport:
     e_bias: float | None
     e_weight: float | None
     queries: int
+    calibration_queries: int
     dead: int
     retried: int
     gauge_fixed: bool
@@ -350,7 +355,7 @@ def run_attack(
                 LayerReport(
                     layer_id=lid, kind=skeleton.layer(lid).kind, n_bias=0, n_weight=0,
                     calls_per_bias=0.0, calls_per_weight=0.0, e_bias=None, e_weight=None,
-                    queries=spent, dead=0, retried=0, gauge_fixed=False, error=err,
+                    queries=spent, calibration_queries=0, dead=0, retried=0, gauge_fixed=False, error=err,
                 )
             )
             total_q += spent
@@ -373,6 +378,7 @@ def run_attack(
                 e_bias=e_bias,
                 e_weight=e_weight,
                 queries=r.total_queries,
+                calibration_queries=r.calibration_queries,
                 dead=len(r.dead),
                 retried=len(r.retried),
                 gauge_fixed=r.gauge_fixed,

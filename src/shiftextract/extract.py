@@ -18,9 +18,11 @@ on every downstream ReLU makes the network between a feature and the
 logits affine.
 
 Every scalar search of the attack (the flip of a feature scan, the class tie
-behind a critical point or a terminal class pair) is one primitive,
-``_find_flip``: double a step until a predicate flips, then bisect the last
-bracket.  Every tie test nudges a logit by the oracle's ``TIE_PROBE`` (or
+behind a critical point or a terminal class pair, an n-ary read) is one
+primitive, ``_window_search``: grow a window m-fold until the answer falls
+inside it, then split it m-fold.  Its binary case, ``_find_flip``, doubles
+a step until a predicate flips and bisects the last bracket.  Every tie
+test nudges a logit by the oracle's ``TIE_PROBE`` (or
 twice that).  A feature scan probes one class per step once it knows which
 class's nudge fails (``_flip_point``), which is sound only while the
 network between the feature and the logits is affine: the scans refuse a
@@ -45,8 +47,8 @@ carry log2 n.  At a phase base the network between a released target and
 the logits is affine, so every logit is a line in the target's output, and
 in a fully-connected layer those lines are the same in every phase: the
 injection reaches the logits only through the silenced boundary.  Such a
-layer, when it has enough phases per target to repay the calibration
-(``_reads_nary``, the one rule), reads its weights n-ary.  After the bias
+layer, when its weight phases repay the calibration (``_reads_nary``, the
+one rule), reads its weights n-ary.  After the bias
 phase every class is tied with a reference class once
 (``_class_intercepts``) and each target's slopes are measured once
 (``_calibrate_lines``); a weight then reads through ``_read_lines``, which
@@ -73,7 +75,8 @@ near 0), so a scan costs the same number of queries at every scale.  The
 confirmation scan starts at the probe lag eps/slope or at that tolerance,
 whichever is larger.  An n-ary read centres its first window on the
 target's bias reading, as wide as the layer's last distance from it, and
-stops at the same tolerance.  Class ties are the exception: they are
+stops at the same tolerance, or at the error of its breakpoints where that
+is wider (``ClassLines.resolution``).  Class ties are the exception: they are
 bisected to ``TIE_POLISH_TOL`` whatever their scale.
 """
 
@@ -131,7 +134,7 @@ class ScanRetryError(ExtractionError):
 
 
 class _ScanExhausted(Exception):
-    """``_find_flip`` passed its cap without a flip."""
+    """``_window_search`` passed its cap without bounding its point."""
 
 
 # Tolerances that no caller tunes.
@@ -143,7 +146,10 @@ ETA_MAX = 1e4  # bounds every search: no flip below it means a dead feature or a
 SUPPRESSION = 1e6  # pins ReLU outputs and other logits down: 100x FEATURE_BOUND, beyond every search
 NARY_MIN_SLOPE_GAP = 1e-3  # a breakpoint is off by tie error / slope gap: 1e-10 at most
 NARY_TIE_DRIFT = 10 * TIE_POLISH_TOL  # a re-tie moved beyond mask noise (~1e-13): stale intercepts
-NARY_PHASES_PER_CLASS = 4  # a slope tie (~48 queries) is repaid by 3 reads, each ~18 below a binary scan
+# The costs behind ``_reads_nary``, measured at eta_tol = 1e-9 on FC layers of 2 to 10 classes:
+NARY_TIE_QUERIES = 48  # one slope tie: gallop, bisection to TIE_POLISH_TOL, two-probe check
+BINARY_READ_EXTRA = 10  # a binary scan's queries beyond log2(1 / eta_tol): sign probe, gallop, scan 2
+NARY_READ_EXTRA = 4  # an n-ary read's queries beyond log_m(1 / eta_tol): first window and widenings
 
 
 @dataclass(frozen=True)
@@ -216,6 +222,13 @@ class ClassLines:
     slopes: tuple[float, ...]
     intercepts: tuple[float, ...]
     centre: float
+
+    @property
+    def resolution(self) -> float:
+        """How far a breakpoint may lie from where a read places it: the
+        intercepts' tie error (``TIE_POLISH_TOL``) over the smallest slope
+        gap, at most 1e-10."""
+        return TIE_POLISH_TOL / min(b - a for a, b in zip(self.slopes, self.slopes[1:]))
 
 
 @dataclass
@@ -293,11 +306,68 @@ class LayerExtractionResult:
 # Criticality scans
 
 
+def _window_search(
+    pick: Callable[[float, float], int],
+    lo: float,
+    w: float,
+    m: int,
+    cap: float,
+    tol: float,
+    rel: float = 0.0,
+    lo_known: bool = True,
+) -> float:
+    """The point p that ``pick`` locates, to ``tol`` or ``rel`` times its
+    size, whichever is wider: the one window search of the attack.
+
+    The window [lo, lo + m w] is cut into m sub-windows of width w, and
+    pick(lo, w) names the one holding p: k means lo + k w <= p <= lo +
+    (k + 1) w.  Until p is bounded on both sides, an edge sub-window on an
+    open side means only that p lies beyond its inner breakpoint, and the
+    window grows m-fold away from it.  The top one means p >= lo + (m - 1) w
+    and w grows m-fold, lo staying put; while nothing below p is known
+    (``lo_known`` false) the bottom one means p <= lo + w, and the window
+    grows m-fold below its top, its bottom held at -``cap``.  Raises
+    ``_ScanExhausted`` once lo + w exceeds ``cap``, or the bottom sub-window
+    of a window held at -``cap`` is named.  Once bounded, p's bracket is
+    split m-fold until it is no wider than max(tol, rel * |lower end|), or
+    a split has no float left, and its midpoint is returned.  ``pick`` may
+    raise to abort the search.
+    """
+    below = lo if lo_known else None
+    above = None
+    while below is None or above is None:
+        if lo + w > cap:
+            raise _ScanExhausted()
+        k = pick(lo, w)
+        if k == m - 1 and above is None:
+            below = lo + (m - 1) * w
+            w *= m
+        elif k == 0 and below is None:
+            if lo <= -cap:
+                raise _ScanExhausted()
+            above, top = lo + w, lo + m * w
+            lo = max(top - m * m * w, -cap)
+            w = (top - lo) / m
+        else:
+            below = lo + k * w if below is None else max(below, lo + k * w)
+            above = lo + (k + 1) * w if above is None else min(above, lo + (k + 1) * w)
+    lo, hi = below, above
+    while hi - lo > max(tol, rel * abs(lo)):
+        w = (hi - lo) / m
+        if lo + w == lo or lo + (m - 1) * w == hi:
+            break  # sub-windows below the float spacing: nothing left to split
+        k = pick(lo, w)
+        lo, hi = lo + k * w if k else lo, lo + (k + 1) * w if k < m - 1 else hi
+    return 0.5 * (lo + hi)
+
+
 def _find_flip(
     flipped: Callable[[float], bool], start: float, step: float, cap: float, tol: float, rel: float = 0.0
 ) -> float:
     """The point s > ``start`` where ``flipped(s)`` turns true, to
-    ``tol`` or ``rel`` times its size, whichever is wider.
+    ``tol`` or ``rel`` times its size, whichever is wider: the binary
+    ``_window_search`` from [start, start + 2 step], each query the
+    predicate at lo + w.
 
     The step doubles from ``start`` (probing start + step, start + 2 step,
     start + 4 step, ...) until the predicate flips; the last unflipped point
@@ -306,24 +376,7 @@ def _find_flip(
     midpoint is returned.  Raises ``_ScanExhausted`` once start + step
     exceeds ``cap``.  The predicate may raise to abort the search.
     """
-    lo = start
-    while True:
-        hi = start + step
-        if hi > cap:
-            raise _ScanExhausted()
-        if flipped(hi):
-            break
-        lo = hi
-        step *= 2.0
-    while hi - lo > max(tol, rel * lo):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break  # adjacent floats: no midpoint left to test
-        if flipped(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return _window_search(lambda lo, w: 0 if flipped(lo + w) else 1, start, step, 2, cap, tol, rel)
 
 
 def _two_probe(oracle: OracleHandle, v: QueryInput, c1: int, c2: int, eps: float) -> int | None:
@@ -482,22 +535,21 @@ def _read_lines(
     ``cp``, which silences the boundary (``_phase_base``), through the m
     class lines of its target.
 
-    y lies in a window [lo, hi], at first ``lines.centre`` +- ``spread``
-    (clamped to [``ETA_INITIAL_STEP``, ``FEATURE_BOUND`` / 2]).  A query
-    releases the target at z = -lo, so its output is r = relu(y - lo), and
-    replaces the tie's Argmax shift: every other class is suppressed, and
-    the kept ones are shifted so that, in slope order, line i tops the
-    upper envelope for r in the i-th of m equal sub-windows of
-    [0, hi - lo].  The label names y's sub-window, which becomes the
-    window.  An edge label on a side not yet confirmed by an earlier label
-    bounds y on one side only: the window grows m-fold beyond it, to at
-    most ``FEATURE_BOUND`` wide, which keeps r in the reachable range.  The
-    read stops once both sides are confirmed and hi - lo <=
-    max(``SCAN_ABS_TOL``, ``eta_tol`` * |lo|), after at most
-    ceil(log_m(2 spread / that)) queries plus two per widening, and returns
-    the window's midpoint.  There is no probe nudge, so no sign probe and
-    no lag to cancel.  A label from a suppressed class, or a confirmed side
-    beyond +-``FEATURE_BOUND``, raises ``ScanRetryError``.
+    y is found by an m-ary ``_window_search`` whose first window is
+    ``lines.centre`` +- ``spread`` (clamped to [``ETA_INITIAL_STEP``,
+    ``FEATURE_BOUND`` / 2]), and whose windows grow within
+    +-``FEATURE_BOUND``, which keeps r in the reachable range.  A query on
+    the window [lo, lo + m w] releases the target at z = -lo, so its output
+    is r = relu(y - lo), and replaces the tie's Argmax shift: every other
+    class is suppressed, and the kept ones are shifted so that, in slope
+    order, line i tops the upper envelope for r in [i w, (i + 1) w].  The
+    label names y's sub-window.  The read stops at max(``SCAN_ABS_TOL``,
+    ``eta_tol`` * |y|) or at ``lines.resolution``, whichever is wider:
+    narrower windows would split below the breakpoints' own error.  That
+    takes at most ceil(log_m(2 spread / that)) queries plus two per
+    widening.  There is no probe nudge, so no sign probe and no lag to
+    cancel.  A label from a suppressed class, or a value beyond
+    +-``FEATURE_BOUND``, raises ``ScanRetryError``.
     """
     argmax_key = (oracle.argmax_id, PRE)
     rest = _without(cp.v, pre_key, argmax_key)
@@ -512,28 +564,23 @@ def _read_lines(
     rise = np.zeros(oracle.n_classes)
     h = lines.slopes
     rise[kept[1:]] = list(itertools.accumulate(i * (h[i - 1] - h[i]) for i in range(1, m)))
-    half = min(max(spread or 0.0, ETA_INITIAL_STEP), 0.5 * FEATURE_BOUND)
-    lo, hi = lines.centre - half, lines.centre + half
-    lo_ok = hi_ok = False
-    while not (lo_ok and hi_ok and hi - lo <= max(SCAN_ABS_TOL, cfg.eta_tol * abs(lo))):
-        if lo > FEATURE_BOUND or hi < -FEATURE_BOUND:
-            raise ScanRetryError("n-ary read left the reachable range")
-        w = (hi - lo) / m
-        if lo + w == lo or hi - w == hi:
-            break  # sub-windows below the float spacing: nothing left to split
+
+    def pick(lo: float, w: float) -> int:
         shift = floor + w * rise
         label = oracle.query(rest.shifted(ShiftSet({pre_key: _release(mask, -lo), argmax_key: shift})))
-        k = position.get(label)
-        if k is None:
+        if label not in position:
             raise ScanRetryError(f"suppressed class {label} answered an n-ary read")
-        if 0 < k < m - 1 or (k == 0 and lo_ok) or (k == m - 1 and hi_ok):
-            lo, hi = lo + k * w, hi if k == m - 1 else lo + (k + 1) * w
-            lo_ok = hi_ok = True
-        elif k == 0:  # y <= lo + w, with nothing known below
-            lo, hi, hi_ok = lo + w - min(m * (hi - lo), FEATURE_BOUND), lo + w, True
-        else:  # y >= hi - w, with nothing known above
-            lo, hi, lo_ok = hi - w, hi - w + min(m * (hi - lo), FEATURE_BOUND), True
-    return FeatureResult(value=0.5 * (lo + hi), branch="nary")
+        return position[label]
+
+    half = min(max(spread or 0.0, ETA_INITIAL_STEP), 0.5 * FEATURE_BOUND)
+    tol = max(SCAN_ABS_TOL, lines.resolution)
+    try:
+        value = _window_search(
+            pick, lines.centre - half, 2.0 * half / m, m, FEATURE_BOUND, tol, cfg.eta_tol, lo_known=False
+        )
+    except _ScanExhausted:
+        raise ScanRetryError("n-ary read left the reachable range") from None
+    return FeatureResult(value=value, branch="nary")
 
 
 # ---------------------------------------------------------------------------
@@ -858,25 +905,45 @@ def default_target_layers(skeleton: ModelGraph) -> list[int]:
     return out
 
 
-def _reads_nary(kind: str, succ_kind: str, phases: int, classes: int) -> bool:
-    """The attack's one rule for n-ary reads.
+def _bypasses(skeleton: ModelGraph, layer_id: int, boundary_id: int) -> bool:
+    """True when the injection of layer ``layer_id``'s weight phases reaches
+    the Argmax other than through ``boundary_id``, as through a residual
+    skip around the layer."""
+    plan = zero_input_plan(skeleton, layer_id)
+    start = skeleton.input_id if plan.input_mode else plan.sources[0]
+    reached, todo = {start}, [start]
+    while todo:
+        for nxt in skeleton.successors(todo.pop()):
+            if nxt == skeleton.argmax_id:
+                return True
+            if nxt != boundary_id and nxt not in reached:
+                reached.add(nxt)
+                todo.append(nxt)
+    return False
 
-    A fully-connected layer into a ReLU boundary reads its weights through
-    ``classes`` class lines when its targets are read in enough
-    ``phases`` each (n_in + 1) for every class beyond the reference to
-    repay its slope tie (``NARY_PHASES_PER_CLASS``).  It needs three
-    classes: a read through two lines saves about 6 queries against a
-    binary scan, which takes some 8 phases to repay one slope tie.
-    Convolutions (whose injection may pass around the boundary), maxpool
-    boundaries and the terminal layer keep the binary scan, and so does
-    every bias phase.
+
+def _reads_nary(skeleton: ModelGraph, layer_id: int, classes: int, eta_tol: float) -> bool:
+    """The attack's one rule for n-ary reads: whether layer ``layer_id``
+    reads its weights through ``classes`` class lines.
+
+    The layer must be fully connected into a ReLU boundary, and its
+    injection must reach the logits only through that boundary
+    (``_bypasses``): only then are the lines the same in every weight
+    phase.  Its n_in weight phases must also repay the calibration: each
+    target's m - 1 = ``classes`` - 1 slope ties (``NARY_TIE_QUERIES`` each)
+    against what each of its reads saves, a binary scan's
+    log2(1 / eta_tol) + ``BINARY_READ_EXTRA`` queries less an n-ary read's
+    log_m(1 / eta_tol) + ``NARY_READ_EXTRA``.  The layer's m - 2 intercept
+    ties are left out of the sum.  Convolutions, maxpool boundaries and the
+    terminal layer keep the binary scan, and so does every bias phase.
     """
-    return (
-        kind == KIND_FC
-        and succ_kind == KIND_RELU
-        and classes >= 3
-        and phases >= NARY_PHASES_PER_CLASS * (classes - 1)
-    )
+    spec = skeleton.layer(layer_id)
+    succ = _nonlinear_successor(skeleton, layer_id)
+    if spec.kind != KIND_FC or succ.kind != KIND_RELU or classes < 2 or _bypasses(skeleton, layer_id, succ.id):
+        return False
+    bits = math.log2(1.0 / eta_tol)
+    saved = bits + BINARY_READ_EXTRA - (bits / math.log2(classes) + NARY_READ_EXTRA)
+    return spec.weight.shape[1] * saved >= (classes - 1) * NARY_TIE_QUERIES
 
 
 def _class_intercepts(
@@ -1063,9 +1130,9 @@ def _extract_layer(
     scale, cp = _run_phase(oracle, skeleton, succ, v0, bias_targets, res.bias, res, cfg, rng)
     t1 = oracle.count
     cal = None
-    if _reads_nary(spec.kind, succ.kind, shape[1] + 1, oracle.n_classes):
+    if _reads_nary(skeleton, layer_id, oracle.n_classes, cfg.eta_tol):
         intercepts = _class_intercepts(oracle, v0, cp, cfg)
-        if _reads_nary(spec.kind, succ.kind, shape[1] + 1, len(intercepts)):
+        if _reads_nary(skeleton, layer_id, len(intercepts), cfg.eta_tol):
             # a bias reading flagged dead or retried may be off: that target keeps the binary scan
             flagged = set(res.dead) | set(res.retried)
             readings = {j: float(b) for j, b in enumerate(res.bias) if (j,) not in flagged}

@@ -41,7 +41,7 @@ from shiftextract import (
     verify_models,
 )
 from shiftextract.extract import (
-    NARY_PHASES_PER_CLASS,
+    NARY_MIN_SLOPE_GAP,
     NARY_TIE_DRIFT,
     SCAN_ABS_TOL,
     SUPPRESSION,
@@ -56,11 +56,12 @@ from conftest import fc_layer
 CFG = BoundarySearchConfig(sphere_norm=10.0)
 
 
-def _lines_toy(n_classes: int, bias: float, seed: int) -> ModelGraph:
+def _lines_toy(n_classes: int, bias: float, seed: int, gap: float = 1.0) -> ModelGraph:
     """One hidden feature x0 + ``bias`` into ``n_classes`` logits whose
-    slopes are distinct integers, so adjacent lines are at least 1 apart."""
+    slopes are distinct multiples of ``gap``, so adjacent lines are at
+    least ``gap`` apart."""
     rng = np.random.default_rng(seed)
-    slopes = rng.permutation(n_classes) - n_classes // 2
+    slopes = gap * (rng.permutation(n_classes) - n_classes // 2)
     layers = [
         LayerSpec(id=0, kind=KIND_INPUT, shape=(1,)),
         fc_layer(1, 0, [[1.0]], [bias]),
@@ -233,17 +234,92 @@ def test_a_moved_tie_falls_back_to_binary_scans():
     assert not cal.holds(cp)
 
 
+def test_read_stops_at_the_breakpoints_resolution():
+    """Slopes just above ``NARY_MIN_SLOPE_GAP`` put a breakpoint up to the
+    tie error over the gap from where the read places it
+    (``lines.resolution``, about 8e-11 here), wider than the tolerance of a
+    value near 1e-3.  The read stops at that resolution: it lands within
+    1.5 of it of the truth (half the last window plus the breakpoint
+    error), and spends no query splitting below it."""
+    spread = 5e-4
+    for n_classes, bias, value in [(3, 1e-3, 1.1e-3), (4, -1e-3, -0.9e-3), (7, 1.2e-3, 1e-3)]:
+        model = _lines_toy(n_classes, bias, seed=n_classes, gap=1.2 * NARY_MIN_SLOPE_GAP)
+        labels = []
+        oracle = OracleHandle(lambda q: labels.append(forward_label(model, q)) or labels[-1],
+                              argmax_id=model.argmax_id, n_classes=model.n_classes)
+        cp, cal = _toy_lines(model, oracle, bias)
+        lines = cal.lines[0]
+        m = len(lines.classes)
+        assert m == n_classes
+        assert lines.resolution > 10 * max(CFG.eta_tol * abs(value), SCAN_ABS_TOL)
+        labels.clear()
+        res, truth = _read(oracle, model, cp, lines, value, bias, CFG, spread)
+        assert abs(res.value - truth) <= 1.5 * lines.resolution
+        # no widening: the value lies in an inner sub-window of the first window, bias +- spread
+        assert len(labels) <= math.ceil(math.log(2.0 * spread / lines.resolution, m))
+
+
 def test_the_rule():
-    """Only a fully-connected layer into a ReLU reads n-ary, and only with
-    three classes or more and ``NARY_PHASES_PER_CLASS`` phases per target
-    for each class beyond the reference."""
-    assert _reads_nary(KIND_FC, KIND_RELU, 73, 4)
-    assert _reads_nary(KIND_FC, KIND_RELU, NARY_PHASES_PER_CLASS * 3, 4)
-    assert not _reads_nary(KIND_FC, KIND_RELU, NARY_PHASES_PER_CLASS * 3 - 1, 4)
-    assert not _reads_nary(KIND_FC, KIND_RELU, 73, 2)  # two lines save too little to repay a slope tie
-    assert not _reads_nary(KIND_CONV, KIND_RELU, 73, 4)
-    assert not _reads_nary(KIND_FC, KIND_MPR, 73, 4)
-    assert not _reads_nary(KIND_FC, KIND_ARGMAX, 73, 4)
+    """Only a fully-connected layer into a ReLU whose injection reaches the
+    logits only through that ReLU reads n-ary, and only when its weight
+    phases repay the slope ties: at the default eta_tol a 2-class layer
+    needs 8 inputs, a 4-class one 7, a 10-class one 17; at eta_tol = 1e-3,
+    where a read learns fewer digits, a 4-class one needs 14."""
+
+    def rule(arch, shape, layer_id, eta_tol=1e-9):
+        skeleton = random_model(arch, shape, seed=1).skeleton()
+        return _reads_nary(skeleton, layer_id, skeleton.n_classes, eta_tol)
+
+    for classes, least in [(2, 8), (4, 7), (10, 17)]:
+        assert rule(f"fc6-r-fc{classes}", (least,), 1)
+        assert not rule(f"fc6-r-fc{classes}", (least - 1,), 1)
+    assert not rule("fc6-r-fc4", (13,), 1, eta_tol=1e-3)
+    assert rule("fc6-r-fc4", (14,), 1, eta_tol=1e-3)
+    assert rule("conv2x3x3-r-fc12-r-fc4", (2, 6, 6), 3)
+    assert not rule("conv2x3x3-r-fc12-r-fc4", (2, 6, 6), 1)  # a convolution
+    assert not rule("conv2x3x3-r-fc12-r-fc4", (2, 6, 6), 5)  # the terminal layer
+    assert not rule("conv4x3x3-mpr2-fc8-r-fc4", (2, 8, 8), 1)  # a maxpool boundary
+    # the Add-fed layer of pool-res: its skip joins before the layer
+    assert rule("conv4x3x3-mpr2-res{conv4x3x3-r,}-fc8-r-fc4", (2, 8, 8), 6)
+    # a layer inside a residual branch: the skip carries its injection around its ReLU
+    assert rule("fc12-r-res{fc12-r,}-fc4", (16,), 1)
+    assert not rule("fc12-r-res{fc12-r,}-fc4", (16,), 3)
+
+
+@pytest.mark.parametrize("arch, shape", [
+    ("fc6-r-fc4", (5,)),  # binary: three slope ties per target, repaid by 5 reads
+    ("fc8-r-fc10", (30,)),  # n-ary: nine slope ties per target, repaid by 30 reads
+    ("fc12-r-fc2", (72,)),  # n-ary: two lines only save scan 2 and the sign probe, 72 times
+])
+def test_the_rule_picks_the_cheaper_read(monkeypatch, arch, shape):
+    """On layers on either side of the rule, forced to read n-ary and
+    binary in turn, the side the rule picks spends fewer queries, and both
+    read the layer right."""
+    truth = random_model(arch, shape, seed=1)
+    skeleton = truth.skeleton()
+    queries = {}
+    for nary in (True, False):
+        monkeypatch.setattr(sx_extract, "_reads_nary", lambda *a, nary=nary: nary)
+        res = extract_fc_layer(OracleHandle.in_process(truth), skeleton, 1, CFG, np.random.default_rng(1))
+        assert (res.calibration_queries > 0) == nary
+        assert sx.relative_errors(res.weight, truth.layer(1).weight).max() <= 1e-6
+        queries[nary] = res.total_queries
+    picked = _reads_nary(skeleton, 1, skeleton.n_classes, CFG.eta_tol)
+    assert queries[picked] < queries[not picked]
+
+
+def test_a_skip_around_the_boundary_keeps_the_layer_binary():
+    """In fc12-r-res{fc12-r,}-fc4 the injection into layer 3 also reaches
+    the logits through the identity skip, so its class lines would change
+    from phase to phase: although its 12 inputs would repay the ties, the
+    layer spends no calibration query.  Layer 1 reads n-ary, and the model
+    verifies."""
+    arch, shape = "fc12-r-res{fc12-r,}-fc4", (16,)
+    truth = random_model(arch, shape, seed=1)
+    report, extracted = run_attack(ExperimentConfig(arch=arch, input_shape=shape, model_seed=1), truth=truth)
+    calibration = {l.layer_id: l.calibration_queries for l in report.layers}
+    assert calibration[3] == 0 and calibration[1] > 0
+    assert verify_models(extracted, truth)["pass"]
 
 
 def test_bias_phases_and_conv_layers_scan_binary(monkeypatch):

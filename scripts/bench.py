@@ -14,7 +14,11 @@ queries and calls per parameter, criterion 1's errors and wall seconds, the
 core count and Python version, and the change of every median against the
 previous BENCH file (by default the highest-numbered one below n next to
 the output).  Every attack runs in a fresh interpreter that imports the
-program from ``<root>/src``.
+program from ``<root>/src``.  A ``sweep`` section attacks criterion 1 and
+the three workload models (in process, seeds 1 to 3) once more at each
+``eta_tol`` of ``SWEEP_ETA_TOLS``, and records calls per parameter, the max
+and median relative error over the non-terminal parameters, and the max
+relative error of the terminal layer's gauge differences.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ HERE = Path(__file__).resolve()
 WORKLOADS = ("relu-inproc", "pool-res-inproc", "pool-endpoint")
 SEEDS = (1, 2, 3)
 C1 = {"arch": "conv8x3x3-r-fc32-r-fc4", "input_shape": (3, 8, 8), "model_seed": 7, "attack_seed": 11}
+SWEEP_ETA_TOLS = (1e-9, 1e-8, 1e-7)
 
 
 def _program(root: Path):
@@ -67,28 +72,71 @@ def layers_of_workload(root: Path, workload: str, seed: int) -> dict:
             "calls_per_param": attack.report.calls_per_param, "layers": _layers(attack.report)}
 
 
-def criterion_1(root: Path) -> dict:
-    """Criterion 1 end to end, with its per-parameter errors over layers 1 and 3."""
-    from time import perf_counter
-
+def _errors(truth, extracted) -> dict:
+    """Max and median relative error over the non-terminal parameters, and
+    the max over the terminal layer's gauge differences."""
     import numpy as np
-
-    sx = _program(root)
     from shiftextract.harness import layer_error_summary
 
+    terminal = truth.layer(truth.argmax_id).inputs[0]
+    inner, last = [], []
+    for spec in truth.topo_order:
+        if spec.weight is None:
+            continue
+        est = extracted.layer(spec.id)
+        errs = layer_error_summary(est.bias, est.weight, spec.bias, spec.weight, spec.id == terminal)
+        (last if spec.id == terminal else inner).extend(errs)
+    inner, last = np.concatenate(inner), np.concatenate(last)
+    return {"max_error": float(inner.max()), "median_error": float(np.median(inner)),
+            "terminal_max_error": float(last.max())}
+
+
+def criterion_1(root: Path) -> dict:
+    """Criterion 1 end to end, with its errors (``_errors``)."""
+    from time import perf_counter
+
+    sx = _program(root)
     truth = sx.random_model(C1["arch"], C1["input_shape"], seed=C1["model_seed"])
     cfg = sx.ExperimentConfig(**C1)
     t0 = perf_counter()
     report, extracted = sx.run_attack(cfg, truth=truth)
     wall = perf_counter() - t0
-    errs = np.concatenate([
-        np.concatenate(layer_error_summary(extracted.layer(lid).bias, extracted.layer(lid).weight,
-                                           truth.layer(lid).bias, truth.layer(lid).weight, False))
-        for lid in (1, 3)
-    ])
     return {"wall_s": wall, "queries": report.total_queries, "params": report.total_params,
-            "calls_per_param": report.calls_per_param, "max_error": float(errs.max()),
-            "median_error": float(np.median(errs)), "layers": _layers(report)}
+            "calls_per_param": report.calls_per_param, **_errors(truth, extracted), "layers": _layers(report)}
+
+
+def sweep(root: Path) -> dict:
+    """Calls per parameter and errors of criterion 1 and of the workload
+    models, in process, at each ``eta_tol`` of ``SWEEP_ETA_TOLS``: per
+    seed, and over the seeds the median calls per parameter and the largest
+    of each error."""
+    sx = _program(root)
+    sys.path.insert(0, str(root / "perfbench"))
+    from run import WORKLOADS
+
+    models = {"criterion_1": [(C1["arch"], C1["input_shape"], C1["model_seed"], C1["attack_seed"])]}
+    for w, wl in WORKLOADS.items():
+        seeds = sorted({s if wl.fixed_attack_seed is None else wl.fixed_attack_seed for s in SEEDS})
+        models[w] = [(wl.arch, wl.shape, wl.model_seed, s) for s in seeds]
+    out = {}
+    for name, runs in models.items():
+        out[name] = {}
+        for eta in SWEEP_ETA_TOLS:
+            print(f"sweep {name} eta_tol {eta:g}", file=sys.stderr, flush=True)
+            seeds = {}
+            for arch, shape, model_seed, attack_seed in runs:
+                truth = sx.random_model(arch, shape, seed=model_seed)
+                cfg = sx.ExperimentConfig(arch=arch, input_shape=shape, model_seed=model_seed,
+                                          attack_seed=attack_seed, search=sx.BoundarySearchConfig(eta_tol=eta))
+                report, extracted = sx.run_attack(cfg, truth=truth)
+                seeds[str(attack_seed)] = {"calls_per_param": report.calls_per_param, **_errors(truth, extracted)}
+            rows = list(seeds.values())
+            out[name][f"{eta:g}"] = {
+                "calls_per_param": statistics.median(r["calls_per_param"] for r in rows),
+                **{k: max(r[k] for r in rows) for k in ("max_error", "median_error", "terminal_max_error")},
+                "seeds": seeds,
+            }
+    return out
 
 
 def _child(root: Path, *args: str) -> dict:
@@ -169,6 +217,7 @@ def main(argv=None) -> int:
                                  "seeds": seeds}
     print("criterion 1", file=sys.stderr, flush=True)
     bench["criterion_1"] = _child(root, "--criterion-1")
+    bench["sweep"] = sweep(root)
     prev_path = args.previous or _previous(args.out)
     if prev_path is not None:
         bench["delta"] = delta(json.loads(prev_path.read_text()), bench)

@@ -14,7 +14,6 @@ from .extract import (
     FeatureResult,
     LayerExtractionResult,
     ScanRetryError,
-    SuppressionPlan,
     conv_injection_pattern,
     default_target_layers,
     extract_conv_layer,
@@ -72,10 +71,8 @@ from .protocol import (
     InferenceServer,
     ProtocolError,
     RemoteOracle,
-    Transcript,
     TransportError,
     connect,
-    replay_transcript,
     run_session,
     serve,
 )

@@ -41,6 +41,8 @@ boundary: a layer draws one class pair.  The terminal layer is a
 fully-connected layer like any other, except that its one consumer is the
 Argmax: its phases read class-pair ties (``_pair_boundary``) instead of
 feature scans, and its result is fixed up to the gauge of those ties.
+Each weight phase starts a class's tie at its bias tie, so the tie moves
+only by the weight's own contribution.
 
 A binary scan learns one bit per query, where a label among n classes can
 carry log2 n.  At a phase base the network between a released target and
@@ -60,12 +62,13 @@ binary.  A label from a suppressed class fails the read, and the retry is
 a binary scan.  Bias phases, convolutions, maxpool boundaries and the
 terminal layer always scan binary.
 
-Two systematic error sources are handled explicitly.  Every class tie is
-bisected to float precision, because a residual logit gap biases every
-later measurement by gap/slope.  The flip of the two-probe criticality test
-lags the true boundary by probe/slope, so each boundary is measured twice
-(probe magnitudes eps and 2*eps) and extrapolated back; the lag cancels
-exactly while the network stays in one linear piece.
+Two systematic error sources are handled explicitly.  Every class tie
+that later measurements stand on (a critical point, an intercept, a
+slope) is bisected to float precision, because a residual logit gap
+biases every later measurement by gap/slope.  The flip of the two-probe
+criticality test lags the true boundary by probe/slope, so each boundary
+is measured twice (probe magnitudes eps and 2*eps) and extrapolated back;
+the lag cancels exactly while the network stays in one linear piece.
 
 Queries go to the digits a value needs, not to finding its scale: the first
 scan of a feature starts doubling at the magnitude of the last value the
@@ -76,8 +79,12 @@ confirmation scan starts at the probe lag eps/slope or at that tolerance,
 whichever is larger.  An n-ary read centres its first window on the
 target's bias reading, as wide as the layer's last distance from it, and
 stops at the same tolerance, or at the error of its breakpoints where that
-is wider (``ClassLines.resolution``).  Class ties are the exception: they are
-bisected to ``TIE_POLISH_TOL`` whatever their scale.
+is wider (``ClassLines.resolution``).  A terminal class tie is a reading
+too: it stops at ``eta_tol`` times its distance from where it started,
+and skips the two-probe test.  The ties that other readings stand on are
+the exception: critical points and intercept ties are bisected to
+``TIE_POLISH_TOL`` and validated, and slope ties, which set the n-ary
+breakpoints, are bisected to it as well.
 """
 
 from __future__ import annotations
@@ -139,17 +146,17 @@ class _ScanExhausted(Exception):
 
 # Tolerances that no caller tunes.
 TIE_POLISH_TOL = 1e-13  # a polished tie's logit gap is float noise, not a bias on later scans
-SCAN_ABS_TOL = 1e-12  # absolute floor of a feature scan's tolerance: bounds a reading at or near 0
-ETA_INITIAL_STEP = 1.024e-5  # first doubling step of scans with no known magnitude
+SCAN_ABS_TOL = 1e-12  # absolute floor of a reading's tolerance: bounds a reading at or near 0
+ETA_INITIAL_STEP = 1.024e-5  # first step of a scan with no known magnitude, and the least first step from a last move
 FEATURE_BOUND = 1e3  # reachable features stay below this in magnitude
 ETA_MAX = 1e4  # bounds every search: no flip below it means a dead feature or an unreachable tie
 SUPPRESSION = 1e6  # pins ReLU outputs and other logits down: 100x FEATURE_BOUND, beyond every search
 NARY_MIN_SLOPE_GAP = 1e-3  # a breakpoint is off by tie error / slope gap: 1e-10 at most
 NARY_TIE_DRIFT = 10 * TIE_POLISH_TOL  # a re-tie moved beyond mask noise (~1e-13): stale intercepts
-# The costs behind ``_reads_nary``, measured at eta_tol = 1e-9 on FC layers of 2 to 10 classes:
-NARY_TIE_QUERIES = 48  # one slope tie: gallop, bisection to TIE_POLISH_TOL, two-probe check
-BINARY_READ_EXTRA = 10  # a binary scan's queries beyond log2(1 / eta_tol): sign probe, gallop, scan 2
-NARY_READ_EXTRA = 4  # an n-ary read's queries beyond log_m(1 / eta_tol): first window and widenings
+# The costs behind ``_reads_nary``, measured at eta_tol = 1e-8 and 1e-3 on FC layers of 2 to 10 classes:
+NARY_TIE_QUERIES = 45  # one calibration tie: gallop from the last move, bisection to TIE_POLISH_TOL
+BINARY_READ_EXTRA = 8  # a binary scan's queries beyond log2(1 / eta_tol): sign probe, gallop, scan 2
+NARY_READ_EXTRA = 3  # an n-ary read's queries beyond log_m(1 / eta_tol): first window and widenings
 
 
 @dataclass(frozen=True)
@@ -159,8 +166,9 @@ class BoundarySearchConfig:
     ``sphere_norm`` is the first logit nudge of every class-tie search, the
     expected logit scale (None means: let the harness calibrate, or fall
     back to 10 on an O(1) logit scale).  ``eta_tol`` is the relative
-    tolerance of feature scans: a value v is read to within
-    ``max(eta_tol * |v|, SCAN_ABS_TOL)``, and it must lie in (0, 1).
+    tolerance of every reading, feature scans, n-ary reads and terminal
+    ties: a value v is read to within ``max(eta_tol * |v|, SCAN_ABS_TOL)``,
+    and it must lie in (0, 1).
     ``max_retries`` is how often a failed scan is tried again, an integer
     >= 0; every other value is finite and > 0, and ``sphere_norm`` may also
     be None.  The search bound and the suppression constant are module
@@ -168,7 +176,7 @@ class BoundarySearchConfig:
     """
 
     sphere_norm: float | None = None
-    eta_tol: float = 1e-9
+    eta_tol: float = 1e-8
     max_retries: int = 5
 
     def __post_init__(self):
@@ -595,6 +603,9 @@ def _pair_boundary(
     cfg: BoundarySearchConfig,
     start: float = 0.0,
     step: float | None = None,
+    tol: float = TIE_POLISH_TOL,
+    rel: float = 0.0,
+    validate: bool = True,
 ) -> tuple[QueryInput, float]:
     """The query that ties class ``c`` with ``c_ref`` at ``v0``, and the
     shift t on logit ``c`` that it adds.
@@ -603,9 +614,12 @@ def _pair_boundary(
     the chosen pair competes, and the label flip in t is a clean scalar
     boundary.  The search starts at t = ``start`` and its nudge doubles
     from ``step``, by default ``sphere_norm`` (clamped to ``ETA_MAX``), the
-    expected logit scale.  The flip is bisected to ``TIE_POLISH_TOL``: a
-    wider gap would bias every later scan at the tie by gap/slope.
-    Validated with the two-probe test.
+    expected logit scale.  The flip is bisected to ``tol`` or ``rel``
+    times its distance from ``start``, whichever is wider (``_find_flip``).
+    A tie that later scans stand on keeps the default ``TIE_POLISH_TOL``,
+    since a wider gap would bias every scan at it by gap/slope, and is
+    validated with the two-probe test; a tie that is itself the reading
+    (``validate`` false) skips that test.
     """
     n = oracle.n_classes
     suppress = np.full(n, -SUPPRESSION)
@@ -633,14 +647,14 @@ def _pair_boundary(
     if step is None:
         step = min(cfg.resolved().sphere_norm, ETA_MAX)
     try:
-        s_star = _find_flip(lambda s: label(start + direction * s) != l0, 0.0, step, ETA_MAX, TIE_POLISH_TOL)
+        s_star = _find_flip(lambda s: label(start + direction * s) != l0, 0.0, step, ETA_MAX, tol, rel)
     except _ScanExhausted:
         raise BoundarySearchError(
             f"no boundary reachable: classes {c_ref} and {c} never swap within ETA_MAX={ETA_MAX}"
         ) from None
     t_star = start + direction * s_star
     v = at(t_star)
-    if not oracle.is_critical(v, c_ref, c):
+    if validate and not oracle.is_critical(v, c_ref, c):
         raise BoundarySearchError(f"pair boundary ({c_ref}, {c}) failed validation")
     return v, t_star
 
@@ -929,21 +943,22 @@ def _reads_nary(skeleton: ModelGraph, layer_id: int, classes: int, eta_tol: floa
     The layer must be fully connected into a ReLU boundary, and its
     injection must reach the logits only through that boundary
     (``_bypasses``): only then are the lines the same in every weight
-    phase.  Its n_in weight phases must also repay the calibration: each
-    target's m - 1 = ``classes`` - 1 slope ties (``NARY_TIE_QUERIES`` each)
-    against what each of its reads saves, a binary scan's
-    log2(1 / eta_tol) + ``BINARY_READ_EXTRA`` queries less an n-ary read's
-    log_m(1 / eta_tol) + ``NARY_READ_EXTRA``.  The layer's m - 2 intercept
-    ties are left out of the sum.  Convolutions, maxpool boundaries and the
-    terminal layer keep the binary scan, and so does every bias phase.
+    phase.  Its n_out n_in weight reads must also repay the calibration,
+    each target's m - 1 = ``classes`` - 1 slope ties and the layer's m - 2
+    intercept ties (``NARY_TIE_QUERIES`` each): a read saves a binary
+    scan's log2(1 / eta_tol) + ``BINARY_READ_EXTRA`` queries less its own
+    log_m(1 / eta_tol) + ``NARY_READ_EXTRA``.  Convolutions, maxpool
+    boundaries and the terminal layer keep the binary scan, and so does
+    every bias phase.
     """
     spec = skeleton.layer(layer_id)
     succ = _nonlinear_successor(skeleton, layer_id)
     if spec.kind != KIND_FC or succ.kind != KIND_RELU or classes < 2 or _bypasses(skeleton, layer_id, succ.id):
         return False
+    n_out, n_in = spec.weight.shape
     bits = math.log2(1.0 / eta_tol)
     saved = bits + BINARY_READ_EXTRA - (bits / math.log2(classes) + NARY_READ_EXTRA)
-    return spec.weight.shape[1] * saved >= (classes - 1) * NARY_TIE_QUERIES
+    return n_out * n_in * saved >= (n_out * (classes - 1) + classes - 2) * NARY_TIE_QUERIES
 
 
 def _class_intercepts(
@@ -976,6 +991,12 @@ def _kept_lines(slopes: dict[int, float], intercepts: dict[int, float], centre: 
     return ClassLines(tuple(kept), tuple(slopes[c] for c in kept), tuple(intercepts[c] for c in kept), centre)
 
 
+def _last_move(moves: dict[int, float], c: int) -> float | None:
+    """The first step of class ``c``'s next tie: its last move, at least
+    ``ETA_INITIAL_STEP``, or None (``sphere_norm``) before its first."""
+    return max(moves[c], ETA_INITIAL_STEP) if c in moves else None
+
+
 def _calibrate_lines(
     oracle: OracleHandle,
     skeleton: ModelGraph,
@@ -993,12 +1014,17 @@ def _calibrate_lines(
     R = max(1, |b_j|): at its scale, and far below ``ETA_MAX``.  Each class
     c with an intercept is tied again with ``ref`` there, starting at its
     intercept T_c, and its slope relative to ``ref`` is
-    h_c = (T_c - t_c) / R.  A target that keeps fewer than two lines
-    (``_kept_lines``) has none and keeps the binary scan.
+    h_c = (T_c - t_c) / R.  A slope tie is bisected to ``TIE_POLISH_TOL``,
+    because a slope error moves the read's breakpoints, but it gallops from
+    the class's move |T_c - t_c| at the target before (``sphere_norm`` at
+    the first), and it skips the two-probe test: only two classes compete,
+    so the converged flip is their tie.  A target that keeps fewer than two
+    lines (``_kept_lines``) has none and keeps the binary scan.
     """
     pre_key = (boundary_id, PRE)
     rest = _without(v0, pre_key)
     lines = {}
+    moves: dict[int, float] = {}
     for j, b in readings.items():
         big_r = max(1.0, abs(b))
         mask = _mask_at(skeleton.pre_shape(boundary_id), [(j,)])
@@ -1008,9 +1034,10 @@ def _calibrate_lines(
             if c == ref:
                 continue
             try:
-                t = _pair_boundary(oracle, v, ref, c, cfg, start=t_c)[1]
+                t = _pair_boundary(oracle, v, ref, c, cfg, t_c, _last_move(moves, c), validate=False)[1]
             except BoundarySearchError:
                 continue
+            moves[c] = abs(t - t_c)
             slopes[c] = (t_c - t) / big_r
         kept = _kept_lines(slopes, intercepts, b)
         if kept is not None:
@@ -1031,6 +1058,7 @@ def _run_phase(
     scale: float | None = None,
     hint: CriticalPoint | None = None,
     cal: _LineCalibration | None = None,
+    moves: dict[int, float] | None = None,
 ) -> tuple[float | None, CriticalPoint | None]:
     """Measure every ``(slot, target)`` of one phase into ``values[slot]``.
 
@@ -1050,11 +1078,22 @@ def _run_phase(
     the fallback, or 0.0.  An Argmax successor's targets are classes: each
     reads the negated shift that ties its logit with class 0's at ``v0``
     (``_pair_boundary``), with no critical point, no retries and no rng
-    draw.  The caller reads the phase's queries off the oracle counter.
+    draw.  Such a tie is a reading, not a point to scan at: it is bisected
+    to ``eta_tol`` times its distance from where it starts
+    (``SCAN_ABS_TOL`` as the floor), with no two-probe test.  The bias
+    phase (``moves`` None) starts every tie at 0; a weight phase starts
+    class c's tie at its bias tie -``flags.bias[c]``, and its first step is
+    ``moves[c]``, the class's last move from there, which the phase
+    updates.  The caller reads the phase's queries off the oracle counter.
     """
     if succ.kind == KIND_ARGMAX:
         for slot, c in targets:
-            values[slot] = -_pair_boundary(oracle, v0, 0, c, cfg)[1]
+            start = 0.0 if moves is None else -float(flags.bias[c])
+            step = None if moves is None else _last_move(moves, c)
+            t = _pair_boundary(oracle, v0, 0, c, cfg, start, step, SCAN_ABS_TOL, cfg.eta_tol, validate=False)[1]
+            if moves is not None:
+                moves[c] = abs(t - start)
+            values[slot] = -t
         return scale, None
     scan = extract_feature_maxpool if succ.kind == KIND_MPR else extract_feature
     cp = search_critical(oracle, v0, cfg, rng, hint)
@@ -1111,11 +1150,13 @@ def _extract_layer(
     Argmax is left alone.  Each phase starts its reads at the magnitude the
     one before ended with, and ties its critical point from the one before
     (``search_critical``): the layer draws one fresh class pair unless a
-    scan fails.  When ``_reads_nary`` admits the layer, the class lines are
-    calibrated between the bias phase and the weight phases: every class is
-    tied with the bias phase's reference once (``_class_intercepts``), and
-    the rule is asked again with the classes that tied; then each target's
-    slopes are measured (``_calibrate_lines``).  Those ties count in
+    scan fails.  An Argmax successor's weight phases share ``moves``, each
+    class's last move from its bias tie (``_run_phase``).  When
+    ``_reads_nary`` admits the layer, the class lines are calibrated
+    between the bias phase and the weight phases: every class is tied with
+    the bias phase's reference once (``_class_intercepts``), and the rule
+    is asked again with the classes that tied; then each target's slopes
+    are measured (``_calibrate_lines``).  Those ties count in
     ``weight_queries`` and in ``calibration_queries``.
     """
     spec = skeleton.layer(layer_id)
@@ -1139,9 +1180,10 @@ def _extract_layer(
             lines = _calibrate_lines(oracle, skeleton, succ.id, v0, cp.c1, intercepts, readings, cfg)
             cal = _LineCalibration(intercepts, lines, scale)
         res.calibration_queries = oracle.count - t1
+    moves = {} if succ.kind == KIND_ARGMAX else None
     for inject, targets in weight_phases:
         v0 = _controlled_query(skeleton, plan, inject).shifted(base)
-        scale, cp = _run_phase(oracle, skeleton, succ, v0, targets, res.weight, res, cfg, rng, scale, cp, cal)
+        scale, cp = _run_phase(oracle, skeleton, succ, v0, targets, res.weight, res, cfg, rng, scale, cp, cal, moves)
     res.bias_queries, res.weight_queries = t1 - t0, oracle.count - t1
     # the weight phases stored raw readings bias[c] + amplitude * weight
     bias = res.bias.reshape((-1,) + (1,) * (len(shape) - 1))

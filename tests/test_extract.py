@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -53,6 +54,7 @@ from shiftextract.oracle import TIE_PROBE
 from conftest import fc_layer
 
 CFG = BoundarySearchConfig(sphere_norm=10.0)
+CFG_1E9 = BoundarySearchConfig(sphere_norm=10.0, eta_tol=1e-9)  # for tests whose bounds are written at 1e-9
 
 
 def _silenced_point(model):
@@ -385,11 +387,12 @@ def test_flip_point_bisects_with_one_query_per_step(toy_pm1_model, feature, step
     queries while the failing class is unknown: every doubling step runs the
     two-probe test, every bisection midpoint probes only the class whose
     nudge failed.  A positive value's sign probe names that class, so its
-    scan costs (d+1) + b."""
+    scan costs (d+1) + b.  At eta_tol 1e-9 there are at least 30 bisection
+    steps."""
     oracle = OracleHandle.in_process(toy_pm1_model)
     etas = []
     at = _scan_query(_mask_at((2,), [(feature,)]), feature == 0, etas)  # values 1 and -1
-    failed, flip = _scan_1(oracle, at, step, CFG.eta_tol)
+    failed, flip = _scan_1(oracle, at, step, CFG_1E9.eta_tol)
     assert (failed is None) == (feature == 1)
     etas.clear()
     before = oracle.count
@@ -540,10 +543,10 @@ def test_extract_conv_layer_recovers(small_cnn):
 def test_extract_last_layer_gauge(small_cnn):
     oracle = OracleHandle.in_process(small_cnn)
     sk = small_cnn.skeleton()
-    res = extract_last_layer(oracle, sk, CFG, np.random.default_rng(0))
+    res = extract_last_layer(oracle, sk, CFG_1E9, np.random.default_rng(0))
     # the terminal layer is an FC layer like any other: the shared driver
     # recovers the same gauge representative
-    fc = extract_fc_layer(oracle, sk, 5, CFG, np.random.default_rng(0))
+    fc = extract_fc_layer(oracle, sk, 5, CFG_1E9, np.random.default_rng(0))
     assert fc.gauge_fixed
     assert np.array_equal(fc.bias, res.bias) and np.array_equal(fc.weight, res.weight)
     true = small_cnn.layer(5)
@@ -706,12 +709,141 @@ def test_skip_path_layer_reties_from_hint(monkeypatch):
 
 
 def test_extract_last_layer_tie_beyond_bisection_resolution(zero3_model):
-    """Above 512 the float spacing exceeds ``tie_polish_tol`` (1e-13), so the
-    class-pair bisection reaches adjacent floats before its tolerance; it
-    must stop there instead of probing the same midpoint forever."""
+    """Above 512 the float spacing exceeds ``TIE_POLISH_TOL`` (1e-13), so a
+    critical point's bisection reaches adjacent floats before its
+    tolerance; it must stop there instead of probing the same midpoint
+    forever, and the point still passes the tie test.  The terminal
+    layer's ties are readings: at eta_tol 1e-12 its biases read to 1e-12
+    relative, and its zero weights read as their ties' moves from the bias
+    ties, within the error of the bias reading and the absolute floor."""
     bias = np.array([0.0, 600.0, -700.0])
     model = zero3_model.with_params({3: (np.zeros((3, 3)), bias)})
     oracle = OracleHandle.in_process(model)
-    res = extract_last_layer(oracle, model.skeleton(), CFG, np.random.default_rng(0))
+    res = extract_last_layer(oracle, model.skeleton(), replace(CFG, eta_tol=1e-12), np.random.default_rng(0))
     assert np.abs(res.bias - bias).max() <= 1e-12 * 700
-    assert np.all(res.weight == 0.0)
+    amplitude = math.sqrt(3 / 4.0)
+    assert np.all(np.abs(res.weight) <= (np.abs(res.bias - bias) + SCAN_ABS_TOL)[:, None] / amplitude)
+    for seed in range(4):
+        cp = search_critical(oracle, QueryInput(np.zeros(2)), CFG, np.random.default_rng(seed))
+        logits = forward_trace(model, cp.v).logits
+        assert abs(cp.t) >= 600
+        assert abs(logits[cp.c1] - logits[cp.c2]) <= 2 * np.spacing(abs(cp.t))
+        assert oracle.is_critical(cp.v, cp.c1, cp.c2)
+
+
+# ---------------------------------------------------------------------------
+# Terminal readings against critical points
+
+
+def _terminal_toy(bias, weight):
+    """A hidden layer of ``n_in`` units into a terminal layer with ``bias``
+    and ``weight`` (classes x n_in): the weight phases inject the terminal
+    layer's input directly, so its logits are bias + amplitude * weight[:, i]."""
+    weight = np.asarray(weight, float)
+    n_in = weight.shape[1]
+    layers = [
+        LayerSpec(id=0, kind=KIND_INPUT, shape=(1,)),
+        fc_layer(1, 0, np.zeros((n_in, 1)), np.zeros(n_in)),
+        LayerSpec(id=2, kind=KIND_RELU, inputs=(1,)),
+        fc_layer(3, 2, weight, bias),
+        LayerSpec(id=4, kind=KIND_ARGMAX, inputs=(3,)),
+    ]
+    return ModelGraph(layers, output=4)
+
+
+def _recorded_ties(mp, oracle):
+    """Wrap ``_pair_boundary``: each call appends (start, tie shift, queries)."""
+    ties, real = [], sx_extract._pair_boundary
+
+    def pair_boundary(*args, **kwargs):
+        before = oracle.count
+        v, t = real(*args, **kwargs)
+        start = kwargs.get("start", args[5] if len(args) > 5 else 0.0)
+        ties.append((start, t, oracle.count - before))
+        return v, t
+
+    mp.setattr(sx_extract, "_pair_boundary", pair_boundary)
+    return ties
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bias=st.floats(1e-3, 1e2),
+    moves=st.lists(st.floats(1e-3, 1e2), min_size=2, max_size=2),
+    signs=st.lists(st.booleans(), min_size=3, max_size=3),
+    log_tol=st.integers(-12, -3),
+)
+def test_terminal_readings_to_eta_tol(bias, moves, signs, log_tol):
+    """A terminal tie is a reading, not a point to scan at.  The bias tie
+    starts cold at 0, each weight tie warm at the bias tie, its first step
+    the class's last move.  Whatever the magnitude (1e-3 to 1e2) and sign,
+    each lands within max(eta_tol |move|, SCAN_ABS_TOL) of the true tie,
+    up to float noise, where the move is its distance from where it
+    started."""
+    b = -bias if signs[0] else bias
+    amplitude = math.sqrt(2 / 4.0)
+    w = [(-m if neg else m) / amplitude for m, neg in zip(moves, signs[1:])]
+    model = _terminal_toy([0.0, b], [[0.0, 0.0], w])
+    cfg = BoundarySearchConfig(sphere_norm=10.0, eta_tol=10.0**log_tol)
+    oracle = OracleHandle.in_process(model)
+    with pytest.MonkeyPatch.context() as mp:
+        ties = _recorded_ties(mp, oracle)
+        extract_last_layer(oracle, model.skeleton(), cfg, np.random.default_rng(0))
+    inject = amplitude * np.eye(2)
+    truths = [-b] + [-(b + float(model.layer(3).weight[1] @ x)) for x in inject]
+    assert len(ties) == 3 and ties[0][0] == 0.0 and ties[1][0] == ties[2][0] == ties[0][1]
+    for (start, t, _), truth in zip(ties, truths):
+        noise = 8 * np.spacing(max(abs(truth), abs(start)))
+        assert abs(t - truth) <= max(cfg.eta_tol * abs(truth - start), SCAN_ABS_TOL) + noise
+
+
+@pytest.mark.parametrize("move", [1e-3, 1.0, 1e2, 0.0])
+def test_warm_terminal_reading_step_count(monkeypatch, move):
+    """The second weight phase starts class 1's tie at its bias tie, with
+    the first weight phase's move as its first step.  When the move repeats,
+    the reading costs its start label, one or two doubling probes and the
+    bisection to eta_tol of the move: at most ceil(log2(1 / eta_tol)) + 3
+    queries at every scale, with no two-probe test.  A tie that does not
+    move stops at the ``SCAN_ABS_TOL`` floor, from the clamped first step
+    ``ETA_INITIAL_STEP``."""
+    amplitude = math.sqrt(2 / 4.0)
+    model = _terminal_toy([0.0, 0.3], [[0.0, 0.0], [move / amplitude] * 2])
+    oracle = OracleHandle.in_process(model)
+    ties = _recorded_ties(monkeypatch, oracle)
+    extract_last_layer(oracle, model.skeleton(), CFG, np.random.default_rng(0))
+    queries = ties[2][2]
+    if move:
+        assert queries <= math.ceil(math.log2(1.0 / CFG.eta_tol)) + 3
+    else:
+        assert queries <= 2 + math.ceil(math.log2(ETA_INITIAL_STEP / SCAN_ABS_TOL))
+
+
+def test_critical_points_and_intercepts_keep_the_polish_tolerance():
+    """Ties that later scans stand on are bisected to ``TIE_POLISH_TOL``
+    and pass the two-probe test whatever ``eta_tol`` is: a fresh critical
+    point, a hinted re-tie of it at a base whose logits moved, and every
+    class intercept of an n-ary layer (relu-inproc's FC layer)."""
+    model = random_model("conv2x3x3-r-fc12-r-fc4", (2, 6, 6), seed=3)
+    sk, argmax = model.skeleton(), model.argmax_id
+    cfg = BoundarySearchConfig(sphere_norm=10.0, eta_tol=1e-3)
+    oracle = OracleHandle.in_process(model)
+    base = _controlled_query(sk, zero_input_plan(sk, 3), None).shifted(_phase_base(sk, 4))
+
+    def polished(v, c1, c2):
+        logits = forward_trace(model, v).logits
+        return abs(logits[c1] - logits[c2]) <= TIE_POLISH_TOL and oracle.is_critical(v, c1, c2)
+
+    cp = search_critical(oracle, base, cfg, np.random.default_rng(1))
+    assert polished(cp.v, cp.c1, cp.c2)
+    moved = base.shifted(ShiftSet.single(argmax, PRE, (model.n_classes,), cp.c2, 0.37))
+    again = search_critical(oracle, moved, cfg, np.random.default_rng(1), hint=cp)
+    assert (again.c1, again.c2) == (cp.c1, cp.c2) and again.t == pytest.approx(cp.t - 0.37, abs=1e-12)
+    assert polished(again.v, again.c1, again.c2)
+    intercepts = sx_extract._class_intercepts(oracle, base, cp, cfg)
+    assert len(intercepts) == model.n_classes
+    for c, t in intercepts.items():
+        if c != cp.c1:
+            vec = np.full(model.n_classes, -SUPPRESSION)
+            vec[[cp.c1, c]] = 0.0
+            vec[c] += t
+            assert polished(base.shifted(ShiftSet({(argmax, PRE): vec})), cp.c1, c)

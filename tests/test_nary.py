@@ -240,7 +240,9 @@ def test_read_stops_at_the_breakpoints_resolution():
     (``lines.resolution``, about 8e-11 here), wider than the tolerance of a
     value near 1e-3.  The read stops at that resolution: it lands within
     1.5 of it of the truth (half the last window plus the breakpoint
-    error), and spends no query splitting below it."""
+    error), and spends no query splitting below it.  The tolerance is
+    eta_tol 1e-9, at which the resolution is the wider of the two."""
+    cfg = BoundarySearchConfig(sphere_norm=10.0, eta_tol=1e-9)
     spread = 5e-4
     for n_classes, bias, value in [(3, 1e-3, 1.1e-3), (4, -1e-3, -0.9e-3), (7, 1.2e-3, 1e-3)]:
         model = _lines_toy(n_classes, bias, seed=n_classes, gap=1.2 * NARY_MIN_SLOPE_GAP)
@@ -251,9 +253,9 @@ def test_read_stops_at_the_breakpoints_resolution():
         lines = cal.lines[0]
         m = len(lines.classes)
         assert m == n_classes
-        assert lines.resolution > 10 * max(CFG.eta_tol * abs(value), SCAN_ABS_TOL)
+        assert lines.resolution > 10 * max(cfg.eta_tol * abs(value), SCAN_ABS_TOL)
         labels.clear()
-        res, truth = _read(oracle, model, cp, lines, value, bias, CFG, spread)
+        res, truth = _read(oracle, model, cp, lines, value, bias, cfg, spread)
         assert abs(res.value - truth) <= 1.5 * lines.resolution
         # no widening: the value lies in an inner sub-window of the first window, bias +- spread
         assert len(labels) <= math.ceil(math.log(2.0 * spread / lines.resolution, m))
@@ -262,19 +264,22 @@ def test_read_stops_at_the_breakpoints_resolution():
 def test_the_rule():
     """Only a fully-connected layer into a ReLU whose injection reaches the
     logits only through that ReLU reads n-ary, and only when its weight
-    phases repay the slope ties: at the default eta_tol a 2-class layer
-    needs 8 inputs, a 4-class one 7, a 10-class one 17; at eta_tol = 1e-3,
-    where a read learns fewer digits, a 4-class one needs 14."""
+    phases repay the calibration ties: at the default eta_tol (1e-8) a
+    6-output layer of 3 classes needs 7 inputs, of 4 classes 9, of 10
+    classes 20; one of 2 classes breaks even at 9 (a read saves 5 queries,
+    a slope tie costs 45).  At eta_tol = 1e-3, where a read learns fewer
+    digits, a 4-class one needs 16."""
 
-    def rule(arch, shape, layer_id, eta_tol=1e-9):
+    def rule(arch, shape, layer_id, eta_tol=BoundarySearchConfig().eta_tol):
         skeleton = random_model(arch, shape, seed=1).skeleton()
         return _reads_nary(skeleton, layer_id, skeleton.n_classes, eta_tol)
 
-    for classes, least in [(2, 8), (4, 7), (10, 17)]:
+    for classes, least in [(3, 7), (4, 9), (10, 20)]:
         assert rule(f"fc6-r-fc{classes}", (least,), 1)
         assert not rule(f"fc6-r-fc{classes}", (least - 1,), 1)
-    assert not rule("fc6-r-fc4", (13,), 1, eta_tol=1e-3)
-    assert rule("fc6-r-fc4", (14,), 1, eta_tol=1e-3)
+    assert not rule("fc6-r-fc2", (8,), 1) and rule("fc6-r-fc2", (10,), 1)
+    assert not rule("fc6-r-fc4", (15,), 1, eta_tol=1e-3)
+    assert rule("fc6-r-fc4", (16,), 1, eta_tol=1e-3)
     assert rule("conv2x3x3-r-fc12-r-fc4", (2, 6, 6), 3)
     assert not rule("conv2x3x3-r-fc12-r-fc4", (2, 6, 6), 1)  # a convolution
     assert not rule("conv2x3x3-r-fc12-r-fc4", (2, 6, 6), 5)  # the terminal layer

@@ -17,7 +17,6 @@ from shiftextract import (
     forward_label,
     forward_trace,
     random_model,
-    replay_transcript,
     run_attack,
     run_session,
     serve,
@@ -35,6 +34,7 @@ from shiftextract.protocol import (
     connect,
     encode_frame,
     payload_tensor,
+    replay_transcript,
     tensor_payload,
 )
 

@@ -6,6 +6,8 @@ sees every scripted error; the scans after them run for real.  The last
 test scripts a third class into the oracle's answers instead.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -58,9 +60,9 @@ class ScriptedScans:
         return self.events[1:ok].count("search"), self.events[ok][1]
 
 
-def _relu_layer():
+def _relu_layer(cfg=CFG):
     model = random_model("conv3x3x3-r-fc8-r-fc3", (2, 5, 5), seed=17)  # the small_cnn fixture
-    return model, lambda oracle: extract_fc_layer(oracle, model.skeleton(), 3, CFG, np.random.default_rng(0))
+    return model, lambda oracle: extract_fc_layer(oracle, model.skeleton(), 3, cfg, np.random.default_rng(0))
 
 
 def _maxpool_layer():
@@ -117,8 +119,9 @@ def test_failed_hinted_scan_retries_at_a_fresh_point(monkeypatch):
     """A third class on the first probe of a scan 1 started from a measured
     magnitude fails the attempt: the phase's one retry loop searches a fresh
     critical point and scans again from the same magnitude, and the slot is
-    flagged retried."""
-    model, extract = _relu_layer()
+    flagged retried.  The scan tolerances below are written at eta_tol 1e-9."""
+    cfg = replace(CFG, eta_tol=1e-9)
+    model, extract = _relu_layer(cfg)
     events, third, eta1s = [], [], []
     real_flip, real_search = sx_extract._flip_point, sx_extract.search_critical
 
@@ -147,7 +150,7 @@ def test_failed_hinted_scan_retries_at_a_fresh_point(monkeypatch):
     # scan 2 starts at the probe lag at slope 1, or at half its tolerance
     # at eta1 when that is larger: bias 0 (0.0039) is below the crossover
     # TIE_PROBE / (0.5 * eta_tol) = 0.02, bias 1 (0.057) above it
-    default, eps, lag_tol = sx_extract.ETA_INITIAL_STEP, TIE_PROBE, 0.5 * CFG.eta_tol * eta1s[1]
+    default, eps, lag_tol = sx_extract.ETA_INITIAL_STEP, TIE_PROBE, 0.5 * cfg.eta_tol * eta1s[1]
     assert lag_tol > eps
     hint = abs(res.bias[0])
     assert events[:8] == ["search", ("scan1", default), ("scan2", eps), ("scan1", hint), "fault",

@@ -11,11 +11,13 @@ criterion 1 (conv8x3x3-r-fc32-r-fc4 on 3x8x8, model seed 7, attack seed 11)
 and scores its convolution and first FC layer against the truth.  The file
 holds the end-to-end metrics per seed and their medians, the per-layer
 queries and calls per parameter, criterion 1's errors and wall seconds, the
-core count and Python version, and the change of every median against the
+core count and Python version, the change of every median against the
 previous BENCH file (by default the highest-numbered one below n next to
-the output).  Every attack runs in a fresh interpreter that imports the
-program from ``<root>/src``.  A ``sweep`` section attacks criterion 1 and
-the three workload models (in process, seeds 1 to 3) once more at each
+the output), and the provenance of the measured code: its commit, a
+``dirty`` flag and a sha256 of ``src/`` (``provenance``).  Every attack
+runs in a fresh interpreter that imports the program from
+``<root>/src``.  A ``sweep`` section attacks criterion 1 and the three
+workload models (in process, seeds 1 to 3) once more at each
 ``eta_tol`` of ``SWEEP_ETA_TOLS``, and records calls per parameter, the max
 and median relative error over the non-terminal parameters, and the max
 relative error of the terminal layer's gauge differences.
@@ -24,6 +26,7 @@ relative error of the terminal layer's gauge differences.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -139,6 +142,21 @@ def sweep(root: Path) -> dict:
     return out
 
 
+def provenance(root: Path) -> dict:
+    """The commit of ``root``, whether the code the benchmark runs (``src/``
+    and ``perfbench/``) differs from it (``dirty``, None outside git), and
+    a sha256 over the path and bytes of every ``.py`` file under ``src/``,
+    which names the measured program even in a dirty tree."""
+    git = lambda *a: subprocess.run(["git", *a], cwd=root, capture_output=True, text=True)
+    head, status = git("rev-parse", "HEAD"), git("status", "--porcelain", "--", "src", "perfbench")
+    digest = hashlib.sha256()
+    for path in sorted((root / "src").rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode() + b"\0" + path.read_bytes())
+    return {"root_commit": head.stdout.strip() or None,
+            "dirty": bool(status.stdout.strip()) if status.returncode == 0 else None,
+            "src_sha256": digest.hexdigest()}
+
+
 def _child(root: Path, *args: str) -> dict:
     """Run this script's subcommand in a fresh interpreter; its last line is JSON."""
     out = subprocess.run([sys.executable, str(HERE), "--root", str(root), *args],
@@ -201,8 +219,7 @@ def main(argv=None) -> int:
     if args.out is None:
         ap.error("--out is required")
 
-    commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True).stdout.strip()
-    bench = {"file": args.out.name, "root_commit": commit or None,
+    bench = {"file": args.out.name, **provenance(root),
              "machine": {"cpu_count": os.cpu_count(), "python": platform.python_version(),
                          "platform": platform.platform()},
              "workloads": {}}

@@ -59,8 +59,21 @@ on one of m sub-windows, and the label shrinks the window m-fold.  A read
 ignores the phase's tie, but the tie is still made: when it is not where
 the intercepts predict, the intercepts are stale and the phase scans
 binary.  A label from a suppressed class fails the read, and the retry is
-a binary scan.  Bias phases, convolutions, maxpool boundaries and the
-terminal layer always scan binary.
+a binary scan.  Bias phases, convolutions and maxpool boundaries always
+scan binary.
+
+When such a layer feeds the terminal layer through one ReLU, its
+calibration measures the terminal too: at its silenced base the logits
+are the terminal's bias, so an intercept tie is a terminal bias
+difference, and a slope tie moves by R times a terminal weight
+difference.  Its ties go into the attack's ``TerminalTies`` table, and
+the terminal layer builds its gauge-fixed parameters from the table,
+re-referenced to class 0.  It ties only what the table lacks: a column
+whose bias reading was flagged, a class with no intercept or with a
+failed slope tie.  The harness runs the terminal layer after the layer
+below whenever both are targets, so every order gives the same
+parameters; without such a layer below, the terminal ties every class
+itself.
 
 Two systematic error sources are handled explicitly.  Every class tie
 that later measurements stand on (a critical point, an intercept, a
@@ -157,6 +170,7 @@ NARY_TIE_DRIFT = 10 * TIE_POLISH_TOL  # a re-tie moved beyond mask noise (~1e-13
 NARY_TIE_QUERIES = 45  # one calibration tie: gallop from the last move, bisection to TIE_POLISH_TOL
 BINARY_READ_EXTRA = 8  # a binary scan's queries beyond log2(1 / eta_tol): sign probe, gallop, scan 2
 NARY_READ_EXTRA = 3  # an n-ary read's queries beyond log_m(1 / eta_tol): first window and widenings
+TERMINAL_TIE_QUERIES = 31  # one terminal reading that a layer's calibration makes for it (``TerminalTies``)
 
 
 @dataclass(frozen=True)
@@ -256,6 +270,54 @@ class _LineCalibration:
         if cp.c1 not in self.intercepts or cp.c2 not in self.intercepts:
             return False
         return abs(cp.t - (self.intercepts[cp.c2] - self.intercepts[cp.c1])) <= NARY_TIE_DRIFT
+
+
+@dataclass
+class TerminalTies:
+    """One attack's class ties at the ReLU boundary that feeds the terminal
+    layer, made by the n-ary calibration of the fully-connected layer
+    ``below`` it (``terminal_ties``).
+
+    At a base that silences the boundary the logits are the terminal's
+    bias b, and a target j released at R moves them by R W[:, j].  So
+    ``intercepts[c]``, the shift that ties class c with the calibration's
+    reference class r there, is b[r] - b[c], and ``slopes[j][c]`` is
+    W[c, j] - W[r, j] (r itself at 0 in both).  A class with no reachable
+    tie, and a target with no slope ties, are absent.
+    """
+
+    below: int
+    intercepts: dict[int, float] = field(default_factory=dict)
+    slopes: dict[int, dict[int, float]] = field(default_factory=dict)
+
+    def gauge_fixed(self) -> dict[tuple, float]:
+        """The terminal parameters the ties measure, re-referenced to class
+        0 and keyed by the terminal's slots: (c,) reads b[c] - b[0] and
+        (c, j) reads W[c, j] - W[0, j], for c >= 1.  A slot is absent when
+        class 0 or class c lacks the tie it needs."""
+        out = {}
+        if 0 in self.intercepts:
+            out.update({(c,): self.intercepts[0] - t for c, t in self.intercepts.items() if c})
+        for j, h in self.slopes.items():
+            if 0 in h:
+                out.update({(c, j): h_c - h[0] for c, h_c in h.items() if c})
+        return out
+
+
+def terminal_ties(skeleton: ModelGraph, targets: Sequence[int]) -> TerminalTies | None:
+    """An empty table for an attack on ``targets``, or None.
+
+    A table exists when the terminal layer's only input is a ReLU whose
+    only consumer it is, that ReLU reads a fully-connected layer, and both
+    layers are targets."""
+    last = skeleton.layer(skeleton.argmax_id).inputs[0]
+    feed = skeleton.layer(skeleton.layer(last).inputs[0])
+    if feed.kind != KIND_RELU or skeleton.successors(feed.id) != (last,):
+        return None
+    below = feed.inputs[0]
+    if skeleton.layer(below).kind != KIND_FC or last not in targets or below not in targets:
+        return None
+    return TerminalTies(below)
 
 
 @dataclass(frozen=True)
@@ -936,7 +998,9 @@ def _bypasses(skeleton: ModelGraph, layer_id: int, boundary_id: int) -> bool:
     return False
 
 
-def _reads_nary(skeleton: ModelGraph, layer_id: int, classes: int, eta_tol: float) -> bool:
+def _reads_nary(
+    skeleton: ModelGraph, layer_id: int, classes: int, eta_tol: float, ties: TerminalTies | None = None
+) -> bool:
     """The attack's one rule for n-ary reads: whether layer ``layer_id``
     reads its weights through ``classes`` class lines.
 
@@ -947,7 +1011,10 @@ def _reads_nary(skeleton: ModelGraph, layer_id: int, classes: int, eta_tol: floa
     each target's m - 1 = ``classes`` - 1 slope ties and the layer's m - 2
     intercept ties (``NARY_TIE_QUERIES`` each): a read saves a binary
     scan's log2(1 / eta_tol) + ``BINARY_READ_EXTRA`` queries less its own
-    log_m(1 / eta_tol) + ``NARY_READ_EXTRA``.  Convolutions, maxpool
+    log_m(1 / eta_tol) + ``NARY_READ_EXTRA``.  With the attack's ``ties``,
+    given only to the layer below the terminal one, its calibration also
+    spares the terminal layer's (n_out + 1)(m - 1) readings, ``TERMINAL_TIE_QUERIES``
+    each, and they count toward the repayment.  Convolutions, maxpool
     boundaries and the terminal layer keep the binary scan, and so does
     every bias phase.
     """
@@ -958,7 +1025,8 @@ def _reads_nary(skeleton: ModelGraph, layer_id: int, classes: int, eta_tol: floa
     n_out, n_in = spec.weight.shape
     bits = math.log2(1.0 / eta_tol)
     saved = bits + BINARY_READ_EXTRA - (bits / math.log2(classes) + NARY_READ_EXTRA)
-    return n_out * n_in * saved >= (n_out * (classes - 1) + classes - 2) * NARY_TIE_QUERIES
+    spared = 0 if ties is None else (n_out + 1) * (classes - 1) * TERMINAL_TIE_QUERIES
+    return n_out * n_in * saved + spared >= (n_out * (classes - 1) + classes - 2) * NARY_TIE_QUERIES
 
 
 def _class_intercepts(
@@ -1006,6 +1074,7 @@ def _calibrate_lines(
     intercepts: dict[int, float],
     readings: dict[int, float],
     cfg: BoundarySearchConfig,
+    ties: TerminalTies | None = None,
 ) -> dict[int, ClassLines]:
     """The class lines of every target j in ``readings``, read as b_j at
     the silenced base ``v0``.
@@ -1019,7 +1088,10 @@ def _calibrate_lines(
     the class's move |T_c - t_c| at the target before (``sphere_norm`` at
     the first), and it skips the two-probe test: only two classes compete,
     so the converged flip is their tie.  A target that keeps fewer than two
-    lines (``_kept_lines``) has none and keeps the binary scan.
+    lines (``_kept_lines``) has none and keeps the binary scan.  With
+    ``ties``, every target's measured slopes, kept or not, go into
+    ``ties.slopes``: where the boundary feeds the terminal layer they are
+    its weight differences.
     """
     pre_key = (boundary_id, PRE)
     rest = _without(v0, pre_key)
@@ -1039,6 +1111,8 @@ def _calibrate_lines(
                 continue
             moves[c] = abs(t - t_c)
             slopes[c] = (t_c - t) / big_r
+        if ties is not None:
+            ties.slopes[j] = slopes
         kept = _kept_lines(slopes, intercepts, b)
         if kept is not None:
             lines[j] = kept
@@ -1137,6 +1211,7 @@ def _extract_layer(
     weight_phases,
     cfg: BoundarySearchConfig,
     rng: np.random.Generator,
+    ties: TerminalTies | None = None,
 ) -> LayerExtractionResult:
     """The driver shared by convolution and fully-connected layers, the
     terminal one included.
@@ -1158,6 +1233,13 @@ def _extract_layer(
     is asked again with the classes that tied; then each target's slopes
     are measured (``_calibrate_lines``).  Those ties count in
     ``weight_queries`` and in ``calibration_queries``.
+
+    ``ties`` is the attack's table at the boundary that feeds the terminal
+    layer, given to the layer below it and to the terminal layer.  The
+    layer below writes its intercept and slope ties there.  The terminal
+    layer takes every slot the table measures (``TerminalTies.gauge_fixed``)
+    and runs only the phases and targets left: a table that measures every
+    slot costs it no query.
     """
     spec = skeleton.layer(layer_id)
     plan = zero_input_plan(skeleton, layer_id)
@@ -1165,29 +1247,42 @@ def _extract_layer(
     res = LayerExtractionResult(
         layer_id=layer_id, kind=spec.kind, bias=np.zeros(shape[0]), weight=np.zeros(shape)
     )
+    known = ties.gauge_fixed() if ties is not None and succ.kind == KIND_ARGMAX else {}
+    for slot, value in known.items():
+        if len(slot) == 1:
+            res.bias[slot] = value
     base = ShiftSet() if succ.kind == KIND_ARGMAX else _phase_base(skeleton, succ.id)
     t0 = oracle.count
     v0 = _controlled_query(skeleton, plan, None).shifted(base)
+    bias_targets = [(slot, t) for slot, t in bias_targets if slot not in known]
     scale, cp = _run_phase(oracle, skeleton, succ, v0, bias_targets, res.bias, res, cfg, rng)
     t1 = oracle.count
     cal = None
-    if _reads_nary(skeleton, layer_id, oracle.n_classes, cfg.eta_tol):
+    if _reads_nary(skeleton, layer_id, oracle.n_classes, cfg.eta_tol, ties):
         intercepts = _class_intercepts(oracle, v0, cp, cfg)
-        if _reads_nary(skeleton, layer_id, len(intercepts), cfg.eta_tol):
+        if ties is not None:
+            ties.intercepts = intercepts
+        if _reads_nary(skeleton, layer_id, len(intercepts), cfg.eta_tol, ties):
             # a bias reading flagged dead or retried may be off: that target keeps the binary scan
             flagged = set(res.dead) | set(res.retried)
             readings = {j: float(b) for j, b in enumerate(res.bias) if (j,) not in flagged}
-            lines = _calibrate_lines(oracle, skeleton, succ.id, v0, cp.c1, intercepts, readings, cfg)
+            lines = _calibrate_lines(oracle, skeleton, succ.id, v0, cp.c1, intercepts, readings, cfg, ties)
             cal = _LineCalibration(intercepts, lines, scale)
         res.calibration_queries = oracle.count - t1
     moves = {} if succ.kind == KIND_ARGMAX else None
     for inject, targets in weight_phases:
+        targets = [(slot, t) for slot, t in targets if slot not in known]
+        if not targets:
+            continue
         v0 = _controlled_query(skeleton, plan, inject).shifted(base)
         scale, cp = _run_phase(oracle, skeleton, succ, v0, targets, res.weight, res, cfg, rng, scale, cp, cal, moves)
     res.bias_queries, res.weight_queries = t1 - t0, oracle.count - t1
     # the weight phases stored raw readings bias[c] + amplitude * weight
     bias = res.bias.reshape((-1,) + (1,) * (len(shape) - 1))
     res.weight = (res.weight - bias) / amplitude
+    for slot, value in known.items():
+        if len(slot) == 2:
+            res.weight[slot] = value
     return res
 
 
@@ -1268,6 +1363,8 @@ def extract_fc_layer(
     layer_id: int,
     cfg: BoundarySearchConfig,
     rng: np.random.Generator,
+    *,
+    ties: TerminalTies | None = None,
 ) -> LayerExtractionResult:
     """Recover a fully-connected layer's bias and weights.
 
@@ -1280,6 +1377,12 @@ def extract_fc_layer(
     constant and each weight column up to another.  Class 0 is the gauge
     reference: only classes 1..n-1 are measured, and the result is the
     ``gauge_fixed`` representative with bias[0] = 0 and weight[0, :] = 0.
+
+    ``ties`` is the attack's ``TerminalTies`` table, for the layer ``below``
+    the terminal one and for the terminal layer itself.  The layer below
+    writes its calibration ties there (and ``_reads_nary`` credits it with
+    the terminal readings they spare); the terminal layer reads every slot
+    the table measures from it and ties the rest (``_extract_layer``).
     """
     spec = skeleton.layer(layer_id)
     if spec.kind != KIND_FC:
@@ -1298,7 +1401,7 @@ def extract_fc_layer(
             inject[i0] = amplitude
             yield inject, [((j, i0), target) for (j,), target in bias_targets]
 
-    res = _extract_layer(oracle, skeleton, layer_id, succ, amplitude, bias_targets, weight_phases(), cfg, rng)
+    res = _extract_layer(oracle, skeleton, layer_id, succ, amplitude, bias_targets, weight_phases(), cfg, rng, ties)
     res.gauge_fixed = gauge
     return res
 
@@ -1308,7 +1411,11 @@ def extract_last_layer(
     skeleton: ModelGraph,
     cfg: BoundarySearchConfig,
     rng: np.random.Generator,
+    *,
+    ties: TerminalTies | None = None,
 ) -> LayerExtractionResult:
     """Recover the terminal fully-connected layer, the Argmax's input, up to
-    its gauge freedom (see ``extract_fc_layer``)."""
-    return extract_fc_layer(oracle, skeleton, skeleton.layer(skeleton.argmax_id).inputs[0], cfg, rng)
+    its gauge freedom, from ``ties`` where they measure it (see
+    ``extract_fc_layer``)."""
+    last = skeleton.layer(skeleton.argmax_id).inputs[0]
+    return extract_fc_layer(oracle, skeleton, last, cfg, rng, ties=ties)

@@ -22,10 +22,12 @@ from .extract import (
     BoundarySearchConfig,
     ExtractionError,
     LayerExtractionResult,
+    TerminalTies,
     default_target_layers,
     extract_conv_layer,
     extract_fc_layer,
     extract_last_layer,
+    terminal_ties,
 )
 from .model import (
     KIND_CONV,
@@ -265,13 +267,15 @@ def _extract_one(
     layer_id: int,
     search: BoundarySearchConfig,
     rng: np.random.Generator,
+    ties: TerminalTies | None,
 ) -> LayerExtractionResult:
     last = skeleton.layer(skeleton.argmax_id).inputs[0]
     if layer_id == last:
-        return extract_last_layer(oracle, skeleton, search, rng)
+        return extract_last_layer(oracle, skeleton, search, rng, ties=ties)
     if skeleton.layer(layer_id).kind == KIND_CONV:
         return extract_conv_layer(oracle, skeleton, layer_id, search, rng)
-    return extract_fc_layer(oracle, skeleton, layer_id, search, rng)
+    below = ties is not None and layer_id == ties.below
+    return extract_fc_layer(oracle, skeleton, layer_id, search, rng, ties=ties if below else None)
 
 
 def _check_targets(skeleton: ModelGraph, layers: list[int]) -> None:
@@ -293,7 +297,11 @@ def run_attack(
     ``truth`` backs the in-process oracle and, when present, the error
     columns; the extraction itself only ever sees the label oracle and the
     zero-parameter skeleton.  ``cfg.layers`` is checked before the first
-    query (``_check_targets``).
+    query (``_check_targets``).  When the fully-connected layer below the
+    terminal one is a target too, the two share one ``TerminalTies`` table,
+    and the terminal layer runs right after that layer, whatever their
+    order in ``cfg.layers``: its parameters then come from that layer's
+    ties in every order.  The report keeps the order of ``cfg.layers``.
     """
     if cfg.backend == "in-process":
         if truth is None:
@@ -314,10 +322,16 @@ def run_attack(
     oracle = OracleHandle(backend, argmax_id=skeleton.argmax_id, n_classes=skeleton.n_classes)
 
     search = replace(cfg.search, sphere_norm=resolve_sphere_norm(cfg, truth))
+    ties = terminal_ties(skeleton, targets)
+    order = list(targets)
+    if ties is not None:
+        last = skeleton.layer(skeleton.argmax_id).inputs[0]
+        order.remove(last)
+        order.insert(order.index(ties.below) + 1, last)
 
     def attack_layer(layer_id: int) -> LayerExtractionResult:
         before = oracle.count
-        res = _extract_one(oracle, skeleton, layer_id, search, _layer_rng(cfg.attack_seed, layer_id))
+        res = _extract_one(oracle, skeleton, layer_id, search, _layer_rng(cfg.attack_seed, layer_id), ties)
         delta = oracle.count - before
         if delta != res.total_queries:
             raise RuntimeError(
@@ -329,7 +343,7 @@ def run_attack(
     results: dict[int, LayerExtractionResult] = {}
     failures: dict[int, tuple[str, int]] = {}
     try:
-        for lid in targets:
+        for lid in order:
             # a failure surfaces with the queries it consumed; a transport
             # fault fails only its layer: the remote backend reconnects on
             # the next query

@@ -7,6 +7,7 @@ breakpoint between each pair of adjacent lines.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from shiftextract import (
     BoundarySearchConfig,
     CriticalPoint,
     ExperimentConfig,
+    default_target_layers,
     LayerSpec,
     ModelGraph,
     OracleHandle,
@@ -50,7 +52,9 @@ from shiftextract.extract import (
     _LineCalibration,
     _phase_base,
     _reads_nary,
+    terminal_ties,
 )
+from shiftextract.harness import _layer_rng, layer_error_summary
 from conftest import fc_layer
 
 CFG = BoundarySearchConfig(sphere_norm=10.0)
@@ -268,18 +272,27 @@ def test_the_rule():
     6-output layer of 3 classes needs 7 inputs, of 4 classes 9, of 10
     classes 20; one of 2 classes breaks even at 9 (a read saves 5 queries,
     a slope tie costs 45).  At eta_tol = 1e-3, where a read learns fewer
-    digits, a 4-class one needs 16."""
+    digits, a 4-class one needs 16.  When the layer feeds the terminal
+    layer and the attack targets both (``terminal_ties``), its ties also
+    spare the terminal's 7 (m - 1) readings: then 3 classes need 2
+    inputs, 4 classes 3, 10 classes 6 and 2 classes 2, which no longer
+    rests on the rounding of a log (7 queries of margin), and at 1e-3 a
+    4-class layer needs 5."""
 
-    def rule(arch, shape, layer_id, eta_tol=BoundarySearchConfig().eta_tol):
+    def rule(arch, shape, layer_id, eta_tol=BoundarySearchConfig().eta_tol, shared=False):
         skeleton = random_model(arch, shape, seed=1).skeleton()
-        return _reads_nary(skeleton, layer_id, skeleton.n_classes, eta_tol)
+        ties = terminal_ties(skeleton, default_target_layers(skeleton)) if shared else None
+        return _reads_nary(skeleton, layer_id, skeleton.n_classes, eta_tol, ties)
 
-    for classes, least in [(3, 7), (4, 9), (10, 20)]:
-        assert rule(f"fc6-r-fc{classes}", (least,), 1)
-        assert not rule(f"fc6-r-fc{classes}", (least - 1,), 1)
+    for classes, least, shared in [(3, 7, False), (4, 9, False), (10, 20, False),
+                                   (2, 2, True), (3, 2, True), (4, 3, True), (10, 6, True)]:
+        assert rule(f"fc6-r-fc{classes}", (least,), 1, shared=shared)
+        assert not rule(f"fc6-r-fc{classes}", (least - 1,), 1, shared=shared)
     assert not rule("fc6-r-fc2", (8,), 1) and rule("fc6-r-fc2", (10,), 1)
     assert not rule("fc6-r-fc4", (15,), 1, eta_tol=1e-3)
     assert rule("fc6-r-fc4", (16,), 1, eta_tol=1e-3)
+    assert not rule("fc6-r-fc4", (4,), 1, eta_tol=1e-3, shared=True)
+    assert rule("fc6-r-fc4", (5,), 1, eta_tol=1e-3, shared=True)
     assert rule("conv2x3x3-r-fc12-r-fc4", (2, 6, 6), 3)
     assert not rule("conv2x3x3-r-fc12-r-fc4", (2, 6, 6), 1)  # a convolution
     assert not rule("conv2x3x3-r-fc12-r-fc4", (2, 6, 6), 5)  # the terminal layer
@@ -356,3 +369,134 @@ def test_ten_class_model_reads_under_15_per_weight():
     assert fc.calibration_queries > 0
     assert (fc.calls_per_weight * fc.n_weight - fc.calibration_queries) / fc.n_weight <= 15
     assert verify_models(extracted, truth)["pass"]
+
+
+# ---------------------------------------------------------------------------
+# The terminal layer read from the ties of the layer below it
+
+
+@pytest.mark.parametrize("arch, shape", [
+    ("fc4-r-fc3", (3,)),  # binary alone (7 inputs needed), n-ary once its ties spare the terminal's
+    ("fc6-r-fc4", (5,)),  # binary alone (9 inputs needed), likewise
+])
+def test_the_credit_picks_the_cheaper_attack(monkeypatch, arch, shape):
+    """Whole attacks on both layers, with layer 1 forced to read n-ary and
+    binary in turn: the side the credited rule picks spends fewer queries
+    in all, the terminal layer's included, and both sides verify."""
+    truth = random_model(arch, shape, seed=1)
+    skeleton = truth.skeleton()
+    real = sx_extract._reads_nary
+    queries = {}
+    for nary in (True, False):
+        monkeypatch.setattr(sx_extract, "_reads_nary",
+                            lambda sk, lid, *a, nary=nary: nary if lid == 1 else real(sk, lid, *a))
+        cfg = ExperimentConfig(arch=arch, input_shape=shape, model_seed=1, attack_seed=1)
+        report, extracted = run_attack(cfg, truth=truth)
+        assert verify_models(extracted, truth)["pass"]
+        queries[nary] = report.total_queries
+    assert not real(skeleton, 1, skeleton.n_classes, CFG.eta_tol)
+    picked = real(skeleton, 1, skeleton.n_classes, CFG.eta_tol, terminal_ties(skeleton, [1, 3]))
+    assert queries[picked] < queries[not picked]
+
+
+def _terminal_error(model, truth, layer_id):
+    est, true = model.layer(layer_id), truth.layer(layer_id)
+    eb, ew = layer_error_summary(est.bias, est.weight, true.bias, true.weight, gauge=True)
+    return max(eb.max(), ew.max())
+
+
+@pytest.mark.parametrize("arch, shape, model_seed", [
+    ("conv2x3x3-r-fc12-r-fc4", (2, 6, 6), 3),  # relu-inproc
+    ("conv2x3x3-mpr2-fc3-r-fc3", (1, 4, 4), 1),  # pool-endpoint, in process
+])
+def test_terminal_from_the_ties_agrees_with_a_terminal_only_attack(arch, shape, model_seed):
+    """The terminal layer built from the ties of the n-ary layer below it
+    spends no query, agrees with a terminal-only attack
+    (``layers=[terminal]``) to that attack's precision, and its worst error
+    against the truth is no worse."""
+    truth = random_model(arch, shape, seed=model_seed)
+    last = truth.layer(truth.argmax_id).inputs[0]
+    cfg = ExperimentConfig(arch=arch, input_shape=shape, model_seed=model_seed, attack_seed=1)
+    report, shared = run_attack(cfg, truth=truth)
+    _, alone = run_attack(replace(cfg, layers=[last]), truth=truth)
+    assert next(l for l in report.layers if l.layer_id == last).queries == 0
+    for part in ("bias", "weight"):
+        a, b = getattr(shared.layer(last), part), getattr(alone.layer(last), part)
+        assert np.allclose(a, b, rtol=1e-6, atol=1e-9)
+    assert _terminal_error(shared, truth, last) <= _terminal_error(alone, truth, last)
+
+
+def test_a_flagged_bias_reading_leaves_its_column_to_the_terminal(monkeypatch):
+    """A bias reading of the layer below that needed a retry is flagged, so
+    its target gets no slope ties: the table lacks that terminal column,
+    and the terminal layer ties exactly that column, every class of it,
+    and nothing else."""
+    truth = random_model("fc6-r-fc4", (5,), seed=1)
+    skeleton = truth.skeleton()
+    oracle = OracleHandle.in_process(truth)
+    ties = terminal_ties(skeleton, [1, 3])
+    real_scan, real_phase = sx_extract._scan_boundary, sx_extract._run_phase
+    failed = []
+
+    def scan(oracle, cp, pre_key, mask, *a, **k):
+        if mask[2] and not failed:  # the first scan of output 2: its bias reading
+            failed.append(True)
+            raise sx_extract.ScanRetryError("injected")
+        return real_scan(oracle, cp, pre_key, mask, *a, **k)
+
+    monkeypatch.setattr(sx_extract, "_scan_boundary", scan)
+    below = extract_fc_layer(oracle, skeleton, 1, CFG, np.random.default_rng(1), ties=ties)
+    assert below.retried == [(2,)] and below.calibration_queries > 0
+    assert sorted(ties.slopes) == [0, 1, 3, 4, 5]
+
+    phases = []
+
+    def run_phase(oracle, skeleton, succ, v0, targets, *a, **k):
+        phases.append([slot for slot, _ in targets])
+        return real_phase(oracle, skeleton, succ, v0, targets, *a, **k)
+
+    monkeypatch.setattr(sx_extract, "_run_phase", run_phase)
+    before = oracle.count
+    last = sx.extract_last_layer(oracle, skeleton, CFG, np.random.default_rng(3), ties=ties)
+    assert [p for p in phases if p] == [[(1, 2), (2, 2), (3, 2)]]
+    assert last.total_queries == oracle.count - before > 0
+    assert _terminal_error(skeleton.with_params({3: (last.weight, last.bias)}), truth, 3) <= 1e-6
+
+
+def test_the_terminal_alone_reads_as_before():
+    """An attack on the terminal layer alone shares no ties: it makes the
+    query stream of a direct ``extract_last_layer`` call and reads the same
+    values, 1,206 queries on the relu-inproc model at attack seed 1, as
+    before the ties were shared."""
+    arch, shape = "conv2x3x3-r-fc12-r-fc4", (2, 6, 6)
+    truth = random_model(arch, shape, seed=3)
+    cfg = ExperimentConfig(arch=arch, input_shape=shape, model_seed=3, attack_seed=1, layers=[5])
+    report, extracted = run_attack(cfg, truth=truth)
+    search = BoundarySearchConfig(sphere_norm=report.config["search"]["sphere_norm"])
+    direct = sx.extract_last_layer(OracleHandle.in_process(truth), truth.skeleton(), search, _layer_rng(1, 5))
+    assert report.total_queries == direct.total_queries == 1206
+    assert np.array_equal(extracted.layer(5).weight, direct.weight)
+    assert np.array_equal(extracted.layer(5).bias, direct.bias)
+
+
+def test_pool_res_orders_extract_the_same():
+    """On the pool-res model (model seed 9, attack seed 5) the orders
+    [6, 8] and [8, 6] both run layer 6 first: they extract the same
+    parameters, right, with the same queries, and the terminal layer 8
+    costs none.  The report keeps the order asked for."""
+    arch, shape = "conv4x3x3-mpr2-res{conv4x3x3-r,}-fc8-r-fc4", (2, 8, 8)
+    truth = random_model(arch, shape, seed=9)
+    runs = []
+    for order in ([6, 8], [8, 6]):
+        cfg = ExperimentConfig(arch=arch, input_shape=shape, model_seed=9, attack_seed=5, layers=order)
+        report, extracted = run_attack(cfg, truth=truth)
+        by_id = {l.layer_id: l for l in report.layers}
+        assert list(by_id) == order and by_id[8].queries == 0 and by_id[6].error is None
+        est, true = extracted.layer(6), truth.layer(6)
+        eb, ew = layer_error_summary(est.bias, est.weight, true.bias, true.weight, gauge=False)
+        assert max(eb.max(), ew.max()) <= 1e-4 and _terminal_error(extracted, truth, 8) <= 1e-4
+        runs.append((report.total_queries, extracted))
+    assert runs[0][0] == runs[1][0]
+    for lid in (6, 8):
+        assert np.array_equal(runs[0][1].layer(lid).weight, runs[1][1].layer(lid).weight)
+        assert np.array_equal(runs[0][1].layer(lid).bias, runs[1][1].layer(lid).bias)

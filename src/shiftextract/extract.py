@@ -27,22 +27,27 @@ twice that).  A feature scan probes one class per step once it knows which
 class's nudge fails (``_flip_point``), which is sound only while the
 network between the feature and the logits is affine: the scans refuse a
 base that does not carry the silenced boundary and the switched-on
-downstream (``_phase_base``).  A scan that behaves inconsistently is
-repeated from a fresh critical point by ``_with_retries``, the attack's one
-retry loop, which falls back to the last uncorrected estimate when every
-attempt fails.
-Convolution and fully-connected layers share one driver (``_extract_layer``)
-and one phase runner (``_run_phase``): a phase ties one critical point,
-measures each of its targets there, and records dead and retried slots.
-Since the tie does not see the silenced boundary, each phase ties its
-point again from the one before (``search_critical``'s hint), which costs
-about four queries while the injection reaches the logits only through the
-boundary: a layer draws one class pair.  The terminal layer is a
-fully-connected layer like any other, except that its one consumer is the
-Argmax: its phases read class-pair ties (``_pair_boundary``) instead of
-feature scans, and its result is fixed up to the gauge of those ties.
-Each weight phase starts a class's tie at its bias tie, so the tie moves
-only by the weight's own contribution.
+downstream (``_phase_base``).
+
+Each kind of layer has one driver with one loop.  Convolution and
+fully-connected layers that feed a ReLU or MaxPoolReLU share
+``_extract_layer``, one loop over the bias phase and the weight phases: a
+phase ties one critical point, measures each of its targets there, and
+records dead and retried slots.  A scan that behaves inconsistently is
+repeated from a fresh critical point, at most ``max_retries`` times, and
+the target falls back to the last uncorrected estimate when every attempt
+fails.  Since the tie does not see the silenced boundary, each phase ties
+its point again from the one before (``search_critical``'s hint), which
+costs about four queries while the injection reaches the logits only
+through the boundary: a layer draws one class pair.  The terminal layer,
+whose one consumer is the Argmax, has its own driver
+(``extract_last_layer``): it reads class-pair ties instead of feature
+scans, one per (column, class) after the bias ties, and its result is
+fixed up to the gauge of those ties.  Each weight tie starts at its
+class's bias tie, so it moves only by the weight's own contribution.
+Every tie that gallops from its class's last move, a terminal tie or a
+slope tie of the calibration below, goes through one routine,
+``_class_ties``.
 
 A binary scan learns one bit per query, where a label among n classes can
 carry log2 n.  At a phase base the network between a released target and
@@ -105,7 +110,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -137,10 +142,7 @@ class BoundarySearchError(ExtractionError):
 
 
 class DeadFeatureError(ExtractionError):
-    """The target feature has no observable influence on the tied logits.
-    ``retried`` is set when an earlier attempt at the feature failed."""
-
-    retried = False
+    """The target feature has no observable influence on the tied logits."""
 
 
 class ScanRetryError(ExtractionError):
@@ -218,14 +220,12 @@ class FeatureResult:
 
     ``branch`` names how it was read: "nonpositive" or "positive" for the
     binary scan's two forms, "nary" for a read through class lines
-    (``_read_lines``), "fallback" for the uncorrected estimate of a scan
-    that failed every attempt.  ``slope`` is the binary scan's tie slope.
+    (``_read_lines``).  ``slope`` is the binary scan's tie slope.
     """
 
     value: float
     branch: str
     slope: float | None = None
-    retried: bool = False
 
 
 @dataclass(frozen=True)
@@ -551,9 +551,8 @@ def _scan_boundary(
     ``ETA_INITIAL_STEP``.  Scan 1 bisects to ``eta_tol`` relative to |z1|
     (``SCAN_ABS_TOL`` as its floor), and scan 2 to that tolerance taken at
     z1, starting at eps or at half that tolerance, whichever is larger.
-    The scans disagree when their value contradicts the sign probe by more
-    than the lag plus four times that tolerance.  A scan that behaves
-    inconsistently raises ``ScanRetryError`` and is retried by the caller.
+    A scan that behaves inconsistently raises ``ScanRetryError`` and is
+    retried by the caller.
     """
     eps = TIE_PROBE
     rest = _without(cp.v, pre_key)
@@ -582,11 +581,8 @@ def _scan_boundary(
         )
     except _ScanExhausted:
         raise ScanRetryError("confirmation scan found no flip", fallback=-z1) from None
-    value = lag - z1
-    if -d * value < -(lag + 4.0 * tol):
-        raise ScanRetryError("scans disagree beyond their own resolution", fallback=-z1)
     return FeatureResult(
-        value=value,
+        value=lag - z1,
         branch="nonpositive" if nonpositive else "positive",
         slope=eps / lag if lag > 0 else None,
     )
@@ -831,31 +827,6 @@ def extract_feature_maxpool(
     return _scan_boundary(oracle, cp, (layer_id, PRE), _mask_at(in_shape, [index]), cfg, first_step)
 
 
-def _with_retries(attempt: Callable[[int], FeatureResult], max_retries: int) -> FeatureResult:
-    """Run ``attempt(k)`` for k = 0, 1, ... until one raises no
-    ScanRetryError, at most ``max_retries + 1`` times.
-
-    The result is flagged ``retried`` when k > 0.  When every attempt
-    fails, the last error's fallback comes back as a ``branch="fallback"``
-    result, or that error is re-raised when it has no fallback.  A
-    DeadFeatureError passes through, flagged ``retried`` when k > 0.
-    """
-    for k in range(max_retries + 1):
-        try:
-            res = attempt(k)
-        except ScanRetryError as e:
-            last = e
-            continue
-        except DeadFeatureError as e:
-            e.retried = k > 0
-            raise
-        res.retried = k > 0
-        return res
-    if last.fallback is None:
-        raise last
-    return FeatureResult(value=last.fallback, branch="fallback", retried=True)
-
-
 # ---------------------------------------------------------------------------
 # Input control
 
@@ -1014,9 +985,8 @@ def _reads_nary(
     log_m(1 / eta_tol) + ``NARY_READ_EXTRA``.  With the attack's ``ties``,
     given only to the layer below the terminal one, its calibration also
     spares the terminal layer's (n_out + 1)(m - 1) readings, ``TERMINAL_TIE_QUERIES``
-    each, and they count toward the repayment.  Convolutions, maxpool
-    boundaries and the terminal layer keep the binary scan, and so does
-    every bias phase.
+    each, and they count toward the repayment.  Convolutions and maxpool
+    boundaries keep the binary scan, and so does every bias phase.
     """
     spec = skeleton.layer(layer_id)
     succ = _nonlinear_successor(skeleton, layer_id)
@@ -1059,10 +1029,40 @@ def _kept_lines(slopes: dict[int, float], intercepts: dict[int, float], centre: 
     return ClassLines(tuple(kept), tuple(slopes[c] for c in kept), tuple(intercepts[c] for c in kept), centre)
 
 
-def _last_move(moves: dict[int, float], c: int) -> float | None:
-    """The first step of class ``c``'s next tie: its last move, at least
-    ``ETA_INITIAL_STEP``, or None (``sphere_norm``) before its first."""
-    return max(moves[c], ETA_INITIAL_STEP) if c in moves else None
+def _class_ties(
+    oracle: OracleHandle,
+    todo: Iterable[tuple[object, QueryInput, Sequence[int]]],
+    ref: int,
+    starts: Sequence[float] | dict[int, float],
+    cfg: BoundarySearchConfig,
+    tol: float,
+    rel: float,
+) -> Iterator[tuple[object, int, float | None]]:
+    """Tie each class c of each ``(key, v, classes)`` in ``todo`` with
+    ``ref`` at v, in order, and yield (key, c, t): the Argmax shift on
+    logit c that ties the pair, or None where they never swap within
+    ``ETA_MAX``.
+
+    The attack's one galloping class tie.  Class c's tie starts at
+    ``starts[c]``, and its nudge doubles from the class's last move from
+    there, at least ``ETA_INITIAL_STEP`` (``sphere_norm`` before its first
+    move): the class moves by about as much at every v.  It is bisected to
+    ``tol`` or ``rel`` times that move, whichever is wider, and skips the
+    two-probe test: only two classes compete, so the converged flip is
+    their tie (``_pair_boundary``).  Each tie runs only when the caller
+    asks for the next one.
+    """
+    moves: dict[int, float] = {}
+    for key, v, classes in todo:
+        for c in classes:
+            step = max(moves[c], ETA_INITIAL_STEP) if c in moves else None
+            try:
+                t = _pair_boundary(oracle, v, ref, c, cfg, starts[c], step, tol, rel, validate=False)[1]
+            except BoundarySearchError:
+                yield key, c, None
+                continue
+            moves[c] = abs(t - starts[c])
+            yield key, c, t
 
 
 def _calibrate_lines(
@@ -1082,123 +1082,31 @@ def _calibrate_lines(
     Target j is released at z = R - b_j, so its output is a known
     R = max(1, |b_j|): at its scale, and far below ``ETA_MAX``.  Each class
     c with an intercept is tied again with ``ref`` there, starting at its
-    intercept T_c, and its slope relative to ``ref`` is
+    intercept T_c (``_class_ties``), and its slope relative to ``ref`` is
     h_c = (T_c - t_c) / R.  A slope tie is bisected to ``TIE_POLISH_TOL``,
-    because a slope error moves the read's breakpoints, but it gallops from
-    the class's move |T_c - t_c| at the target before (``sphere_norm`` at
-    the first), and it skips the two-probe test: only two classes compete,
-    so the converged flip is their tie.  A target that keeps fewer than two
-    lines (``_kept_lines``) has none and keeps the binary scan.  With
-    ``ties``, every target's measured slopes, kept or not, go into
-    ``ties.slopes``: where the boundary feeds the terminal layer they are
-    its weight differences.
+    because a slope error moves the read's breakpoints.  A target that
+    keeps fewer than two lines (``_kept_lines``) has none and keeps the
+    binary scan.  With ``ties``, every target's measured slopes, kept or
+    not, go into ``ties.slopes``: where the boundary feeds the terminal
+    layer they are its weight differences.
     """
     pre_key = (boundary_id, PRE)
     rest = _without(v0, pre_key)
-    lines = {}
-    moves: dict[int, float] = {}
-    for j, b in readings.items():
-        big_r = max(1.0, abs(b))
-        mask = _mask_at(skeleton.pre_shape(boundary_id), [(j,)])
-        v = rest.shifted(ShiftSet({pre_key: _release(mask, big_r - b)}))
-        slopes = {ref: 0.0}
-        for c, t_c in intercepts.items():
-            if c == ref:
-                continue
-            try:
-                t = _pair_boundary(oracle, v, ref, c, cfg, t_c, _last_move(moves, c), validate=False)[1]
-            except BoundarySearchError:
-                continue
-            moves[c] = abs(t - t_c)
-            slopes[c] = (t_c - t) / big_r
-        if ties is not None:
-            ties.slopes[j] = slopes
-        kept = _kept_lines(slopes, intercepts, b)
-        if kept is not None:
-            lines[j] = kept
-    return lines
-
-
-def _run_phase(
-    oracle: OracleHandle,
-    skeleton: ModelGraph,
-    succ,
-    v0: QueryInput,
-    targets: Sequence,
-    values: np.ndarray,
-    flags: LayerExtractionResult,
-    cfg: BoundarySearchConfig,
-    rng: np.random.Generator,
-    scale: float | None = None,
-    hint: CriticalPoint | None = None,
-    cal: _LineCalibration | None = None,
-    moves: dict[int, float] | None = None,
-) -> tuple[float | None, CriticalPoint | None]:
-    """Measure every ``(slot, target)`` of one phase into ``values[slot]``.
-
-    A ReLU or maxpool successor reads every target at one critical point,
-    tied at ``v0`` from ``hint``, the point the phase before ended with
-    (``search_critical``).  With a calibration ``cal`` whose intercepts
-    predict that tie (``_LineCalibration.holds``), each target with class
-    lines (keyed by its output index, ``slot[0]``) is read n-ary from the
-    layer's last spread; every other target, and every phase whose tie
-    moved, is scanned binary from ``scale``, the magnitude of the last
-    value measured (None: nothing measured yet).  A failed read or scan is
-    retried by a binary scan at a point rebuilt from a fresh pair, and the
-    rebuilt point serves the later targets too.  The phase returns the
-    magnitude and the critical point it ends with.  A dead feature reads
-    0.0 and is listed in ``flags.dead``; a feature that needed another
-    attempt is listed in ``flags.retried`` and reads the successful value,
-    the fallback, or 0.0.  An Argmax successor's targets are classes: each
-    reads the negated shift that ties its logit with class 0's at ``v0``
-    (``_pair_boundary``), with no critical point, no retries and no rng
-    draw.  Such a tie is a reading, not a point to scan at: it is bisected
-    to ``eta_tol`` times its distance from where it starts
-    (``SCAN_ABS_TOL`` as the floor), with no two-probe test.  The bias
-    phase (``moves`` None) starts every tie at 0; a weight phase starts
-    class c's tie at its bias tie -``flags.bias[c]``, and its first step is
-    ``moves[c]``, the class's last move from there, which the phase
-    updates.  The caller reads the phase's queries off the oracle counter.
-    """
-    if succ.kind == KIND_ARGMAX:
-        for slot, c in targets:
-            start = 0.0 if moves is None else -float(flags.bias[c])
-            step = None if moves is None else _last_move(moves, c)
-            t = _pair_boundary(oracle, v0, 0, c, cfg, start, step, SCAN_ABS_TOL, cfg.eta_tol, validate=False)[1]
-            if moves is not None:
-                moves[c] = abs(t - start)
-            values[slot] = -t
-        return scale, None
-    scan = extract_feature_maxpool if succ.kind == KIND_MPR else extract_feature
-    cp = search_critical(oracle, v0, cfg, rng, hint)
-    by_lines = cal.lines if cal is not None and cal.holds(cp) else {}
-
-    def attempt(k: int) -> FeatureResult:
-        nonlocal cp
-        if k > 0:
-            cp = search_critical(oracle, v0, cfg, rng)
-        elif lines is not None:
-            return scan(oracle, skeleton, cp, succ.id, target, cfg, first_step=cal.spread, lines=lines)
-        return scan(oracle, skeleton, cp, succ.id, target, cfg, first_step=scale)
-
-    for slot, target in targets:
-        lines = by_lines.get(slot[0])
-        try:
-            res = _with_retries(attempt, cfg.max_retries)
-            value, retried = res.value, res.retried
-            if res.branch == "nary" and value != lines.centre:
-                cal.spread = abs(value - lines.centre)
-            if res.branch != "fallback" and value != 0.0:
-                scale = abs(value)
-        except DeadFeatureError as e:
-            flags.dead.append(slot)
-            value, retried = 0.0, e.retried
-        except ScanRetryError:
-            value, retried = 0.0, True
-        if retried:
-            flags.retried.append(slot)
-        values[slot] = value
-    return scale, cp
+    shape = skeleton.pre_shape(boundary_id)
+    big_r = {j: max(1.0, abs(b)) for j, b in readings.items()}
+    others = [c for c in intercepts if c != ref]
+    todo = (
+        (j, rest.shifted(ShiftSet({pre_key: _release(_mask_at(shape, [(j,)]), big_r[j] - b)})), others)
+        for j, b in readings.items()
+    )
+    slopes = {j: {ref: 0.0} for j in readings}
+    for j, c, t in _class_ties(oracle, todo, ref, intercepts, cfg, TIE_POLISH_TOL, 0.0):
+        if t is not None:
+            slopes[j][c] = (intercepts[c] - t) / big_r[j]
+    if ties is not None:
+        ties.slopes.update(slopes)
+    lines = {j: _kept_lines(slopes[j], intercepts, b) for j, b in readings.items()}
+    return {j: kept for j, kept in lines.items() if kept is not None}
 
 
 def _extract_layer(
@@ -1213,33 +1121,37 @@ def _extract_layer(
     rng: np.random.Generator,
     ties: TerminalTies | None = None,
 ) -> LayerExtractionResult:
-    """The driver shared by convolution and fully-connected layers, the
-    terminal one included.
+    """The driver shared by convolution and fully-connected layers whose
+    one consumer is the ReLU or MaxPoolReLU boundary ``succ``: one loop
+    over the bias phase and then the weight phases.
 
     The bias phase runs with the layer's input pinned to zero, so target
     ``(slot, beta)`` reads bias[slot].  Each weight phase is a pair
     ``(inject, targets)``: with the input set to ``inject``, a target reads
     bias[c] + amplitude * weight[slot] for its output channel c = slot[0].
-    A ReLU or maxpool successor is silenced in every phase's base query,
-    and the ReLUs downstream of it are switched on (``_phase_base``); the
-    Argmax is left alone.  Each phase starts its reads at the magnitude the
-    one before ended with, and ties its critical point from the one before
-    (``search_critical``): the layer draws one fresh class pair unless a
-    scan fails.  An Argmax successor's weight phases share ``moves``, each
-    class's last move from its bias tie (``_run_phase``).  When
-    ``_reads_nary`` admits the layer, the class lines are calibrated
-    between the bias phase and the weight phases: every class is tied with
-    the bias phase's reference once (``_class_intercepts``), and the rule
-    is asked again with the classes that tied; then each target's slopes
-    are measured (``_calibrate_lines``).  Those ties count in
-    ``weight_queries`` and in ``calibration_queries``.
+    Every phase's base silences the boundary and switches on the ReLUs
+    downstream of it (``_phase_base``), and every phase ties its critical
+    point from the one the phase before ended with (``search_critical``):
+    the layer draws one fresh class pair unless a scan fails.  A target is
+    scanned binary from the magnitude of the last value measured.  A scan
+    that behaves inconsistently is tried again, binary, at a point rebuilt
+    from a fresh pair, at most ``max_retries`` times, and the rebuilt point
+    serves the later targets too.  A target that needed another attempt is
+    listed in ``retried`` and reads the successful value; when every
+    attempt fails it reads the last error's uncorrected estimate, or 0.0
+    without one.  A dead feature reads 0.0 and is listed in ``dead``.
 
+    When ``_reads_nary`` admits the layer, the class lines are calibrated
+    right after the bias phase: every class is tied with the bias phase's
+    reference once (``_class_intercepts``), the rule is asked again with
+    the classes that tied, and then each target's slopes are measured
+    (``_calibrate_lines``).  Those ties count in ``weight_queries`` and in
+    ``calibration_queries``.  In a weight phase whose tie sits where the
+    intercepts predict (``_LineCalibration.holds``), a target with class
+    lines is read n-ary from the layer's last spread at its first attempt.
     ``ties`` is the attack's table at the boundary that feeds the terminal
-    layer, given to the layer below it and to the terminal layer.  The
-    layer below writes its intercept and slope ties there.  The terminal
-    layer takes every slot the table measures (``TerminalTies.gauge_fixed``)
-    and runs only the phases and targets left: a table that measures every
-    slot costs it no query.
+    layer, given to the layer below that one: its calibration ties go
+    there.
     """
     spec = skeleton.layer(layer_id)
     plan = zero_input_plan(skeleton, layer_id)
@@ -1247,42 +1159,60 @@ def _extract_layer(
     res = LayerExtractionResult(
         layer_id=layer_id, kind=spec.kind, bias=np.zeros(shape[0]), weight=np.zeros(shape)
     )
-    known = ties.gauge_fixed() if ties is not None and succ.kind == KIND_ARGMAX else {}
-    for slot, value in known.items():
-        if len(slot) == 1:
-            res.bias[slot] = value
-    base = ShiftSet() if succ.kind == KIND_ARGMAX else _phase_base(skeleton, succ.id)
+    base = _phase_base(skeleton, succ.id)
+    scan = extract_feature_maxpool if succ.kind == KIND_MPR else extract_feature
+    scale = cp = cal = None
     t0 = oracle.count
-    v0 = _controlled_query(skeleton, plan, None).shifted(base)
-    bias_targets = [(slot, t) for slot, t in bias_targets if slot not in known]
-    scale, cp = _run_phase(oracle, skeleton, succ, v0, bias_targets, res.bias, res, cfg, rng)
-    t1 = oracle.count
-    cal = None
-    if _reads_nary(skeleton, layer_id, oracle.n_classes, cfg.eta_tol, ties):
-        intercepts = _class_intercepts(oracle, v0, cp, cfg)
-        if ties is not None:
-            ties.intercepts = intercepts
-        if _reads_nary(skeleton, layer_id, len(intercepts), cfg.eta_tol, ties):
-            # a bias reading flagged dead or retried may be off: that target keeps the binary scan
-            flagged = set(res.dead) | set(res.retried)
-            readings = {j: float(b) for j, b in enumerate(res.bias) if (j,) not in flagged}
-            lines = _calibrate_lines(oracle, skeleton, succ.id, v0, cp.c1, intercepts, readings, cfg, ties)
-            cal = _LineCalibration(intercepts, lines, scale)
-        res.calibration_queries = oracle.count - t1
-    moves = {} if succ.kind == KIND_ARGMAX else None
-    for inject, targets in weight_phases:
-        targets = [(slot, t) for slot, t in targets if slot not in known]
-        if not targets:
-            continue
+    for inject, targets in itertools.chain([(None, bias_targets)], weight_phases):
         v0 = _controlled_query(skeleton, plan, inject).shifted(base)
-        scale, cp = _run_phase(oracle, skeleton, succ, v0, targets, res.weight, res, cfg, rng, scale, cp, cal, moves)
+        cp = search_critical(oracle, v0, cfg, rng, cp)
+        values = res.bias if inject is None else res.weight
+        by_lines = cal.lines if cal is not None and cal.holds(cp) else {}
+        for slot, target in targets:
+            lines = by_lines.get(slot[0])
+            value, retried = 0.0, True  # unless an attempt ends the loop
+            for k in range(cfg.max_retries + 1):
+                if k:
+                    cp = search_critical(oracle, v0, cfg, rng)
+                try:
+                    if k == 0 and lines is not None:
+                        got = scan(oracle, skeleton, cp, succ.id, target, cfg, first_step=cal.spread, lines=lines)
+                    else:
+                        got = scan(oracle, skeleton, cp, succ.id, target, cfg, first_step=scale)
+                except ScanRetryError as e:
+                    value = 0.0 if e.fallback is None else e.fallback
+                    continue
+                except DeadFeatureError:
+                    res.dead.append(slot)
+                    value = 0.0
+                else:
+                    value = got.value
+                    if got.branch == "nary" and value != lines.centre:
+                        cal.spread = abs(value - lines.centre)
+                    if value != 0.0:
+                        scale = abs(value)
+                retried = k > 0
+                break
+            if retried:
+                res.retried.append(slot)
+            values[slot] = value
+        if inject is None:  # the bias phase: calibrate the class lines
+            t1 = oracle.count
+            if _reads_nary(skeleton, layer_id, oracle.n_classes, cfg.eta_tol, ties):
+                intercepts = _class_intercepts(oracle, v0, cp, cfg)
+                if ties is not None:
+                    ties.intercepts = intercepts
+                if _reads_nary(skeleton, layer_id, len(intercepts), cfg.eta_tol, ties):
+                    # a bias reading flagged dead or retried may be off: that target keeps the binary scan
+                    flagged = set(res.dead) | set(res.retried)
+                    readings = {j: float(b) for j, b in enumerate(res.bias) if (j,) not in flagged}
+                    by_target = _calibrate_lines(oracle, skeleton, succ.id, v0, cp.c1, intercepts, readings, cfg, ties)
+                    cal = _LineCalibration(intercepts, by_target, scale)
+                res.calibration_queries = oracle.count - t1
     res.bias_queries, res.weight_queries = t1 - t0, oracle.count - t1
     # the weight phases stored raw readings bias[c] + amplitude * weight
     bias = res.bias.reshape((-1,) + (1,) * (len(shape) - 1))
     res.weight = (res.weight - bias) / amplitude
-    for slot, value in known.items():
-        if len(slot) == 2:
-            res.weight[slot] = value
     return res
 
 
@@ -1370,29 +1300,25 @@ def extract_fc_layer(
 
     With the input pinned to zero each output j reads bias[j]; with a single
     input feature set to the injection amplitude, output j reads
-    bias[j] + amplitude * w[j, i0], one column per phase.
-
-    The terminal layer, whose consumer is the Argmax, is observable only
-    through class-pair ties, so its biases are determined up to one additive
-    constant and each weight column up to another.  Class 0 is the gauge
-    reference: only classes 1..n-1 are measured, and the result is the
-    ``gauge_fixed`` representative with bias[0] = 0 and weight[0, :] = 0.
+    bias[j] + amplitude * w[j, i0], one column per phase (``_extract_layer``).
+    The terminal layer, whose consumer is the Argmax, has its own driver
+    (``extract_last_layer``).
 
     ``ties`` is the attack's ``TerminalTies`` table, for the layer ``below``
     the terminal one and for the terminal layer itself.  The layer below
     writes its calibration ties there (and ``_reads_nary`` credits it with
     the terminal readings they spare); the terminal layer reads every slot
-    the table measures from it and ties the rest (``_extract_layer``).
+    the table measures from it and ties the rest.
     """
     spec = skeleton.layer(layer_id)
     if spec.kind != KIND_FC:
         raise ExtractionError(f"layer {layer_id} is {spec.kind}, not fully connected")
     succ = _nonlinear_successor(skeleton, layer_id)
-    gauge = succ.kind == KIND_ARGMAX
+    if succ.kind == KIND_ARGMAX:
+        return extract_last_layer(oracle, skeleton, cfg, rng, ties=ties)
     n_out, n_in = spec.weight.shape
     amplitude = math.sqrt(n_in / 4.0)
-    # an Argmax successor's targets are classes, a ReLU's are index lists
-    bias_targets = [((j,), j if gauge else [(j,)]) for j in range(1 if gauge else 0, n_out)]
+    bias_targets = [((j,), [(j,)]) for j in range(n_out)]
 
     def weight_phases():
         """One phase per input feature, one target per output."""
@@ -1401,9 +1327,7 @@ def extract_fc_layer(
             inject[i0] = amplitude
             yield inject, [((j, i0), target) for (j,), target in bias_targets]
 
-    res = _extract_layer(oracle, skeleton, layer_id, succ, amplitude, bias_targets, weight_phases(), cfg, rng, ties)
-    res.gauge_fixed = gauge
-    return res
+    return _extract_layer(oracle, skeleton, layer_id, succ, amplitude, bias_targets, weight_phases(), cfg, rng, ties)
 
 
 def extract_last_layer(
@@ -1415,7 +1339,58 @@ def extract_last_layer(
     ties: TerminalTies | None = None,
 ) -> LayerExtractionResult:
     """Recover the terminal fully-connected layer, the Argmax's input, up to
-    its gauge freedom, from ``ties`` where they measure it (see
-    ``extract_fc_layer``)."""
-    last = skeleton.layer(skeleton.argmax_id).inputs[0]
-    return extract_fc_layer(oracle, skeleton, last, cfg, rng, ties=ties)
+    its gauge freedom.
+
+    The layer is observable only through class-pair ties, so its biases
+    are determined up to one additive constant and each weight column up
+    to another.  Class 0 is the gauge reference: only classes 1..n-1 are
+    measured, and the result is the ``gauge_fixed`` representative with
+    bias[0] = 0 and weight[0, :] = 0.  Every slot that ``ties`` measures
+    (``TerminalTies.gauge_fixed``) is taken from it, so a table that
+    measures every slot costs no query.  The rest are read through
+    ``_class_ties`` with class 0, each to ``eta_tol`` times its move
+    (``SCAN_ABS_TOL`` as the floor): first the bias ties, at the base that
+    pins the layer's input to zero, where class c ties at -(b[c] - b[0]);
+    then one tie per (column, class), with input feature i0 set to the
+    injection amplitude, starting at that class's bias tie, so that it
+    moves only by amplitude (W[c, i0] - W[0, i0]).  A class that never
+    ties with class 0 fails the layer with BoundarySearchError before any
+    later tie.  The layer draws no class pair: ``rng`` is unused.
+    """
+    spec = skeleton.layer(skeleton.layer(skeleton.argmax_id).inputs[0])
+    n_out, n_in = spec.weight.shape
+    amplitude = math.sqrt(n_in / 4.0)
+    plan = zero_input_plan(skeleton, spec.id)
+    res = LayerExtractionResult(
+        layer_id=spec.id, kind=spec.kind, bias=np.zeros(n_out), weight=np.zeros((n_out, n_in)), gauge_fixed=True
+    )
+    known = ties.gauge_fixed() if ties is not None else {}
+    for slot, value in known.items():
+        (res.bias if len(slot) == 1 else res.weight)[slot] = value
+
+    def readings(todo, starts):
+        """(key, c, -t) of every tie in ``todo``; raises at the first class that never ties."""
+        for key, c, t in _class_ties(oracle, todo, 0, starts, cfg, SCAN_ABS_TOL, cfg.eta_tol):
+            if t is None:
+                raise BoundarySearchError(
+                    f"no boundary reachable: classes 0 and {c} never swap within ETA_MAX={ETA_MAX}"
+                )
+            yield key, c, -t
+
+    def columns():
+        for i0 in range(n_in):
+            classes = [c for c in range(1, n_out) if (c, i0) not in known]
+            if classes:
+                inject = np.zeros(n_in)
+                inject[i0] = amplitude
+                yield i0, _controlled_query(skeleton, plan, inject), classes
+
+    t0 = oracle.count
+    classes = [c for c in range(1, n_out) if (c,) not in known]
+    for _, c, b in readings([(None, _controlled_query(skeleton, plan, None), classes)], [0.0] * n_out):
+        res.bias[c] = b
+    t1 = oracle.count
+    for i0, c, r in readings(columns(), [-float(b) for b in res.bias]):
+        res.weight[c, i0] = (r - res.bias[c]) / amplitude
+    res.bias_queries, res.weight_queries = t1 - t0, oracle.count - t1
+    return res

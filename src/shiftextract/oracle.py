@@ -22,9 +22,9 @@ TIE_PROBE = 1e-11  # clears protocol float noise (~1e-13) while its lag band sta
 class OracleHandle:
     """Counted access to a label-only classifier with malleable shifts.
 
-    ``probe_eps`` is the logit nudge of ``is_critical``, the constant
-    ``TIE_PROBE``: it exceeds the float noise of a forward pass, masked
-    protocol included, and stays far below genuine logit gaps.
+    The logit nudge of ``is_critical`` is the constant ``TIE_PROBE``: it
+    exceeds the float noise of a forward pass, masked protocol included,
+    and stays far below genuine logit gaps.
     """
 
     def __init__(self, backend: Callable[[QueryInput], int], *, argmax_id: int, n_classes: int):
@@ -42,10 +42,6 @@ class OracleHandle:
     @property
     def count(self) -> int:
         return self._count
-
-    @property
-    def probe_eps(self) -> float:
-        return TIE_PROBE
 
     def query(self, v: QueryInput) -> int:
         """One label query.  The counter advances even if the backend fails."""

@@ -27,6 +27,7 @@ from shiftextract import (
     search_critical,
 )
 from shiftextract.harness import REFERENCE_CALLS_PER_PARAM, gauge_fix, layer_error_summary
+from shiftextract.oracle import TIE_PROBE
 from shiftextract.protocol import TAG_NONLINEAR_SHARE, payload_tensor
 
 C1_ARCH = "conv8x3x3-r-fc32-r-fc4"
@@ -239,7 +240,7 @@ def test_criterion_8_layer_order_independence():
 
 def test_criterion_9_banded_probe_soundness(zero3_model):
     oracle = OracleHandle.in_process(zero3_model)
-    eps = oracle.probe_eps
+    eps = TIE_PROBE
     rng = np.random.default_rng(99)
     violations = 0
     for trial in range(1000):

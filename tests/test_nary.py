@@ -25,6 +25,7 @@ from shiftextract import (
     KIND_RELU,
     PRE,
     BoundarySearchConfig,
+    BoundarySearchError,
     CriticalPoint,
     ExperimentConfig,
     default_target_layers,
@@ -43,6 +44,7 @@ from shiftextract import (
     verify_models,
 )
 from shiftextract.extract import (
+    ETA_MAX,
     NARY_MIN_SLOPE_GAP,
     NARY_TIE_DRIFT,
     SCAN_ABS_TOL,
@@ -435,7 +437,7 @@ def test_a_flagged_bias_reading_leaves_its_column_to_the_terminal(monkeypatch):
     skeleton = truth.skeleton()
     oracle = OracleHandle.in_process(truth)
     ties = terminal_ties(skeleton, [1, 3])
-    real_scan, real_phase = sx_extract._scan_boundary, sx_extract._run_phase
+    real_scan, real_ties = sx_extract._scan_boundary, sx_extract._class_ties
     failed = []
 
     def scan(oracle, cp, pre_key, mask, *a, **k):
@@ -449,34 +451,75 @@ def test_a_flagged_bias_reading_leaves_its_column_to_the_terminal(monkeypatch):
     assert below.retried == [(2,)] and below.calibration_queries > 0
     assert sorted(ties.slopes) == [0, 1, 3, 4, 5]
 
-    phases = []
+    tied = []
 
-    def run_phase(oracle, skeleton, succ, v0, targets, *a, **k):
-        phases.append([slot for slot, _ in targets])
-        return real_phase(oracle, skeleton, succ, v0, targets, *a, **k)
+    def class_ties(*args):
+        for key, c, t in real_ties(*args):
+            tied.append((c, key))
+            yield key, c, t
 
-    monkeypatch.setattr(sx_extract, "_run_phase", run_phase)
+    monkeypatch.setattr(sx_extract, "_class_ties", class_ties)
     before = oracle.count
     last = sx.extract_last_layer(oracle, skeleton, CFG, np.random.default_rng(3), ties=ties)
-    assert [p for p in phases if p] == [[(1, 2), (2, 2), (3, 2)]]
+    assert tied == [(1, 2), (2, 2), (3, 2)]
     assert last.total_queries == oracle.count - before > 0
     assert _terminal_error(skeleton.with_params({3: (last.weight, last.bias)}), truth, 3) <= 1e-6
 
 
-def test_the_terminal_alone_reads_as_before():
+@pytest.mark.parametrize("arch, shape, model_seed, last, queries", [
+    ("conv2x3x3-r-fc12-r-fc4", (2, 6, 6), 3, 5, 1206),
+    ("conv2x3x3-mpr2-fc3", (1, 4, 4), 1, 3, 570),
+    ("conv2x3x3-r-res{conv2x3x3-r,}-fc3", (2, 4, 4), 2, 6, 2036),
+    ("fc4", (5,), 1, 1, 574),
+], ids=["relu-inproc", "fed-by-maxpool", "fed-by-add", "fed-by-input"])
+def test_the_terminal_alone_reads_as_before(arch, shape, model_seed, last, queries):
     """An attack on the terminal layer alone shares no ties: it makes the
     query stream of a direct ``extract_last_layer`` call and reads the same
-    values, 1,206 queries on the relu-inproc model at attack seed 1, as
-    before the ties were shared."""
-    arch, shape = "conv2x3x3-r-fc12-r-fc4", (2, 6, 6)
-    truth = random_model(arch, shape, seed=3)
-    cfg = ExperimentConfig(arch=arch, input_shape=shape, model_seed=3, attack_seed=1, layers=[5])
+    values, with the queries it spent before the terminal layer had its own
+    driver, at attack seed 1."""
+    truth = random_model(arch, shape, seed=model_seed)
+    cfg = ExperimentConfig(arch=arch, input_shape=shape, model_seed=model_seed, attack_seed=1, layers=[last])
     report, extracted = run_attack(cfg, truth=truth)
     search = BoundarySearchConfig(sphere_norm=report.config["search"]["sphere_norm"])
-    direct = sx.extract_last_layer(OracleHandle.in_process(truth), truth.skeleton(), search, _layer_rng(1, 5))
-    assert report.total_queries == direct.total_queries == 1206
-    assert np.array_equal(extracted.layer(5).weight, direct.weight)
-    assert np.array_equal(extracted.layer(5).bias, direct.bias)
+    direct = sx.extract_last_layer(OracleHandle.in_process(truth), truth.skeleton(), search, _layer_rng(1, last))
+    assert report.total_queries == direct.total_queries == queries
+    assert np.array_equal(extracted.layer(last).weight, direct.weight)
+    assert np.array_equal(extracted.layer(last).bias, direct.bias)
+    assert _terminal_error(extracted, truth, last) <= 1e-6
+
+
+def _pushed_class_2(arch, shape):
+    """The model ``arch`` (model seed 1) with its terminal bias of class 2
+    raised by 2e4: beyond ETA_MAX, so no shift ties class 2 with class 0."""
+    truth = random_model(arch, shape, seed=1)
+    last = truth.layer(truth.argmax_id).inputs[0]
+    spec = truth.layer(last)
+    bias = spec.bias.copy()
+    bias[2] += 2e4
+    return truth.with_params({last: (spec.weight, bias)})
+
+
+def test_a_terminal_class_that_never_ties_fails_only_its_layer():
+    """A terminal class that never ties with class 0 fails the terminal
+    layer with a BoundarySearchError naming the pair, and only that layer:
+    the n-ary layer below it, whose table lacks class 2, reads right.  The
+    terminal stops at the first tie that fails: alone on ``fc4`` with 3
+    inputs it ties class 1, fails class 2 and spends 45 queries."""
+    message = f"no boundary reachable: classes 0 and 2 never swap within ETA_MAX={ETA_MAX}"
+    truth = _pushed_class_2("fc4-r-fc3", (3,))
+    cfg = ExperimentConfig(arch="fc4-r-fc3", input_shape=(3,), model_seed=1, attack_seed=1)
+    report, extracted = run_attack(cfg, truth=truth)
+    below, last = report.layers
+    assert below.error is None and below.calibration_queries > 0 and last.error == message
+    est, true = extracted.layer(1), truth.layer(1)
+    eb, ew = layer_error_summary(est.bias, est.weight, true.bias, true.weight, gauge=False)
+    assert max(eb.max(), ew.max()) <= 1e-6
+
+    truth = _pushed_class_2("fc4", (3,))
+    report, _ = run_attack(ExperimentConfig(arch="fc4", input_shape=(3,), model_seed=1, attack_seed=1), truth=truth)
+    assert report.layers[0].error == message and report.total_queries == 45
+    with pytest.raises(BoundarySearchError, match="classes 0 and 2 never swap"):
+        sx.extract_last_layer(OracleHandle.in_process(truth), truth.skeleton(), CFG, np.random.default_rng(0))
 
 
 def test_pool_res_orders_extract_the_same():

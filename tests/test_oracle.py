@@ -10,6 +10,7 @@ from shiftextract import (
     ShiftSet,
     forward_label,
 )
+from shiftextract.oracle import TIE_PROBE
 from shiftextract.protocol import RemoteOracle, serve
 
 
@@ -53,7 +54,7 @@ def test_is_critical_rejects_equal_classes(zero3_model):
 def test_banded_soundness_sample(zero3_model):
     """Gap below eps/2 with 2*eps margins is critical; gap above 2*eps is not."""
     h = OracleHandle.in_process(zero3_model)
-    eps = h.probe_eps
+    eps = TIE_PROBE
     rng = np.random.default_rng(7)
     for _ in range(200):
         gap = rng.uniform(0, 0.49 * eps)

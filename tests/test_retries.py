@@ -1,4 +1,4 @@
-"""Retry semantics of the phase runner, driven through the layer drivers.
+"""Retries of a failed scan in ``_extract_layer``, driven through the layer drivers.
 
 ``_scan_boundary`` is wrapped so that its first calls raise scripted
 errors.  The first scan of a layer measures bias slot (0,), so that slot
@@ -117,7 +117,7 @@ def test_dead_on_retry_is_dead_and_retried(monkeypatch, path):
 
 def test_failed_hinted_scan_retries_at_a_fresh_point(monkeypatch):
     """A third class on the first probe of a scan 1 started from a measured
-    magnitude fails the attempt: the phase's one retry loop searches a fresh
+    magnitude fails the attempt: the layer driver's retry loop searches a fresh
     critical point and scans again from the same magnitude, and the slot is
     flagged retried.  The scan tolerances below are written at eta_tol 1e-9."""
     cfg = replace(CFG, eta_tol=1e-9)

@@ -52,20 +52,25 @@ slope tie of the calibration below, goes through one routine,
 A binary scan learns one bit per query, where a label among n classes can
 carry log2 n.  At a phase base the network between a released target and
 the logits is affine, so every logit is a line in the target's output, and
-in a fully-connected layer those lines are the same in every phase: the
-injection reaches the logits only through the silenced boundary.  Such a
-layer, when its weight phases repay the calibration (``_reads_nary``, the
-one rule), reads its weights n-ary.  After the bias
-phase every class is tied with a reference class once
-(``_class_intercepts``) and each target's slopes are measured once
-(``_calibrate_lines``); a weight then reads through ``_read_lines``, which
-shifts the Argmax input so that each kept class tops the upper envelope
-on one of m sub-windows, and the label shrinks the window m-fold.  A read
-ignores the phase's tie, but the tie is still made: when it is not where
-the intercepts predict, the intercepts are stale and the phase scans
-binary.  A label from a suppressed class fails the read, and the retry is
-a binary scan.  Bias phases, convolutions and maxpool boundaries always
-scan binary.
+those lines are the same in every phase that releases the same boundary
+entry, as long as the injection reaches the logits only through the
+silenced boundary.  A fully-connected layer has one such entry per output.
+A convolution gets one per output channel when it is read at the map
+centre: each weight phase injects at the one input pixel that the centre
+reads through one kernel tap, so the layer reads like a fully-connected
+one of n_in kh kw inputs.  Such a layer, when its weight phases repay the
+calibration (``_reads_nary``, the one rule), reads its weights n-ary,
+into a ReLU or a MaxPoolReLU boundary alike.  After the bias phase every
+class is tied with a reference class once (``_class_intercepts``) and
+each target's slopes are measured once (``_calibrate_lines``); a weight
+then reads through ``_read_lines``, which shifts the Argmax input so that
+each kept class tops the upper envelope on one of m sub-windows, and the
+label shrinks the window m-fold.  A read ignores the phase's tie, but the
+tie is still made: when it is not where the intercepts predict, the
+intercepts are stale and the phase scans binary.  A label from a
+suppressed class fails the read, and the retry is a binary scan.  Bias
+phases always scan binary, and so do the convolutions the rule refuses,
+in their periodic or single-centre layout.
 
 When such a layer feeds the terminal layer through one ReLU, its
 calibration measures the terminal too: at its silenced base the logits
@@ -101,8 +106,13 @@ is wider (``ClassLines.resolution``).  A terminal class tie is a reading
 too: it stops at ``eta_tol`` times its distance from where it started,
 and skips the two-probe test.  The ties that other readings stand on are
 the exception: critical points and intercept ties are bisected to
-``TIE_POLISH_TOL`` and validated, and slope ties, which set the n-ary
-breakpoints, are bisected to it as well.
+``TIE_POLISH_TOL`` and validated.  A slope tie is a reading: it stops at
+``eta_tol`` times its move, since its release point already carries the
+bias reading's ``eta_tol`` error, and a slope off by that moves each
+breakpoint in proportion to the window being split, not by a fixed
+amount (``ClassLines.resolution``).  Only the slope ties
+that go into a ``TerminalTies`` table are bisected to ``TIE_POLISH_TOL``,
+because they are the terminal layer's own parameters.
 """
 
 from __future__ import annotations
@@ -168,11 +178,12 @@ ETA_MAX = 1e4  # bounds every search: no flip below it means a dead feature or a
 SUPPRESSION = 1e6  # pins ReLU outputs and other logits down: 100x FEATURE_BOUND, beyond every search
 NARY_MIN_SLOPE_GAP = 1e-3  # a breakpoint is off by tie error / slope gap: 1e-10 at most
 NARY_TIE_DRIFT = 10 * TIE_POLISH_TOL  # a re-tie moved beyond mask noise (~1e-13): stale intercepts
-# The costs behind ``_reads_nary``, measured at eta_tol = 1e-8 and 1e-3 on FC layers of 2 to 10 classes:
-NARY_TIE_QUERIES = 45  # one calibration tie: gallop from the last move, bisection to TIE_POLISH_TOL
+# The costs behind ``_reads_nary``, measured at eta_tol = 1e-8 and 1e-3 on FC and conv layers of 2 to 10 classes:
+NARY_TIE_QUERIES = 45  # one polished calibration tie: gallop from the last move, bisection to TIE_POLISH_TOL
 BINARY_READ_EXTRA = 8  # a binary scan's queries beyond log2(1 / eta_tol): sign probe, gallop, scan 2
 NARY_READ_EXTRA = 3  # an n-ary read's queries beyond log_m(1 / eta_tol): first window and widenings
 TERMINAL_TIE_QUERIES = 31  # one terminal reading that a layer's calibration makes for it (``TerminalTies``)
+NARY_SLOPE_READ_EXTRA = 7  # a slope tie's queries beyond log2(1 / eta_tol) when it is read to eta_tol
 
 
 @dataclass(frozen=True)
@@ -249,7 +260,9 @@ class ClassLines:
     def resolution(self) -> float:
         """How far a breakpoint may lie from where a read places it: the
         intercepts' tie error (``TIE_POLISH_TOL``) over the smallest slope
-        gap, at most 1e-10."""
+        gap, at most 1e-10.  A slope read to ``eta_tol`` adds no floor: it
+        moves the breakpoint at r (from the window's bottom) by about
+        ``eta_tol`` r |h| / gap, in proportion to the window being split."""
         return TIE_POLISH_TOL / min(b - a for a, b in zip(self.slopes, self.slopes[1:]))
 
 
@@ -806,16 +819,20 @@ def extract_feature_maxpool(
     cfg: BoundarySearchConfig,
     *,
     first_step: float | None = None,
+    lines: ClassLines | None = None,
 ) -> FeatureResult:
     """Recover one pre-activation value of a maxpool+ReLU boundary at the
     critical point.
 
     Every other input of the pool stays at -``SUPPRESSION`` (the silenced
     base), so every pooled output whose window contains ``index`` carries
-    exactly ReLU of the released target, and the scan is the standalone
-    one (``_scan_boundary``).  ``first_step`` is the expected magnitude.
-    ``cp.v`` must carry ``_phase_base(skeleton, layer_id)``, as in
-    ``extract_feature``; a downstream maxpool still takes its max there.
+    exactly ReLU of the released target, and the value is read as at a
+    standalone ReLU: without ``lines`` by the binary scan
+    (``_scan_boundary``), ``first_step`` the expected magnitude; with the
+    target's ``lines`` by the n-ary read (``_read_lines``), ``first_step``
+    the expected distance from ``lines.centre``.  ``cp.v`` must carry
+    ``_phase_base(skeleton, layer_id)``, as in ``extract_feature``; a
+    downstream maxpool still takes its max there.
     """
     spec = skeleton.layer(layer_id)
     if spec.kind != KIND_MPR:
@@ -824,7 +841,10 @@ def extract_feature_maxpool(
     in_shape = skeleton.pre_shape(layer_id)
     if not pooled_receivers(in_shape, spec.kernel, spec.stride, index):
         raise ExtractionError(f"index {index} feeds no pooled output")
-    return _scan_boundary(oracle, cp, (layer_id, PRE), _mask_at(in_shape, [index]), cfg, first_step)
+    mask = _mask_at(in_shape, [index])
+    if lines is not None:
+        return _read_lines(oracle, cp, (layer_id, PRE), mask, cfg, lines, first_step)
+    return _scan_boundary(oracle, cp, (layer_id, PRE), mask, cfg, first_step)
 
 
 # ---------------------------------------------------------------------------
@@ -975,28 +995,37 @@ def _reads_nary(
     """The attack's one rule for n-ary reads: whether layer ``layer_id``
     reads its weights through ``classes`` class lines.
 
-    The layer must be fully connected into a ReLU boundary, and its
-    injection must reach the logits only through that boundary
-    (``_bypasses``): only then are the lines the same in every weight
-    phase.  Its n_out n_in weight reads must also repay the calibration,
-    each target's m - 1 = ``classes`` - 1 slope ties and the layer's m - 2
-    intercept ties (``NARY_TIE_QUERIES`` each): a read saves a binary
-    scan's log2(1 / eta_tol) + ``BINARY_READ_EXTRA`` queries less its own
-    log_m(1 / eta_tol) + ``NARY_READ_EXTRA``.  With the attack's ``ties``,
-    given only to the layer below the terminal one, its calibration also
-    spares the terminal layer's (n_out + 1)(m - 1) readings, ``TERMINAL_TIE_QUERIES``
-    each, and they count toward the repayment.  Convolutions and maxpool
-    boundaries keep the binary scan, and so does every bias phase.
+    The layer, fully connected or a convolution, must feed a ReLU or
+    MaxPoolReLU boundary, and its injection must reach the logits only
+    through that boundary (``_bypasses``): only then are the lines the
+    same in every weight phase.  No MaxPoolReLU may sit downstream of the
+    boundary, since ``_linearize_downstream`` leaves its max in place and
+    the lines could bend there.  Its weight reads, n_in per target (n_in
+    kh kw for a convolution, read at the map centre), must also repay the
+    calibration: a read saves a binary scan's log2(1 / eta_tol) +
+    ``BINARY_READ_EXTRA`` queries less its own log_m(1 / eta_tol) +
+    ``NARY_READ_EXTRA``, and each target pays m - 1 = ``classes`` - 1
+    slope ties, the layer m - 2 intercept ties (``NARY_TIE_QUERIES``
+    each).  A slope tie is a reading, log2(1 / eta_tol) +
+    ``NARY_SLOPE_READ_EXTRA`` queries, except for the layer below the
+    terminal one, which alone gets the attack's ``ties``: there it is
+    polished (``NARY_TIE_QUERIES``), and the calibration also spares the
+    terminal layer's (n_out + 1)(m - 1) readings, ``TERMINAL_TIE_QUERIES``
+    each, which count toward the repayment.  Every bias phase keeps the
+    binary scan.
     """
     spec = skeleton.layer(layer_id)
     succ = _nonlinear_successor(skeleton, layer_id)
-    if spec.kind != KIND_FC or succ.kind != KIND_RELU or classes < 2 or _bypasses(skeleton, layer_id, succ.id):
+    if succ.kind == KIND_ARGMAX or classes < 2 or _bypasses(skeleton, layer_id, succ.id):
         return False
-    n_out, n_in = spec.weight.shape
+    if any(skeleton.layer(lid).kind == KIND_MPR for lid, _ in _linearize_downstream(skeleton, succ.id).entries):
+        return False
+    n_out, reads = spec.weight.shape[0], spec.weight[0].size
     bits = math.log2(1.0 / eta_tol)
     saved = bits + BINARY_READ_EXTRA - (bits / math.log2(classes) + NARY_READ_EXTRA)
     spared = 0 if ties is None else (n_out + 1) * (classes - 1) * TERMINAL_TIE_QUERIES
-    return n_out * n_in * saved + spared >= (n_out * (classes - 1) + classes - 2) * NARY_TIE_QUERIES
+    slope = bits + NARY_SLOPE_READ_EXTRA if ties is None else NARY_TIE_QUERIES
+    return n_out * reads * saved + spared >= n_out * (classes - 1) * slope + (classes - 2) * NARY_TIE_QUERIES
 
 
 def _class_intercepts(
@@ -1076,36 +1105,42 @@ def _calibrate_lines(
     cfg: BoundarySearchConfig,
     ties: TerminalTies | None = None,
 ) -> dict[int, ClassLines]:
-    """The class lines of every target j in ``readings``, read as b_j at
-    the silenced base ``v0``.
+    """The class lines of every target in ``readings``, keyed by its
+    output channel j: ``readings`` maps the boundary index that the
+    layer's weight phases read for output j, (j,) or a convolution's map
+    centre (j, ic, jc), to its bias reading b_j at the silenced base
+    ``v0``.
 
-    Target j is released at z = R - b_j, so its output is a known
+    That index alone is released, at z = R - b_j, so its output is a known
     R = max(1, |b_j|): at its scale, and far below ``ETA_MAX``.  Each class
     c with an intercept is tied again with ``ref`` there, starting at its
     intercept T_c (``_class_ties``), and its slope relative to ``ref`` is
-    h_c = (T_c - t_c) / R.  A slope tie is bisected to ``TIE_POLISH_TOL``,
-    because a slope error moves the read's breakpoints.  A target that
-    keeps fewer than two lines (``_kept_lines``) has none and keeps the
-    binary scan.  With ``ties``, every target's measured slopes, kept or
-    not, go into ``ties.slopes``: where the boundary feeds the terminal
-    layer they are its weight differences.
+    h_c = (T_c - t_c) / R.  A slope tie is a reading, to ``eta_tol`` times
+    its move (``SCAN_ABS_TOL`` as the floor): R - b_j carries the bias
+    reading's ``eta_tol`` error already.  A target that keeps fewer than
+    two lines (``_kept_lines``) has none and keeps the binary scan.  With
+    ``ties``, every slope tie is bisected to ``TIE_POLISH_TOL`` instead,
+    and every target's measured slopes, kept or not, go into
+    ``ties.slopes``: where the boundary feeds the terminal layer they are
+    its weight differences, the terminal layer's own parameters.
     """
     pre_key = (boundary_id, PRE)
     rest = _without(v0, pre_key)
     shape = skeleton.pre_shape(boundary_id)
-    big_r = {j: max(1.0, abs(b)) for j, b in readings.items()}
+    big_r = {at: max(1.0, abs(b)) for at, b in readings.items()}
     others = [c for c in intercepts if c != ref]
     todo = (
-        (j, rest.shifted(ShiftSet({pre_key: _release(_mask_at(shape, [(j,)]), big_r[j] - b)})), others)
-        for j, b in readings.items()
+        (at, rest.shifted(ShiftSet({pre_key: _release(_mask_at(shape, [at]), big_r[at] - b)})), others)
+        for at, b in readings.items()
     )
-    slopes = {j: {ref: 0.0} for j in readings}
-    for j, c, t in _class_ties(oracle, todo, ref, intercepts, cfg, TIE_POLISH_TOL, 0.0):
+    slopes = {at[0]: {ref: 0.0} for at in readings}
+    tol, rel = (TIE_POLISH_TOL, 0.0) if ties is not None else (SCAN_ABS_TOL, cfg.eta_tol)
+    for at, c, t in _class_ties(oracle, todo, ref, intercepts, cfg, tol, rel):
         if t is not None:
-            slopes[j][c] = (intercepts[c] - t) / big_r[j]
+            slopes[at[0]][c] = (intercepts[c] - t) / big_r[at]
     if ties is not None:
         ties.slopes.update(slopes)
-    lines = {j: _kept_lines(slopes[j], intercepts, b) for j, b in readings.items()}
+    lines = {at[0]: _kept_lines(slopes[at[0]], intercepts, b) for at, b in readings.items()}
     return {j: kept for j, kept in lines.items() if kept is not None}
 
 
@@ -1144,8 +1179,10 @@ def _extract_layer(
     When ``_reads_nary`` admits the layer, the class lines are calibrated
     right after the bias phase: every class is tied with the bias phase's
     reference once (``_class_intercepts``), the rule is asked again with
-    the classes that tied, and then each target's slopes are measured
-    (``_calibrate_lines``).  Those ties count in ``weight_queries`` and in
+    the classes that tied, and then each target's slopes are measured at
+    the one boundary index its bias target reads (``_calibrate_lines``),
+    which must be the index every weight phase reads for that output
+    channel.  Those ties count in ``weight_queries`` and in
     ``calibration_queries``.  In a weight phase whose tie sits where the
     intercepts predict (``_LineCalibration.holds``), a target with class
     lines is read n-ary from the layer's last spread at its first attempt.
@@ -1205,7 +1242,11 @@ def _extract_layer(
                 if _reads_nary(skeleton, layer_id, len(intercepts), cfg.eta_tol, ties):
                     # a bias reading flagged dead or retried may be off: that target keeps the binary scan
                     flagged = set(res.dead) | set(res.retried)
-                    readings = {j: float(b) for j, b in enumerate(res.bias) if (j,) not in flagged}
+                    readings = {
+                        target[0] if isinstance(target, list) else target: float(res.bias[slot])
+                        for slot, target in bias_targets
+                        if slot not in flagged
+                    }
                     by_target = _calibrate_lines(oracle, skeleton, succ.id, v0, cp.c1, intercepts, readings, cfg, ties)
                     cal = _LineCalibration(intercepts, by_target, scale)
                 res.calibration_queries = oracle.count - t1
@@ -1241,19 +1282,27 @@ def extract_conv_layer(
     """Recover a convolution layer's bias and weights.
 
     Bias: with the layer's input pinned to zero, every spatial position of
-    output channel c holds bias[c]; all of them are measured jointly.
-    Weights: per input channel, a periodic pattern of amplitude delta makes
-    the aligned output positions hold bias[c] + delta * w[c, c_in, ki, kj],
-    one kernel tap each.  Maps too small for the periodic pattern, and
-    layers that feed a MaxPoolReLU (whose scans take one target index at a
-    time), fall back to a single centered injection whose aligned output
-    position isolates each tap.
+    output channel c holds bias[c].  A layer that ``_reads_nary`` admits is
+    read at the map centre (ic, jc), like a fully-connected layer of n_in
+    kh kw inputs: the bias phase reads bias[c] there, and each weight phase
+    sets the one input pixel (c_in, ic + ki - pad, jc + kj - pad) to the
+    amplitude delta, so that the centre of every output channel c holds
+    bias[c] + delta * w[c, c_in, ki, kj] for that one tap, and reads it
+    through channel c's class lines.  A refused layer scans binary, one
+    weight phase per input channel: the bias is measured jointly at every
+    position, and a periodic pattern of amplitude delta makes the aligned
+    output positions hold bias[c] + delta * w[c, c_in, ki, kj], one kernel
+    tap each.  Maps too small for the periodic pattern, and layers that
+    feed a MaxPoolReLU (whose scans take one target index at a time),
+    fall back to a single centered injection whose aligned output position
+    isolates each tap.
     """
     spec = skeleton.layer(layer_id)
     if spec.kind != KIND_CONV:
         raise ExtractionError(f"layer {layer_id} is {spec.kind}, not a convolution")
     succ = _nonlinear_successor(skeleton, layer_id)
     maxpool = succ.kind == KIND_MPR
+    centred = _reads_nary(skeleton, layer_id, oracle.n_classes, cfg.eta_tol)
     n_out, n_in, kh, kw = spec.weight.shape
     _, fh, fw = skeleton.out_shape(layer_id)
     amplitude = math.sqrt(n_in * kh * kw / 4.0)
@@ -1262,11 +1311,20 @@ def extract_conv_layer(
 
     if maxpool:
         bias_targets = [((c,), (c, ic, jc)) for c in range(n_out)]
+    elif centred:
+        bias_targets = [((c,), [(c, ic, jc)]) for c in range(n_out)]
     else:
         bias_targets = [((c,), [(c, i, j) for i in range(fh) for j in range(fw)]) for c in range(n_out)]
 
     def weight_phases():
-        """One phase per input channel, one target per kernel tap."""
+        """One phase per input channel, one target per kernel tap; or,
+        ``centred``, one phase per tap, one target per output channel."""
+        if centred:
+            for c_in, ki, kj in itertools.product(range(n_in), range(kh), range(kw)):
+                inject = np.zeros((n_in, fh, fw))
+                inject[c_in, ic + ki - (kh - 1) // 2, jc + kj - (kw - 1) // 2] = amplitude
+                yield inject, [((c, c_in, ki, kj), target) for (c,), target in bias_targets]
+            return
         for c_in in range(n_in):
             inject = np.zeros((n_in, fh, fw))
             if periodic:

@@ -445,17 +445,18 @@ def test_extract_feature_maxpool_random_cross_check():
 
 
 def test_maxpool_layer_one_search_per_phase(monkeypatch):
-    """A maxpool layer scans every target of a phase at the phase's one
-    critical point: the pool-endpoint benchmark model's layer 1 (one input
-    channel, so a bias phase and one weight phase) makes two critical
-    searches for its 20 parameters."""
+    """A maxpool layer reads every target of a phase at the phase's one
+    critical point: the pool-endpoint benchmark model's layer 1 reads its
+    weights n-ary at the map centre, one weight phase per kernel tap (one
+    input channel, so a bias phase and nine weight phases), and makes ten
+    critical searches for its 20 parameters."""
     model = random_model("conv2x3x3-mpr2-fc3-r-fc3", (1, 4, 4), seed=1)
     searches = []
     real = sx_extract.search_critical
     monkeypatch.setattr(sx_extract, "search_critical", lambda *a, **k: searches.append(a) or real(*a, **k))
     res = extract_conv_layer(OracleHandle.in_process(model), model.skeleton(), 1, CFG, np.random.default_rng(0))
-    assert len(searches) == 2
-    assert not res.retried and not res.dead
+    assert len(searches) == 1 + 9
+    assert res.calibration_queries > 0 and not res.retried and not res.dead
     true = model.layer(1)
     assert sx.relative_errors(res.weight, true.weight).max() <= 1e-6
     assert sx.relative_errors(res.bias, true.bias).max() <= 1e-6

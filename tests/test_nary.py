@@ -85,7 +85,7 @@ def _toy_lines(model, oracle, bias):
     base = QueryInput(np.zeros(1)).shifted(_phase_base(model, 2))
     cp = search_critical(oracle, base, CFG, np.random.default_rng(0))
     intercepts = _class_intercepts(oracle, base, cp, CFG)
-    lines = _calibrate_lines(oracle, model, 2, base, cp.c1, intercepts, {0: bias}, CFG)
+    lines = _calibrate_lines(oracle, model, 2, base, cp.c1, intercepts, {(0,): bias}, CFG)
     return cp, _LineCalibration(intercepts, lines, None)
 
 
@@ -268,40 +268,52 @@ def test_read_stops_at_the_breakpoints_resolution():
 
 
 def test_the_rule():
-    """Only a fully-connected layer into a ReLU whose injection reaches the
-    logits only through that ReLU reads n-ary, and only when its weight
-    phases repay the calibration ties: at the default eta_tol (1e-8) a
-    6-output layer of 3 classes needs 7 inputs, of 4 classes 9, of 10
-    classes 20; one of 2 classes breaks even at 9 (a read saves 5 queries,
-    a slope tie costs 45).  At eta_tol = 1e-3, where a read learns fewer
-    digits, a 4-class one needs 16.  When the layer feeds the terminal
-    layer and the attack targets both (``terminal_ties``), its ties also
-    spare the terminal's 7 (m - 1) readings: then 3 classes need 2
-    inputs, 4 classes 3, 10 classes 6 and 2 classes 2, which no longer
-    rests on the rounding of a log (7 queries of margin), and at 1e-3 a
-    4-class layer needs 5."""
+    """Only a layer into a ReLU or MaxPoolReLU boundary whose injection
+    reaches the logits only through that boundary, with no MaxPoolReLU
+    downstream, reads n-ary, and only when its weight phases repay the
+    calibration ties.  A layer that writes no terminal table reads its
+    slope ties to eta_tol, at log2(1 / eta_tol) + 7 queries each (33.6 at
+    the default 1e-8): then a 6-output FC layer of 3 classes needs 6
+    inputs, of 4 classes 7, of 10 classes 16, and one of 2 classes 7 (a
+    read saves 5 queries, against a slope tie's 33.6).  At eta_tol = 1e-3,
+    where a read and a slope tie both learn fewer digits, a 4-class one
+    needs 7.  When the layer feeds the terminal layer and the attack
+    targets both (``terminal_ties``), its slope ties are polished (45
+    queries) and spare the terminal's 7 (m - 1) readings: then 3 classes
+    need 2 inputs, 4 classes 3, 10 classes 6 and 2 classes 2, and at 1e-3
+    a 4-class layer needs 5.  A convolution reads n_in kh kw weights per
+    output channel, so relu-inproc's conv (2 x 3 x 3 reads per target)
+    reads n-ary, and so does a 4-class conv into a maxpool boundary; one
+    with 1 x 3 x 3 reads per target and 10 classes does not repay its 9
+    slope ties per target."""
 
     def rule(arch, shape, layer_id, eta_tol=BoundarySearchConfig().eta_tol, shared=False):
         skeleton = random_model(arch, shape, seed=1).skeleton()
         ties = terminal_ties(skeleton, default_target_layers(skeleton)) if shared else None
         return _reads_nary(skeleton, layer_id, skeleton.n_classes, eta_tol, ties)
 
-    for classes, least, shared in [(3, 7, False), (4, 9, False), (10, 20, False),
+    for classes, least, shared in [(2, 7, False), (3, 6, False), (4, 7, False), (10, 16, False),
                                    (2, 2, True), (3, 2, True), (4, 3, True), (10, 6, True)]:
         assert rule(f"fc6-r-fc{classes}", (least,), 1, shared=shared)
         assert not rule(f"fc6-r-fc{classes}", (least - 1,), 1, shared=shared)
-    assert not rule("fc6-r-fc2", (8,), 1) and rule("fc6-r-fc2", (10,), 1)
-    assert not rule("fc6-r-fc4", (15,), 1, eta_tol=1e-3)
-    assert rule("fc6-r-fc4", (16,), 1, eta_tol=1e-3)
+    assert not rule("fc6-r-fc4", (6,), 1, eta_tol=1e-3)
+    assert rule("fc6-r-fc4", (7,), 1, eta_tol=1e-3)
     assert not rule("fc6-r-fc4", (4,), 1, eta_tol=1e-3, shared=True)
     assert rule("fc6-r-fc4", (5,), 1, eta_tol=1e-3, shared=True)
     assert rule("conv2x3x3-r-fc12-r-fc4", (2, 6, 6), 3)
-    assert not rule("conv2x3x3-r-fc12-r-fc4", (2, 6, 6), 1)  # a convolution
+    assert rule("conv2x3x3-r-fc12-r-fc4", (2, 6, 6), 1)  # a convolution: 18 reads per output channel
     assert not rule("conv2x3x3-r-fc12-r-fc4", (2, 6, 6), 5)  # the terminal layer
-    assert not rule("conv4x3x3-mpr2-fc8-r-fc4", (2, 8, 8), 1)  # a maxpool boundary
+    assert rule("conv4x3x3-mpr2-fc8-r-fc4", (2, 8, 8), 1)  # a maxpool boundary
+    assert not rule("conv4x3x3-r-fc10", (1, 6, 6), 1)  # 9 reads per target do not repay 9 slope ties
+    assert rule("conv4x3x3-r-fc10", (2, 6, 6), 1)  # 18 do
+    # a second maxpool downstream of the boundary takes a max that no switched-on base makes affine
+    assert not rule("conv4x3x3-mpr2-conv4x3x3-mpr2-fc8-r-fc4", (2, 8, 8), 1)
+    assert rule("conv4x3x3-mpr2-conv4x3x3-mpr2-fc8-r-fc4", (2, 8, 8), 3)
     # the Add-fed layer of pool-res: its skip joins before the layer
-    assert rule("conv4x3x3-mpr2-res{conv4x3x3-r,}-fc8-r-fc4", (2, 8, 8), 6)
-    # a layer inside a residual branch: the skip carries its injection around its ReLU
+    pool_res = "conv4x3x3-mpr2-res{conv4x3x3-r,}-fc8-r-fc4"
+    assert rule(pool_res, (2, 8, 8), 6) and rule(pool_res, (2, 8, 8), 1)
+    # layers inside a residual branch: the skip carries their injection around their boundary
+    assert not rule(pool_res, (2, 8, 8), 3)
     assert rule("fc12-r-res{fc12-r,}-fc4", (16,), 1)
     assert not rule("fc12-r-res{fc12-r,}-fc4", (16,), 3)
 
@@ -310,22 +322,53 @@ def test_the_rule():
     ("fc6-r-fc4", (5,)),  # binary: three slope ties per target, repaid by 5 reads
     ("fc8-r-fc10", (30,)),  # n-ary: nine slope ties per target, repaid by 30 reads
     ("fc12-r-fc2", (72,)),  # n-ary: two lines only save scan 2 and the sign probe, 72 times
+    ("conv2x3x3-r-fc12-r-fc4", (2, 6, 6)),  # n-ary: the relu-inproc conv, 18 reads per output channel
+    ("conv4x3x3-r-fc10", (2, 6, 6)),  # n-ary: 18 reads repay nine slope ties per target, narrowly
+    ("conv2x3x3-r-fc10", (2, 6, 6)),  # binary: two outputs share the eight intercept ties
+    ("conv4x3x3-r-fc10", (1, 6, 6)),  # binary: 9 reads do not repay nine slope ties
+    ("conv2x3x3-mpr2-fc3-r-fc3", (1, 4, 4)),  # n-ary: the pool-endpoint conv, into a maxpool boundary
 ])
 def test_the_rule_picks_the_cheaper_read(monkeypatch, arch, shape):
-    """On layers on either side of the rule, forced to read n-ary and
-    binary in turn, the side the rule picks spends fewer queries, and both
-    read the layer right."""
+    """On layers on either side of the rule, fully connected and
+    convolutional, forced to read n-ary and binary in turn, the side the
+    rule picks spends fewer queries, and both read the layer right.  A
+    convolution forced binary keeps its periodic or single-centre layout,
+    and one forced n-ary reads at the map centre, one phase per tap."""
     truth = random_model(arch, shape, seed=1)
     skeleton = truth.skeleton()
+    extract = extract_conv_layer if skeleton.layer(1).kind == KIND_CONV else extract_fc_layer
     queries = {}
     for nary in (True, False):
         monkeypatch.setattr(sx_extract, "_reads_nary", lambda *a, nary=nary: nary)
-        res = extract_fc_layer(OracleHandle.in_process(truth), skeleton, 1, CFG, np.random.default_rng(1))
+        res = extract(OracleHandle.in_process(truth), skeleton, 1, CFG, np.random.default_rng(1))
         assert (res.calibration_queries > 0) == nary
         assert sx.relative_errors(res.weight, truth.layer(1).weight).max() <= 1e-6
         queries[nary] = res.total_queries
     picked = _reads_nary(skeleton, 1, skeleton.n_classes, CFG.eta_tol)
     assert queries[picked] < queries[not picked]
+
+
+@pytest.mark.parametrize("arch, shape, model_seed, attack_seed, layer_id, queries", [
+    ("conv4x3x3-mpr2-res{conv4x3x3-r,}-fc8-r-fc4", (2, 8, 8), 9, 5, 3, 5735),
+    ("conv4x3x3-mpr2-conv4x3x3-mpr2-fc8-r-fc4", (2, 8, 8), 1, 1, 1, 2850),
+], ids=["pool-res-branch", "maxpool-downstream"])
+def test_refused_convolutions_scan_as_before(arch, shape, model_seed, attack_seed, layer_id, queries):
+    """A convolution the rule refuses keeps its binary layout query for
+    query: the residual-branch conv of pool-res-inproc, whose injection
+    also reaches the logits over the skip (``_bypasses``), and layer 1 of
+    the two-maxpool model, which has a second MaxPoolReLU downstream.
+    Each spends no calibration query, the queries it spent before
+    convolutions could read n-ary, and reads right."""
+    truth = random_model(arch, shape, seed=model_seed)
+    cfg = ExperimentConfig(arch=arch, input_shape=shape, model_seed=model_seed, attack_seed=attack_seed,
+                           layers=[layer_id])
+    report, extracted = run_attack(cfg, truth=truth)
+    (layer,) = report.layers
+    assert layer.error is None and layer.calibration_queries == 0 and not layer.dead
+    assert layer.queries == queries
+    est, true = extracted.layer(layer_id), truth.layer(layer_id)
+    eb, ew = layer_error_summary(est.bias, est.weight, true.bias, true.weight, gauge=False)
+    assert max(eb.max(), ew.max()) <= 1e-6
 
 
 def test_a_skip_around_the_boundary_keeps_the_layer_binary():
@@ -342,22 +385,24 @@ def test_a_skip_around_the_boundary_keeps_the_layer_binary():
     assert verify_models(extracted, truth)["pass"]
 
 
-def test_bias_phases_and_conv_layers_scan_binary(monkeypatch):
-    """On the relu-inproc benchmark model, the conv layer and the FC
-    layer's bias phase scan binary, and every FC weight reads n-ary."""
+def test_bias_phases_scan_binary_and_weights_read_nary(monkeypatch):
+    """On the relu-inproc benchmark model, the bias phases of the conv
+    layer and of the FC layer scan binary, and every weight of both reads
+    n-ary: the conv layer's 2 x 18 through one set of lines per output
+    channel, at the map centre."""
     model = random_model("conv2x3x3-r-fc12-r-fc4", (2, 6, 6), seed=3)
     calls = []
     real_read, real_scan = sx_extract._read_lines, sx_extract._scan_boundary
     monkeypatch.setattr(sx_extract, "_read_lines", lambda *a, **k: calls.append("nary") or real_read(*a, **k))
     monkeypatch.setattr(sx_extract, "_scan_boundary", lambda *a, **k: calls.append("binary") or real_scan(*a, **k))
-    conv = extract_conv_layer(OracleHandle.in_process(model), model.skeleton(), 1, CFG, np.random.default_rng(1))
-    assert set(calls) == {"binary"} and conv.calibration_queries == 0
-    calls.clear()
-    fc = extract_fc_layer(OracleHandle.in_process(model), model.skeleton(), 3, CFG, np.random.default_rng(3))
-    n_out, n_in = model.layer(3).weight.shape
-    assert calls == ["binary"] * n_out + ["nary"] * (n_out * n_in)
-    assert 0 < fc.calibration_queries < fc.weight_queries
-    assert not fc.retried and not fc.dead
+    for layer_id, extract in ((1, extract_conv_layer), (3, extract_fc_layer)):
+        calls.clear()
+        res = extract(OracleHandle.in_process(model), model.skeleton(), layer_id, CFG, np.random.default_rng(1))
+        n_out = model.layer(layer_id).weight.shape[0]
+        assert calls == ["binary"] * n_out + ["nary"] * model.layer(layer_id).weight.size
+        assert 0 < res.calibration_queries < res.weight_queries
+        assert not res.retried and not res.dead
+        assert sx.relative_errors(res.weight, model.layer(layer_id).weight).max() <= 1e-6
 
 
 def test_ten_class_model_reads_under_15_per_weight():

@@ -1,9 +1,10 @@
 """N-ary reads: one label query tests every class boundary at once.
 
-A fully-connected layer into a ReLU reads its weights through class lines
-(``_read_lines``): every logit is a line in the released target's output,
-measured once per target (``_calibrate_lines``), and a query places one
-breakpoint between each pair of adjacent lines.
+A fully-connected or convolution layer into a ReLU or MaxPoolReLU reads
+its weights through class lines (``_read_lines``): every logit is a line
+in the released target's output, measured once per target
+(``_calibrate_lines``; a convolution's targets sit at the map centre), and
+a query places one breakpoint between each pair of adjacent lines.
 """
 
 import math

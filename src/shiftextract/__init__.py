@@ -14,7 +14,6 @@ from .extract import (
     FeatureResult,
     LayerExtractionResult,
     ScanRetryError,
-    conv_injection_pattern,
     default_target_layers,
     extract_conv_layer,
     extract_fc_layer,

@@ -69,8 +69,9 @@ label shrinks the window m-fold.  A read ignores the phase's tie, but the
 tie is still made: when it is not where the intercepts predict, the
 intercepts are stale and the phase scans binary.  A label from a
 suppressed class fails the read, and the retry is a binary scan.  Bias
-phases always scan binary, and so do the convolutions the rule refuses,
-in their periodic or single-centre layout.
+phases always scan binary, and so do the convolutions the rule refuses:
+one weight phase per input channel injects at the map centre, and each
+kernel tap is read at the one output position that sees it there.
 
 When such a layer feeds the terminal layer through one ReLU, its
 calibration measures the terminal too: at its silenced base the logits
@@ -1154,6 +1155,7 @@ def _extract_layer(
     weight_phases,
     cfg: BoundarySearchConfig,
     rng: np.random.Generator,
+    nary: bool,
     ties: TerminalTies | None = None,
 ) -> LayerExtractionResult:
     """The driver shared by convolution and fully-connected layers whose
@@ -1176,13 +1178,13 @@ def _extract_layer(
     attempt fails it reads the last error's uncorrected estimate, or 0.0
     without one.  A dead feature reads 0.0 and is listed in ``dead``.
 
-    When ``_reads_nary`` admits the layer, the class lines are calibrated
-    right after the bias phase: every class is tied with the bias phase's
-    reference once (``_class_intercepts``), the rule is asked again with
-    the classes that tied, and then each target's slopes are measured at
-    the one boundary index its bias target reads (``_calibrate_lines``),
-    which must be the index every weight phase reads for that output
-    channel.  Those ties count in ``weight_queries`` and in
+    When ``nary``, the layer driver's answer from ``_reads_nary``, the
+    class lines are calibrated right after the bias phase: every class is
+    tied with the bias phase's reference once (``_class_intercepts``), the
+    rule is asked again with the classes that tied, and then each target's
+    slopes are measured at the one boundary index its bias target reads
+    (``_calibrate_lines``), which must be the index every weight phase
+    reads for that output channel.  Those ties count in ``weight_queries`` and in
     ``calibration_queries``.  In a weight phase whose tie sits where the
     intercepts predict (``_LineCalibration.holds``), a target with class
     lines is read n-ary from the layer's last spread at its first attempt.
@@ -1235,7 +1237,7 @@ def _extract_layer(
             values[slot] = value
         if inject is None:  # the bias phase: calibrate the class lines
             t1 = oracle.count
-            if _reads_nary(skeleton, layer_id, oracle.n_classes, cfg.eta_tol, ties):
+            if nary:
                 intercepts = _class_intercepts(oracle, v0, cp, cfg)
                 if ties is not None:
                     ties.intercepts = intercepts
@@ -1257,21 +1259,6 @@ def _extract_layer(
     return res
 
 
-def _aligned_axis(f: int, k: int, kidx: int) -> list[int]:
-    """Output positions reading kernel offset ``kidx`` under the periodic
-    injection, restricted to full kernel support inside the map."""
-    k2 = (k - 1) // 2
-    return [p for p in range(k2, f - k2) if (p - k + 1 + kidx) % k == 0]
-
-
-def conv_injection_pattern(fh: int, fw: int, kh: int, kw: int, amplitude: float) -> np.ndarray:
-    """Per-channel test pattern: ``amplitude`` at every position congruent to
-    the kernel center modulo the kernel size, zero elsewhere."""
-    a = np.zeros((fh, fw))
-    a[(kh - 1) // 2 :: kh, (kw - 1) // 2 :: kw] = amplitude
-    return a
-
-
 def extract_conv_layer(
     oracle: OracleHandle,
     skeleton: ModelGraph,
@@ -1282,67 +1269,61 @@ def extract_conv_layer(
     """Recover a convolution layer's bias and weights.
 
     Bias: with the layer's input pinned to zero, every spatial position of
-    output channel c holds bias[c].  A layer that ``_reads_nary`` admits is
-    read at the map centre (ic, jc), like a fully-connected layer of n_in
-    kh kw inputs: the bias phase reads bias[c] there, and each weight phase
-    sets the one input pixel (c_in, ic + ki - pad, jc + kj - pad) to the
-    amplitude delta, so that the centre of every output channel c holds
-    bias[c] + delta * w[c, c_in, ki, kj] for that one tap, and reads it
-    through channel c's class lines.  A refused layer scans binary, one
-    weight phase per input channel: the bias is measured jointly at every
-    position, and a periodic pattern of amplitude delta makes the aligned
-    output positions hold bias[c] + delta * w[c, c_in, ki, kj], one kernel
-    tap each.  Maps too small for the periodic pattern, and layers that
-    feed a MaxPoolReLU (whose scans take one target index at a time),
-    fall back to a single centered injection whose aligned output position
-    isolates each tap.
+    output channel c holds bias[c].  Both layouts inject a single input
+    pixel, so that one output position holds bias[c] + delta * w[c, c_in,
+    ki, kj] for one kernel tap (c, c_in, ki, kj).  A layer that
+    ``_reads_nary`` admits is read at the map centre (ic, jc), like a
+    fully-connected layer of n_in kh kw inputs: the bias phase reads
+    bias[c] there, and each weight phase sets input pixel (c_in, ic + ki -
+    pad, jc + kj - pad) to the amplitude delta and reads every output
+    channel's centre through its class lines.  A refused layer scans
+    binary, one weight phase per input channel: the phase sets input pixel
+    (c_in, ic, jc), and tap (c, c_in, ki, kj) is read at output (c, ic - ki
+    + pad, jc - kj + pad).  Its bias is read jointly at every position, or
+    at the centre alone when it feeds a MaxPoolReLU, whose scans take one
+    target index at a time.  A map smaller than the kernel holds no such
+    layout: ExtractionError is raised before any query.
     """
     spec = skeleton.layer(layer_id)
     if spec.kind != KIND_CONV:
         raise ExtractionError(f"layer {layer_id} is {spec.kind}, not a convolution")
     succ = _nonlinear_successor(skeleton, layer_id)
-    maxpool = succ.kind == KIND_MPR
-    centred = _reads_nary(skeleton, layer_id, oracle.n_classes, cfg.eta_tol)
     n_out, n_in, kh, kw = spec.weight.shape
     _, fh, fw = skeleton.out_shape(layer_id)
+    if fh < kh or fw < kw:
+        raise ExtractionError(f"layer {layer_id}: its {fh}x{fw} map is smaller than its {kh}x{kw} kernel")
+    maxpool = succ.kind == KIND_MPR
+    nary = _reads_nary(skeleton, layer_id, oracle.n_classes, cfg.eta_tol)
     amplitude = math.sqrt(n_in * kh * kw / 4.0)
-    periodic = not maxpool and fh >= 2 * kh - 1 and fw >= 2 * kw - 1
     ic, jc = fh // 2, fw // 2
+    ph, pw = (kh - 1) // 2, (kw - 1) // 2
 
     if maxpool:
         bias_targets = [((c,), (c, ic, jc)) for c in range(n_out)]
-    elif centred:
+    elif nary:
         bias_targets = [((c,), [(c, ic, jc)]) for c in range(n_out)]
     else:
         bias_targets = [((c,), [(c, i, j) for i in range(fh) for j in range(fw)]) for c in range(n_out)]
 
     def weight_phases():
-        """One phase per input channel, one target per kernel tap; or,
-        ``centred``, one phase per tap, one target per output channel."""
-        if centred:
+        """``nary``: one phase per tap, one target per output channel;
+        otherwise one phase per input channel, one target per tap."""
+        if nary:
             for c_in, ki, kj in itertools.product(range(n_in), range(kh), range(kw)):
                 inject = np.zeros((n_in, fh, fw))
-                inject[c_in, ic + ki - (kh - 1) // 2, jc + kj - (kw - 1) // 2] = amplitude
+                inject[c_in, ic + ki - ph, jc + kj - pw] = amplitude
                 yield inject, [((c, c_in, ki, kj), target) for (c,), target in bias_targets]
             return
         for c_in in range(n_in):
             inject = np.zeros((n_in, fh, fw))
-            if periodic:
-                inject[c_in] = conv_injection_pattern(fh, fw, kh, kw, amplitude)
-            else:
-                inject[c_in, ic, jc] = amplitude
+            inject[c_in, ic, jc] = amplitude
             targets = []
             for c_out, ki, kj in itertools.product(range(n_out), range(kh), range(kw)):
-                if periodic:
-                    rows, cols = _aligned_axis(fh, kh, ki), _aligned_axis(fw, kw, kj)
-                    target = [(c_out, i, j) for i in rows for j in cols]
-                else:
-                    pos = (c_out, ic - ki + (kh - 1) // 2, jc - kj + (kw - 1) // 2)
-                    target = pos if maxpool else [pos]
-                targets.append(((c_out, c_in, ki, kj), target))
+                pos = (c_out, ic - ki + ph, jc - kj + pw)
+                targets.append(((c_out, c_in, ki, kj), pos if maxpool else [pos]))
             yield inject, targets
 
-    return _extract_layer(oracle, skeleton, layer_id, succ, amplitude, bias_targets, weight_phases(), cfg, rng)
+    return _extract_layer(oracle, skeleton, layer_id, succ, amplitude, bias_targets, weight_phases(), cfg, rng, nary)
 
 
 def extract_fc_layer(
@@ -1359,21 +1340,21 @@ def extract_fc_layer(
     With the input pinned to zero each output j reads bias[j]; with a single
     input feature set to the injection amplitude, output j reads
     bias[j] + amplitude * w[j, i0], one column per phase (``_extract_layer``).
-    The terminal layer, whose consumer is the Argmax, has its own driver
-    (``extract_last_layer``).
+    The terminal layer, whose consumer is the Argmax, has its own driver:
+    given it, this one raises ExtractionError naming
+    ``extract_last_layer``.
 
-    ``ties`` is the attack's ``TerminalTies`` table, for the layer ``below``
-    the terminal one and for the terminal layer itself.  The layer below
-    writes its calibration ties there (and ``_reads_nary`` credits it with
-    the terminal readings they spare); the terminal layer reads every slot
-    the table measures from it and ties the rest.
+    ``ties`` is the attack's ``TerminalTies`` table, given to the layer
+    ``below`` the terminal one: it writes its calibration ties there, and
+    ``_reads_nary`` credits it with the terminal readings they spare.
     """
     spec = skeleton.layer(layer_id)
     if spec.kind != KIND_FC:
         raise ExtractionError(f"layer {layer_id} is {spec.kind}, not fully connected")
     succ = _nonlinear_successor(skeleton, layer_id)
     if succ.kind == KIND_ARGMAX:
-        return extract_last_layer(oracle, skeleton, cfg, rng, ties=ties)
+        raise ExtractionError(f"layer {layer_id} is the terminal layer: extract it with extract_last_layer")
+    nary = _reads_nary(skeleton, layer_id, oracle.n_classes, cfg.eta_tol, ties)
     n_out, n_in = spec.weight.shape
     amplitude = math.sqrt(n_in / 4.0)
     bias_targets = [((j,), [(j,)]) for j in range(n_out)]
@@ -1385,7 +1366,9 @@ def extract_fc_layer(
             inject[i0] = amplitude
             yield inject, [((j, i0), target) for (j,), target in bias_targets]
 
-    return _extract_layer(oracle, skeleton, layer_id, succ, amplitude, bias_targets, weight_phases(), cfg, rng, ties)
+    return _extract_layer(
+        oracle, skeleton, layer_id, succ, amplitude, bias_targets, weight_phases(), cfg, rng, nary, ties
+    )
 
 
 def extract_last_layer(

@@ -40,14 +40,13 @@ from shiftextract.extract import (
     SUPPRESSION,
     TIE_POLISH_TOL,
     DeadFeatureError,
-    _aligned_axis,
     _controlled_query,
     _flip_point,
     _linearize_downstream,
     _mask_at,
     _phase_base,
+    _reads_nary,
     _two_probe,
-    conv_injection_pattern,
 )
 from shiftextract.harness import gauge_fix
 from shiftextract.oracle import TIE_PROBE
@@ -500,22 +499,33 @@ def test_suppression_margin_validated():
 # conv geometry
 
 
-def test_aligned_axis_frozen_example():
-    # 8-wide map, 3-wide kernel, kernel offset 0: positions {2, 5}
-    assert _aligned_axis(8, 3, 0) == [2, 5]
-    assert _aligned_axis(8, 3, 1) == [1, 4]
-    assert _aligned_axis(8, 3, 2) == [3, 6]
-
-
-def test_conv_amplitude_default():
-    # 64 input channels, 3x3 kernel: sqrt(64 * 9 / 4) = 12
-    assert math.sqrt(64 * 3 * 3 / 4) == pytest.approx(12.0)
+def test_conv_amplitude_default(monkeypatch):
+    """Every weight phase of a convolution injects one input pixel, at the
+    amplitude sqrt(n_in kh kw / 4): 12 for 64 input channels and a 3x3
+    kernel, in both layouts.  Read n-ary, the phase of tap (c_in, ki, kj)
+    sets the pixel that the map centre reads through that tap; scanned
+    binary, the phase of input channel c_in sets the centre pixel."""
     m = random_model("conv4x3x3-r-fc4", (64, 8, 8), seed=0)
-    # the driver applies the same formula; check via the injected pattern
-    pat = conv_injection_pattern(8, 8, 3, 3, math.sqrt(64 * 9 / 4))
-    assert pat[1, 1] == 12.0
-    assert pat[1, 4] == 12.0 and pat[4, 1] == 12.0
-    assert pat[0, 0] == 0.0 and np.count_nonzero(pat) == 9
+    sent = {}
+
+    def capture(oracle, skeleton, layer_id, succ, amplitude, bias_targets, weight_phases, *rest):
+        sent.update(amplitude=amplitude, phases=list(weight_phases))
+
+    monkeypatch.setattr(sx_extract, "_extract_layer", capture)
+    for nary in (True, False):
+        monkeypatch.setattr(sx_extract, "_reads_nary", lambda *a, nary=nary: nary)
+        oracle = OracleHandle.in_process(m)
+        extract_conv_layer(oracle, m.skeleton(), 1, CFG, np.random.default_rng(0))
+        assert oracle.count == 0 and sent["amplitude"] == math.sqrt(64 * 3 * 3 / 4) == 12.0
+        pixels = []
+        for inject, _ in sent["phases"]:
+            (pixel,) = zip(*np.nonzero(inject))
+            assert inject.shape == (64, 8, 8) and inject[pixel] == 12.0
+            pixels.append(tuple(int(i) for i in pixel))
+        if nary:
+            assert pixels == [(c, i, j) for c in range(64) for i in (3, 4, 5) for j in (3, 4, 5)]
+        else:
+            assert pixels == [(c, 4, 4) for c in range(64)]
 
 
 # ---------------------------------------------------------------------------
@@ -544,12 +554,11 @@ def test_extract_conv_layer_recovers(small_cnn):
 def test_extract_last_layer_gauge(small_cnn):
     oracle = OracleHandle.in_process(small_cnn)
     sk = small_cnn.skeleton()
+    # the terminal layer has its own driver: the FC driver names it and sends no query
+    with pytest.raises(sx.ExtractionError, match="extract_last_layer"):
+        extract_fc_layer(oracle, sk, 5, CFG_1E9, np.random.default_rng(0))
+    assert oracle.count == 0
     res = extract_last_layer(oracle, sk, CFG_1E9, np.random.default_rng(0))
-    # the terminal layer is an FC layer like any other: the shared driver
-    # recovers the same gauge representative
-    fc = extract_fc_layer(oracle, sk, 5, CFG_1E9, np.random.default_rng(0))
-    assert fc.gauge_fixed
-    assert np.array_equal(fc.bias, res.bias) and np.array_equal(fc.weight, res.weight)
     true = small_cnn.layer(5)
     tb, tw = gauge_fix(true.bias, true.weight)
     assert res.gauge_fixed
@@ -590,15 +599,51 @@ def test_extract_fc_column_linearity(small_cnn):
     assert np.allclose(tr.y[4], want)
 
 
-def test_conv_small_map_single_injection_fallback():
-    """Feature maps below 2k-1 cannot host the periodic pattern; the single
-    centered injection recovers every kernel tap instead."""
-    m = random_model("conv3x3x3-r-fc6-r-fc3", (2, 4, 4), seed=31)  # f=4 < 2*3-1
-    oracle = OracleHandle.in_process(m)
-    res = extract_conv_layer(oracle, m.skeleton(), 1, CFG, np.random.default_rng(0))
+@pytest.mark.parametrize("arch, shape, seed, admitted", [
+    ("conv3x3x3-r-fc6-r-fc3", (2, 4, 4), 31, True),
+    ("conv2x3x3-r-fc12-r-fc10", (2, 6, 6), 3, False),  # the ten-class CI model: two outputs share 8 intercept ties
+], ids=["4x4-forced-binary", "6x6-refused"])
+def test_conv_small_map_single_injection_fallback(monkeypatch, arch, shape, seed, admitted):
+    """A convolution scanned binary injects at the map centre, one weight
+    phase per input channel, and reads each kernel tap at the one output
+    position that sees it: 1 + n_in critical searches, and every weight
+    target a single position.  Layer 1 of the first model, on a 4x4 map,
+    would read n-ary and is forced binary; the rule refuses layer 1 of the
+    second, on a 6x6 map.  Both recover every tap."""
+    m = random_model(arch, shape, seed=seed)
+    sk = m.skeleton()
+    assert _reads_nary(sk, 1, sk.n_classes, CFG.eta_tol) == admitted
+    monkeypatch.setattr(sx_extract, "_reads_nary", lambda *a: False)
+    searches, targets = [], []
+    real_search, real_scan = sx_extract.search_critical, sx_extract.extract_feature
+    monkeypatch.setattr(sx_extract, "search_critical", lambda *a, **k: searches.append(a) or real_search(*a, **k))
+    monkeypatch.setattr(sx_extract, "extract_feature", lambda *a, **k: targets.append(a[4]) or real_scan(*a, **k))
+    res = extract_conv_layer(OracleHandle.in_process(m), sk, 1, CFG, np.random.default_rng(0))
     true = m.layer(1)
+    n_out, n_in = true.weight.shape[:2]
+    assert not res.retried and not res.dead
+    assert len(searches) == 1 + n_in
+    assert len(targets) == n_out + true.weight.size and all(len(t) == 1 for t in targets[n_out:])
     assert np.abs(res.bias - true.bias).max() <= 1e-8
     assert np.abs(res.weight - true.weight).max() <= 1e-8
+    assert sx.relative_errors(res.weight, true.weight).max() <= 1e-6
+
+
+@pytest.mark.parametrize("arch, shape", [
+    ("conv2x3x3-r-fc4-r-fc3", (1, 2, 2)),
+    ("conv2x3x3-r-fc4-r-fc3", (1, 1, 1)),
+    ("conv2x3x3-mpr2-fc3-r-fc3", (1, 2, 2)),
+])
+def test_conv_map_smaller_than_kernel_fails_its_layer_alone(arch, shape):
+    """A convolution whose map is smaller than its kernel holds neither
+    layout: its layer fails before any query, and the attack goes on to
+    extract the layers above it."""
+    truth = random_model(arch, shape, seed=1)
+    report, _ = sx.run_attack(sx.ExperimentConfig(arch=arch, input_shape=shape, model_seed=1), truth=truth)
+    layers = {l.layer_id: l for l in report.layers}
+    assert "smaller than its 3x3 kernel" in layers[1].error and layers[1].queries == 0
+    for lid in (3, 5):
+        assert layers[lid].error is None and max(layers[lid].e_bias, layers[lid].e_weight) <= 1e-6
 
 
 def test_suppression_floor_detected():

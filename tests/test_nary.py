@@ -333,8 +333,9 @@ def test_the_rule_picks_the_cheaper_read(monkeypatch, arch, shape):
     """On layers on either side of the rule, fully connected and
     convolutional, forced to read n-ary and binary in turn, the side the
     rule picks spends fewer queries, and both read the layer right.  A
-    convolution forced binary keeps its periodic or single-centre layout,
-    and one forced n-ary reads at the map centre, one phase per tap."""
+    convolution forced binary injects at the map centre, one phase per
+    input channel, and one forced n-ary reads at the map centre, one phase
+    per tap."""
     truth = random_model(arch, shape, seed=1)
     skeleton = truth.skeleton()
     extract = extract_conv_layer if skeleton.layer(1).kind == KIND_CONV else extract_fc_layer

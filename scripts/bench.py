@@ -3,6 +3,7 @@
 
     python3 scripts/bench.py --out BENCH_17.json
     python3 scripts/bench.py --root ../parent --out BENCH_0.json
+    python3 scripts/bench.py --root ../parent --residual 1   # one RESIDUAL attack, as JSON
 
 Runs ``perfbench/run.py --seconds 0`` of the checkout at ``--root`` (by
 default this one) on its three workloads at seeds 1 to 3, and attacks each
@@ -20,7 +21,11 @@ runs in a fresh interpreter that imports the program from
 workload models (in process, seeds 1 to 3) once more at each
 ``eta_tol`` of ``SWEEP_ETA_TOLS``, and records calls per parameter, the max
 and median relative error over the non-terminal parameters, and the max
-relative error of the terminal layer's gauge differences.
+relative error of the terminal layer's gauge differences.  A ``residual``
+section attacks ``RESIDUAL``, two identity-skip blocks of 8-channel
+convolutions (3x8x8, model seed 2, 10 classes), at attack seeds 1 to 3,
+each in a fresh interpreter, and records its calls per parameter, errors,
+wall seconds and per-layer queries, with their medians over the seeds.
 """
 
 from __future__ import annotations
@@ -41,6 +46,8 @@ WORKLOADS = ("relu-inproc", "pool-res-inproc", "pool-endpoint")
 SEEDS = (1, 2, 3)
 C1 = {"arch": "conv8x3x3-r-fc32-r-fc4", "input_shape": (3, 8, 8), "model_seed": 7, "attack_seed": 11}
 SWEEP_ETA_TOLS = (1e-9, 1e-8, 1e-7)
+RESIDUAL = {"arch": "conv8x3x3-r-res{conv8x3x3-r,}-r-res{conv8x3x3-r,}-r-fc16-r-fc10", "input_shape": (3, 8, 8),
+            "model_seed": 2}
 
 
 def _program(root: Path):
@@ -94,13 +101,14 @@ def _errors(truth, extracted) -> dict:
             "terminal_max_error": float(last.max())}
 
 
-def criterion_1(root: Path) -> dict:
-    """Criterion 1 end to end, with its errors (``_errors``)."""
+def scored_attack(root: Path, spec: dict) -> dict:
+    """One attack of ``spec`` (ExperimentConfig fields) end to end, with
+    its errors (``_errors``): criterion 1, or ``RESIDUAL`` at one seed."""
     from time import perf_counter
 
     sx = _program(root)
-    truth = sx.random_model(C1["arch"], C1["input_shape"], seed=C1["model_seed"])
-    cfg = sx.ExperimentConfig(**C1)
+    truth = sx.random_model(spec["arch"], spec["input_shape"], seed=spec["model_seed"])
+    cfg = sx.ExperimentConfig(**spec)
     t0 = perf_counter()
     report, extracted = sx.run_attack(cfg, truth=truth)
     wall = perf_counter() - t0
@@ -198,6 +206,8 @@ def delta(prev: dict, cur: dict) -> dict:
     c_old = prev.get("criterion_1", {})
     out["criterion_1"] = {k: _change(c_old.get(k), cur["criterion_1"][k])
                           for k in ("wall_s", "calls_per_param", "max_error", "median_error")}
+    r_old = prev.get("residual", {}).get("median", {})
+    out["residual"] = {k: _change(r_old.get(k), v) for k, v in cur["residual"]["median"].items()}
     return out
 
 
@@ -208,13 +218,17 @@ def main(argv=None) -> int:
     ap.add_argument("--previous", type=Path, help="BENCH file to compare against")
     ap.add_argument("--layers", nargs=2, metavar=("WORKLOAD", "SEED"), help=argparse.SUPPRESS)
     ap.add_argument("--criterion-1", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("--residual", type=int, metavar="SEED", help="print one RESIDUAL attack's JSON record")
     args = ap.parse_args(argv)
     root = args.root.resolve()
     if args.layers:
         print(json.dumps(layers_of_workload(root, args.layers[0], int(args.layers[1]))))
         return 0
     if args.criterion_1:
-        print(json.dumps(criterion_1(root)))
+        print(json.dumps(scored_attack(root, C1)))
+        return 0
+    if args.residual is not None:
+        print(json.dumps(scored_attack(root, {**RESIDUAL, "attack_seed": args.residual})))
         return 0
     if args.out is None:
         ap.error("--out is required")
@@ -234,6 +248,13 @@ def main(argv=None) -> int:
                                  "seeds": seeds}
     print("criterion 1", file=sys.stderr, flush=True)
     bench["criterion_1"] = _child(root, "--criterion-1")
+    seeds = {}
+    for s in SEEDS:
+        print(f"residual seed {s}", file=sys.stderr, flush=True)
+        seeds[str(s)] = _child(root, "--residual", str(s))
+    keys = ("wall_s", "calls_per_param", "max_error", "median_error", "terminal_max_error")
+    bench["residual"] = {**RESIDUAL, "median": {k: statistics.median(r[k] for r in seeds.values()) for k in keys},
+                         "seeds": seeds}
     bench["sweep"] = sweep(root)
     prev_path = args.previous or _previous(args.out)
     if prev_path is not None:

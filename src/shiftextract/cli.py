@@ -121,6 +121,8 @@ def _cmd_attack(args) -> int:
         truth = load_model(args.truth)
     report, extracted = run_attack(cfg, truth=truth)
     print(report.to_csv(), end="")
+    for layer in (l for l in report.layers if l.error):  # its CSV row reads zeros: say why
+        print(f"layer {layer.layer_id}: {layer.error}", file=sys.stderr)
     print(
         f"total queries {report.total_queries}, params {report.total_params}, "
         f"calls/param {report.calls_per_param:.1f} "

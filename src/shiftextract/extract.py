@@ -36,14 +36,14 @@ phase ties one critical point, measures each of its targets there, and
 records dead and retried slots.  A scan that behaves inconsistently is
 repeated from a fresh critical point, at most ``max_retries`` times, and
 the target falls back to the last uncorrected estimate when every attempt
-fails.  Since the tie does not see the silenced boundary, each phase ties
-its point again from the one before (``search_critical``'s hint), which
-costs about four queries while the injection reaches the logits only
-through the boundary: a layer draws one class pair.  The terminal layer,
-whose one consumer is the Argmax, has its own driver
-(``extract_last_layer``): it reads class-pair ties instead of feature
-scans, one per (column, class) after the bias ties, and its result is
-fixed up to the gauge of those ties.  Each weight tie starts at its
+fails.  The tie sees neither the silenced boundary nor an identity skip
+around the layer, which a weight phase cancels where it joins the branch
+(``_skip_cancel``): each phase ties its point again from the one before
+(``search_critical``'s hint) in about four queries, and a layer draws one
+class pair.  The terminal layer, whose one consumer is the Argmax, has its
+own driver (``extract_last_layer``): it reads class-pair ties instead of
+feature scans, one per (column, class) after the bias ties, and its result
+is fixed up to the gauge of those ties.  Each weight tie starts at its
 class's bias tie, so it moves only by the weight's own contribution.
 Every tie that gallops from its class's last move, a terminal tie or a
 slope tie of the calibration below, goes through one routine,
@@ -53,8 +53,8 @@ A binary scan learns one bit per query, where a label among n classes can
 carry log2 n.  At a phase base the network between a released target and
 the logits is affine, so every logit is a line in the target's output, and
 those lines are the same in every phase that releases the same boundary
-entry, as long as the injection reaches the logits only through the
-silenced boundary.  A fully-connected layer has one such entry per output.
+entry, since the injection reaches the logits only through the silenced
+boundary, its skip cancelled.  A fully-connected layer has one per output.
 A convolution gets one per output channel when it is read at the map
 centre: each weight phase injects at the one input pixel that the centre
 reads through one kernel tap, so the layer reads like a fully-connected
@@ -875,9 +875,10 @@ def zero_input_plan(skeleton: ModelGraph, layer_id: int) -> SuppressionPlan:
 
 
 def _controlled_query(
-    skeleton: ModelGraph, plan: SuppressionPlan, inject: np.ndarray | None
+    skeleton: ModelGraph, plan: SuppressionPlan, inject: np.ndarray | None, cancel: Sequence[int] = ()
 ) -> QueryInput:
-    """Query with the planned layer's input equal to ``inject`` (or zero)."""
+    """Query with the planned layer's input equal to ``inject`` (or zero),
+    and -``inject`` on the post side of each ``_skip_cancel`` boundary."""
     x0 = np.zeros(skeleton.input_shape)
     if plan.input_mode:
         if inject is not None:
@@ -886,7 +887,8 @@ def _controlled_query(
     shifts = plan.shifts
     if inject is not None:
         src = plan.sources[0]
-        shifts = shifts + ShiftSet({(src, POST): inject.reshape(skeleton.out_shape(src))})
+        inject = inject.reshape(skeleton.out_shape(src))
+        shifts = shifts + ShiftSet({(src, POST): inject, **{(b, POST): -inject for b in cancel}})
     return QueryInput(x0, shifts)
 
 
@@ -973,21 +975,33 @@ def default_target_layers(skeleton: ModelGraph) -> list[int]:
     return out
 
 
-def _bypasses(skeleton: ModelGraph, layer_id: int, boundary_id: int) -> bool:
-    """True when the injection of layer ``layer_id``'s weight phases reaches
-    the Argmax other than through ``boundary_id``, as through a residual
-    skip around the layer."""
+def _skip_cancel(skeleton: ModelGraph, layer_id: int, boundary_id: int) -> tuple[int, ...] | None:
+    """The boundaries whose post side, shifted by -inject, cancels what
+    layer ``layer_id``'s weight-phase injection carries to the Argmax
+    other than through its boundary ``boundary_id``: () when nothing, (b,)
+    for an identity skip into an Add whose other input b lies on the
+    target's own path.  None when no such shift cancels it: the injection
+    point has a consumer beside the layer and that Add, the skip is not
+    one identity edge, or the layer is in input mode."""
+
+    def reached(node: int, stop: int | None = None) -> set[int]:
+        seen, todo = {node}, [node]
+        while todo:
+            fresh = set(skeleton.successors(todo.pop())) - seen - {stop}
+            seen |= fresh
+            todo += fresh
+        return seen
+
     plan = zero_input_plan(skeleton, layer_id)
     start = skeleton.input_id if plan.input_mode else plan.sources[0]
-    reached, todo = {start}, [start]
-    while todo:
-        for nxt in skeleton.successors(todo.pop()):
-            if nxt == skeleton.argmax_id:
-                return True
-            if nxt != boundary_id and nxt not in reached:
-                reached.add(nxt)
-                todo.append(nxt)
-    return False
+    if skeleton.argmax_id not in reached(start, boundary_id):
+        return ()
+    skip = [s for s in skeleton.successors(start) if s != layer_id]
+    if plan.input_mode or len(skip) != 1 or skeleton.layer(skip[0]).kind != KIND_ADD:
+        return None
+    other = [i for i in skeleton.layer(skip[0]).inputs if i != start]
+    on_path = len(other) == 1 and skeleton.successors(other[0]) == tuple(skip) and other[0] in reached(boundary_id)
+    return tuple(other) if on_path else None
 
 
 def _reads_nary(
@@ -998,26 +1012,26 @@ def _reads_nary(
 
     The layer, fully connected or a convolution, must feed a ReLU or
     MaxPoolReLU boundary, and its injection must reach the logits only
-    through that boundary (``_bypasses``): only then are the lines the
-    same in every weight phase.  No MaxPoolReLU may sit downstream of the
-    boundary, since ``_linearize_downstream`` leaves its max in place and
-    the lines could bend there.  Its weight reads, n_in per target (n_in
-    kh kw for a convolution, read at the map centre), must also repay the
-    calibration: a read saves a binary scan's log2(1 / eta_tol) +
-    ``BINARY_READ_EXTRA`` queries less its own log_m(1 / eta_tol) +
-    ``NARY_READ_EXTRA``, and each target pays m - 1 = ``classes`` - 1
-    slope ties, the layer m - 2 intercept ties (``NARY_TIE_QUERIES``
-    each).  A slope tie is a reading, log2(1 / eta_tol) +
-    ``NARY_SLOPE_READ_EXTRA`` queries, except for the layer below the
-    terminal one, which alone gets the attack's ``ties``: there it is
-    polished (``NARY_TIE_QUERIES``), and the calibration also spares the
-    terminal layer's (n_out + 1)(m - 1) readings, ``TERMINAL_TIE_QUERIES``
-    each, which count toward the repayment.  Every bias phase keeps the
-    binary scan.
+    through that boundary, a skip cancelled (``_skip_cancel``): only then
+    are the lines the same in every weight phase.  No MaxPoolReLU may sit
+    downstream of the boundary, since ``_linearize_downstream`` leaves its
+    max in place and the lines could bend there.  Its weight reads, n_in
+    per target (n_in kh kw for a convolution, read at the map centre),
+    must also repay the calibration: a read saves a binary scan's
+    log2(1 / eta_tol) + ``BINARY_READ_EXTRA`` queries less its own
+    log_m(1 / eta_tol) + ``NARY_READ_EXTRA``, and each target pays m - 1 =
+    ``classes`` - 1 slope ties, the layer m - 2 intercept ties
+    (``NARY_TIE_QUERIES`` each).  A slope tie is a reading,
+    log2(1 / eta_tol) + ``NARY_SLOPE_READ_EXTRA`` queries, except for the
+    layer below the terminal one, which alone gets the attack's ``ties``:
+    there it is polished (``NARY_TIE_QUERIES``), and the calibration also
+    spares the terminal layer's (n_out + 1)(m - 1) readings,
+    ``TERMINAL_TIE_QUERIES`` each, which count toward the repayment.
+    Every bias phase keeps the binary scan.
     """
     spec = skeleton.layer(layer_id)
     succ = _nonlinear_successor(skeleton, layer_id)
-    if succ.kind == KIND_ARGMAX or classes < 2 or _bypasses(skeleton, layer_id, succ.id):
+    if succ.kind == KIND_ARGMAX or classes < 2 or _skip_cancel(skeleton, layer_id, succ.id) is None:
         return False
     if any(skeleton.layer(lid).kind == KIND_MPR for lid, _ in _linearize_downstream(skeleton, succ.id).entries):
         return False
@@ -1167,16 +1181,18 @@ def _extract_layer(
     ``(inject, targets)``: with the input set to ``inject``, a target reads
     bias[c] + amplitude * weight[slot] for its output channel c = slot[0].
     Every phase's base silences the boundary and switches on the ReLUs
-    downstream of it (``_phase_base``), and every phase ties its critical
-    point from the one the phase before ended with (``search_critical``):
-    the layer draws one fresh class pair unless a scan fails.  A target is
-    scanned binary from the magnitude of the last value measured.  A scan
-    that behaves inconsistently is tried again, binary, at a point rebuilt
-    from a fresh pair, at most ``max_retries`` times, and the rebuilt point
-    serves the later targets too.  A target that needed another attempt is
-    listed in ``retried`` and reads the successful value; when every
-    attempt fails it reads the last error's uncorrected estimate, or 0.0
-    without one.  A dead feature reads 0.0 and is listed in ``dead``.
+    downstream of it (``_phase_base``); a weight phase's also cancels an
+    identity skip around the layer (``_skip_cancel``), binary or n-ary.
+    Every phase ties its critical point from the one the phase before
+    ended with (``search_critical``), where the tie holds: the layer draws
+    one fresh class pair unless a scan fails.  A target is scanned binary
+    from the magnitude of the last value measured.  A scan that behaves
+    inconsistently is tried again, binary, at a point rebuilt from a fresh
+    pair, at most ``max_retries`` times, and the rebuilt point serves the
+    later targets too.  A target that needed another attempt is listed in
+    ``retried`` and reads the successful value; when every attempt fails
+    it reads the last error's uncorrected estimate, or 0.0 without one.  A
+    dead feature reads 0.0 and is listed in ``dead``.
 
     When ``nary``, the layer driver's answer from ``_reads_nary``, the
     class lines are calibrated right after the bias phase: every class is
@@ -1199,11 +1215,12 @@ def _extract_layer(
         layer_id=layer_id, kind=spec.kind, bias=np.zeros(shape[0]), weight=np.zeros(shape)
     )
     base = _phase_base(skeleton, succ.id)
+    cancel = _skip_cancel(skeleton, layer_id, succ.id) or ()
     scan = extract_feature_maxpool if succ.kind == KIND_MPR else extract_feature
     scale = cp = cal = None
     t0 = oracle.count
     for inject, targets in itertools.chain([(None, bias_targets)], weight_phases):
-        v0 = _controlled_query(skeleton, plan, inject).shifted(base)
+        v0 = _controlled_query(skeleton, plan, inject, cancel).shifted(base)
         cp = search_critical(oracle, v0, cfg, rng, cp)
         values = res.bias if inject is None else res.weight
         by_lines = cal.lines if cal is not None and cal.holds(cp) else {}

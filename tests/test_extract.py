@@ -36,6 +36,7 @@ from shiftextract.extract import (
     ETA_INITIAL_STEP,
     ETA_MAX,
     FEATURE_BOUND,
+    NARY_TIE_DRIFT,
     SCAN_ABS_TOL,
     SUPPRESSION,
     TIE_POLISH_TOL,
@@ -48,7 +49,7 @@ from shiftextract.extract import (
     _reads_nary,
     _two_probe,
 )
-from shiftextract.harness import gauge_fix
+from shiftextract.harness import gauge_fix, layer_error_summary
 from shiftextract.oracle import TIE_PROBE
 from conftest import fc_layer
 
@@ -735,9 +736,11 @@ def test_one_fresh_tie_per_layer():
 
 def test_skip_path_layer_reties_from_hint(monkeypatch):
     """An identity skip carries the injection of the residual conv (layer
-    3) around its silenced ReLU, so the tie moves from phase to phase: each
-    phase gallops to it from the tie before, with the same class pair and
-    no fresh draw, and every parameter reads right."""
+    3) around its silenced ReLU, and every weight phase cancels it on that
+    ReLU's post side, where the skip joins the branch (``_skip_cancel``):
+    the tie stays where the bias phase left it.  Each phase ties from the
+    tie before, with the same class pair and no fresh draw, and every
+    parameter reads right."""
     arch, shape = "conv4x3x3-mpr2-res{conv4x3x3-r,}-fc8-r-fc4", (2, 8, 8)
     model = random_model(arch, shape, seed=9)
     ties = []
@@ -745,13 +748,51 @@ def test_skip_path_layer_reties_from_hint(monkeypatch):
     monkeypatch.setattr(sx_extract, "search_critical", lambda *a, **k: ties.append(real(*a, **k)) or ties[-1])
     rng = _CountingRng(0)
     res = extract_conv_layer(OracleHandle.in_process(model), model.skeleton(), 3, CFG, rng)
-    assert rng.draws == 1 and len(ties) == 5  # the bias phase and one weight phase per input channel
+    assert rng.draws == 1 and len(ties) == 37  # the bias phase and one n-ary weight phase per kernel tap
     assert len({(cp.c1, cp.c2) for cp in ties}) == 1
-    assert all(abs(a.t - b.t) > 1e-6 for a, b in zip(ties, ties[1:]))  # moved far beyond TIE_POLISH_TOL
+    assert all(abs(cp.t - ties[0].t) <= NARY_TIE_DRIFT for cp in ties)  # within mask noise: no move
     assert not res.retried and not res.dead
     true = model.layer(3)
     assert sx.relative_errors(res.weight, true.weight).max() <= 1e-6
     assert sx.relative_errors(res.bias, true.bias).max() <= 1e-6
+
+
+def _assert_right_or_flagged(arch, shape, model_seed, layers, tol):
+    """Attack ``layers`` of ``arch`` (attack seed 1): in each, no more
+    parameters read beyond ``tol`` (relative) than it lists as dead or
+    retried."""
+    truth = random_model(arch, shape, seed=model_seed)
+    cfg = sx.ExperimentConfig(arch=arch, input_shape=shape, model_seed=model_seed, attack_seed=1, layers=layers)
+    report, extracted = sx.run_attack(cfg, truth=truth)
+    for layer in report.layers:
+        est, true = extracted.layer(layer.layer_id), truth.layer(layer.layer_id)
+        eb, ew = layer_error_summary(est.bias, est.weight, true.bias, true.weight, gauge=False)
+        wrong = int((eb > tol).sum() + (ew > tol).sum())
+        assert layer.error is None and wrong <= layer.dead + layer.retried, (layer.layer_id, max(eb.max(), ew.max()))
+
+
+@pytest.mark.parametrize("model_seed", [1, 2, 3])
+def test_residual_convs_above_a_maxpool_read_right(model_seed):
+    """In conv4x3x3-r-res{conv4x3x3-r,}-r-res{conv4x3x3-r,}-mpr2-fc8-r-fc4
+    (2x8x8) each block's identity skip carries the injection of its conv
+    (layers 3 and 7) around the silenced ReLU and on into the maxpool.
+    While the skip was left in place, both layers read 0.51 to 230 off
+    (relative) at model seeds 1 to 3, with nothing flagged.  With the skip
+    cancelled every parameter reads within 1e-5 or is listed as dead or
+    retried."""
+    arch = "conv4x3x3-r-res{conv4x3x3-r,}-r-res{conv4x3x3-r,}-mpr2-fc8-r-fc4"
+    _assert_right_or_flagged(arch, (2, 8, 8), model_seed, [3, 7], 1e-5)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: a maxpool two convs downstream still takes its max "
+                                       "in the binary scans, which read the layer wrong without a flag")
+@pytest.mark.parametrize("model_seed", [1, 2])
+def test_two_convs_above_a_maxpool_read_right(model_seed):
+    """Layer 1 of conv4x3x3-r-conv4x3x3-r-conv4x3x3-mpr2-fc8-r-fc4 (2x8x8)
+    reads 1.33 and 0.64 off (relative) at model seeds 1 and 2, with
+    nothing flagged: every parameter should read within 1e-6 or be listed
+    as dead or retried."""
+    _assert_right_or_flagged("conv4x3x3-r-conv4x3x3-r-conv4x3x3-mpr2-fc8-r-fc4", (2, 8, 8), model_seed, [1], 1e-6)
 
 
 def test_extract_last_layer_tie_beyond_bisection_resolution(zero3_model):

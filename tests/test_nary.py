@@ -270,7 +270,8 @@ def test_read_stops_at_the_breakpoints_resolution():
 
 def test_the_rule():
     """Only a layer into a ReLU or MaxPoolReLU boundary whose injection
-    reaches the logits only through that boundary, with no MaxPoolReLU
+    reaches the logits only through that boundary, once an identity skip
+    around it is cancelled (``_skip_cancel``), with no MaxPoolReLU
     downstream, reads n-ary, and only when its weight phases repay the
     calibration ties.  A layer that writes no terminal table reads its
     slope ties to eta_tol, at log2(1 / eta_tol) + 7 queries each (33.6 at
@@ -313,10 +314,13 @@ def test_the_rule():
     # the Add-fed layer of pool-res: its skip joins before the layer
     pool_res = "conv4x3x3-mpr2-res{conv4x3x3-r,}-fc8-r-fc4"
     assert rule(pool_res, (2, 8, 8), 6) and rule(pool_res, (2, 8, 8), 1)
-    # layers inside a residual branch: the skip carries their injection around their boundary
-    assert not rule(pool_res, (2, 8, 8), 3)
+    # layers inside a residual branch: the identity skip is cancelled at the branch's boundary
+    assert rule(pool_res, (2, 8, 8), 3)
     assert rule("fc12-r-res{fc12-r,}-fc4", (16,), 1)
-    assert not rule("fc12-r-res{fc12-r,}-fc4", (16,), 3)
+    assert rule("fc12-r-res{fc12-r,}-fc4", (16,), 3)
+    # a skip that only parameters could cancel: each branch carries the other's injection
+    assert not rule("fc8-r-res{fc8-r,fc8-r}-fc4", (12,), 3)
+    assert not rule("fc8-r-res{fc8-r,fc8-r}-fc4", (12,), 5)
 
 
 @pytest.mark.parametrize("arch, shape", [
@@ -351,16 +355,17 @@ def test_the_rule_picks_the_cheaper_read(monkeypatch, arch, shape):
 
 
 @pytest.mark.parametrize("arch, shape, model_seed, attack_seed, layer_id, queries", [
-    ("conv4x3x3-mpr2-res{conv4x3x3-r,}-fc8-r-fc4", (2, 8, 8), 9, 5, 3, 5735),
+    ("conv4x3x3-mpr2-res{conv4x3x3-r,conv4x3x3-r}-fc8-r-fc4", (2, 8, 8), 9, 5, 3, 5627),
     ("conv4x3x3-mpr2-conv4x3x3-mpr2-fc8-r-fc4", (2, 8, 8), 1, 1, 1, 2850),
-], ids=["pool-res-branch", "maxpool-downstream"])
+], ids=["two-branch-skip", "maxpool-downstream"])
 def test_refused_convolutions_scan_as_before(arch, shape, model_seed, attack_seed, layer_id, queries):
     """A convolution the rule refuses keeps its binary layout query for
-    query: the residual-branch conv of pool-res-inproc, whose injection
-    also reaches the logits over the skip (``_bypasses``), and layer 1 of
-    the two-maxpool model, which has a second MaxPoolReLU downstream.
-    Each spends no calibration query, the queries it spent before
-    convolutions could read n-ary, and reads right."""
+    query: a residual-branch conv whose injection also reaches the logits
+    through a second branch with parameters, which no shift cancels
+    (``_skip_cancel``), and layer 1 of the two-maxpool model, which has a
+    second MaxPoolReLU downstream.  Each spends no calibration query, the
+    queries its binary layout spent before skips were cancelled, and
+    reads right."""
     truth = random_model(arch, shape, seed=model_seed)
     cfg = ExperimentConfig(arch=arch, input_shape=shape, model_seed=model_seed, attack_seed=attack_seed,
                            layers=[layer_id])
@@ -373,17 +378,51 @@ def test_refused_convolutions_scan_as_before(arch, shape, model_seed, attack_see
     assert max(eb.max(), ew.max()) <= 1e-6
 
 
+@pytest.mark.parametrize("arch, shape, model_seed, attack_seed, layer_id, cancel, queries", [
+    ("conv4x3x3-mpr2-res{conv4x3x3-r,}-fc8-r-fc4", (2, 8, 8), 9, 5, 3, 4, 3109),
+    ("fc12-r-res{fc12-r,}-fc4", (16,), 1, 1, 3, 4, 4067),
+    ("fc8-r-res{fc8-r-fc8-r,}-fc4", (12,), 1, 1, 3, 6, 2321),
+], ids=["pool-res-branch", "fc-branch", "two-relu-branch"])
+def test_a_cancelled_skip_reads_nary(monkeypatch, arch, shape, model_seed, attack_seed, layer_id, cancel, queries):
+    """An identity skip around a residual-branch layer is cancelled on the
+    post side of the Add's other input (``_skip_cancel``): the layer's own
+    ReLU in pool-res (whose conv scanned binary for 5,735 queries before)
+    and in fc12-r-res{fc12-r,}-fc4 (6,644), and the branch's second ReLU
+    in fc8-r-res{fc8-r-fc8-r,}-fc4 (3,381).  The layer then reads like
+    one without a skip: its tie never moves, so it scans binary only in
+    its bias phase and reads every weight n-ary, at the pinned queries.
+    It reads right, and the whole model verifies."""
+    truth = random_model(arch, shape, seed=model_seed)
+    assert sx_extract._skip_cancel(truth.skeleton(), layer_id, layer_id + 1) == (cancel,)
+    scans = []
+    real_scan = sx_extract._scan_boundary
+    monkeypatch.setattr(sx_extract, "_scan_boundary",
+                        lambda o, cp, key, *a, **k: scans.append(key[0]) or real_scan(o, cp, key, *a, **k))
+    cfg = ExperimentConfig(arch=arch, input_shape=shape, model_seed=model_seed, attack_seed=attack_seed)
+    report, extracted = run_attack(cfg, truth=truth)
+    layer = next(l for l in report.layers if l.layer_id == layer_id)
+    assert layer.calibration_queries > 0 and layer.queries == queries and not layer.dead and not layer.retried
+    assert scans.count(layer_id + 1) == truth.layer(layer_id).bias.size
+    est, true = extracted.layer(layer_id), truth.layer(layer_id)
+    eb, ew = layer_error_summary(est.bias, est.weight, true.bias, true.weight, gauge=False)
+    assert max(eb.max(), ew.max()) <= 1e-6
+    assert verify_models(extracted, truth)["pass"]
+
+
 def test_a_skip_around_the_boundary_keeps_the_layer_binary():
-    """In fc12-r-res{fc12-r,}-fc4 the injection into layer 3 also reaches
-    the logits through the identity skip, so its class lines would change
-    from phase to phase: although its 12 inputs would repay the ties, the
-    layer spends no calibration query.  Layer 1 reads n-ary, and the model
-    verifies."""
-    arch, shape = "fc12-r-res{fc12-r,}-fc4", (16,)
+    """A skip that no shift cancels keeps the layer binary.  In
+    fc8-r-res{fc8-r,fc8-r}-fc4 both branches have parameters, so the
+    injection into either branch's layer also reaches the logits through
+    the other branch (``_skip_cancel`` is None), and its class lines would
+    change from phase to phase: although their 8 inputs would repay the
+    ties, layers 3 and 5 spend no calibration query.  Layer 1 reads n-ary,
+    and the model verifies."""
+    arch, shape = "fc8-r-res{fc8-r,fc8-r}-fc4", (12,)
     truth = random_model(arch, shape, seed=1)
+    assert sx_extract._skip_cancel(truth.skeleton(), 3, 4) is None
     report, extracted = run_attack(ExperimentConfig(arch=arch, input_shape=shape, model_seed=1), truth=truth)
     calibration = {l.layer_id: l.calibration_queries for l in report.layers}
-    assert calibration[3] == 0 and calibration[1] > 0
+    assert calibration[3] == calibration[5] == 0 and calibration[1] > 0
     assert verify_models(extracted, truth)["pass"]
 
 

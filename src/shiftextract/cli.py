@@ -39,8 +39,7 @@ def _parse_layers(text: str) -> list[int]:
 def _add_search_flags(p: argparse.ArgumentParser) -> None:
     """One flag per ``BoundarySearchConfig`` field, ``--eta-tol`` for ``eta_tol``."""
     for f in fields(BoundarySearchConfig):
-        kind = int if isinstance(f.default, int) else float
-        p.add_argument("--" + f.name.replace("_", "-"), type=kind, default=None)
+        p.add_argument("--" + f.name.replace("_", "-"), type=float, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -122,7 +121,8 @@ def _cmd_attack(args) -> int:
     report, extracted = run_attack(cfg, truth=truth)
     print(report.to_csv(), end="")
     for layer in (l for l in report.layers if l.error):  # its CSV row reads zeros: say why
-        print(f"layer {layer.layer_id}: {layer.error}", file=sys.stderr)
+        named = f"layer {layer.layer_id}: "  # once, also where the error starts with it
+        print(named + layer.error.removeprefix(named), file=sys.stderr)
     print(
         f"total queries {report.total_queries}, params {report.total_params}, "
         f"calls/param {report.calls_per_param:.1f} "

@@ -34,7 +34,7 @@ fully-connected layers that feed a ReLU or MaxPoolReLU share
 ``_extract_layer``, one loop over the bias phase and the weight phases: a
 phase ties one critical point, measures each of its targets there, and
 records dead and retried slots.  A scan that behaves inconsistently is
-repeated from a fresh critical point, at most ``max_retries`` times, and
+repeated from a fresh critical point, at most ``MAX_RETRIES`` times, and
 the target falls back to the last uncorrected estimate when every attempt
 fails.  The tie sees neither the silenced boundary nor an identity skip
 around the layer, which a weight phase cancels where it joins the branch
@@ -70,8 +70,10 @@ tie is still made: when it is not where the intercepts predict, the
 intercepts are stale and the phase scans binary.  A label from a
 suppressed class fails the read, and the retry is a binary scan.  Bias
 phases always scan binary, and so do the convolutions the rule refuses:
-one weight phase per input channel injects at the map centre, and each
-kernel tap is read at the one output position that sees it there.
+their bias is read at the map centre too, one weight phase per input
+channel injects there, and each kernel tap is read at the one output
+position that sees it.  Every scan, binary or n-ary, releases one boundary
+index.
 
 When such a layer feeds the terminal layer through one ReLU, its
 calibration measures the terminal too: at its silenced base the logits
@@ -185,6 +187,7 @@ BINARY_READ_EXTRA = 8  # a binary scan's queries beyond log2(1 / eta_tol): sign 
 NARY_READ_EXTRA = 3  # an n-ary read's queries beyond log_m(1 / eta_tol): first window and widenings
 TERMINAL_TIE_QUERIES = 31  # one terminal reading that a layer's calibration makes for it (``TerminalTies``)
 NARY_SLOPE_READ_EXTRA = 7  # a slope tie's queries beyond log2(1 / eta_tol) when it is read to eta_tol
+MAX_RETRIES = 5  # further attempts at a scan that behaved inconsistently, each from a fresh critical point
 
 
 @dataclass(frozen=True)
@@ -196,28 +199,23 @@ class BoundarySearchConfig:
     back to 10 on an O(1) logit scale).  ``eta_tol`` is the relative
     tolerance of every reading, feature scans, n-ary reads and terminal
     ties: a value v is read to within ``max(eta_tol * |v|, SCAN_ABS_TOL)``,
-    and it must lie in (0, 1).
-    ``max_retries`` is how often a failed scan is tried again, an integer
-    >= 0; every other value is finite and > 0, and ``sphere_norm`` may also
-    be None.  The search bound and the suppression constant are module
-    constants (``ETA_MAX``, ``SUPPRESSION``).
+    and it must lie in (0, 1).  Both are finite and > 0, and
+    ``sphere_norm`` may also be None.  The search bound, the suppression
+    constant and the retry budget are module constants (``ETA_MAX``,
+    ``SUPPRESSION``, ``MAX_RETRIES``).
     """
 
     sphere_norm: float | None = None
     eta_tol: float = 1e-8
-    max_retries: int = 5
 
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
             if v is None and f.default is None:
                 continue
-            integral = isinstance(f.default, int)
-            if isinstance(v, bool) or not isinstance(v, int if integral else (int, float)):
-                raise ValueError(f"{f.name} must be {'an integer' if integral else 'a number'}, got {v!r}")
-            if integral and v < 0:
-                raise ValueError(f"{f.name} must be >= 0, got {v!r}")
-            if not integral and not (math.isfinite(v) and v > 0):
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ValueError(f"{f.name} must be a number, got {v!r}")
+            if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"{f.name} must be finite and > 0, got {v!r}")
         if self.eta_tol >= 1:  # a relative tolerance this wide skips bisection
             raise ValueError(f"eta_tol must be < 1, got {self.eta_tol!r}")
@@ -525,24 +523,26 @@ def _without(v: QueryInput, *keys: tuple[int, str]) -> QueryInput:
     return QueryInput(v.x0, ShiftSet({k: a for k, a in v.shifts.entries.items() if k not in keys}))
 
 
-def _release(mask: np.ndarray, z: float) -> np.ndarray:
-    """The pre entry of a silenced boundary with the targets in ``mask``
-    released at shift z.  It is written, never added to -``SUPPRESSION``:
-    a released entry holds z exactly, where the sum would round it to the
-    float spacing at 1e6 (about 1.2e-10)."""
-    return np.where(mask, z, -SUPPRESSION)
+def _release(shape: tuple[int, ...], index: tuple, z: float) -> np.ndarray:
+    """The pre entry, of ``shape``, of a silenced boundary with its target
+    at ``index`` released at shift z.  It is written, never added to
+    -``SUPPRESSION``: a released entry holds z exactly, where the sum would
+    round it to the float spacing at 1e6 (about 1.2e-10)."""
+    pre = np.full(shape, -SUPPRESSION)
+    pre[index] = z
+    return pre
 
 
 def _scan_boundary(
     oracle: OracleHandle,
     cp: CriticalPoint,
     pre_key: tuple[int, str],
-    mask: np.ndarray,
+    index: tuple,
     cfg: BoundarySearchConfig,
     first_step: float | None = None,
 ) -> FeatureResult:
-    """Release scan of the common value y behind ``mask`` at the critical
-    point ``cp``, whose base silences the boundary (``_phase_base``).
+    """Release scan of the value y at ``index`` of the boundary at the
+    critical point ``cp``, whose base silences the boundary (``_phase_base``).
 
     The boundary's other entries stay at -``SUPPRESSION``, so their outputs
     stay 0 and the tie sees the target alone; a released target holds the
@@ -569,10 +569,11 @@ def _scan_boundary(
     retried by the caller.
     """
     eps = TIE_PROBE
+    shape = cp.v.shifts.get(*pre_key).shape
     rest = _without(cp.v, pre_key)
 
     def at(z: float) -> QueryInput:
-        return rest.shifted(ShiftSet({pre_key: _release(mask, z)}))
+        return rest.shifted(ShiftSet({pre_key: _release(shape, index, z)}))
 
     failed = _two_probe(oracle, at(0.0), cp.c1, cp.c2, eps)
     nonpositive = failed is None
@@ -606,14 +607,14 @@ def _read_lines(
     oracle: OracleHandle,
     cp: CriticalPoint,
     pre_key: tuple[int, str],
-    mask: np.ndarray,
+    index: tuple,
     cfg: BoundarySearchConfig,
     lines: ClassLines,
     spread: float | None,
 ) -> FeatureResult:
-    """N-ary read of the common value y behind ``mask`` at the base of
-    ``cp``, which silences the boundary (``_phase_base``), through the m
-    class lines of its target.
+    """N-ary read of the value y at ``index`` of the boundary at the base
+    of ``cp``, which silences the boundary (``_phase_base``), through the m
+    class lines of that target.
 
     y is found by an m-ary ``_window_search`` whose first window is
     ``lines.centre`` +- ``spread`` (clamped to [``ETA_INITIAL_STEP``,
@@ -632,6 +633,7 @@ def _read_lines(
     +-``FEATURE_BOUND``, raises ``ScanRetryError``.
     """
     argmax_key = (oracle.argmax_id, PRE)
+    shape = cp.v.shifts.get(*pre_key).shape
     rest = _without(cp.v, pre_key, argmax_key)
     position = {c: i for i, c in enumerate(lines.classes)}
     m = len(lines.classes)
@@ -647,7 +649,7 @@ def _read_lines(
 
     def pick(lo: float, w: float) -> int:
         shift = floor + w * rise
-        label = oracle.query(rest.shifted(ShiftSet({pre_key: _release(mask, -lo), argmax_key: shift})))
+        label = oracle.query(rest.shifted(ShiftSet({pre_key: _release(shape, index, -lo), argmax_key: shift})))
         if label not in position:
             raise ScanRetryError(f"suppressed class {label} answered an n-ary read")
         return position[label]
@@ -764,15 +766,29 @@ def search_critical(
 # Feature extraction
 
 
-def _as_index(idx) -> tuple:
-    return idx if isinstance(idx, tuple) else (idx,)
-
-
-def _mask_at(shape: tuple[int, ...], indices: Sequence) -> np.ndarray:
-    m = np.zeros(shape, dtype=bool)
-    for idx in indices:
-        m[_as_index(idx)] = True
-    return m
+def _read_feature(
+    oracle: OracleHandle,
+    skeleton: ModelGraph,
+    cp: CriticalPoint,
+    layer_id: int,
+    index: tuple,
+    cfg: BoundarySearchConfig,
+    first_step: float | None,
+    lines: ClassLines | None,
+) -> FeatureResult:
+    """The read behind ``extract_feature`` and ``extract_feature_maxpool``:
+    the pre-activation value at ``index`` of boundary ``layer_id``, released
+    alone from the silenced base.  Without ``lines`` it is the binary scan
+    through the tied class pair (``_scan_boundary``), and ``first_step`` is
+    the expected magnitude of the value.  With the target's ``lines`` it is
+    the n-ary read (``_read_lines``), which ignores the tie, and
+    ``first_step`` is the expected distance of the value from
+    ``lines.centre``.  ``cp.v`` must carry ``_phase_base(skeleton,
+    layer_id)``, or ExtractionError is raised before any query."""
+    _require_phase_base(skeleton, layer_id, cp.v)
+    if lines is not None:
+        return _read_lines(oracle, cp, (layer_id, PRE), index, cfg, lines, first_step)
+    return _scan_boundary(oracle, cp, (layer_id, PRE), index, cfg, first_step)
 
 
 def extract_feature(
@@ -780,35 +796,18 @@ def extract_feature(
     skeleton: ModelGraph,
     cp: CriticalPoint,
     layer_id: int,
-    beta: Sequence,
+    index: tuple,
     cfg: BoundarySearchConfig,
     *,
     first_step: float | None = None,
     lines: ClassLines | None = None,
 ) -> FeatureResult:
-    """Recover the value shared by the pre-activation features ``beta`` of
-    the standalone-ReLU boundary ``layer_id`` at the critical point.
-
-    The caller guarantees that all features in ``beta`` hold one common
-    value there; releasing them jointly is a single scalar search.  Without
-    ``lines`` it is the binary scan through the tied class pair
-    (``_scan_boundary``), and ``first_step`` is the expected magnitude of
-    the value.  With the target's ``lines`` it is the n-ary read
-    (``_read_lines``), which ignores the tie, and ``first_step`` is the
-    expected distance of the value from ``lines.centre``.  ``cp.v`` must
-    carry ``_phase_base(skeleton, layer_id)``, or ExtractionError is raised
-    before any query.
-    """
+    """Recover the pre-activation value at ``index`` of the standalone-ReLU
+    boundary ``layer_id`` at the critical point (``_read_feature``)."""
     spec = skeleton.layer(layer_id)
     if spec.kind != KIND_RELU:
         raise ExtractionError(f"layer {layer_id} is {spec.kind}, not a standalone ReLU boundary")
-    if not beta:
-        raise ExtractionError("empty target index set")
-    _require_phase_base(skeleton, layer_id, cp.v)
-    mask = _mask_at(skeleton.pre_shape(layer_id), beta)
-    if lines is not None:
-        return _read_lines(oracle, cp, (layer_id, PRE), mask, cfg, lines, first_step)
-    return _scan_boundary(oracle, cp, (layer_id, PRE), mask, cfg, first_step)
+    return _read_feature(oracle, skeleton, cp, layer_id, index, cfg, first_step, lines)
 
 
 def extract_feature_maxpool(
@@ -822,30 +821,21 @@ def extract_feature_maxpool(
     first_step: float | None = None,
     lines: ClassLines | None = None,
 ) -> FeatureResult:
-    """Recover one pre-activation value of a maxpool+ReLU boundary at the
-    critical point.
+    """Recover the pre-activation value at ``index`` of the maxpool+ReLU
+    boundary ``layer_id`` at the critical point (``_read_feature``).
 
     Every other input of the pool stays at -``SUPPRESSION`` (the silenced
     base), so every pooled output whose window contains ``index`` carries
     exactly ReLU of the released target, and the value is read as at a
-    standalone ReLU: without ``lines`` by the binary scan
-    (``_scan_boundary``), ``first_step`` the expected magnitude; with the
-    target's ``lines`` by the n-ary read (``_read_lines``), ``first_step``
-    the expected distance from ``lines.centre``.  ``cp.v`` must carry
-    ``_phase_base(skeleton, layer_id)``, as in ``extract_feature``; a
-    downstream maxpool still takes its max there.
+    standalone ReLU; a downstream maxpool still takes its max there.  An
+    index that feeds no pooled output raises ExtractionError.
     """
     spec = skeleton.layer(layer_id)
     if spec.kind != KIND_MPR:
         raise ExtractionError(f"layer {layer_id} is {spec.kind}, not a maxpool boundary")
-    _require_phase_base(skeleton, layer_id, cp.v)
-    in_shape = skeleton.pre_shape(layer_id)
-    if not pooled_receivers(in_shape, spec.kernel, spec.stride, index):
+    if not pooled_receivers(skeleton.pre_shape(layer_id), spec.kernel, spec.stride, index):
         raise ExtractionError(f"index {index} feeds no pooled output")
-    mask = _mask_at(in_shape, [index])
-    if lines is not None:
-        return _read_lines(oracle, cp, (layer_id, PRE), mask, cfg, lines, first_step)
-    return _scan_boundary(oracle, cp, (layer_id, PRE), mask, cfg, first_step)
+    return _read_feature(oracle, skeleton, cp, layer_id, index, cfg, first_step, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -1145,7 +1135,7 @@ def _calibrate_lines(
     big_r = {at: max(1.0, abs(b)) for at, b in readings.items()}
     others = [c for c in intercepts if c != ref]
     todo = (
-        (at, rest.shifted(ShiftSet({pre_key: _release(_mask_at(shape, [at]), big_r[at] - b)})), others)
+        (at, rest.shifted(ShiftSet({pre_key: _release(shape, at, big_r[at] - b)})), others)
         for at, b in readings.items()
     )
     slopes = {at[0]: {ref: 0.0} for at in readings}
@@ -1177,7 +1167,7 @@ def _extract_layer(
     over the bias phase and then the weight phases.
 
     The bias phase runs with the layer's input pinned to zero, so target
-    ``(slot, beta)`` reads bias[slot].  Each weight phase is a pair
+    ``(slot, index)`` reads bias[slot].  Each weight phase is a pair
     ``(inject, targets)``: with the input set to ``inject``, a target reads
     bias[c] + amplitude * weight[slot] for its output channel c = slot[0].
     Every phase's base silences the boundary and switches on the ReLUs
@@ -1188,7 +1178,7 @@ def _extract_layer(
     one fresh class pair unless a scan fails.  A target is scanned binary
     from the magnitude of the last value measured.  A scan that behaves
     inconsistently is tried again, binary, at a point rebuilt from a fresh
-    pair, at most ``max_retries`` times, and the rebuilt point serves the
+    pair, at most ``MAX_RETRIES`` times, and the rebuilt point serves the
     later targets too.  A target that needed another attempt is listed in
     ``retried`` and reads the successful value; when every attempt fails
     it reads the last error's uncorrected estimate, or 0.0 without one.  A
@@ -1227,7 +1217,7 @@ def _extract_layer(
         for slot, target in targets:
             lines = by_lines.get(slot[0])
             value, retried = 0.0, True  # unless an attempt ends the loop
-            for k in range(cfg.max_retries + 1):
+            for k in range(MAX_RETRIES + 1):
                 if k:
                     cp = search_critical(oracle, v0, cfg, rng)
                 try:
@@ -1261,11 +1251,7 @@ def _extract_layer(
                 if _reads_nary(skeleton, layer_id, len(intercepts), cfg.eta_tol, ties):
                     # a bias reading flagged dead or retried may be off: that target keeps the binary scan
                     flagged = set(res.dead) | set(res.retried)
-                    readings = {
-                        target[0] if isinstance(target, list) else target: float(res.bias[slot])
-                        for slot, target in bias_targets
-                        if slot not in flagged
-                    }
+                    readings = {target: float(res.bias[slot]) for slot, target in bias_targets if slot not in flagged}
                     by_target = _calibrate_lines(oracle, skeleton, succ.id, v0, cp.c1, intercepts, readings, cfg, ties)
                     cal = _LineCalibration(intercepts, by_target, scale)
                 res.calibration_queries = oracle.count - t1
@@ -1296,10 +1282,9 @@ def extract_conv_layer(
     channel's centre through its class lines.  A refused layer scans
     binary, one weight phase per input channel: the phase sets input pixel
     (c_in, ic, jc), and tap (c, c_in, ki, kj) is read at output (c, ic - ki
-    + pad, jc - kj + pad).  Its bias is read jointly at every position, or
-    at the centre alone when it feeds a MaxPoolReLU, whose scans take one
-    target index at a time.  A map smaller than the kernel holds no such
-    layout: ExtractionError is raised before any query.
+    + pad, jc - kj + pad).  Its bias is read at the centre too.  A map
+    smaller than the kernel holds no such layout: ExtractionError is raised
+    before any query.
     """
     spec = skeleton.layer(layer_id)
     if spec.kind != KIND_CONV:
@@ -1309,18 +1294,12 @@ def extract_conv_layer(
     _, fh, fw = skeleton.out_shape(layer_id)
     if fh < kh or fw < kw:
         raise ExtractionError(f"layer {layer_id}: its {fh}x{fw} map is smaller than its {kh}x{kw} kernel")
-    maxpool = succ.kind == KIND_MPR
     nary = _reads_nary(skeleton, layer_id, oracle.n_classes, cfg.eta_tol)
     amplitude = math.sqrt(n_in * kh * kw / 4.0)
     ic, jc = fh // 2, fw // 2
     ph, pw = (kh - 1) // 2, (kw - 1) // 2
 
-    if maxpool:
-        bias_targets = [((c,), (c, ic, jc)) for c in range(n_out)]
-    elif nary:
-        bias_targets = [((c,), [(c, ic, jc)]) for c in range(n_out)]
-    else:
-        bias_targets = [((c,), [(c, i, j) for i in range(fh) for j in range(fw)]) for c in range(n_out)]
+    bias_targets = [((c,), (c, ic, jc)) for c in range(n_out)]
 
     def weight_phases():
         """``nary``: one phase per tap, one target per output channel;
@@ -1334,11 +1313,10 @@ def extract_conv_layer(
         for c_in in range(n_in):
             inject = np.zeros((n_in, fh, fw))
             inject[c_in, ic, jc] = amplitude
-            targets = []
-            for c_out, ki, kj in itertools.product(range(n_out), range(kh), range(kw)):
-                pos = (c_out, ic - ki + ph, jc - kj + pw)
-                targets.append(((c_out, c_in, ki, kj), pos if maxpool else [pos]))
-            yield inject, targets
+            yield inject, [
+                ((c, c_in, ki, kj), (c, ic - ki + ph, jc - kj + pw))
+                for c, ki, kj in itertools.product(range(n_out), range(kh), range(kw))
+            ]
 
     return _extract_layer(oracle, skeleton, layer_id, succ, amplitude, bias_targets, weight_phases(), cfg, rng, nary)
 
@@ -1374,7 +1352,7 @@ def extract_fc_layer(
     nary = _reads_nary(skeleton, layer_id, oracle.n_classes, cfg.eta_tol, ties)
     n_out, n_in = spec.weight.shape
     amplitude = math.sqrt(n_in / 4.0)
-    bias_targets = [((j,), [(j,)]) for j in range(n_out)]
+    bias_targets = [((j,), (j,)) for j in range(n_out)]
 
     def weight_phases():
         """One phase per input feature, one target per output."""

@@ -137,6 +137,13 @@ def test_criterion_5_query_budget(criterion1_run):
     )
 
 
+def test_criterion_1_exact_query_total(criterion1_run):
+    """Criterion 1's attack spends exactly 270,366 queries: a change meant
+    to keep every query stream must keep this total."""
+    _, report, _, _ = criterion1_run
+    assert report.total_queries == 270366
+
+
 def test_criterion_6_protocol_fidelity():
     model = random_model("conv4x3x3-mpr2-fc8-r-fc3", (2, 4, 4), seed=3)
     rng = np.random.default_rng(0)

@@ -44,7 +44,6 @@ from shiftextract.extract import (
     _controlled_query,
     _flip_point,
     _linearize_downstream,
-    _mask_at,
     _phase_base,
     _reads_nary,
     _two_probe,
@@ -127,7 +126,7 @@ def test_extract_feature_positive_branch(toy_pm1_model):
     cp = _toy_critical_point(toy_pm1_model, oracle)
     tr = forward_trace(toy_pm1_model, cp.v)
     assert tr.y[2][0] == pytest.approx(1.0)
-    res = extract_feature(oracle, toy_pm1_model, cp, 2, [(0,)], CFG)
+    res = extract_feature(oracle, toy_pm1_model, cp, 2, (0,), CFG)
     assert res.branch == "positive"
     assert res.value == pytest.approx(1.0, abs=1e-9)
 
@@ -137,7 +136,7 @@ def test_extract_feature_negative_branch(toy_pm1_model):
     cp = _toy_critical_point(toy_pm1_model, oracle)
     tr = forward_trace(toy_pm1_model, cp.v)
     assert tr.y[2][1] == pytest.approx(-1.0)
-    res = extract_feature(oracle, toy_pm1_model, cp, 2, [(1,)], CFG)
+    res = extract_feature(oracle, toy_pm1_model, cp, 2, (1,), CFG)
     assert res.branch == "nonpositive"
     assert res.value == pytest.approx(-1.0, abs=1e-9)
 
@@ -154,7 +153,7 @@ def test_extract_feature_dead():
     m = ModelGraph(layers, output=4)
     oracle = OracleHandle.in_process(m)
     with pytest.raises(DeadFeatureError):
-        extract_feature(oracle, m, _silenced_point(m), 2, [(1,)], CFG)
+        extract_feature(oracle, m, _silenced_point(m), 2, (1,), CFG)
 
 
 def _scaled_toy(b):
@@ -169,15 +168,17 @@ def _scaled_toy(b):
     return ModelGraph(layers, output=4)
 
 
-def _scan_query(mask, down, etas=None):
-    """A toy scan's query at s, recorded in ``etas``: the target released
-    with the shift -s (down, the form a positive value takes) or +s (up, a
-    non-positive one), every other entry of boundary 2 silenced."""
+def _scan_query(feature, down, etas=None):
+    """A toy scan's query at s, recorded in ``etas``: the target ``feature``
+    released with the shift -s (down, the form a positive value takes) or
+    +s (up, a non-positive one), the other entry of boundary 2 silenced."""
 
     def at(s):
         if etas is not None:
             etas.append(s)
-        return QueryInput(np.zeros(1), ShiftSet({(2, PRE): np.where(mask, -s if down else s, -SUPPRESSION)}))
+        pre = np.full(2, -SUPPRESSION)
+        pre[feature] = -s if down else s
+        return QueryInput(np.zeros(1), ShiftSet({(2, PRE): pre}))
 
     return at
 
@@ -201,8 +202,8 @@ def test_extract_feature_any_start_step_same_value(b, log_factor, feature):
     oracle = OracleHandle.in_process(model)
     cp = _silenced_point(model)
     truth = forward_trace(model, cp.v).y[2][feature]
-    default = extract_feature(oracle, model, cp, 2, [(feature,)], CFG)
-    hinted = extract_feature(oracle, model, cp, 2, [(feature,)], CFG, first_step=abs(truth) * 10.0**log_factor)
+    default = extract_feature(oracle, model, cp, 2, (feature,), CFG)
+    hinted = extract_feature(oracle, model, cp, 2, (feature,), CFG, first_step=abs(truth) * 10.0**log_factor)
     assert abs(default.value - truth) <= CFG.eta_tol * abs(truth)
     assert abs(hinted.value - truth) <= CFG.eta_tol * abs(truth)
     assert abs(hinted.value - default.value) <= CFG.eta_tol * abs(truth)
@@ -220,7 +221,7 @@ def test_extract_feature_relative_tolerance(b, log_tol, feature):
     cp = _silenced_point(model)
     truth = forward_trace(model, cp.v).y[2][feature]
     cfg = BoundarySearchConfig(sphere_norm=10.0, eta_tol=10.0**log_tol)
-    res = extract_feature(oracle, model, cp, 2, [(feature,)], cfg)
+    res = extract_feature(oracle, model, cp, 2, (feature,), cfg)
     assert abs(res.value - truth) <= max(cfg.eta_tol * abs(truth), SCAN_ABS_TOL) + 8 * np.spacing(abs(truth))
 
 
@@ -232,7 +233,7 @@ def test_scan_bisection_steps_scale_free(b, eta_tol, feature):
     ceil(log2(1/eta_tol)) + 2 times, whatever the scale of the value."""
     oracle = OracleHandle.in_process(_scaled_toy(b))
     etas = []
-    at = _scan_query(_mask_at((2,), [(feature,)]), feature == 0, etas)  # values b and -b
+    at = _scan_query(feature, feature == 0, etas)  # values b and -b
     _, flip = _scan_1(oracle, at, ETA_INITIAL_STEP, eta_tol)
     etas.clear()
     eta = flip()
@@ -250,7 +251,7 @@ def test_zero_value_scan_stops_at_absolute_floor(positive):
     model = _scaled_toy(0.0)
     oracle = OracleHandle.in_process(model)
     cp = _silenced_point(model)
-    at = _scan_query(_mask_at((2,), [(0,)]), positive)
+    at = _scan_query(0, positive)
     bisections = math.ceil(math.log2(ETA_INITIAL_STEP / (0.5 * SCAN_ABS_TOL)))
     # a released 0.0 leaves the point critical, so only the upward form
     # needs the two-probe test; the downward form probes class 1, the class
@@ -262,7 +263,7 @@ def test_zero_value_scan_stops_at_absolute_floor(positive):
     )
     assert 0.0 < eta <= 2 * TIE_PROBE
     assert oracle.count - before <= 2 + bisections
-    res = extract_feature(oracle, model, cp, 2, [(0,)], CFG)
+    res = extract_feature(oracle, model, cp, 2, (0,), CFG)
     assert abs(res.value) <= SCAN_ABS_TOL
 
 
@@ -290,7 +291,7 @@ def test_released_entry_is_exact(monkeypatch):
 
     real = sx_extract._flip_point
     monkeypatch.setattr(sx_extract, "_flip_point", flip_point)
-    res = extract_feature(OracleHandle.in_process(model), model, _silenced_point(model), 2, [(0,)], CFG)
+    res = extract_feature(OracleHandle.in_process(model), model, _silenced_point(model), 2, (0,), CFG)
     assert res.branch == "positive"
     assert abs(res.value - 1e-3) <= CFG.eta_tol * 1e-3
     (s1, scan1), (_, scan2) = scans
@@ -306,7 +307,7 @@ def test_extract_feature_dead_with_start_step_at_or_above_cap(toy_pm1_model, fac
     cp = _toy_critical_point(m, oracle)
     before = oracle.count
     with pytest.raises(DeadFeatureError):
-        extract_feature(oracle, m, cp, 2, [(1,)], CFG, first_step=factor * ETA_MAX)
+        extract_feature(oracle, m, cp, 2, (1,), CFG, first_step=factor * ETA_MAX)
     assert oracle.count - before == 4  # sign probe, then one tie test at the cap
 
 
@@ -324,7 +325,7 @@ def test_boundary_correctness_invariant(small_cnn):
         cp = search_critical(oracle, v0, cfg, rng)
         tr = forward_trace(small_cnn, cp.v)
         for idx in [(0, 1, 1), (1, 2, 3), (2, 4, 4)]:
-            res = extract_feature(oracle, small_cnn, cp, 2, [idx], cfg)
+            res = extract_feature(oracle, small_cnn, cp, 2, idx, cfg)
             assert abs(res.value - tr.y[2][idx]) <= cfg.eta_tol * abs(tr.y[2][idx]) + 5e-11
 
 
@@ -341,9 +342,9 @@ def test_extract_feature_requires_linearized_base(small_cnn):
     live = search_critical(oracle, x.shifted(_linearize_downstream(small_cnn, 2)), CFG, rng)
     before = oracle.count
     with pytest.raises(sx.ExtractionError, match="downstream of layer 2"):
-        extract_feature(oracle, small_cnn, cp, 2, [(0, 1, 1)], CFG)
+        extract_feature(oracle, small_cnn, cp, 2, (0, 1, 1), CFG)
     with pytest.raises(sx.ExtractionError, match="does not silence boundary 2"):
-        extract_feature(oracle, small_cnn, live, 2, [(0, 1, 1)], CFG)
+        extract_feature(oracle, small_cnn, live, 2, (0, 1, 1), CFG)
     pool = random_model("conv3x3x3-mpr2s1-fc6-r-fc3", (2, 4, 4), seed=21)
     pool_cp = CriticalPoint(
         v=QueryInput(np.zeros((2, 4, 4))).shifted(ShiftSet.constant(2, PRE, (3, 4, 4), -SUPPRESSION)),
@@ -391,7 +392,7 @@ def test_flip_point_bisects_with_one_query_per_step(toy_pm1_model, feature, step
     steps."""
     oracle = OracleHandle.in_process(toy_pm1_model)
     etas = []
-    at = _scan_query(_mask_at((2,), [(feature,)]), feature == 0, etas)  # values 1 and -1
+    at = _scan_query(feature, feature == 0, etas)  # values 1 and -1
     failed, flip = _scan_1(oracle, at, step, CFG_1E9.eta_tol)
     assert (failed is None) == (feature == 1)
     etas.clear()
@@ -607,8 +608,8 @@ def test_extract_fc_column_linearity(small_cnn):
 def test_conv_small_map_single_injection_fallback(monkeypatch, arch, shape, seed, admitted):
     """A convolution scanned binary injects at the map centre, one weight
     phase per input channel, and reads each kernel tap at the one output
-    position that sees it: 1 + n_in critical searches, and every weight
-    target a single position.  Layer 1 of the first model, on a 4x4 map,
+    position that sees it: 1 + n_in critical searches.  Its bias is read
+    at the map centre.  Layer 1 of the first model, on a 4x4 map,
     would read n-ary and is forced binary; the rule refuses layer 1 of the
     second, on a 6x6 map.  Both recover every tap."""
     m = random_model(arch, shape, seed=seed)
@@ -624,7 +625,9 @@ def test_conv_small_map_single_injection_fallback(monkeypatch, arch, shape, seed
     n_out, n_in = true.weight.shape[:2]
     assert not res.retried and not res.dead
     assert len(searches) == 1 + n_in
-    assert len(targets) == n_out + true.weight.size and all(len(t) == 1 for t in targets[n_out:])
+    _, fh, fw = sk.out_shape(1)
+    assert len(targets) == n_out + true.weight.size
+    assert targets[:n_out] == [(c, fh // 2, fw // 2) for c in range(n_out)]  # the bias at the map centre
     assert np.abs(res.bias - true.bias).max() <= 1e-8
     assert np.abs(res.weight - true.weight).max() <= 1e-8
     assert sx.relative_errors(res.weight, true.weight).max() <= 1e-6
@@ -793,6 +796,35 @@ def test_two_convs_above_a_maxpool_read_right(model_seed):
     nothing flagged: every parameter should read within 1e-6 or be listed
     as dead or retried."""
     _assert_right_or_flagged("conv4x3x3-r-conv4x3x3-r-conv4x3x3-mpr2-fc8-r-fc4", (2, 8, 8), model_seed, [1], 1e-6)
+
+
+_ITEM_1 = pytest.mark.xfail(strict=True, reason="ROADMAP item 1: two convs between layer 1's boundary and a "
+                                                "downstream maxpool, which still takes its max in the scans")
+
+
+@pytest.mark.parametrize("arch, shape, model_seed", [
+    ("conv2x3x3-r-conv2x3x3-r-conv2x3x3-mpr2-fc6-r-fc3", (1, 8, 8), 2),
+    ("conv2x3x3-r-conv2x3x3-r-conv2x3x3-mpr2-fc6-r-fc3", (2, 8, 8), 1),
+    ("conv2x3x3-mpr2-conv2x3x3-r-conv2x3x3-mpr2-fc6-r-fc3", (2, 8, 8), 1),
+    ("conv2x3x3-r-conv2x3x3-mpr2-fc6-r-fc3", (1, 8, 8), 1),
+    ("conv4x3x3-r-conv4x3x3-mpr2-fc6-r-fc3", (1, 8, 8), 2),
+    ("conv2x3x3-r-res{conv2x3x3-r,}-mpr2-fc6-r-fc3", (1, 8, 8), 2),
+    ("conv4x3x3-r-res{conv4x3x3-r,}-mpr2-fc6-r-fc3", (1, 8, 8), 3),
+    pytest.param("conv2x3x3-r-conv2x3x3-r-conv2x3x3-mpr2-fc6-r-fc3", (1, 8, 8), 4, marks=_ITEM_1),
+    pytest.param("conv4x3x3-r-conv4x3x3-r-conv4x3x3-mpr2-fc6-r-fc3", (1, 8, 8), 3, marks=_ITEM_1),
+    pytest.param("conv2x3x3-mpr2-conv2x3x3-r-conv2x3x3-mpr2-fc6-r-fc3", (1, 8, 8), 2, marks=_ITEM_1),
+    pytest.param("conv4x3x3-mpr2-conv4x3x3-r-conv4x3x3-mpr2-fc6-r-fc3", (1, 8, 8), 1, marks=_ITEM_1),
+    pytest.param("conv4x3x3-mpr2-conv4x3x3-r-conv4x3x3-mpr2-fc6-r-fc3", (2, 8, 8), 2, marks=_ITEM_1),
+])
+def test_convs_above_a_maxpool_sweep(arch, shape, model_seed):
+    """Layer 1 of small models with a MaxPoolReLU downstream of its
+    boundary, behind one conv, an identity block or two convs: every
+    parameter reads within 1e-6 or is listed as dead or retried.  A sweep
+    of 80 such models (attack seed 1, model seeds 1 to 5, 1x8x8 and 2x8x8)
+    found layer 1 read 6.2e-2 to 26 off, unflagged, in 33 of the 40 with
+    two convs in between; the strict xfails are five of them.  With one
+    conv or an identity block in between, all 40 read within 1.3e-6."""
+    _assert_right_or_flagged(arch, shape, model_seed, [1], 1e-6)
 
 
 def test_extract_last_layer_tie_beyond_bisection_resolution(zero3_model):

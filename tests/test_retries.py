@@ -20,11 +20,11 @@ from shiftextract import (
     forward_label,
     random_model,
 )
-from shiftextract.extract import DeadFeatureError, ScanRetryError
+from shiftextract.extract import MAX_RETRIES, DeadFeatureError, ScanRetryError
 from shiftextract.oracle import TIE_PROBE
 
-CFG = BoundarySearchConfig(sphere_norm=10.0, max_retries=3)
-ATTEMPTS = CFG.max_retries + 1
+CFG = BoundarySearchConfig(sphere_norm=10.0)
+ATTEMPTS = MAX_RETRIES + 1
 
 
 class ScriptedScans:
@@ -83,7 +83,7 @@ def _run(monkeypatch, path, faults):
 
 
 @pytest.mark.parametrize("path", sorted(PATHS))
-@pytest.mark.parametrize("k", [1, CFG.max_retries])
+@pytest.mark.parametrize("k", [1, MAX_RETRIES])
 def test_success_after_k_failures(monkeypatch, path, k):
     res, scans = _run(monkeypatch, path, [ScanRetryError("scripted") for _ in range(k)])
     searches, value = scans.first_slot()
@@ -97,7 +97,7 @@ def test_every_attempt_fails_with_fallback(monkeypatch, path):
     faults = [ScanRetryError("scripted", fallback=0.25 + i) for i in range(ATTEMPTS)]
     res, scans = _run(monkeypatch, path, faults)
     assert scans.events[1:].count("fail") == ATTEMPTS
-    assert res.bias[0] == 0.25 + CFG.max_retries  # the last error's fallback
+    assert res.bias[0] == 0.25 + MAX_RETRIES  # the last error's fallback
     assert (0,) in res.retried and (0,) not in res.dead
 
 

@@ -1,7 +1,7 @@
 """Command line interface: gen-model, attack, verify, serve.
 
-Exit codes: 0 success / thresholds met, 1 verification threshold failure,
-2 operational error.
+Exit codes: 0 success / every layer within the fixed MAX_ERROR gate,
+1 verification failure, 2 operational error or an unknown flag.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .harness import (
     write_report,
 )
 from .model import count_parameters, load_model, random_model, save_model
-from .protocol import DEFAULT_MASK_BOUND, InferenceServer
+from .protocol import MASK_BOUND, InferenceServer
 
 
 def _parse_shape(text: str) -> tuple[int, ...]:
@@ -69,15 +69,12 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="compare an extracted model with ground truth")
     v.add_argument("--extracted", required=True)
     v.add_argument("--truth", required=True)
-    v.add_argument("--max-bias-error", type=float, default=1e-4)
-    v.add_argument("--max-weight-error", type=float, default=1e-4)
 
     s = sub.add_parser("serve", help="serve a model over the masked protocol")
     s.add_argument("--model", required=True)
     s.add_argument("--host", default="127.0.0.1")
     s.add_argument("--port", type=int, default=9123)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--mask-bound", type=float, default=DEFAULT_MASK_BOUND)
     return ap
 
 
@@ -141,9 +138,7 @@ def _cmd_attack(args) -> int:
 def _cmd_verify(args) -> int:
     extracted = load_model(args.extracted)
     truth = load_model(args.truth)
-    result = verify_models(
-        extracted, truth, max_bias_error=args.max_bias_error, max_weight_error=args.max_weight_error
-    )
+    result = verify_models(extracted, truth)
     for row in result["layers"]:
         gauge = " (gauge-fixed)" if row["gauge_fixed"] else ""
         status = "pass" if row["pass"] else "FAIL"
@@ -158,9 +153,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_serve(args) -> int:
     model = load_model(args.model)
-    server = InferenceServer(model, seed=args.seed, mask_bound=args.mask_bound)
+    server = InferenceServer(model, seed=args.seed)
     host, port = server.start(args.host, args.port)
-    print(f"serving {args.model} on {host}:{port} (mask bound {server.mask_bound})")
+    print(f"serving {args.model} on {host}:{port} (mask bound {MASK_BOUND})")
     try:
         while True:
             time.sleep(3600)

@@ -1370,7 +1370,6 @@ def extract_last_layer(
     oracle: OracleHandle,
     skeleton: ModelGraph,
     cfg: BoundarySearchConfig,
-    rng: np.random.Generator,
     *,
     ties: TerminalTies | None = None,
 ) -> LayerExtractionResult:
@@ -1391,7 +1390,7 @@ def extract_last_layer(
     injection amplitude, starting at that class's bias tie, so that it
     moves only by amplitude (W[c, i0] - W[0, i0]).  A class that never
     ties with class 0 fails the layer with BoundarySearchError before any
-    later tie.  The layer draws no class pair: ``rng`` is unused.
+    later tie.  The layer draws no class pair, so it takes no rng.
     """
     spec = skeleton.layer(skeleton.layer(skeleton.argmax_id).inputs[0])
     n_out, n_in = spec.weight.shape

@@ -45,7 +45,10 @@ from .protocol import RemoteOracle, TransportError
 # attack family; printed next to measured numbers for context.
 REFERENCE_CALLS_PER_PARAM = 45.8
 
+# relative errors divide by max(|truth|, ERROR_FLOOR), so a true value at or near 0 has a bounded error
 ERROR_FLOOR = 1e-9
+# a layer verifies when its mean and max relative bias and weight errors are all at most MAX_ERROR
+MAX_ERROR = 1e-4
 
 
 @dataclass
@@ -197,10 +200,10 @@ class ExtractionReport:
 # Error metrics
 
 
-def relative_errors(estimate: np.ndarray, truth: np.ndarray, floor: float = ERROR_FLOOR) -> np.ndarray:
+def relative_errors(estimate: np.ndarray, truth: np.ndarray) -> np.ndarray:
     truth = np.asarray(truth, dtype=np.float64)
     estimate = np.asarray(estimate, dtype=np.float64)
-    return np.abs(estimate - truth) / np.maximum(np.abs(truth), floor)
+    return np.abs(estimate - truth) / np.maximum(np.abs(truth), ERROR_FLOOR)
 
 
 def gauge_fix(bias: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -214,7 +217,6 @@ def layer_error_summary(
     true_bias: np.ndarray,
     true_weight: np.ndarray,
     gauge: bool,
-    floor: float = ERROR_FLOOR,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-parameter relative errors; gauge applied to both sides for the
     terminal layer, dropping the pinned representatives."""
@@ -222,12 +224,12 @@ def layer_error_summary(
         eb_hat, ew_hat = gauge_fix(result_bias, result_weight)
         eb_true, ew_true = gauge_fix(true_bias, true_weight)
         return (
-            relative_errors(eb_hat[1:], eb_true[1:], floor),
-            relative_errors(ew_hat[1:, :], ew_true[1:, :], floor).ravel(),
+            relative_errors(eb_hat[1:], eb_true[1:]),
+            relative_errors(ew_hat[1:, :], ew_true[1:, :]).ravel(),
         )
     return (
-        relative_errors(result_bias, true_bias, floor),
-        relative_errors(result_weight, true_weight, floor).ravel(),
+        relative_errors(result_bias, true_bias),
+        relative_errors(result_weight, true_weight).ravel(),
     )
 
 
@@ -271,7 +273,7 @@ def _extract_one(
 ) -> LayerExtractionResult:
     last = skeleton.layer(skeleton.argmax_id).inputs[0]
     if layer_id == last:
-        return extract_last_layer(oracle, skeleton, search, rng, ties=ties)
+        return extract_last_layer(oracle, skeleton, search, ties=ties)
     if skeleton.layer(layer_id).kind == KIND_CONV:
         return extract_conv_layer(oracle, skeleton, layer_id, search, rng)
     below = ties is not None and layer_id == ties.below
@@ -429,18 +431,12 @@ def _architectures_match(a: ModelGraph, b: ModelGraph) -> bool:
     return True
 
 
-def verify_models(
-    extracted: ModelGraph,
-    truth: ModelGraph,
-    max_bias_error: float = 1e-4,
-    max_weight_error: float = 1e-4,
-    floor: float = ERROR_FLOOR,
-) -> dict:
+def verify_models(extracted: ModelGraph, truth: ModelGraph) -> dict:
     """Per-layer error table for an extracted model against ground truth.
 
     The terminal layer is compared after identical gauge fixing on both
     sides.  A layer passes only if its mean and its max bias and weight
-    errors are all within the thresholds: one wrong parameter among
+    errors are all at most ``MAX_ERROR``: one wrong parameter among
     thousands barely moves the mean.
     """
     if not _architectures_match(extracted, truth):
@@ -453,7 +449,7 @@ def verify_models(
             continue
         est = extracted.layer(spec.id)
         gauge = spec.id == last
-        eb, ew = layer_error_summary(est.bias, est.weight, spec.bias, spec.weight, gauge, floor)
+        eb, ew = layer_error_summary(est.bias, est.weight, spec.bias, spec.weight, gauge)
         row = {
             "layer": spec.id,
             "kind": spec.kind,
@@ -463,12 +459,7 @@ def verify_models(
             "max_bias_error": float(eb.max()) if eb.size else 0.0,
             "max_weight_error": float(ew.max()) if ew.size else 0.0,
         }
-        row["pass"] = (
-            row["e_bias"] <= max_bias_error
-            and row["max_bias_error"] <= max_bias_error
-            and row["e_weight"] <= max_weight_error
-            and row["max_weight_error"] <= max_weight_error
-        )
+        row["pass"] = all(row[k] <= MAX_ERROR for k in ("e_bias", "max_bias_error", "e_weight", "max_weight_error"))
         ok = ok and row["pass"]
         rows.append(row)
     return {"layers": rows, "pass": ok}

@@ -28,7 +28,6 @@ Labels agree exactly except on knife-edge ties.
 
 from __future__ import annotations
 
-import math
 import socket
 import struct
 import threading
@@ -51,7 +50,8 @@ from .model import (
 from .model import apply_linear
 
 PROTOCOL_VERSION = 1
-DEFAULT_MASK_BOUND = 1e3
+# every mask is uniform in [-MASK_BOUND, MASK_BOUND]: its rounding (~1e-13) stays below oracle.TIE_PROBE
+MASK_BOUND = 1e3
 
 _HEADER = struct.Struct("<BII")
 _MAX_PAYLOAD = 1 << 28
@@ -171,7 +171,6 @@ class Transcript:
 
     session_seed: tuple
     frames: list[tuple[str, int, int, bytes]] = field(default_factory=list)
-    mask_bound: float = DEFAULT_MASK_BOUND
 
     def record(self, direction: str, tag: int, layer_id: int, payload: bytes) -> None:
         self.frames.append((direction, tag, layer_id, payload))
@@ -202,7 +201,6 @@ def _serve_session(
     model: ModelGraph,
     transport,
     rng: np.random.Generator,
-    mask_bound: float,
     first_frame: tuple[int, int, bytes] | None = None,
 ) -> int:
     """Run the server side of one session and return the label it issued.
@@ -221,7 +219,7 @@ def _serve_session(
     x0 = x0.reshape(model.input_shape)
 
     def boundary(spec: LayerSpec, y: np.ndarray):
-        r_y = rng.uniform(-mask_bound, mask_bound, size=y.shape)
+        r_y = rng.uniform(-MASK_BOUND, MASK_BOUND, size=y.shape)
         transport.send_frame(TAG_MASKED_PRE, spec.id, tensor_payload(y - r_y))
         tag, lid, payload = transport.recv_frame()
         if tag != TAG_NONLINEAR_SHARE or lid != spec.id:
@@ -235,7 +233,7 @@ def _serve_session(
             transport.send_frame(TAG_LABEL_RESULT, spec.id, tensor_payload(np.array([float(label)])))
             return label
         z = apply_nonlinear(spec, y_hat)
-        r_z = rng.uniform(-mask_bound, mask_bound, size=z.shape)
+        r_z = rng.uniform(-MASK_BOUND, MASK_BOUND, size=z.shape)
         transport.send_frame(TAG_NONLINEAR_SHARE, spec.id, tensor_payload(z - r_z))
         tag, lid, payload = transport.recv_frame()
         if tag != TAG_ENC_POST or lid != spec.id:
@@ -262,18 +260,15 @@ class InferenceServer:
 
     Each session draws fresh masks from a seed derived from (server seed,
     connection index, session index), so concurrent connections never share
-    mask RNG state.  Masks are uniform in [-mask_bound, mask_bound], so the
-    bound must be finite and non-negative.  ``sessions`` counts the sessions
-    served to the end and ``session_errors`` the connections ended by an
-    error reply, each logged at warning level on the module's logger.
+    mask RNG state.  Masks are uniform in [-MASK_BOUND, MASK_BOUND].
+    ``sessions`` counts the sessions served to the end and
+    ``session_errors`` the connections ended by an error reply, each logged
+    at warning level on the module's logger.
     """
 
-    def __init__(self, model: ModelGraph, seed: int = 0, mask_bound: float = DEFAULT_MASK_BOUND):
-        if not (math.isfinite(mask_bound) and mask_bound >= 0):
-            raise ValueError(f"mask bound must be finite and >= 0, got {mask_bound!r}")
+    def __init__(self, model: ModelGraph, seed: int = 0):
         self.model = model
         self.seed = seed
-        self.mask_bound = mask_bound
         self._listener: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
         self._threads: list[threading.Thread] = []
@@ -330,7 +325,7 @@ class InferenceServer:
             while not self._stopping.is_set():
                 first = transport.recv_frame()
                 rng = np.random.default_rng(np.random.SeedSequence((self.seed, conn_idx, session_idx)))
-                _serve_session(self.model, transport, rng, self.mask_bound, first_frame=first)
+                _serve_session(self.model, transport, rng, first_frame=first)
                 session_idx += 1
                 with self._conn_lock:
                     self.sessions += 1
@@ -376,16 +371,20 @@ def _shutdown(sock: socket.socket) -> None:
         pass  # not connected, or already shut down
 
 
-def serve(model: ModelGraph, host: str = "127.0.0.1", port: int = 0, seed: int = 0,
-          mask_bound: float = DEFAULT_MASK_BOUND) -> InferenceServer:
+def serve(model: ModelGraph, host: str = "127.0.0.1", port: int = 0, seed: int = 0) -> InferenceServer:
     """Start a server and return it; ``server.address`` has the bound port."""
-    server = InferenceServer(model, seed=seed, mask_bound=mask_bound)
+    server = InferenceServer(model, seed=seed)
     server.start(host, port)
     return server
 
 
 # ---------------------------------------------------------------------------
 # Client side
+
+
+def _whole(values: np.ndarray, least: int) -> bool:
+    """Whether every value is a finite integer of at least ``least``."""
+    return all(v.is_integer() and v >= least for v in values.tolist())  # is_integer() is False for inf and NaN
 
 
 def _client_session(transport, x0: np.ndarray, plan: ShiftSet, transcript: Transcript | None) -> int:
@@ -426,7 +425,10 @@ def _client_session(transport, x0: np.ndarray, plan: ShiftSet, transcript: Trans
                 share = share + delta.ravel()
             send(TAG_ENC_POST, lid, blob_payload(share, _next_nonce()))
         elif tag == TAG_LABEL_RESULT:
-            return int(payload_tensor(payload, lid)[0])
+            label = payload_tensor(payload, lid)
+            if label.size != 1 or not _whole(label, 0):
+                raise ProtocolError(f"LabelResult on layer {lid} is not one class index: {label.tolist()}", lid)
+            return int(label[0])
         elif tag == TAG_SESSION_ERROR:
             raise ProtocolError(f"server error: {payload.decode('utf-8', 'replace')}", lid)
         else:
@@ -453,6 +455,10 @@ class ClientConnection:
             ack = payload_tensor(payload)
             if ack.size < 3 or ack[1] != ack.size - 3:
                 raise ProtocolError(f"HelloAck of {ack.size} values does not match its declared input rank")
+            if not _whole(ack[2:], 1):
+                raise ProtocolError(
+                    f"HelloAck input dimensions and class count are not positive integers: {ack[2:].tolist()}"
+                )
         except BaseException:
             self.transport.close()
             raise
@@ -524,69 +530,46 @@ class RemoteOracle:
 # One-shot sessions and replay
 
 
-def run_session(
-    model: ModelGraph,
-    x0,
-    plan: ShiftSet | None = None,
-    transport: str = "memory",
-    seed: int = 0,
-) -> tuple[int, Transcript]:
-    """Run one full protocol session and return (label, transcript).
+def run_session(model: ModelGraph, x0, plan: ShiftSet | None = None, seed: int = 0) -> tuple[int, Transcript]:
+    """Run one full protocol session in process and return (label, transcript).
 
-    ``transport="memory"`` runs the session in process, with no listener and
-    no handshake: client and server exchange encoded frames over a
-    connected socket pair.  ``transport="socket"`` starts an ephemeral
-    loopback server, including the handshake.  The transcript records the
-    session frames only.
+    Client and server exchange encoded frames over a connected socket pair,
+    with no listener and no handshake; the server draws its masks from
+    session seed ``(seed, 0, 0)``.  The transcript records the session
+    frames.  A loopback session is ``serve`` plus
+    ``connect(...).infer(x0, plan, transcript)``.
     """
-    plan = plan or ShiftSet()
-    if transport == "memory":
-        seed_tuple = (seed, 0, 0)
-        transcript = Transcript(session_seed=seed_tuple, mask_bound=DEFAULT_MASK_BOUND)
-        client_sock, server_sock = socket.socketpair()
-        client_t, server_t = SocketTransport(client_sock), SocketTransport(server_sock)
-        errors: list[Exception] = []
+    seed_tuple = (seed, 0, 0)
+    transcript = Transcript(session_seed=seed_tuple)
+    client_sock, server_sock = socket.socketpair()
+    client_t, server_t = SocketTransport(client_sock), SocketTransport(server_sock)
+    errors: list[Exception] = []
 
-        # each side closes its own end when it is done, so a peer still
-        # waiting on it sees end of stream at once
-        def server_main():
-            rng = np.random.default_rng(np.random.SeedSequence(seed_tuple))
-            try:
-                _serve_session(model, server_t, rng, DEFAULT_MASK_BOUND)
-            except TransportError:
-                pass  # the client went away
-            except Exception as e:  # surfaced by the client's side
-                errors.append(e)
-            finally:
-                server_t.close()
-
-        t = threading.Thread(target=server_main, daemon=True)
-        t.start()
+    # each side closes its own end when it is done, so a peer still
+    # waiting on it sees end of stream at once
+    def server_main():
+        rng = np.random.default_rng(np.random.SeedSequence(seed_tuple))
         try:
-            label = _client_session(client_t, np.asarray(x0), plan, transcript)
+            _serve_session(model, server_t, rng)
         except TransportError:
-            if errors:  # the server failed, then closed its end
-                raise errors[0] from None
-            raise
+            pass  # the client went away
+        except Exception as e:  # surfaced by the client's side
+            errors.append(e)
         finally:
-            client_t.close()
-            t.join(timeout=10.0)
-        return label, transcript
-    if transport == "socket":
-        server = serve(model, seed=seed)
-        try:
-            host, port = server.address
-            conn = ClientConnection(host, port)
-            try:
-                # first connection on a fresh server: connection index 1, session 0
-                transcript = Transcript(session_seed=(seed, 1, 0), mask_bound=server.mask_bound)
-                label = conn.infer(x0, plan, transcript)
-            finally:
-                conn.close()
-        finally:
-            server.stop()
-        return label, transcript
-    raise ValueError(f"unknown transport {transport!r}")
+            server_t.close()
+
+    t = threading.Thread(target=server_main, daemon=True)
+    t.start()
+    try:
+        label = _client_session(client_t, np.asarray(x0), plan or ShiftSet(), transcript)
+    except TransportError:
+        if errors:  # the server failed, then closed its end
+            raise errors[0] from None
+        raise
+    finally:
+        client_t.close()
+        t.join(timeout=10.0)
+    return label, transcript
 
 
 class _ReplayTransport:
@@ -610,4 +593,4 @@ def replay_transcript(model: ModelGraph, transcript: Transcript) -> int:
     seed and return the label the server issues."""
     rng = np.random.default_rng(np.random.SeedSequence(transcript.session_seed))
     feed = _ReplayTransport(transcript.client_frames())
-    return _serve_session(model, feed, rng, transcript.mask_bound)
+    return _serve_session(model, feed, rng)

@@ -28,7 +28,7 @@ from shiftextract import (
 )
 from shiftextract.harness import REFERENCE_CALLS_PER_PARAM, gauge_fix, layer_error_summary
 from shiftextract.oracle import TIE_PROBE
-from shiftextract.protocol import TAG_NONLINEAR_SHARE, payload_tensor
+from shiftextract.protocol import TAG_NONLINEAR_SHARE, Transcript, connect, payload_tensor, replay_transcript, serve
 
 C1_ARCH = "conv8x3x3-r-fc32-r-fc4"
 C1_SHAPE = (3, 8, 8)
@@ -162,7 +162,7 @@ def test_criterion_6_protocol_fidelity():
         x = rng.standard_normal((2, 4, 4))
         plan = random_plan()
         want = forward_label(model, QueryInput(x, plan))
-        got, transcript = run_session(model, x, plan, transport="memory", seed=i)
+        got, transcript = run_session(model, x, plan, seed=i)
         assert got == want, f"protocol label diverged on pair {i}"
         if i < 10:  # share reconstruction spot checks
             mask_rng = np.random.default_rng(np.random.SeedSequence(transcript.session_seed))
@@ -184,9 +184,20 @@ def test_criterion_6_protocol_fidelity():
     assert worst_recon <= 1e-12
     x = rng.standard_normal((2, 4, 4))
     plan = random_plan()
-    l_mem, _ = run_session(model, x, plan, transport="memory", seed=123)
-    l_sock, _ = run_session(model, x, plan, transport="socket", seed=123)
+    l_mem, _ = run_session(model, x, plan, seed=123)
+    server = serve(model, seed=123)
+    try:
+        conn = connect("%s:%d" % server.address)
+        try:
+            # the server's first connection runs its first session from seed (123, 1, 0)
+            t_sock = Transcript(session_seed=(123, 1, 0))
+            l_sock = conn.infer(x, plan, t_sock)
+        finally:
+            conn.close()
+    finally:
+        server.stop()
     assert l_mem == l_sock
+    assert replay_transcript(model, t_sock) == l_sock
     print(
         f"PASS criterion 6: 100/100 protocol labels exact, share reconstruction "
         f"{worst_recon:.1e}, loopback == in-memory"

@@ -560,7 +560,7 @@ def test_extract_last_layer_gauge(small_cnn):
     with pytest.raises(sx.ExtractionError, match="extract_last_layer"):
         extract_fc_layer(oracle, sk, 5, CFG_1E9, np.random.default_rng(0))
     assert oracle.count == 0
-    res = extract_last_layer(oracle, sk, CFG_1E9, np.random.default_rng(0))
+    res = extract_last_layer(oracle, sk, CFG_1E9)
     true = small_cnn.layer(5)
     tb, tw = gauge_fix(true.bias, true.weight)
     assert res.gauge_fixed
@@ -838,7 +838,7 @@ def test_extract_last_layer_tie_beyond_bisection_resolution(zero3_model):
     bias = np.array([0.0, 600.0, -700.0])
     model = zero3_model.with_params({3: (np.zeros((3, 3)), bias)})
     oracle = OracleHandle.in_process(model)
-    res = extract_last_layer(oracle, model.skeleton(), replace(CFG, eta_tol=1e-12), np.random.default_rng(0))
+    res = extract_last_layer(oracle, model.skeleton(), replace(CFG, eta_tol=1e-12))
     assert np.abs(res.bias - bias).max() <= 1e-12 * 700
     amplitude = math.sqrt(3 / 4.0)
     assert np.all(np.abs(res.weight) <= (np.abs(res.bias - bias) + SCAN_ABS_TOL)[:, None] / amplitude)
@@ -907,7 +907,7 @@ def test_terminal_readings_to_eta_tol(bias, moves, signs, log_tol):
     oracle = OracleHandle.in_process(model)
     with pytest.MonkeyPatch.context() as mp:
         ties = _recorded_ties(mp, oracle)
-        extract_last_layer(oracle, model.skeleton(), cfg, np.random.default_rng(0))
+        extract_last_layer(oracle, model.skeleton(), cfg)
     inject = amplitude * np.eye(2)
     truths = [-b] + [-(b + float(model.layer(3).weight[1] @ x)) for x in inject]
     assert len(ties) == 3 and ties[0][0] == 0.0 and ties[1][0] == ties[2][0] == ties[0][1]
@@ -929,7 +929,7 @@ def test_warm_terminal_reading_step_count(monkeypatch, move):
     model = _terminal_toy([0.0, 0.3], [[0.0, 0.0], [move / amplitude] * 2])
     oracle = OracleHandle.in_process(model)
     ties = _recorded_ties(monkeypatch, oracle)
-    extract_last_layer(oracle, model.skeleton(), CFG, np.random.default_rng(0))
+    extract_last_layer(oracle, model.skeleton(), CFG)
     queries = ties[2][2]
     if move:
         assert queries <= math.ceil(math.log2(1.0 / CFG.eta_tol)) + 3

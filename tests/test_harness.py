@@ -74,7 +74,7 @@ def test_verify_perturbation_metric(attack_run):
     bumped = truth.with_params(
         {1: (truth.layer(1).weight + 1e-3, truth.layer(1).bias + 1e-3)}
     )
-    res = verify_models(bumped, truth, max_bias_error=1.0, max_weight_error=1.0)
+    res = verify_models(bumped, truth)
     row = next(r for r in res["layers"] if r["layer"] == 1)
     # params are O(1) at most, so relative error is at least the absolute bump
     assert row["e_bias"] >= 1e-3 and row["e_weight"] >= 1e-3
@@ -90,6 +90,37 @@ def test_verify_fails_on_one_wrong_weight():
     row = next(r for r in res["layers"] if r["layer"] == 3)
     assert row["e_weight"] < 1e-4 and row["max_weight_error"] == pytest.approx(1.0)
     assert not row["pass"] and not res["pass"]
+
+
+@pytest.mark.parametrize("error, passes", [(0.9e-4, True), (1.1e-4, False)])
+def test_verify_gate_is_fixed(error, passes):
+    """The gate is the constant MAX_ERROR (1e-4) on every layer's max
+    error: one weight off by 0.9e-4 passes, one off by 1.1e-4 fails."""
+    assert sx.harness.MAX_ERROR == 1e-4
+    truth = sx.random_model(ARCH, SHAPE, seed=4)
+    w = truth.layer(1).weight.copy()
+    w[2, 3] *= 1 + error
+    res = verify_models(truth.with_params({1: (w, truth.layer(1).bias)}), truth)
+    row = next(r for r in res["layers"] if r["layer"] == 1)
+    assert row["max_weight_error"] == pytest.approx(error)
+    assert row["pass"] is passes and res["pass"] is passes
+
+
+@pytest.mark.parametrize("command, flag", [("serve", "--mask-bound"), ("verify", "--max-bias-error"),
+                                           ("verify", "--max-weight-error")])
+def test_cli_dropped_flags_refused(monkeypatch, capsys, command, flag):
+    """The mask bound and the verify gate are constants: their old flags
+    stop argparse with exit code 2 and the flag's name, before a model is
+    loaded or served."""
+    import shiftextract.cli as cli
+
+    monkeypatch.setattr(cli, "load_model", lambda *a: pytest.fail("a model was loaded"))
+    monkeypatch.setattr(cli, "InferenceServer", lambda *a, **k: pytest.fail("a server was started"))
+    files = {"serve": ["--model", "truth.json"], "verify": ["--extracted", "ext.json", "--truth", "truth.json"]}[command]
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, *files, flag, "5"])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
 
 
 def test_attack_identical_without_incremental_evaluation(monkeypatch):

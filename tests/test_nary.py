@@ -57,7 +57,7 @@ from shiftextract.extract import (
     _reads_nary,
     terminal_ties,
 )
-from shiftextract.harness import _layer_rng, layer_error_summary
+from shiftextract.harness import layer_error_summary
 from conftest import fc_layer
 
 CFG = BoundarySearchConfig(sphere_norm=10.0)
@@ -564,7 +564,7 @@ def test_a_flagged_bias_reading_leaves_its_column_to_the_terminal(monkeypatch):
 
     monkeypatch.setattr(sx_extract, "_class_ties", class_ties)
     before = oracle.count
-    last = sx.extract_last_layer(oracle, skeleton, CFG, np.random.default_rng(3), ties=ties)
+    last = sx.extract_last_layer(oracle, skeleton, CFG, ties=ties)
     assert tied == [(1, 2), (2, 2), (3, 2)]
     assert last.total_queries == oracle.count - before > 0
     assert _terminal_error(skeleton.with_params({3: (last.weight, last.bias)}), truth, 3) <= 1e-6
@@ -585,7 +585,7 @@ def test_the_terminal_alone_reads_as_before(arch, shape, model_seed, last, queri
     cfg = ExperimentConfig(arch=arch, input_shape=shape, model_seed=model_seed, attack_seed=1, layers=[last])
     report, extracted = run_attack(cfg, truth=truth)
     search = BoundarySearchConfig(sphere_norm=report.config["search"]["sphere_norm"])
-    direct = sx.extract_last_layer(OracleHandle.in_process(truth), truth.skeleton(), search, _layer_rng(1, last))
+    direct = sx.extract_last_layer(OracleHandle.in_process(truth), truth.skeleton(), search)
     assert report.total_queries == direct.total_queries == queries
     assert np.array_equal(extracted.layer(last).weight, direct.weight)
     assert np.array_equal(extracted.layer(last).bias, direct.bias)
@@ -623,7 +623,7 @@ def test_a_terminal_class_that_never_ties_fails_only_its_layer():
     report, _ = run_attack(ExperimentConfig(arch="fc4", input_shape=(3,), model_seed=1, attack_seed=1), truth=truth)
     assert report.layers[0].error == message and report.total_queries == 45
     with pytest.raises(BoundarySearchError, match="classes 0 and 2 never swap"):
-        sx.extract_last_layer(OracleHandle.in_process(truth), truth.skeleton(), CFG, np.random.default_rng(0))
+        sx.extract_last_layer(OracleHandle.in_process(truth), truth.skeleton(), CFG)
 
 
 def test_pool_res_orders_extract_the_same():

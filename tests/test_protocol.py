@@ -22,15 +22,18 @@ from shiftextract import (
     serve,
 )
 from shiftextract.protocol import (
-    DEFAULT_MASK_BOUND,
+    MASK_BOUND,
     PROTOCOL_VERSION,
     TAG_HELLO,
     TAG_HELLO_ACK,
+    TAG_LABEL_RESULT,
     TAG_MASKED_PRE,
     TAG_NONLINEAR_SHARE,
     TAG_SESSION_ERROR,
     ClientConnection,
     SocketTransport,
+    Transcript,
+    _client_session,
     connect,
     encode_frame,
     payload_tensor,
@@ -62,23 +65,39 @@ def _random_plan(model, rng):
     return s
 
 
-def _session_masks(model, session_seed, bound=DEFAULT_MASK_BOUND):
+def _session_masks(model, session_seed):
     """Re-derive the server's per-session masks from its seed (the mask
     stream is drawn in topological layer order, pre then post)."""
     rng = np.random.default_rng(np.random.SeedSequence(session_seed))
     masks = {}
     for spec in model.topo_order:
         if spec.kind in ("ReLU", "MaxPoolReLU", "Argmax"):
-            masks[(spec.id, PRE)] = rng.uniform(-bound, bound, size=model.pre_shape(spec.id))
+            masks[(spec.id, PRE)] = rng.uniform(-MASK_BOUND, MASK_BOUND, size=model.pre_shape(spec.id))
             if spec.kind != KIND_ARGMAX:
-                masks[(spec.id, POST)] = rng.uniform(-bound, bound, size=model.out_shape(spec.id))
+                masks[(spec.id, POST)] = rng.uniform(-MASK_BOUND, MASK_BOUND, size=model.out_shape(spec.id))
     return masks
+
+
+def _loopback_session(model, x, plan, seed):
+    """One session against a fresh loopback server: (label, transcript).
+    The server's first connection runs its first session from seed
+    (seed, 1, 0), so the transcript replays like an in-process one."""
+    server = serve(model, seed=seed)
+    try:
+        conn = connect("%s:%d" % server.address)
+        try:
+            transcript = Transcript(session_seed=(seed, 1, 0))
+            return conn.infer(x, plan, transcript), transcript
+        finally:
+            conn.close()
+    finally:
+        server.stop()
 
 
 def test_empty_plan_matches_plain_inference(pool_model):
     rng = np.random.default_rng(0)
     x = rng.standard_normal((2, 4, 4))
-    label, _ = run_session(pool_model, x, transport="memory", seed=1)
+    label, _ = run_session(pool_model, x, seed=1)
     assert label == forward_label(pool_model, QueryInput(x))
 
 
@@ -89,14 +108,14 @@ def test_functional_fidelity_random_plans(arch, shape):
     for i in range(25):
         x = rng.standard_normal(shape)
         plan = _random_plan(model, rng)
-        label, _ = run_session(model, x, plan, transport="memory", seed=i)
+        label, _ = run_session(model, x, plan, seed=i)
         assert label == forward_label(model, QueryInput(x, plan))
 
 
 def test_mask_freshness(pool_model):
     x = np.ones((2, 4, 4))
-    l1, t1 = run_session(pool_model, x, transport="memory", seed=1)
-    l2, t2 = run_session(pool_model, x, transport="memory", seed=2)
+    l1, t1 = run_session(pool_model, x, seed=1)
+    l2, t2 = run_session(pool_model, x, seed=2)
     assert l1 == l2
     pre1 = next(p for d, t, l, p in t1.frames if t == TAG_MASKED_PRE)
     pre2 = next(p for d, t, l, p in t2.frames if t == TAG_MASKED_PRE)
@@ -107,7 +126,7 @@ def test_share_reconstruction(pool_model):
     rng = np.random.default_rng(4)
     x = rng.standard_normal((2, 4, 4))
     plan = _random_plan(pool_model, rng)
-    label, transcript = run_session(pool_model, x, plan, transport="memory", seed=9)
+    label, transcript = run_session(pool_model, x, plan, seed=9)
     masks = _session_masks(pool_model, transcript.session_seed)
     tr = forward_trace(pool_model, QueryInput(x, plan))
     checked = 0
@@ -127,7 +146,7 @@ def test_transcript_replay(arch, shape):
     rng = np.random.default_rng(6)
     x = rng.standard_normal(shape)
     plan = _random_plan(model, rng)
-    label, transcript = run_session(model, x, plan, transport="memory", seed=12)
+    label, transcript = run_session(model, x, plan, seed=12)
     assert replay_transcript(model, transcript) == label
 
 
@@ -136,8 +155,8 @@ def test_server_obliviousness_structure(pool_model):
     sizes) is identical; only payload values differ."""
     rng = np.random.default_rng(8)
     x = rng.standard_normal((2, 4, 4))
-    _, plain = run_session(pool_model, x, transport="memory", seed=3)
-    _, shifted = run_session(pool_model, x, _random_plan(pool_model, rng), transport="memory", seed=3)
+    _, plain = run_session(pool_model, x, seed=3)
+    _, shifted = run_session(pool_model, x, _random_plan(pool_model, rng), seed=3)
     assert plain.structure() == shifted.structure()
 
 
@@ -145,8 +164,8 @@ def test_socket_equals_memory(pool_model):
     rng = np.random.default_rng(10)
     x = rng.standard_normal((2, 4, 4))
     plan = _random_plan(pool_model, rng)
-    l_mem, _ = run_session(pool_model, x, plan, transport="memory", seed=77)
-    l_sock, t_sock = run_session(pool_model, x, plan, transport="socket", seed=77)
+    l_mem, _ = run_session(pool_model, x, plan, seed=77)
+    l_sock, t_sock = _loopback_session(pool_model, x, plan, seed=77)
     assert l_mem == l_sock
     assert replay_transcript(pool_model, t_sock) == l_sock
     assert [e[1] for e in t_sock.structure()] == [
@@ -221,14 +240,14 @@ def test_client_shape_validation(pool_model):
     bad_plan = ShiftSet({(2, PRE): np.zeros(3)})  # wrong size for that boundary
     before = set(threading.enumerate())
     with pytest.raises(ProtocolError):
-        run_session(pool_model, x, bad_plan, transport="memory", seed=0)
+        run_session(pool_model, x, bad_plan, seed=0)
     deadline = time.perf_counter() + 1.0
     while [t for t in threading.enumerate() if t not in before] and time.perf_counter() < deadline:
         time.sleep(0.01)
     assert [t for t in threading.enumerate() if t not in before] == []
     # a server-side rejection reaches the client at once, as the server's error
     with pytest.raises(ProtocolError, match="EncInput size"):
-        run_session(pool_model, np.zeros(3), transport="memory", seed=0)
+        run_session(pool_model, np.zeros(3), seed=0)
 
 
 @pytest.mark.parametrize("arch, shape, served", [
@@ -277,8 +296,12 @@ def test_failed_session_does_not_poison_the_next_query():
         encode_frame(TAG_MASKED_PRE, 0, b""),
         # declares a rank-3 input shape but carries no dimensions
         encode_frame(TAG_HELLO_ACK, 0, tensor_payload(np.array([float(PROTOCOL_VERSION), 3.0, 2.0]))),
+        # input dimensions and class count must be positive integers
+        *(encode_frame(TAG_HELLO_ACK, 0, tensor_payload(np.array([float(PROTOCOL_VERSION), 1.0, *sizes])))
+          for sizes in ([float("nan"), 3.0], [4.0, float("nan")], [2.5, 3.0], [0.0, 3.0], [4.0, -3.0])),
     ],
-    ids=["rejected", "wrong-tag", "short-ack"],
+    ids=["rejected", "wrong-tag", "short-ack", "nan-dim", "nan-classes", "fractional-dim", "zero-dim",
+         "negative-classes"],
 )
 def test_failed_handshake_closes_socket(reply):
     """A handshake that fails raises ProtocolError and closes the client's
@@ -303,6 +326,31 @@ def test_failed_handshake_closes_socket(reply):
         server.join(timeout=5)
         listener.close()
     gc.collect()
+
+
+class _FakeServer:
+    """Answers the client's EncInput with one fixed frame."""
+
+    def __init__(self, reply):
+        self.reply = reply
+
+    def send_frame(self, tag, layer_id, payload):
+        pass
+
+    def recv_frame(self):
+        return self.reply
+
+
+@pytest.mark.parametrize("label", [[], [float("nan")], [1.0, 2.0], [2.5], [-4.0], [float("inf")]],
+                         ids=["empty", "nan", "two-values", "fractional", "negative", "inf"])
+def test_label_result_checked(label):
+    """A LabelResult must carry exactly one finite, integral, non-negative
+    value; anything else raises ProtocolError naming the layer, not a bare
+    IndexError or ValueError or a label truncated from a wrong one."""
+    reply = (TAG_LABEL_RESULT, 5, tensor_payload(np.array(label, dtype=np.float64)))
+    with pytest.raises(ProtocolError, match=r"^LabelResult on layer 5 is not one class index") as info:
+        _client_session(_FakeServer(reply), np.zeros(3), ShiftSet(), None)
+    assert info.value.layer_id == 5
 
 
 def test_frame_codec_roundtrip():
@@ -351,23 +399,6 @@ def test_finished_connection_threads_dropped(pool_model):
         assert len(server._threads) <= 5
     finally:
         server.stop()
-
-
-def test_mask_bound_default_and_argument(pool_model):
-    from shiftextract.protocol import InferenceServer
-
-    assert InferenceServer(pool_model).mask_bound == DEFAULT_MASK_BOUND
-    assert InferenceServer(pool_model, mask_bound=7.0).mask_bound == 7.0
-
-
-@pytest.mark.parametrize("bound", [float("inf"), float("nan"), -1e3])
-def test_mask_bound_rejected(pool_model, bound):
-    """A bound no mask can be drawn from fails at construction, not in
-    every session the server would run."""
-    from shiftextract.protocol import InferenceServer
-
-    with pytest.raises(ValueError, match="mask bound must be finite and >= 0"):
-        InferenceServer(pool_model, mask_bound=bound)
 
 
 @pytest.mark.parametrize("idle_connection", [False, True])

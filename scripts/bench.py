@@ -4,6 +4,7 @@
     python3 scripts/bench.py --out BENCH_17.json
     python3 scripts/bench.py --root ../parent --out BENCH_0.json
     python3 scripts/bench.py --root ../parent --residual 1   # one RESIDUAL attack, as JSON
+    python3 scripts/bench.py --depth 8   # one attack of the depth family at k = 8, as JSON
 
 Runs ``perfbench/run.py --seconds 0`` of the checkout at ``--root`` (by
 default this one) on its three workloads at seeds 1 to 3, and attacks each
@@ -25,7 +26,14 @@ relative error of the terminal layer's gauge differences.  A ``residual``
 section attacks ``RESIDUAL``, two identity-skip blocks of 8-channel
 convolutions (3x8x8, model seed 2, 10 classes), at attack seeds 1 to 3,
 each in a fresh interpreter, and records its calls per parameter, errors,
-wall seconds and per-layer queries, with their medians over the seeds.
+wall seconds and per-layer queries, with their medians over the seeds.  A
+``depth`` section attacks ``depth_arch(k)``, k identity-skip blocks of
+8-channel convolutions between a first convolution and ``fc4-r-fc10``
+(3x8x8, model seed 2, attack seed 1), at each k of ``DEPTHS``, each in a
+fresh interpreter.  It records per-layer calls per parameter, wall seconds
+and microseconds per query, the spread of the residual-branch
+convolutions' calls per parameter over all depths, and microseconds per
+query against k.
 """
 
 from __future__ import annotations
@@ -45,9 +53,16 @@ HERE = Path(__file__).resolve()
 WORKLOADS = ("relu-inproc", "pool-res-inproc", "pool-endpoint")
 SEEDS = (1, 2, 3)
 C1 = {"arch": "conv8x3x3-r-fc32-r-fc4", "input_shape": (3, 8, 8), "model_seed": 7, "attack_seed": 11}
-SWEEP_ETA_TOLS = (1e-9, 1e-8, 1e-7)
+SWEEP_ETA_TOLS = (1e-9, 1e-8, 1e-7, 3e-7, 1e-6)
 RESIDUAL = {"arch": "conv8x3x3-r-res{conv8x3x3-r,}-r-res{conv8x3x3-r,}-r-fc16-r-fc10", "input_shape": (3, 8, 8),
             "model_seed": 2}
+DEPTHS = (1, 2, 4, 8)
+
+
+def depth_arch(k: int) -> dict:
+    """The depth family's model with k identity-skip blocks, as ExperimentConfig fields."""
+    arch = "conv8x3x3-r-" + "res{conv8x3x3-r,}-r-" * k + "fc4-r-fc10"
+    return {"arch": arch, "input_shape": (3, 8, 8), "model_seed": 2, "attack_seed": 1}
 
 
 def _program(root: Path):
@@ -114,6 +129,25 @@ def scored_attack(root: Path, spec: dict) -> dict:
     wall = perf_counter() - t0
     return {"wall_s": wall, "queries": report.total_queries, "params": report.total_params,
             "calls_per_param": report.calls_per_param, **_errors(truth, extracted), "layers": _layers(report)}
+
+
+def depth(root: Path) -> dict:
+    """One attack of ``depth_arch(k)`` per k of ``DEPTHS``, each in a fresh
+    interpreter, with its microseconds per query; the min and max calls per
+    parameter of the residual-branch convolutions (every conv but the
+    first) over all depths; and microseconds per query against k."""
+    runs = {}
+    for k in DEPTHS:
+        print(f"depth k {k}", file=sys.stderr, flush=True)
+        run = _child(root, "--depth", str(k))
+        runs[str(k)] = {**run, "us_per_query": 1e6 * run["wall_s"] / run["queries"]}
+    branch = []
+    for run in runs.values():
+        branch += [l["calls_per_param"] for l in run["layers"] if l["kind"] == "Convolution"][1:]
+    fixed = {key: v for key, v in depth_arch(0).items() if key != "arch"}
+    return {"family": "conv8x3x3-r- + k x res{conv8x3x3-r,}-r- + fc4-r-fc10", **fixed, "runs": runs,
+            "branch_conv_calls_per_param": {"min": min(branch), "max": max(branch)},
+            "us_per_query": {k: run["us_per_query"] for k, run in runs.items()}}
 
 
 def sweep(root: Path) -> dict:
@@ -208,6 +242,9 @@ def delta(prev: dict, cur: dict) -> dict:
                           for k in ("wall_s", "calls_per_param", "max_error", "median_error")}
     r_old = prev.get("residual", {}).get("median", {})
     out["residual"] = {k: _change(r_old.get(k), v) for k, v in cur["residual"]["median"].items()}
+    d_old, metrics = prev.get("depth", {}).get("runs", {}), ("wall_s", "calls_per_param", "us_per_query")
+    out["depth"] = {k: {m: _change(d_old.get(k, {}).get(m), r[m]) for m in metrics}
+                    for k, r in cur["depth"]["runs"].items()}
     return out
 
 
@@ -219,6 +256,7 @@ def main(argv=None) -> int:
     ap.add_argument("--layers", nargs=2, metavar=("WORKLOAD", "SEED"), help=argparse.SUPPRESS)
     ap.add_argument("--criterion-1", action="store_true", help=argparse.SUPPRESS)
     ap.add_argument("--residual", type=int, metavar="SEED", help="print one RESIDUAL attack's JSON record")
+    ap.add_argument("--depth", type=int, metavar="K", help="print one attack of the depth family's JSON record")
     args = ap.parse_args(argv)
     root = args.root.resolve()
     if args.layers:
@@ -229,6 +267,9 @@ def main(argv=None) -> int:
         return 0
     if args.residual is not None:
         print(json.dumps(scored_attack(root, {**RESIDUAL, "attack_seed": args.residual})))
+        return 0
+    if args.depth is not None:
+        print(json.dumps(scored_attack(root, depth_arch(args.depth))))
         return 0
     if args.out is None:
         ap.error("--out is required")
@@ -255,6 +296,7 @@ def main(argv=None) -> int:
     keys = ("wall_s", "calls_per_param", "max_error", "median_error", "terminal_max_error")
     bench["residual"] = {**RESIDUAL, "median": {k: statistics.median(r[k] for r in seeds.values()) for k in keys},
                          "seeds": seeds}
+    bench["depth"] = depth(root)
     bench["sweep"] = sweep(root)
     prev_path = args.previous or _previous(args.out)
     if prev_path is not None:

@@ -96,26 +96,34 @@ criticality test lags the true boundary by probe/slope, so each boundary
 is measured twice (probe magnitudes eps and 2*eps) and extrapolated back;
 the lag cancels exactly while the network stays in one linear piece.
 
-Queries go to the digits a value needs, not to finding its scale: the first
-scan of a feature starts doubling at the magnitude of the last value the
-layer measured, and both scans bisect to a tolerance relative to the value
-they read (``eta_tol``, with ``SCAN_ABS_TOL`` as a floor for readings at or
-near 0), so a scan costs the same number of queries at every scale.  The
-confirmation scan starts at the probe lag eps/slope or at that tolerance,
+Queries go to the digits a parameter needs, not to finding its scale, and
+not to digits of a raw value that its bias already fixes.  ``eta_tol`` is a
+relative tolerance per parameter.  A weight phase reads y = b + a w, and its
+reading stops at ``eta_tol`` times |y - b^|, its distance from its row's
+bias reading b^, so w = (y - b^) / a is read to ``eta_tol`` of itself
+however far below its bias it lies (``SCAN_ABS_TOL`` is the floor, which
+bounds a reading at or near b^).  A bias error enters every weight of its
+row as error / a, so a bias reading stops at ``eta_tol`` times
+``BIAS_TOL_FACTOR`` times its value.  The first scan of a feature starts
+doubling at the magnitude of the last value the layer measured, so a scan
+costs the same number of queries at every scale.  The confirmation scan
+starts at the probe lag eps/slope or at the first scan's tolerance,
 whichever is larger.  An n-ary read centres its first window on the
 target's bias reading, as wide as the layer's last distance from it, and
 stops at the same tolerance, or at the error of its breakpoints where that
-is wider (``ClassLines.resolution``).  A terminal class tie is a reading
-too: it stops at ``eta_tol`` times its distance from where it started,
-and skips the two-probe test.  The ties that other readings stand on are
-the exception: critical points and intercept ties are bisected to
-``TIE_POLISH_TOL`` and validated.  A slope tie is a reading: it stops at
-``eta_tol`` times its move, since its release point already carries the
-bias reading's ``eta_tol`` error, and a slope off by that moves each
-breakpoint in proportion to the window being split, not by a fixed
-amount (``ClassLines.resolution``).  Only the slope ties
-that go into a ``TerminalTies`` table are bisected to ``TIE_POLISH_TOL``,
-because they are the terminal layer's own parameters.
+is wider (``ClassLines.resolution``); each label's bracket is widened by
+what the slopes' error may move its breakpoints (``ClassLines.drift``).  A
+terminal class tie is a reading too: it stops at a tolerance relative to
+its distance from where it started, ``eta_tol`` times ``BIAS_TOL_FACTOR``
+for a bias tie and ``eta_tol`` for a weight tie, which starts at its
+class's bias tie, and skips the two-probe test.  The ties that other
+readings stand on are the exception: critical points and intercept ties
+are bisected to ``TIE_POLISH_TOL`` and validated.  A slope tie is a
+reading: it stops at ``eta_tol`` times its move, and a slope off by that
+moves each breakpoint in proportion to the window being split, not by a
+fixed amount (``ClassLines.drift``).  Only the slope ties that go into a
+``TerminalTies`` table are bisected to ``TIE_POLISH_TOL``, because they
+are the terminal layer's own parameters.
 """
 
 from __future__ import annotations
@@ -188,6 +196,7 @@ NARY_READ_EXTRA = 3  # an n-ary read's queries beyond log_m(1 / eta_tol): first 
 TERMINAL_TIE_QUERIES = 31  # one terminal reading that a layer's calibration makes for it (``TerminalTies``)
 NARY_SLOPE_READ_EXTRA = 7  # a slope tie's queries beyond log2(1 / eta_tol) when it is read to eta_tol
 MAX_RETRIES = 5  # further attempts at a scan that behaved inconsistently, each from a fresh critical point
+BIAS_TOL_FACTOR = 1e-4  # a bias error enters every weight of its row as error / amplitude: biases read 4 digits finer
 
 
 @dataclass(frozen=True)
@@ -197,16 +206,24 @@ class BoundarySearchConfig:
     ``sphere_norm`` is the first logit nudge of every class-tie search, the
     expected logit scale (None means: let the harness calibrate, or fall
     back to 10 on an O(1) logit scale).  ``eta_tol`` is the relative
-    tolerance of every reading, feature scans, n-ary reads and terminal
-    ties: a value v is read to within ``max(eta_tol * |v|, SCAN_ABS_TOL)``,
-    and it must lie in (0, 1).  Both are finite and > 0, and
+    tolerance of every parameter, read by feature scans, n-ary reads or
+    terminal ties, and it must lie in (0, 1).  A weight phase's raw value
+    y = b + a w is read to within ``max(eta_tol * |y - b^|, SCAN_ABS_TOL)``,
+    relative to its row's bias reading b^, so that w itself is read to
+    ``eta_tol``; a bias b is read to within ``max(eta_tol *
+    BIAS_TOL_FACTOR * |b|, SCAN_ABS_TOL)``, since its error enters every
+    weight of its row.  The default 3e-7 comes from the sweep in
+    ``BENCH_32.json``: it reads criterion 1, the benchmark workloads and
+    the residual model with a max error of at most 2.3e-7 and medians of
+    at most 3.4e-8, 430x and 29x inside the gates of 1e-4 and 1e-6, where
+    1e-6 put medians at 1.2e-7.  Both are finite and > 0, and
     ``sphere_norm`` may also be None.  The search bound, the suppression
     constant and the retry budget are module constants (``ETA_MAX``,
     ``SUPPRESSION``, ``MAX_RETRIES``).
     """
 
     sphere_norm: float | None = None
-    eta_tol: float = 1e-8
+    eta_tol: float = 3e-7
 
     def __post_init__(self):
         for f in fields(self):
@@ -247,21 +264,25 @@ class ClassLines:
     ``classes`` are in increasing slope order, adjacent slopes at least
     ``NARY_MIN_SLOPE_GAP`` apart.  ``intercepts`` are the Argmax shifts
     that tie each class with the reference at r = 0, and ``centre`` is the
-    target's bias reading, where a read's first window is centred.
+    target's bias reading, where a read's first window is centred and from
+    which it measures its tolerance.  ``drift`` bounds the slopes' error
+    over each adjacent gap: a breakpoint placed at r from a window's bottom
+    lies within ``drift`` r of it, besides ``resolution``.
     """
 
     classes: tuple[int, ...]
     slopes: tuple[float, ...]
     intercepts: tuple[float, ...]
     centre: float
+    drift: float
 
     @property
     def resolution(self) -> float:
         """How far a breakpoint may lie from where a read places it: the
         intercepts' tie error (``TIE_POLISH_TOL``) over the smallest slope
         gap, at most 1e-10.  A slope read to ``eta_tol`` adds no floor: it
-        moves the breakpoint at r (from the window's bottom) by about
-        ``eta_tol`` r |h| / gap, in proportion to the window being split."""
+        moves the breakpoint at r (from the window's bottom) by at most
+        ``drift`` r, in proportion to the window being split."""
         return TIE_POLISH_TOL / min(b - a for a, b in zip(self.slopes, self.slopes[1:]))
 
 
@@ -397,68 +418,90 @@ def _window_search(
     tol: float,
     rel: float = 0.0,
     lo_known: bool = True,
+    ref: float = 0.0,
+    slack: float = 0.0,
 ) -> float:
     """The point p that ``pick`` locates, to ``tol`` or ``rel`` times its
-    size, whichever is wider: the one window search of the attack.
+    distance from ``ref``, whichever is wider: the one window search of the
+    attack.
 
     The window [lo, lo + m w] is cut into m sub-windows of width w, and
-    pick(lo, w) names the one holding p: k means lo + k w <= p <= lo +
-    (k + 1) w.  Until p is bounded on both sides, an edge sub-window on an
-    open side means only that p lies beyond its inner breakpoint, and the
-    window grows m-fold away from it.  The top one means p >= lo + (m - 1) w
-    and w grows m-fold, lo staying put; while nothing below p is known
-    (``lo_known`` false) the bottom one means p <= lo + w, and the window
-    grows m-fold below its top, its bottom held at -``cap``.  Raises
-    ``_ScanExhausted`` once lo + w exceeds ``cap``, or the bottom sub-window
-    of a window held at -``cap`` is named.  Once bounded, p's bracket is
-    split m-fold until it is no wider than max(tol, rel * |lower end|), or
-    a split has no float left, and its midpoint is returned.  ``pick`` may
-    raise to abort the search.
+    pick(lo, w) names the one holding p: k means lo + k w (1 - ``slack``)
+    <= p <= lo + (k + 1) w (1 + ``slack``), since a breakpoint at r from
+    the window's bottom may lie ``slack`` r from where the pick puts it (0
+    for an exact pick).  Until p is bounded on both sides, an edge
+    sub-window on an open side means only that p lies beyond its inner
+    breakpoint, and the window grows m-fold away from it.  The top one
+    means p >= lo + (m - 1) w and w grows m-fold, lo staying put; while
+    nothing below p is known (``lo_known`` false) the bottom one means p <=
+    lo + w, and the window grows m-fold below its top, its bottom held at
+    -``cap``.  Raises ``_ScanExhausted`` once lo + w exceeds ``cap``, or the
+    bottom sub-window of a window held at -``cap`` is named.  Once bounded,
+    p's bracket is
+    split m-fold until it is no wider than max(tol, rel * |lower end -
+    ref|), or a split has no float left or does not narrow it, and its
+    midpoint is returned.  ``pick`` may raise to abort the search.
     """
+
+    def named(lo: float, w: float, k: int) -> tuple[float, float]:
+        """The bracket of sub-window k, widened by its breakpoints' error."""
+        return lo + k * w * (1.0 - slack), lo + (k + 1) * w * (1.0 + slack)
+
     below = lo if lo_known else None
     above = None
     while below is None or above is None:
         if lo + w > cap:
             raise _ScanExhausted()
         k = pick(lo, w)
+        a, b = named(lo, w, k)
         if k == m - 1 and above is None:
-            below = lo + (m - 1) * w
+            below = a
             w *= m
         elif k == 0 and below is None:
             if lo <= -cap:
                 raise _ScanExhausted()
-            above, top = lo + w, lo + m * w
+            above, top = b, lo + m * w
             lo = max(top - m * m * w, -cap)
             w = (top - lo) / m
         else:
-            below = lo + k * w if below is None else max(below, lo + k * w)
-            above = lo + (k + 1) * w if above is None else min(above, lo + (k + 1) * w)
+            below = a if below is None else max(below, a)
+            above = b if above is None else min(above, b)
     lo, hi = below, above
-    while hi - lo > max(tol, rel * abs(lo)):
+    while hi - lo > max(tol, rel * abs(lo - ref)):
         w = (hi - lo) / m
         if lo + w == lo or lo + (m - 1) * w == hi:
             break  # sub-windows below the float spacing: nothing left to split
         k = pick(lo, w)
-        lo, hi = lo + k * w if k else lo, lo + (k + 1) * w if k < m - 1 else hi
+        a, b = named(lo, w, k)
+        a, b = max(lo, a) if k else lo, min(hi, b) if k < m - 1 else hi
+        if b - a >= hi - lo:
+            break  # breakpoints too uncertain to narrow the bracket
+        lo, hi = a, b
     return 0.5 * (lo + hi)
 
 
 def _find_flip(
-    flipped: Callable[[float], bool], start: float, step: float, cap: float, tol: float, rel: float = 0.0
+    flipped: Callable[[float], bool],
+    start: float,
+    step: float,
+    cap: float,
+    tol: float,
+    rel: float = 0.0,
+    ref: float = 0.0,
 ) -> float:
     """The point s > ``start`` where ``flipped(s)`` turns true, to
-    ``tol`` or ``rel`` times its size, whichever is wider: the binary
-    ``_window_search`` from [start, start + 2 step], each query the
-    predicate at lo + w.
+    ``tol`` or ``rel`` times its distance from ``ref``, whichever is wider:
+    the binary ``_window_search`` from [start, start + 2 step], each query
+    the predicate at lo + w.
 
     The step doubles from ``start`` (probing start + step, start + 2 step,
     start + 4 step, ...) until the predicate flips; the last unflipped point
     lo and the first flipped point hi are then bisected until
-    hi - lo <= max(tol, rel * lo) or they are adjacent floats, and their
-    midpoint is returned.  Raises ``_ScanExhausted`` once start + step
+    hi - lo <= max(tol, rel * |lo - ref|) or they are adjacent floats, and
+    their midpoint is returned.  Raises ``_ScanExhausted`` once start + step
     exceeds ``cap``.  The predicate may raise to abort the search.
     """
-    return _window_search(lambda lo, w: 0 if flipped(lo + w) else 1, start, step, 2, cap, tol, rel)
+    return _window_search(lambda lo, w: 0 if flipped(lo + w) else 1, start, step, 2, cap, tol, rel, ref=ref)
 
 
 def _two_probe(oracle: OracleHandle, v: QueryInput, c1: int, c2: int, eps: float) -> int | None:
@@ -484,10 +527,11 @@ def _flip_point(
     rel: float = 0.0,
     failed: int | None = None,
     breaks: bool = True,
+    ref: float = 0.0,
 ) -> tuple[float, int]:
     """The point s > 0 at which the tie test at ``at(s)`` (probe magnitude
-    eps) changes its outcome, to ``tol`` or ``rel`` times its size
-    (``_find_flip`` from 0 with ``step``), and the class whose nudge
+    eps) changes its outcome, to ``tol`` or ``rel`` times its distance from
+    ``ref`` (``_find_flip`` from 0 with ``step``), and the class whose nudge
     decides it; ``_ScanExhausted`` when there is none below ``ETA_MAX``.
 
     With ``breaks`` the point is critical at s = 0 and the flip is where
@@ -514,7 +558,7 @@ def _flip_point(
             raise ScanRetryError(f"third class {lbl} intruded on the boundary")
         return (lbl != failed) == breaks
 
-    s = _find_flip(flipped, 0.0, step, ETA_MAX, tol, rel)
+    s = _find_flip(flipped, 0.0, step, ETA_MAX, tol, rel, ref)
     return s, failed
 
 
@@ -540,6 +584,7 @@ def _scan_boundary(
     index: tuple,
     cfg: BoundarySearchConfig,
     first_step: float | None = None,
+    centre: float = 0.0,
 ) -> FeatureResult:
     """Release scan of the value y at ``index`` of the boundary at the
     critical point ``cp``, whose base silences the boundary (``_phase_base``).
@@ -562,11 +607,13 @@ def _scan_boundary(
     ``first_step``, the magnitude of a value measured before, clamped to
     [``ETA_INITIAL_STEP``, ``ETA_MAX``] so that the doubling still probes to
     within a factor of 2 of ``ETA_MAX``; with no magnitude known it starts at
-    ``ETA_INITIAL_STEP``.  Scan 1 bisects to ``eta_tol`` relative to |z1|
-    (``SCAN_ABS_TOL`` as its floor), and scan 2 to that tolerance taken at
-    z1, starting at eps or at half that tolerance, whichever is larger.
-    A scan that behaves inconsistently raises ``ScanRetryError`` and is
-    retried by the caller.
+    ``ETA_INITIAL_STEP``.  The value is read relative to ``centre``, its
+    row's bias reading in a weight phase (0 for a bias reading): scan 1
+    bisects to ``eta_tol`` times the distance of z1 from -``centre``
+    (``SCAN_ABS_TOL`` as its floor), in its own coordinate s = d z1 at
+    s = -d ``centre``, and scan 2 to that tolerance taken at z1, starting at
+    eps or at half that tolerance, whichever is larger.  A scan that behaves
+    inconsistently raises ``ScanRetryError`` and is retried by the caller.
     """
     eps = TIE_PROBE
     shape = cp.v.shifts.get(*pre_key).shape
@@ -582,14 +629,14 @@ def _scan_boundary(
     try:
         s1, failed = _flip_point(
             oracle, lambda s: at(d * s), cp.c1, cp.c2, eps, step,
-            0.5 * SCAN_ABS_TOL, 0.5 * cfg.eta_tol, failed, breaks=nonpositive,
+            0.5 * SCAN_ABS_TOL, 0.5 * cfg.eta_tol, failed, breaks=nonpositive, ref=-d * centre,
         )
     except _ScanExhausted:
         if nonpositive:
             raise DeadFeatureError(f"no flip up to ETA_MAX={ETA_MAX}") from None
         raise ScanRetryError("positive-branch scan found no flip") from None
     z1 = d * s1
-    tol = max(SCAN_ABS_TOL, cfg.eta_tol * s1)
+    tol = max(SCAN_ABS_TOL, cfg.eta_tol * abs(s1 + d * centre))
     try:
         lag, _ = _flip_point(
             oracle, lambda w: at(z1 + w), cp.c1, cp.c2, 2.0 * eps, max(eps, 0.5 * tol), 0.5 * tol, failed=failed
@@ -624,13 +671,15 @@ def _read_lines(
     is r = relu(y - lo), and replaces the tie's Argmax shift: every other
     class is suppressed, and the kept ones are shifted so that, in slope
     order, line i tops the upper envelope for r in [i w, (i + 1) w].  The
-    label names y's sub-window.  The read stops at max(``SCAN_ABS_TOL``,
-    ``eta_tol`` * |y|) or at ``lines.resolution``, whichever is wider:
-    narrower windows would split below the breakpoints' own error.  That
-    takes at most ceil(log_m(2 spread / that)) queries plus two per
-    widening.  There is no probe nudge, so no sign probe and no lag to
-    cancel.  A label from a suppressed class, or a value beyond
-    +-``FEATURE_BOUND``, raises ``ScanRetryError``.
+    label names y's sub-window, widened by its breakpoints' error from the
+    slopes (``lines.drift``).  The read stops at max(``SCAN_ABS_TOL``,
+    ``eta_tol`` * |y - ``lines.centre``|), relative to the row's bias
+    reading like a binary weight reading, or at ``lines.resolution``,
+    whichever is wider: narrower windows would split below the
+    breakpoints' own error.  That takes at most ceil(log_m(2 spread /
+    that)) queries plus two per widening.  There is no probe nudge, so no
+    sign probe and no lag to cancel.  A label from a suppressed class, or a
+    value beyond +-``FEATURE_BOUND``, raises ``ScanRetryError``.
     """
     argmax_key = (oracle.argmax_id, PRE)
     shape = cp.v.shifts.get(*pre_key).shape
@@ -658,7 +707,8 @@ def _read_lines(
     tol = max(SCAN_ABS_TOL, lines.resolution)
     try:
         value = _window_search(
-            pick, lines.centre - half, 2.0 * half / m, m, FEATURE_BOUND, tol, cfg.eta_tol, lo_known=False
+            pick, lines.centre - half, 2.0 * half / m, m, FEATURE_BOUND, tol, cfg.eta_tol,
+            lo_known=False, ref=lines.centre, slack=lines.drift,
         )
     except _ScanExhausted:
         raise ScanRetryError("n-ary read left the reachable range") from None
@@ -775,20 +825,23 @@ def _read_feature(
     cfg: BoundarySearchConfig,
     first_step: float | None,
     lines: ClassLines | None,
+    centre: float,
 ) -> FeatureResult:
     """The read behind ``extract_feature`` and ``extract_feature_maxpool``:
     the pre-activation value at ``index`` of boundary ``layer_id``, released
-    alone from the silenced base.  Without ``lines`` it is the binary scan
-    through the tied class pair (``_scan_boundary``), and ``first_step`` is
-    the expected magnitude of the value.  With the target's ``lines`` it is
-    the n-ary read (``_read_lines``), which ignores the tie, and
-    ``first_step`` is the expected distance of the value from
-    ``lines.centre``.  ``cp.v`` must carry ``_phase_base(skeleton,
-    layer_id)``, or ExtractionError is raised before any query."""
+    alone from the silenced base, to ``eta_tol`` times its distance from
+    ``centre`` (``SCAN_ABS_TOL`` as the floor).  Without ``lines`` it is the
+    binary scan through the tied class pair (``_scan_boundary``), and
+    ``first_step`` is the expected magnitude of the value.  With the
+    target's ``lines`` it is the n-ary read (``_read_lines``), which
+    ignores the tie and measures from ``lines.centre``, and ``first_step``
+    is the expected distance of the value from there.  ``cp.v`` must carry
+    ``_phase_base(skeleton, layer_id)``, or ExtractionError is raised before
+    any query."""
     _require_phase_base(skeleton, layer_id, cp.v)
     if lines is not None:
         return _read_lines(oracle, cp, (layer_id, PRE), index, cfg, lines, first_step)
-    return _scan_boundary(oracle, cp, (layer_id, PRE), index, cfg, first_step)
+    return _scan_boundary(oracle, cp, (layer_id, PRE), index, cfg, first_step, centre)
 
 
 def extract_feature(
@@ -801,13 +854,14 @@ def extract_feature(
     *,
     first_step: float | None = None,
     lines: ClassLines | None = None,
+    centre: float = 0.0,
 ) -> FeatureResult:
     """Recover the pre-activation value at ``index`` of the standalone-ReLU
     boundary ``layer_id`` at the critical point (``_read_feature``)."""
     spec = skeleton.layer(layer_id)
     if spec.kind != KIND_RELU:
         raise ExtractionError(f"layer {layer_id} is {spec.kind}, not a standalone ReLU boundary")
-    return _read_feature(oracle, skeleton, cp, layer_id, index, cfg, first_step, lines)
+    return _read_feature(oracle, skeleton, cp, layer_id, index, cfg, first_step, lines, centre)
 
 
 def extract_feature_maxpool(
@@ -820,6 +874,7 @@ def extract_feature_maxpool(
     *,
     first_step: float | None = None,
     lines: ClassLines | None = None,
+    centre: float = 0.0,
 ) -> FeatureResult:
     """Recover the pre-activation value at ``index`` of the maxpool+ReLU
     boundary ``layer_id`` at the critical point (``_read_feature``).
@@ -835,7 +890,7 @@ def extract_feature_maxpool(
         raise ExtractionError(f"layer {layer_id} is {spec.kind}, not a maxpool boundary")
     if not pooled_receivers(skeleton.pre_shape(layer_id), spec.kernel, spec.stride, index):
         raise ExtractionError(f"index {index} feeds no pooled output")
-    return _read_feature(oracle, skeleton, cp, layer_id, index, cfg, first_step, lines)
+    return _read_feature(oracle, skeleton, cp, layer_id, index, cfg, first_step, lines, centre)
 
 
 # ---------------------------------------------------------------------------
@@ -1050,17 +1105,23 @@ def _class_intercepts(
     return intercepts
 
 
-def _kept_lines(slopes: dict[int, float], intercepts: dict[int, float], centre: float) -> ClassLines | None:
+def _kept_lines(
+    slopes: dict[int, float], errors: dict[int, float], intercepts: dict[int, float], centre: float
+) -> ClassLines | None:
     """The classes with a measured slope in increasing slope order, each
     kept only if it lies ``NARY_MIN_SLOPE_GAP`` above the last kept one;
-    None when fewer than two are left."""
+    None when fewer than two are left.  ``errors`` bounds each slope's
+    error, and sets the lines' ``drift``."""
     kept = []
     for c in sorted(slopes, key=slopes.get):
         if not kept or slopes[c] - slopes[kept[-1]] >= NARY_MIN_SLOPE_GAP:
             kept.append(c)
     if len(kept) < 2:
         return None
-    return ClassLines(tuple(kept), tuple(slopes[c] for c in kept), tuple(intercepts[c] for c in kept), centre)
+    drift = max((errors[a] + errors[b]) / (slopes[b] - slopes[a]) for a, b in zip(kept, kept[1:]))
+    return ClassLines(
+        tuple(kept), tuple(slopes[c] for c in kept), tuple(intercepts[c] for c in kept), centre, drift
+    )
 
 
 def _class_ties(
@@ -1121,11 +1182,11 @@ def _calibrate_lines(
     c with an intercept is tied again with ``ref`` there, starting at its
     intercept T_c (``_class_ties``), and its slope relative to ``ref`` is
     h_c = (T_c - t_c) / R.  A slope tie is a reading, to ``eta_tol`` times
-    its move (``SCAN_ABS_TOL`` as the floor): R - b_j carries the bias
-    reading's ``eta_tol`` error already.  A target that keeps fewer than
-    two lines (``_kept_lines``) has none and keeps the binary scan.  With
-    ``ties``, every slope tie is bisected to ``TIE_POLISH_TOL`` instead,
-    and every target's measured slopes, kept or not, go into
+    its move (``SCAN_ABS_TOL`` as the floor), and that tolerance plus the
+    intercept's, over R, bounds the slope's error.  A target that keeps
+    fewer than two lines (``_kept_lines``) has none and keeps the binary
+    scan.  With ``ties``, every slope tie is bisected to ``TIE_POLISH_TOL``
+    instead, and every target's measured slopes, kept or not, go into
     ``ties.slopes``: where the boundary feeds the terminal layer they are
     its weight differences, the terminal layer's own parameters.
     """
@@ -1139,13 +1200,16 @@ def _calibrate_lines(
         for at, b in readings.items()
     )
     slopes = {at[0]: {ref: 0.0} for at in readings}
+    errors = {at[0]: {ref: 0.0} for at in readings}
     tol, rel = (TIE_POLISH_TOL, 0.0) if ties is not None else (SCAN_ABS_TOL, cfg.eta_tol)
     for at, c, t in _class_ties(oracle, todo, ref, intercepts, cfg, tol, rel):
         if t is not None:
-            slopes[at[0]][c] = (intercepts[c] - t) / big_r[at]
+            move = intercepts[c] - t
+            slopes[at[0]][c] = move / big_r[at]
+            errors[at[0]][c] = (max(tol, rel * abs(move)) + TIE_POLISH_TOL) / big_r[at]
     if ties is not None:
         ties.slopes.update(slopes)
-    lines = {at[0]: _kept_lines(slopes[at[0]], intercepts, b) for at, b in readings.items()}
+    lines = {at[0]: _kept_lines(slopes[at[0]], errors[at[0]], intercepts, b) for at, b in readings.items()}
     return {j: kept for j, kept in lines.items() if kept is not None}
 
 
@@ -1167,9 +1231,11 @@ def _extract_layer(
     over the bias phase and then the weight phases.
 
     The bias phase runs with the layer's input pinned to zero, so target
-    ``(slot, index)`` reads bias[slot].  Each weight phase is a pair
-    ``(inject, targets)``: with the input set to ``inject``, a target reads
-    bias[c] + amplitude * weight[slot] for its output channel c = slot[0].
+    ``(slot, index)`` reads bias[slot], to ``eta_tol`` times
+    ``BIAS_TOL_FACTOR``.  Each weight phase is a pair ``(inject,
+    targets)``: with the input set to ``inject``, a target reads bias[c] +
+    amplitude * weight[slot] for its output channel c = slot[0], to
+    ``eta_tol`` times its distance from the bias reading of c.
     Every phase's base silences the boundary and switches on the ReLUs
     downstream of it (``_phase_base``); a weight phase's also cancels an
     identity skip around the layer (``_skip_cancel``), binary or n-ary.
@@ -1207,15 +1273,17 @@ def _extract_layer(
     base = _phase_base(skeleton, succ.id)
     cancel = _skip_cancel(skeleton, layer_id, succ.id) or ()
     scan = extract_feature_maxpool if succ.kind == KIND_MPR else extract_feature
+    bias_cfg = replace(cfg, eta_tol=cfg.eta_tol * BIAS_TOL_FACTOR)
     scale = cp = cal = None
     t0 = oracle.count
     for inject, targets in itertools.chain([(None, bias_targets)], weight_phases):
         v0 = _controlled_query(skeleton, plan, inject, cancel).shifted(base)
         cp = search_critical(oracle, v0, cfg, rng, cp)
-        values = res.bias if inject is None else res.weight
+        values, read_cfg = (res.bias, bias_cfg) if inject is None else (res.weight, cfg)
         by_lines = cal.lines if cal is not None and cal.holds(cp) else {}
         for slot, target in targets:
             lines = by_lines.get(slot[0])
+            centre = 0.0 if inject is None else float(res.bias[slot[0]])
             value, retried = 0.0, True  # unless an attempt ends the loop
             for k in range(MAX_RETRIES + 1):
                 if k:
@@ -1224,7 +1292,7 @@ def _extract_layer(
                     if k == 0 and lines is not None:
                         got = scan(oracle, skeleton, cp, succ.id, target, cfg, first_step=cal.spread, lines=lines)
                     else:
-                        got = scan(oracle, skeleton, cp, succ.id, target, cfg, first_step=scale)
+                        got = scan(oracle, skeleton, cp, succ.id, target, read_cfg, first_step=scale, centre=centre)
                 except ScanRetryError as e:
                     value = 0.0 if e.fallback is None else e.fallback
                     continue
@@ -1383,14 +1451,15 @@ def extract_last_layer(
     bias[0] = 0 and weight[0, :] = 0.  Every slot that ``ties`` measures
     (``TerminalTies.gauge_fixed``) is taken from it, so a table that
     measures every slot costs no query.  The rest are read through
-    ``_class_ties`` with class 0, each to ``eta_tol`` times its move
+    ``_class_ties`` with class 0, each to a tolerance relative to its move
     (``SCAN_ABS_TOL`` as the floor): first the bias ties, at the base that
-    pins the layer's input to zero, where class c ties at -(b[c] - b[0]);
-    then one tie per (column, class), with input feature i0 set to the
-    injection amplitude, starting at that class's bias tie, so that it
-    moves only by amplitude (W[c, i0] - W[0, i0]).  A class that never
-    ties with class 0 fails the layer with BoundarySearchError before any
-    later tie.  The layer draws no class pair, so it takes no rng.
+    pins the layer's input to zero, where class c ties at -(b[c] - b[0]),
+    to ``eta_tol`` times ``BIAS_TOL_FACTOR``; then one tie per (column,
+    class), with input feature i0 set to the injection amplitude, starting
+    at that class's bias tie, so that it moves only by amplitude times
+    W[c, i0] - W[0, i0], to ``eta_tol``.  A class that never ties with
+    class 0 fails the layer with BoundarySearchError before any later tie.
+    The layer draws no class pair, so it takes no rng.
     """
     spec = skeleton.layer(skeleton.layer(skeleton.argmax_id).inputs[0])
     n_out, n_in = spec.weight.shape
@@ -1403,9 +1472,9 @@ def extract_last_layer(
     for slot, value in known.items():
         (res.bias if len(slot) == 1 else res.weight)[slot] = value
 
-    def readings(todo, starts):
+    def readings(todo, starts, rel):
         """(key, c, -t) of every tie in ``todo``; raises at the first class that never ties."""
-        for key, c, t in _class_ties(oracle, todo, 0, starts, cfg, SCAN_ABS_TOL, cfg.eta_tol):
+        for key, c, t in _class_ties(oracle, todo, 0, starts, cfg, SCAN_ABS_TOL, rel):
             if t is None:
                 raise BoundarySearchError(
                     f"no boundary reachable: classes 0 and {c} never swap within ETA_MAX={ETA_MAX}"
@@ -1422,10 +1491,11 @@ def extract_last_layer(
 
     t0 = oracle.count
     classes = [c for c in range(1, n_out) if (c,) not in known]
-    for _, c, b in readings([(None, _controlled_query(skeleton, plan, None), classes)], [0.0] * n_out):
+    todo = [(None, _controlled_query(skeleton, plan, None), classes)]
+    for _, c, b in readings(todo, [0.0] * n_out, cfg.eta_tol * BIAS_TOL_FACTOR):
         res.bias[c] = b
     t1 = oracle.count
-    for i0, c, r in readings(columns(), [-float(b) for b in res.bias]):
+    for i0, c, r in readings(columns(), [-float(b) for b in res.bias], cfg.eta_tol):
         res.weight[c, i0] = (r - res.bias[c]) / amplitude
     res.bias_queries, res.weight_queries = t1 - t0, oracle.count - t1
     return res

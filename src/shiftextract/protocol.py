@@ -387,12 +387,15 @@ def _whole(values: np.ndarray, least: int) -> bool:
     return all(v.is_integer() and v >= least for v in values.tolist())  # is_integer() is False for inf and NaN
 
 
-def _client_session(transport, x0: np.ndarray, plan: ShiftSet, transcript: Transcript | None) -> int:
+def _client_session(
+    transport, x0: np.ndarray, plan: ShiftSet, transcript: Transcript | None, n_classes: int
+) -> int:
     """Drive one session as the (possibly malicious) client.
 
     The client needs no architecture knowledge: it answers each MaskedPre
     with its shifted share and re-encrypts each NonlinearShare after adding
-    its post-side shift.
+    its post-side shift.  The LabelResult must name one of the model's
+    ``n_classes`` classes.
     """
     def send(tag, lid, payload):
         transport.send_frame(tag, lid, payload)
@@ -426,8 +429,10 @@ def _client_session(transport, x0: np.ndarray, plan: ShiftSet, transcript: Trans
             send(TAG_ENC_POST, lid, blob_payload(share, _next_nonce()))
         elif tag == TAG_LABEL_RESULT:
             label = payload_tensor(payload, lid)
-            if label.size != 1 or not _whole(label, 0):
-                raise ProtocolError(f"LabelResult on layer {lid} is not one class index: {label.tolist()}", lid)
+            if label.size != 1 or not _whole(label, 0) or label[0] >= n_classes:
+                raise ProtocolError(
+                    f"LabelResult on layer {lid} is not one class index below {n_classes}: {label.tolist()}", lid
+                )
             return int(label[0])
         elif tag == TAG_SESSION_ERROR:
             raise ProtocolError(f"server error: {payload.decode('utf-8', 'replace')}", lid)
@@ -466,7 +471,7 @@ class ClientConnection:
         self.n_classes = int(ack[-1])
 
     def infer(self, x0, plan: ShiftSet | None = None, transcript: Transcript | None = None) -> int:
-        return _client_session(self.transport, np.asarray(x0), plan or ShiftSet(), transcript)
+        return _client_session(self.transport, np.asarray(x0), plan or ShiftSet(), transcript, self.n_classes)
 
     def close(self) -> None:
         self.transport.close()
@@ -561,7 +566,7 @@ def run_session(model: ModelGraph, x0, plan: ShiftSet | None = None, seed: int =
     t = threading.Thread(target=server_main, daemon=True)
     t.start()
     try:
-        label = _client_session(client_t, np.asarray(x0), plan or ShiftSet(), transcript)
+        label = _client_session(client_t, np.asarray(x0), plan or ShiftSet(), transcript, model.n_classes)
     except TransportError:
         if errors:  # the server failed, then closed its end
             raise errors[0] from None

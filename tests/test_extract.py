@@ -53,6 +53,7 @@ from shiftextract.oracle import TIE_PROBE
 from conftest import fc_layer
 
 CFG = BoundarySearchConfig(sphere_norm=10.0)
+CFG_1E8 = BoundarySearchConfig(sphere_norm=10.0, eta_tol=1e-8)  # for tests whose bounds are written at 1e-8
 CFG_1E9 = BoundarySearchConfig(sphere_norm=10.0, eta_tol=1e-9)  # for tests whose bounds are written at 1e-9
 
 
@@ -126,7 +127,7 @@ def test_extract_feature_positive_branch(toy_pm1_model):
     cp = _toy_critical_point(toy_pm1_model, oracle)
     tr = forward_trace(toy_pm1_model, cp.v)
     assert tr.y[2][0] == pytest.approx(1.0)
-    res = extract_feature(oracle, toy_pm1_model, cp, 2, (0,), CFG)
+    res = extract_feature(oracle, toy_pm1_model, cp, 2, (0,), CFG_1E8)
     assert res.branch == "positive"
     assert res.value == pytest.approx(1.0, abs=1e-9)
 
@@ -136,7 +137,7 @@ def test_extract_feature_negative_branch(toy_pm1_model):
     cp = _toy_critical_point(toy_pm1_model, oracle)
     tr = forward_trace(toy_pm1_model, cp.v)
     assert tr.y[2][1] == pytest.approx(-1.0)
-    res = extract_feature(oracle, toy_pm1_model, cp, 2, (1,), CFG)
+    res = extract_feature(oracle, toy_pm1_model, cp, 2, (1,), CFG_1E8)
     assert res.branch == "nonpositive"
     assert res.value == pytest.approx(-1.0, abs=1e-9)
 
@@ -441,7 +442,7 @@ def test_extract_feature_maxpool_random_cross_check():
     idx = (1, 2, 2)
     assert len(sx.pooled_receivers((3, 4, 4), (2, 2), (1, 1), idx)) > 1
     tr = forward_trace(model, base)
-    res = extract_feature_maxpool(oracle, model, cp, 2, idx, CFG)
+    res = extract_feature_maxpool(oracle, model, cp, 2, idx, CFG_1E8)
     assert res.value == pytest.approx(tr.y[2][idx], abs=1e-9)
 
 
@@ -536,7 +537,7 @@ def test_conv_amplitude_default(monkeypatch):
 
 def test_extract_fc_layer_recovers(small_cnn):
     oracle = OracleHandle.in_process(small_cnn)
-    res = extract_fc_layer(oracle, small_cnn.skeleton(), 3, CFG, np.random.default_rng(0))
+    res = extract_fc_layer(oracle, small_cnn.skeleton(), 3, CFG_1E8, np.random.default_rng(0))
     true = small_cnn.layer(3)
     assert np.abs(res.bias - true.bias).max() <= 1e-8
     assert np.abs(res.weight - true.weight).max() <= 1e-8
@@ -546,11 +547,34 @@ def test_extract_fc_layer_recovers(small_cnn):
 
 def test_extract_conv_layer_recovers(small_cnn):
     oracle = OracleHandle.in_process(small_cnn)
-    res = extract_conv_layer(oracle, small_cnn.skeleton(), 1, CFG, np.random.default_rng(0))
+    res = extract_conv_layer(oracle, small_cnn.skeleton(), 1, CFG_1E8, np.random.default_rng(0))
     true = small_cnn.layer(1)
     assert np.abs(res.bias - true.bias).max() <= 1e-8
     assert np.abs(res.weight - true.weight).max() <= 1e-8
     assert res.total_queries == oracle.count
+
+
+@pytest.mark.parametrize("shape, nary", [((16,), True), ((5,), False)], ids=["nary", "binary"])
+def test_a_weight_far_below_its_bias_reads_to_eta_tol(shape, nary):
+    """A weight is read to ``eta_tol`` of itself, not of the raw value y =
+    b + a w that its scan releases: weight (0, 3) of ``fc6-r-fc4`` is
+    2.5e-6 under a bias of -2.3e-2, as criterion 1's weight (27, 87) of
+    layer 3 is.  Whether the layer reads n-ary (16 inputs) or binary (5),
+    that weight lands within ``eta_tol`` |w| plus the ``SCAN_ABS_TOL`` / a
+    floor, where a reading of y to ``eta_tol`` |y| would be about 1e3 times
+    that far off."""
+    truth = random_model("fc6-r-fc4", shape, seed=1)
+    spec = truth.layer(1)
+    weight, bias = spec.weight.copy(), spec.bias.copy()
+    weight[0, 3], bias[0] = 2.5e-6, -2.3e-2
+    truth = truth.with_params({1: (weight, bias)})
+    skeleton = truth.skeleton()
+    assert _reads_nary(skeleton, 1, skeleton.n_classes, CFG.eta_tol) == nary
+    res = extract_fc_layer(OracleHandle.in_process(truth), skeleton, 1, CFG, np.random.default_rng(1))
+    assert (res.calibration_queries > 0) == nary and not res.dead and not res.retried
+    amplitude = math.sqrt(shape[0] / 4.0)
+    assert abs(res.weight[0, 3] - 2.5e-6) <= CFG.eta_tol * 2.5e-6 + SCAN_ABS_TOL / amplitude
+    assert sx.relative_errors(res.weight, weight).max() <= 1e-6
 
 
 def test_extract_last_layer_gauge(small_cnn):
@@ -614,13 +638,13 @@ def test_conv_small_map_single_injection_fallback(monkeypatch, arch, shape, seed
     second, on a 6x6 map.  Both recover every tap."""
     m = random_model(arch, shape, seed=seed)
     sk = m.skeleton()
-    assert _reads_nary(sk, 1, sk.n_classes, CFG.eta_tol) == admitted
+    assert _reads_nary(sk, 1, sk.n_classes, CFG_1E8.eta_tol) == admitted
     monkeypatch.setattr(sx_extract, "_reads_nary", lambda *a: False)
     searches, targets = [], []
     real_search, real_scan = sx_extract.search_critical, sx_extract.extract_feature
     monkeypatch.setattr(sx_extract, "search_critical", lambda *a, **k: searches.append(a) or real_search(*a, **k))
     monkeypatch.setattr(sx_extract, "extract_feature", lambda *a, **k: targets.append(a[4]) or real_scan(*a, **k))
-    res = extract_conv_layer(OracleHandle.in_process(m), sk, 1, CFG, np.random.default_rng(0))
+    res = extract_conv_layer(OracleHandle.in_process(m), sk, 1, CFG_1E8, np.random.default_rng(0))
     true = m.layer(1)
     n_out, n_in = true.weight.shape[:2]
     assert not res.retried and not res.dead

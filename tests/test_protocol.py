@@ -349,8 +349,25 @@ def test_label_result_checked(label):
     IndexError or ValueError or a label truncated from a wrong one."""
     reply = (TAG_LABEL_RESULT, 5, tensor_payload(np.array(label, dtype=np.float64)))
     with pytest.raises(ProtocolError, match=r"^LabelResult on layer 5 is not one class index") as info:
-        _client_session(_FakeServer(reply), np.zeros(3), ShiftSet(), None)
+        _client_session(_FakeServer(reply), np.zeros(3), ShiftSet(), None, 3)
     assert info.value.layer_id == 5
+
+
+@pytest.mark.parametrize("label, n_classes", [(3.0, 3), (7.0, 3), (1.0, 1)])
+def test_label_beyond_the_class_count_refused(label, n_classes):
+    """A LabelResult naming a class the model does not have raises
+    ProtocolError naming the layer, not a label the attack would trust."""
+    reply = (TAG_LABEL_RESULT, 5, tensor_payload(np.array([label])))
+    message = rf"^LabelResult on layer 5 is not one class index below {n_classes}: "
+    with pytest.raises(ProtocolError, match=message) as info:
+        _client_session(_FakeServer(reply), np.zeros(3), ShiftSet(), None, n_classes)
+    assert info.value.layer_id == 5
+
+
+def test_last_class_label_accepted():
+    """The highest class index, n_classes - 1, is a label."""
+    reply = (TAG_LABEL_RESULT, 5, tensor_payload(np.array([2.0])))
+    assert _client_session(_FakeServer(reply), np.zeros(3), ShiftSet(), None, 3) == 2
 
 
 def test_frame_codec_roundtrip():

@@ -20,7 +20,7 @@ from shiftextract import (
     forward_label,
     random_model,
 )
-from shiftextract.extract import MAX_RETRIES, DeadFeatureError, ScanRetryError
+from shiftextract.extract import BIAS_TOL_FACTOR, MAX_RETRIES, DeadFeatureError, ScanRetryError
 from shiftextract.oracle import TIE_PROBE
 
 CFG = BoundarySearchConfig(sphere_norm=10.0)
@@ -119,8 +119,10 @@ def test_failed_hinted_scan_retries_at_a_fresh_point(monkeypatch):
     """A third class on the first probe of a scan 1 started from a measured
     magnitude fails the attempt: the layer driver's retry loop searches a fresh
     critical point and scans again from the same magnitude, and the slot is
-    flagged retried.  The scan tolerances below are written at eta_tol 1e-9."""
-    cfg = replace(CFG, eta_tol=1e-9)
+    flagged retried.  The scan tolerances below are written for bias
+    readings at 1e-9: eta_tol 1e-5 times ``BIAS_TOL_FACTOR``."""
+    cfg = replace(CFG, eta_tol=1e-5)
+    bias_tol = cfg.eta_tol * BIAS_TOL_FACTOR
     model, extract = _relu_layer(cfg)
     events, third, eta1s = [], [], []
     real_flip, real_search = sx_extract._flip_point, sx_extract.search_critical
@@ -149,8 +151,8 @@ def test_failed_hinted_scan_retries_at_a_fresh_point(monkeypatch):
     # the first target has no magnitude yet; the second starts from its value
     # scan 2 starts at the probe lag at slope 1, or at half its tolerance
     # at eta1 when that is larger: bias 0 (0.0039) is below the crossover
-    # TIE_PROBE / (0.5 * eta_tol) = 0.02, bias 1 (0.057) above it
-    default, eps, lag_tol = sx_extract.ETA_INITIAL_STEP, TIE_PROBE, 0.5 * cfg.eta_tol * eta1s[1]
+    # TIE_PROBE / (0.5 * bias_tol) = 0.02, bias 1 (0.057) above it
+    default, eps, lag_tol = sx_extract.ETA_INITIAL_STEP, TIE_PROBE, 0.5 * (bias_tol * eta1s[1])
     assert lag_tol > eps
     hint = abs(res.bias[0])
     assert events[:8] == ["search", ("scan1", default), ("scan2", eps), ("scan1", hint), "fault",

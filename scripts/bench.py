@@ -5,6 +5,8 @@
     python3 scripts/bench.py --root ../parent --out BENCH_0.json
     python3 scripts/bench.py --root ../parent --residual 1   # one RESIDUAL attack, as JSON
     python3 scripts/bench.py --depth 8   # one attack of the depth family at k = 8, as JSON
+    python3 scripts/bench.py --streams   # report and query-stream digests of every attack below
+    python3 scripts/bench.py --streams pool-endpoint:1 pool-endpoint:1:in-process
 
 Runs ``perfbench/run.py --seconds 0`` of the checkout at ``--root`` (by
 default this one) on its three workloads at seeds 1 to 3, and attacks each
@@ -33,7 +35,18 @@ wall seconds and per-layer queries, with their medians over the seeds.  A
 fresh interpreter.  It records per-layer calls per parameter, wall seconds
 and microseconds per query, the spread of the residual-branch
 convolutions' calls per parameter over all depths, and microseconds per
-query against k.
+query against k.  A ``replay`` section attacks each workload once more in
+process (seed 1, pinned to one CPU), records its query stream and replays
+it through ``forward_label`` on a fresh model: evaluator-only
+microseconds per query next to whole-attack microseconds per query.
+
+``--streams`` prints, as one JSON object, two sha256 digests per attack:
+of its report JSON (the endpoint address masked) and of its query stream
+(each query's ``x0``, its shift keys and bytes, and its label), each attack
+in a fresh interpreter.  It covers criterion 1, the workloads at seeds 1 to
+3 (pool-endpoint over loopback and, as ``pool-endpoint:<seed>:in-process``,
+in process), ``RESIDUAL`` at seeds 1 to 3 and the depth family at each k of
+``DEPTHS``; names given after it pick a subset (``stream_names``).
 """
 
 from __future__ import annotations
@@ -184,6 +197,114 @@ def sweep(root: Path) -> dict:
     return out
 
 
+def stream_names() -> list[str]:
+    """The attacks ``--streams`` digests: ``criterion_1``, ``<workload>:<seed>``,
+    ``pool-endpoint:<seed>:in-process``, ``residual:<seed>`` and ``depth:<k>``."""
+    names = ["criterion_1"] + [f"{w}:{s}" for w in WORKLOADS for s in SEEDS]
+    names += [f"pool-endpoint:{s}:in-process" for s in SEEDS]
+    return names + [f"residual:{s}" for s in SEEDS] + [f"depth:{k}" for k in DEPTHS]
+
+
+def _record_queries(sx, digest=None, keep: list | None = None) -> None:
+    """Wrap ``OracleHandle.query`` so that every query and its label go
+    into ``digest`` (x0, then each shift key and its bytes in key order,
+    then the label) and, as (query, label), onto ``keep``."""
+    real = sx.oracle.OracleHandle.query
+
+    def query(handle, v):
+        label = real(handle, v)
+        if digest is not None:
+            digest.update(repr(v.x0.shape).encode() + v.x0.tobytes())
+            for key in sorted(v.shifts.entries):
+                digest.update(repr(key).encode() + v.shifts.entries[key].tobytes())
+            digest.update(b"label %d;" % label)
+        if keep is not None:
+            keep.append((v, label))
+        return label
+
+    sx.oracle.OracleHandle.query = query
+
+
+def _bench(root: Path, sx, name: str):
+    """The benchmark's set-up of ``<workload>:<seed>[:in-process]``."""
+    from dataclasses import replace
+
+    sys.path.insert(0, str(root / "perfbench"))
+    from run import Bench
+
+    workload, seed, *mode = name.split(":")
+    bench = Bench(sx, workload, int(seed))
+    if mode == ["in-process"]:
+        bench.wl = replace(bench.wl, endpoint=False)
+    return bench
+
+
+def stream_of(root: Path, name: str) -> dict:
+    """The report and query-stream digests of one attack of ``stream_names``.
+
+    An attack over loopback also counts ``moved_labels``: served labels
+    whose class the in-process evaluation of the same query puts more than
+    ``TIE_PROBE`` below the top logit.  The mask noise of the protocol
+    (about 1e-13) may decide a tie polished to float precision, so the
+    loopback stream parts from the in-process one at such a tie, but it
+    moves no label with a clear margin."""
+    sx = _program(root)
+    head, _, arg = name.partition(":")
+    loopback = head == "pool-endpoint" and not name.endswith(":in-process")
+    stream, served, extra = hashlib.sha256(), [], {}
+    _record_queries(sx, stream, served if loopback else None)
+    if head in WORKLOADS:
+        attack = _bench(root, sx, name).attack()
+        report, truth = attack.report, attack.truth
+    else:
+        spec = C1 if head == "criterion_1" else depth_arch(int(arg)) if head == "depth" else {
+            **RESIDUAL, "attack_seed": int(arg)}
+        truth = sx.random_model(spec["arch"], spec["input_shape"], seed=spec["model_seed"])
+        report, _ = sx.run_attack(sx.ExperimentConfig(**spec), truth=truth)
+    if loopback:
+        from shiftextract.oracle import TIE_PROBE
+
+        logits = [(sx.forward_trace(truth, q).logits, label) for q, label in served]
+        extra["moved_labels"] = sum(bool(y.max() - y[label] > TIE_PROBE) for y, label in logits)
+    doc = report.to_json_dict()
+    if doc["config"].get("endpoint"):
+        doc["config"]["endpoint"] = "masked"
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return {"report": hashlib.sha256(text.encode()).hexdigest(), "stream": stream.hexdigest(),
+            "queries": report.total_queries, **extra}
+
+
+def replay_of(root: Path, workload: str, repeats: int = 3) -> dict:
+    """Whole-attack and evaluator-only microseconds per query of one
+    in-process attack of ``workload`` at seed 1, pinned to one CPU: the
+    median extraction time of ``repeats`` unrecorded attacks over their
+    queries, and the median time of ``repeats`` replays of a recorded
+    attack's query stream through ``forward_label`` on a fresh model over
+    its queries.  Every replayed label must match the recorded one."""
+    from time import perf_counter
+
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    sx = _program(root)
+    real, stream = sx.oracle.OracleHandle.query, []
+    _record_queries(sx, keep=stream)
+    bench = _bench(root, sx, f"{workload}:1:in-process")
+    bench.attack()
+    sx.oracle.OracleHandle.query = real
+    attacks = [bench.attack().extract_s for _ in range(repeats)]
+    replays = []
+    for _ in range(repeats):
+        truth = bench.model()
+        t0 = perf_counter()
+        labels = [sx.forward_label(truth, q) for q, _ in stream]
+        replays.append(perf_counter() - t0)
+        if labels != [label for _, label in stream]:
+            raise SystemExit(f"replay of {workload} gave other labels than its attack")
+    n = len(stream)
+    return {"backend": "in-process", "seed": 1, "queries": n,
+            "attack_us_per_query": 1e6 * statistics.median(attacks) / n,
+            "evaluator_us_per_query": 1e6 * statistics.median(replays) / n}
+
+
 def provenance(root: Path) -> dict:
     """The commit of ``root``, whether the code the benchmark runs (``src/``
     and ``perfbench/``) differs from it (``dirty``, None outside git), and
@@ -245,6 +366,9 @@ def delta(prev: dict, cur: dict) -> dict:
     d_old, metrics = prev.get("depth", {}).get("runs", {}), ("wall_s", "calls_per_param", "us_per_query")
     out["depth"] = {k: {m: _change(d_old.get(k, {}).get(m), r[m]) for m in metrics}
                     for k, r in cur["depth"]["runs"].items()}
+    p_old, metrics = prev.get("replay", {}), ("attack_us_per_query", "evaluator_us_per_query")
+    out["replay"] = {w: {m: _change(p_old.get(w, {}).get(m), r[m]) for m in metrics}
+                     for w, r in cur["replay"].items()}
     return out
 
 
@@ -257,8 +381,28 @@ def main(argv=None) -> int:
     ap.add_argument("--criterion-1", action="store_true", help=argparse.SUPPRESS)
     ap.add_argument("--residual", type=int, metavar="SEED", help="print one RESIDUAL attack's JSON record")
     ap.add_argument("--depth", type=int, metavar="K", help="print one attack of the depth family's JSON record")
+    ap.add_argument("--streams", nargs="*", metavar="ATTACK",
+                    help="print report and query-stream digests of these attacks (default: every one)")
+    ap.add_argument("--stream-of", metavar="ATTACK", help=argparse.SUPPRESS)
+    ap.add_argument("--replay", metavar="WORKLOAD", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     root = args.root.resolve()
+    if args.stream_of:
+        print(json.dumps(stream_of(root, args.stream_of)))
+        return 0
+    if args.replay:
+        print(json.dumps(replay_of(root, args.replay)))
+        return 0
+    if args.streams is not None:
+        unknown = [name for name in args.streams if name not in stream_names()]
+        if unknown:
+            ap.error(f"unknown attack(s) {', '.join(unknown)}; one of {', '.join(stream_names())}")
+        digests = {}
+        for name in args.streams or stream_names():
+            print(f"streams {name}", file=sys.stderr, flush=True)
+            digests[name] = _child(root, "--stream-of", name)
+        print(json.dumps(digests, indent=2))
+        return 0
     if args.layers:
         print(json.dumps(layers_of_workload(root, args.layers[0], int(args.layers[1]))))
         return 0
@@ -297,6 +441,10 @@ def main(argv=None) -> int:
     bench["residual"] = {**RESIDUAL, "median": {k: statistics.median(r[k] for r in seeds.values()) for k in keys},
                          "seeds": seeds}
     bench["depth"] = depth(root)
+    bench["replay"] = {}
+    for w in WORKLOADS:
+        print(f"replay {w}", file=sys.stderr, flush=True)
+        bench["replay"][w] = _child(root, "--replay", w)
     bench["sweep"] = sweep(root)
     prev_path = args.previous or _previous(args.out)
     if prev_path is not None:

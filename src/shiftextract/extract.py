@@ -177,7 +177,8 @@ class ScanRetryError(ExtractionError):
 
 
 class _ScanExhausted(Exception):
-    """``_window_search`` passed its cap without bounding its point."""
+    """``_window_search`` passed its cap without bounding its point, or
+    could not narrow its bracket."""
 
 
 # Tolerances that no caller tunes.
@@ -437,10 +438,12 @@ def _window_search(
     lo + w, and the window grows m-fold below its top, its bottom held at
     -``cap``.  Raises ``_ScanExhausted`` once lo + w exceeds ``cap``, or the
     bottom sub-window of a window held at -``cap`` is named.  Once bounded,
-    p's bracket is
-    split m-fold until it is no wider than max(tol, rel * |lower end -
-    ref|), or a split has no float left or does not narrow it, and its
-    midpoint is returned.  ``pick`` may raise to abort the search.
+    p's bracket is split m-fold until it is no wider than max(tol, rel *
+    |lower end - ref|), or a split has no float left, and its midpoint is
+    returned.  A split that does not narrow the bracket (breakpoints too
+    uncertain for it, ``slack`` near 1 / m) raises ``_ScanExhausted`` too:
+    the bracket's midpoint could lie far from p.  ``pick`` may raise to
+    abort the search.
     """
 
     def named(lo: float, w: float, k: int) -> tuple[float, float]:
@@ -475,7 +478,7 @@ def _window_search(
         a, b = named(lo, w, k)
         a, b = max(lo, a) if k else lo, min(hi, b) if k < m - 1 else hi
         if b - a >= hi - lo:
-            break  # breakpoints too uncertain to narrow the bracket
+            raise _ScanExhausted()  # breakpoints too uncertain to narrow the bracket
         lo, hi = a, b
     return 0.5 * (lo + hi)
 
@@ -562,17 +565,19 @@ def _flip_point(
     return s, failed
 
 
-def _without(v: QueryInput, *keys: tuple[int, str]) -> QueryInput:
-    """``v`` with its shift entries at ``keys`` dropped."""
-    return QueryInput(v.x0, ShiftSet({k: a for k, a in v.shifts.entries.items() if k not in keys}))
+def _without(v: QueryInput, *keys: tuple[int, str]) -> dict:
+    """The shift entries of ``v`` but those at ``keys``: the base that a
+    scan's queries share (``QueryInput.of_entries``)."""
+    return {k: a for k, a in v.shifts.entries.items() if k not in keys}
 
 
-def _release(shape: tuple[int, ...], index: tuple, z: float) -> np.ndarray:
-    """The pre entry, of ``shape``, of a silenced boundary with its target
-    at ``index`` released at shift z.  It is written, never added to
-    -``SUPPRESSION``: a released entry holds z exactly, where the sum would
-    round it to the float spacing at 1e6 (about 1.2e-10)."""
-    pre = np.full(shape, -SUPPRESSION)
+def _release(silenced: np.ndarray, index: tuple, z: float) -> np.ndarray:
+    """The pre entry of a silenced boundary with its target at ``index``
+    released at shift z: a copy of ``silenced``, that boundary's
+    -``SUPPRESSION`` pre entry, built once per read.  z is written, never
+    added to -``SUPPRESSION``: a released entry holds z exactly, where the
+    sum would round it to the float spacing at 1e6 (about 1.2e-10)."""
+    pre = silenced.copy()
     pre[index] = z
     return pre
 
@@ -616,11 +621,11 @@ def _scan_boundary(
     inconsistently raises ``ScanRetryError`` and is retried by the caller.
     """
     eps = TIE_PROBE
-    shape = cp.v.shifts.get(*pre_key).shape
+    silenced = np.full(cp.v.shifts.get(*pre_key).shape, -SUPPRESSION)
     rest = _without(cp.v, pre_key)
 
     def at(z: float) -> QueryInput:
-        return rest.shifted(ShiftSet({pre_key: _release(shape, index, z)}))
+        return QueryInput.of_entries(cp.v.x0, rest, {pre_key: _release(silenced, index, z)})
 
     failed = _two_probe(oracle, at(0.0), cp.c1, cp.c2, eps)
     nonpositive = failed is None
@@ -678,11 +683,12 @@ def _read_lines(
     whichever is wider: narrower windows would split below the
     breakpoints' own error.  That takes at most ceil(log_m(2 spread /
     that)) queries plus two per widening.  There is no probe nudge, so no
-    sign probe and no lag to cancel.  A label from a suppressed class, or a
-    value beyond +-``FEATURE_BOUND``, raises ``ScanRetryError``.
+    sign probe and no lag to cancel.  A label from a suppressed class, a
+    value beyond +-``FEATURE_BOUND``, or a label whose bracket the slopes'
+    error leaves as wide as its window raises ``ScanRetryError``.
     """
     argmax_key = (oracle.argmax_id, PRE)
-    shape = cp.v.shifts.get(*pre_key).shape
+    silenced = np.full(cp.v.shifts.get(*pre_key).shape, -SUPPRESSION)
     rest = _without(cp.v, pre_key, argmax_key)
     position = {c: i for i, c in enumerate(lines.classes)}
     m = len(lines.classes)
@@ -697,8 +703,8 @@ def _read_lines(
     rise[kept[1:]] = list(itertools.accumulate(i * (h[i - 1] - h[i]) for i in range(1, m)))
 
     def pick(lo: float, w: float) -> int:
-        shift = floor + w * rise
-        label = oracle.query(rest.shifted(ShiftSet({pre_key: _release(shape, index, -lo), argmax_key: shift})))
+        extra = {pre_key: _release(silenced, index, -lo), argmax_key: floor + w * rise}
+        label = oracle.query(QueryInput.of_entries(cp.v.x0, rest, extra))
         if label not in position:
             raise ScanRetryError(f"suppressed class {label} answered an n-ary read")
         return position[label]
@@ -711,7 +717,7 @@ def _read_lines(
             lo_known=False, ref=lines.centre, slack=lines.drift,
         )
     except _ScanExhausted:
-        raise ScanRetryError("n-ary read left the reachable range") from None
+        raise ScanRetryError("n-ary read left the reachable range or could not narrow its bracket") from None
     return FeatureResult(value=value, branch="nary")
 
 
@@ -750,11 +756,12 @@ def _pair_boundary(
     suppress[c_ref] = 0.0
     suppress[c] = 0.0
     key = (oracle.argmax_id, PRE)
+    base = dict(v0.shifts.entries)
 
     def at(t: float) -> QueryInput:
         vec = suppress.copy()
         vec[c] += t
-        return v0.shifted(ShiftSet({key: vec}))
+        return QueryInput.of_entries(v0.x0, base, {key: vec})
 
     def label(t: float) -> int:
         lbl = oracle.query(at(t))
@@ -1192,11 +1199,11 @@ def _calibrate_lines(
     """
     pre_key = (boundary_id, PRE)
     rest = _without(v0, pre_key)
-    shape = skeleton.pre_shape(boundary_id)
+    silenced = np.full(skeleton.pre_shape(boundary_id), -SUPPRESSION)
     big_r = {at: max(1.0, abs(b)) for at, b in readings.items()}
     others = [c for c in intercepts if c != ref]
     todo = (
-        (at, rest.shifted(ShiftSet({pre_key: _release(shape, at, big_r[at] - b)})), others)
+        (at, QueryInput.of_entries(v0.x0, rest, {pre_key: _release(silenced, at, big_r[at] - b)}), others)
         for at, b in readings.items()
     )
     slopes = {at[0]: {ref: 0.0} for at in readings}

@@ -18,14 +18,19 @@ the last label query it evaluated: its input, its shift entries and every
 layer's value.  The next ``forward_label`` in that thread recomputes only
 the layers downstream of a change, where a change is a different ``x0``
 object or a boundary whose shift entry is a different array object (or was
-added or dropped).  An attack phase holds one base query fixed and varies
-only the target boundary and the logit nudge, so every layer above the
-target is reused.  Identity stands in for equality because the arrays are
-read-only: ``QueryInput`` freezes its ``x0`` and ``ShiftSet`` freezes every
-entry when the array first enters (copying only a view of writable memory),
-so writing to them in place raises ``ValueError``.  A model freezes its
-parameters the same way.  ``forward_trace`` is memo-free, since it hands its
-arrays to the caller.
+added or dropped; dropped keys are looked for only when the count of kept
+ones says there are some).  Those layers are a plan the model makes once
+per set of changed roots (``ModelGraph.downstream``) and ``walk`` follows.
+An attack phase holds one base query fixed and varies only the target
+boundary and the logit nudge, so every layer above the target is reused.
+Identity stands in for equality because the arrays are read-only:
+``QueryInput`` freezes its ``x0`` and ``ShiftSet`` freezes every entry when
+the array first enters (copying only a view of writable memory; a float64
+array that owns its memory takes a fast path), so writing to them in place
+raises ``ValueError``.  A scan builds each query from its base's entries,
+merged once, and the entries it writes (``QueryInput.of_entries``).  A model
+freezes its parameters the same way.  ``forward_trace`` is memo-free, since
+it hands its arrays to the caller.
 """
 
 from __future__ import annotations
@@ -77,6 +82,9 @@ def _frozen(a) -> np.ndarray:
 
     An array owning its memory is frozen in place; a view is copied unless
     the memory it looks at is already read-only."""
+    if type(a) is np.ndarray and a.base is None and a.dtype == np.float64:
+        a.setflags(write=False)  # the common case: a fresh array
+        return a
     arr = _f64(a)
     if arr.base is not None:
         root = arr
@@ -109,9 +117,15 @@ class ShiftSet:
         self.entries: Mapping[tuple[int, str], np.ndarray] = MappingProxyType(frozen)
 
     @classmethod
-    def _of_frozen(cls, entries: dict[tuple[int, str], np.ndarray]) -> "ShiftSet":
+    def _merged(cls, base: Mapping, extra: Mapping) -> "ShiftSet":
+        """``base`` plus ``extra``, overlapping entries summed: each sum and
+        ``extra`` entry is frozen, every other entry passed by reference."""
+        merged = dict(base)
+        for key, arr in extra.items():
+            cur = merged.get(key)
+            merged[key] = _frozen(arr if cur is None else cur + arr)
         s = cls.__new__(cls)
-        s.entries = MappingProxyType(entries)
+        s.entries = MappingProxyType(merged)
         return s
 
     @staticmethod
@@ -129,16 +143,7 @@ class ShiftSet:
         return self.entries.get((layer, side))
 
     def __add__(self, other: "ShiftSet") -> "ShiftSet":
-        if not other.entries:
-            return self
-        merged = dict(self.entries)
-        for key, arr in other.entries.items():
-            cur = merged.get(key)
-            if cur is not None:
-                arr = cur + arr
-                arr.flags.writeable = False
-            merged[key] = arr
-        return ShiftSet._of_frozen(merged)
+        return ShiftSet._merged(self.entries, other.entries) if other.entries else self
 
     def __bool__(self) -> bool:
         return bool(self.entries)
@@ -169,10 +174,17 @@ class QueryInput:
         object.__setattr__(self, "x0", _frozen(self.x0))
 
     def shifted(self, extra: ShiftSet) -> "QueryInput":
-        # x0 is frozen already: bypass __post_init__
-        q = object.__new__(QueryInput)
-        object.__setattr__(q, "x0", self.x0)
-        object.__setattr__(q, "shifts", self.shifts + extra)
+        return QueryInput.of_entries(self.x0, self.shifts.entries, extra.entries)
+
+    @staticmethod
+    def of_entries(x0: np.ndarray, base: Mapping, extra: Mapping) -> "QueryInput":
+        """The query on ``x0`` with the entries of ``base`` plus those of
+        ``extra`` (``ShiftSet._merged``), where ``x0`` and ``base`` are a
+        query's own, frozen already.  A scan merges its base into a dict
+        once and builds each query from it and the entries it writes."""
+        q = object.__new__(QueryInput)  # x0 is frozen already: bypass __post_init__
+        object.__setattr__(q, "x0", x0)
+        object.__setattr__(q, "shifts", ShiftSet._merged(base, extra))
         return q
 
 
@@ -232,6 +244,8 @@ class ModelGraph:
         self._shapes = self._infer_shapes()
         self._successors = self._build_successors()
         self._shift_shapes = self._build_shift_shapes()
+        self._boundary_keys = {s.id: ((s.id, PRE), (s.id, POST)) for s in self._topo if s.kind in NONLINEAR_KINDS}
+        self._plans: dict[frozenset[int], tuple[LayerSpec, ...]] = {}
         self._last = _LastQuery()
 
     def __reduce__(self):
@@ -282,6 +296,20 @@ class ModelGraph:
 
     def nonlinear_ids(self) -> tuple[int, ...]:
         return tuple(s.id for s in self._topo if s.kind in NONLINEAR_KINDS)
+
+    def downstream(self, roots: frozenset[int]) -> tuple[LayerSpec, ...]:
+        """The layers in ``roots`` and every layer downstream of them, in
+        topological order: the walk of a query that changed ``roots``,
+        planned once per set."""
+        plan = self._plans.get(roots)
+        if plan is None:
+            reached, order = set(roots), []
+            for spec in self._topo:
+                if spec.id in reached or not reached.isdisjoint(spec.inputs):
+                    reached.add(spec.id)
+                    order.append(spec)
+            plan = self._plans[roots] = tuple(order)
+        return plan
 
     # -- validation ---------------------------------------------------------
 
@@ -600,7 +628,7 @@ def walk(
     x0: np.ndarray,
     boundary: Callable[[LayerSpec, np.ndarray], np.ndarray | int],
     vals: dict[int, np.ndarray],
-    dirty: set[int] | None = None,
+    order: tuple[LayerSpec, ...] | None = None,
     label: int = -1,
 ) -> int:
     """The one topological walk behind in-process evaluation and the
@@ -609,16 +637,12 @@ def walk(
     Input, Convolution, FullyConnected and Add layers are evaluated here,
     each into ``vals``.  Every non-linear layer hands its input to
     ``boundary(spec, y)``, which returns the layer's output, or the label
-    for the Argmax.  With ``dirty`` None every layer is evaluated.
-    Otherwise only the layers in ``dirty`` and those downstream of them are
-    (each is added to ``dirty``); the rest keep their value in ``vals``, and
-    ``label`` is returned if the Argmax is not reached.
+    for the Argmax.  With ``order`` None every layer is evaluated.
+    Otherwise only the layers of ``order``, a ``ModelGraph.downstream``
+    plan, are; the rest keep their value in ``vals``, and ``label`` is
+    returned if the Argmax is not reached.
     """
-    for spec in model._topo:
-        if dirty is not None:
-            if spec.id not in dirty and dirty.isdisjoint(spec.inputs):
-                continue
-            dirty.add(spec.id)
+    for spec in model._topo if order is None else order:
         kind = spec.kind
         if kind == KIND_CONV or kind == KIND_FC:
             vals[spec.id] = apply_linear(spec, vals[spec.inputs[0]])
@@ -645,32 +669,38 @@ def _evaluate(model: ModelGraph, q: QueryInput, last: _LastQuery | None):
     entries = q.shifts.entries
     fresh = last is None or last.x0 is None  # nothing to reuse: evaluate every layer
     prev = {} if fresh else last.entries
-    dirty: set[int] = set()  # layers to recompute
+    roots: set[int] = set()  # layers whose shift entries or input changed
+    added = 0
     for key, arr in entries.items():
-        if prev.get(key) is not arr:
+        old = prev.get(key)
+        if old is not arr:
             model.validate_shift(key, arr)
-            dirty.add(key[0])
-    dirty.update(key[0] for key in prev.keys() - entries.keys())
+            roots.add(key[0])
+            added += old is None
+    if len(entries) - added != len(prev):  # an entry was dropped
+        roots.update(key[0] for key in prev.keys() - entries.keys())
     if fresh or x0 is not last.x0:
         if x0.shape != model.input_shape:
             raise StructuralError(f"input shape {x0.shape} != model input {model.input_shape}")
-        dirty.add(model.input_id)
+        roots.add(model.input_id)
     record = last is None
     pre_record: dict[int, np.ndarray] = {}
     logits = None
+    keys = model._boundary_keys
 
     def boundary(spec: LayerSpec, y: np.ndarray):
         nonlocal logits
         if record:
             pre_record[spec.id] = y
-        pre = entries.get((spec.id, PRE))
+        pre_key, post_key = keys[spec.id]
+        pre = entries.get(pre_key)
         if pre is not None:
             y = y + pre
         if spec.kind == KIND_ARGMAX:
             logits = y
-            return int(np.argmax(y))
+            return int(y.argmax())
         z = apply_nonlinear(spec, y)
-        post = entries.get((spec.id, POST))
+        post = entries.get(post_key)
         return z if post is None else z + post
 
     if fresh:
@@ -678,7 +708,7 @@ def _evaluate(model: ModelGraph, q: QueryInput, last: _LastQuery | None):
         label = walk(model, x0, boundary, vals)
     else:
         vals = dict(last.vals)
-        label = walk(model, x0, boundary, vals, dirty, last.label)
+        label = walk(model, x0, boundary, vals, model.downstream(frozenset(roots)), last.label)
     if record:
         return Trace(vals, pre_record, logits, label)
     last.x0, last.entries, last.vals, last.label = x0, entries, vals, label

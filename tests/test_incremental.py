@@ -2,6 +2,7 @@
 last query evaluated on the model in the same thread, so it must agree with
 the memo-free ``forward_trace`` on any query sequence."""
 
+import itertools
 import sys
 import threading
 
@@ -48,7 +49,8 @@ def random_shifts(m, rng, n_keys):
 
 def query_sequence(m, seed, ops):
     """Queries mixing fresh inputs, ``shifted`` children of earlier queries
-    (which share their parent's x0 and untouched entries) and repeats."""
+    (which share their parent's x0 and untouched entries), children that
+    drop one entry of their parent and keep its x0, and repeats."""
     rng = np.random.default_rng(seed)
     pool = [QueryInput(rng.standard_normal(m.input_shape))]
     out = []
@@ -60,6 +62,10 @@ def query_sequence(m, seed, ops):
             q = parent.shifted(random_shifts(m, rng, 1 + pick % 2))
         elif op == "nudge":  # a tie-test probe: only the logits move
             q = parent.shifted(ShiftSet.single(m.argmax_id, PRE, (m.n_classes,), pick % m.n_classes, 1e-3))
+        elif op == "drop":  # as a scan's base drops the entry it rewrites
+            keys = sorted(parent.shifts.entries)
+            gone = keys[pick % len(keys)] if keys else None
+            q = QueryInput(parent.x0, ShiftSet({k: a for k, a in parent.shifts.entries.items() if k != gone}))
         else:  # repeat
             q = parent
         if op != "repeat":
@@ -69,7 +75,7 @@ def query_sequence(m, seed, ops):
 
 
 OPS = st.lists(
-    st.tuples(st.sampled_from(["fresh", "child", "nudge", "repeat"]), st.integers(0, 50)),
+    st.tuples(st.sampled_from(["fresh", "child", "nudge", "drop", "repeat"]), st.integers(0, 50)),
     min_size=1,
     max_size=40,
 )
@@ -87,6 +93,26 @@ def test_incremental_matches_memo_free(name, seed, ops):
         # every reused or recomputed layer value is the memo-free one, bit for bit
         for lid, v in tr.values.items():
             assert np.array_equal(m._last.vals[lid], v)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_downstream_plan_is_reachability(name):
+    """For every set of changed roots (boundaries and the input), the
+    planned walk is every layer reachable from them, in topological order,
+    planned once."""
+    m = MODELS[name]
+    roots = [m.input_id, *m.nonlinear_ids()]
+    for r in range(len(roots) + 1):
+        for subset in itertools.combinations(roots, r):
+            reached, todo = set(subset), list(subset)
+            while todo:
+                for nxt in m.successors(todo.pop()):
+                    if nxt not in reached:
+                        reached.add(nxt)
+                        todo.append(nxt)
+            plan = m.downstream(frozenset(subset))
+            assert plan == tuple(s for s in m.topo_order if s.id in reached)
+            assert m.downstream(frozenset(subset)) is plan
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))

@@ -57,7 +57,8 @@ from shiftextract.extract import (
     _reads_nary,
     terminal_ties,
 )
-from shiftextract.harness import layer_error_summary
+import shiftextract.harness as sx_harness
+from shiftextract.harness import layer_error_summary, relative_errors
 from conftest import fc_layer
 
 CFG = BoundarySearchConfig(sphere_norm=10.0)
@@ -221,8 +222,9 @@ def test_a_read_ends_where_its_breakpoints_cannot_narrow_it():
     """Slopes read to a coarse eta_tol (0.5) move each breakpoint by about
     half its distance from the window's bottom (``ClassLines.drift``), so
     a label's widened bracket can be as wide as the window it splits: the
-    read stops there, after a bounded number of queries, instead of
-    splitting that window again and again."""
+    read fails there with ``ScanRetryError``, after a bounded number of
+    queries, instead of splitting that window again and again or returning
+    the midpoint of a bracket that may lie far from the value."""
     cfg = BoundarySearchConfig(sphere_norm=10.0, eta_tol=0.5)
     model = _lines_toy(4, 0.5, seed=4)
     labels = []
@@ -236,8 +238,40 @@ def test_a_read_ends_where_its_breakpoints_cannot_narrow_it():
     cp, cal = _toy_lines(model, oracle, 0.5, cfg)
     assert cal.lines[0].drift > 0.1
     labels.clear()
-    res, truth = _read(oracle, model, cp, cal.lines[0], 3.0, 0.5, cfg, 1.0)
-    assert res.branch == "nary" and len(labels) < 50
+    with pytest.raises(sx_extract.ScanRetryError, match="could not narrow"):
+        _read(oracle, model, cp, cal.lines[0], 3.0, 0.5, cfg, 1.0)
+    assert 0 < len(labels) < 50
+
+
+@pytest.mark.parametrize("attack_seed", [1, 2, 3])
+def test_a_coarse_eta_tol_reads_every_weight_or_flags_it(monkeypatch, attack_seed):
+    """At eta_tol 3e-2 on the relu-inproc model (model seed 3) the slopes'
+    error leaves some n-ary reads of layer 1 unable to narrow their
+    bracket.  Such a read fails, and its slot is read again binary and
+    listed as retried, so every weight reads within eta_tol or is listed
+    as retried or dead.  When the read returned that bracket's midpoint,
+    attack seeds 1 and 2 read 17 weights up to 14 off, none flagged."""
+    eta, arch, shape = 3e-2, "conv2x3x3-r-fc12-r-fc4", (2, 6, 6)
+    truth = random_model(arch, shape, seed=3)
+    results, real = {}, sx_harness._extract_one
+
+    def extract_one(oracle, skeleton, layer_id, *args):
+        results[layer_id] = real(oracle, skeleton, layer_id, *args)
+        return results[layer_id]
+
+    monkeypatch.setattr(sx_harness, "_extract_one", extract_one)
+    cfg = ExperimentConfig(arch=arch, input_shape=shape, model_seed=3, attack_seed=attack_seed,
+                           search=BoundarySearchConfig(eta_tol=eta))
+    run_attack(cfg, truth=truth)
+    assert sorted(results) == [1, 3, 5]
+    for lid, res in results.items():
+        true = truth.layer(lid)
+        if res.gauge_fixed:
+            assert layer_error_summary(res.bias, res.weight, true.bias, true.weight, gauge=True)[1].max() <= eta
+            continue
+        flagged = set(res.dead) | set(res.retried)
+        errors = relative_errors(res.weight, true.weight)
+        assert not [slot for slot, e in np.ndenumerate(errors) if e > eta and slot not in flagged]
 
 
 def _duplicate_class_model():

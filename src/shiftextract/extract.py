@@ -510,8 +510,7 @@ def _find_flip(
 def _two_probe(oracle: OracleHandle, v: QueryInput, c1: int, c2: int, eps: float) -> int | None:
     """Full tie test: the class whose nudge lost its label, or None while
     both nudges keep their class.  Two queries."""
-    l1 = oracle.query(v.shifted(oracle.class_probe(c1, eps)))
-    l2 = oracle.query(v.shifted(oracle.class_probe(c2, eps)))
+    l1, l2 = oracle.probe(v, c1, eps), oracle.probe(v, c2, eps)
     if l1 not in (c1, c2) or l2 not in (c1, c2):
         raise ScanRetryError(f"third class {l1 if l1 not in (c1, c2) else l2} intruded on the boundary")
     if l1 != c1 and l2 != c2:
@@ -556,7 +555,7 @@ def _flip_point(
         if failed is None:
             failed = _two_probe(oracle, at(s), c1, c2, eps)
             return failed is not None
-        lbl = oracle.query(at(s).shifted(oracle.class_probe(failed, eps)))
+        lbl = oracle.probe(at(s), failed, eps)
         if lbl not in (c1, c2):
             raise ScanRetryError(f"third class {lbl} intruded on the boundary")
         return (lbl != failed) == breaks
@@ -565,21 +564,23 @@ def _flip_point(
     return s, failed
 
 
-def _without(v: QueryInput, *keys: tuple[int, str]) -> dict:
-    """The shift entries of ``v`` but those at ``keys``: the base that a
-    scan's queries share (``QueryInput.of_entries``)."""
-    return {k: a for k, a in v.shifts.entries.items() if k not in keys}
-
-
-def _release(silenced: np.ndarray, index: tuple, z: float) -> np.ndarray:
-    """The pre entry of a silenced boundary with its target at ``index``
-    released at shift z: a copy of ``silenced``, that boundary's
-    -``SUPPRESSION`` pre entry, built once per read.  z is written, never
-    added to -``SUPPRESSION``: a released entry holds z exactly, where the
+def _releaser(v: QueryInput, pre_key: tuple[int, str], index: tuple, *drop: tuple[int, str]):
+    """``at(z, extra=None)``: the query of one read that releases the target
+    at ``index`` of the silenced boundary ``pre_key`` of ``v`` at shift z,
+    without ``v``'s entries at ``drop`` and with those of ``extra``.  The
+    -``SUPPRESSION`` template and ``v``'s other entries are taken once per
+    read (``QueryInput.of_entries``).  z is written into a copy of the
+    template, never added to it: a released entry holds z exactly, where the
     sum would round it to the float spacing at 1e6 (about 1.2e-10)."""
-    pre = silenced.copy()
-    pre[index] = z
-    return pre
+    silenced = np.full(v.shifts.get(*pre_key).shape, -SUPPRESSION)
+    rest = {k: a for k, a in v.shifts.entries.items() if k != pre_key and k not in drop}
+
+    def at(z: float, extra: dict | None = None) -> QueryInput:
+        pre = silenced.copy()
+        pre[index] = z
+        return QueryInput.of_entries(v.x0, rest, {pre_key: pre} if extra is None else {pre_key: pre, **extra})
+
+    return at
 
 
 def _scan_boundary(
@@ -621,12 +622,7 @@ def _scan_boundary(
     inconsistently raises ``ScanRetryError`` and is retried by the caller.
     """
     eps = TIE_PROBE
-    silenced = np.full(cp.v.shifts.get(*pre_key).shape, -SUPPRESSION)
-    rest = _without(cp.v, pre_key)
-
-    def at(z: float) -> QueryInput:
-        return QueryInput.of_entries(cp.v.x0, rest, {pre_key: _release(silenced, index, z)})
-
+    at = _releaser(cp.v, pre_key, index)
     failed = _two_probe(oracle, at(0.0), cp.c1, cp.c2, eps)
     nonpositive = failed is None
     d = 1.0 if nonpositive else -1.0  # scan 1 moves the target up, or down from a positive value
@@ -688,8 +684,7 @@ def _read_lines(
     error leaves as wide as its window raises ``ScanRetryError``.
     """
     argmax_key = (oracle.argmax_id, PRE)
-    silenced = np.full(cp.v.shifts.get(*pre_key).shape, -SUPPRESSION)
-    rest = _without(cp.v, pre_key, argmax_key)
+    at = _releaser(cp.v, pre_key, index, argmax_key)
     position = {c: i for i, c in enumerate(lines.classes)}
     m = len(lines.classes)
     # Line i meets line i-1 at r = i w when the Argmax shift on its class is
@@ -703,8 +698,7 @@ def _read_lines(
     rise[kept[1:]] = list(itertools.accumulate(i * (h[i - 1] - h[i]) for i in range(1, m)))
 
     def pick(lo: float, w: float) -> int:
-        extra = {pre_key: _release(silenced, index, -lo), argmax_key: floor + w * rise}
-        label = oracle.query(QueryInput.of_entries(cp.v.x0, rest, extra))
+        label = oracle.query(at(-lo, {argmax_key: floor + w * rise}))
         if label not in position:
             raise ScanRetryError(f"suppressed class {label} answered an n-ary read")
         return position[label]
@@ -954,12 +948,8 @@ def _linearize_downstream(skeleton: ModelGraph, boundary_id: int) -> ShiftSet:
     target and the logits is affine, and no downstream kink hides the
     target from the tied logits or moves a scan's flip.
     """
-    reached = {boundary_id}
     entries = {}
-    for spec in skeleton.topo_order:
-        if reached.isdisjoint(spec.inputs):
-            continue
-        reached.add(spec.id)
+    for spec in skeleton.downstream(frozenset({boundary_id}))[1:]:
         if spec.kind in (KIND_RELU, KIND_MPR):
             entries[(spec.id, PRE)] = np.full(skeleton.pre_shape(spec.id), FEATURE_BOUND)
             entries[(spec.id, POST)] = np.full(skeleton.out_shape(spec.id), -FEATURE_BOUND)
@@ -987,7 +977,9 @@ def _require_phase_base(skeleton: ModelGraph, boundary_id: int, base: QueryInput
     silence = base.shifts.get(boundary_id, PRE)
     if silence is None or not np.all(silence == -SUPPRESSION):
         raise ExtractionError(f"base does not silence boundary {boundary_id}")
-    missing = _linearize_downstream(skeleton, boundary_id).entries.keys() - base.shifts.entries.keys()
+    below = skeleton.downstream(frozenset({boundary_id}))[1:]
+    switched = {(s.id, side) for s in below if s.kind in (KIND_RELU, KIND_MPR) for side in (PRE, POST)}
+    missing = switched - base.shifts.entries.keys()
     if missing:
         keys = ", ".join(f"{lid}:{side}" for lid, side in sorted(missing))
         raise ExtractionError(f"base leaves ReLUs downstream of layer {boundary_id} unswitched (missing {keys})")
@@ -1036,7 +1028,7 @@ def _skip_cancel(skeleton: ModelGraph, layer_id: int, boundary_id: int) -> tuple
     point has a consumer beside the layer and that Add, the skip is not
     one identity edge, or the layer is in input mode."""
 
-    def reached(node: int, stop: int | None = None) -> set[int]:
+    def reached(node: int, stop: int) -> set[int]:
         seen, todo = {node}, [node]
         while todo:
             fresh = set(skeleton.successors(todo.pop())) - seen - {stop}
@@ -1052,7 +1044,8 @@ def _skip_cancel(skeleton: ModelGraph, layer_id: int, boundary_id: int) -> tuple
     if plan.input_mode or len(skip) != 1 or skeleton.layer(skip[0]).kind != KIND_ADD:
         return None
     other = [i for i in skeleton.layer(skip[0]).inputs if i != start]
-    on_path = len(other) == 1 and skeleton.successors(other[0]) == tuple(skip) and other[0] in reached(boundary_id)
+    below = {s.id for s in skeleton.downstream(frozenset({boundary_id}))}
+    on_path = len(other) == 1 and skeleton.successors(other[0]) == tuple(skip) and other[0] in below
     return tuple(other) if on_path else None
 
 
@@ -1085,7 +1078,7 @@ def _reads_nary(
     succ = _nonlinear_successor(skeleton, layer_id)
     if succ.kind == KIND_ARGMAX or classes < 2 or _skip_cancel(skeleton, layer_id, succ.id) is None:
         return False
-    if any(skeleton.layer(lid).kind == KIND_MPR for lid, _ in _linearize_downstream(skeleton, succ.id).entries):
+    if any(s.kind == KIND_MPR for s in skeleton.downstream(frozenset({succ.id}))[1:]):
         return False
     n_out, reads = spec.weight.shape[0], spec.weight[0].size
     bits = math.log2(1.0 / eta_tol)
@@ -1169,7 +1162,6 @@ def _class_ties(
 
 def _calibrate_lines(
     oracle: OracleHandle,
-    skeleton: ModelGraph,
     boundary_id: int,
     v0: QueryInput,
     ref: int,
@@ -1197,15 +1189,9 @@ def _calibrate_lines(
     ``ties.slopes``: where the boundary feeds the terminal layer they are
     its weight differences, the terminal layer's own parameters.
     """
-    pre_key = (boundary_id, PRE)
-    rest = _without(v0, pre_key)
-    silenced = np.full(skeleton.pre_shape(boundary_id), -SUPPRESSION)
     big_r = {at: max(1.0, abs(b)) for at, b in readings.items()}
     others = [c for c in intercepts if c != ref]
-    todo = (
-        (at, QueryInput.of_entries(v0.x0, rest, {pre_key: _release(silenced, at, big_r[at] - b)}), others)
-        for at, b in readings.items()
-    )
+    todo = ((at, _releaser(v0, (boundary_id, PRE), at)(big_r[at] - b), others) for at, b in readings.items())
     slopes = {at[0]: {ref: 0.0} for at in readings}
     errors = {at[0]: {ref: 0.0} for at in readings}
     tol, rel = (TIE_POLISH_TOL, 0.0) if ties is not None else (SCAN_ABS_TOL, cfg.eta_tol)
@@ -1327,7 +1313,7 @@ def _extract_layer(
                     # a bias reading flagged dead or retried may be off: that target keeps the binary scan
                     flagged = set(res.dead) | set(res.retried)
                     readings = {target: float(res.bias[slot]) for slot, target in bias_targets if slot not in flagged}
-                    by_target = _calibrate_lines(oracle, skeleton, succ.id, v0, cp.c1, intercepts, readings, cfg, ties)
+                    by_target = _calibrate_lines(oracle, succ.id, v0, cp.c1, intercepts, readings, cfg, ties)
                     cal = _LineCalibration(intercepts, by_target, scale)
                 res.calibration_queries = oracle.count - t1
     res.bias_queries, res.weight_queries = t1 - t0, oracle.count - t1

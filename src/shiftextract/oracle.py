@@ -2,10 +2,12 @@
 
 The handle wraps a backend that maps a QueryInput to a class label.  Every
 label query increments a counter under a lock, so accounting behaves as if
-queries were serialized even under concurrent callers.  The two-probe tie
-test (``is_critical``) always issues exactly two queries, never short
-circuiting, so query budgets are a pure function of call counts.  Every tie
-test of the attack nudges a logit by ``TIE_PROBE`` (or a multiple of it).
+queries were serialized even under concurrent callers.  ``probe`` is the
+one tie-test nudge: a single counted query with one logit raised by
+``TIE_PROBE`` (or a multiple of it), and every tie test of the attack is
+made of such probes.  The two-probe tie test (``is_critical``) always
+issues exactly two of them, never short circuiting, so query budgets are a
+pure function of call counts.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ TIE_PROBE = 1e-11  # clears protocol float noise (~1e-13) while its lag band sta
 class OracleHandle:
     """Counted access to a label-only classifier with malleable shifts.
 
-    The logit nudge of ``is_critical`` is the constant ``TIE_PROBE``: it
-    exceeds the float noise of a forward pass, masked protocol included,
+    The logit nudge of ``probe`` is by default the constant ``TIE_PROBE``:
+    it exceeds the float noise of a forward pass, masked protocol included,
     and stays far below genuine logit gaps.
     """
 
@@ -33,7 +35,6 @@ class OracleHandle:
         self.n_classes = n_classes
         self._count = 0
         self._lock = threading.Lock()
-        self._probe_cache: dict[tuple[int, float], ShiftSet] = {}
 
     @classmethod
     def in_process(cls, model: ModelGraph) -> "OracleHandle":
@@ -49,15 +50,9 @@ class OracleHandle:
             self._count += 1
         return self._backend(v)
 
-    def class_probe(self, c: int, eps: float | None = None) -> ShiftSet:
-        """Shift adding ``eps`` to logit ``c`` (the tie-test nudge)."""
-        eps = TIE_PROBE if eps is None else eps
-        key = (c, eps)
-        probe = self._probe_cache.get(key)
-        if probe is None:
-            probe = ShiftSet.single(self.argmax_id, PRE, (self.n_classes,), c, eps)
-            self._probe_cache[key] = probe
-        return probe
+    def probe(self, v: QueryInput, c: int, eps: float = TIE_PROBE) -> int:
+        """One label query of ``v`` with logit ``c`` nudged up by ``eps``."""
+        return self.query(v.shifted(ShiftSet.single(self.argmax_id, PRE, (self.n_classes,), c, eps)))
 
     def is_critical(self, v: QueryInput, c1: int, c2: int) -> bool:
         """True iff nudging logit c1 yields label c1 and nudging c2 yields c2.
@@ -66,8 +61,7 @@ class OracleHandle:
         """
         if c1 == c2:
             raise ValueError("is_critical needs two distinct classes")
-        l1 = self.query(v.shifted(self.class_probe(c1)))
-        l2 = self.query(v.shifted(self.class_probe(c2)))
+        l1, l2 = self.probe(v, c1), self.probe(v, c2)
         return l1 == c1 and l2 == c2
 
 

@@ -75,6 +75,8 @@ _TAG_NAMES = {
     TAG_LABEL_RESULT: "LabelResult",
     TAG_SESSION_ERROR: "SessionError",
 }
+# each share frame of a boundary's exchange: the side whose shift the client adds, and the client's reply frame
+_REPLIES = {TAG_MASKED_PRE: (PRE, TAG_NONLINEAR_SHARE), TAG_NONLINEAR_SHARE: (POST, TAG_ENC_POST)}
 
 
 class TransportError(RuntimeError):
@@ -218,30 +220,27 @@ def _serve_session(
         raise ProtocolError("EncInput size does not match model input", layer_id)
     x0 = x0.reshape(model.input_shape)
 
+    def exchange(lid: int, value: np.ndarray, tag: int) -> np.ndarray:
+        """Send ``value`` masked in a ``tag`` frame and unmask the client's
+        reply (``_REPLIES``), after checking its tag, layer and size."""
+        mask = rng.uniform(-MASK_BOUND, MASK_BOUND, size=value.shape)
+        transport.send_frame(tag, lid, tensor_payload(value - mask))
+        reply = _REPLIES[tag][1]
+        got, got_lid, payload = transport.recv_frame()
+        if got != reply or got_lid != lid:
+            raise ProtocolError(f"expected {tag_name(reply)} for layer {lid}", got_lid)
+        share = payload_blob(payload, lid)[1] if reply == TAG_ENC_POST else payload_tensor(payload, lid)
+        if share.size != value.size:
+            raise ProtocolError(f"{tag_name(reply)} size mismatch on layer {lid}", lid)
+        return share.reshape(value.shape) + mask
+
     def boundary(spec: LayerSpec, y: np.ndarray):
-        r_y = rng.uniform(-MASK_BOUND, MASK_BOUND, size=y.shape)
-        transport.send_frame(TAG_MASKED_PRE, spec.id, tensor_payload(y - r_y))
-        tag, lid, payload = transport.recv_frame()
-        if tag != TAG_NONLINEAR_SHARE or lid != spec.id:
-            raise ProtocolError(f"expected NonlinearShare for layer {spec.id}", lid)
-        share = payload_tensor(payload, lid)
-        if share.size != y.size:
-            raise ProtocolError("share size mismatch", lid)
-        y_hat = share.reshape(y.shape) + r_y
-        if spec.kind == KIND_ARGMAX:
-            label = int(np.argmax(y_hat))
-            transport.send_frame(TAG_LABEL_RESULT, spec.id, tensor_payload(np.array([float(label)])))
-            return label
-        z = apply_nonlinear(spec, y_hat)
-        r_z = rng.uniform(-MASK_BOUND, MASK_BOUND, size=z.shape)
-        transport.send_frame(TAG_NONLINEAR_SHARE, spec.id, tensor_payload(z - r_z))
-        tag, lid, payload = transport.recv_frame()
-        if tag != TAG_ENC_POST or lid != spec.id:
-            raise ProtocolError(f"expected EncPost for layer {spec.id}", lid)
-        _, z_share = payload_blob(payload, lid)
-        if z_share.size != z.size:
-            raise ProtocolError("EncPost size mismatch", lid)
-        return z_share.reshape(z.shape) + r_z
+        y_hat = exchange(spec.id, y, TAG_MASKED_PRE)
+        if spec.kind != KIND_ARGMAX:
+            return exchange(spec.id, apply_nonlinear(spec, y_hat), TAG_NONLINEAR_SHARE)
+        label = int(np.argmax(y_hat))
+        transport.send_frame(TAG_LABEL_RESULT, spec.id, tensor_payload(np.array([float(label)])))
+        return label
 
     return walk(model, x0, boundary, {})
 
@@ -411,22 +410,15 @@ def _client_session(
     send(TAG_ENC_INPUT, 0, blob_payload(np.asarray(x0, dtype=np.float64).ravel(), _next_nonce()))
     while True:
         tag, lid, payload = recv()
-        if tag == TAG_MASKED_PRE:
+        if tag in _REPLIES:
+            side, reply = _REPLIES[tag]
             share = payload_tensor(payload, lid)
-            delta = plan.get(lid, PRE)
+            delta = plan.get(lid, side)
             if delta is not None:
                 if delta.size != share.size:
-                    raise ProtocolError(f"pre-shift size mismatch on layer {lid}", lid)
+                    raise ProtocolError(f"{side}-shift size mismatch on layer {lid}", lid)
                 share = share + delta.ravel()
-            send(TAG_NONLINEAR_SHARE, lid, tensor_payload(share))
-        elif tag == TAG_NONLINEAR_SHARE:
-            share = payload_tensor(payload, lid)
-            delta = plan.get(lid, POST)
-            if delta is not None:
-                if delta.size != share.size:
-                    raise ProtocolError(f"post-shift size mismatch on layer {lid}", lid)
-                share = share + delta.ravel()
-            send(TAG_ENC_POST, lid, blob_payload(share, _next_nonce()))
+            send(reply, lid, tensor_payload(share) if side == PRE else blob_payload(share, _next_nonce()))
         elif tag == TAG_LABEL_RESULT:
             label = payload_tensor(payload, lid)
             if label.size != 1 or not _whole(label, 0) or label[0] >= n_classes:

@@ -88,7 +88,7 @@ def _toy_lines(model, oracle, bias, cfg=CFG):
     base = QueryInput(np.zeros(1)).shifted(_phase_base(model, 2))
     cp = search_critical(oracle, base, cfg, np.random.default_rng(0))
     intercepts = _class_intercepts(oracle, base, cp, cfg)
-    lines = _calibrate_lines(oracle, model, 2, base, cp.c1, intercepts, {(0,): bias}, cfg)
+    lines = _calibrate_lines(oracle, 2, base, cp.c1, intercepts, {(0,): bias}, cfg)
     return cp, _LineCalibration(intercepts, lines, None)
 
 

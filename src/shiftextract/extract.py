@@ -10,24 +10,26 @@ input of the ReLU (or MaxPoolReLU) after the layer is pushed down by the
 suppression constant, so the boundary outputs 0 and the tie does not see
 the layer at all.  A scan releases its target, shifts it by a scalar, and
 locates the shift at which its output starts to move the tied logits
-(``extract_feature``, ``extract_feature_maxpool``).  Layer drivers steer
+(``extract_feature``, ``extract_feature_maxpool``); every query of a read
+that releases a target is built by one ``_releaser``.  Layer drivers steer
 what the hidden values are: suppressing all upstream activations pins a
 layer's input to zero so its biases appear directly, injected test
 patterns turn individual weights into measurable features, and switching
 on every downstream ReLU makes the network between a feature and the
-logits affine.
+logits affine.  What lies downstream of a boundary is the model's own
+walk plan (``ModelGraph.downstream``).
 
 Every scalar search of the attack (the flip of a feature scan, the class tie
 behind a critical point or a terminal class pair, an n-ary read) is one
 primitive, ``_window_search``: grow a window m-fold until the answer falls
 inside it, then split it m-fold.  Its binary case, ``_find_flip``, doubles
 a step until a predicate flips and bisects the last bracket.  Every tie
-test nudges a logit by the oracle's ``TIE_PROBE`` (or
-twice that).  A feature scan probes one class per step once it knows which
-class's nudge fails (``_flip_point``), which is sound only while the
-network between the feature and the logits is affine: the scans refuse a
-base that does not carry the silenced boundary and the switched-on
-downstream (``_phase_base``).
+test is made of the oracle's ``probe``, one query that nudges one logit by
+``TIE_PROBE`` (or twice that).  A feature scan probes one class per step
+once it knows which class's nudge fails (``_flip_point``), which is sound
+only while the network between the feature and the logits is affine: the
+scans refuse a base that does not carry the silenced boundary and the
+switched-on downstream (``_phase_base``).
 
 Each kind of layer has one driver with one loop.  Convolution and
 fully-connected layers that feed a ReLU or MaxPoolReLU share

@@ -300,7 +300,8 @@ class ModelGraph:
     def downstream(self, roots: frozenset[int]) -> tuple[LayerSpec, ...]:
         """The layers in ``roots`` and every layer downstream of them, in
         topological order: the walk of a query that changed ``roots``,
-        planned once per set."""
+        planned once per set.  The attack reads what lies below a boundary
+        b from ``downstream(frozenset({b}))``, which lists b first."""
         plan = self._plans.get(roots)
         if plan is None:
             reached, order = set(roots), []
@@ -906,24 +907,30 @@ def model_to_dict(model: ModelGraph) -> dict:
 
 
 def model_from_dict(doc: dict) -> ModelGraph:
+    """The model of a ``model_to_dict`` document.  A layer entry that lacks
+    a key raises StructuralError naming the layer and the key."""
     layers = []
-    for entry in doc["layers"]:
-        kind = entry["kind"]
-        params = entry.get("params", {}) or {}
-        kw: dict = {}
-        if kind in PARAM_KINDS:
-            kw["weight"] = _f64(params["weight"])
-            kw["bias"] = _f64(params["bias"])
-            if kind == KIND_CONV:
-                if params.get("stride", 1) != 1:
-                    raise StructuralError("convolution stride must be 1")
-                kw["padding"] = int(params.get("padding", 0))
-        elif kind == KIND_MPR:
-            kw["kernel"] = tuple(int(v) for v in params["kernel"])
-            kw["stride"] = tuple(int(v) for v in params["stride"])
-        elif kind == KIND_INPUT:
-            kw["shape"] = tuple(int(v) for v in params["shape"])
-        layers.append(LayerSpec(id=int(entry["id"]), kind=kind, inputs=tuple(entry["inputs"]), **kw))
+    for pos, entry in enumerate(doc["layers"]):
+        try:
+            kind = entry["kind"]
+            params = entry.get("params", {}) or {}
+            kw: dict = {}
+            if kind in PARAM_KINDS:
+                kw["weight"] = _f64(params["weight"])
+                kw["bias"] = _f64(params["bias"])
+                if kind == KIND_CONV:
+                    if params.get("stride", 1) != 1:
+                        raise StructuralError("convolution stride must be 1")
+                    kw["padding"] = int(params.get("padding", 0))
+            elif kind == KIND_MPR:
+                kw["kernel"] = tuple(int(v) for v in params["kernel"])
+                kw["stride"] = tuple(int(v) for v in params["stride"])
+            elif kind == KIND_INPUT:
+                kw["shape"] = tuple(int(v) for v in params["shape"])
+            layers.append(LayerSpec(id=int(entry["id"]), kind=kind, inputs=tuple(entry["inputs"]), **kw))
+        except KeyError as e:
+            key = e.args[0] if e.args[0] in ("id", "kind", "inputs") else f"params.{e.args[0]}"
+            raise StructuralError(f"layer {entry.get('id', f'at position {pos}')} lacks {key!r}") from None
     return ModelGraph(layers, int(doc["output"]))
 
 

@@ -18,8 +18,10 @@ then serves sequential sessions (EncInput .. LabelResult).
 
 The server walks the model graph with ``model.walk``, the walk in-process
 evaluation uses too; only the non-linear boundary hook differs.  Here the
-hook runs the mask, send, receive and unmask exchange, so protocol fidelity
-holds by construction.
+hook runs one share exchange per side of the boundary, the same code for
+both (mask, send, receive, check tag, layer and size, unmask), and the
+client answers both share frames in one branch keyed by side, so protocol
+fidelity holds by construction.
 
 Because masks are real-valued, unmasking re-rounds: reconstructed values can
 differ from the in-process evaluation by mask-magnitude rounding (~1e-13).
@@ -450,6 +452,8 @@ class ClientConnection:
                 raise ProtocolError(f"expected HelloAck, got {tag_name(tag)}", lid)
             # version, ndim, the ndim input dimensions, the class count
             ack = payload_tensor(payload)
+            if ack.size and ack[0] != PROTOCOL_VERSION:
+                raise ProtocolError(f"server speaks protocol version {ack[0]:g}, this client {PROTOCOL_VERSION}")
             if ack.size < 3 or ack[1] != ack.size - 3:
                 raise ProtocolError(f"HelloAck of {ack.size} values does not match its declared input rank")
             if not _whole(ack[2:], 1):

@@ -46,11 +46,14 @@ from shiftextract.extract import (
     _linearize_downstream,
     _phase_base,
     _reads_nary,
+    _require_phase_base,
+    _skip_cancel,
     _two_probe,
 )
 from shiftextract.harness import gauge_fix, layer_error_summary
 from shiftextract.oracle import TIE_PROBE
 from conftest import fc_layer
+from test_incremental import MODELS
 
 CFG = BoundarySearchConfig(sphere_norm=10.0)
 CFG_1E8 = BoundarySearchConfig(sphere_norm=10.0, eta_tol=1e-8)  # for tests whose bounds are written at 1e-8
@@ -328,6 +331,54 @@ def test_boundary_correctness_invariant(small_cnn):
         for idx in [(0, 1, 1), (1, 2, 3), (2, 4, 4)]:
             res = extract_feature(oracle, small_cnn, cp, 2, idx, cfg)
             assert abs(res.value - tr.y[2][idx]) <= cfg.eta_tol * abs(tr.y[2][idx]) + 5e-11
+
+
+# the incremental evaluator's models and the CI's pool2 and residual models
+DOWNSTREAM_MODELS = {
+    **MODELS,
+    "pool2": random_model("conv4x3x3-mpr2-conv4x3x3-mpr2-fc8-r-fc4", (2, 8, 8), seed=1),
+    "residual": random_model("conv2x3x3-mpr2-res{conv2x3x3-r,}-fc4-r-fc3", (1, 6, 6), seed=1),
+}
+
+
+def _reachable(model, node):
+    """Every layer reachable from ``node`` through successors, ``node`` aside."""
+    seen, todo = set(), [node]
+    while todo:
+        fresh = set(model.successors(todo.pop())) - seen
+        seen |= fresh
+        todo += fresh
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(DOWNSTREAM_MODELS))
+def test_downstream_reads_agree_with_reachability(name, monkeypatch):
+    """What the attack reads below a boundary from the model's walk plan
+    agrees with brute-force reachability: the keys ``_linearize_downstream``
+    switches on, the keys ``_require_phase_base`` asks for, and the maxpool
+    clause of ``_reads_nary``."""
+    m = DOWNSTREAM_MODELS[name]
+    for b in m.nonlinear_ids():
+        switched = [lid for lid in _reachable(m, b) if m.layer(lid).kind in (sx.KIND_RELU, sx.KIND_MPR)]
+        keys = {(lid, side) for lid in switched for side in (PRE, POST)}
+        assert _linearize_downstream(m, b).entries.keys() == keys
+        if m.layer(b).kind == KIND_ARGMAX:
+            continue
+        base = QueryInput(np.zeros(m.input_shape)).shifted(_phase_base(m, b))
+        _require_phase_base(m, b, base)
+        for key in keys:
+            short = QueryInput(base.x0, ShiftSet({k: a for k, a in base.shifts.entries.items() if k != key}))
+            with pytest.raises(sx.ExtractionError, match=f"missing {key[0]}:{key[1]}\\)"):
+                _require_phase_base(m, b, short)
+    # with every read repaying the calibration, only the rule's structural clauses decide
+    monkeypatch.setattr(sx_extract, "BINARY_READ_EXTRA", 1e9)
+    for lid in sx_extract.default_target_layers(m):
+        succ = m.layer(m.successors(lid)[0])
+        if succ.kind == KIND_ARGMAX:
+            continue
+        pooled = any(m.layer(r).kind == sx.KIND_MPR for r in _reachable(m, succ.id))
+        expected = not pooled and _skip_cancel(m, lid, succ.id) is not None
+        assert _reads_nary(m, lid, m.n_classes, CFG.eta_tol) == expected
 
 
 def test_extract_feature_requires_linearized_base(small_cnn):

@@ -196,6 +196,27 @@ def test_cli_end_to_end(tmp_path):
                  "--truth", str(model_path)]) == 2
 
 
+@pytest.mark.parametrize("command", ["verify", "attack"])
+@pytest.mark.parametrize("layer, key", [(1, "params.weight"), (3, "kind")])
+def test_cli_names_a_layer_key_missing_from_a_model_file(tmp_path, capsys, command, layer, key):
+    """A model file whose layer lacks a key fails with StructuralError naming
+    the layer and the key (exit code 2), not a bare KeyError."""
+    good = tmp_path / "truth.json"
+    sx.save_model(sx.random_model(ARCH, SHAPE, seed=4), good)
+    doc = json.loads(good.read_text())
+    entry = next(e for e in doc["layers"] if e["id"] == layer)
+    *path, last = key.split(".")
+    del (entry[path[0]] if path else entry)[last]
+    named = f"layer {layer} lacks {key!r}"
+    with pytest.raises(sx.StructuralError, match=re.escape(named)):
+        sx.model_from_dict(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    files = {"verify": ["--extracted", str(bad), "--truth", str(good)], "attack": ["--model", str(bad)]}[command]
+    assert main([command, *files]) == 2
+    assert capsys.readouterr().err.strip() == f"error: {named}"
+
+
 def test_cli_attack_names_a_failed_layer_on_stderr(tmp_path, capsys):
     """A layer that fails writes a row of zeros to the CSV, so the attack
     names it once with its error on stderr, one line per failed layer, and

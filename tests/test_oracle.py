@@ -45,6 +45,35 @@ def test_is_critical_forced_tie(zero3_model):
     assert h.count == 4
 
 
+def _recording(label):
+    """An OracleHandle on zero3_model's argmax (layer 4, three classes)
+    whose backend records each query and answers ``label``."""
+    seen = []
+    return OracleHandle(lambda q: seen.append(q) or label, argmax_id=4, n_classes=3), seen
+
+
+def test_probe_is_one_query_nudging_one_logit():
+    """``probe`` makes one counted query: v with logit c raised by eps, every
+    other entry of v passed through by reference."""
+    h, seen = _recording(1)
+    other = np.arange(3.0)
+    v = QueryInput(np.zeros(2), ShiftSet({(2, PRE): other, (4, PRE): np.zeros(3)}))
+    assert h.probe(v, 2) == 1 and h.count == 1
+    assert h.probe(v, 0, 2 * TIE_PROBE) == 1 and h.count == 2
+    for q, nudge in zip(seen, ([0.0, 0.0, TIE_PROBE], [2 * TIE_PROBE, 0.0, 0.0])):
+        assert q.x0 is v.x0 and q.shifts.entries.keys() == v.shifts.entries.keys()
+        assert q.shifts.get(2, PRE) is v.shifts.get(2, PRE)
+        assert q.shifts.get(4, PRE).tolist() == nudge
+
+
+def test_is_critical_issues_both_probes_when_the_first_fails():
+    h, seen = _recording(2)
+    v = QueryInput(np.zeros(2))
+    assert not h.is_critical(v, 0, 1)
+    assert h.count == 2
+    assert [q.shifts.get(4, PRE).tolist() for q in seen] == [[TIE_PROBE, 0.0, 0.0], [0.0, TIE_PROBE, 0.0]]
+
+
 def test_is_critical_rejects_equal_classes(zero3_model):
     h = OracleHandle.in_process(zero3_model)
     with pytest.raises(ValueError):

@@ -25,6 +25,8 @@ from shiftextract.protocol import (
     MASK_BOUND,
     PROTOCOL_VERSION,
     TAG_HELLO,
+    TAG_ENC_INPUT,
+    TAG_ENC_POST,
     TAG_HELLO_ACK,
     TAG_LABEL_RESULT,
     TAG_MASKED_PRE,
@@ -33,7 +35,10 @@ from shiftextract.protocol import (
     ClientConnection,
     SocketTransport,
     Transcript,
+    _ReplayTransport,
     _client_session,
+    _serve_session,
+    blob_payload,
     connect,
     encode_frame,
     payload_tensor,
@@ -306,6 +311,20 @@ def test_failed_session_does_not_poison_the_next_query():
 def test_failed_handshake_closes_socket(reply):
     """A handshake that fails raises ProtocolError and closes the client's
     socket; an unclosed one would fail the suite with a ResourceWarning."""
+    _handshake_refused(reply)
+
+
+def test_handshake_of_another_version_refused():
+    """A HelloAck of another protocol version is refused, naming both
+    versions, however well formed the rest of it is."""
+    ack = encode_frame(TAG_HELLO_ACK, 0, tensor_payload(np.array([2.0, 1.0, 3.0, 3.0])))
+    message = str(_handshake_refused(ack))
+    assert message == f"server speaks protocol version 2, this client {PROTOCOL_VERSION}"
+
+
+def _handshake_refused(reply) -> ProtocolError:
+    """The ProtocolError of a client whose Hello a one-shot server answers
+    with ``reply``; its socket must be closed."""
     import gc
     import threading
 
@@ -320,12 +339,13 @@ def test_failed_handshake_closes_socket(reply):
     server = threading.Thread(target=one_shot)
     server.start()
     try:
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ProtocolError) as info:
             ClientConnection(*listener.getsockname()[:2], timeout=5)
     finally:
         server.join(timeout=5)
         listener.close()
     gc.collect()
+    return info.value
 
 
 class _FakeServer:
@@ -468,3 +488,31 @@ def test_server_counts_sessions_and_errors(pool_model, caplog):
     assert (server.sessions, server.session_errors) == (3, 1)
     levels = {r.levelno for r in caplog.records if r.name == "shiftextract.protocol"}
     assert levels == {logging.DEBUG, logging.WARNING}
+
+
+# the pool model's first boundary, layer 2 (MaxPoolReLU): 64 values in, 16 out
+_ENC_INPUT = (TAG_ENC_INPUT, 0, blob_payload(np.zeros(32), bytes(8)))
+_PRE_REPLY = (TAG_NONLINEAR_SHARE, 2, tensor_payload(np.zeros(64)))
+
+
+@pytest.mark.parametrize(
+    "replies, message",
+    [
+        ([(TAG_ENC_POST, 2, blob_payload(np.zeros(64), bytes(8)))], "expected NonlinearShare for layer 2"),
+        ([(TAG_NONLINEAR_SHARE, 4, tensor_payload(np.zeros(64)))], "expected NonlinearShare for layer 2"),
+        ([(TAG_NONLINEAR_SHARE, 2, tensor_payload(np.zeros(63)))], "NonlinearShare size mismatch on layer 2"),
+        ([_PRE_REPLY, (TAG_NONLINEAR_SHARE, 2, tensor_payload(np.zeros(16)))], "expected EncPost for layer 2"),
+        ([_PRE_REPLY, (TAG_ENC_POST, 2, blob_payload(np.zeros(17), bytes(8)))], "EncPost size mismatch on layer 2"),
+    ],
+    ids=["pre-tag", "pre-layer", "pre-size", "post-tag", "post-size"],
+)
+def test_server_exchange_refuses_a_wrong_reply(pool_model, replies, message):
+    """At each of a boundary's two share exchanges, a client reply with the
+    wrong tag, layer or size ends the session with an error naming the
+    frame the server expected (the text of its SessionError), after the
+    server sent that exchange's share frame and nothing more."""
+    feed = _ReplayTransport([_ENC_INPUT, *replies])
+    rng = np.random.default_rng(0)
+    with pytest.raises(ProtocolError, match=f"^{message}$"):
+        _serve_session(pool_model, feed, rng)
+    assert [(tag, lid) for tag, lid, _ in feed.sent] == [(TAG_MASKED_PRE, 2), (TAG_NONLINEAR_SHARE, 2)][:len(replies)]

@@ -566,7 +566,9 @@ def _flip_point(
     return s, failed
 
 
-def _releaser(v: QueryInput, pre_key: tuple[int, str], index: tuple, *drop: tuple[int, str]):
+def _releaser(
+    v: QueryInput, pre_key: tuple[int, str], index: tuple, *drop: tuple[int, str]
+) -> Callable[..., QueryInput]:
     """``at(z, extra=None)``: the query of one read that releases the target
     at ``index`` of the silenced boundary ``pre_key`` of ``v`` at shift z,
     without ``v``'s entries at ``drop`` and with those of ``extra``.  The

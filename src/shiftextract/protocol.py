@@ -317,7 +317,7 @@ class InferenceServer:
             if tag != TAG_HELLO:
                 raise ProtocolError(f"expected Hello, got {tag_name(tag)}")
             hello = payload_tensor(payload)
-            if hello.size < 1 or int(hello[0]) != PROTOCOL_VERSION:
+            if hello.size < 1 or hello[0] != PROTOCOL_VERSION:
                 raise ProtocolError(f"protocol version mismatch (server speaks {PROTOCOL_VERSION})")
             shape = self.model.input_shape
             ack = [float(PROTOCOL_VERSION), float(len(shape)), *map(float, shape), float(self.model.n_classes)]

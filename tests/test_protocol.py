@@ -219,12 +219,21 @@ def test_malformed_frame_then_recovery(pool_model):
 
 
 def test_version_mismatch_rejected(pool_model):
-    server = serve(pool_model, seed=0)
+    _assert_hello_refused(pool_model, PROTOCOL_VERSION + 1.0)
+
+
+def test_fractional_version_rejected(pool_model):
+    """A fractional Hello version is refused, not truncated to the server's."""
+    _assert_hello_refused(pool_model, PROTOCOL_VERSION + 0.5)
+
+
+def _assert_hello_refused(model, version):
+    server = serve(model, seed=0)
     host, port = server.address
     try:
         raw = socket.create_connection((host, port), timeout=5)
         t = SocketTransport(raw, timeout=5)
-        t.send_frame(TAG_HELLO, 0, tensor_payload(np.array([float(PROTOCOL_VERSION + 1)])))
+        t.send_frame(TAG_HELLO, 0, tensor_payload(np.array([version])))
         tag, _, payload = t.recv_frame()
         assert tag == TAG_SESSION_ERROR
         assert b"version" in payload

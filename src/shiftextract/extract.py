@@ -85,10 +85,10 @@ difference.  Its ties go into the attack's ``TerminalTies`` table, and
 the terminal layer builds its gauge-fixed parameters from the table,
 re-referenced to class 0.  It ties only what the table lacks: a column
 whose bias reading was flagged, a class with no intercept or with a
-failed slope tie.  The harness runs the terminal layer after the layer
-below whenever both are targets, so every order gives the same
-parameters; without such a layer below, the terminal ties every class
-itself.
+failed slope tie.  ``attack_order`` pairs the two layers and runs the
+terminal layer after the layer below whenever both are targets, so every
+order gives the same parameters; without such a layer below, the
+terminal ties every class itself.
 
 Two systematic error sources are handled explicitly.  Every class tie
 that later measurements stand on (a critical point, an intercept, a
@@ -311,8 +311,8 @@ class _LineCalibration:
 @dataclass
 class TerminalTies:
     """One attack's class ties at the ReLU boundary that feeds the terminal
-    layer, made by the n-ary calibration of the fully-connected layer
-    ``below`` it (``terminal_ties``).
+    layer, made by the n-ary calibration of the fully-connected layer below
+    it (``attack_order`` pairs the two).
 
     At a base that silences the boundary the logits are the terminal's
     bias b, and a target j released at R moves them by R W[:, j].  So
@@ -322,7 +322,6 @@ class TerminalTies:
     tie, and a target with no slope ties, are absent.
     """
 
-    below: int
     intercepts: dict[int, float] = field(default_factory=dict)
     slopes: dict[int, dict[int, float]] = field(default_factory=dict)
 
@@ -340,20 +339,25 @@ class TerminalTies:
         return out
 
 
-def terminal_ties(skeleton: ModelGraph, targets: Sequence[int]) -> TerminalTies | None:
-    """An empty table for an attack on ``targets``, or None.
+def attack_order(skeleton: ModelGraph, targets: Sequence[int]) -> list[tuple[int, TerminalTies | None]]:
+    """``targets`` in the order the attack extracts them, each with the
+    ``TerminalTies`` table it shares, or None: the one place the terminal
+    layer is paired with the layer below it.
 
-    A table exists when the terminal layer's only input is a ReLU whose
-    only consumer it is, that ReLU reads a fully-connected layer, and both
-    layers are targets."""
-    last = skeleton.layer(skeleton.argmax_id).inputs[0]
+    The two share a table when the terminal layer's only input is a ReLU
+    whose only consumer it is, that ReLU reads a fully-connected layer,
+    and both layers are targets.  The terminal layer then runs right after
+    the layer below, whatever its place in ``targets``, so every order
+    gives the same parameters."""
+    last = skeleton.terminal_id
     feed = skeleton.layer(skeleton.layer(last).inputs[0])
-    if feed.kind != KIND_RELU or skeleton.successors(feed.id) != (last,):
-        return None
-    below = feed.inputs[0]
-    if skeleton.layer(below).kind != KIND_FC or last not in targets or below not in targets:
-        return None
-    return TerminalTies(below)
+    below = feed.inputs[0] if feed.kind == KIND_RELU and skeleton.successors(feed.id) == (last,) else None
+    if below is None or skeleton.layer(below).kind != KIND_FC or last not in targets or below not in targets:
+        return [(lid, None) for lid in targets]
+    ties = TerminalTies()
+    order = [lid for lid in targets if lid != last]
+    order.insert(order.index(below) + 1, last)
+    return [(lid, ties if lid in (below, last) else None) for lid in order]
 
 
 @dataclass(frozen=True)
@@ -942,21 +946,27 @@ def _controlled_query(
     return QueryInput(x0, shifts)
 
 
+def _switched_below(skeleton: ModelGraph, boundary_id: int) -> list:
+    """The ReLU and MaxPoolReLU layers downstream of boundary
+    ``boundary_id``, in topological order: the ones a phase base at it
+    switches on, read from the model's walk plan."""
+    return [s for s in skeleton.downstream(frozenset({boundary_id}))[1:] if s.kind in (KIND_RELU, KIND_MPR)]
+
+
 def _linearize_downstream(skeleton: ModelGraph, boundary_id: int) -> ShiftSet:
     """Shifts that switch on every ReLU downstream of boundary ``boundary_id``.
 
-    Each ReLU and MaxPoolReLU reached from the boundary, the Argmax aside,
-    gets +``FEATURE_BOUND`` on its pre side and -``FEATURE_BOUND`` on its
-    post side.  Its inputs stay above -``FEATURE_BOUND``, so it passes them
-    unchanged (a maxpool still takes its max): the network between the
-    target and the logits is affine, and no downstream kink hides the
-    target from the tied logits or moves a scan's flip.
+    Each layer of ``_switched_below`` gets +``FEATURE_BOUND`` on its pre
+    side and -``FEATURE_BOUND`` on its post side.  Its inputs stay above
+    -``FEATURE_BOUND``, so it passes them unchanged (a maxpool still takes
+    its max): the network between the target and the logits is affine,
+    and no downstream kink hides the target from the tied logits or moves
+    a scan's flip.
     """
     entries = {}
-    for spec in skeleton.downstream(frozenset({boundary_id}))[1:]:
-        if spec.kind in (KIND_RELU, KIND_MPR):
-            entries[(spec.id, PRE)] = np.full(skeleton.pre_shape(spec.id), FEATURE_BOUND)
-            entries[(spec.id, POST)] = np.full(skeleton.out_shape(spec.id), -FEATURE_BOUND)
+    for spec in _switched_below(skeleton, boundary_id):
+        entries[(spec.id, PRE)] = np.full(skeleton.pre_shape(spec.id), FEATURE_BOUND)
+        entries[(spec.id, POST)] = np.full(skeleton.out_shape(spec.id), -FEATURE_BOUND)
     return ShiftSet(entries)
 
 
@@ -981,8 +991,7 @@ def _require_phase_base(skeleton: ModelGraph, boundary_id: int, base: QueryInput
     silence = base.shifts.get(boundary_id, PRE)
     if silence is None or not np.all(silence == -SUPPRESSION):
         raise ExtractionError(f"base does not silence boundary {boundary_id}")
-    below = skeleton.downstream(frozenset({boundary_id}))[1:]
-    switched = {(s.id, side) for s in below if s.kind in (KIND_RELU, KIND_MPR) for side in (PRE, POST)}
+    switched = {(s.id, side) for s in _switched_below(skeleton, boundary_id) for side in (PRE, POST)}
     missing = switched - base.shifts.entries.keys()
     if missing:
         keys = ", ".join(f"{lid}:{side}" for lid, side in sorted(missing))
@@ -1063,10 +1072,11 @@ def _reads_nary(
     MaxPoolReLU boundary, and its injection must reach the logits only
     through that boundary, a skip cancelled (``_skip_cancel``): only then
     are the lines the same in every weight phase.  No MaxPoolReLU may sit
-    downstream of the boundary, since ``_linearize_downstream`` leaves its
-    max in place and the lines could bend there.  Its weight reads, n_in
-    per target (n_in kh kw for a convolution, read at the map centre),
-    must also repay the calibration: a read saves a binary scan's
+    downstream of the boundary (``_switched_below``), since
+    ``_linearize_downstream`` leaves its max in place and the lines could
+    bend there.  Its weight reads, n_in per target (n_in kh kw for a
+    convolution, read at the map centre), must also repay the
+    calibration: a read saves a binary scan's
     log2(1 / eta_tol) + ``BINARY_READ_EXTRA`` queries less its own
     log_m(1 / eta_tol) + ``NARY_READ_EXTRA``, and each target pays m - 1 =
     ``classes`` - 1 slope ties, the layer m - 2 intercept ties
@@ -1082,7 +1092,7 @@ def _reads_nary(
     succ = _nonlinear_successor(skeleton, layer_id)
     if succ.kind == KIND_ARGMAX or classes < 2 or _skip_cancel(skeleton, layer_id, succ.id) is None:
         return False
-    if any(s.kind == KIND_MPR for s in skeleton.downstream(frozenset({succ.id}))[1:]):
+    if any(s.kind == KIND_MPR for s in _switched_below(skeleton, succ.id)):
         return False
     n_out, reads = spec.weight.shape[0], spec.weight[0].size
     bits = math.log2(1.0 / eta_tol)
@@ -1247,7 +1257,7 @@ def _extract_layer(
     it reads the last error's uncorrected estimate, or 0.0 without one.  A
     dead feature reads 0.0 and is listed in ``dead``.
 
-    When ``nary``, the layer driver's answer from ``_reads_nary``, the
+    When ``nary``, the answer of ``_reads_nary`` (``_driver_setup``), the
     class lines are calibrated right after the bias phase: every class is
     tied with the bias phase's reference once (``_class_intercepts``), the
     rule is asked again with the classes that tied, and then each target's
@@ -1327,6 +1337,29 @@ def _extract_layer(
     return res
 
 
+def _amplitude(spec) -> float:
+    """A weight phase's injection: sqrt(n / 4) for the n weights of one output."""
+    return math.sqrt(spec.weight[0].size / 4.0)
+
+
+def _driver_setup(
+    oracle: OracleHandle, skeleton: ModelGraph, layer_id: int, kind: str, cfg: BoundarySearchConfig, ties=None
+):
+    """What the drivers of ``_extract_layer`` settle before any query: the
+    layer, which must be of ``kind``, its ReLU or MaxPoolReLU boundary
+    (``_nonlinear_successor``; the terminal layer's is the Argmax, and
+    ``extract_last_layer`` is its driver), whether it reads n-ary
+    (``_reads_nary``, crediting ``ties``) and its ``_amplitude``."""
+    spec = skeleton.layer(layer_id)
+    if spec.kind != kind:
+        raise ExtractionError(f"layer {layer_id} is {spec.kind}, not {kind}")
+    succ = _nonlinear_successor(skeleton, layer_id)
+    if succ.kind == KIND_ARGMAX:
+        raise ExtractionError(f"layer {layer_id} is the terminal layer: extract it with extract_last_layer")
+    nary = _reads_nary(skeleton, layer_id, oracle.n_classes, cfg.eta_tol, ties)
+    return spec, succ, nary, _amplitude(spec)
+
+
 def extract_conv_layer(
     oracle: OracleHandle,
     skeleton: ModelGraph,
@@ -1351,16 +1384,11 @@ def extract_conv_layer(
     smaller than the kernel holds no such layout: ExtractionError is raised
     before any query.
     """
-    spec = skeleton.layer(layer_id)
-    if spec.kind != KIND_CONV:
-        raise ExtractionError(f"layer {layer_id} is {spec.kind}, not a convolution")
-    succ = _nonlinear_successor(skeleton, layer_id)
+    spec, succ, nary, amplitude = _driver_setup(oracle, skeleton, layer_id, KIND_CONV, cfg)
     n_out, n_in, kh, kw = spec.weight.shape
     _, fh, fw = skeleton.out_shape(layer_id)
     if fh < kh or fw < kw:
         raise ExtractionError(f"layer {layer_id}: its {fh}x{fw} map is smaller than its {kh}x{kw} kernel")
-    nary = _reads_nary(skeleton, layer_id, oracle.n_classes, cfg.eta_tol)
-    amplitude = math.sqrt(n_in * kh * kw / 4.0)
     ic, jc = fh // 2, fw // 2
     ph, pw = (kh - 1) // 2, (kw - 1) // 2
 
@@ -1405,18 +1433,12 @@ def extract_fc_layer(
     ``extract_last_layer``.
 
     ``ties`` is the attack's ``TerminalTies`` table, given to the layer
-    ``below`` the terminal one: it writes its calibration ties there, and
-    ``_reads_nary`` credits it with the terminal readings they spare.
+    below the terminal one (``attack_order``): it writes its calibration
+    ties there, and ``_reads_nary`` credits it with the terminal readings
+    they spare.
     """
-    spec = skeleton.layer(layer_id)
-    if spec.kind != KIND_FC:
-        raise ExtractionError(f"layer {layer_id} is {spec.kind}, not fully connected")
-    succ = _nonlinear_successor(skeleton, layer_id)
-    if succ.kind == KIND_ARGMAX:
-        raise ExtractionError(f"layer {layer_id} is the terminal layer: extract it with extract_last_layer")
-    nary = _reads_nary(skeleton, layer_id, oracle.n_classes, cfg.eta_tol, ties)
+    spec, succ, nary, amplitude = _driver_setup(oracle, skeleton, layer_id, KIND_FC, cfg, ties)
     n_out, n_in = spec.weight.shape
-    amplitude = math.sqrt(n_in / 4.0)
     bias_targets = [((j,), (j,)) for j in range(n_out)]
 
     def weight_phases():
@@ -1458,9 +1480,9 @@ def extract_last_layer(
     class 0 fails the layer with BoundarySearchError before any later tie.
     The layer draws no class pair, so it takes no rng.
     """
-    spec = skeleton.layer(skeleton.layer(skeleton.argmax_id).inputs[0])
+    spec = skeleton.layer(skeleton.terminal_id)
     n_out, n_in = spec.weight.shape
-    amplitude = math.sqrt(n_in / 4.0)
+    amplitude = _amplitude(spec)
     plan = zero_input_plan(skeleton, spec.id)
     res = LayerExtractionResult(
         layer_id=spec.id, kind=spec.kind, bias=np.zeros(n_out), weight=np.zeros((n_out, n_in)), gauge_fixed=True

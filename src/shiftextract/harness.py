@@ -23,15 +23,16 @@ from .extract import (
     ExtractionError,
     LayerExtractionResult,
     TerminalTies,
+    attack_order,
     default_target_layers,
     extract_conv_layer,
     extract_fc_layer,
     extract_last_layer,
-    terminal_ties,
 )
 from .model import (
     KIND_CONV,
     KIND_FC,
+    LayerSpec,
     ModelGraph,
     QueryInput,
     build_model,
@@ -271,13 +272,13 @@ def _extract_one(
     rng: np.random.Generator,
     ties: TerminalTies | None,
 ) -> LayerExtractionResult:
-    last = skeleton.layer(skeleton.argmax_id).inputs[0]
-    if layer_id == last:
+    """Layer ``layer_id`` through its driver, with the table ``ties`` that
+    ``attack_order`` gave it."""
+    if layer_id == skeleton.terminal_id:
         return extract_last_layer(oracle, skeleton, search, ties=ties)
     if skeleton.layer(layer_id).kind == KIND_CONV:
         return extract_conv_layer(oracle, skeleton, layer_id, search, rng)
-    below = ties is not None and layer_id == ties.below
-    return extract_fc_layer(oracle, skeleton, layer_id, search, rng, ties=ties if below else None)
+    return extract_fc_layer(oracle, skeleton, layer_id, search, rng, ties=ties)
 
 
 def _check_targets(skeleton: ModelGraph, layers: list[int]) -> None:
@@ -299,11 +300,11 @@ def run_attack(
     ``truth`` backs the in-process oracle and, when present, the error
     columns; the extraction itself only ever sees the label oracle and the
     zero-parameter skeleton.  ``cfg.layers`` is checked before the first
-    query (``_check_targets``).  When the fully-connected layer below the
-    terminal one is a target too, the two share one ``TerminalTies`` table,
-    and the terminal layer runs right after that layer, whatever their
-    order in ``cfg.layers``: its parameters then come from that layer's
-    ties in every order.  The report keeps the order of ``cfg.layers``.
+    query (``_check_targets``).  The layers run in ``attack_order``: when
+    the fully-connected layer below the terminal one is a target too, the
+    two share one ``TerminalTies`` table, and the terminal layer runs right
+    after that layer, whatever their order in ``cfg.layers``.  The report
+    keeps the order of ``cfg.layers``.
     """
     if cfg.backend == "in-process":
         if truth is None:
@@ -324,14 +325,8 @@ def run_attack(
     oracle = OracleHandle(backend, argmax_id=skeleton.argmax_id, n_classes=skeleton.n_classes)
 
     search = replace(cfg.search, sphere_norm=resolve_sphere_norm(cfg, truth))
-    ties = terminal_ties(skeleton, targets)
-    order = list(targets)
-    if ties is not None:
-        last = skeleton.layer(skeleton.argmax_id).inputs[0]
-        order.remove(last)
-        order.insert(order.index(ties.below) + 1, last)
 
-    def attack_layer(layer_id: int) -> LayerExtractionResult:
+    def attack_layer(layer_id: int, ties: TerminalTies | None) -> LayerExtractionResult:
         before = oracle.count
         res = _extract_one(oracle, skeleton, layer_id, search, _layer_rng(cfg.attack_seed, layer_id), ties)
         delta = oracle.count - before
@@ -345,13 +340,13 @@ def run_attack(
     results: dict[int, LayerExtractionResult] = {}
     failures: dict[int, tuple[str, int]] = {}
     try:
-        for lid in order:
+        for lid, ties in attack_order(skeleton, targets):
             # a failure surfaces with the queries it consumed; a transport
             # fault fails only its layer: the remote backend reconnects on
             # the next query
             before = oracle.count
             try:
-                results[lid] = attack_layer(lid)
+                results[lid] = attack_layer(lid, ties)
             except (ExtractionError, TransportError) as e:
                 failures[lid] = (str(e), oracle.count - before)
     finally:
@@ -421,14 +416,14 @@ def run_attack(
 
 
 def _architectures_match(a: ModelGraph, b: ModelGraph) -> bool:
-    if len(a.layers) != len(b.layers):
-        return False
-    for sa, sb in zip(a.topo_order, b.topo_order):
-        if (sa.id, sa.kind, sa.inputs) != (sb.id, sb.kind, sb.inputs):
-            return False
-        if sa.weight is not None and sa.weight.shape != sb.weight.shape:
-            return False
-    return True
+    """True when the two models have the same output and the same layers
+    in every field but their parameter values."""
+
+    def geometry(m: ModelGraph) -> list[LayerSpec]:
+        return [replace(s, weight=getattr(s.weight, "shape", None), bias=getattr(s.bias, "shape", None))
+                for s in m.topo_order]
+
+    return a.output == b.output and geometry(a) == geometry(b)
 
 
 def verify_models(extracted: ModelGraph, truth: ModelGraph) -> dict:
@@ -441,14 +436,13 @@ def verify_models(extracted: ModelGraph, truth: ModelGraph) -> dict:
     """
     if not _architectures_match(extracted, truth):
         raise ValueError("extracted and truth models have different architectures")
-    last = truth.layer(truth.argmax_id).inputs[0]
     rows = []
     ok = True
     for spec in truth.topo_order:
         if spec.kind not in (KIND_CONV, KIND_FC):
             continue
         est = extracted.layer(spec.id)
-        gauge = spec.id == last
+        gauge = spec.id == truth.terminal_id
         eb, ew = layer_error_summary(est.bias, est.weight, spec.bias, spec.weight, gauge)
         row = {
             "layer": spec.id,

@@ -242,9 +242,7 @@ class ModelGraph:
         self._validate_structure()
         self._topo = self._toposort()
         self._shapes = self._infer_shapes()
-        self._successors = self._build_successors()
         self._shift_shapes = self._build_shift_shapes()
-        self._boundary_keys = {s.id: ((s.id, PRE), (s.id, POST)) for s in self._topo if s.kind in NONLINEAR_KINDS}
         self._plans: dict[frozenset[int], tuple[LayerSpec, ...]] = {}
         self._last = _LastQuery()
 
@@ -283,16 +281,20 @@ class ModelGraph:
         return self.output
 
     @property
+    def terminal_id(self) -> int:
+        """The terminal layer: the fully-connected layer the Argmax reads."""
+        return self._by_id[self.output].inputs[0]
+
+    @property
     def n_classes(self) -> int:
-        pred = self.layer(self.output).inputs[0]
-        return self._shapes[pred][0]
+        return self._shapes[self.terminal_id][0]
 
     def pre_shape(self, layer_id: int) -> tuple[int, ...]:
         """Shape of the shiftable input of a non-linear layer."""
-        spec = self.layer(layer_id)
-        if spec.kind not in NONLINEAR_KINDS:
-            raise StructuralError(f"layer {layer_id} ({spec.kind}) has no shift boundary")
-        return self._shapes[spec.inputs[0]]
+        shape = self._shift_shapes.get((layer_id, PRE))
+        if shape is None:
+            raise StructuralError(f"layer {layer_id} ({self.layer(layer_id).kind}) has no shift boundary")
+        return shape
 
     def nonlinear_ids(self) -> tuple[int, ...]:
         return tuple(s.id for s in self._topo if s.kind in NONLINEAR_KINDS)
@@ -323,12 +325,12 @@ class ModelGraph:
             raise StructuralError("model must have exactly one Argmax layer, and it must be the output")
         self._input_id = inputs[0].id
 
-        consumed: dict[int, int] = {}
+        succ: dict[int, list[int]] = {}
         for spec in self.layers:
             for pid in spec.inputs:
                 if pid not in self._by_id:
                     raise StructuralError(f"layer {spec.id} references unknown input {pid}")
-                consumed[pid] = consumed.get(pid, 0) + 1
+                succ.setdefault(pid, []).append(spec.id)
             kind = spec.kind
             if kind == KIND_INPUT:
                 if spec.inputs:
@@ -345,21 +347,19 @@ class ModelGraph:
                     raise StructuralError(
                         f"{kind} layer {spec.id} cannot follow {pk} layer {pid}"
                     )
-        if consumed.get(self.output):
+        if self.output in succ:
             raise StructuralError("Argmax layer must be terminal")
+        # each layer's consumers, in id order: the one successor map
+        self._successors = {pid: tuple(sorted(ids)) for pid, ids in succ.items()}
 
     def _toposort(self) -> tuple[LayerSpec, ...]:
         indeg = {s.id: len(s.inputs) for s in self.layers}
         ready = sorted(lid for lid, d in indeg.items() if d == 0)
-        succs: dict[int, list[int]] = {}
-        for s in self.layers:
-            for pid in s.inputs:
-                succs.setdefault(pid, []).append(s.id)
         order: list[LayerSpec] = []
         while ready:
             lid = ready.pop(0)
             order.append(self._by_id[lid])
-            for nid in sorted(succs.get(lid, ())):
+            for nid in self.successors(lid):
                 indeg[nid] -= 1
                 if indeg[nid] == 0:
                     ready.append(nid)
@@ -370,86 +370,18 @@ class ModelGraph:
     def _infer_shapes(self) -> dict[int, tuple[int, ...]]:
         shapes: dict[int, tuple[int, ...]] = {}
         for spec in self._topo:
-            kind = spec.kind
-            if kind == KIND_INPUT:
-                if not spec.shape or any(d <= 0 for d in spec.shape):
-                    raise StructuralError("Input layer needs a positive shape")
-                shapes[spec.id] = tuple(spec.shape)
-            elif kind == KIND_CONV:
-                pin = shapes[spec.inputs[0]]
-                if len(pin) != 3:
-                    raise StructuralError(f"Convolution {spec.id} needs a (C, H, W) input, got {pin}")
-                w, b = spec.weight, spec.bias
-                if w is None or b is None or w.ndim != 4 or b.ndim != 1:
-                    raise StructuralError(f"Convolution {spec.id} has malformed parameters")
-                n_out, n_in, kh, kw = w.shape
-                if b.shape != (n_out,):
-                    raise StructuralError(f"Convolution {spec.id}: bias shape {b.shape} != ({n_out},)")
-                if n_in != pin[0]:
-                    raise StructuralError(f"Convolution {spec.id}: {n_in} in-channels vs input {pin[0]}")
-                if kh != kw or kh % 2 == 0:
-                    raise StructuralError(f"Convolution {spec.id}: kernels must be square and odd, got {kh}x{kw}")
-                if spec.padding != (kh - 1) // 2:
-                    raise StructuralError(f"Convolution {spec.id}: padding must be (k-1)/2")
-                shapes[spec.id] = (n_out, pin[1], pin[2])
-            elif kind == KIND_FC:
-                pin = shapes[spec.inputs[0]]
-                w, b = spec.weight, spec.bias
-                if w is None or b is None or w.ndim != 2 or b.ndim != 1:
-                    raise StructuralError(f"FullyConnected {spec.id} has malformed parameters")
-                n_out, n_in = w.shape
-                if b.shape != (n_out,):
-                    raise StructuralError(f"FullyConnected {spec.id}: bias shape mismatch")
-                if n_in != int(np.prod(pin)):
-                    raise StructuralError(
-                        f"FullyConnected {spec.id}: {n_in} inputs vs upstream size {int(np.prod(pin))}"
-                    )
-                shapes[spec.id] = (n_out,)
-            elif kind == KIND_RELU:
-                shapes[spec.id] = shapes[spec.inputs[0]]
-            elif kind == KIND_MPR:
-                pin = shapes[spec.inputs[0]]
-                if len(pin) != 3:
-                    raise StructuralError(f"MaxPoolReLU {spec.id} needs a (C, H, W) input")
-                if not spec.kernel or not spec.stride:
-                    raise StructuralError(f"MaxPoolReLU {spec.id} needs kernel and stride")
-                ph, pw = spec.kernel
-                sh, sw = spec.stride
-                c, h, w_ = pin
-                if min(ph, pw, sh, sw) < 1 or h < ph or w_ < pw:
-                    raise StructuralError(f"MaxPoolReLU {spec.id}: invalid kernel/stride for input {pin}")
-                if (h - ph) % sh or (w_ - pw) % sw:
-                    raise StructuralError(
-                        f"MaxPoolReLU {spec.id}: {pin} not tiled by kernel {spec.kernel} stride {spec.stride}"
-                    )
-                shapes[spec.id] = (c, (h - ph) // sh + 1, (w_ - pw) // sw + 1)
-            elif kind == KIND_ADD:
-                a, b2 = (shapes[p] for p in spec.inputs)
-                if a != b2:
-                    raise StructuralError(f"Add {spec.id}: branch shapes differ, {a} vs {b2}")
-                shapes[spec.id] = a
-            elif kind == KIND_ARGMAX:
-                pin = shapes[spec.inputs[0]]
-                if len(pin) != 1 or pin[0] < 2:
-                    raise StructuralError(f"Argmax {spec.id} needs a 1-D input of length >= 2")
-                shapes[spec.id] = ()
+            shapes[spec.id] = _layer_shape(spec, [shapes[p] for p in spec.inputs])
         return shapes
 
-    def _build_successors(self) -> dict[int, tuple[int, ...]]:
-        succ: dict[int, list[int]] = {}
-        for s in self._topo:
-            for pid in s.inputs:
-                succ.setdefault(pid, []).append(s.id)
-        return {k: tuple(v) for k, v in succ.items()}
-
     def _build_shift_shapes(self) -> dict[tuple[int, str], tuple[int, ...]]:
+        """The shape of every shift boundary: the input of each non-linear
+        layer, and the output of each one but the Argmax."""
         out: dict[tuple[int, str], tuple[int, ...]] = {}
         for s in self._topo:
-            if s.kind in (KIND_RELU, KIND_MPR):
+            if s.kind in NONLINEAR_KINDS:
                 out[(s.id, PRE)] = self._shapes[s.inputs[0]]
-                out[(s.id, POST)] = self._shapes[s.id]
-            elif s.kind == KIND_ARGMAX:
-                out[(s.id, PRE)] = self._shapes[s.inputs[0]]
+                if s.kind != KIND_ARGMAX:
+                    out[(s.id, POST)] = self._shapes[s.id]
         return out
 
     def validate_shift(self, key: tuple[int, str], arr: np.ndarray) -> None:
@@ -490,7 +422,7 @@ def count_parameters(model: ModelGraph) -> int:
 # Layer evaluation
 
 _PATCH_CACHE: dict[tuple, np.ndarray] = {}
-_POOL_CACHE: dict[tuple, np.ndarray] = {}
+_POOL_CACHE: dict[tuple, tuple[tuple[int, int], np.ndarray]] = {}
 
 
 def _conv_patch_indices(in_shape: tuple[int, int, int], kh: int, kw: int, pad: int) -> np.ndarray:
@@ -510,33 +442,35 @@ def _conv_patch_indices(in_shape: tuple[int, int, int], kh: int, kw: int, pad: i
     return idx
 
 
-def _pool_window_indices(h: int, w: int, kernel: tuple[int, int], stride: tuple[int, int]) -> np.ndarray:
-    key = (h, w, kernel, stride)
-    idx = _POOL_CACHE.get(key)
-    if idx is None:
-        ph, pw = kernel
-        sh, sw = stride
+def _pool_windows(
+    in_shape: tuple[int, ...], kernel: tuple[int, int], stride: tuple[int, int]
+) -> tuple[tuple[int, int], np.ndarray]:
+    """The grid (oh, ow) of windows that a MaxPoolReLU of ``kernel`` and
+    ``stride`` lays on a (C, H, W) map of ``in_shape``, and the flat pixel
+    indices of each window, one row per window in row-major order: the one
+    place a pool's geometry is decided, cached per geometry.  Raises
+    StructuralError unless the windows tile the map."""
+    key = (in_shape, kernel, stride)
+    hit = _POOL_CACHE.get(key)
+    if hit is None:
+        if len(in_shape) != 3:
+            raise StructuralError(f"maxpool needs a (C, H, W) input, got shape {in_shape}")
+        _, h, w = in_shape
+        (ph, pw), (sh, sw) = kernel, stride
+        if min(ph, pw, sh, sw) < 1 or h < ph or w < pw or (h - ph) % sh or (w - pw) % sw:
+            raise StructuralError(f"kernel {kernel} stride {stride} does not tile input {in_shape}")
         oh, ow = (h - ph) // sh + 1, (w - pw) // sw + 1
         taps = (np.arange(ph)[:, None] * w + np.arange(pw)[None, :]).ravel()
         origins = (np.arange(oh)[:, None] * sh * w + np.arange(ow)[None, :] * sw).ravel()
-        idx = origins[:, None] + taps[None, :]
-        _POOL_CACHE[key] = idx
-    return idx
+        hit = _POOL_CACHE[key] = ((oh, ow), origins[:, None] + taps[None, :])
+    return hit
 
 
 def apply_maxpool_relu(y: np.ndarray, kernel: tuple[int, int], stride: tuple[int, int]) -> np.ndarray:
     """ReLU of per-window maxima over a (C, H, W) map."""
-    if y.ndim != 3:
-        raise StructuralError(f"maxpool needs a (C, H, W) input, got shape {y.shape}")
-    c, h, w = y.shape
-    ph, pw = kernel
-    sh, sw = stride
-    if h < ph or w < pw or (h - ph) % sh or (w - pw) % sw:
-        raise StructuralError(f"kernel {kernel} stride {stride} does not tile input {y.shape}")
-    idx = _pool_window_indices(h, w, kernel, stride)
-    pooled = y.reshape(c, h * w)[:, idx].max(axis=2)
-    oh, ow = (h - ph) // sh + 1, (w - pw) // sw + 1
-    return np.maximum(pooled, 0.0).reshape(c, oh, ow)
+    (oh, ow), windows = _pool_windows(y.shape, kernel, stride)
+    c = y.shape[0]
+    return np.maximum(y.reshape(c, -1)[:, windows].max(axis=2), 0.0).reshape(c, oh, ow)
 
 
 def apply_nonlinear(layer: LayerSpec, y: np.ndarray) -> np.ndarray:
@@ -577,19 +511,67 @@ def pooled_receivers(
     index: tuple[int, int, int],
 ) -> list[tuple[int, int, int]]:
     """Pooled output positions whose windows contain the given input index."""
-    _, h, w = in_shape
-    ph, pw = kernel
-    sh, sw = stride
-    oh, ow = (h - ph) // sh + 1, (w - pw) // sw + 1
+    (_, ow), windows = _pool_windows(tuple(in_shape), kernel, stride)
     c, i, j = index
-    out = []
-    for a in range(oh):
-        if not (a * sh <= i <= a * sh + ph - 1):
-            continue
-        for b in range(ow):
-            if b * sw <= j <= b * sw + pw - 1:
-                out.append((c, a, b))
-    return out
+    if not (0 <= i < in_shape[1] and 0 <= j < in_shape[2]):
+        return []
+    hits = np.flatnonzero((windows == i * in_shape[2] + j).any(axis=1))
+    return [(c, *divmod(int(k), ow)) for k in hits]
+
+
+def _layer_shape(spec: LayerSpec, pins: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """The output shape of layer ``spec`` on inputs of shapes ``pins``,
+    after checking its parameters against them: the one place a layer's
+    shape is decided, for a model and for the builder alike."""
+    kind = spec.kind
+    if kind == KIND_INPUT:
+        if not spec.shape or any(d <= 0 for d in spec.shape):
+            raise StructuralError("Input layer needs a positive shape")
+        return tuple(spec.shape)
+    pin = pins[0]
+    if kind == KIND_CONV:
+        if len(pin) != 3:
+            raise StructuralError(f"Convolution {spec.id} needs a (C, H, W) input, got {pin}")
+        w, b = spec.weight, spec.bias
+        if w is None or b is None or w.ndim != 4 or b.ndim != 1:
+            raise StructuralError(f"Convolution {spec.id} has malformed parameters")
+        n_out, n_in, kh, kw = w.shape
+        if b.shape != (n_out,):
+            raise StructuralError(f"Convolution {spec.id}: bias shape {b.shape} != ({n_out},)")
+        if n_in != pin[0]:
+            raise StructuralError(f"Convolution {spec.id}: {n_in} in-channels vs input {pin[0]}")
+        if kh != kw or kh % 2 == 0:
+            raise StructuralError(f"Convolution {spec.id}: kernels must be square and odd, got {kh}x{kw}")
+        if spec.padding != (kh - 1) // 2:
+            raise StructuralError(f"Convolution {spec.id}: padding must be (k-1)/2")
+        return (n_out, pin[1], pin[2])
+    if kind == KIND_FC:
+        w, b = spec.weight, spec.bias
+        if w is None or b is None or w.ndim != 2 or b.ndim != 1:
+            raise StructuralError(f"FullyConnected {spec.id} has malformed parameters")
+        n_out, n_in = w.shape
+        if b.shape != (n_out,):
+            raise StructuralError(f"FullyConnected {spec.id}: bias shape mismatch")
+        if n_in != int(np.prod(pin)):
+            raise StructuralError(f"FullyConnected {spec.id}: {n_in} inputs vs upstream size {int(np.prod(pin))}")
+        return (n_out,)
+    if kind == KIND_MPR:
+        if not spec.kernel or not spec.stride:
+            raise StructuralError(f"MaxPoolReLU {spec.id} needs kernel and stride")
+        try:
+            (oh, ow), _ = _pool_windows(pin, spec.kernel, spec.stride)
+        except StructuralError as e:
+            raise StructuralError(f"MaxPoolReLU {spec.id}: {e}") from None
+        return (pin[0], oh, ow)
+    if kind == KIND_ADD:
+        if pins[0] != pins[1]:
+            raise StructuralError(f"Add {spec.id}: branch shapes differ, {pins[0]} vs {pins[1]}")
+        return pin
+    if kind == KIND_ARGMAX:
+        if len(pin) != 1 or pin[0] < 2:
+            raise StructuralError(f"Argmax {spec.id} needs a 1-D input of length >= 2")
+        return ()
+    return pin  # ReLU
 
 
 # ---------------------------------------------------------------------------
@@ -687,21 +669,19 @@ def _evaluate(model: ModelGraph, q: QueryInput, last: _LastQuery | None):
     record = last is None
     pre_record: dict[int, np.ndarray] = {}
     logits = None
-    keys = model._boundary_keys
 
     def boundary(spec: LayerSpec, y: np.ndarray):
         nonlocal logits
         if record:
             pre_record[spec.id] = y
-        pre_key, post_key = keys[spec.id]
-        pre = entries.get(pre_key)
+        pre = entries.get((spec.id, PRE))
         if pre is not None:
             y = y + pre
         if spec.kind == KIND_ARGMAX:
             logits = y
             return int(y.argmax())
         z = apply_nonlinear(spec, y)
-        post = entries.get(post_key)
+        post = entries.get((spec.id, POST))
         return z if post is None else z + post
 
     if fresh:
@@ -794,12 +774,14 @@ def parse_architecture(arch: str) -> list[dict]:
 
 
 class _Builder:
+    """Emits the layers of an architecture, each shaped by ``_layer_shape``
+    on the shapes of its inputs."""
+
     def __init__(self, input_shape: tuple[int, ...], rng: np.random.Generator | None):
         self.rng = rng
-        self.layers: list[LayerSpec] = [LayerSpec(0, KIND_INPUT, (), shape=tuple(input_shape))]
-        self.next_id = 1
-        self.tip = 0
-        self.shape: tuple[int, ...] = tuple(input_shape)
+        self.layers: list[LayerSpec] = []
+        self.shapes: dict[int, tuple[int, ...]] = {}
+        self.tip = self._emit(kind=KIND_INPUT, shape=tuple(input_shape))
 
     def _init(self, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
         if self.rng is None:
@@ -808,55 +790,42 @@ class _Builder:
         return self.rng.uniform(-bound, bound, size=shape)
 
     def _emit(self, **kw) -> int:
-        lid = self.next_id
-        self.next_id += 1
-        self.layers.append(LayerSpec(id=lid, **kw))
-        return lid
+        spec = LayerSpec(id=len(self.layers), **kw)
+        self.shapes[spec.id] = _layer_shape(spec, [self.shapes[p] for p in spec.inputs])
+        self.layers.append(spec)
+        return spec.id
 
     def add_token(self, tok: dict) -> None:
         op = tok["op"]
+        shape = self.shapes[self.tip]
         if op == "conv":
-            if len(self.shape) != 3:
-                raise StructuralError("conv token needs a (C, H, W) tip")
-            c_in = self.shape[0]
             kh, kw = tok["kernel"]
-            fan = c_in * kh * kw
-            w = self._init((tok["out"], c_in, kh, kw), fan)
+            fan = shape[0] * kh * kw
+            w = self._init((tok["out"], shape[0], kh, kw), fan)
             b = self._init((tok["out"],), fan)
             self.tip = self._emit(
                 kind=KIND_CONV, inputs=(self.tip,), weight=w, bias=b, padding=(kh - 1) // 2
             )
-            self.shape = (tok["out"], self.shape[1], self.shape[2])
         elif op == "fc":
-            n_in = int(np.prod(self.shape))
+            n_in = int(np.prod(shape))
             w = self._init((tok["out"], n_in), n_in)
             b = self._init((tok["out"],), n_in)
             self.tip = self._emit(kind=KIND_FC, inputs=(self.tip,), weight=w, bias=b)
-            self.shape = (tok["out"],)
         elif op == "relu":
             self.tip = self._emit(kind=KIND_RELU, inputs=(self.tip,))
         elif op == "mpr":
-            ph, pw = tok["kernel"]
-            sh, sw = tok["stride"]
-            c, h, w_ = self.shape
-            self.tip = self._emit(kind=KIND_MPR, inputs=(self.tip,), kernel=(ph, pw), stride=(sh, sw))
-            self.shape = (c, (h - ph) // sh + 1, (w_ - pw) // sw + 1)
+            self.tip = self._emit(kind=KIND_MPR, inputs=(self.tip,), kernel=tok["kernel"], stride=tok["stride"])
         elif op == "res":
-            entry, entry_shape = self.tip, self.shape
-            entry_kind = next(s.kind for s in self.layers if s.id == entry)
-            if entry_kind not in (KIND_RELU, KIND_MPR):
+            entry = self.tip
+            if self.layers[entry].kind not in (KIND_RELU, KIND_MPR):
                 raise StructuralError("res block must start from a non-linear layer output")
             ends = []
             for branch in tok["branches"]:
-                if not branch:
-                    ends.append(entry)
-                    continue
-                self.tip, self.shape = entry, entry_shape
+                self.tip = entry
                 for sub in branch:
                     self.add_token(sub)
                 ends.append(self.tip)
             self.tip = self._emit(kind=KIND_ADD, inputs=(ends[0], ends[1]))
-            # shape checked by graph validation
         else:  # pragma: no cover
             raise StructuralError(f"unknown op {op!r}")
 
@@ -869,8 +838,7 @@ def build_model(arch: str, input_shape: tuple[int, ...], *, rng: np.random.Gener
     builder = _Builder(tuple(int(d) for d in input_shape), rng)
     for tok in tokens:
         builder.add_token(tok)
-    last = builder.layers[-1]
-    if last.kind != KIND_FC:
+    if builder.layers[-1].kind != KIND_FC:
         raise StructuralError("architecture must end with an fc layer")
     out = builder._emit(kind=KIND_ARGMAX, inputs=(builder.tip,))
     return ModelGraph(builder.layers, out)
@@ -907,10 +875,15 @@ def model_to_dict(model: ModelGraph) -> dict:
 
 
 def model_from_dict(doc: dict) -> ModelGraph:
-    """The model of a ``model_to_dict`` document.  A layer entry that lacks
-    a key raises StructuralError naming the layer and the key."""
+    """The model of a ``model_to_dict`` document.  A document without
+    ``layers`` or ``output``, or a layer entry that lacks a key, raises
+    StructuralError naming the key (and the layer)."""
+    try:
+        entries, output = doc["layers"], doc["output"]
+    except KeyError as e:
+        raise StructuralError(f"model lacks {e.args[0]!r}") from None
     layers = []
-    for pos, entry in enumerate(doc["layers"]):
+    for pos, entry in enumerate(entries):
         try:
             kind = entry["kind"]
             params = entry.get("params", {}) or {}
@@ -931,7 +904,7 @@ def model_from_dict(doc: dict) -> ModelGraph:
         except KeyError as e:
             key = e.args[0] if e.args[0] in ("id", "kind", "inputs") else f"params.{e.args[0]}"
             raise StructuralError(f"layer {entry.get('id', f'at position {pos}')} lacks {key!r}") from None
-    return ModelGraph(layers, int(doc["output"]))
+    return ModelGraph(layers, int(output))
 
 
 def save_model(model: ModelGraph, path: str | Path, meta: dict | None = None) -> None:

@@ -121,6 +121,23 @@ def test_search_critical_unreachable_boundary(zero3_model):
             search_critical(oracle, QueryInput(np.zeros(2)), cfg, np.random.default_rng(seed))
 
 
+def test_search_critical_draws_a_fresh_pair_when_the_hinted_pair_fails():
+    """A hinted pair that does not tie at the new base within ``ETA_MAX``
+    (class 3 pushed 1e5 down there) raises inside ``search_critical``,
+    which then ties the pair drawn from ``rng``: the same critical point
+    as a search without the hint, after the queries of the failed
+    attempt."""
+    model = random_model("fc4-r-fc4", (3,), seed=1)
+    base = QueryInput(np.zeros(3), ShiftSet.single(model.argmax_id, PRE, (4,), 3, -1e5))
+    hint = CriticalPoint(v=QueryInput(np.zeros(3)), c1=0, c2=3, t=0.0)
+    fresh, hinted = OracleHandle.in_process(model), OracleHandle.in_process(model)
+    want = search_critical(fresh, base, CFG, np.random.default_rng(1))
+    got = search_critical(hinted, base, CFG, np.random.default_rng(1), hint=hint)
+    assert (got.c1, got.c2) == (want.c1, want.c2) == (1, 2) and got.t == want.t
+    assert np.array_equal(forward_trace(model, got.v).logits, forward_trace(model, want.v).logits)
+    assert hinted.count > fresh.count and hinted.is_critical(got.v, got.c1, got.c2)
+
+
 # ---------------------------------------------------------------------------
 # extract_feature on the toy model
 

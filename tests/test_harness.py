@@ -92,6 +92,26 @@ def test_verify_fails_on_one_wrong_weight():
     assert not row["pass"] and not res["pass"]
 
 
+@pytest.mark.parametrize("arch, shape, other_arch, other_shape", [
+    ("conv2x3x3-mpr3s1-fc3", (1, 4, 4), "conv2x3x3-mpr2-fc3", (1, 4, 4)),  # same weight shapes, other pool
+    ("conv2x3x3-r-fc4", (2, 6, 6), "conv2x3x3-r-fc4", (2, 4, 9)),  # same weight shapes, other input
+], ids=["pool", "input-shape"])
+def test_verify_refuses_another_architecture(arch, shape, other_arch, other_shape):
+    """Models whose layers agree in ids, kinds, inputs and weight shapes
+    but differ in a pool's kernel and stride, or in the input shape, are
+    different architectures, and so is a model with another output id."""
+    truth = sx.random_model(arch, shape, seed=1)
+    other = sx.random_model(other_arch, other_shape, seed=1)
+    with pytest.raises(ValueError, match="different architectures"):
+        verify_models(other, truth)
+    with pytest.raises(ValueError, match="different architectures"):
+        verify_models(truth, other)
+    assert verify_models(truth, truth)["pass"]
+    renamed = [replace(s, id=9) if s.id == truth.argmax_id else s for s in truth.layers]
+    with pytest.raises(ValueError, match="different architectures"):
+        verify_models(sx.ModelGraph(renamed, 9), truth)
+
+
 @pytest.mark.parametrize("error, passes", [(0.9e-4, True), (1.1e-4, False)])
 def test_verify_gate_is_fixed(error, passes):
     """The gate is the constant MAX_ERROR (1e-4) on every layer's max
@@ -214,6 +234,23 @@ def test_cli_names_a_layer_key_missing_from_a_model_file(tmp_path, capsys, comma
     bad.write_text(json.dumps(doc))
     files = {"verify": ["--extracted", str(bad), "--truth", str(good)], "attack": ["--model", str(bad)]}[command]
     assert main([command, *files]) == 2
+    assert capsys.readouterr().err.strip() == f"error: {named}"
+
+
+@pytest.mark.parametrize("key", ["output", "layers"])
+def test_cli_names_a_top_level_key_missing_from_a_model_file(tmp_path, capsys, key):
+    """A model file without ``output`` or ``layers`` fails with
+    StructuralError naming the key (exit code 2), not a bare KeyError."""
+    good = tmp_path / "truth.json"
+    sx.save_model(sx.random_model(ARCH, SHAPE, seed=4), good)
+    doc = json.loads(good.read_text())
+    del doc[key]
+    named = f"model lacks {key!r}"
+    with pytest.raises(sx.StructuralError, match=re.escape(named)):
+        sx.model_from_dict(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["verify", "--extracted", str(bad), "--truth", str(good)]) == 2
     assert capsys.readouterr().err.strip() == f"error: {named}"
 
 

@@ -346,6 +346,25 @@ def test_serialization_roundtrip(tmp_path, small_cnn):
         assert forward_label(small_cnn, QueryInput(x)) == forward_label(loaded, QueryInput(x))
 
 
+def test_maxpool_model_roundtrip(tmp_path):
+    """A model with MaxPoolReLU layers, overlapping windows among them,
+    keeps each pool's kernel and stride through ``save_model`` and
+    ``load_model``, and labels every input alike."""
+    model = random_model("conv2x3x3-mpr3s1-conv2x3x3-mpr2-fc4-r-fc3", (1, 6, 6), seed=1)
+    path = tmp_path / "pool.json"
+    sx.save_model(model, path)
+    loaded = sx.load_model(path)
+    pools = [(s.id, s.kernel, s.stride) for s in loaded.layers if s.kind == KIND_MPR]
+    assert pools == [(2, (3, 3), (1, 1)), (4, (2, 2), (2, 2))]
+    assert pools == [(s.id, s.kernel, s.stride) for s in model.layers if s.kind == KIND_MPR]
+    doc = json.loads(path.read_text())
+    assert doc["layers"][2]["params"] == {"kernel": [3, 3], "stride": [1, 1]}
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        x = rng.standard_normal((1, 6, 6))
+        assert np.array_equal(forward_trace(model, QueryInput(x)).logits, forward_trace(loaded, QueryInput(x)).logits)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.floats(-5, 5), min_size=3, max_size=3), st.integers(0, 2))
 def test_tie_break_property(logits, dup):

@@ -55,7 +55,7 @@ from shiftextract.extract import (
     _LineCalibration,
     _phase_base,
     _reads_nary,
-    terminal_ties,
+    attack_order,
 )
 import shiftextract.harness as sx_harness
 from shiftextract.harness import layer_error_summary, relative_errors
@@ -389,7 +389,7 @@ def test_the_rule():
     read saves 5 queries, against a slope tie's 28.7).  At eta_tol = 1e-3,
     where a read and a slope tie both learn fewer digits, a 4-class one
     needs 7.  When the layer feeds the terminal layer and the attack
-    targets both (``terminal_ties``), its slope ties are polished (45
+    targets both (``attack_order``), its slope ties are polished (45
     queries) and spare the terminal's 7 (m - 1) readings: then 3 classes
     need 2 inputs, 4 classes 3, 10 classes 7 and 2 classes 2, and at 1e-3
     a 4-class layer needs 5.  A convolution reads n_in kh kw weights per
@@ -400,7 +400,7 @@ def test_the_rule():
 
     def rule(arch, shape, layer_id, eta_tol=BoundarySearchConfig().eta_tol, shared=False):
         skeleton = random_model(arch, shape, seed=1).skeleton()
-        ties = terminal_ties(skeleton, default_target_layers(skeleton)) if shared else None
+        ties = dict(attack_order(skeleton, default_target_layers(skeleton)))[layer_id] if shared else None
         return _reads_nary(skeleton, layer_id, skeleton.n_classes, eta_tol, ties)
 
     for classes, least, shared in [(2, 6, False), (3, 5, False), (4, 7, False), (10, 16, False),
@@ -596,7 +596,7 @@ def test_the_credit_picks_the_cheaper_attack(monkeypatch, arch, shape):
         assert verify_models(extracted, truth)["pass"]
         queries[nary] = report.total_queries
     assert not real(skeleton, 1, skeleton.n_classes, CFG.eta_tol)
-    picked = real(skeleton, 1, skeleton.n_classes, CFG.eta_tol, terminal_ties(skeleton, [1, 3]))
+    picked = real(skeleton, 1, skeleton.n_classes, CFG.eta_tol, dict(attack_order(skeleton, [1, 3]))[1])
     assert queries[picked] < queries[not picked]
 
 
@@ -635,7 +635,7 @@ def test_a_flagged_bias_reading_leaves_its_column_to_the_terminal(monkeypatch):
     truth = random_model("fc6-r-fc4", (5,), seed=1)
     skeleton = truth.skeleton()
     oracle = OracleHandle.in_process(truth)
-    ties = terminal_ties(skeleton, [1, 3])
+    ties = dict(attack_order(skeleton, [1, 3]))[1]
     real_scan, real_ties = sx_extract._scan_boundary, sx_extract._class_ties
     failed = []
 

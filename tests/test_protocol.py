@@ -499,6 +499,24 @@ def test_server_counts_sessions_and_errors(pool_model, caplog):
     assert levels == {logging.DEBUG, logging.WARNING}
 
 
+def test_socket_client_raises_the_servers_session_error():
+    """A session the server refuses reaches a socket client as the
+    server's own error: ``infer`` of 5 values against a model of 3 inputs
+    raises ProtocolError with the server's message, and the server counts
+    one session error and no session."""
+    server = serve(random_model("fc4-r-fc3", (3,), seed=1), seed=0)
+    try:
+        conn = connect("%s:%d" % server.address)
+        try:
+            with pytest.raises(ProtocolError, match="^server error: EncInput size does not match model input$"):
+                conn.infer(np.zeros(5))
+        finally:
+            conn.close()
+    finally:
+        server.stop()
+    assert (server.sessions, server.session_errors) == (0, 1)
+
+
 # the pool model's first boundary, layer 2 (MaxPoolReLU): 64 values in, 16 out
 _ENC_INPUT = (TAG_ENC_INPUT, 0, blob_payload(np.zeros(32), bytes(8)))
 _PRE_REPLY = (TAG_NONLINEAR_SHARE, 2, tensor_payload(np.zeros(64)))

@@ -7,6 +7,7 @@
     python3 scripts/bench.py --depth 8   # one attack of the depth family at k = 8, as JSON
     python3 scripts/bench.py --streams   # report and query-stream digests of every attack below
     python3 scripts/bench.py --streams pool-endpoint:1 pool-endpoint:1:in-process
+    python3 scripts/bench.py --root ../parent --replay-loopback pool-endpoint   # one loopback row, as JSON
 
 Runs ``perfbench/run.py --seconds 0`` of the checkout at ``--root`` (by
 default this one) on its three workloads at seeds 1 to 3, and attacks each
@@ -38,7 +39,9 @@ convolutions' calls per parameter over all depths, and microseconds per
 query against k.  A ``replay`` section attacks each workload once more in
 process (seed 1, pinned to one CPU), records its query stream and replays
 it through ``forward_label`` on a fresh model: evaluator-only
-microseconds per query next to whole-attack microseconds per query.
+microseconds per query next to whole-attack microseconds per query.  Its
+``pool-endpoint:loopback`` row replays pool-endpoint's recorded stream over
+one loopback connection to a fresh server: microseconds per session.
 
 ``--streams`` prints, as one JSON object, two sha256 digests per attack:
 of its report JSON (the endpoint address masked) and of its query stream
@@ -274,6 +277,19 @@ def stream_of(root: Path, name: str) -> dict:
             "queries": report.total_queries, **extra}
 
 
+def _recorded_stream(root: Path, workload: str):
+    """The program, pinned to one CPU, and the benchmark set-up and recorded
+    (query, label) stream of one in-process attack of ``workload`` at seed 1."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    sx = _program(root)
+    real, stream = sx.oracle.OracleHandle.query, []
+    _record_queries(sx, keep=stream)
+    bench = _bench(root, sx, f"{workload}:1:in-process")
+    bench.attack()
+    sx.oracle.OracleHandle.query = real
+    return sx, bench, stream
+
+
 def replay_of(root: Path, workload: str, repeats: int = 3) -> dict:
     """Whole-attack and evaluator-only microseconds per query of one
     in-process attack of ``workload`` at seed 1, pinned to one CPU: the
@@ -283,13 +299,7 @@ def replay_of(root: Path, workload: str, repeats: int = 3) -> dict:
     its queries.  Every replayed label must match the recorded one."""
     from time import perf_counter
 
-    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-    sx = _program(root)
-    real, stream = sx.oracle.OracleHandle.query, []
-    _record_queries(sx, keep=stream)
-    bench = _bench(root, sx, f"{workload}:1:in-process")
-    bench.attack()
-    sx.oracle.OracleHandle.query = real
+    sx, bench, stream = _recorded_stream(root, workload)
     attacks = [bench.attack().extract_s for _ in range(repeats)]
     replays = []
     for _ in range(repeats):
@@ -303,6 +313,39 @@ def replay_of(root: Path, workload: str, repeats: int = 3) -> dict:
     return {"backend": "in-process", "seed": 1, "queries": n,
             "attack_us_per_query": 1e6 * statistics.median(attacks) / n,
             "evaluator_us_per_query": 1e6 * statistics.median(replays) / n}
+
+
+def loopback_replay_of(root: Path, workload: str, repeats: int = 3) -> dict:
+    """Microseconds per loopback session: the median time of ``repeats``
+    replays of the recorded seed-1 query stream of ``workload`` (as
+    ``replay_of`` records it) through one ``ClientConnection`` against a
+    fresh ``serve(truth, seed=1)``, all pinned to one CPU, over its
+    queries.  Each served label is checked by the ``moved_labels`` rule of
+    ``stream_of``, since the loopback stream may part from the in-process
+    one at a tie polished to float precision."""
+    from time import perf_counter
+
+    sx, bench, stream = _recorded_stream(root, workload)
+    truth = bench.model()
+    logits = [sx.forward_trace(truth, q).logits for q, _ in stream]
+    sessions = []
+    for _ in range(repeats):
+        server = sx.protocol.serve(truth, seed=1)
+        try:
+            conn = sx.protocol.connect("%s:%d" % server.address)
+            try:
+                t0 = perf_counter()
+                labels = [conn.infer(q.x0, q.shifts) for q, _ in stream]
+                sessions.append(perf_counter() - t0)
+            finally:
+                conn.close()
+        finally:
+            server.stop()
+        if any(y.max() - y[label] > sx.oracle.TIE_PROBE for y, label in zip(logits, labels)):
+            raise SystemExit(f"loopback replay of {workload} moved a served label")
+    n = len(stream)
+    return {"backend": "loopback", "seed": 1, "queries": n,
+            "session_us_per_query": 1e6 * statistics.median(sessions) / n}
 
 
 def provenance(root: Path) -> dict:
@@ -366,8 +409,8 @@ def delta(prev: dict, cur: dict) -> dict:
     d_old, metrics = prev.get("depth", {}).get("runs", {}), ("wall_s", "calls_per_param", "us_per_query")
     out["depth"] = {k: {m: _change(d_old.get(k, {}).get(m), r[m]) for m in metrics}
                     for k, r in cur["depth"]["runs"].items()}
-    p_old, metrics = prev.get("replay", {}), ("attack_us_per_query", "evaluator_us_per_query")
-    out["replay"] = {w: {m: _change(p_old.get(w, {}).get(m), r[m]) for m in metrics}
+    p_old = prev.get("replay", {})
+    out["replay"] = {w: {m: _change(p_old.get(w, {}).get(m), v) for m, v in r.items() if m.endswith("_us_per_query")}
                      for w, r in cur["replay"].items()}
     return out
 
@@ -385,6 +428,8 @@ def main(argv=None) -> int:
                     help="print report and query-stream digests of these attacks (default: every one)")
     ap.add_argument("--stream-of", metavar="ATTACK", help=argparse.SUPPRESS)
     ap.add_argument("--replay", metavar="WORKLOAD", help=argparse.SUPPRESS)
+    ap.add_argument("--replay-loopback", metavar="WORKLOAD",
+                    help="print the replay section's loopback row of this workload, as JSON")
     args = ap.parse_args(argv)
     root = args.root.resolve()
     if args.stream_of:
@@ -392,6 +437,9 @@ def main(argv=None) -> int:
         return 0
     if args.replay:
         print(json.dumps(replay_of(root, args.replay)))
+        return 0
+    if args.replay_loopback:
+        print(json.dumps(loopback_replay_of(root, args.replay_loopback)))
         return 0
     if args.streams is not None:
         unknown = [name for name in args.streams if name not in stream_names()]
@@ -445,6 +493,8 @@ def main(argv=None) -> int:
     for w in WORKLOADS:
         print(f"replay {w}", file=sys.stderr, flush=True)
         bench["replay"][w] = _child(root, "--replay", w)
+    print("replay pool-endpoint over loopback", file=sys.stderr, flush=True)
+    bench["replay"]["pool-endpoint:loopback"] = _child(root, "--replay-loopback", "pool-endpoint")
     bench["sweep"] = sweep(root)
     prev_path = args.previous or _previous(args.out)
     if prev_path is not None:

@@ -161,6 +161,10 @@ def _cmd_serve(args) -> int:
             time.sleep(3600)
     except KeyboardInterrupt:
         server.stop()
+    n = server.sessions
+    mean_us = 1e6 * server.session_seconds / n if n else 0.0
+    print(f"served {n} sessions, {server.session_errors} session errors; "
+          f"session us mean {mean_us:.1f}, max {1e6 * server.max_session_seconds:.1f}")
     return 0
 
 

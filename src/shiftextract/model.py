@@ -36,6 +36,7 @@ it hands its arrays to the caller.
 from __future__ import annotations
 
 import json
+import math
 import re
 import threading
 from dataclasses import dataclass, field, replace
@@ -243,6 +244,7 @@ class ModelGraph:
         self._topo = self._toposort()
         self._shapes = self._infer_shapes()
         self._shift_shapes = self._build_shift_shapes()
+        self._shift_size = sum(map(math.prod, self._shift_shapes.values()))
         self._plans: dict[frozenset[int], tuple[LayerSpec, ...]] = {}
         self._last = _LastQuery()
 
@@ -295,6 +297,12 @@ class ModelGraph:
         if shape is None:
             raise StructuralError(f"layer {layer_id} ({self.layer(layer_id).kind}) has no shift boundary")
         return shape
+
+    @property
+    def shift_size(self) -> int:
+        """The number of values over every shift boundary, pre and post
+        sides together: one protocol session's masks."""
+        return self._shift_size
 
     def nonlinear_ids(self) -> tuple[int, ...]:
         return tuple(s.id for s in self._topo if s.kind in NONLINEAR_KINDS)

@@ -16,12 +16,25 @@ nonce tag before the float64 data.  A connection starts with a version
 handshake that also announces the model input shape and class count, and
 then serves sequential sessions (EncInput .. LabelResult).
 
+Each side of a connection costs one syscall per frame.  The socket is
+blocking, and its timeout is the kernel's (``SO_RCVTIMEO`` and
+``SO_SNDTIMEO``), so no call polls first; a timeout ends the connection
+with ``TransportError``.  A frame is sent with one ``sendall``.  It is read
+with one ``recv_into`` into the transport's own buffer, header and payload
+together; bytes past the frame stay there for the next one.  The buffer
+starts at ``_BUFFER_BYTES`` and grows to the largest frame seen, by at
+most doubling when full, so memory follows the bytes received and not the
+length a header declares.
+
 The server walks the model graph with ``model.walk``, the walk in-process
 evaluation uses too; only the non-linear boundary hook differs.  Here the
 hook runs one share exchange per side of the boundary, the same code for
 both (mask, send, receive, check tag, layer and size, unmask), and the
 client answers both share frames in one branch keyed by side, so protocol
-fidelity holds by construction.
+fidelity holds by construction.  A session's masks are one uniform draw,
+one value per entry of every shift boundary (``ModelGraph.shift_size``),
+cut in walk order: each boundary's pre side, then its post side.  That is
+the stream one draw per exchange would give.
 
 Because masks are real-valued, unmasking re-rounds: reconstructed values can
 differ from the in-process evaluation by mask-magnitude rounding (~1e-13).
@@ -30,9 +43,11 @@ Labels agree exactly except on knife-edge ties.
 
 from __future__ import annotations
 
+import math
 import socket
 import struct
 import threading
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +72,8 @@ MASK_BOUND = 1e3
 
 _HEADER = struct.Struct("<BII")
 _MAX_PAYLOAD = 1 << 28
+# a transport's first read buffer; a larger frame grows it
+_BUFFER_BYTES = 4096
 
 TAG_HELLO = 1
 TAG_HELLO_ACK = 2
@@ -110,9 +127,10 @@ def tensor_payload(arr: np.ndarray) -> bytes:
 
 
 def payload_tensor(payload: bytes, layer_id: int = 0) -> np.ndarray:
+    """The float64 array of a tensor payload: a read-only view of its bytes."""
     if len(payload) % 8:
         raise ProtocolError(f"tensor payload length {len(payload)} is not a float64 array", layer_id)
-    return np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    return np.frombuffer(payload, dtype="<f8")
 
 
 def blob_payload(arr: np.ndarray, nonce: bytes) -> bytes:
@@ -128,35 +146,70 @@ def payload_blob(payload: bytes, layer_id: int = 0) -> tuple[bytes, np.ndarray]:
 
 
 class SocketTransport:
-    """Frame transport over a byte stream socket."""
+    """Frame transport over a byte stream socket (see the module docstring
+    for how a frame is read and what the timeout is)."""
 
     def __init__(self, sock: socket.socket, timeout: float = 30.0):
         self._sock = sock
-        sock.settimeout(timeout)
+        self._timeout = timeout
+        sock.settimeout(None)
+        whole = int(timeout)  # a struct timeval: seconds and microseconds, each a C long
+        timeval = struct.pack("ll", whole, int((timeout - whole) * 1e6))
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, timeval)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeval)
+        self._buf = bytearray(_BUFFER_BYTES)
+        self._view = memoryview(self._buf)
+        self._start = self._end = 0  # the received bytes not yet returned
 
     def send_frame(self, tag: int, layer_id: int, payload: bytes) -> None:
         try:
             self._sock.sendall(encode_frame(tag, layer_id, payload))
+        except BlockingIOError as e:
+            raise TransportError(f"send timed out after {self._timeout:g} s") from e
         except OSError as e:
             raise TransportError(f"send failed: {e}") from e
 
-    def _recv_exact(self, n: int) -> bytes:
-        buf = bytearray()
-        while len(buf) < n:
+    def _fill(self, need: int) -> None:
+        """Receive until ``need`` bytes are buffered past the read position;
+        each pass is one ``recv_into`` of as much as the buffer holds."""
+        while self._end - self._start < need:
+            # the rest does not fit past the read position, and there is free space in front or none behind
+            if self._start + need > len(self._buf) and (self._start or self._end == len(self._buf)):
+                self._make_room(need)
             try:
-                chunk = self._sock.recv(n - len(buf))
+                got = self._sock.recv_into(self._view[self._end :])
+            except BlockingIOError as e:
+                raise TransportError(f"recv timed out after {self._timeout:g} s") from e
             except OSError as e:
                 raise TransportError(f"recv failed: {e}") from e
-            if not chunk:
+            if not got:
                 raise TransportError("connection closed")
-            buf.extend(chunk)
-        return bytes(buf)
+            self._end += got
+
+    def _make_room(self, need: int) -> None:
+        """Move the unread bytes to the front of the buffer, and grow it
+        toward ``need`` to at most twice what it holds, so that a declared
+        length alone allocates nothing."""
+        pending = self._buf[self._start : self._end]
+        size = min(need, max(len(self._buf), 2 * len(pending)))
+        if size > len(self._buf):
+            self._buf = bytearray(size)
+            self._view = memoryview(self._buf)
+        self._buf[: len(pending)] = pending
+        self._start, self._end = 0, len(pending)
 
     def recv_frame(self) -> tuple[int, int, bytes]:
-        tag, layer_id, length = _HEADER.unpack(self._recv_exact(_HEADER.size))
+        self._fill(_HEADER.size)
+        tag, layer_id, length = _HEADER.unpack_from(self._buf, self._start)
         if length > _MAX_PAYLOAD:
             raise ProtocolError(f"payload length {length} exceeds limit", layer_id)
-        return tag, layer_id, self._recv_exact(length)
+        self._fill(_HEADER.size + length)
+        start = self._start + _HEADER.size
+        self._start = start + length
+        payload = bytes(self._view[start : self._start])
+        if self._start == self._end:
+            self._start = self._end = 0
+        return tag, layer_id, payload
 
     def close(self) -> None:
         try:
@@ -218,14 +271,19 @@ def _serve_session(
     if tag != TAG_ENC_INPUT:
         raise ProtocolError(f"expected EncInput, got {tag_name(tag)}", layer_id)
     _, x0 = payload_blob(payload, layer_id)
-    if x0.size != int(np.prod(model.input_shape)):
+    if x0.size != math.prod(model.input_shape):
         raise ProtocolError("EncInput size does not match model input", layer_id)
     x0 = x0.reshape(model.input_shape)
+    masks = rng.uniform(-MASK_BOUND, MASK_BOUND, size=model.shift_size)
+    cut = 0
 
     def exchange(lid: int, value: np.ndarray, tag: int) -> np.ndarray:
         """Send ``value`` masked in a ``tag`` frame and unmask the client's
-        reply (``_REPLIES``), after checking its tag, layer and size."""
-        mask = rng.uniform(-MASK_BOUND, MASK_BOUND, size=value.shape)
+        reply (``_REPLIES``), after checking its tag, layer and size.  The
+        mask is the next ``value.size`` of the session's masks."""
+        nonlocal cut
+        mask = masks[cut : cut + value.size].reshape(value.shape)
+        cut += value.size
         transport.send_frame(tag, lid, tensor_payload(value - mask))
         reply = _REPLIES[tag][1]
         got, got_lid, payload = transport.recv_frame()
@@ -264,7 +322,9 @@ class InferenceServer:
     mask RNG state.  Masks are uniform in [-MASK_BOUND, MASK_BOUND].
     ``sessions`` counts the sessions served to the end and
     ``session_errors`` the connections ended by an error reply, each logged
-    at warning level on the module's logger.
+    at warning level on the module's logger.  ``session_seconds`` and
+    ``max_session_seconds`` are the total and the largest wall time of the
+    counted sessions, from their first frame received to their label sent.
     """
 
     def __init__(self, model: ModelGraph, seed: int = 0):
@@ -280,6 +340,8 @@ class InferenceServer:
         self.address: tuple[str, int] | None = None
         self.sessions = 0
         self.session_errors = 0
+        self.session_seconds = 0.0
+        self.max_session_seconds = 0.0
 
     def start(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -325,11 +387,15 @@ class InferenceServer:
             session_idx = 0
             while not self._stopping.is_set():
                 first = transport.recv_frame()
+                t0 = time.perf_counter()
                 rng = np.random.default_rng(np.random.SeedSequence((self.seed, conn_idx, session_idx)))
                 _serve_session(self.model, transport, rng, first_frame=first)
+                elapsed = time.perf_counter() - t0
                 session_idx += 1
                 with self._conn_lock:
                     self.sessions += 1
+                    self.session_seconds += elapsed
+                    self.max_session_seconds = max(self.max_session_seconds, elapsed)
         except TransportError as e:
             _log().debug("connection %d closed: %s", conn_idx, e)
         except Exception as e:

@@ -143,6 +143,41 @@ def test_cli_dropped_flags_refused(monkeypatch, capsys, command, flag):
     assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
 
 
+def test_cli_serve_reports_its_sessions_when_stopped(tmp_path, monkeypatch, capsys):
+    """``shiftextract serve`` prints the sessions it served, its session
+    errors and the mean and max session microseconds when it stops."""
+    from types import SimpleNamespace
+
+    import shiftextract.cli as cli
+    from shiftextract.protocol import InferenceServer, connect
+
+    path = tmp_path / "truth.json"
+    sx.save_model(sx.random_model("fc4-r-fc3", (3,), seed=1), path)
+    servers = []
+
+    class Recorded(InferenceServer):
+        def start(self, *args, **kwargs):
+            servers.append(self)
+            return super().start(*args, **kwargs)
+
+    def sleep(_):  # two queries while the server runs, then the interrupt
+        conn = connect("%s:%d" % servers[0].address)
+        try:
+            conn.infer(np.zeros(3))
+            conn.infer(np.ones(3))
+        finally:
+            conn.close()
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "InferenceServer", Recorded)
+    monkeypatch.setattr(cli, "time", SimpleNamespace(sleep=sleep))
+    assert main(["serve", "--model", str(path)]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    m = re.fullmatch(r"served 2 sessions, 0 session errors; session us mean ([0-9.]+), max ([0-9.]+)", last)
+    assert m is not None, last
+    assert 0 < float(m[1]) <= float(m[2])
+
+
 def test_attack_identical_without_incremental_evaluation(monkeypatch):
     """The incremental in-process oracle changes wall time only: a memo-free
     backend gives byte-identical reports and parameters."""

@@ -14,6 +14,8 @@ from shiftextract import (
     QueryInput,
     RemoteOracle,
     ShiftSet,
+    TransportError,
+    apply_nonlinear,
     forward_label,
     forward_trace,
     random_model,
@@ -128,21 +130,40 @@ def test_mask_freshness(pool_model):
 
 
 def test_share_reconstruction(pool_model):
+    """Every share frame unmasks, by the masks one draw per exchange gives
+    (``_session_masks``), to the value the in-process evaluation holds
+    there: the client's NonlinearShare to the shifted pre-side input, the
+    server's MaskedPre to the input before the shift and its
+    NonlinearShare to the non-linear output.  The first MaskedPre, whose
+    input the server computes from the EncInput alone, is equal byte for
+    byte."""
+    model = pool_model
     rng = np.random.default_rng(4)
-    x = rng.standard_normal((2, 4, 4))
-    plan = _random_plan(pool_model, rng)
-    label, transcript = run_session(pool_model, x, plan, seed=9)
-    masks = _session_masks(pool_model, transcript.session_seed)
-    tr = forward_trace(pool_model, QueryInput(x, plan))
+    x = rng.standard_normal(model.input_shape)
+    plan = _random_plan(model, rng)
+    label, transcript = run_session(model, x, plan, seed=9)
+    masks = _session_masks(model, transcript.session_seed)
+    tr = forward_trace(model, QueryInput(x, plan))
+    shifted = lambda lid: tr.y[lid] + (0.0 if plan.get(lid, PRE) is None else plan.get(lid, PRE))
+    first = model.nonlinear_ids()[0]
     checked = 0
     for d, tag, lid, payload in transcript.frames:
-        if d == "c2s" and tag == TAG_NONLINEAR_SHARE:
-            recon = payload_tensor(payload).reshape(pool_model.pre_shape(lid)) + masks[(lid, PRE)]
-            pre = plan.get(lid, PRE)
-            want = tr.y[lid] + (pre if pre is not None else 0.0)
-            assert np.abs(recon - want).max() <= 1e-12
-            checked += 1
-    assert checked == len(pool_model.nonlinear_ids())
+        if (d, tag, lid) == ("s2c", TAG_MASKED_PRE, first):
+            assert payload == tensor_payload(tr.y[first] - masks[(first, PRE)])
+        if tag not in (TAG_MASKED_PRE, TAG_NONLINEAR_SHARE):
+            continue
+        share = payload_tensor(payload)
+        if d == "c2s":
+            recon, want = share.reshape(model.pre_shape(lid)) + masks[(lid, PRE)], shifted(lid)
+        elif tag == TAG_MASKED_PRE:
+            recon, want = share.reshape(model.pre_shape(lid)) + masks[(lid, PRE)], tr.y[lid]
+        else:
+            want = apply_nonlinear(model.layer(lid), shifted(lid))
+            recon = share.reshape(want.shape) + masks[(lid, POST)]
+        assert np.abs(recon - want).max() <= 1e-12
+        checked += 1
+    # a MaskedPre and its reply at every boundary, a NonlinearShare at each but the Argmax
+    assert checked == 3 * len(model.nonlinear_ids()) - 1
 
 
 @SESSION_MODELS
@@ -407,6 +428,137 @@ def test_frame_codec_roundtrip():
     assert np.array_equal(payload_tensor(frame[9:]), [1.5, -2.25])
 
 
+# ---------------------------------------------------------------------------
+# The frame reader, over a connected socket pair
+
+
+@pytest.fixture
+def reader():
+    """A transport on one end of a socket pair (0.2 s timeout) and the raw
+    other end; both are closed after the test."""
+    a, b = socket.socketpair()
+    t = SocketTransport(a, timeout=0.2)
+    yield t, b
+    t.close()
+    b.close()
+
+
+def test_frame_split_across_writes_decodes(reader):
+    """A frame written in pieces, 20 ms apart so that the reader meets each
+    one alone, decodes: the header split at byte 4, the payload in three."""
+    import threading
+    import time
+
+    t, peer = reader
+    payload = tensor_payload(np.arange(5.0))
+    frame = encode_frame(TAG_MASKED_PRE, 7, payload)
+
+    def write():
+        for piece in (frame[:4], frame[4:9], payload[:3], payload[3:20], payload[20:]):
+            time.sleep(0.02)
+            peer.sendall(piece)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    assert t.recv_frame() == (TAG_MASKED_PRE, 7, payload)
+    writer.join(timeout=5)
+    assert not writer.is_alive()
+
+
+def test_two_frames_in_one_write_decode_in_order(reader):
+    """Both decode, in order; the first nearly fills the transport's first
+    buffer, so the second straddles its end."""
+    t, peer = reader
+    first, second = tensor_payload(np.arange(500.0)), b"second frame " * 20
+    assert len(first) < sx_protocol._BUFFER_BYTES < len(first) + len(second)
+    peer.sendall(encode_frame(TAG_MASKED_PRE, 2, first) + encode_frame(TAG_SESSION_ERROR, 4, second))
+    assert t.recv_frame() == (TAG_MASKED_PRE, 2, first)
+    assert t.recv_frame() == (TAG_SESSION_ERROR, 4, second)
+
+
+def test_frames_larger_than_the_first_buffer_decode(reader):
+    """A frame larger than the transport's first buffer grows it, and the
+    frames after it still decode."""
+    t, peer = reader
+    big, small = tensor_payload(np.arange(3000.0)), tensor_payload(np.array([3.0]))
+    assert len(big) > sx_protocol._BUFFER_BYTES
+    peer.sendall(encode_frame(TAG_ENC_INPUT, 0, big) + encode_frame(TAG_ENC_POST, 1, small))
+    assert t.recv_frame() == (TAG_ENC_INPUT, 0, big)
+    assert t.recv_frame() == (TAG_ENC_POST, 1, small)
+
+
+def test_declared_length_alone_allocates_nothing():
+    """The read buffer grows with the bytes received, not with the length
+    a header declares: a peer that declares 1 MiB and then sends 10 bytes
+    leaves the first buffer as it was, and one that sends 5,000 grows it
+    to less than twice that."""
+    for sent, most in ((10, sx_protocol._BUFFER_BYTES), (5000, 2 * (9 + 5000))):
+        a, peer = socket.socketpair()
+        t = SocketTransport(a, timeout=0.2)
+        peer.sendall(struct.pack("<BII", TAG_MASKED_PRE, 3, 1 << 20) + bytes(sent))
+        peer.close()
+        with pytest.raises(TransportError, match="^connection closed$"):
+            t.recv_frame()
+        t.close()
+        assert len(t._buf) <= most
+
+
+def test_oversized_length_refused_before_its_payload(reader):
+    """A declared length above the limit raises ProtocolError at once: the
+    reader does not wait for a payload that never comes."""
+    t, peer = reader
+    peer.sendall(struct.pack("<BII", TAG_MASKED_PRE, 3, sx_protocol._MAX_PAYLOAD + 1))
+    with pytest.raises(ProtocolError, match="exceeds limit") as info:
+        t.recv_frame()
+    assert info.value.layer_id == 3
+
+
+def test_silent_peer_times_out(reader):
+    """A peer that sends nothing ends the read with TransportError naming
+    the timeout, after the transport's 0.2 s and not much before."""
+    import time
+
+    t, _ = reader
+    t0 = time.perf_counter()
+    with pytest.raises(TransportError, match=r"^recv timed out after 0\.2 s$"):
+        t.recv_frame()
+    assert 0.18 <= time.perf_counter() - t0 < 2.0
+
+
+def test_closed_peer_ends_the_read(reader):
+    t, peer = reader
+    peer.sendall(encode_frame(TAG_MASKED_PRE, 1, b"")[:5])  # half a header, then gone
+    peer.close()
+    with pytest.raises(TransportError, match="^connection closed$"):
+        t.recv_frame()
+
+
+def test_waiting_frame_read_with_one_syscall():
+    """A frame already waiting, header and payload, is read with exactly
+    one ``recv_into`` and no other receive call."""
+    calls = []
+
+    class Counting(socket.socket):
+        def recv_into(self, *args, **kwargs):
+            calls.append("recv_into")
+            return super().recv_into(*args, **kwargs)
+
+        def recv(self, *args, **kwargs):
+            calls.append("recv")
+            return super().recv(*args, **kwargs)
+
+    a, b = socket.socketpair()
+    t = SocketTransport(Counting(fileno=a.detach()), timeout=5)
+    try:
+        payload = tensor_payload(np.arange(4.0))
+        b.sendall(encode_frame(TAG_NONLINEAR_SHARE, 9, payload))
+        assert t.recv_frame() == (TAG_NONLINEAR_SHARE, 9, payload)
+        assert calls == ["recv_into"]
+    finally:
+        t.close()
+        b.close()
+
+
 def test_concurrent_connections(pool_model):
     """Connections run in parallel without sharing mask-RNG state."""
     import threading
@@ -497,6 +649,23 @@ def test_server_counts_sessions_and_errors(pool_model, caplog):
     assert (server.sessions, server.session_errors) == (3, 1)
     levels = {r.levelno for r in caplog.records if r.name == "shiftextract.protocol"}
     assert levels == {logging.DEBUG, logging.WARNING}
+
+
+def test_server_times_its_sessions(pool_model):
+    """The server keeps the count, total and largest wall time of the
+    sessions it served."""
+    server = serve(pool_model, seed=0)
+    try:
+        conn = connect("%s:%d" % server.address)
+        try:
+            for _ in range(3):
+                conn.infer(np.ones((2, 4, 4)))
+        finally:
+            conn.close()
+    finally:
+        server.stop()
+    assert server.sessions == 3
+    assert 0 < server.max_session_seconds <= server.session_seconds
 
 
 def test_socket_client_raises_the_servers_session_error():

@@ -5,6 +5,7 @@
     python3 scripts/bench.py --root ../parent --out BENCH_0.json
     python3 scripts/bench.py --root ../parent --residual 1   # one RESIDUAL attack, as JSON
     python3 scripts/bench.py --depth 8   # one attack of the depth family at k = 8, as JSON
+    python3 scripts/bench.py --root ../parent --pooled two-branch-pool   # one family of the pooled section, as JSON
     python3 scripts/bench.py --streams   # report and query-stream digests of every attack below
     python3 scripts/bench.py --streams pool-endpoint:1 pool-endpoint:1:in-process
     python3 scripts/bench.py --root ../parent --replay-loopback pool-endpoint   # one loopback row, as JSON
@@ -36,8 +37,15 @@ wall seconds and per-layer queries, with their medians over the seeds.  A
 fresh interpreter.  It records per-layer calls per parameter, wall seconds
 and microseconds per query, the spread of the residual-branch
 convolutions' calls per parameter over all depths, and microseconds per
-query against k.  A ``replay`` section attacks each workload once more in
-process (seed 1, pinned to one CPU), records its query stream and replays
+query against k.  A ``pooled`` section attacks every layer of each
+family of ``POOLED``, small convolutional models with a MaxPoolReLU, a
+non-identity skip or ten classes around their convolutions (model seeds 1
+to 3, attack seed 1), one family per fresh interpreter, and records per
+family its queries, its convolution layers read wrong (any parameter
+beyond ``POOLED_TOL``, relative), the worst convolution error and the
+slots flagged dead or retried, and each model's per-layer max error.  A
+``replay`` section attacks each workload once more in process (seed 1,
+pinned to one CPU), records its query stream and replays
 it through ``forward_label`` on a fresh model: evaluator-only
 microseconds per query next to whole-attack microseconds per query.  Its
 ``pool-endpoint:loopback`` row replays pool-endpoint's recorded stream over
@@ -73,6 +81,18 @@ SWEEP_ETA_TOLS = (1e-9, 1e-8, 1e-7, 3e-7, 1e-6)
 RESIDUAL = {"arch": "conv8x3x3-r-res{conv8x3x3-r,}-r-res{conv8x3x3-r,}-r-fc16-r-fc10", "input_shape": (3, 8, 8),
             "model_seed": 2}
 DEPTHS = (1, 2, 4, 8)
+POOLED_SHAPES = ((1, 8, 8), (2, 8, 8))
+POOLED = {  # family: its architectures and input shapes
+    "two-branch-pool": ([f"conv{n}x3x3-r-res{{conv{n}x3x3-r,conv{n}x3x3-r}}-mpr2-fc6-r-fc3" for n in (2, 4)],
+                        POOLED_SHAPES),
+    "two-branch": ([f"conv{n}x3x3-r-res{{conv{n}x3x3-r,conv{n}x3x3-r}}-fc6-r-fc3" for n in (2, 4)], POOLED_SHAPES),
+    "two-convs-above-pool": ([f"conv{n}x3x3-r-conv{n}x3x3-r-conv{n}x3x3-mpr2-fc6-r-fc3" for n in (2, 4)],
+                             POOLED_SHAPES),
+    "two-maxpools": ([f"conv{n}x3x3-mpr2-conv{n}x3x3-r-conv{n}x3x3-mpr2-fc6-r-fc3" for n in (2, 4)], POOLED_SHAPES),
+    "ten-class": (["conv2x3x3-r-fc12-r-fc10"], POOLED_SHAPES),
+    "odd-centre": (["conv2x3x3-r-res{conv2x3x3-r,}-mpr2-fc6-r-fc3"], ((1, 6, 6), (2, 10, 10))),
+}
+POOLED_TOL = 1e-6
 
 
 def depth_arch(k: int) -> dict:
@@ -198,6 +218,36 @@ def sweep(root: Path) -> dict:
                 "seeds": seeds,
             }
     return out
+
+
+def pooled_family(root: Path, family: str) -> dict:
+    """Every layer of every model of ``POOLED[family]`` attacked (model
+    seeds ``SEEDS``, attack seed 1): the family's queries, convolution
+    layers read wrong, worst convolution error and flagged slots, and per
+    model its queries and each layer's max relative error, dead and retried
+    slots (the terminal layer up to its gauge)."""
+    sx = _program(root)
+    from shiftextract.harness import layer_error_summary
+
+    archs, shapes = POOLED[family]
+    models, conv_errors, flagged = {}, [], 0
+    for arch, shape, seed in ((a, s, m) for a in archs for s in shapes for m in SEEDS):
+        truth = sx.random_model(arch, shape, seed=seed)
+        cfg = sx.ExperimentConfig(arch=arch, input_shape=shape, model_seed=seed, attack_seed=1)
+        report, extracted = sx.run_attack(cfg, truth=truth)
+        layers = {}
+        for l in report.layers:
+            est, true = extracted.layer(l.layer_id), truth.layer(l.layer_id)
+            eb, ew = layer_error_summary(est.bias, est.weight, true.bias, true.weight, l.gauge_fixed)
+            layers[str(l.layer_id)] = {"max_error": float(max(eb.max(), ew.max())), "dead": l.dead,
+                                       "retried": l.retried}
+            flagged += l.dead + l.retried
+            if l.kind == "Convolution":
+                conv_errors.append(layers[str(l.layer_id)]["max_error"])
+        models[f"{arch}:{'x'.join(map(str, shape))}:{seed}"] = {"queries": report.total_queries, "layers": layers}
+    return {"queries": sum(m["queries"] for m in models.values()), "conv_layers": len(conv_errors),
+            "wrong_conv_layers": sum(e > POOLED_TOL for e in conv_errors), "worst_conv_error": max(conv_errors),
+            "flagged_slots": flagged, "models": models}
 
 
 def stream_names() -> list[str]:
@@ -409,6 +459,8 @@ def delta(prev: dict, cur: dict) -> dict:
     d_old, metrics = prev.get("depth", {}).get("runs", {}), ("wall_s", "calls_per_param", "us_per_query")
     out["depth"] = {k: {m: _change(d_old.get(k, {}).get(m), r[m]) for m in metrics}
                     for k, r in cur["depth"]["runs"].items()}
+    o_old, metrics = prev.get("pooled", {}), ("queries", "wrong_conv_layers", "worst_conv_error", "flagged_slots")
+    out["pooled"] = {f: {m: _change(o_old.get(f, {}).get(m), r[m]) for m in metrics} for f, r in cur["pooled"].items()}
     p_old = prev.get("replay", {})
     out["replay"] = {w: {m: _change(p_old.get(w, {}).get(m), v) for m, v in r.items() if m.endswith("_us_per_query")}
                      for w, r in cur["replay"].items()}
@@ -426,6 +478,7 @@ def main(argv=None) -> int:
     ap.add_argument("--depth", type=int, metavar="K", help="print one attack of the depth family's JSON record")
     ap.add_argument("--streams", nargs="*", metavar="ATTACK",
                     help="print report and query-stream digests of these attacks (default: every one)")
+    ap.add_argument("--pooled", choices=sorted(POOLED), help="print one family of the pooled section, as JSON")
     ap.add_argument("--stream-of", metavar="ATTACK", help=argparse.SUPPRESS)
     ap.add_argument("--replay", metavar="WORKLOAD", help=argparse.SUPPRESS)
     ap.add_argument("--replay-loopback", metavar="WORKLOAD",
@@ -463,6 +516,9 @@ def main(argv=None) -> int:
     if args.depth is not None:
         print(json.dumps(scored_attack(root, depth_arch(args.depth))))
         return 0
+    if args.pooled:
+        print(json.dumps(pooled_family(root, args.pooled)))
+        return 0
     if args.out is None:
         ap.error("--out is required")
 
@@ -489,6 +545,10 @@ def main(argv=None) -> int:
     bench["residual"] = {**RESIDUAL, "median": {k: statistics.median(r[k] for r in seeds.values()) for k in keys},
                          "seeds": seeds}
     bench["depth"] = depth(root)
+    bench["pooled"] = {}
+    for family in POOLED:
+        print(f"pooled {family}", file=sys.stderr, flush=True)
+        bench["pooled"][family] = _child(root, "--pooled", family)
     bench["replay"] = {}
     for w in WORKLOADS:
         print(f"replay {w}", file=sys.stderr, flush=True)

@@ -15,9 +15,9 @@ that releases a target is built by one ``_releaser``.  Layer drivers steer
 what the hidden values are: suppressing all upstream activations pins a
 layer's input to zero so its biases appear directly, injected test
 patterns turn individual weights into measurable features, and switching
-on every downstream ReLU makes the network between a feature and the
-logits affine.  What lies downstream of a boundary is the model's own
-walk plan (``ModelGraph.downstream``).
+on every downstream ReLU and pool window makes the network between a
+feature and the logits affine.  What lies downstream of a boundary is the
+model's own walk plan (``ModelGraph.downstream``).
 
 Every scalar search of the attack (the flip of a feature scan, the class tie
 behind a critical point or a terminal class pair, an n-ary read) is one
@@ -56,26 +56,22 @@ carry log2 n.  At a phase base the network between a released target and
 the logits is affine, so every logit is a line in the target's output, and
 those lines are the same in every phase that releases the same boundary
 entry, since the injection reaches the logits only through the silenced
-boundary, its skip cancelled.  A fully-connected layer has one per output.
-A convolution gets one per output channel when it is read at the map
-centre: each weight phase injects at the one input pixel that the centre
-reads through one kernel tap, so the layer reads like a fully-connected
-one of n_in kh kw inputs.  Such a layer, when its weight phases repay the
-calibration (``_reads_nary``, the one rule), reads its weights n-ary,
+boundary, its skip cancelled.  Every layer has one per output: a
+convolution is read at its map centre like a fully-connected layer of n_in
+kh kw inputs, each weight phase injecting at the one input pixel that the
+centre reads through one kernel tap.  A layer whose weight phases repay
+the calibration (``_reads_nary``, the one rule) reads its weights n-ary,
 into a ReLU or a MaxPoolReLU boundary alike.  After the bias phase every
-class is tied with a reference class once (``_class_intercepts``) and
-each target's slopes are measured once (``_calibrate_lines``); a weight
-then reads through ``_read_lines``, which shifts the Argmax input so that
-each kept class tops the upper envelope on one of m sub-windows, and the
-label shrinks the window m-fold.  A read ignores the phase's tie, but the
-tie is still made: when it is not where the intercepts predict, the
-intercepts are stale and the phase scans binary.  A label from a
-suppressed class fails the read, and the retry is a binary scan.  Bias
-phases always scan binary, and so do the convolutions the rule refuses:
-their bias is read at the map centre too, one weight phase per input
-channel injects there, and each kernel tap is read at the one output
-position that sees it.  Every scan, binary or n-ary, releases one boundary
-index.
+class is tied with a reference class once (``_class_intercepts``) and each
+target's slopes are measured once (``_calibrate_lines``); a weight then
+reads through ``_read_lines``, which shifts the Argmax input so that each
+kept class tops the upper envelope on one of m sub-windows, and the label
+shrinks the window m-fold.  A read ignores the phase's tie, but the tie is
+still made: when it is not where the intercepts predict, the intercepts
+are stale and the phase scans binary.  A label from a suppressed class
+fails the read, and the retry is a binary scan.  Bias phases always scan
+binary, and so do the weights of a layer the rule refuses, at the same
+targets.  Every scan, binary or n-ary, releases one boundary index.
 
 When such a layer feeds the terminal layer through one ReLU, its
 calibration measures the terminal too: at its silenced base the logits
@@ -804,16 +800,20 @@ def search_critical(
     The client malleates the Argmax input like any other boundary, so one
     scalar logit nudge ties any two classes once the others are pushed down.
     With a ``hint``, the critical point of an earlier base, its pair is
-    tied again starting at its tie shift with a ``TIE_POLISH_TOL`` step: a
-    tie that has not moved costs about four queries, one that has moved
-    (a path around the silenced boundary, or protocol noise) is galloped
-    to.  Two classes drawn from ``rng`` are tied only without a hint, or
-    when the hinted pair fails.
+    tied again from its tie shift, its step the hint's last move
+    (``TIE_POLISH_TOL`` at least): a tie that has not moved costs about
+    four queries, one that moves by about as much in every phase (a path
+    around the silenced boundary) is galloped to from that scale.  A move
+    within ``NARY_TIE_DRIFT`` (mask noise) is recorded as 0.  Two classes
+    drawn from ``rng`` are tied only without a hint, or when the hinted
+    pair fails.
     """
     if hint is not None:
         try:
-            v, t = _pair_boundary(oracle, v0, hint.c1, hint.c2, cfg, start=hint.t, step=TIE_POLISH_TOL)
-            return CriticalPoint(v=v, c1=hint.c1, c2=hint.c2, t=t)
+            step = max(hint.move, TIE_POLISH_TOL)
+            v, t = _pair_boundary(oracle, v0, hint.c1, hint.c2, cfg, start=hint.t, step=step)
+            move = abs(t - hint.t)
+            return CriticalPoint(v=v, c1=hint.c1, c2=hint.c2, t=t, move=move if move > NARY_TIE_DRIFT else 0.0)
         except BoundarySearchError:
             pass
     c1, c2 = (int(c) for c in rng.choice(oracle.n_classes, size=2, replace=False))
@@ -891,8 +891,9 @@ def extract_feature_maxpool(
     Every other input of the pool stays at -``SUPPRESSION`` (the silenced
     base), so every pooled output whose window contains ``index`` carries
     exactly ReLU of the released target, and the value is read as at a
-    standalone ReLU; a downstream maxpool still takes its max there.  An
-    index that feeds no pooled output raises ExtractionError.
+    standalone ReLU; a downstream maxpool passes its pinned members
+    (``_linearize_downstream``).  An index that feeds no pooled output
+    raises ExtractionError.
     """
     spec = skeleton.layer(layer_id)
     if spec.kind != KIND_MPR:
@@ -954,18 +955,25 @@ def _switched_below(skeleton: ModelGraph, boundary_id: int) -> list:
 
 
 def _linearize_downstream(skeleton: ModelGraph, boundary_id: int) -> ShiftSet:
-    """Shifts that switch on every ReLU downstream of boundary ``boundary_id``.
+    """Shifts that make the network below boundary ``boundary_id`` affine.
 
     Each layer of ``_switched_below`` gets +``FEATURE_BOUND`` on its pre
-    side and -``FEATURE_BOUND`` on its post side.  Its inputs stay above
-    -``FEATURE_BOUND``, so it passes them unchanged (a maxpool still takes
-    its max): the network between the target and the logits is affine,
-    and no downstream kink hides the target from the tied logits or moves
-    a scan's flip.
+    side and -``FEATURE_BOUND`` on its post side, so a ReLU passes its
+    inputs unchanged, and no downstream kink hides the target from the
+    tied logits or moves a scan's flip.  A MaxPoolReLU of kernel (kh, kw)
+    on an H x W map gets +``FEATURE_BOUND`` only on the members at rows =
+    H // 2 (mod kh) and columns = W // 2 (mod kw), and -``SUPPRESSION`` on
+    the rest, so it passes those: every window, at any stride, holds
+    exactly one, and the map centre, which a centre target reaches, is
+    one of them.
     """
     entries = {}
     for spec in _switched_below(skeleton, boundary_id):
-        entries[(spec.id, PRE)] = np.full(skeleton.pre_shape(spec.id), FEATURE_BOUND)
+        shape = skeleton.pre_shape(spec.id)
+        pre = entries[(spec.id, PRE)] = np.full(shape, FEATURE_BOUND if spec.kind == KIND_RELU else -SUPPRESSION)
+        if spec.kind == KIND_MPR:
+            (kh, kw), (_, h, w) = spec.kernel, shape
+            pre[:, (h // 2) % kh :: kh, (w // 2) % kw :: kw] = FEATURE_BOUND
         entries[(spec.id, POST)] = np.full(skeleton.out_shape(spec.id), -FEATURE_BOUND)
     return ShiftSet(entries)
 
@@ -987,15 +995,20 @@ def _require_phase_base(skeleton: ModelGraph, boundary_id: int, base: QueryInput
     """Raise ExtractionError unless ``base`` carries ``_phase_base(skeleton,
     boundary_id)``: a release scan needs the boundary silenced around its
     target, and the one-probe steps of ``_flip_point`` need an affine
-    downstream."""
+    downstream: every switched layer's keys, and a MaxPoolReLU's pins."""
     silence = base.shifts.get(boundary_id, PRE)
     if silence is None or not np.all(silence == -SUPPRESSION):
         raise ExtractionError(f"base does not silence boundary {boundary_id}")
-    switched = {(s.id, side) for s in _switched_below(skeleton, boundary_id) for side in (PRE, POST)}
+    below = _switched_below(skeleton, boundary_id)
+    switched = {(s.id, side) for s in below for side in (PRE, POST)}
     missing = switched - base.shifts.entries.keys()
     if missing:
         keys = ", ".join(f"{lid}:{side}" for lid, side in sorted(missing))
         raise ExtractionError(f"base leaves ReLUs downstream of layer {boundary_id} unswitched (missing {keys})")
+    pins = _linearize_downstream(skeleton, boundary_id) if any(s.kind == KIND_MPR for s in below) else None
+    for s in below:
+        if s.kind == KIND_MPR and not np.array_equal(base.shifts.get(s.id, PRE), pins.get(s.id, PRE)):
+            raise ExtractionError(f"base does not pin one member per window of maxpool {s.id} below {boundary_id}")
 
 
 # ---------------------------------------------------------------------------
@@ -1071,12 +1084,9 @@ def _reads_nary(
     The layer, fully connected or a convolution, must feed a ReLU or
     MaxPoolReLU boundary, and its injection must reach the logits only
     through that boundary, a skip cancelled (``_skip_cancel``): only then
-    are the lines the same in every weight phase.  No MaxPoolReLU may sit
-    downstream of the boundary (``_switched_below``), since
-    ``_linearize_downstream`` leaves its max in place and the lines could
-    bend there.  Its weight reads, n_in per target (n_in kh kw for a
-    convolution, read at the map centre), must also repay the
-    calibration: a read saves a binary scan's
+    are the lines the same in every weight phase.  Its weight reads, n_in
+    per target (n_in kh kw for a convolution, read at the map centre), must
+    also repay the calibration: a read saves a binary scan's
     log2(1 / eta_tol) + ``BINARY_READ_EXTRA`` queries less its own
     log_m(1 / eta_tol) + ``NARY_READ_EXTRA``, and each target pays m - 1 =
     ``classes`` - 1 slope ties, the layer m - 2 intercept ties
@@ -1091,8 +1101,6 @@ def _reads_nary(
     spec = skeleton.layer(layer_id)
     succ = _nonlinear_successor(skeleton, layer_id)
     if succ.kind == KIND_ARGMAX or classes < 2 or _skip_cancel(skeleton, layer_id, succ.id) is None:
-        return False
-    if any(s.kind == KIND_MPR for s in _switched_below(skeleton, succ.id)):
         return False
     n_out, reads = spec.weight.shape[0], spec.weight[0].size
     bits = math.log2(1.0 / eta_tol)
@@ -1185,10 +1193,9 @@ def _calibrate_lines(
     ties: TerminalTies | None = None,
 ) -> dict[int, ClassLines]:
     """The class lines of every target in ``readings``, keyed by its
-    output channel j: ``readings`` maps the boundary index that the
-    layer's weight phases read for output j, (j,) or a convolution's map
-    centre (j, ic, jc), to its bias reading b_j at the silenced base
-    ``v0``.
+    output channel j: ``readings`` maps the boundary index of output j's
+    target, (j,) or a convolution's map centre (j, ic, jc), to its bias
+    reading b_j at the silenced base ``v0``.
 
     That index alone is released, at z = R - b_j, so its output is a known
     R = max(1, |b_j|): at its scale, and far below ``ETA_MAX``.  Each class
@@ -1226,8 +1233,8 @@ def _extract_layer(
     layer_id: int,
     succ,
     amplitude: float,
-    bias_targets: Sequence,
-    weight_phases,
+    targets: Sequence[tuple],
+    weight_phases: Iterable[tuple[np.ndarray, tuple]],
     cfg: BoundarySearchConfig,
     rng: np.random.Generator,
     nary: bool,
@@ -1235,16 +1242,16 @@ def _extract_layer(
 ) -> LayerExtractionResult:
     """The driver shared by convolution and fully-connected layers whose
     one consumer is the ReLU or MaxPoolReLU boundary ``succ``: one loop
-    over the bias phase and then the weight phases.
+    over the bias phase and then the weight phases, each reading output j
+    at boundary index ``targets[j]``.
 
-    The bias phase runs with the layer's input pinned to zero, so target
-    ``(slot, index)`` reads bias[slot], to ``eta_tol`` times
-    ``BIAS_TOL_FACTOR``.  Each weight phase is a pair ``(inject,
-    targets)``: with the input set to ``inject``, a target reads bias[c] +
-    amplitude * weight[slot] for its output channel c = slot[0], to
-    ``eta_tol`` times its distance from the bias reading of c.
-    Every phase's base silences the boundary and switches on the ReLUs
-    downstream of it (``_phase_base``); a weight phase's also cancels an
+    The bias phase runs with the layer's input pinned to zero, so output j
+    reads bias[j], to ``eta_tol`` times ``BIAS_TOL_FACTOR``.  Each weight
+    phase is a pair ``(inject, column)``: with the input set to
+    ``inject``, output j reads bias[j] + amplitude * weight[(j,) +
+    column], to ``eta_tol`` times its distance from the bias reading of j.
+    Every phase's base silences the boundary and makes the network below
+    it affine (``_phase_base``); a weight phase's also cancels an
     identity skip around the layer (``_skip_cancel``), binary or n-ary.
     Every phase ties its critical point from the one the phase before
     ended with (``search_critical``), where the tie holds: the layer draws
@@ -1261,11 +1268,9 @@ def _extract_layer(
     class lines are calibrated right after the bias phase: every class is
     tied with the bias phase's reference once (``_class_intercepts``), the
     rule is asked again with the classes that tied, and then each target's
-    slopes are measured at the one boundary index its bias target reads
-    (``_calibrate_lines``), which must be the index every weight phase
-    reads for that output channel.  Those ties count in ``weight_queries`` and in
-    ``calibration_queries``.  In a weight phase whose tie sits where the
-    intercepts predict (``_LineCalibration.holds``), a target with class
+    slopes are measured (``_calibrate_lines``).  Those ties count in
+    ``weight_queries`` and in ``calibration_queries``.  In a weight phase
+    whose tie sits where the intercepts predict (``_LineCalibration.holds``), a target with class
     lines is read n-ary from the layer's last spread at its first attempt.
     ``ties`` is the attack's table at the boundary that feeds the terminal
     layer, given to the layer below that one: its calibration ties go
@@ -1283,14 +1288,15 @@ def _extract_layer(
     bias_cfg = replace(cfg, eta_tol=cfg.eta_tol * BIAS_TOL_FACTOR)
     scale = cp = cal = None
     t0 = oracle.count
-    for inject, targets in itertools.chain([(None, bias_targets)], weight_phases):
+    for inject, column in itertools.chain([(None, ())], weight_phases):
         v0 = _controlled_query(skeleton, plan, inject, cancel).shifted(base)
         cp = search_critical(oracle, v0, cfg, rng, cp)
         values, read_cfg = (res.bias, bias_cfg) if inject is None else (res.weight, cfg)
         by_lines = cal.lines if cal is not None and cal.holds(cp) else {}
-        for slot, target in targets:
-            lines = by_lines.get(slot[0])
-            centre = 0.0 if inject is None else float(res.bias[slot[0]])
+        for j, target in enumerate(targets):
+            slot = (j,) + column
+            lines = by_lines.get(j)
+            centre = 0.0 if inject is None else float(res.bias[j])
             value, retried = 0.0, True  # unless an attempt ends the loop
             for k in range(MAX_RETRIES + 1):
                 if k:
@@ -1326,7 +1332,7 @@ def _extract_layer(
                 if _reads_nary(skeleton, layer_id, len(intercepts), cfg.eta_tol, ties):
                     # a bias reading flagged dead or retried may be off: that target keeps the binary scan
                     flagged = set(res.dead) | set(res.retried)
-                    readings = {target: float(res.bias[slot]) for slot, target in bias_targets if slot not in flagged}
+                    readings = {target: float(res.bias[j]) for j, target in enumerate(targets) if (j,) not in flagged}
                     by_target = _calibrate_lines(oracle, succ.id, v0, cp.c1, intercepts, readings, cfg, ties)
                     cal = _LineCalibration(intercepts, by_target, scale)
                 res.calibration_queries = oracle.count - t1
@@ -1369,20 +1375,15 @@ def extract_conv_layer(
 ) -> LayerExtractionResult:
     """Recover a convolution layer's bias and weights.
 
-    Bias: with the layer's input pinned to zero, every spatial position of
-    output channel c holds bias[c].  Both layouts inject a single input
-    pixel, so that one output position holds bias[c] + delta * w[c, c_in,
-    ki, kj] for one kernel tap (c, c_in, ki, kj).  A layer that
-    ``_reads_nary`` admits is read at the map centre (ic, jc), like a
-    fully-connected layer of n_in kh kw inputs: the bias phase reads
-    bias[c] there, and each weight phase sets input pixel (c_in, ic + ki -
-    pad, jc + kj - pad) to the amplitude delta and reads every output
-    channel's centre through its class lines.  A refused layer scans
-    binary, one weight phase per input channel: the phase sets input pixel
-    (c_in, ic, jc), and tap (c, c_in, ki, kj) is read at output (c, ic - ki
-    + pad, jc - kj + pad).  Its bias is read at the centre too.  A map
-    smaller than the kernel holds no such layout: ExtractionError is raised
-    before any query.
+    The layer is read at the map centre (ic, jc), like a fully-connected
+    layer of n_in kh kw inputs, binary or n-ary as ``_reads_nary`` says.
+    With the layer's input pinned to zero, the centre of output channel c
+    holds bias[c].  The weight phase of tap (c_in, ki, kj) sets the one
+    input pixel (c_in, ic + ki - pad, jc + kj - pad) that the centre reads
+    through that tap to the amplitude delta, so the centre of channel c
+    holds bias[c] + delta * w[c, c_in, ki, kj].  A map smaller than the
+    kernel has no pixel for every tap: ExtractionError is raised before any
+    query.
     """
     spec, succ, nary, amplitude = _driver_setup(oracle, skeleton, layer_id, KIND_CONV, cfg)
     n_out, n_in, kh, kw = spec.weight.shape
@@ -1392,26 +1393,16 @@ def extract_conv_layer(
     ic, jc = fh // 2, fw // 2
     ph, pw = (kh - 1) // 2, (kw - 1) // 2
 
-    bias_targets = [((c,), (c, ic, jc)) for c in range(n_out)]
-
     def weight_phases():
-        """``nary``: one phase per tap, one target per output channel;
-        otherwise one phase per input channel, one target per tap."""
-        if nary:
-            for c_in, ki, kj in itertools.product(range(n_in), range(kh), range(kw)):
-                inject = np.zeros((n_in, fh, fw))
-                inject[c_in, ic + ki - ph, jc + kj - pw] = amplitude
-                yield inject, [((c, c_in, ki, kj), target) for (c,), target in bias_targets]
-            return
-        for c_in in range(n_in):
+        """One phase per tap."""
+        for tap in itertools.product(range(n_in), range(kh), range(kw)):
+            c_in, ki, kj = tap
             inject = np.zeros((n_in, fh, fw))
-            inject[c_in, ic, jc] = amplitude
-            yield inject, [
-                ((c, c_in, ki, kj), (c, ic - ki + ph, jc - kj + pw))
-                for c, ki, kj in itertools.product(range(n_out), range(kh), range(kw))
-            ]
+            inject[c_in, ic + ki - ph, jc + kj - pw] = amplitude
+            yield inject, tap
 
-    return _extract_layer(oracle, skeleton, layer_id, succ, amplitude, bias_targets, weight_phases(), cfg, rng, nary)
+    targets = [(c, ic, jc) for c in range(n_out)]
+    return _extract_layer(oracle, skeleton, layer_id, succ, amplitude, targets, weight_phases(), cfg, rng, nary)
 
 
 def extract_fc_layer(
@@ -1439,18 +1430,16 @@ def extract_fc_layer(
     """
     spec, succ, nary, amplitude = _driver_setup(oracle, skeleton, layer_id, KIND_FC, cfg, ties)
     n_out, n_in = spec.weight.shape
-    bias_targets = [((j,), (j,)) for j in range(n_out)]
 
     def weight_phases():
-        """One phase per input feature, one target per output."""
+        """One phase per input feature."""
         for i0 in range(n_in):
             inject = np.zeros(n_in)
             inject[i0] = amplitude
-            yield inject, [((j, i0), target) for (j,), target in bias_targets]
+            yield inject, (i0,)
 
-    return _extract_layer(
-        oracle, skeleton, layer_id, succ, amplitude, bias_targets, weight_phases(), cfg, rng, nary, ties
-    )
+    targets = [(j,) for j in range(n_out)]
+    return _extract_layer(oracle, skeleton, layer_id, succ, amplitude, targets, weight_phases(), cfg, rng, nary, ties)
 
 
 def extract_last_layer(

@@ -72,7 +72,8 @@ class CriticalPoint:
     ``v`` is the full query: the base plus the Argmax-input shift that
     pushes every other class down and nudges the pair into a tie.  ``t`` is
     that nudge, the shift on logit c2, from which the tie of a later base
-    is searched.  The constructor trusts the caller: the search validates
+    is searched, and ``move`` its last move, from which that search
+    gallops.  The constructor trusts the caller: the search validates
     criticality with the two-probe test before building one.
     """
 
@@ -80,3 +81,4 @@ class CriticalPoint:
     c1: int
     c2: int
     t: float
+    move: float = 0.0

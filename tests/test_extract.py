@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import shiftextract as sx
 import shiftextract.extract as sx_extract
+import shiftextract.model as sx_model
 from shiftextract import (
     KIND_ARGMAX,
     KIND_INPUT,
@@ -372,8 +373,9 @@ def _reachable(model, node):
 def test_downstream_reads_agree_with_reachability(name, monkeypatch):
     """What the attack reads below a boundary from the model's walk plan
     agrees with brute-force reachability: the keys ``_linearize_downstream``
-    switches on, the keys ``_require_phase_base`` asks for, and the maxpool
-    clause of ``_reads_nary``."""
+    switches on and the keys ``_require_phase_base`` asks for.  With every
+    downstream affine, pools included, the rule's only structural clause
+    below a boundary is the skip (``_skip_cancel``)."""
     m = DOWNSTREAM_MODELS[name]
     for b in m.nonlinear_ids():
         switched = [lid for lid in _reachable(m, b) if m.layer(lid).kind in (sx.KIND_RELU, sx.KIND_MPR)]
@@ -393,9 +395,7 @@ def test_downstream_reads_agree_with_reachability(name, monkeypatch):
         succ = m.layer(m.successors(lid)[0])
         if succ.kind == KIND_ARGMAX:
             continue
-        pooled = any(m.layer(r).kind == sx.KIND_MPR for r in _reachable(m, succ.id))
-        expected = not pooled and _skip_cancel(m, lid, succ.id) is not None
-        assert _reads_nary(m, lid, m.n_classes, CFG.eta_tol) == expected
+        assert _reads_nary(m, lid, m.n_classes, CFG.eta_tol) == (_skip_cancel(m, lid, succ.id) is not None)
 
 
 def test_extract_feature_requires_linearized_base(small_cnn):
@@ -573,14 +573,14 @@ def test_suppression_margin_validated():
 def test_conv_amplitude_default(monkeypatch):
     """Every weight phase of a convolution injects one input pixel, at the
     amplitude sqrt(n_in kh kw / 4): 12 for 64 input channels and a 3x3
-    kernel, in both layouts.  Read n-ary, the phase of tap (c_in, ki, kj)
-    sets the pixel that the map centre reads through that tap; scanned
-    binary, the phase of input channel c_in sets the centre pixel."""
+    kernel.  There is one layout, read n-ary or scanned binary alike: the
+    phase of tap (c_in, ki, kj) sets the pixel that the map centre reads
+    through that tap, and every output channel is read at the centre."""
     m = random_model("conv4x3x3-r-fc4", (64, 8, 8), seed=0)
     sent = {}
 
-    def capture(oracle, skeleton, layer_id, succ, amplitude, bias_targets, weight_phases, *rest):
-        sent.update(amplitude=amplitude, phases=list(weight_phases))
+    def capture(oracle, skeleton, layer_id, succ, amplitude, targets, weight_phases, *rest):
+        sent.update(amplitude=amplitude, targets=targets, phases=list(weight_phases))
 
     monkeypatch.setattr(sx_extract, "_extract_layer", capture)
     for nary in (True, False):
@@ -588,15 +588,13 @@ def test_conv_amplitude_default(monkeypatch):
         oracle = OracleHandle.in_process(m)
         extract_conv_layer(oracle, m.skeleton(), 1, CFG, np.random.default_rng(0))
         assert oracle.count == 0 and sent["amplitude"] == math.sqrt(64 * 3 * 3 / 4) == 12.0
-        pixels = []
-        for inject, _ in sent["phases"]:
+        assert sent["targets"] == [(c, 4, 4) for c in range(4)]
+        taps = [(c, ki, kj) for c in range(64) for ki in range(3) for kj in range(3)]
+        assert [column for _, column in sent["phases"]] == taps
+        for inject, (c_in, ki, kj) in sent["phases"]:
             (pixel,) = zip(*np.nonzero(inject))
             assert inject.shape == (64, 8, 8) and inject[pixel] == 12.0
-            pixels.append(tuple(int(i) for i in pixel))
-        if nary:
-            assert pixels == [(c, i, j) for c in range(64) for i in (3, 4, 5) for j in (3, 4, 5)]
-        else:
-            assert pixels == [(c, 4, 4) for c in range(64)]
+            assert tuple(int(i) for i in pixel) == (c_in, 3 + ki, 3 + kj)
 
 
 # ---------------------------------------------------------------------------
@@ -698,12 +696,13 @@ def test_extract_fc_column_linearity(small_cnn):
     ("conv2x3x3-r-fc12-r-fc10", (2, 6, 6), 3, False),  # the ten-class CI model: two outputs share 8 intercept ties
 ], ids=["4x4-forced-binary", "6x6-refused"])
 def test_conv_small_map_single_injection_fallback(monkeypatch, arch, shape, seed, admitted):
-    """A convolution scanned binary injects at the map centre, one weight
-    phase per input channel, and reads each kernel tap at the one output
-    position that sees it: 1 + n_in critical searches.  Its bias is read
-    at the map centre.  Layer 1 of the first model, on a 4x4 map,
-    would read n-ary and is forced binary; the rule refuses layer 1 of the
-    second, on a 6x6 map.  Both recover every tap."""
+    """A convolution scanned binary has the one layout of a convolution
+    read n-ary: one weight phase per kernel tap, each injecting the one
+    input pixel that the map centre reads through that tap, so 1 + n_in kh
+    kw critical searches, and every target, bias or weight, at the map
+    centre.  Layer 1 of the first model, on a 4x4 map, would read n-ary
+    and is forced binary; the rule refuses layer 1 of the second, on a 6x6
+    map.  Both recover every tap."""
     m = random_model(arch, shape, seed=seed)
     sk = m.skeleton()
     assert _reads_nary(sk, 1, sk.n_classes, CFG_1E8.eta_tol) == admitted
@@ -714,12 +713,11 @@ def test_conv_small_map_single_injection_fallback(monkeypatch, arch, shape, seed
     monkeypatch.setattr(sx_extract, "extract_feature", lambda *a, **k: targets.append(a[4]) or real_scan(*a, **k))
     res = extract_conv_layer(OracleHandle.in_process(m), sk, 1, CFG_1E8, np.random.default_rng(0))
     true = m.layer(1)
-    n_out, n_in = true.weight.shape[:2]
+    n_out = true.weight.shape[0]
     assert not res.retried and not res.dead
-    assert len(searches) == 1 + n_in
+    assert len(searches) == 1 + true.weight[0].size
     _, fh, fw = sk.out_shape(1)
-    assert len(targets) == n_out + true.weight.size
-    assert targets[:n_out] == [(c, fh // 2, fw // 2) for c in range(n_out)]  # the bias at the map centre
+    assert targets == [(c, fh // 2, fw // 2) for c in range(n_out)] * (1 + true.weight[0].size)
     assert np.abs(res.bias - true.bias).max() <= 1e-8
     assert np.abs(res.weight - true.weight).max() <= 1e-8
     assert sx.relative_errors(res.weight, true.weight).max() <= 1e-6
@@ -731,9 +729,10 @@ def test_conv_small_map_single_injection_fallback(monkeypatch, arch, shape, seed
     ("conv2x3x3-mpr2-fc3-r-fc3", (1, 2, 2)),
 ])
 def test_conv_map_smaller_than_kernel_fails_its_layer_alone(arch, shape):
-    """A convolution whose map is smaller than its kernel holds neither
-    layout: its layer fails before any query, and the attack goes on to
-    extract the layers above it."""
+    """A convolution whose map is smaller than its kernel has no input
+    pixel that its map centre reads through every tap: its layer fails
+    before any query, and the attack goes on to extract the layers above
+    it."""
     truth = random_model(arch, shape, seed=1)
     report, _ = sx.run_attack(sx.ExperimentConfig(arch=arch, input_shape=shape, model_seed=1), truth=truth)
     layers = {l.layer_id: l for l in report.layers}
@@ -853,17 +852,19 @@ def test_skip_path_layer_reties_from_hint(monkeypatch):
 
 
 def _assert_right_or_flagged(arch, shape, model_seed, layers, tol):
-    """Attack ``layers`` of ``arch`` (attack seed 1): in each, no more
-    parameters read beyond ``tol`` (relative) than it lists as dead or
-    retried."""
+    """Attack ``layers`` of ``arch`` (attack seed 1; None: every layer): in
+    each, no more parameters read beyond ``tol`` (relative) than it lists
+    as dead or retried.  Returns the report, the truth and the extracted
+    model."""
     truth = random_model(arch, shape, seed=model_seed)
     cfg = sx.ExperimentConfig(arch=arch, input_shape=shape, model_seed=model_seed, attack_seed=1, layers=layers)
     report, extracted = sx.run_attack(cfg, truth=truth)
     for layer in report.layers:
         est, true = extracted.layer(layer.layer_id), truth.layer(layer.layer_id)
-        eb, ew = layer_error_summary(est.bias, est.weight, true.bias, true.weight, gauge=False)
+        eb, ew = layer_error_summary(est.bias, est.weight, true.bias, true.weight, gauge=layer.gauge_fixed)
         wrong = int((eb > tol).sum() + (ew > tol).sum())
         assert layer.error is None and wrong <= layer.dead + layer.retried, (layer.layer_id, max(eb.max(), ew.max()))
+    return report, truth, extracted
 
 
 @pytest.mark.parametrize("model_seed", [1, 2, 3])
@@ -879,19 +880,17 @@ def test_residual_convs_above_a_maxpool_read_right(model_seed):
     _assert_right_or_flagged(arch, (2, 8, 8), model_seed, [3, 7], 1e-5)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: a maxpool two convs downstream still takes its max "
-                                       "in the binary scans, which read the layer wrong without a flag")
 @pytest.mark.parametrize("model_seed", [1, 2])
 def test_two_convs_above_a_maxpool_read_right(model_seed):
     """Layer 1 of conv4x3x3-r-conv4x3x3-r-conv4x3x3-mpr2-fc8-r-fc4 (2x8x8)
-    reads 1.33 and 0.64 off (relative) at model seeds 1 and 2, with
-    nothing flagged: every parameter should read within 1e-6 or be listed
-    as dead or retried."""
-    _assert_right_or_flagged("conv4x3x3-r-conv4x3x3-r-conv4x3x3-mpr2-fc8-r-fc4", (2, 8, 8), model_seed, [1], 1e-6)
-
-
-_ITEM_1 = pytest.mark.xfail(strict=True, reason="ROADMAP item 1: two convs between layer 1's boundary and a "
-                                                "downstream maxpool, which still takes its max in the scans")
+    read 1.33 and 0.64 off (relative) at model seeds 1 and 2, with nothing
+    flagged, while the downstream maxpool still took its max in the scans.
+    With one member of every pool window pinned (``_linearize_downstream``)
+    every layer reads within 1e-6 or is listed as dead or retried, and the
+    extracted model verifies."""
+    arch = "conv4x3x3-r-conv4x3x3-r-conv4x3x3-mpr2-fc8-r-fc4"
+    _, truth, extracted = _assert_right_or_flagged(arch, (2, 8, 8), model_seed, None, 1e-6)
+    assert sx.verify_models(extracted, truth)["pass"]
 
 
 @pytest.mark.parametrize("arch, shape, model_seed", [
@@ -902,11 +901,11 @@ _ITEM_1 = pytest.mark.xfail(strict=True, reason="ROADMAP item 1: two convs betwe
     ("conv4x3x3-r-conv4x3x3-mpr2-fc6-r-fc3", (1, 8, 8), 2),
     ("conv2x3x3-r-res{conv2x3x3-r,}-mpr2-fc6-r-fc3", (1, 8, 8), 2),
     ("conv4x3x3-r-res{conv4x3x3-r,}-mpr2-fc6-r-fc3", (1, 8, 8), 3),
-    pytest.param("conv2x3x3-r-conv2x3x3-r-conv2x3x3-mpr2-fc6-r-fc3", (1, 8, 8), 4, marks=_ITEM_1),
-    pytest.param("conv4x3x3-r-conv4x3x3-r-conv4x3x3-mpr2-fc6-r-fc3", (1, 8, 8), 3, marks=_ITEM_1),
-    pytest.param("conv2x3x3-mpr2-conv2x3x3-r-conv2x3x3-mpr2-fc6-r-fc3", (1, 8, 8), 2, marks=_ITEM_1),
-    pytest.param("conv4x3x3-mpr2-conv4x3x3-r-conv4x3x3-mpr2-fc6-r-fc3", (1, 8, 8), 1, marks=_ITEM_1),
-    pytest.param("conv4x3x3-mpr2-conv4x3x3-r-conv4x3x3-mpr2-fc6-r-fc3", (2, 8, 8), 2, marks=_ITEM_1),
+    ("conv2x3x3-r-conv2x3x3-r-conv2x3x3-mpr2-fc6-r-fc3", (1, 8, 8), 4),
+    ("conv4x3x3-r-conv4x3x3-r-conv4x3x3-mpr2-fc6-r-fc3", (1, 8, 8), 3),
+    ("conv2x3x3-mpr2-conv2x3x3-r-conv2x3x3-mpr2-fc6-r-fc3", (1, 8, 8), 2),
+    ("conv4x3x3-mpr2-conv4x3x3-r-conv4x3x3-mpr2-fc6-r-fc3", (1, 8, 8), 1),
+    ("conv4x3x3-mpr2-conv4x3x3-r-conv4x3x3-mpr2-fc6-r-fc3", (2, 8, 8), 2),
 ])
 def test_convs_above_a_maxpool_sweep(arch, shape, model_seed):
     """Layer 1 of small models with a MaxPoolReLU downstream of its
@@ -914,9 +913,70 @@ def test_convs_above_a_maxpool_sweep(arch, shape, model_seed):
     parameter reads within 1e-6 or is listed as dead or retried.  A sweep
     of 80 such models (attack seed 1, model seeds 1 to 5, 1x8x8 and 2x8x8)
     found layer 1 read 6.2e-2 to 26 off, unflagged, in 33 of the 40 with
-    two convs in between; the strict xfails are five of them.  With one
-    conv or an identity block in between, all 40 read within 1.3e-6."""
+    two convs in between, while the downstream maxpool still took its max
+    in the scans; five of those are the last cases here.  With one conv or
+    an identity block in between, all 40 read within 1.3e-6."""
     _assert_right_or_flagged(arch, shape, model_seed, [1], 1e-6)
+
+
+def _assert_every_layer_right(arch, shape, model_seed, tol):
+    """Every layer of ``arch`` (attack seed 1) reads within ``tol``
+    (relative), with no slot dead or retried."""
+    report, _, _ = _assert_right_or_flagged(arch, shape, model_seed, None, tol)
+    assert not any(layer.dead or layer.retried for layer in report.layers)
+
+
+@pytest.mark.parametrize("model_seed", [1, 2, 3])
+@pytest.mark.parametrize("shape", [(1, 8, 8), (2, 8, 8)])
+@pytest.mark.parametrize("n", [2, 4])
+def test_two_branch_convs_above_a_maxpool_read_right(n, shape, model_seed):
+    """conv{n}x3x3-r-res{conv{n}x3x3-r,conv{n}x3x3-r}-mpr2-fc6-r-fc3: a
+    non-identity skip carries each branch conv's injection around its
+    silenced boundary and on into the maxpool, so the rule refuses both
+    branch convs n-ary reads and they scan binary.  In the
+    per-input-channel layout, with the maxpool still taking its max, all
+    24 branch-conv layers of this family read up to 200 off (relative),
+    unflagged.  Read at the map centre through pinned windows, every layer
+    reads within 1e-6 (2.1e-7 at most), nothing dead or retried."""
+    arch = f"conv{n}x3x3-r-res{{conv{n}x3x3-r,conv{n}x3x3-r}}-mpr2-fc6-r-fc3"
+    _assert_every_layer_right(arch, shape, model_seed, 1e-6)
+
+
+@pytest.mark.parametrize("model_seed", [1, 2])
+def test_a_pool_fed_by_an_add_at_an_odd_centre_reads_right(model_seed):
+    """In conv2x3x3-r-res{conv2x3x3-r,}-mpr2-fc6-r-fc3 on 1x6x6 the Add
+    feeds the pool directly, and the pool input's centre, (3, 3), is odd.
+    Pins at index 0 mod 2 miss the one pixel that a centre target of
+    layer 3 reaches, so every slot of layer 3 reads dead; pins at the
+    centre's residue keep it, and every layer reads within 1e-6."""
+    _assert_every_layer_right("conv2x3x3-r-res{conv2x3x3-r,}-mpr2-fc6-r-fc3", (1, 6, 6), model_seed, 1e-6)
+
+
+@pytest.mark.parametrize("pool, shape", [("mpr2", (1, 6, 6)), ("mpr3s1", (1, 8, 8))])
+def test_a_downstream_pool_keeps_one_member_per_window(pool, shape):
+    """A phase base pins a downstream MaxPoolReLU: +``FEATURE_BOUND`` on
+    exactly one member of every window, the member at the pool input's
+    centre among them, -``SUPPRESSION`` on the rest, at stride 2 and at
+    overlapping stride 1 alike.  Both centres lie off index 0 of their
+    windows' period: (3, 3) mod 2 and (4, 4) mod 3.  ``_require_phase_base`` checks the pins by
+    value: a base with the keys but another pin pattern is refused."""
+    m = random_model(f"conv2x3x3-r-conv2x3x3-{pool}-fc6-r-fc3", shape, seed=1)
+    spec = m.layer(4)
+    assert spec.kind == sx.KIND_MPR
+    base = QueryInput(np.zeros(m.input_shape)).shifted(_phase_base(m, 2))
+    pre = base.shifts.get(4, PRE)
+    assert np.array_equal(pre, _linearize_downstream(m, 2).get(4, PRE))
+    assert set(np.unique(pre)) == {-SUPPRESSION, FEATURE_BOUND}
+    _, windows = sx_model._pool_windows(pre.shape, spec.kernel, spec.stride)
+    kept = pre.reshape(pre.shape[0], -1)[:, windows] == FEATURE_BOUND
+    assert np.all(kept.sum(axis=2) == 1)
+    _, h, w = pre.shape
+    assert np.all(pre[:, h // 2, w // 2] == FEATURE_BOUND)
+    _require_phase_base(m, 2, base)
+    for other in (np.full(pre.shape, FEATURE_BOUND), np.roll(pre, 1, axis=2)):
+        pinned = QueryInput(base.x0, ShiftSet({**base.shifts.entries, (4, PRE): other}))
+        with pytest.raises(sx.ExtractionError, match="pin one member per window of maxpool 4"):
+            _require_phase_base(m, 2, pinned)
 
 
 def test_extract_last_layer_tie_beyond_bisection_resolution(zero3_model):

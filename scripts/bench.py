@@ -49,7 +49,9 @@ pinned to one CPU), records its query stream and replays
 it through ``forward_label`` on a fresh model: evaluator-only
 microseconds per query next to whole-attack microseconds per query.  Its
 ``pool-endpoint:loopback`` row replays pool-endpoint's recorded stream over
-one loopback connection to a fresh server: microseconds per session.
+one loopback connection to a fresh server: microseconds per session.  Each
+row holds the minimum and the median of ``REPLAY_REPEATS`` repeats, and
+the ``delta`` section compares the minima, the least noisy of the two.
 
 ``--streams`` prints, as one JSON object, two sha256 digests per attack:
 of its report JSON (the endpoint address masked) and of its query stream
@@ -93,6 +95,7 @@ POOLED = {  # family: its architectures and input shapes
     "odd-centre": (["conv2x3x3-r-res{conv2x3x3-r,}-mpr2-fc6-r-fc3"], ((1, 6, 6), (2, 10, 10))),
 }
 POOLED_TOL = 1e-6
+REPLAY_REPEATS = 9
 
 
 def depth_arch(k: int) -> dict:
@@ -340,13 +343,20 @@ def _recorded_stream(root: Path, workload: str):
     return sx, bench, stream
 
 
-def replay_of(root: Path, workload: str, repeats: int = 3) -> dict:
+def _per_query(name: str, seconds: list[float], queries: int) -> dict:
+    """``<name>_min`` and ``<name>_median``: microseconds per query of the
+    fastest and of the median of ``seconds``."""
+    return {f"{name}_min": 1e6 * min(seconds) / queries, f"{name}_median": 1e6 * statistics.median(seconds) / queries}
+
+
+def replay_of(root: Path, workload: str, repeats: int = REPLAY_REPEATS) -> dict:
     """Whole-attack and evaluator-only microseconds per query of one
     in-process attack of ``workload`` at seed 1, pinned to one CPU: the
-    median extraction time of ``repeats`` unrecorded attacks over their
-    queries, and the median time of ``repeats`` replays of a recorded
-    attack's query stream through ``forward_label`` on a fresh model over
-    its queries.  Every replayed label must match the recorded one."""
+    extraction time of ``repeats`` unrecorded attacks over their queries,
+    and the time of ``repeats`` replays of a recorded attack's query stream
+    through ``forward_label`` on a fresh model over its queries, each as
+    its minimum and median (``_per_query``).  Every replayed label must
+    match the recorded one."""
     from time import perf_counter
 
     sx, bench, stream = _recorded_stream(root, workload)
@@ -360,19 +370,19 @@ def replay_of(root: Path, workload: str, repeats: int = 3) -> dict:
         if labels != [label for _, label in stream]:
             raise SystemExit(f"replay of {workload} gave other labels than its attack")
     n = len(stream)
-    return {"backend": "in-process", "seed": 1, "queries": n,
-            "attack_us_per_query": 1e6 * statistics.median(attacks) / n,
-            "evaluator_us_per_query": 1e6 * statistics.median(replays) / n}
+    return {"backend": "in-process", "seed": 1, "queries": n, "repeats": repeats,
+            **_per_query("attack_us_per_query", attacks, n), **_per_query("evaluator_us_per_query", replays, n)}
 
 
-def loopback_replay_of(root: Path, workload: str, repeats: int = 3) -> dict:
-    """Microseconds per loopback session: the median time of ``repeats``
-    replays of the recorded seed-1 query stream of ``workload`` (as
-    ``replay_of`` records it) through one ``ClientConnection`` against a
-    fresh ``serve(truth, seed=1)``, all pinned to one CPU, over its
-    queries.  Each served label is checked by the ``moved_labels`` rule of
-    ``stream_of``, since the loopback stream may part from the in-process
-    one at a tie polished to float precision."""
+def loopback_replay_of(root: Path, workload: str, repeats: int = REPLAY_REPEATS) -> dict:
+    """Microseconds per loopback session: the time of ``repeats`` replays
+    of the recorded seed-1 query stream of ``workload`` (as ``replay_of``
+    records it) through one ``ClientConnection`` against a fresh
+    ``serve(truth, seed=1)``, all pinned to one CPU, over its queries, as
+    its minimum and median (``_per_query``).  Each served label is checked
+    by the ``moved_labels`` rule of ``stream_of``, since the loopback
+    stream may part from the in-process one at a tie polished to float
+    precision."""
     from time import perf_counter
 
     sx, bench, stream = _recorded_stream(root, workload)
@@ -394,8 +404,8 @@ def loopback_replay_of(root: Path, workload: str, repeats: int = 3) -> dict:
         if any(y.max() - y[label] > sx.oracle.TIE_PROBE for y, label in zip(logits, labels)):
             raise SystemExit(f"loopback replay of {workload} moved a served label")
     n = len(stream)
-    return {"backend": "loopback", "seed": 1, "queries": n,
-            "session_us_per_query": 1e6 * statistics.median(sessions) / n}
+    return {"backend": "loopback", "seed": 1, "queries": n, "repeats": repeats,
+            **_per_query("session_us_per_query", sessions, n)}
 
 
 def provenance(root: Path) -> dict:
@@ -446,7 +456,9 @@ def _change(before: float | None, now: float | None) -> dict:
 
 
 def delta(prev: dict, cur: dict) -> dict:
-    """Every median end-to-end metric and criterion-1 figure against ``prev``."""
+    """Every median end-to-end metric and criterion-1 figure against
+    ``prev``, and each replay row's minimum microseconds per query (None
+    against a file that recorded no minimum)."""
     out = {"against": prev.get("file")}
     for w, rec in cur["workloads"].items():
         old = prev.get("workloads", {}).get(w, {}).get("median", {})
@@ -462,8 +474,8 @@ def delta(prev: dict, cur: dict) -> dict:
     o_old, metrics = prev.get("pooled", {}), ("queries", "wrong_conv_layers", "worst_conv_error", "flagged_slots")
     out["pooled"] = {f: {m: _change(o_old.get(f, {}).get(m), r[m]) for m in metrics} for f, r in cur["pooled"].items()}
     p_old = prev.get("replay", {})
-    out["replay"] = {w: {m: _change(p_old.get(w, {}).get(m), v) for m, v in r.items() if m.endswith("_us_per_query")}
-                     for w, r in cur["replay"].items()}
+    out["replay"] = {w: {m: _change(p_old.get(w, {}).get(m), v) for m, v in r.items()
+                         if m.endswith("_us_per_query_min")} for w, r in cur["replay"].items()}
     return out
 
 

@@ -62,8 +62,10 @@ kh kw inputs, each weight phase injecting at the one input pixel that the
 centre reads through one kernel tap.  A layer whose weight phases repay
 the calibration (``_reads_nary``, the one rule) reads its weights n-ary,
 into a ReLU or a MaxPoolReLU boundary alike.  After the bias phase every
-class is tied with a reference class once (``_class_intercepts``) and each
-target's slopes are measured once (``_calibrate_lines``); a weight then
+class is tied with the bias phase's class once (``_class_intercepts``),
+the ties are re-referenced to class 0 where class 0 ties (no query), and
+each target's slopes against that reference are measured once
+(``_calibrate_lines``); a weight then
 reads through ``_read_lines``, which shifts the Argmax input so that each
 kept class tops the upper envelope on one of m sub-windows, and the label
 shrinks the window m-fold.  A read ignores the phase's tie, but the tie is
@@ -75,11 +77,12 @@ targets.  Every scan, binary or n-ary, releases one boundary index.
 
 When such a layer feeds the terminal layer through one ReLU, its
 calibration measures the terminal too: at its silenced base the logits
-are the terminal's bias, so an intercept tie is a terminal bias
-difference, and a slope tie moves by R times a terminal weight
-difference.  Its ties go into the attack's ``TerminalTies`` table, and
-the terminal layer builds its gauge-fixed parameters from the table,
-re-referenced to class 0.  It ties only what the table lacks: a column
+are the terminal's bias, so an intercept referenced at class 0 is a
+gauge-fixed terminal bias, and a slope tie against class 0 moves by R
+times a gauge-fixed terminal weight.  Those ties go into the attack's
+``TerminalTies`` table, read to ``eta_tol`` / 2, and the terminal layer
+takes its parameters from the table as they are; when class 0 never
+ties, the table stays empty.  It ties only what the table lacks: a column
 whose bias reading was flagged, a class with no intercept or with a
 failed slope tie.  ``attack_order`` pairs the two layers and runs the
 terminal layer after the layer below whenever both are targets, so every
@@ -87,8 +90,8 @@ order gives the same parameters; without such a layer below, the
 terminal ties every class itself.
 
 Two systematic error sources are handled explicitly.  Every class tie
-that later measurements stand on (a critical point, an intercept, a
-slope) is bisected to float precision, because a residual logit gap
+that later measurements stand on (a critical point, an intercept) is
+bisected to float precision, because a residual logit gap
 biases every later measurement by gap/slope.  The flip of the two-probe
 criticality test lags the true boundary by probe/slope, so each boundary
 is measured twice (probe magnitudes eps and 2*eps) and extrapolated back;
@@ -119,9 +122,11 @@ readings stand on are the exception: critical points and intercept ties
 are bisected to ``TIE_POLISH_TOL`` and validated.  A slope tie is a
 reading: it stops at ``eta_tol`` times its move, and a slope off by that
 moves each breakpoint in proportion to the window being split, not by a
-fixed amount (``ClassLines.drift``).  Only the slope ties that go into a
-``TerminalTies`` table are bisected to ``TIE_POLISH_TOL``, because they
-are the terminal layer's own parameters.
+fixed amount (``ClassLines.drift``).  The slope ties that go into a
+``TerminalTies`` table are the terminal layer's own parameters against
+class 0, so they stop at ``eta_tol`` / 2, one bit finer than the
+terminal's own weight ties: half the tolerance the terminal layer reads
+its weights to alone.
 """
 
 from __future__ import annotations
@@ -189,11 +194,12 @@ SUPPRESSION = 1e6  # pins ReLU outputs and other logits down: 100x FEATURE_BOUND
 NARY_MIN_SLOPE_GAP = 1e-3  # a breakpoint is off by tie error / slope gap: 1e-10 at most
 NARY_TIE_DRIFT = 10 * TIE_POLISH_TOL  # a re-tie moved beyond mask noise (~1e-13): stale intercepts
 # The costs behind ``_reads_nary``, measured at eta_tol = 1e-8 and 1e-3 on FC and conv layers of 2 to 10 classes:
-NARY_TIE_QUERIES = 45  # one polished calibration tie: gallop from the last move, bisection to TIE_POLISH_TOL
+NARY_TIE_QUERIES = 45  # one polished intercept tie: gallop from sphere_norm, bisection to TIE_POLISH_TOL
 BINARY_READ_EXTRA = 8  # a binary scan's queries beyond log2(1 / eta_tol): sign probe, gallop, scan 2
 NARY_READ_EXTRA = 3  # an n-ary read's queries beyond log_m(1 / eta_tol): first window and widenings
 TERMINAL_TIE_QUERIES = 31  # one terminal reading that a layer's calibration makes for it (``TerminalTies``)
 NARY_SLOPE_READ_EXTRA = 7  # a slope tie's queries beyond log2(1 / eta_tol) when it is read to eta_tol
+PAIR_DOUBLINGS = 20  # a pair search's doublings without a swap before one probe at ETA_MAX asks if it swaps at all
 MAX_RETRIES = 5  # further attempts at a scan that behaved inconsistently, each from a fresh critical point
 BIAS_TOL_FACTOR = 1e-4  # a bias error enters every weight of its row as error / amplitude: biases read 4 digits finer
 
@@ -310,11 +316,13 @@ class TerminalTies:
     layer, made by the n-ary calibration of the fully-connected layer below
     it (``attack_order`` pairs the two).
 
-    At a base that silences the boundary the logits are the terminal's
-    bias b, and a target j released at R moves them by R W[:, j].  So
-    ``intercepts[c]``, the shift that ties class c with the calibration's
-    reference class r there, is b[r] - b[c], and ``slopes[j][c]`` is
-    W[c, j] - W[r, j] (r itself at 0 in both).  A class with no reachable
+    Its ties are referenced at class 0, the terminal's gauge: the
+    calibration writes them only when class 0 ties.  At a base that
+    silences the boundary the logits are the terminal's bias b, and a
+    target j released at R moves them by R W[:, j].  So ``intercepts[c]``,
+    the shift that ties class c with class 0 there, is b[0] - b[c], and
+    ``slopes[j][c]`` is W[c, j] - W[0, j] (class 0 itself at 0 in both),
+    each read to ``eta_tol`` / 2 of its move.  A class with no reachable
     tie, and a target with no slope ties, are absent.
     """
 
@@ -322,16 +330,12 @@ class TerminalTies:
     slopes: dict[int, dict[int, float]] = field(default_factory=dict)
 
     def gauge_fixed(self) -> dict[tuple, float]:
-        """The terminal parameters the ties measure, re-referenced to class
-        0 and keyed by the terminal's slots: (c,) reads b[c] - b[0] and
-        (c, j) reads W[c, j] - W[0, j], for c >= 1.  A slot is absent when
-        class 0 or class c lacks the tie it needs."""
-        out = {}
-        if 0 in self.intercepts:
-            out.update({(c,): self.intercepts[0] - t for c, t in self.intercepts.items() if c})
+        """The terminal parameters the ties measure, keyed by the
+        terminal's slots: (c,) reads b[c] - b[0] and (c, j) reads W[c, j] -
+        W[0, j], for c >= 1.  A slot is absent when class c lacks its tie."""
+        out = {(c,): -t for c, t in self.intercepts.items() if c}
         for j, h in self.slopes.items():
-            if 0 in h:
-                out.update({(c, j): h_c - h[0] for c, h_c in h.items() if c})
+            out.update({(c, j): h_c for c, h_c in h.items() if c})
         return out
 
 
@@ -742,8 +746,12 @@ def _pair_boundary(
     the chosen pair competes, and the label flip in t is a clean scalar
     boundary.  The search starts at t = ``start`` and its nudge doubles
     from ``step``, by default ``sphere_norm`` (clamped to ``ETA_MAX``), the
-    expected logit scale.  The flip is bisected to ``tol`` or ``rel``
-    times its distance from ``start``, whichever is wider (``_find_flip``).
+    expected logit scale.  After ``PAIR_DOUBLINGS`` doublings without a
+    swap one probe at ``ETA_MAX`` decides whether the pair swaps at all,
+    so a pair that never does costs at most ``PAIR_DOUBLINGS`` + 2
+    queries, however small ``step`` is.  The flip is bisected to ``tol``
+    or ``rel`` times its distance from ``start``, whichever is wider
+    (``_find_flip``).
     A tie that later scans stand on keeps the default ``TIE_POLISH_TOL``,
     since a wider gap would bias every scan at it by gap/slope, and is
     validated with the two-probe test; a tie that is itself the reading
@@ -775,8 +783,21 @@ def _pair_boundary(
     direction = 1.0 if l0 == c_ref else -1.0
     if step is None:
         step = min(cfg.resolved().sphere_norm, ETA_MAX)
+    misses = 0  # doublings without a swap; -1 once one swapped or ETA_MAX was probed
+
+    def swapped(s: float) -> bool:
+        nonlocal misses
+        if misses == PAIR_DOUBLINGS:
+            misses = -1
+            if label(start + direction * ETA_MAX) == l0:  # monotone: no swap anywhere below ETA_MAX
+                raise _ScanExhausted()
+        hit = label(start + direction * s) != l0
+        if misses >= 0:
+            misses = -1 if hit else misses + 1
+        return hit
+
     try:
-        s_star = _find_flip(lambda s: label(start + direction * s) != l0, 0.0, step, ETA_MAX, tol, rel)
+        s_star = _find_flip(swapped, 0.0, step, ETA_MAX, tol, rel)
     except _ScanExhausted:
         raise BoundarySearchError(
             f"no boundary reachable: classes {c_ref} and {c} never swap within ETA_MAX={ETA_MAX}"
@@ -804,7 +825,9 @@ def search_critical(
     (``TIE_POLISH_TOL`` at least): a tie that has not moved costs about
     four queries, one that moves by about as much in every phase (a path
     around the silenced boundary) is galloped to from that scale.  A move
-    within ``NARY_TIE_DRIFT`` (mask noise) is recorded as 0.  Two classes
+    within ``NARY_TIE_DRIFT`` (mask noise) is recorded as 0.  A hinted
+    pair that does not swap within ``ETA_MAX`` is dropped after at most
+    ``PAIR_DOUBLINGS`` + 2 queries (``_pair_boundary``).  Two classes
     drawn from ``rng`` are tied only without a hint, or when the hinted
     pair fails.
     """
@@ -1091,12 +1114,13 @@ def _reads_nary(
     log_m(1 / eta_tol) + ``NARY_READ_EXTRA``, and each target pays m - 1 =
     ``classes`` - 1 slope ties, the layer m - 2 intercept ties
     (``NARY_TIE_QUERIES`` each).  A slope tie is a reading,
-    log2(1 / eta_tol) + ``NARY_SLOPE_READ_EXTRA`` queries, except for the
-    layer below the terminal one, which alone gets the attack's ``ties``:
-    there it is polished (``NARY_TIE_QUERIES``), and the calibration also
-    spares the terminal layer's (n_out + 1)(m - 1) readings,
-    ``TERMINAL_TIE_QUERIES`` each, which count toward the repayment.
-    Every bias phase keeps the binary scan.
+    log2(1 / eta_tol) + ``NARY_SLOPE_READ_EXTRA`` queries.  The layer
+    below the terminal one alone gets the attack's ``ties``: there a slope
+    tie is read one bit finer, log2(2 / eta_tol) +
+    ``NARY_SLOPE_READ_EXTRA``, and the calibration spares the terminal
+    layer's (n_out + 1)(m - 1) readings, ``TERMINAL_TIE_QUERIES`` each,
+    which count toward the repayment.  Every bias phase keeps the binary
+    scan.
     """
     spec = skeleton.layer(layer_id)
     succ = _nonlinear_successor(skeleton, layer_id)
@@ -1106,7 +1130,7 @@ def _reads_nary(
     bits = math.log2(1.0 / eta_tol)
     saved = bits + BINARY_READ_EXTRA - (bits / math.log2(classes) + NARY_READ_EXTRA)
     spared = 0 if ties is None else (n_out + 1) * (classes - 1) * TERMINAL_TIE_QUERIES
-    slope = bits + NARY_SLOPE_READ_EXTRA if ties is None else NARY_TIE_QUERIES
+    slope = math.log2((1.0 if ties is None else 2.0) / eta_tol) + NARY_SLOPE_READ_EXTRA
     return n_out * reads * saved + spared >= n_out * (classes - 1) * slope + (classes - 2) * NARY_TIE_QUERIES
 
 
@@ -1205,22 +1229,23 @@ def _calibrate_lines(
     its move (``SCAN_ABS_TOL`` as the floor), and that tolerance plus the
     intercept's, over R, bounds the slope's error.  A target that keeps
     fewer than two lines (``_kept_lines``) has none and keeps the binary
-    scan.  With ``ties``, every slope tie is bisected to ``TIE_POLISH_TOL``
-    instead, and every target's measured slopes, kept or not, go into
-    ``ties.slopes``: where the boundary feeds the terminal layer they are
-    its weight differences, the terminal layer's own parameters.
+    scan.  With ``ties``, whose ``ref`` must be class 0, every slope tie is
+    read one bit finer, to ``eta_tol`` / 2, and every target's measured
+    slopes, kept or not, go into ``ties.slopes``: where the boundary feeds
+    the terminal layer they are its gauge-fixed weights, the terminal
+    layer's own parameters, read finer than its own weight ties.
     """
     big_r = {at: max(1.0, abs(b)) for at, b in readings.items()}
     others = [c for c in intercepts if c != ref]
     todo = ((at, _releaser(v0, (boundary_id, PRE), at)(big_r[at] - b), others) for at, b in readings.items())
     slopes = {at[0]: {ref: 0.0} for at in readings}
     errors = {at[0]: {ref: 0.0} for at in readings}
-    tol, rel = (TIE_POLISH_TOL, 0.0) if ties is not None else (SCAN_ABS_TOL, cfg.eta_tol)
-    for at, c, t in _class_ties(oracle, todo, ref, intercepts, cfg, tol, rel):
+    rel = cfg.eta_tol if ties is None else 0.5 * cfg.eta_tol
+    for at, c, t in _class_ties(oracle, todo, ref, intercepts, cfg, SCAN_ABS_TOL, rel):
         if t is not None:
             move = intercepts[c] - t
             slopes[at[0]][c] = move / big_r[at]
-            errors[at[0]][c] = (max(tol, rel * abs(move)) + TIE_POLISH_TOL) / big_r[at]
+            errors[at[0]][c] = (max(SCAN_ABS_TOL, rel * abs(move)) + TIE_POLISH_TOL) / big_r[at]
     if ties is not None:
         ties.slopes.update(slopes)
     lines = {at[0]: _kept_lines(slopes[at[0]], errors[at[0]], intercepts, b) for at, b in readings.items()}
@@ -1266,15 +1291,17 @@ def _extract_layer(
 
     When ``nary``, the answer of ``_reads_nary`` (``_driver_setup``), the
     class lines are calibrated right after the bias phase: every class is
-    tied with the bias phase's reference once (``_class_intercepts``), the
-    rule is asked again with the classes that tied, and then each target's
-    slopes are measured (``_calibrate_lines``).  Those ties count in
-    ``weight_queries`` and in ``calibration_queries``.  In a weight phase
-    whose tie sits where the intercepts predict (``_LineCalibration.holds``), a target with class
+    tied with the bias phase's class ``cp.c1`` once (``_class_intercepts``)
+    and, when class 0 ties, re-referenced to class 0 (I_c - I_0, no
+    query); the rule is asked again with the classes that tied, and then
+    each target's slopes are tied against the reference
+    (``_calibrate_lines``).  Those ties count in ``weight_queries`` and in
+    ``calibration_queries``.  In a weight phase whose tie sits where the
+    intercepts predict (``_LineCalibration.holds``), a target with class
     lines is read n-ary from the layer's last spread at its first attempt.
     ``ties`` is the attack's table at the boundary that feeds the terminal
     layer, given to the layer below that one: its calibration ties go
-    there.
+    there, when class 0 ties, and none when it does not.
     """
     spec = skeleton.layer(layer_id)
     plan = zero_input_plan(skeleton, layer_id)
@@ -1326,14 +1353,17 @@ def _extract_layer(
         if inject is None:  # the bias phase: calibrate the class lines
             t1 = oracle.count
             if nary:
-                intercepts = _class_intercepts(oracle, v0, cp, cfg)
-                if ties is not None:
-                    ties.intercepts = intercepts
-                if _reads_nary(skeleton, layer_id, len(intercepts), cfg.eta_tol, ties):
+                intercepts, ref = _class_intercepts(oracle, v0, cp, cfg), cp.c1
+                if 0 in intercepts:  # the terminal's gauge: its ties with class 0 are its parameters
+                    intercepts, ref = {c: t - intercepts[0] for c, t in intercepts.items()}, 0
+                table = ties if ref == 0 else None
+                if table is not None:
+                    table.intercepts = intercepts
+                if _reads_nary(skeleton, layer_id, len(intercepts), cfg.eta_tol, table):
                     # a bias reading flagged dead or retried may be off: that target keeps the binary scan
                     flagged = set(res.dead) | set(res.retried)
                     readings = {target: float(res.bias[j]) for j, target in enumerate(targets) if (j,) not in flagged}
-                    by_target = _calibrate_lines(oracle, succ.id, v0, cp.c1, intercepts, readings, cfg, ties)
+                    by_target = _calibrate_lines(oracle, succ.id, v0, ref, intercepts, readings, cfg, table)
                     cal = _LineCalibration(intercepts, by_target, scale)
                 res.calibration_queries = oracle.count - t1
     res.bias_queries, res.weight_queries = t1 - t0, oracle.count - t1
@@ -1425,8 +1455,8 @@ def extract_fc_layer(
 
     ``ties`` is the attack's ``TerminalTies`` table, given to the layer
     below the terminal one (``attack_order``): it writes its calibration
-    ties there, and ``_reads_nary`` credits it with the terminal readings
-    they spare.
+    ties there when class 0 ties, and ``_reads_nary`` credits it with the
+    terminal readings they spare.
     """
     spec, succ, nary, amplitude = _driver_setup(oracle, skeleton, layer_id, KIND_FC, cfg, ties)
     n_out, n_in = spec.weight.shape

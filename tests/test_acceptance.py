@@ -138,10 +138,10 @@ def test_criterion_5_query_budget(criterion1_run):
 
 
 def test_criterion_1_exact_query_total(criterion1_run):
-    """Criterion 1's attack spends exactly 230,701 queries: a change meant
+    """Criterion 1's attack spends exactly 229,088 queries: a change meant
     to keep every query stream must keep this total."""
     _, report, _, _ = criterion1_run
-    assert report.total_queries == 230701
+    assert report.total_queries == 229088
 
 
 def test_criterion_6_protocol_fidelity():

@@ -389,11 +389,19 @@ def test_the_rule():
     read saves 5 queries, against a slope tie's 28.7).  At eta_tol = 1e-3,
     where a read and a slope tie both learn fewer digits, a 4-class one
     needs 7.  When the layer feeds the terminal layer and the attack
-    targets both (``attack_order``), its slope ties are polished (45
-    queries) and spare the terminal's 7 (m - 1) readings: then 3 classes
-    need 2 inputs, 4 classes 3, 10 classes 7 and 2 classes 2, and at 1e-3
-    a 4-class layer needs 5.  A convolution reads n_in kh kw weights per
-    output channel, so relu-inproc's conv (2 x 3 x 3 reads per target)
+    targets both (``attack_order``), its slope ties are referenced at
+    class 0 and read to eta_tol / 2 (log2(2 / eta_tol) + 7, 29.7 queries),
+    and spare the terminal's 7 (m - 1) readings (217 queries per class
+    against 6 slope ties' 178): then every such layer reads n-ary from one
+    input, for 2, 3, 4 and 10 classes, at the default and at 1e-3.  At
+    eta_tol = 1e-10, where a slope tie costs 41.2, 2, 3 and 4 classes need
+    2 inputs and 10 classes 4.  Forced both ways, one input's n-ary
+    attack costs less at the default
+    (``test_the_credit_picks_the_cheaper_attack``); at 1e-10 it also
+    costs less below those thresholds (fc6-r-fc4 with 1 input: 1,324
+    queries against 1,508), since ``TERMINAL_TIE_QUERIES`` prices a
+    terminal reading at the default.  A convolution reads n_in kh kw
+    weights per output channel, so relu-inproc's conv (2 x 3 x 3 reads per target)
     reads n-ary, and so does a 4-class conv into a maxpool boundary; one
     with 1 x 3 x 3 reads per target and 10 classes does not repay its 9
     slope ties per target."""
@@ -403,14 +411,16 @@ def test_the_rule():
         ties = dict(attack_order(skeleton, default_target_layers(skeleton)))[layer_id] if shared else None
         return _reads_nary(skeleton, layer_id, skeleton.n_classes, eta_tol, ties)
 
-    for classes, least, shared in [(2, 6, False), (3, 5, False), (4, 7, False), (10, 16, False),
-                                   (2, 2, True), (3, 2, True), (4, 3, True), (10, 7, True)]:
-        assert rule(f"fc6-r-fc{classes}", (least,), 1, shared=shared)
-        assert not rule(f"fc6-r-fc{classes}", (least - 1,), 1, shared=shared)
+    for classes, least in [(2, 6), (3, 5), (4, 7), (10, 16)]:
+        assert rule(f"fc6-r-fc{classes}", (least,), 1)
+        assert not rule(f"fc6-r-fc{classes}", (least - 1,), 1)
+        assert rule(f"fc6-r-fc{classes}", (1,), 1, shared=True)
+        assert rule(f"fc6-r-fc{classes}", (1,), 1, eta_tol=1e-3, shared=True)
+    for classes, least in [(2, 2), (3, 2), (4, 2), (10, 4)]:
+        assert rule(f"fc6-r-fc{classes}", (least,), 1, eta_tol=1e-10, shared=True)
+        assert not rule(f"fc6-r-fc{classes}", (least - 1,), 1, eta_tol=1e-10, shared=True)
     assert not rule("fc6-r-fc4", (6,), 1, eta_tol=1e-3)
     assert rule("fc6-r-fc4", (7,), 1, eta_tol=1e-3)
-    assert not rule("fc6-r-fc4", (4,), 1, eta_tol=1e-3, shared=True)
-    assert rule("fc6-r-fc4", (5,), 1, eta_tol=1e-3, shared=True)
     assert rule("conv2x3x3-r-fc12-r-fc4", (2, 6, 6), 3)
     assert rule("conv2x3x3-r-fc12-r-fc4", (2, 6, 6), 1)  # a convolution: 18 reads per output channel
     assert not rule("conv2x3x3-r-fc12-r-fc4", (2, 6, 6), 5)  # the terminal layer
@@ -463,8 +473,8 @@ def test_the_rule_picks_the_cheaper_read(monkeypatch, arch, shape):
 
 
 @pytest.mark.parametrize("arch, shape, model_seed, attack_seed, layer_id, queries, calibration", [
-    ("conv4x3x3-mpr2-res{conv4x3x3-r,conv4x3x3-r}-fc8-r-fc4", (2, 8, 8), 9, 5, 3, 6257, 0),
-    ("conv4x3x3-mpr2-conv4x3x3-mpr2-fc8-r-fc4", (2, 8, 8), 1, 1, 1, 1766, 420),
+    ("conv4x3x3-mpr2-res{conv4x3x3-r,conv4x3x3-r}-fc8-r-fc4", (2, 8, 8), 9, 5, 3, 6258, 0),
+    ("conv4x3x3-mpr2-conv4x3x3-mpr2-fc8-r-fc4", (2, 8, 8), 1, 1, 1, 1756, 410),
     ("conv2x3x3-r-fc12-r-fc10", (2, 6, 6), 3, 1, 1, 1330, 0),
 ], ids=["two-branch-skip", "maxpool-downstream", "ten-class"])
 def test_refused_convolutions_scan_as_before(arch, shape, model_seed, attack_seed, layer_id, queries, calibration):
@@ -474,10 +484,14 @@ def test_refused_convolutions_scan_as_before(arch, shape, model_seed, attack_see
     a second branch with parameters, which no shift cancels
     (``_skip_cancel``), scans binary: 4,927 queries in the
     per-input-channel layout, 7,565 in this one with a re-tie galloping
-    from ``TIE_POLISH_TOL``, 6,257 galloping from the last move.  Layer 1
-    of the two-maxpool model, once refused for its second MaxPoolReLU
-    downstream, reads n-ary through the pinned windows: 2,473 queries
-    binary, 1,766 now, 420 of them calibration.  The ten-class CI conv
+    from ``TIE_POLISH_TOL``, 6,257 galloping from the last move, and
+    6,258 with the probe at ``ETA_MAX`` after ``PAIR_DOUBLINGS`` doublings,
+    which its first weight phase's re-tie (a move of about 1 from
+    ``TIE_POLISH_TOL``) makes.  Layer 1 of the two-maxpool model, once
+    refused for its second MaxPoolReLU downstream, reads n-ary through the
+    pinned windows: 2,473 queries binary, 1,766 with its lines referenced
+    at the bias phase's class, 1,756 at class 0, 410 of them
+    calibration.  The ten-class CI conv
     (two outputs share eight intercept ties) scans binary: 1,285 queries
     in the old layout, 1,330 now.  Each reads right, nothing dead."""
     truth = random_model(arch, shape, seed=model_seed)
@@ -493,9 +507,9 @@ def test_refused_convolutions_scan_as_before(arch, shape, model_seed, attack_see
 
 
 @pytest.mark.parametrize("arch, shape, model_seed, attack_seed, layer_id, cancel, queries", [
-    ("conv4x3x3-mpr2-res{conv4x3x3-r,}-fc8-r-fc4", (2, 8, 8), 9, 5, 3, 4, 2798),
-    ("fc12-r-res{fc12-r,}-fc4", (16,), 1, 1, 3, 4, 3717),
-    ("fc8-r-res{fc8-r-fc8-r,}-fc4", (12,), 1, 1, 3, 6, 2181),
+    ("conv4x3x3-mpr2-res{conv4x3x3-r,}-fc8-r-fc4", (2, 8, 8), 9, 5, 3, 4, 2801),
+    ("fc12-r-res{fc12-r,}-fc4", (16,), 1, 1, 3, 4, 3706),
+    ("fc8-r-res{fc8-r-fc8-r,}-fc4", (12,), 1, 1, 3, 6, 2166),
 ], ids=["pool-res-branch", "fc-branch", "two-relu-branch"])
 def test_a_cancelled_skip_reads_nary(monkeypatch, arch, shape, model_seed, attack_seed, layer_id, cancel, queries):
     """An identity skip around a residual-branch layer is cancelled on the
@@ -506,8 +520,9 @@ def test_a_cancelled_skip_reads_nary(monkeypatch, arch, shape, model_seed, attac
     one without a skip: its tie never moves, so it scans binary only in
     its bias phase and reads every weight n-ary, at the pinned queries
     (3,109, 4,067 and 2,321 at eta_tol 1e-8, before each weight was read
-    relative to its bias reading).  It reads right, and the whole model
-    verifies."""
+    relative to its bias reading; 2,798, 3,717 and 2,181 with its lines
+    referenced at the bias phase's class instead of class 0).  It reads
+    right, and the whole model verifies."""
     truth = random_model(arch, shape, seed=model_seed)
     assert sx_extract._skip_cancel(truth.skeleton(), layer_id, layer_id + 1) == (cancel,)
     scans = []
@@ -580,8 +595,10 @@ def test_ten_class_model_reads_under_15_per_weight():
 
 
 @pytest.mark.parametrize("arch, shape", [
-    ("fc4-r-fc3", (3,)),  # binary alone (7 inputs needed), n-ary once its ties spare the terminal's
-    ("fc6-r-fc4", (5,)),  # binary alone (9 inputs needed), likewise
+    ("fc4-r-fc3", (3,)),  # binary alone (6 inputs needed), n-ary once its ties spare the terminal's
+    ("fc6-r-fc4", (5,)),  # binary alone (7 inputs needed), likewise
+    ("fc6-r-fc2", (1,)),  # one input: the spared terminal readings alone repay the slope ties
+    ("fc6-r-fc10", (1,)),  # likewise, with nine slope ties per target and eight intercept ties
 ])
 def test_the_credit_picks_the_cheaper_attack(monkeypatch, arch, shape):
     """Whole attacks on both layers, with layer 1 forced to read n-ary and
@@ -700,6 +717,74 @@ def _pushed_class_2(arch, shape):
     bias = spec.bias.copy()
     bias[2] += 2e4
     return truth.with_params({last: (spec.weight, bias)})
+
+
+def _bias_phase_pairs(monkeypatch):
+    """The class pair of every bias phase whose ties ``_class_intercepts``
+    makes, in order, and the reference of every ``_calibrate_lines``."""
+    pairs, refs = [], []
+    real_intercepts, real_lines = sx_extract._class_intercepts, sx_extract._calibrate_lines
+    monkeypatch.setattr(sx_extract, "_class_intercepts",
+                        lambda o, v0, cp, cfg: pairs.append((cp.c1, cp.c2)) or real_intercepts(o, v0, cp, cfg))
+    monkeypatch.setattr(sx_extract, "_calibrate_lines",
+                        lambda o, b, v0, ref, *a: refs.append(ref) or real_lines(o, b, v0, ref, *a))
+    return pairs, refs
+
+
+def test_the_table_is_referenced_at_class_0_whatever_the_pair(monkeypatch):
+    """The calibration of the layer below the terminal ties its intercepts
+    with the bias phase's class ``cp.c1``, re-references them to class 0
+    at no query, and ties its slopes against class 0.  On fc6-r-fc4 (8
+    inputs, model seed 1) the bias phase ties (0, 3) at attack seed 5,
+    (3, 0) at seed 2 and (3, 1) at seed 1: all three build the same
+    terminal layer from the table, at no query, within eta_tol of the
+    truth, and read the layer below right."""
+    arch, shape = "fc6-r-fc4", (8,)
+    truth = random_model(arch, shape, seed=1)
+    pairs, refs = _bias_phase_pairs(monkeypatch)
+    terminals = []
+    for attack_seed, pair in [(5, (0, 3)), (2, (3, 0)), (1, (3, 1))]:
+        pairs.clear()
+        refs.clear()
+        cfg = ExperimentConfig(arch=arch, input_shape=shape, model_seed=1, attack_seed=attack_seed)
+        report, extracted = run_attack(cfg, truth=truth)
+        assert pairs == [pair] and refs == [0]
+        below, last = report.layers
+        assert below.error is None and not below.dead and not below.retried and last.queries == 0
+        est, true = extracted.layer(1), truth.layer(1)
+        eb, ew = layer_error_summary(est.bias, est.weight, true.bias, true.weight, gauge=False)
+        assert max(eb.max(), ew.max()) <= 1e-6
+        assert _terminal_error(extracted, truth, 3) <= CFG.eta_tol
+        terminals.append(extracted.layer(3))
+    for other in terminals[1:]:
+        assert np.allclose(other.weight, terminals[0].weight, rtol=1e-6, atol=1e-9)
+        assert np.allclose(other.bias, terminals[0].bias, rtol=1e-6, atol=1e-9)
+
+
+def test_a_class_0_out_of_reach_keeps_the_pair_reference(monkeypatch):
+    """With the terminal bias of class 0 raised by 2e4, beyond ETA_MAX,
+    class 0 ties with no other class.  The layer below (fc6-r-fc4, 8
+    inputs, model seed 1, generator seed 1, its bias phase tying (1, 2))
+    keeps the pair's class 1 as the reference of its lines, writes nothing into the table,
+    and reads right; the terminal layer then ties its own classes and
+    fails at the first, naming classes 0 and 1."""
+    truth = random_model("fc6-r-fc4", (8,), seed=1)
+    spec = truth.layer(3)
+    bias = spec.bias.copy()
+    bias[0] += 2e4
+    truth = truth.with_params({3: (spec.weight, bias)})
+    skeleton = truth.skeleton()
+    oracle = OracleHandle.in_process(truth)
+    ties = dict(attack_order(skeleton, [1, 3]))[1]
+    pairs, refs = _bias_phase_pairs(monkeypatch)
+    below = extract_fc_layer(oracle, skeleton, 1, CFG, np.random.default_rng(1), ties=ties)
+    assert pairs == [(1, 2)] and refs == [1]
+    assert ties.intercepts == {} and ties.slopes == {} and below.calibration_queries > 0
+    assert not below.dead and not below.retried
+    assert sx.relative_errors(below.weight, truth.layer(1).weight).max() <= 1e-6
+    assert sx.relative_errors(below.bias, truth.layer(1).bias).max() <= 1e-6
+    with pytest.raises(BoundarySearchError, match=f"classes 0 and 1 never swap within ETA_MAX={ETA_MAX}"):
+        sx.extract_last_layer(oracle, skeleton, CFG, ties=ties)
 
 
 def test_a_terminal_class_that_never_ties_fails_only_its_layer():

@@ -47,9 +47,9 @@ own driver (``extract_last_layer``): it reads class-pair ties instead of
 feature scans, one per (column, class) after the bias ties, and its result
 is fixed up to the gauge of those ties.  Each weight tie starts at its
 class's bias tie, so it moves only by the weight's own contribution.
-Every tie that gallops from its class's last move, a terminal tie or a
-slope tie of the calibration below, goes through one routine,
-``_class_ties``.
+Every class tie after a layer's critical point, a terminal tie or an
+intercept or slope tie of the calibration below, goes through one
+routine, ``_class_ties``, which gallops from each class's last move.
 
 A binary scan learns one bit per query, where a label among n classes can
 carry log2 n.  At a phase base the network between a released target and
@@ -62,7 +62,7 @@ kh kw inputs, each weight phase injecting at the one input pixel that the
 centre reads through one kernel tap.  A layer whose weight phases repay
 the calibration (``_reads_nary``, the one rule) reads its weights n-ary,
 into a ReLU or a MaxPoolReLU boundary alike.  After the bias phase every
-class is tied with the bias phase's class once (``_class_intercepts``),
+class is tied with the bias phase's class once, polished (``_class_ties``),
 the ties are re-referenced to class 0 where class 0 ties (no query), and
 each target's slopes against that reference are measured once
 (``_calibrate_lines``); a weight then
@@ -79,15 +79,16 @@ When such a layer feeds the terminal layer through one ReLU, its
 calibration measures the terminal too: at its silenced base the logits
 are the terminal's bias, so an intercept referenced at class 0 is a
 gauge-fixed terminal bias, and a slope tie against class 0 moves by R
-times a gauge-fixed terminal weight.  Those ties go into the attack's
-``TerminalTies`` table, read to ``eta_tol`` / 2, and the terminal layer
-takes its parameters from the table as they are; when class 0 never
-ties, the table stays empty.  It ties only what the table lacks: a column
-whose bias reading was flagged, a class with no intercept or with a
-failed slope tie.  ``attack_order`` pairs the two layers and runs the
-terminal layer after the layer below whenever both are targets, so every
-order gives the same parameters; without such a layer below, the
-terminal ties every class itself.
+times a gauge-fixed terminal weight.  Those readings go into the attack's
+``TerminalTies`` table, keyed by the terminal's own slots, the slope ties
+read to ``eta_tol`` / 2, and the terminal layer takes its parameters from
+the table as they are; when class 0 never ties, the table stays empty.
+It ties only what the table lacks: a column whose bias reading was
+flagged, a class with no intercept or with a failed slope tie.
+``attack_order`` pairs the two layers and runs the terminal layer after
+the layer below whenever both are targets, so every order gives the same
+parameters; without such a layer below, the terminal ties every class
+itself.
 
 Two systematic error sources are handled explicitly.  Every class tie
 that later measurements stand on (a critical point, an intercept) is
@@ -126,7 +127,9 @@ fixed amount (``ClassLines.drift``).  The slope ties that go into a
 ``TerminalTies`` table are the terminal layer's own parameters against
 class 0, so they stop at ``eta_tol`` / 2, one bit finer than the
 terminal's own weight ties: half the tolerance the terminal layer reads
-its weights to alone.
+its weights to alone.  Every ``_class_ties`` reading to rel of its move
+is priced alike, log2(1 / rel) + ``TIE_READ_EXTRA`` queries, in the rule
+(``_reads_nary``) and in the terminal readings the table spares.
 """
 
 from __future__ import annotations
@@ -197,8 +200,7 @@ NARY_TIE_DRIFT = 10 * TIE_POLISH_TOL  # a re-tie moved beyond mask noise (~1e-13
 NARY_TIE_QUERIES = 45  # one polished intercept tie: gallop from sphere_norm, bisection to TIE_POLISH_TOL
 BINARY_READ_EXTRA = 8  # a binary scan's queries beyond log2(1 / eta_tol): sign probe, gallop, scan 2
 NARY_READ_EXTRA = 3  # an n-ary read's queries beyond log_m(1 / eta_tol): first window and widenings
-TERMINAL_TIE_QUERIES = 31  # one terminal reading that a layer's calibration makes for it (``TerminalTies``)
-NARY_SLOPE_READ_EXTRA = 7  # a slope tie's queries beyond log2(1 / eta_tol) when it is read to eta_tol
+TIE_READ_EXTRA = 7  # a ``_class_ties`` reading's queries beyond log2(1 / rel) when it is read to rel of its move
 PAIR_DOUBLINGS = 20  # a pair search's doublings without a swap before one probe at ETA_MAX asks if it swaps at all
 MAX_RETRIES = 5  # further attempts at a scan that behaved inconsistently, each from a fresh critical point
 BIAS_TOL_FACTOR = 1e-4  # a bias error enters every weight of its row as error / amplitude: biases read 4 digits finer
@@ -310,33 +312,21 @@ class _LineCalibration:
         return abs(cp.t - (self.intercepts[cp.c2] - self.intercepts[cp.c1])) <= NARY_TIE_DRIFT
 
 
-@dataclass
-class TerminalTies:
+class TerminalTies(dict):
     """One attack's class ties at the ReLU boundary that feeds the terminal
     layer, made by the n-ary calibration of the fully-connected layer below
-    it (``attack_order`` pairs the two).
+    it (``attack_order`` pairs the two), keyed by the terminal's own slots.
 
     Its ties are referenced at class 0, the terminal's gauge: the
     calibration writes them only when class 0 ties.  At a base that
     silences the boundary the logits are the terminal's bias b, and a
-    target j released at R moves them by R W[:, j].  So ``intercepts[c]``,
-    the shift that ties class c with class 0 there, is b[0] - b[c], and
-    ``slopes[j][c]`` is W[c, j] - W[0, j] (class 0 itself at 0 in both),
-    each read to ``eta_tol`` / 2 of its move.  A class with no reachable
-    tie, and a target with no slope ties, are absent.
+    target j released at R moves them by R W[:, j].  So slot (c,), minus
+    the shift that ties class c with class 0 there (a polished tie), holds
+    b[c] - b[0], and slot (c, j), that tie's move over R (read to
+    ``eta_tol`` / 2 of the move), holds W[c, j] - W[0, j], for c >= 1.  A
+    slot is absent when class c has no reachable tie, or target j no slope
+    ties.
     """
-
-    intercepts: dict[int, float] = field(default_factory=dict)
-    slopes: dict[int, dict[int, float]] = field(default_factory=dict)
-
-    def gauge_fixed(self) -> dict[tuple, float]:
-        """The terminal parameters the ties measure, keyed by the
-        terminal's slots: (c,) reads b[c] - b[0] and (c, j) reads W[c, j] -
-        W[0, j], for c >= 1.  A slot is absent when class c lacks its tie."""
-        out = {(c,): -t for c, t in self.intercepts.items() if c}
-        for j, h in self.slopes.items():
-            out.update({(c, j): h_c for c, h_c in h.items() if c})
-        return out
 
 
 def attack_order(skeleton: ModelGraph, targets: Sequence[int]) -> list[tuple[int, TerminalTies | None]]:
@@ -1113,14 +1103,15 @@ def _reads_nary(
     log2(1 / eta_tol) + ``BINARY_READ_EXTRA`` queries less its own
     log_m(1 / eta_tol) + ``NARY_READ_EXTRA``, and each target pays m - 1 =
     ``classes`` - 1 slope ties, the layer m - 2 intercept ties
-    (``NARY_TIE_QUERIES`` each).  A slope tie is a reading,
-    log2(1 / eta_tol) + ``NARY_SLOPE_READ_EXTRA`` queries.  The layer
-    below the terminal one alone gets the attack's ``ties``: there a slope
-    tie is read one bit finer, log2(2 / eta_tol) +
-    ``NARY_SLOPE_READ_EXTRA``, and the calibration spares the terminal
-    layer's (n_out + 1)(m - 1) readings, ``TERMINAL_TIE_QUERIES`` each,
-    which count toward the repayment.  Every bias phase keeps the binary
-    scan.
+    (``NARY_TIE_QUERIES`` each).  A ``_class_ties`` reading to rel of its
+    move costs log2(1 / rel) + ``TIE_READ_EXTRA`` queries, and a slope tie
+    is one, to ``eta_tol``.  The layer below the terminal one alone gets
+    the attack's ``ties``: there a slope tie is read one bit finer, to
+    ``eta_tol`` / 2, and the calibration spares the terminal layer m - 1
+    readings per column, n_out columns, each to ``eta_tol``, and m - 1 bias
+    readings, each to ``eta_tol`` times ``BIAS_TOL_FACTOR``: the readings
+    ``extract_last_layer`` would make, priced alike, count toward the
+    repayment.  Every bias phase keeps the binary scan.
     """
     spec = skeleton.layer(layer_id)
     succ = _nonlinear_successor(skeleton, layer_id)
@@ -1129,26 +1120,13 @@ def _reads_nary(
     n_out, reads = spec.weight.shape[0], spec.weight[0].size
     bits = math.log2(1.0 / eta_tol)
     saved = bits + BINARY_READ_EXTRA - (bits / math.log2(classes) + NARY_READ_EXTRA)
-    spared = 0 if ties is None else (n_out + 1) * (classes - 1) * TERMINAL_TIE_QUERIES
-    slope = math.log2((1.0 if ties is None else 2.0) / eta_tol) + NARY_SLOPE_READ_EXTRA
+
+    def tie(rel: float) -> float:  # one ``_class_ties`` reading to rel of its move
+        return math.log2(1.0 / rel) + TIE_READ_EXTRA
+
+    slope = tie(eta_tol if ties is None else 0.5 * eta_tol)
+    spared = 0.0 if ties is None else (classes - 1) * (n_out * tie(eta_tol) + tie(eta_tol * BIAS_TOL_FACTOR))
     return n_out * reads * saved + spared >= n_out * (classes - 1) * slope + (classes - 2) * NARY_TIE_QUERIES
-
-
-def _class_intercepts(
-    oracle: OracleHandle, v0: QueryInput, cp: CriticalPoint, cfg: BoundarySearchConfig
-) -> dict[int, float]:
-    """The Argmax shift on each class that ties it with ``cp.c1`` at the
-    silenced base ``v0``, where ``cp`` was tied: 0 for ``cp.c1``, ``cp.t``
-    for ``cp.c2``, one ``_pair_boundary`` for each other class, none where
-    that tie is unreachable."""
-    intercepts = {cp.c1: 0.0, cp.c2: cp.t}
-    for c in range(oracle.n_classes):
-        if c not in intercepts:
-            try:
-                intercepts[c] = _pair_boundary(oracle, v0, cp.c1, c, cfg)[1]
-            except BoundarySearchError:
-                pass
-    return intercepts
 
 
 def _kept_lines(
@@ -1178,27 +1156,32 @@ def _class_ties(
     cfg: BoundarySearchConfig,
     tol: float,
     rel: float,
+    validate: bool = False,
 ) -> Iterator[tuple[object, int, float | None]]:
     """Tie each class c of each ``(key, v, classes)`` in ``todo`` with
     ``ref`` at v, in order, and yield (key, c, t): the Argmax shift on
     logit c that ties the pair, or None where they never swap within
-    ``ETA_MAX``.
+    ``ETA_MAX``, or, with ``validate``, where their tie fails the two-probe
+    test.
 
-    The attack's one galloping class tie.  Class c's tie starts at
+    The attack's one class tie after a layer's critical point: every
+    intercept, slope and terminal tie.  Class c's tie starts at
     ``starts[c]``, and its nudge doubles from the class's last move from
     there, at least ``ETA_INITIAL_STEP`` (``sphere_norm`` before its first
     move): the class moves by about as much at every v.  It is bisected to
-    ``tol`` or ``rel`` times that move, whichever is wider, and skips the
-    two-probe test: only two classes compete, so the converged flip is
-    their tie (``_pair_boundary``).  Each tie runs only when the caller
-    asks for the next one.
+    ``tol`` or ``rel`` times that move, whichever is wider.  A reading
+    (``rel`` > 0) skips the two-probe test: only two classes compete, so
+    the converged flip is their tie (``_pair_boundary``).  A tie that later
+    readings stand on, an intercept, is polished instead: ``tol`` =
+    ``TIE_POLISH_TOL``, ``rel`` 0 and ``validate``.  Each tie runs only
+    when the caller asks for the next one.
     """
     moves: dict[int, float] = {}
     for key, v, classes in todo:
         for c in classes:
             step = max(moves[c], ETA_INITIAL_STEP) if c in moves else None
             try:
-                t = _pair_boundary(oracle, v, ref, c, cfg, starts[c], step, tol, rel, validate=False)[1]
+                t = _pair_boundary(oracle, v, ref, c, cfg, starts[c], step, tol, rel, validate)[1]
             except BoundarySearchError:
                 yield key, c, None
                 continue
@@ -1230,10 +1213,10 @@ def _calibrate_lines(
     intercept's, over R, bounds the slope's error.  A target that keeps
     fewer than two lines (``_kept_lines``) has none and keeps the binary
     scan.  With ``ties``, whose ``ref`` must be class 0, every slope tie is
-    read one bit finer, to ``eta_tol`` / 2, and every target's measured
-    slopes, kept or not, go into ``ties.slopes``: where the boundary feeds
-    the terminal layer they are its gauge-fixed weights, the terminal
-    layer's own parameters, read finer than its own weight ties.
+    read one bit finer, to ``eta_tol`` / 2, and every measured slope h_c of
+    target j, kept or not, goes into slot (c, j) of ``ties``: where the
+    boundary feeds the terminal layer it is a gauge-fixed weight, the
+    terminal layer's own parameter, read finer than its own weight ties.
     """
     big_r = {at: max(1.0, abs(b)) for at, b in readings.items()}
     others = [c for c in intercepts if c != ref]
@@ -1246,8 +1229,8 @@ def _calibrate_lines(
             move = intercepts[c] - t
             slopes[at[0]][c] = move / big_r[at]
             errors[at[0]][c] = (max(SCAN_ABS_TOL, rel * abs(move)) + TIE_POLISH_TOL) / big_r[at]
-    if ties is not None:
-        ties.slopes.update(slopes)
+            if ties is not None:
+                ties[(c, at[0])] = slopes[at[0]][c]
     lines = {at[0]: _kept_lines(slopes[at[0]], errors[at[0]], intercepts, b) for at, b in readings.items()}
     return {j: kept for j, kept in lines.items() if kept is not None}
 
@@ -1291,17 +1274,19 @@ def _extract_layer(
 
     When ``nary``, the answer of ``_reads_nary`` (``_driver_setup``), the
     class lines are calibrated right after the bias phase: every class is
-    tied with the bias phase's class ``cp.c1`` once (``_class_intercepts``)
-    and, when class 0 ties, re-referenced to class 0 (I_c - I_0, no
-    query); the rule is asked again with the classes that tied, and then
-    each target's slopes are tied against the reference
-    (``_calibrate_lines``).  Those ties count in ``weight_queries`` and in
-    ``calibration_queries``.  In a weight phase whose tie sits where the
-    intercepts predict (``_LineCalibration.holds``), a target with class
-    lines is read n-ary from the layer's last spread at its first attempt.
-    ``ties`` is the attack's table at the boundary that feeds the terminal
-    layer, given to the layer below that one: its calibration ties go
-    there, when class 0 ties, and none when it does not.
+    tied with the bias phase's class ``cp.c1`` once, from 0, polished
+    (``_class_ties``: ``TIE_POLISH_TOL``, validated), and, when class 0
+    ties, re-referenced to class 0 (I_c - I_0, no query); the rule is
+    asked again with the classes that tied, and then each target's slopes
+    are tied against the reference (``_calibrate_lines``).  Those ties
+    count in ``weight_queries`` and in ``calibration_queries``.  In a
+    weight phase whose tie sits where the intercepts predict
+    (``_LineCalibration.holds``), a target with class lines is read n-ary
+    from the layer's last spread at its first attempt.  ``ties`` is the
+    attack's table at the boundary that feeds the terminal layer, given to
+    the layer below that one: when class 0 ties, the calibration writes
+    the terminal's slots there, b[c] - b[0] = -I_c and its slopes, and
+    nothing when it does not.
     """
     spec = skeleton.layer(layer_id)
     plan = zero_input_plan(skeleton, layer_id)
@@ -1353,12 +1338,16 @@ def _extract_layer(
         if inject is None:  # the bias phase: calibrate the class lines
             t1 = oracle.count
             if nary:
-                intercepts, ref = _class_intercepts(oracle, v0, cp, cfg), cp.c1
+                n = oracle.n_classes
+                others = [c for c in range(n) if c not in (cp.c1, cp.c2)]
+                polished = _class_ties(oracle, [(None, v0, others)], cp.c1, [0.0] * n, cfg, TIE_POLISH_TOL, 0.0, True)
+                intercepts = {cp.c1: 0.0, cp.c2: cp.t} | {c: t for _, c, t in polished if t is not None}
+                ref = cp.c1
                 if 0 in intercepts:  # the terminal's gauge: its ties with class 0 are its parameters
                     intercepts, ref = {c: t - intercepts[0] for c, t in intercepts.items()}, 0
                 table = ties if ref == 0 else None
                 if table is not None:
-                    table.intercepts = intercepts
+                    table.update({(c,): -t for c, t in intercepts.items() if c})
                 if _reads_nary(skeleton, layer_id, len(intercepts), cfg.eta_tol, table):
                     # a bias reading flagged dead or retried may be off: that target keeps the binary scan
                     flagged = set(res.dead) | set(res.retried)
@@ -1486,9 +1475,9 @@ def extract_last_layer(
     are determined up to one additive constant and each weight column up
     to another.  Class 0 is the gauge reference: only classes 1..n-1 are
     measured, and the result is the ``gauge_fixed`` representative with
-    bias[0] = 0 and weight[0, :] = 0.  Every slot that ``ties`` measures
-    (``TerminalTies.gauge_fixed``) is taken from it, so a table that
-    measures every slot costs no query.  The rest are read through
+    bias[0] = 0 and weight[0, :] = 0.  Every slot that ``ties`` holds
+    (``TerminalTies``) is taken from it as it is, so a table that holds
+    every slot costs no query.  The rest are read through
     ``_class_ties`` with class 0, each to a tolerance relative to its move
     (``SCAN_ABS_TOL`` as the floor): first the bias ties, at the base that
     pins the layer's input to zero, where class c ties at -(b[c] - b[0]),
@@ -1506,7 +1495,7 @@ def extract_last_layer(
     res = LayerExtractionResult(
         layer_id=spec.id, kind=spec.kind, bias=np.zeros(n_out), weight=np.zeros((n_out, n_in)), gauge_fixed=True
     )
-    known = ties.gauge_fixed() if ties is not None else {}
+    known = ties or {}
     for slot, value in known.items():
         (res.bias if len(slot) == 1 else res.weight)[slot] = value
 

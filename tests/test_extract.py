@@ -1136,11 +1136,13 @@ def test_warm_terminal_reading_step_count(monkeypatch, move):
         assert queries <= 2 + math.ceil(math.log2(ETA_INITIAL_STEP / SCAN_ABS_TOL))
 
 
-def test_critical_points_and_intercepts_keep_the_polish_tolerance():
+def test_critical_points_and_intercepts_keep_the_polish_tolerance(monkeypatch):
     """Ties that later scans stand on are bisected to ``TIE_POLISH_TOL``
     and pass the two-probe test whatever ``eta_tol`` is: a fresh critical
     point, a hinted re-tie of it at a base whose logits moved, and every
-    class intercept of an n-ary layer (relu-inproc's FC layer)."""
+    class intercept of an n-ary layer (relu-inproc's FC layer), which its
+    driver ties with its bias phase's class, polished and validated, in
+    one ``_class_ties`` call at that base."""
     model = random_model("conv2x3x3-r-fc12-r-fc4", (2, 6, 6), seed=3)
     sk, argmax = model.skeleton(), model.argmax_id
     cfg = BoundarySearchConfig(sphere_norm=10.0, eta_tol=1e-3)
@@ -1157,11 +1159,29 @@ def test_critical_points_and_intercepts_keep_the_polish_tolerance():
     again = search_critical(oracle, moved, cfg, np.random.default_rng(1), hint=cp)
     assert (again.c1, again.c2) == (cp.c1, cp.c2) and again.t == pytest.approx(cp.t - 0.37, abs=1e-12)
     assert polished(again.v, again.c1, again.c2)
-    intercepts = sx_extract._class_intercepts(oracle, base, cp, cfg)
-    assert len(intercepts) == model.n_classes
-    for c, t in intercepts.items():
-        if c != cp.c1:
-            vec = np.full(model.n_classes, -SUPPRESSION)
-            vec[[cp.c1, c]] = 0.0
-            vec[c] += t
-            assert polished(base.shifted(ShiftSet({(argmax, PRE): vec})), cp.c1, c)
+
+    calls, real_ties = [], sx_extract._class_ties
+
+    def class_ties(oracle, todo, ref, starts, cfg, tol, rel, validate=False):
+        tied = []
+        if tol == TIE_POLISH_TOL:
+            ((_, v, classes),) = todo
+            calls.append((v, ref, classes, rel, validate, tied))
+        for key, c, t in real_ties(oracle, todo, ref, starts, cfg, tol, rel, validate):
+            tied.append((c, t))
+            yield key, c, t
+
+    monkeypatch.setattr(sx_extract, "_class_ties", class_ties)
+    extract_fc_layer(oracle, sk, 3, cfg, np.random.default_rng(1))
+    ((v, ref, classes, rel, validate, tied),) = calls
+    assert rel == 0.0 and validate and ref not in classes
+    assert np.array_equal(v.x0, base.x0) and v.shifts.entries.keys() == base.shifts.entries.keys()
+    assert all(np.array_equal(a, base.shifts.entries[k]) for k, a in v.shifts.entries.items())
+    # the bias phase's pair and every other class: each class's intercept
+    assert len(classes) == model.n_classes - 2 and [c for c, _ in tied] == classes
+    for c, t in tied:
+        assert t is not None
+        vec = np.full(model.n_classes, -SUPPRESSION)
+        vec[[ref, c]] = 0.0
+        vec[c] += t
+        assert polished(v.shifted(ShiftSet({(argmax, PRE): vec})), ref, c)

@@ -443,6 +443,33 @@ def test_target_layers_checked_before_any_query(monkeypatch, layers, named):
     assert calls == []
 
 
+@pytest.mark.parametrize("cfg, truth, message", [
+    (ExperimentConfig(), False, "in-process backend needs the ground-truth model"),
+    (ExperimentConfig(backend="endpoint", arch=ARCH, input_shape=SHAPE), True, "endpoint backend needs"),
+    (ExperimentConfig(backend="endpoint", endpoint="127.0.0.1:1", input_shape=SHAPE), True, "endpoint backend needs"),
+    (ExperimentConfig(backend="endpoint", endpoint="127.0.0.1:1", arch=ARCH), True, "endpoint backend needs"),
+    (ExperimentConfig(backend="socket"), True, "unknown backend 'socket'"),
+], ids=["no-truth", "no-endpoint", "no-arch", "no-input-shape", "unknown-backend"])
+def test_a_backend_without_what_it_needs_is_refused(monkeypatch, cfg, truth, message):
+    """A backend missing what it needs, or one that does not exist, fails
+    the run with a ValueError naming it, before a query or a connection."""
+    import shiftextract.harness as harness
+
+    monkeypatch.setattr(harness, "forward_label", lambda *a: pytest.fail("a query was made"))
+    monkeypatch.setattr(harness, "RemoteOracle", lambda *a: pytest.fail("a connection was made"))
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        run_attack(cfg, truth=sx.random_model(ARCH, SHAPE, seed=4) if truth else None)
+
+
+def test_cli_names_the_shape_an_input_shape_must_have(capsys):
+    """An input shape that is not integers joined by x stops argparse with
+    exit code 2, naming the form it must take."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["attack", "--input-shape", "3by8"])
+    assert exit_info.value.code == 2
+    assert "shape must look like 3x8x8, got '3by8'" in capsys.readouterr().err
+
+
 def test_partial_failure_preserved():
     """A layer whose boundary search cannot succeed is reported, with its
     consumed queries, without aborting the run."""

@@ -2,10 +2,12 @@
 
 ``_scan_boundary`` is wrapped so that its first calls raise scripted
 errors.  The first scan of a layer measures bias slot (0,), so that slot
-sees every scripted error; the scans after them run for real.  The last
-test scripts a third class into the oracle's answers instead.
+sees every scripted error; the scans after them run for real.  The later
+tests script the oracle's answers instead, and each failure a real scan or
+tie search can raise is driven through it that way.
 """
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -13,14 +15,27 @@ import pytest
 
 import shiftextract.extract as sx_extract
 from shiftextract import (
+    PRE,
     BoundarySearchConfig,
+    BoundarySearchError,
     OracleHandle,
     extract_conv_layer,
     extract_fc_layer,
+    extract_feature,
     forward_label,
     random_model,
+    relative_errors,
+    search_critical,
+    zero_input_plan,
 )
-from shiftextract.extract import BIAS_TOL_FACTOR, MAX_RETRIES, DeadFeatureError, ScanRetryError
+from shiftextract.extract import (
+    BIAS_TOL_FACTOR,
+    MAX_RETRIES,
+    DeadFeatureError,
+    ScanRetryError,
+    _controlled_query,
+    _phase_base,
+)
 from shiftextract.oracle import TIE_PROBE
 
 CFG = BoundarySearchConfig(sphere_norm=10.0)
@@ -204,3 +219,118 @@ def test_third_class_at_a_bisection_midpoint_retries(monkeypatch):
                           "search", "scan"]
     assert (0,) in res.retried and (0,) not in res.dead
     assert abs(res.bias[0] - model.layer(3).bias[0]) <= 1e-9
+
+
+def _scripted(model, script):
+    """An oracle that answers query k (from 0) with ``script[k]`` where the
+    script has it, and from ``model`` elsewhere."""
+    counter = itertools.count()
+
+    def backend(q):
+        k = next(counter)
+        return script[k] if k in script else forward_label(model, q)
+
+    return OracleHandle(backend, argmax_id=model.argmax_id, n_classes=model.n_classes)
+
+
+def _bias_point():
+    """The small_cnn fixture's FC layer at its bias-phase base, whose
+    boundary is ReLU 4, and a critical point tied there by the true
+    oracle."""
+    model, _ = _relu_layer()
+    sk = model.skeleton()
+    base = _controlled_query(sk, zero_input_plan(sk, 3), None).shifted(_phase_base(sk, 4))
+    return model, sk, base, search_critical(OracleHandle.in_process(model), base, CFG, np.random.default_rng(0))
+
+
+def test_a_third_class_on_the_sign_probe_fails_the_scan():
+    """The sign probe is the two-probe test at z = 0: a third class on
+    either of its answers fails the scan after its two queries."""
+    model, sk, _, cp = _bias_point()
+    third = ({0, 1, 2} - {cp.c1, cp.c2}).pop()
+    for script in ({0: third}, {0: cp.c1, 1: third}):
+        oracle = _scripted(model, script)
+        with pytest.raises(ScanRetryError, match=f"third class {third} intruded on the boundary") as e:
+            extract_feature(oracle, sk, cp, 4, (0,), CFG)
+        assert e.value.fallback is None and oracle.count == 2
+
+
+def test_both_probes_failing_at_one_point_fails_the_scan():
+    """Each class's nudge answered with the other class at z = 0 is no tie
+    and no side of one: the scan fails after its two queries."""
+    model, sk, _, cp = _bias_point()
+    oracle = _scripted(model, {0: cp.c2, 1: cp.c1})
+    with pytest.raises(ScanRetryError, match="both probes failed at one point") as e:
+        extract_feature(oracle, sk, cp, 4, (0,), CFG)
+    assert e.value.fallback is None and oracle.count == 2
+
+
+def test_a_positive_scan_that_never_turns_critical_fails():
+    """A service that answers class c2 to every query puts the target on
+    the positive side (c1's nudge fails at z = 0), and shifting it down
+    never ties the pair again up to ``ETA_MAX``: the scan fails, with no
+    estimate to fall back on, after 32 queries: the sign probe's two and
+    one per doubling from ``ETA_INITIAL_STEP`` while below ``ETA_MAX``."""
+    model, sk, _, cp = _bias_point()
+    oracle = OracleHandle(lambda q: cp.c2, argmax_id=model.argmax_id, n_classes=model.n_classes)
+    with pytest.raises(ScanRetryError, match="positive-branch scan found no flip") as e:
+        extract_feature(oracle, sk, cp, 4, (0,), CFG)
+    assert e.value.fallback is None and oracle.count == 32
+
+
+def test_a_failed_confirmation_scan_falls_back_to_its_first_scan(monkeypatch):
+    """A service on which the confirmation scan's 2 eps probe never loses
+    its label fails that scan after scan 1 found z1: the error carries
+    -z1, scan 1's uncorrected estimate.  When that happens on every
+    attempt at bias slot (0,), the layer driver stores the last attempt's
+    -z1 there, within the probe lag of the truth, and lists the slot in
+    ``retried``; the later slots read right."""
+    model, extract = _relu_layer()
+    held, z1s, errors = [], [], []
+    real_flip, real_scan = sx_extract._flip_point, sx_extract._scan_boundary
+
+    def flip_point(oracle, at, c1, c2, eps, *args, **kwargs):
+        if eps != 2 * TIE_PROBE or len(z1s) == ATTEMPTS:
+            return real_flip(oracle, at, c1, c2, eps, *args, **kwargs)
+        z1s.append(float(at(0.0).shifts.get(4, PRE)[0]))  # the released target holds z1 exactly
+        held.append(kwargs["failed"])  # every probe of this scan keeps the failing class's label
+        try:
+            return real_flip(oracle, at, c1, c2, eps, *args, **kwargs)
+        finally:
+            held.clear()
+
+    def scan(*args, **kwargs):
+        try:
+            return real_scan(*args, **kwargs)
+        except ScanRetryError as e:
+            errors.append(e)
+            raise
+
+    monkeypatch.setattr(sx_extract, "_flip_point", flip_point)
+    monkeypatch.setattr(sx_extract, "_scan_boundary", scan)
+    oracle = OracleHandle(lambda q: held[0] if held else forward_label(model, q),
+                          argmax_id=model.argmax_id, n_classes=model.n_classes)
+    res = extract(oracle)
+    assert res.total_queries == oracle.count
+    assert len(errors) == ATTEMPTS and all(str(e) == "confirmation scan found no flip" for e in errors)
+    assert [e.fallback for e in errors] == [-z1 for z1 in z1s]
+    assert res.bias[0] == -z1s[-1]
+    assert res.retried == [(0,)] and not res.dead
+    true = model.layer(3)
+    assert abs(res.bias[0] - true.bias[0]) <= 1e-9
+    assert np.abs(res.bias[1:] - true.bias[1:]).max() <= 1e-9
+    assert relative_errors(res.weight, true.weight).max() <= 1e-6
+
+
+def test_a_pair_tie_that_fails_validation_is_no_critical_point():
+    """A tie whose two-probe validation fails, here its first probe
+    answered with the other class, is no critical point: the pair search
+    raises after its bisection and both probes, the same queries the true
+    service is asked."""
+    model, _, base, cp = _bias_point()
+    dry = OracleHandle.in_process(model)
+    search_critical(dry, base, CFG, np.random.default_rng(0))
+    oracle = _scripted(model, {dry.count - 2: cp.c2})
+    with pytest.raises(BoundarySearchError, match=rf"pair boundary \({cp.c1}, {cp.c2}\) failed validation"):
+        search_critical(oracle, base, CFG, np.random.default_rng(0))
+    assert oracle.count == dry.count

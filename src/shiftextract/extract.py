@@ -41,7 +41,7 @@ the target falls back to the last uncorrected estimate when every attempt
 fails.  The tie sees neither the silenced boundary nor an identity skip
 around the layer, which a weight phase cancels where it joins the branch
 (``_skip_cancel``): each phase ties its point again from the one before
-(``search_critical``'s hint) in about four queries, and a layer draws one
+(``search_critical``'s hint) in two queries, and a layer draws one
 class pair.  The terminal layer, whose one consumer is the Argmax, has its
 own driver (``extract_last_layer``): it reads class-pair ties instead of
 feature scans, one per (column, class) after the bias ties, and its result
@@ -118,14 +118,18 @@ what the slopes' error may move its breakpoints (``ClassLines.drift``).  A
 terminal class tie is a reading too: it stops at a tolerance relative to
 its distance from where it started, ``eta_tol`` times ``BIAS_TOL_FACTOR``
 for a bias tie and ``eta_tol`` for a weight tie, which starts at its
-class's bias tie, and skips the two-probe test.  The ties that other
-readings stand on are the exception: critical points and intercept ties
-are bisected to ``TIE_POLISH_TOL`` and validated.  A slope tie is a
-reading: it stops at ``eta_tol`` times its move, and a slope off by that
-moves each breakpoint in proportion to the window being split, not by a
-fixed amount (``ClassLines.drift``).  The slope ties that go into a
-``TerminalTies`` table are the terminal layer's own parameters against
-class 0, so they stop at ``eta_tol`` / 2, one bit finer than the
+class's bias tie.  The ties that other readings stand on are the
+exception: critical points and intercept ties are bisected to
+``TIE_POLISH_TOL``, and no converged tie is tested again
+(``_pair_boundary``).  A slope tie that only places the breakpoints of
+n-ary reads stops at ``SLOPE_TIE_REL`` (2^-12) of its move, or
+``eta_tol`` where that is coarser: a slope off by that moves each
+breakpoint in proportion to the window being split
+(``ClassLines.drift``), which widens each split a little and leaves every
+reading at its tolerance, and a line too close to its neighbour for that
+error is dropped (``_kept_lines``).  The slope ties that go
+into a ``TerminalTies`` table are the terminal layer's own parameters
+against class 0, so they stop at ``eta_tol`` / 2, one bit finer than the
 terminal's own weight ties: half the tolerance the terminal layer reads
 its weights to alone.  Every ``_class_ties`` reading to rel of its move
 is priced alike, log2(1 / rel) + ``TIE_READ_EXTRA`` queries, in the rule
@@ -165,7 +169,7 @@ class ExtractionError(RuntimeError):
 
 class BoundarySearchError(ExtractionError):
     """No usable class boundary: the pair never swaps within ``ETA_MAX``,
-    or its tie fails the two-probe test."""
+    or a third class answers its search."""
 
 
 class DeadFeatureError(ExtractionError):
@@ -196,8 +200,10 @@ ETA_MAX = 1e4  # bounds every search: no flip below it means a dead feature or a
 SUPPRESSION = 1e6  # pins ReLU outputs and other logits down: 100x FEATURE_BOUND, beyond every search
 NARY_MIN_SLOPE_GAP = 1e-3  # a breakpoint is off by tie error / slope gap: 1e-10 at most
 NARY_TIE_DRIFT = 10 * TIE_POLISH_TOL  # a re-tie moved beyond mask noise (~1e-13): stale intercepts
+SLOPE_TIE_REL = 2.0**-12  # a slope tie that only places breakpoints: its error widens each n-ary split in proportion
+NARY_DRIFT_CAP = 3e-2  # a line that leaves drift beyond this is dropped: a split then narrows m / (1 + (2m - 1) drift)
 # The costs behind ``_reads_nary``, measured at eta_tol = 1e-8 and 1e-3 on FC and conv layers of 2 to 10 classes:
-NARY_TIE_QUERIES = 45  # one polished intercept tie: gallop from sphere_norm, bisection to TIE_POLISH_TOL
+NARY_TIE_QUERIES = 47  # one polished intercept tie: gallop from sphere_norm (10), bisection to TIE_POLISH_TOL
 BINARY_READ_EXTRA = 8  # a binary scan's queries beyond log2(1 / eta_tol): sign probe, gallop, scan 2
 NARY_READ_EXTRA = 3  # an n-ary read's queries beyond log_m(1 / eta_tol): first window and widenings
 TIE_READ_EXTRA = 7  # a ``_class_ties`` reading's queries beyond log2(1 / rel) when it is read to rel of its move
@@ -269,12 +275,13 @@ class ClassLines:
     reads ``slopes[i] * r - intercepts[i]`` plus its Argmax shift.
 
     ``classes`` are in increasing slope order, adjacent slopes at least
-    ``NARY_MIN_SLOPE_GAP`` apart.  ``intercepts`` are the Argmax shifts
-    that tie each class with the reference at r = 0, and ``centre`` is the
-    target's bias reading, where a read's first window is centred and from
-    which it measures its tolerance.  ``drift`` bounds the slopes' error
-    over each adjacent gap: a breakpoint placed at r from a window's bottom
-    lies within ``drift`` r of it, besides ``resolution``.
+    ``NARY_MIN_SLOPE_GAP`` apart (``_kept_lines``).  ``intercepts`` are the
+    Argmax shifts that tie each class with the reference at r = 0, and
+    ``centre`` is the target's bias reading, where a read's first window is
+    centred and from which it measures its tolerance.  ``drift`` bounds the slopes' error
+    over each adjacent gap, at most ``NARY_DRIFT_CAP``: a breakpoint
+    placed at r from a window's bottom lies within ``drift`` r of it,
+    besides ``resolution``.
     """
 
     classes: tuple[int, ...]
@@ -287,7 +294,7 @@ class ClassLines:
     def resolution(self) -> float:
         """How far a breakpoint may lie from where a read places it: the
         intercepts' tie error (``TIE_POLISH_TOL``) over the smallest slope
-        gap, at most 1e-10.  A slope read to ``eta_tol`` adds no floor: it
+        gap, at most 1e-10.  A slope's error adds no floor: it
         moves the breakpoint at r (from the window's bottom) by at most
         ``drift`` r, in proportion to the window being split."""
         return TIE_POLISH_TOL / min(b - a for a, b in zip(self.slopes, self.slopes[1:]))
@@ -727,7 +734,6 @@ def _pair_boundary(
     step: float | None = None,
     tol: float = TIE_POLISH_TOL,
     rel: float = 0.0,
-    validate: bool = True,
 ) -> tuple[QueryInput, float]:
     """The query that ties class ``c`` with ``c_ref`` at ``v0``, and the
     shift t on logit ``c`` that it adds.
@@ -743,9 +749,12 @@ def _pair_boundary(
     or ``rel`` times its distance from ``start``, whichever is wider
     (``_find_flip``).
     A tie that later scans stand on keeps the default ``TIE_POLISH_TOL``,
-    since a wider gap would bias every scan at it by gap/slope, and is
-    validated with the two-probe test; a tie that is itself the reading
-    (``validate`` false) skips that test.
+    since a wider gap would bias every scan at it by gap/slope.  No tie is
+    tested again: the search has seen ``c_ref`` at one end of the final
+    bracket and ``c`` at the other, and a ``TIE_PROBE`` nudge on either
+    class moves the query at least 100 bracket widths beyond the end that
+    answered with it, where the label is monotone in t.  A third class
+    answering any query raises ``BoundarySearchError``.
     """
     n = oracle.n_classes
     suppress = np.full(n, -SUPPRESSION)
@@ -793,10 +802,7 @@ def _pair_boundary(
             f"no boundary reachable: classes {c_ref} and {c} never swap within ETA_MAX={ETA_MAX}"
         ) from None
     t_star = start + direction * s_star
-    v = at(t_star)
-    if validate and not oracle.is_critical(v, c_ref, c):
-        raise BoundarySearchError(f"pair boundary ({c_ref}, {c}) failed validation")
-    return v, t_star
+    return at(t_star), t_star
 
 
 def search_critical(
@@ -812,8 +818,8 @@ def search_critical(
     scalar logit nudge ties any two classes once the others are pushed down.
     With a ``hint``, the critical point of an earlier base, its pair is
     tied again from its tie shift, its step the hint's last move
-    (``TIE_POLISH_TOL`` at least): a tie that has not moved costs about
-    four queries, one that moves by about as much in every phase (a path
+    (``TIE_POLISH_TOL`` at least): a tie that has not moved costs two
+    queries, one that moves by about as much in every phase (a path
     around the silenced boundary) is galloped to from that scale.  A move
     within ``NARY_TIE_DRIFT`` (mask noise) is recorded as 0.  A hinted
     pair that does not swap within ``ETA_MAX`` is dropped after at most
@@ -1105,7 +1111,8 @@ def _reads_nary(
     ``classes`` - 1 slope ties, the layer m - 2 intercept ties
     (``NARY_TIE_QUERIES`` each).  A ``_class_ties`` reading to rel of its
     move costs log2(1 / rel) + ``TIE_READ_EXTRA`` queries, and a slope tie
-    is one, to ``eta_tol``.  The layer below the terminal one alone gets
+    is one, to ``SLOPE_TIE_REL`` or ``eta_tol``, whichever is coarser
+    (``_calibrate_lines``).  The layer below the terminal one alone gets
     the attack's ``ties``: there a slope tie is read one bit finer, to
     ``eta_tol`` / 2, and the calibration spares the terminal layer m - 1
     readings per column, n_out columns, each to ``eta_tol``, and m - 1 bias
@@ -1124,7 +1131,7 @@ def _reads_nary(
     def tie(rel: float) -> float:  # one ``_class_ties`` reading to rel of its move
         return math.log2(1.0 / rel) + TIE_READ_EXTRA
 
-    slope = tie(eta_tol if ties is None else 0.5 * eta_tol)
+    slope = tie(max(eta_tol, SLOPE_TIE_REL) if ties is None else 0.5 * eta_tol)
     spared = 0.0 if ties is None else (classes - 1) * (n_out * tie(eta_tol) + tie(eta_tol * BIAS_TOL_FACTOR))
     return n_out * reads * saved + spared >= n_out * (classes - 1) * slope + (classes - 2) * NARY_TIE_QUERIES
 
@@ -1133,12 +1140,17 @@ def _kept_lines(
     slopes: dict[int, float], errors: dict[int, float], intercepts: dict[int, float], centre: float
 ) -> ClassLines | None:
     """The classes with a measured slope in increasing slope order, each
-    kept only if it lies ``NARY_MIN_SLOPE_GAP`` above the last kept one;
-    None when fewer than two are left.  ``errors`` bounds each slope's
-    error, and sets the lines' ``drift``."""
+    kept only if it lies ``NARY_MIN_SLOPE_GAP`` above the last kept one,
+    and far enough above it that their slopes' errors over the gap stay
+    within ``NARY_DRIFT_CAP``; None when fewer than two are left.
+    ``errors`` bounds each slope's error, and sets the lines' ``drift``,
+    so ``drift`` never passes the cap: a dropped line costs a read a
+    little of log2 m, where a wide drift would cost every split."""
     kept = []
     for c in sorted(slopes, key=slopes.get):
-        if not kept or slopes[c] - slopes[kept[-1]] >= NARY_MIN_SLOPE_GAP:
+        if not kept or slopes[c] - slopes[kept[-1]] >= max(
+            NARY_MIN_SLOPE_GAP, (errors[c] + errors[kept[-1]]) / NARY_DRIFT_CAP
+        ):
             kept.append(c)
     if len(kept) < 2:
         return None
@@ -1156,32 +1168,29 @@ def _class_ties(
     cfg: BoundarySearchConfig,
     tol: float,
     rel: float,
-    validate: bool = False,
 ) -> Iterator[tuple[object, int, float | None]]:
     """Tie each class c of each ``(key, v, classes)`` in ``todo`` with
     ``ref`` at v, in order, and yield (key, c, t): the Argmax shift on
     logit c that ties the pair, or None where they never swap within
-    ``ETA_MAX``, or, with ``validate``, where their tie fails the two-probe
-    test.
+    ``ETA_MAX`` or a third class answers (``_pair_boundary``).
 
     The attack's one class tie after a layer's critical point: every
     intercept, slope and terminal tie.  Class c's tie starts at
     ``starts[c]``, and its nudge doubles from the class's last move from
     there, at least ``ETA_INITIAL_STEP`` (``sphere_norm`` before its first
     move): the class moves by about as much at every v.  It is bisected to
-    ``tol`` or ``rel`` times that move, whichever is wider.  A reading
-    (``rel`` > 0) skips the two-probe test: only two classes compete, so
-    the converged flip is their tie (``_pair_boundary``).  A tie that later
+    ``tol`` or ``rel`` times that move, whichever is wider: only two
+    classes compete, so the converged flip is their tie.  A tie that later
     readings stand on, an intercept, is polished instead: ``tol`` =
-    ``TIE_POLISH_TOL``, ``rel`` 0 and ``validate``.  Each tie runs only
-    when the caller asks for the next one.
+    ``TIE_POLISH_TOL`` and ``rel`` 0.  Each tie runs only when the caller
+    asks for the next one.
     """
     moves: dict[int, float] = {}
     for key, v, classes in todo:
         for c in classes:
             step = max(moves[c], ETA_INITIAL_STEP) if c in moves else None
             try:
-                t = _pair_boundary(oracle, v, ref, c, cfg, starts[c], step, tol, rel, validate)[1]
+                t = _pair_boundary(oracle, v, ref, c, cfg, starts[c], step, tol, rel)[1]
             except BoundarySearchError:
                 yield key, c, None
                 continue
@@ -1208,22 +1217,26 @@ def _calibrate_lines(
     R = max(1, |b_j|): at its scale, and far below ``ETA_MAX``.  Each class
     c with an intercept is tied again with ``ref`` there, starting at its
     intercept T_c (``_class_ties``), and its slope relative to ``ref`` is
-    h_c = (T_c - t_c) / R.  A slope tie is a reading, to ``eta_tol`` times
-    its move (``SCAN_ABS_TOL`` as the floor), and that tolerance plus the
-    intercept's, over R, bounds the slope's error.  A target that keeps
-    fewer than two lines (``_kept_lines``) has none and keeps the binary
-    scan.  With ``ties``, whose ``ref`` must be class 0, every slope tie is
-    read one bit finer, to ``eta_tol`` / 2, and every measured slope h_c of
+    h_c = (T_c - t_c) / R.  A slope tie is a reading to rel times its move
+    (``SCAN_ABS_TOL`` as the floor), and that tolerance plus the
+    intercept's, over R, bounds the slope's error.  Such a slope only
+    places breakpoints, and its error only widens each n-ary split in
+    proportion (``ClassLines.drift``), so rel is ``SLOPE_TIE_REL``, or
+    ``eta_tol`` where that is coarser.  A target that keeps fewer than two
+    lines (``_kept_lines``) has none and keeps the binary scan.  With
+    ``ties``, whose ``ref`` must be class 0, the slopes are the terminal's
+    own weights: every slope tie is read to ``eta_tol`` / 2, one bit finer
+    than the terminal's own weight ties, and every measured slope h_c of
     target j, kept or not, goes into slot (c, j) of ``ties``: where the
     boundary feeds the terminal layer it is a gauge-fixed weight, the
-    terminal layer's own parameter, read finer than its own weight ties.
+    terminal layer's own parameter.
     """
     big_r = {at: max(1.0, abs(b)) for at, b in readings.items()}
     others = [c for c in intercepts if c != ref]
     todo = ((at, _releaser(v0, (boundary_id, PRE), at)(big_r[at] - b), others) for at, b in readings.items())
     slopes = {at[0]: {ref: 0.0} for at in readings}
     errors = {at[0]: {ref: 0.0} for at in readings}
-    rel = cfg.eta_tol if ties is None else 0.5 * cfg.eta_tol
+    rel = max(cfg.eta_tol, SLOPE_TIE_REL) if ties is None else 0.5 * cfg.eta_tol
     for at, c, t in _class_ties(oracle, todo, ref, intercepts, cfg, SCAN_ABS_TOL, rel):
         if t is not None:
             move = intercepts[c] - t
@@ -1275,7 +1288,7 @@ def _extract_layer(
     When ``nary``, the answer of ``_reads_nary`` (``_driver_setup``), the
     class lines are calibrated right after the bias phase: every class is
     tied with the bias phase's class ``cp.c1`` once, from 0, polished
-    (``_class_ties``: ``TIE_POLISH_TOL``, validated), and, when class 0
+    (``_class_ties``: ``TIE_POLISH_TOL``), and, when class 0
     ties, re-referenced to class 0 (I_c - I_0, no query); the rule is
     asked again with the classes that tied, and then each target's slopes
     are tied against the reference (``_calibrate_lines``).  Those ties
@@ -1340,7 +1353,7 @@ def _extract_layer(
             if nary:
                 n = oracle.n_classes
                 others = [c for c in range(n) if c not in (cp.c1, cp.c2)]
-                polished = _class_ties(oracle, [(None, v0, others)], cp.c1, [0.0] * n, cfg, TIE_POLISH_TOL, 0.0, True)
+                polished = _class_ties(oracle, [(None, v0, others)], cp.c1, [0.0] * n, cfg, TIE_POLISH_TOL, 0.0)
                 intercepts = {cp.c1: 0.0, cp.c2: cp.t} | {c: t for _, c, t in polished if t is not None}
                 ref = cp.c1
                 if 0 in intercepts:  # the terminal's gauge: its ties with class 0 are its parameters

@@ -6,8 +6,9 @@ queries were serialized even under concurrent callers.  ``probe`` is the
 one tie-test nudge: a single counted query with one logit raised by
 ``TIE_PROBE`` (or a multiple of it), and every tie test of the attack is
 made of such probes.  The two-probe tie test (``is_critical``) always
-issues exactly two of them, never short circuiting, so query budgets are a
-pure function of call counts.
+issues exactly two of them, never short circuiting.  The attack makes it
+on no tie it converged on, whose bracket ends already answered with each
+class; it checks a tie from outside the search.
 """
 
 from __future__ import annotations
@@ -73,8 +74,8 @@ class CriticalPoint:
     pushes every other class down and nudges the pair into a tie.  ``t`` is
     that nudge, the shift on logit c2, from which the tie of a later base
     is searched, and ``move`` its last move, from which that search
-    gallops.  The constructor trusts the caller: the search validates
-    criticality with the two-probe test before building one.
+    gallops.  The constructor trusts the caller: the search builds one only
+    from a converged pair bracket whose ends answered c1 and c2.
     """
 
     v: QueryInput

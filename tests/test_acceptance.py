@@ -138,10 +138,12 @@ def test_criterion_5_query_budget(criterion1_run):
 
 
 def test_criterion_1_exact_query_total(criterion1_run):
-    """Criterion 1's attack spends exactly 229,088 queries: a change meant
-    to keep every query stream must keep this total."""
+    """Criterion 1's attack spends exactly 227,771 queries (229,088 before
+    a polished tie was no longer tested again and slope ties were read
+    coarse): a change meant to keep every query stream must keep this
+    total."""
     _, report, _, _ = criterion1_run
-    assert report.total_queries == 229088
+    assert report.total_queries == 227771
 
 
 def test_criterion_6_protocol_fidelity():

@@ -113,6 +113,47 @@ def test_search_critical_ties_a_drawn_pair(arch, model_seed, input_seed, input_s
     assert np.array_equal(forward_trace(model, again.v).logits, logits)
 
 
+class _NoTieTests(OracleHandle):
+    """An oracle on which a two-probe tie test fails the test that makes it."""
+
+    def is_critical(self, v, c1, c2):
+        raise AssertionError("a tie test was made")
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    log_gap=st.floats(-13.0, 2.5),
+    negative=st.booleans(),
+    log_move=st.one_of(st.none(), st.floats(-13.0, 2.5)),
+    rng_seed=st.integers(0, 2**16),
+)
+def test_a_polished_tie_is_critical(log_gap, negative, log_move, rng_seed):
+    """Logits [0, g, -g] for drawn gaps g of either sign, 1e-13 to about
+    300: every tie ``search_critical`` converges on, fresh or hinted from a
+    tie that has since moved by a drawn amount, passes the two-probe test,
+    which the search itself never makes.  A nudge of ``TIE_PROBE`` is the
+    pair query moved 100 bracket widths past a bracket end whose label the
+    search has already seen."""
+    g = (-1.0 if negative else 1.0) * 10.0**log_gap
+    layers = [
+        LayerSpec(id=0, kind=KIND_INPUT, shape=(2,)),
+        fc_layer(1, 0, np.zeros((3, 2)), np.zeros(3)),
+        LayerSpec(id=2, kind=KIND_RELU, inputs=(1,)),
+        fc_layer(3, 2, np.zeros((3, 3)), np.array([0.0, g, -g])),
+        LayerSpec(id=4, kind=KIND_ARGMAX, inputs=(3,)),
+    ]
+    model = ModelGraph(layers, output=4)
+    oracle = _NoTieTests(lambda q: forward_label(model, q), argmax_id=4, n_classes=3)
+    hint = None
+    if log_move is not None:
+        move = 10.0**log_move
+        hint = CriticalPoint(v=QueryInput(np.zeros(2)), c1=0, c2=1, t=-g + move, move=move)
+    cp = search_critical(oracle, QueryInput(np.zeros(2)), CFG, np.random.default_rng(rng_seed), hint=hint)
+    logits = forward_trace(model, cp.v).logits
+    assert abs(logits[cp.c1] - logits[cp.c2]) <= TIE_POLISH_TOL
+    assert OracleHandle.in_process(model).is_critical(cp.v, cp.c1, cp.c2)
+
+
 def test_search_critical_unreachable_boundary(zero3_model):
     """Logits [2e4, -2e4, 0] are at least 2e4 apart: no pair swaps within ETA_MAX."""
     biased = zero3_model.with_params(
@@ -646,12 +687,12 @@ def test_extract_conv_layer_recovers(small_cnn):
     assert res.total_queries == oracle.count
 
 
-@pytest.mark.parametrize("shape, nary", [((16,), True), ((5,), False)], ids=["nary", "binary"])
+@pytest.mark.parametrize("shape, nary", [((16,), True), ((4,), False)], ids=["nary", "binary"])
 def test_a_weight_far_below_its_bias_reads_to_eta_tol(shape, nary):
     """A weight is read to ``eta_tol`` of itself, not of the raw value y =
     b + a w that its scan releases: weight (0, 3) of ``fc6-r-fc4`` is
     2.5e-6 under a bias of -2.3e-2, as criterion 1's weight (27, 87) of
-    layer 3 is.  Whether the layer reads n-ary (16 inputs) or binary (5),
+    layer 3 is.  Whether the layer reads n-ary (16 inputs) or binary (4),
     that weight lands within ``eta_tol`` |w| plus the ``SCAN_ABS_TOL`` / a
     floor, where a reading of y to ``eta_tol`` |y| would be about 1e3 times
     that far off."""
@@ -719,7 +760,7 @@ def test_extract_fc_column_linearity(small_cnn):
 
 @pytest.mark.parametrize("arch, shape, seed, admitted", [
     ("conv3x3x3-r-fc6-r-fc3", (2, 4, 4), 31, True),
-    ("conv2x3x3-r-fc12-r-fc10", (2, 6, 6), 3, False),  # the ten-class CI model: two outputs share 8 intercept ties
+    ("conv4x3x3-r-fc10", (1, 6, 6), 1, False),  # 9 reads per target do not repay nine slope ties
 ], ids=["4x4-forced-binary", "6x6-refused"])
 def test_conv_small_map_single_injection_fallback(monkeypatch, arch, shape, seed, admitted):
     """A convolution scanned binary has the one layout of a convolution
@@ -940,6 +981,29 @@ def test_biases_behind_a_conv_and_a_pinned_pool_read_to_their_tolerance():
     assert errors.max() <= cfg.search.eta_tol * BIAS_TOL_FACTOR, errors
 
 
+@pytest.mark.xfail(strict=True, reason="a tie whose pair gains little per unit of the target reads pool-res's conv "
+                                       "biases 5.6 to 6x beyond their tolerance, unflagged")
+def test_pool_res_conv_biases_read_to_their_tolerance():
+    """The pool-res-inproc benchmark model (model seed 9, attack seed 5)
+    reads its two convs' biases, layer 1 into a MaxPoolReLU and layer 3
+    inside the residual branch.  Every bias should read within eta_tol
+    times ``BIAS_TOL_FACTOR`` of itself, ``SCAN_ABS_TOL`` the floor.  Bias
+    3 of layer 1 (|b| = 0.0339) reads 6.2e-12 off against a tolerance of
+    1.0e-12, and bias 0 of layer 3 (0.061) 1.02e-11 off against 1.8e-12,
+    nothing flagged.  Their tied pairs gain only 8.0e-4 and 4.7e-3 per
+    unit of the target, so the confirmation scans' probe lags are 1.26e-8
+    and 2.1e-9."""
+    arch, shape = "conv4x3x3-mpr2-res{conv4x3x3-r,}-fc8-r-fc4", (2, 8, 8)
+    truth = random_model(arch, shape, seed=9)
+    cfg = sx.ExperimentConfig(arch=arch, input_shape=shape, model_seed=9, attack_seed=5, layers=[1, 3])
+    report, extracted = sx.run_attack(cfg, truth=truth)
+    assert all(l.error is None and not l.dead and not l.retried for l in report.layers)
+    for lid in (1, 3):
+        true = truth.layer(lid).bias
+        tol = np.maximum(cfg.search.eta_tol * BIAS_TOL_FACTOR * np.abs(true), SCAN_ABS_TOL)
+        assert np.all(np.abs(extracted.layer(lid).bias - true) <= tol), (lid, extracted.layer(lid).bias - true)
+
+
 @pytest.mark.parametrize("arch, shape, model_seed", [
     ("conv2x3x3-r-conv2x3x3-r-conv2x3x3-mpr2-fc6-r-fc3", (1, 8, 8), 2),
     ("conv2x3x3-r-conv2x3x3-r-conv2x3x3-mpr2-fc6-r-fc3", (2, 8, 8), 1),
@@ -1141,8 +1205,8 @@ def test_critical_points_and_intercepts_keep_the_polish_tolerance(monkeypatch):
     and pass the two-probe test whatever ``eta_tol`` is: a fresh critical
     point, a hinted re-tie of it at a base whose logits moved, and every
     class intercept of an n-ary layer (relu-inproc's FC layer), which its
-    driver ties with its bias phase's class, polished and validated, in
-    one ``_class_ties`` call at that base."""
+    driver ties with its bias phase's class, polished, in one
+    ``_class_ties`` call at that base."""
     model = random_model("conv2x3x3-r-fc12-r-fc4", (2, 6, 6), seed=3)
     sk, argmax = model.skeleton(), model.argmax_id
     cfg = BoundarySearchConfig(sphere_norm=10.0, eta_tol=1e-3)
@@ -1162,19 +1226,19 @@ def test_critical_points_and_intercepts_keep_the_polish_tolerance(monkeypatch):
 
     calls, real_ties = [], sx_extract._class_ties
 
-    def class_ties(oracle, todo, ref, starts, cfg, tol, rel, validate=False):
+    def class_ties(oracle, todo, ref, starts, cfg, tol, rel):
         tied = []
         if tol == TIE_POLISH_TOL:
             ((_, v, classes),) = todo
-            calls.append((v, ref, classes, rel, validate, tied))
-        for key, c, t in real_ties(oracle, todo, ref, starts, cfg, tol, rel, validate):
+            calls.append((v, ref, classes, rel, tied))
+        for key, c, t in real_ties(oracle, todo, ref, starts, cfg, tol, rel):
             tied.append((c, t))
             yield key, c, t
 
     monkeypatch.setattr(sx_extract, "_class_ties", class_ties)
     extract_fc_layer(oracle, sk, 3, cfg, np.random.default_rng(1))
-    ((v, ref, classes, rel, validate, tied),) = calls
-    assert rel == 0.0 and validate and ref not in classes
+    ((v, ref, classes, rel, tied),) = calls
+    assert rel == 0.0 and ref not in classes
     assert np.array_equal(v.x0, base.x0) and v.shifts.entries.keys() == base.shifts.entries.keys()
     assert all(np.array_equal(a, base.shifts.entries[k]) for k, a in v.shifts.entries.items())
     # the bias phase's pair and every other class: each class's intercept

@@ -322,15 +322,17 @@ def test_a_failed_confirmation_scan_falls_back_to_its_first_scan(monkeypatch):
     assert relative_errors(res.weight, true.weight).max() <= 1e-6
 
 
-def test_a_pair_tie_that_fails_validation_is_no_critical_point():
-    """A tie whose two-probe validation fails, here its first probe
-    answered with the other class, is no critical point: the pair search
-    raises after its bisection and both probes, the same queries the true
-    service is asked."""
+def test_a_third_class_in_a_pair_search_is_no_critical_point():
+    """A pair search sees only the labels of its pair while every other
+    class is pushed down: a third class answering any of its queries, here
+    the last bisection query, raises at that query, so no tie is built from
+    it.  A converged tie needs no further test: its bracket ends already
+    answered with each class (``test_a_polished_tie_is_critical``)."""
     model, _, base, cp = _bias_point()
     dry = OracleHandle.in_process(model)
     search_critical(dry, base, CFG, np.random.default_rng(0))
-    oracle = _scripted(model, {dry.count - 2: cp.c2})
-    with pytest.raises(BoundarySearchError, match=rf"pair boundary \({cp.c1}, {cp.c2}\) failed validation"):
+    third = ({0, 1, 2} - {cp.c1, cp.c2}).pop()
+    oracle = _scripted(model, {dry.count - 1: third})
+    with pytest.raises(BoundarySearchError, match=f"suppressed pair scan saw class {third}"):
         search_critical(oracle, base, CFG, np.random.default_rng(0))
     assert oracle.count == dry.count

@@ -460,8 +460,7 @@ def test_the_rule():
 
 
 @pytest.mark.parametrize("eta_tol, arch, shape", [
-    (3e-7, "fc6-r-fc4", (3,)),  # binary: three slope ties per target, not repaid by 3 reads
-    (3e-7, "fc6-r-fc4", (5,)),  # n-ary: repaid by 5 reads since the slope ties are read coarse
+    (3e-7, "fc6-r-fc4", (5,)),  # n-ary: three slope ties per target, read coarse, repaid by 5 reads
     (3e-7, "fc8-r-fc10", (30,)),  # n-ary: nine slope ties per target, repaid by 30 reads
     (3e-7, "fc12-r-fc2", (72,)),  # n-ary: two lines only save scan 2 and the sign probe, 72 times
     (3e-7, "conv2x3x3-r-fc12-r-fc4", (2, 6, 6)),  # n-ary: the relu-inproc conv, 18 reads per output channel
@@ -469,11 +468,15 @@ def test_the_rule():
     (3e-7, "conv2x3x3-r-fc10", (2, 6, 6)),  # n-ary: two outputs repay the eight intercept ties
     (3e-7, "conv4x3x3-r-fc10", (1, 6, 6)),  # binary: 9 reads do not repay nine slope ties
     (3e-7, "conv2x3x3-mpr2-fc3-r-fc3", (1, 4, 4)),  # n-ary: the pool-endpoint conv, into a maxpool boundary
+    (3e-7, "fc6-r-fc4", (3,)),  # binary: three slope ties per target, not repaid by 3 reads
     # near the break-even at 1e-8, where slope ties read to eta_tol kept these layers binary
     (1e-8, "fc6-r-fc4", (6,)),
     (1e-8, "fc6-r-fc10", (15,)),
     (1e-8, "fc6-r-fc2", (7,)),
-])
+], ids=["fc6-r-fc4-shape0", "fc8-r-fc10-shape1", "fc12-r-fc2-shape2", "conv2x3x3-r-fc12-r-fc4-shape3",
+        "conv4x3x3-r-fc10-shape4", "conv2x3x3-r-fc10-shape5", "conv4x3x3-r-fc10-shape6",
+        "conv2x3x3-mpr2-fc3-r-fc3-shape7", "fc6-r-fc4-3in", "fc6-r-fc4-6in-1e-8", "fc6-r-fc10-15in-1e-8",
+        "fc6-r-fc2-7in-1e-8"])
 def test_the_rule_picks_the_cheaper_read(monkeypatch, eta_tol, arch, shape):
     """On layers on either side of the rule, fully connected and
     convolutional, forced to read n-ary and binary in turn, the side the
